@@ -11,10 +11,9 @@ selection rules (labeling), shifted families answering ball queries
 from cubeforge.adjacent import (AdjacentFamily, CubeQuery,
                                 build_adjacent_family, find_containing_cube,
                                 index_to_pair, pair_to_index, verify_covering)
-from cubeforge.analysis import (Measure, WeightedFunction, ap_constant,
-                                bmo_norm, doubling_constant, lp_norm,
-                                maximal_function, verify_comparability,
-                                verify_weighted_bounds)
+from cubeforge.analysis import (Measure, ap_constant, bmo_norm,
+                                doubling_constant, lp_norm, maximal_function,
+                                verify_comparability, verify_weighted_bounds)
 from cubeforge.cubes import (Cube, CubeSystem, ParentMaps, SystemConstants,
                              boundary_zone, build_cube_system,
                              build_partial_order, verify_cube_axioms)
@@ -55,8 +54,7 @@ __all__ = [
     "PipelineConfig", "PreconditionFail", "QuasiMetricSpace", "RunReport",
     "SelectionError", "SelectionEstimate", "SelectionOutcome",
     "SpaceError", "SpaceProfile", "SymmetryViolation", "SystemConstants",
-    "TightAmbiguity", "VerificationReport", "WeightedFunction",
-    "ZeroDistance", "ap_constant", "aux_cover_const", "aux_sep_const",
+    "TightAmbiguity", "VerificationReport", "ZeroDistance", "ap_constant", "aux_cover_const", "aux_sep_const",
     "ball", "bmo_norm", "boundary_zone", "build_adjacent_family",
     "build_cube_system", "build_labels", "build_partial_order",
     "build_reference_hierarchy", "check_chain_separation", "check_mode",

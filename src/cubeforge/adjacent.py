@@ -21,14 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import CubeSystem, build_cube_system, build_partial_order
+from .cubes import CubeSystem, build_cube_system
 from .errors import ConfigError
-from .labeling import (
-    LabeledHierarchy,
-    aux_cover_const,
-    aux_sep_const,
-    select_points,
-)
+from .labeling import LabeledHierarchy, select_points, selected_order
 from .report import VerificationReport
 
 _TOL = 1e-12
@@ -165,14 +160,9 @@ def build_adjacent_family(labeled: LabeledHierarchy,
             else:
                 rule = {"kind": "specific_distinguished", "label": [l, m],
                         "distinguished": distinguished}
-        outcome = select_points(labeled, rule)
-        z_levels = outcome.new_levels()
-        order = build_partial_order(labeled.space, z_levels, delta=delta,
-                                    sep_const=aux_sep_const(tri),
-                                    cover_const=aux_cover_const(tri),
-                                    tri_const=tri, k_top=labeled.k_min,
-                                    mode=labeled.hierarchy.mode)
-        family.systems.append(build_cube_system(labeled.space, z_levels, order))
+        z_levels = select_points(labeled, rule).new_levels()
+        family.systems.append(build_cube_system(
+            labeled.space, z_levels, selected_order(labeled, z_levels)))
     return family
 
 

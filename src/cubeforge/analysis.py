@@ -52,37 +52,6 @@ class Measure:
         return float(self.weights[members].sum())
 
 
-@dataclass
-class WeightedFunction:
-    """A function f together with a weight omega > 0 and an exponent p > 1.
-
-    sigma is the dual weight omega**(-1/(p-1)) and p_conj the conjugate
-    exponent p/(p-1); both show up in the A_p and norm computations below.
-    """
-
-    f: np.ndarray
-    omega: np.ndarray
-    p: float
-
-    def __post_init__(self):
-        self.f = np.asarray(self.f, dtype=float)
-        self.omega = np.asarray(self.omega, dtype=float)
-        if self.f.shape != self.omega.shape or self.f.ndim != 1:
-            raise ConfigError("f and omega must be 1-d with matching shapes")
-        if not np.all(self.omega > 0):
-            raise ConfigError("weight must be strictly positive")
-        if not self.p > 1:
-            raise ConfigError(f"exponent p must exceed 1, got {self.p}")
-
-    @property
-    def p_conj(self) -> float:
-        return self.p / (self.p - 1.0)
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self.omega ** (-1.0 / (self.p - 1.0))
-
-
 def _weights_of(mu) -> np.ndarray:
     """Accept a Measure or a bare weight vector; validate either way."""
     if isinstance(mu, Measure):

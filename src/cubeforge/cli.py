@@ -14,7 +14,7 @@ import os
 import sys
 
 from .adjacent import build_adjacent_family
-from .errors import BuildError, ConfigError, CubeforgeError
+from .errors import ConfigError, CubeforgeError
 from .labeling import build_labels
 from .nets import build_reference_hierarchy
 from .pipeline import KNOWN_CHECKS, PipelineConfig, emit_report, run_pipeline
@@ -139,11 +139,6 @@ def main(argv=None) -> int:
         if args.command in BUILD_COMMANDS:
             return _run_build(args.command, cfg, args.out)
         return _run_checks(args.command, cfg, args.out, args.format)
-    except (ConfigError, BuildError) as e:
-        json.dump({"command": args.command, "error": str(e),
-                   "type": type(e).__name__}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
     except CubeforgeError as e:
         json.dump({"command": args.command, "error": str(e),
                    "type": type(e).__name__}, sys.stderr)

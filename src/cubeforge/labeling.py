@@ -12,10 +12,21 @@ smallest value in {0, 1, 2, ...} unused among its already-labeled neighbours.
 Children then carry a pair label: the parent's primary label plus the
 child's 1-based ordinal among its siblings (ascending index).
 
+build_labels stores the children once per parent level as a table: the child
+indices grouped by parent (a stable argsort of the parent map, so siblings
+stay in ascending order) plus each group's start offset. Sibling ordinals,
+the designated near child (the child closest to the parent, ties to the
+smallest index, required to sit within ratio**(k+1)) and the pool of near
+children all come from that table, and `children_of` / `near_children` are
+slices of it.
+
 Selection rules pick one child per center, producing one new point per old
-point. The fallback in every rule is the designated near child: the child
-closest to the parent (ties to the smallest index), required to sit within
-ratio**(k+1).
+point. One kernel, `LabeledHierarchy.pick_children`, serves every rule and
+every sampler: for a whole level it returns each center's child with pair
+label (l, m), optionally with a per-center ordinal shift, and the designated
+near child where there is none. `selected_order` links the selected centers
+with the auxiliary constants; every function that builds selected-point
+systems goes through it.
 """
 from __future__ import annotations
 
@@ -42,6 +53,10 @@ class LabeledHierarchy:
     primary: list = field(default_factory=list)     # per parent level: int array
     duplex: list = field(default_factory=list)      # per child level: (n, 2) array
     near: list = field(default_factory=list)        # per parent level: designated
+    # per parent level: (child indices grouped by parent, group starts with a
+    # final end offset); near_pool keeps only the children within ratio**(k+1)
+    children: list = field(default_factory=list)
+    near_pool: list = field(default_factory=list)
     max_label: int = 0                              # largest primary label seen
     max_children: int = 1                           # largest sibling count seen
 
@@ -68,7 +83,8 @@ class LabeledHierarchy:
         return int(l), int(m)
 
     def children_of(self, k: int, index: int) -> np.ndarray:
-        return self.order.children_of(k, index)
+        kids, start = self.children[k - self.k_min]
+        return kids[start[index]:start[index + 1]]
 
     def designated_near(self, k: int, index: int) -> int:
         """Child index closest to the parent, or -1 if none is near enough."""
@@ -76,11 +92,28 @@ class LabeledHierarchy:
 
     def near_children(self, k: int, index: int) -> np.ndarray:
         """Children within ratio**(k+1) of the parent point."""
-        kids = self.children_of(k, index)
-        parent_pt = int(self.hierarchy.level(k)[index])
-        child_pts = self.hierarchy.level(k + 1)[kids]
-        row = self.space.dist_row(parent_pt)[child_pts]
-        return kids[row < self.hierarchy.delta ** (k + 1)]
+        kids, start = self.near_pool[k - self.k_min]
+        return kids[start[index]:start[index + 1]]
+
+    def pick_children(self, k: int, l: int, m: int,
+                      ordinals: Optional[np.ndarray] = None) -> np.ndarray:
+        """The child-selection kernel, for every level-k center at once.
+
+        A center with primary label l takes its child with ordinal m (pair
+        label (l, m)); with per-center `ordinals` the ordinal is shifted to
+        (m + ordinals - 1) mod sibling count + 1. Every other center, and
+        one with no such child, takes its designated near child, -1 where
+        it has none (see `require_near`).
+        """
+        j = k - self.k_min
+        kids, start = self.children[j]
+        sizes = np.diff(start)
+        if ordinals is not None:
+            m = (m + np.asarray(ordinals) - 1) % np.maximum(sizes, 1) + 1
+        hit = (self.primary[j] == l) & (m >= 1) & (m <= sizes)
+        pick = self.near[j].copy()
+        pick[hit] = kids[(start[:-1] + m - 1)[hit]]
+        return pick
 
     def to_json(self):
         out = {"L": self.max_label, "M": self.max_children, "levels": []}
@@ -189,28 +222,36 @@ def build_labels(hierarchy: NetHierarchy) -> LabeledHierarchy:
         out.primary.append(_greedy_labels(n_here, neigh))
         max_label = max(max_label, int(out.primary[-1].max(initial=0)))
 
-        # duplex labels and near-child designation
-        n_child = len(hierarchy.level(k + 1))
-        duplex = np.zeros((n_child, 2), dtype=int)
+        # children table, duplex labels and near-child designation
+        kids = np.argsort(pmap, kind="stable")  # siblings stay ascending
+        start = _group_starts(pmap, n_here)
+        sizes = np.diff(start)
+        max_children = max(max_children, int(sizes.max(initial=0)))
+        duplex = np.empty((len(pmap), 2), dtype=int)
+        duplex[:, 0] = out.primary[j][pmap]
+        duplex[kids, 1] = np.arange(len(kids)) - np.repeat(start[:-1], sizes) + 1
+        d = space.dist_pairs(hierarchy.level(k)[pmap], hierarchy.level(k + 1))
+        # nearest first within each parent's group; the sort is stable, so
+        # ties go to the smaller index
+        by_dist = np.lexsort((d, pmap))
+        close = d < delta ** (k + 1)
+        first = by_dist[start[:-1][sizes > 0]]
         near = np.full(n_here, -1, dtype=int)
-        parent_pts = hierarchy.level(k)
-        child_pts = hierarchy.level(k + 1)
-        near_thr = delta ** (k + 1)
-        for alpha in range(n_here):
-            kids = np.where(pmap == alpha)[0]
-            duplex[kids, 0] = out.primary[j][alpha]
-            duplex[kids, 1] = np.arange(1, len(kids) + 1)
-            max_children = max(max_children, len(kids))
-            if len(kids):
-                row = space.dist_row(int(parent_pts[alpha]))[child_pts[kids]]
-                best = int(np.argmin(row))  # argmin ties to smallest index
-                if row[best] < near_thr:
-                    near[alpha] = kids[best]
+        near[sizes > 0] = np.where(close[first], first, -1)
+        out.children.append((kids, start))
+        out.near_pool.append((kids[close[kids]],
+                              _group_starts(pmap[close], n_here)))
         out.duplex.append(duplex)
         out.near.append(near)
     out.max_label = max_label
     out.max_children = max_children
     return out
+
+
+def _group_starts(pmap, n_parents):
+    """Where each parent's group starts in a child list sorted by parent,
+    plus the end of the last group."""
+    return np.concatenate(([0], np.cumsum(np.bincount(pmap, minlength=n_parents))))
 
 
 def _greedy_labels(n: int, neighbour_pairs) -> np.ndarray:
@@ -262,34 +303,16 @@ def select_points(labeled: LabeledHierarchy, rule: dict,
 
     chosen = []
     for k in labeled.parent_ks():
-        j = k - labeled.k_min
-        n_here = len(h.level(k))
-        pick = np.empty(n_here, dtype=int)
-        for alpha in range(n_here):
-            kids = labeled.children_of(k, alpha)
-            if kind == "general":
-                if labeled.label1(k, alpha) == master[k]:
-                    if chooser is None:
-                        pick[alpha] = _near_or_raise(labeled, k, alpha)
-                    else:
-                        beta = int(chooser(k, alpha))
-                        if beta not in kids:
-                            raise NotAChild(k, alpha, beta)
-                        pick[alpha] = beta
-                else:
-                    pick[alpha] = _near_or_raise(labeled, k, alpha)
-            else:
-                if kind == "specific_distinguished" and alpha == 0 \
-                        and int(h.level(k)[0]) == h.distinguished:
-                    # the distinguished point heads every level, and it is
-                    # its own child there by the same construction
-                    pick[alpha] = 0
-                    continue
-                l, m = rule["label"]
-                if labeled.label1(k, alpha) == l and m <= len(kids):
-                    pick[alpha] = kids[m - 1]
-                else:
-                    pick[alpha] = _near_or_raise(labeled, k, alpha)
+        if kind == "general":
+            pick = _general_pick(labeled, k, master[k], chooser)
+        else:
+            pick = labeled.pick_children(k, *rule["label"])
+            if kind == "specific_distinguished" \
+                    and int(h.level(k)[0]) == h.distinguished:
+                # the distinguished point heads every level, and it is
+                # its own child there by the same construction
+                pick[0] = 0
+        require_near(labeled, k, pick < 0)
         chosen.append(pick)
     json_rule = dict(rule)
     if kind == "general":
@@ -297,13 +320,46 @@ def select_points(labeled: LabeledHierarchy, rule: dict,
     return SelectionOutcome(labeled=labeled, rule=json_rule, chosen=chosen)
 
 
-def _near_or_raise(labeled, k, alpha):
-    beta = labeled.designated_near(k, alpha)
-    if beta < 0:
-        parent_pt = int(labeled.hierarchy.level(k)[alpha])
-        raise NoNearChild(k, alpha, parent_pt,
+def _general_pick(labeled, k, master, chooser):
+    """Near children everywhere, except that the chooser picks for the
+    centers labeled `master`, in index order, up to the first other center
+    without a near child."""
+    j = k - labeled.k_min
+    pick = labeled.near[j].copy()
+    if chooser is None:
+        return pick
+    match = labeled.primary[j] == master
+    stop = np.flatnonzero(~match & (pick < 0))
+    for alpha in np.flatnonzero(match[:stop[0] if stop.size else None]):
+        alpha = int(alpha)
+        beta = int(chooser(k, alpha))
+        if beta not in labeled.children_of(k, alpha):
+            raise NotAChild(k, alpha, beta)
+        pick[alpha] = beta
+    return pick
+
+
+def require_near(labeled: LabeledHierarchy, k: int, missing) -> None:
+    """Raise NoNearChild for the first level-k center flagged in the boolean
+    array `missing`: a center that falls back to a near child it lacks."""
+    bad = np.flatnonzero(missing)
+    if bad.size:
+        alpha = int(bad[0])
+        raise NoNearChild(k, alpha, int(labeled.hierarchy.level(k)[alpha]),
                           labeled.hierarchy.delta ** (k + 1))
-    return beta
+
+
+def selected_order(labeled: LabeledHierarchy, z_levels,
+                   k_top: Optional[int] = None) -> ParentMaps:
+    """Parent order over selected centers `z_levels` (coarsest level k_top,
+    default k_min) with the auxiliary selected-point constants."""
+    tri = labeled.space.profile.tri_const
+    h = labeled.hierarchy
+    return build_partial_order(labeled.space, z_levels, delta=h.delta,
+                               sep_const=aux_sep_const(tri),
+                               cover_const=aux_cover_const(tri), tri_const=tri,
+                               k_top=labeled.k_min if k_top is None else k_top,
+                               mode=h.mode)
 
 
 def verify_new_point_axioms(outcome: SelectionOutcome) -> VerificationReport:

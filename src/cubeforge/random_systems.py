@@ -13,6 +13,12 @@ adjacent         per level: one shift uniform on {1..K}; system t realizes
 adjacent_refined additionally one uniform sibling-ordinal shift per center,
                  applied modulo that center's child count.
 
+A level's per-center coordinates are drawn in one bounded-integer call over
+the whole level, which consumes the stream exactly as one call per center in
+index order. Adjacent draws realize their systems through the labeling
+kernel `pick_children` (see `OmegaSampler.shifted_pick`), and every
+selected-point order comes from `selected_order`.
+
 Every selected point is guaranteed a probability of at least
 tau_0 = 1/((L+1)*M) of being chosen, which drives the boundary-zone decay
 estimate: the chance that a point sits within tau * ratio**k of its level-k
@@ -28,19 +34,14 @@ from typing import Optional
 import numpy as np
 
 from .adjacent import AdjacentFamily, index_to_pair
-from .cubes import CubeSystem, build_cube_system, build_partial_order
-from .errors import (
-    ConfigError,
-    ModeViolation,
-    NoNearChild,
-    NotAChild,
-    PreconditionFail,
-)
+from .cubes import CubeSystem, build_cube_system
+from .errors import ConfigError, ModeViolation, NotAChild, PreconditionFail
 from .labeling import (
     LabeledHierarchy,
     SelectionOutcome,
-    aux_cover_const,
     aux_sep_const,
+    require_near,
+    selected_order,
 )
 from .report import VerificationReport
 
@@ -104,33 +105,26 @@ class OmegaSampler:
         return np.random.default_rng(ss)
 
     def draw_level(self, sample_index: int, k: int) -> dict:
-        """One level's coordinate; streams are independent across levels."""
+        """One level's coordinate; streams are independent across levels.
+        The centers of the level draw together (see the module docstring)."""
         lab = self.labeled
+        j = k - lab.k_min
         rng = self._rng(sample_index, k)
+        kids, start = lab.children[j]
         if self.variant == "single":
             master = int(rng.integers(0, lab.max_label + 1))
-            n_here = len(lab.hierarchy.level(k))
-            choice = np.empty(n_here, dtype=int)
-            for alpha in range(n_here):
-                kids = lab.children_of(k, alpha)
-                if lab.label1(k, alpha) == master:
-                    pool = kids
-                else:
-                    pool = lab.near_children(k, alpha)
-                    if pool.size == 0:
-                        raise NoNearChild(
-                            k, alpha, int(lab.hierarchy.level(k)[alpha]),
-                            lab.hierarchy.delta ** (k + 1))
-                choice[alpha] = pool[rng.integers(pool.size)]
+            match = lab.primary[j] == master
+            require_near(lab, k, ~match & (lab.near[j] < 0))
+            near, near_start = lab.near_pool[j]
+            offset = rng.integers(0, np.where(match, np.diff(start),
+                                              np.diff(near_start)))
+            choice = np.empty(len(match), dtype=int)
+            choice[match] = kids[start[:-1][match] + offset[match]]
+            choice[~match] = near[near_start[:-1][~match] + offset[~match]]
             return {"master": master, "choice": choice}
         entry = {"shift": int(rng.integers(1, self.n_systems + 1))}
         if self.variant == "adjacent_refined":
-            n_here = len(lab.hierarchy.level(k))
-            ordinals = np.empty(n_here, dtype=int)
-            for alpha in range(n_here):
-                n_kids = len(lab.children_of(k, alpha))
-                ordinals[alpha] = int(rng.integers(1, n_kids + 1))
-            entry["ordinals"] = ordinals
+            entry["ordinals"] = rng.integers(1, np.diff(start) + 1)
         return entry
 
     def draw(self, sample_index: int = 0) -> dict:
@@ -163,8 +157,6 @@ class OmegaSampler:
         if omega["variant"] == "single":
             raise ConfigError("single draws realize one system, not a family")
         lab = self.labeled
-        K = self.n_systems
-        M = lab.max_children
         shifts = {k: int(omega["levels"][k]["shift"]) for k in lab.parent_ks()}
         ordinals = None
         if omega["variant"] == "adjacent_refined":
@@ -172,30 +164,14 @@ class OmegaSampler:
                         for k in lab.parent_ks()}
         tri = lab.space.profile.tri_const
         family = AdjacentFamily(
-            labeled=lab, n_systems=K,
+            labeled=lab, n_systems=self.n_systems,
             covering_const=8.0 * tri ** 3 / lab.hierarchy.delta ** 2,
             level_shifts=shifts, ordinal_shifts=ordinals)
-        for t in range(1, K + 1):
+        for t in range(1, self.n_systems + 1):
             chosen = []
             for k in lab.parent_ks():
-                pi = (t + shifts[k] - 1) % K + 1
-                l_shift, m_shift = index_to_pair(pi, M)
-                n_here = len(lab.hierarchy.level(k))
-                pick = np.empty(n_here, dtype=int)
-                for alpha in range(n_here):
-                    kids = lab.children_of(k, alpha)
-                    if lab.label1(k, alpha) == l_shift:
-                        if ordinals is not None:
-                            m_t = (m_shift + int(ordinals[k][alpha]) - 1) \
-                                % len(kids) + 1
-                            pick[alpha] = kids[m_t - 1]
-                        elif m_shift <= len(kids):
-                            pick[alpha] = kids[m_shift - 1]
-                        else:
-                            pick[alpha] = _near_index(lab, k, alpha)
-                    else:
-                        pick[alpha] = _near_index(lab, k, alpha)
-                chosen.append(pick)
+                chosen.append(self.shifted_pick(k, t, omega["levels"][k]))
+                require_near(lab, k, chosen[-1] < 0)
             outcome = SelectionOutcome(
                 labeled=lab,
                 rule={"kind": "sampled_adjacent", "t": t, "seed": self.seed,
@@ -204,27 +180,20 @@ class OmegaSampler:
             family.systems.append(realize_system(lab, outcome))
         return family
 
-
-def _near_index(lab, k, alpha):
-    beta = lab.designated_near(k, alpha)
-    if beta < 0:
-        raise NoNearChild(k, alpha, int(lab.hierarchy.level(k)[alpha]),
-                          lab.hierarchy.delta ** (k + 1))
-    return beta
+    def shifted_pick(self, k: int, t: int, entry: dict) -> np.ndarray:
+        """Level-k picks of system t under one adjacent draw of level k: its
+        shift moves the pair label, its ordinals (if any) the sibling."""
+        pi = (t + int(entry["shift"]) - 1) % self.n_systems + 1
+        l, m = index_to_pair(pi, self.labeled.max_children)
+        return self.labeled.pick_children(k, l, m, entry.get("ordinals"))
 
 
 def realize_system(labeled: LabeledHierarchy,
                    outcome: SelectionOutcome) -> CubeSystem:
     """Close a selection outcome into a cube system over the chosen centers."""
-    tri = labeled.space.profile.tri_const
     z_levels = outcome.new_levels()
-    order = build_partial_order(labeled.space, z_levels,
-                                delta=labeled.hierarchy.delta,
-                                sep_const=aux_sep_const(tri),
-                                cover_const=aux_cover_const(tri),
-                                tri_const=tri, k_top=labeled.k_min,
-                                mode=labeled.hierarchy.mode)
-    return build_cube_system(labeled.space, z_levels, order)
+    return build_cube_system(labeled.space, z_levels,
+                             selected_order(labeled, z_levels))
 
 
 def sample_outcome(sampler: OmegaSampler, sample_index: int = 0
@@ -284,32 +253,17 @@ def estimate_selection_probability(sampler: OmegaSampler, k: int, alpha: int,
     lab = sampler.labeled
     if n_samples < 1000:
         raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
-    kids = lab.children_of(k, alpha)
-    if beta not in kids:
+    if beta not in lab.children_of(k, alpha):
         raise NotAChild(k, alpha, beta)
-    K = sampler.n_systems
-    M = lab.max_children
     hits = 0
     for i in range(n_samples):
         entry = sampler.draw_level(i, k)
         if sampler.variant == "single":
-            hit = int(entry["choice"][alpha]) == beta
+            pick = entry["choice"]
         else:
-            pi = (t + entry["shift"] - 1) % K + 1
-            l_shift, m_shift = index_to_pair(pi, M)
-            if lab.label1(k, alpha) == l_shift:
-                if sampler.variant == "adjacent_refined":
-                    m_t = (m_shift + int(entry["ordinals"][alpha]) - 1) \
-                        % len(kids) + 1
-                    pick = int(kids[m_t - 1])
-                elif m_shift <= len(kids):
-                    pick = int(kids[m_shift - 1])
-                else:
-                    pick = _near_index(lab, k, alpha)
-            else:
-                pick = _near_index(lab, k, alpha)
-            hit = pick == beta
-        hits += hit
+            pick = sampler.shifted_pick(k, t, entry)
+            require_near(lab, k, (pick < 0) & (np.arange(pick.size) == alpha))
+        hits += int(pick[alpha]) == beta
     freq = hits / n_samples
     tau_0 = sampler.tau_0
     threshold = tau_0 - 3.0 * math.sqrt(tau_0 * (1.0 - tau_0) / n_samples)
@@ -394,11 +348,7 @@ def _partial_assign(sampler: OmegaSampler, sample_index: int, k: int
         entry = sampler.draw_level(sample_index, j)
         z_levels.append(h.level(j + 1)[entry["choice"]])
     z_levels.append(h.level(lab.k_max).copy())
-    tri = lab.space.profile.tri_const
-    order = build_partial_order(lab.space, z_levels, delta=h.delta,
-                                sep_const=aux_sep_const(tri),
-                                cover_const=aux_cover_const(tri),
-                                tri_const=tri, k_top=k, mode=h.mode)
+    order = selected_order(lab, z_levels, k_top=k)
     finest = z_levels[-1]
     assign = np.empty(lab.space.n, dtype=int)
     assign[finest] = np.arange(len(finest))
@@ -428,9 +378,8 @@ def check_chain_separation(system: CubeSystem, x: int, k: int, tau: float,
             f"chain levels [{k}, {k + n_depth}] outside "
             f"[{system.k_min}, {system.k_max}]")
     row = space.dist_row(x)
-    top = system.cube(k, system.locate(k, x))
-    outside = np.setdiff1d(np.arange(space.n), top.members)
-    gap = float(row[outside].min()) if outside.size else math.inf
+    outside = system.assign[k - system.k_min] != system.locate(k, x)
+    gap = float(row[outside].min()) if outside.any() else math.inf
     if gap >= tau * delta ** k:
         raise PreconditionFail(
             f"point {x} is {gap} from its cube's complement, not within "
@@ -478,9 +427,9 @@ def scan_chain_separation(system: CubeSystem) -> VerificationReport:
     for x in space.points():
         row = space.dist_row(x)
         for k in system.level_ks():
-            members = system.cube(k, system.locate(k, int(x))).members
-            outside = np.setdiff1d(np.arange(space.n), members)
-            if outside.size == 0:
+            assign = system.assign[k - system.k_min]
+            outside = assign != assign[x]
+            if not outside.any():
                 continue
             gap = float(row[outside].min())
             for n_depth in range(0, system.k_max - k + 1):

@@ -90,6 +90,14 @@ class QuasiMetricSpace:
         cols = np.arange(self.n) if cols is None else np.asarray(cols, dtype=int)
         return np.array([self._row_fn(int(i))[cols] for i in ids]).reshape(ids.size, cols.size)
 
+    def dist_pairs(self, ids, cols) -> np.ndarray:
+        """Distances d(ids[i], cols[i]) for two aligned id arrays."""
+        ids, cols = np.asarray(ids, dtype=int), np.asarray(cols, dtype=int)
+        if self.table is not None:
+            return self.table[ids, cols]
+        return np.array([self._row_fn(int(i))[j] for i, j in zip(ids, cols)],
+                        dtype=float)
+
     def dist(self, i: int, j: int) -> float:
         if self.table is not None:
             return float(self.table[i, j])

@@ -155,6 +155,50 @@ def greedy_color_scan(n_nodes, edges, order):
     return [color[i] for i in range(n_nodes)]
 
 
+# -- child selection -------------------------------------------------------------
+
+
+def children_scan(parent_of, n_parents):
+    """Per parent index, its child indices in ascending order."""
+    return [[c for c in range(len(parent_of)) if parent_of[c] == a]
+            for a in range(n_parents)]
+
+
+def near_child_scan(d, parent_pt, child_pts, kids, near_thr):
+    """The child of `kids` closest to parent_pt (ties to the first listed),
+    or None when even that one is not closer than near_thr."""
+    best = None
+    for c in kids:
+        if best is None or d[parent_pt][child_pts[c]] < d[parent_pt][child_pts[best]]:
+            best = c
+    if best is None or not d[parent_pt][child_pts[best]] < near_thr:
+        return None
+    return best
+
+
+def select_scan(d, parent_pts, child_pts, parent_of, labels, near_thr, l, m,
+                ordinals=None, pin=None):
+    """One child index per parent: the m-th child (ascending index) of a
+    parent labeled l, with m moved to (m + ordinals[a] - 1) mod the child
+    count + 1 when per-parent ordinals are given; otherwise, or when there
+    is no m-th child, the near child (None if there is none). A parent
+    sitting at point `pin` keeps the child sitting at that same point."""
+    out = []
+    for a, kids in enumerate(children_scan(parent_of, len(parent_pts))):
+        if pin is not None and parent_pts[a] == pin:
+            out.append(list(child_pts).index(pin))
+            continue
+        mm = m
+        if ordinals is not None and kids:
+            mm = (m + ordinals[a] - 1) % len(kids) + 1
+        if labels[a] == l and 1 <= mm <= len(kids):
+            out.append(kids[mm - 1])
+        else:
+            out.append(near_child_scan(d, parent_pts[a], child_pts, kids,
+                                       near_thr))
+    return out
+
+
 # -- selection marginals -------------------------------------------------------
 
 

@@ -4,10 +4,9 @@ import pytest
 
 import bruteforce
 from cubeforge.adjacent import build_adjacent_family
-from cubeforge.analysis import (Measure, WeightedFunction, ap_constant,
-                                bmo_norm, doubling_constant, lp_norm,
-                                maximal_function, verify_comparability,
-                                verify_weighted_bounds)
+from cubeforge.analysis import (Measure, ap_constant, bmo_norm,
+                                doubling_constant, lp_norm, maximal_function,
+                                verify_comparability, verify_weighted_bounds)
 from cubeforge.cubes import build_cube_system, build_partial_order
 from cubeforge.errors import ConfigError, PreconditionFail
 from cubeforge.labeling import build_labels
@@ -53,18 +52,6 @@ def test_measure_validates_weights():
         Measure(np.array([]))
     with pytest.raises(ConfigError):
         Measure(np.ones((2, 2)))
-
-
-def test_weighted_function_derived_fields():
-    wf = WeightedFunction(f=[1.0, -2.0], omega=[4.0, 1.0], p=1.5)
-    assert wf.p_conj == pytest.approx(3.0)
-    assert wf.sigma == pytest.approx([4.0 ** -2, 1.0])
-    with pytest.raises(ConfigError):
-        WeightedFunction([1.0], [1.0], 1.0)
-    with pytest.raises(ConfigError):
-        WeightedFunction([1.0, 1.0], [1.0, -1.0], 2.0)
-    with pytest.raises(ConfigError):
-        WeightedFunction([1.0, 1.0], [1.0], 2.0)
 
 
 # -- doubling -----------------------------------------------------------------

@@ -73,6 +73,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert err["error"].startswith("mode:")
 
 
+def test_stage_failure_exits_two_with_build_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, space={"kind": "torus"})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "run"
+    assert err["type"] == "BuildError"
+    assert err["error"].startswith("stage space:")
+
+
 def test_build_commands_write_their_artifacts(tmp_path, capsys):
     cfg = write_config(tmp_path)
     expected = {"gen-space": "space.json", "build-nets": "hierarchy.json",

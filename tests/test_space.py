@@ -254,3 +254,5 @@ def test_dist_rows_match_dist_row_for_table_and_row_oracle():
             [table_space.dist_row(i).tolist() for i in ids]
         assert space.dist_rows(ids, cols).tolist() == [[4.0, 6.0], [3.0, 1.0], [4.0, 6.0]]
         assert space.dist_rows([]).shape == (0, 4)
+        assert space.dist_pairs(ids, [2, 1, 1]).tolist() == [4.0, 1.0, 6.0]
+        assert space.dist_pairs([], []).shape == (0,)
