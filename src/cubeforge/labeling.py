@@ -322,14 +322,15 @@ def select_points(labeled: LabeledHierarchy, rule: dict,
 
 def _general_pick(labeled, k, master, chooser):
     """Near children everywhere, except that the chooser picks for the
-    centers labeled `master`, in index order, up to the first other center
-    without a near child."""
+    centers labeled `master`, in index order, up to the first childless
+    center or other center without a near child."""
     j = k - labeled.k_min
     pick = labeled.near[j].copy()
     if chooser is None:
         return pick
     match = labeled.primary[j] == master
-    stop = np.flatnonzero(~match & (pick < 0))
+    stop = np.flatnonzero(np.where(match, np.diff(labeled.children[j][1]) == 0,
+                                   pick < 0))
     for alpha in np.flatnonzero(match[:stop[0] if stop.size else None]):
         alpha = int(alpha)
         beta = int(chooser(k, alpha))

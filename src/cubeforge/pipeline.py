@@ -146,6 +146,7 @@ class RunReport:
     checks: dict = field(default_factory=dict)   # name -> report json
     tables: dict = field(default_factory=dict)   # flat rows for the CSVs
     artifacts: dict = field(default_factory=dict)
+    check_seconds: dict = field(default_factory=dict)  # name -> wall seconds
 
     @property
     def passed(self) -> bool:
@@ -153,8 +154,9 @@ class RunReport:
 
     def to_json(self):
         return {"config": self.config, "stages": self.stages,
-                "checks": self.checks, "tables": self.tables,
-                "artifacts": self.artifacts, "passed": self.passed}
+                "checks": self.checks, "check_seconds": self.check_seconds,
+                "tables": self.tables, "artifacts": self.artifacts,
+                "passed": self.passed}
 
 
 def _stage(report: RunReport, name: str, fn):
@@ -170,13 +172,16 @@ def _stage(report: RunReport, name: str, fn):
 
 def _run_check(report: RunReport, name: str, fn):
     """Run one requested check; failures and errors are recorded, not
-    raised, so the remaining checks still run."""
+    raised, so the remaining checks still run. Its wall seconds go to
+    `report.check_seconds`."""
+    t0 = time.perf_counter()
     try:
         rep = fn()
     except CubeforgeError as e:
         rep = VerificationReport(name)
         rep.add("run", False, 0, note=f"{type(e).__name__}: {e}")
     report.checks[name] = rep.to_json()
+    report.check_seconds[name] = time.perf_counter() - t0
 
 
 def _flatten(title: str, parts) -> VerificationReport:

@@ -114,17 +114,21 @@ class OmegaSampler:
         if self.variant == "single":
             master = int(rng.integers(0, lab.max_label + 1))
             match = lab.primary[j] == master
-            require_near(lab, k, ~match & (lab.near[j] < 0))
             near, near_start = lab.near_pool[j]
-            offset = rng.integers(0, np.where(match, np.diff(start),
-                                              np.diff(near_start)))
+            # a center draws from all its children or from its near pool;
+            # the near pool is empty exactly when there is no near child
+            pool = np.where(match, np.diff(start), np.diff(near_start))
+            require_near(lab, k, pool == 0)
+            offset = rng.integers(0, pool)
             choice = np.empty(len(match), dtype=int)
             choice[match] = kids[start[:-1][match] + offset[match]]
             choice[~match] = near[near_start[:-1][~match] + offset[~match]]
             return {"master": master, "choice": choice}
         entry = {"shift": int(rng.integers(1, self.n_systems + 1))}
         if self.variant == "adjacent_refined":
-            entry["ordinals"] = rng.integers(1, np.diff(start) + 1)
+            sizes = np.diff(start)
+            require_near(lab, k, sizes == 0)
+            entry["ordinals"] = rng.integers(1, sizes + 1)
         return entry
 
     def draw(self, sample_index: int = 0) -> dict:

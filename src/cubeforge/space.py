@@ -6,6 +6,12 @@ rho(x, y) <= tri_const * (rho(x, z) + rho(z, y)). Balls are strict:
 ball(x, r) = {y : rho(y, x) < r}. Distances live either in a dense table
 (n <= TABLE_CAP) or behind a per-row oracle so the same API scales to
 spaces where an n x n table would not fit.
+
+Validation proves what the constructions rely on. Every dense table is
+checked whole for positivity and symmetry, and its triangle constant is
+computed exactly by one blocked min-plus kernel. Row-oracle spaces (above
+TABLE_CAP) must declare an analytic bound on the constant, which a seeded
+sample of triples then asserts; without one they are refused.
 """
 from __future__ import annotations
 
@@ -18,8 +24,10 @@ import numpy as np
 from .errors import BadSpec, NegativeDistance, SymmetryViolation, ZeroDistance
 
 TABLE_CAP = 2048
-EXHAUSTIVE_TRIPLE_CAP = 512
+EXHAUSTIVE_TRIPLE_CAP = TABLE_CAP
 SAMPLED_TRIPLES = 1_000_000
+_SAMPLE_BATCH = 1 << 18
+_BLOCK = 32
 _REL_TOL = 1e-9
 
 
@@ -27,8 +35,10 @@ _REL_TOL = 1e-9
 class SpaceProfile:
     """Numeric profile of a space.
 
-    tri_const: triangle inflation constant (exact for small spaces, a declared
-    analytic bound for generated large ones). doubling_count: greedy upper
+    tri_const: triangle inflation constant A0, exact for every dense table
+    unless a declared analytic bound within 1e-9 of it (or above it) is
+    given, which is then stored; a row-oracle space always stores its
+    declared bound, asserted on sampled triples. doubling_count: greedy upper
     bound on how many half-radius balls cover any ball; filled lazily because
     it costs far more than the rest of the profile.
     """
@@ -95,8 +105,7 @@ class QuasiMetricSpace:
         ids, cols = np.asarray(ids, dtype=int), np.asarray(cols, dtype=int)
         if self.table is not None:
             return self.table[ids, cols]
-        return np.array([self._row_fn(int(i))[j] for i, j in zip(ids, cols)],
-                        dtype=float)
+        return _gather(self._row_fn, ids, cols)[0]
 
     def dist(self, i: int, j: int) -> float:
         if self.table is not None:
@@ -227,41 +236,40 @@ def validate_quasi_metric(points, distance, declared_tri_const=None,
                           exhaustive_cap=EXHAUSTIVE_TRIPLE_CAP) -> SpaceProfile:
     """Check symmetry/positivity and measure the triangle inflation constant.
 
-    `distance` may be a dense (n, n) array or a row oracle i -> row.
-    Exhaustive over all ordered triples for n <= exhaustive_cap; larger spaces
-    are sampled (1e6 seeded triples) and must come with a declared analytic
-    bound, which is asserted and returned.
+    `distance` may be a dense (n, n) array or a row oracle i -> row. Dense
+    tables are checked whole: positivity (the first faulty row, a negative
+    entry before a nonzero diagonal before a zero off-diagonal entry), then
+    symmetry to rtol 1e-12. For n <= exhaustive_cap (a row oracle is read
+    into a table first) the constant is exact over all ordered triples.
+    Above it only a declared analytic bound is accepted: it is asserted on
+    SAMPLED_TRIPLES seeded triples and returned. A declared bound also wins
+    over an exact value within 1e-9 of it.
     """
     pts = list(points)
     n = len(pts)
     if pts != list(range(n)):
         raise BadSpec("points must be ids 0..n-1")
+    exhaustive = n <= exhaustive_cap
+    if not exhaustive and declared_tri_const is None:
+        raise BadSpec(f"n = {n} is above the exhaustive cap {exhaustive_cap}: "
+                      f"the triangle constant cannot be proven, declare a bound")
+    if exhaustive and not isinstance(distance, np.ndarray):
+        distance = np.array([distance(i) for i in range(n)], dtype=float)
 
-    row_of = (lambda i: distance[i]) if isinstance(distance, np.ndarray) else distance
-
-    diam = 0.0
-    min_gap = None
-    for i in range(n):
-        row = np.asarray(row_of(i), dtype=float)
-        neg = np.where(row < 0)[0]
-        if neg.size:
-            raise NegativeDistance(i, int(neg[0]), float(row[neg[0]]))
-        if row[i] != 0:
-            raise BadSpec(f"d({i},{i}) = {row[i]!r}, expected 0")
-        off_ids = np.delete(np.arange(n), i)
-        if off_ids.size:
-            off = row[off_ids]
-            zeros = np.where(off == 0)[0]
-            if zeros.size:
-                raise ZeroDistance(i, int(off_ids[zeros[0]]))
-            diam = max(diam, float(off.max()))
-            gap = float(off.min())
-            min_gap = gap if min_gap is None else min(min_gap, gap)
-
-    if n <= exhaustive_cap:
-        tri = _tri_const_exhaustive(n, row_of)
+    if isinstance(distance, np.ndarray):
+        d = np.asarray(distance, dtype=float)
+        row_of = d.__getitem__
+        diam, gap = _check_rows(d)
+        symmetric = _check_symmetry(d)
     else:
-        # sampled lower estimate; a declared bound, if given, wins below
+        row_of, diam, gap = distance, 0.0, np.inf
+        for i in range(n):
+            top, low = _check_rows(np.asarray(row_of(i), dtype=float)[None], i)
+            diam, gap = max(diam, top), min(gap, low)
+
+    if exhaustive:
+        tri = _tri_const_table(d, symmetric)
+    else:
         tri = _tri_const_sampled(n, row_of)
     if declared_tri_const is not None:
         if tri > declared_tri_const * (1 + _REL_TOL):
@@ -269,51 +277,99 @@ def validate_quasi_metric(points, distance, declared_tri_const=None,
                 f"measured triangle constant {tri} exceeds declared bound "
                 f"{declared_tri_const}")
         tri = float(declared_tri_const)
-    return SpaceProfile(tri_const=max(1.0, tri), diam=diam, min_gap=min_gap)
+    return SpaceProfile(tri_const=max(1.0, tri), diam=diam,
+                        min_gap=None if gap == np.inf else gap)
 
 
-def _tri_const_exhaustive(n, row_of):
-    if n < 2:
-        return 1.0
-    rows = np.array([row_of(i) for i in range(n)], dtype=float)
-    sym = np.argwhere(~np.isclose(rows, rows.T, rtol=1e-12, atol=0))
-    if sym.size:
-        i, j = map(int, sym[0])
-        raise SymmetryViolation(i, j, float(rows[i, j]), float(rows[j, i]))
+def _check_rows(rows, x0=0):
+    """Raise for the first faulty one of rows x0, x0 + 1, ...: a negative
+    entry, else a nonzero diagonal, else a zero off-diagonal entry. Returns
+    the largest entry and the smallest positive one."""
+    ii = np.arange(len(rows))
+    diag = rows[ii, x0 + ii]
+    bad = np.flatnonzero((rows < 0).any(axis=1) | (diag != 0)
+                         | ((rows == 0).sum(axis=1) > (diag == 0)))
+    if bad.size:
+        x, row = x0 + int(bad[0]), rows[bad[0]]
+        neg, zeros = np.flatnonzero(row < 0), np.flatnonzero(row == 0)
+        if neg.size:
+            raise NegativeDistance(x, int(neg[0]), float(row[neg[0]]))
+        if row[x] != 0:
+            raise BadSpec(f"d({x},{x}) = {row[x]!r}, expected 0")
+        raise ZeroDistance(x, int(zeros[zeros != x][0]))
+    return (float(np.max(rows, initial=0.0)),
+            float(np.min(rows, where=rows > 0, initial=np.inf)))
+
+
+def _check_symmetry(d) -> bool:
+    """Raise for the first pair (x, y), in row-major order, with d(x, y) and
+    d(y, x) apart by more than rtol 1e-12; return whether d is exactly
+    symmetric."""
+    if np.array_equal(d, d.T):
+        return True
+    far = np.argwhere(~np.isclose(d, d.T, rtol=1e-12, atol=0))
+    if far.size:
+        i, j = map(int, far[0])
+        raise SymmetryViolation(i, j, float(d[i, j]), float(d[j, i]))
+    return False
+
+
+def _tri_const_table(d, symmetric):
+    """Exact triangle constant of a dense table: the larger of 1 and the
+    max over x != y of d(x, y) / min_z (d(x, z) + d(z, y)).
+
+    Division is monotone in the denominator, so dividing by the smallest
+    sum gives bit for bit the largest ratio over z. Rows go in blocks of
+    _BLOCK; for each y one (block, n) sum d(X, z) + d(z, y) is reduced
+    along z. On an exactly symmetric table column y is row y, and the ratios
+    of (x, y) and (y, x) are equal, so a block needs only the columns from
+    its first row on.
+    """
+    n = len(d)
+    cols = d if symmetric else d.T   # cols[y][z] = d(z, y)
+    sums = np.empty((min(_BLOCK, n), n))
+    best = np.empty_like(sums)
     worst = 1.0
-    off_diag = ~np.eye(n, dtype=bool)
-    for z in range(n):
-        denom = rows[:, z][:, None] + rows[z][None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(off_diag & (denom > 0), rows / denom, 0.0)
-        worst = max(worst, float(ratio.max()))
+    for x0 in range(0, n, _BLOCK):
+        rows = d[x0:x0 + _BLOCK]
+        b, y0 = len(rows), x0 if symmetric else 0
+        bst, s = best[:b, :n - y0], sums[:b]
+        for y in range(y0, n):
+            np.add(rows, cols[y], out=s)
+            np.min(s, axis=1, out=bst[:, y - y0])
+        bst[np.arange(b), np.arange(x0 - y0, x0 - y0 + b)] = np.inf
+        np.divide(rows[:, y0:], bst, out=bst)
+        worst = max(worst, float(bst.max()))
     return worst
 
 
 def _tri_const_sampled(n, row_of, n_samples=SAMPLED_TRIPLES, seed=0):
+    """Largest ratio over n_samples seeded triples (x, y != x, z): a lower
+    estimate, only ever checked against a declared bound."""
     rng = np.random.default_rng(seed)
     worst = 1.0
-    batch = 4096
-    done = 0
-    while done < n_samples:
-        m = min(batch, n_samples - done)
-        xs = rng.integers(0, n, m)
-        for x in np.unique(xs):
-            cnt = int((xs == x).sum())
-            row = np.asarray(row_of(int(x)), dtype=float)
-            ys = rng.integers(0, n, cnt)
-            zs = rng.integers(0, n, cnt)
-            keep = ys != x
-            ys, zs = ys[keep], zs[keep]
-            if ys.size == 0:
-                continue
-            num = row[ys]
-            den = row[zs] + np.array([row_of(int(z))[y] for z, y in zip(zs, ys)])
-            ok = den > 0
-            if ok.any():
-                worst = max(worst, float((num[ok] / den[ok]).max()))
-        done += m
+    for done in range(0, n_samples, _SAMPLE_BATCH):
+        m = min(_SAMPLE_BATCH, n_samples - done)
+        xs, ys, zs = rng.integers(0, n, (3, m))
+        keep = ys != xs
+        xs, ys, zs = xs[keep], ys[keep], zs[keep]
+        dxy, dxz = _gather(row_of, xs, ys, zs)
+        (dzy,) = _gather(row_of, zs, ys)
+        worst = float(np.max(dxy / (dxz + dzy), initial=worst))
     return worst
+
+
+def _gather(row_of, ids, *cols):
+    """d(ids[i], c[i]) for each aligned column array c, as one (len(cols),
+    len(ids)) array, fetching each distinct row once."""
+    order = np.argsort(ids, kind="stable")
+    uniq, starts = np.unique(ids[order], return_index=True)
+    out = np.empty((len(cols), ids.size))
+    for i, sel in zip(uniq, np.split(order, starts[1:])):
+        row = np.asarray(row_of(int(i)), dtype=float)
+        for k, c in enumerate(cols):
+            out[k, sel] = row[c[sel]]
+    return out
 
 
 # -- balls and doubling ----------------------------------------------------------

@@ -22,6 +22,28 @@ def tri_const_scan(d):
     return worst
 
 
+def fault_scan(d):
+    """First fault of a distance table, as (kind, x, y) or None: rows in
+    order, each checked for a negative entry, then a nonzero diagonal, then
+    a zero off-diagonal entry; only then the first pair (x, y) in row-major
+    order with |d[x][y] - d[y][x]| > 1e-12 * |d[y][x]|."""
+    n = len(d)
+    for x in range(n):
+        for y in range(n):
+            if d[x][y] < 0:
+                return ("negative", x, y)
+        if d[x][x] != 0:
+            return ("diagonal", x, x)
+        for y in range(n):
+            if y != x and d[x][y] == 0:
+                return ("zero", x, y)
+    for x in range(n):
+        for y in range(n):
+            if not abs(d[x][y] - d[y][x]) <= 1e-12 * abs(d[y][x]):
+                return ("asymmetric", x, y)
+    return None
+
+
 def ball_scan(d, center, r):
     return sorted(y for y in range(len(d)) if d[y][center] < r)
 

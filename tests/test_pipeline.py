@@ -35,6 +35,7 @@ def strip_timing(doc: dict) -> dict:
     doc = json.loads(json.dumps(doc))
     for stage in doc["stages"]:
         stage.pop("seconds")
+    doc.pop("check_seconds")
     return doc
 
 
@@ -48,6 +49,9 @@ def test_reference_config_all_checks_pass():
     assert set(report.checks) == set(REFERENCE["checks"])
     for name, doc in report.checks.items():
         assert doc["passed"], name
+    # one wall-time entry per requested check
+    assert set(report.to_json()["check_seconds"]) == set(REFERENCE["checks"])
+    assert all(s >= 0 for s in report.check_seconds.values())
     assert len(report.tables["boundary"]) == 3
     assert all(row["pass"] for row in report.tables["boundary"])
     assert report.tables["bounds"]
@@ -59,6 +63,7 @@ def test_empty_checks_build_stages_only():
     assert [s["name"] for s in report.stages] == ["space", "nets", "labels",
                                                   "family"]
     assert report.checks == {}
+    assert report.check_seconds == {}
     assert report.tables == {}
     assert report.passed  # vacuous
 

@@ -16,7 +16,8 @@ from cubeforge.errors import NoNearChild
 from cubeforge.labeling import build_labels, select_points
 from cubeforge.nets import NetHierarchy, build_reference_hierarchy
 from cubeforge.random_systems import (OmegaSampler,
-                                      estimate_selection_probability)
+                                      estimate_selection_probability,
+                                      sample_adjacent_family)
 from cubeforge.space import QuasiMetricSpace
 
 DELTA = 1.0 / 144.0
@@ -246,3 +247,33 @@ def test_selection_estimate_raises_only_for_its_own_center():
     # the refined ordinals wrap inside center 1's single child
     refined = OmegaSampler(lab, "adjacent_refined", seed=5)
     assert estimate_selection_probability(refined, -1, 1, 2, 1000).frequency == 1.0
+
+
+@pytest.mark.parametrize("childless", [0, 1])
+def test_childless_center_raises_no_near_child(childless):
+    # two coarse centers 150 apart; the fine level keeps only points near
+    # the other one, so `childless` has no children at all
+    other = 1 - childless
+    pos = [0.0, 150.0, 150.0 * other + 0.5]
+    hier = NetHierarchy(line_space(pos), DELTA, -1, 0, "exploratory",
+                        levels=[np.array([0, 1]), np.array([other, 2])])
+    lab = build_labels(hier)
+    assert lab.children_of(-1, childless).size == 0
+    calls = []
+
+    def chooser(k, alpha):
+        calls.append(alpha)
+        return int(lab.children_of(k, alpha)[0])
+
+    raisers = [lambda v=v: OmegaSampler(lab, v, seed=3).draw_level(0, -1)
+               for v in ("single", "adjacent_refined")]
+    raisers.append(lambda: sample_adjacent_family(
+        OmegaSampler(lab, "adjacent", seed=3)))
+    raisers.append(lambda: select_points(
+        lab, {"kind": "general", "master": {-1: 0}}, chooser=chooser))
+    for raiser in raisers:
+        with pytest.raises(NoNearChild) as err:
+            raiser()
+        assert (err.value.level, err.value.parent_index) == (-1, childless)
+    # the chooser picks for the centers before the childless one only
+    assert calls == list(range(childless))

@@ -1,14 +1,17 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cubeforge import space as space_module
 from cubeforge.errors import BadSpec, NegativeDistance, SymmetryViolation, ZeroDistance
 from cubeforge.space import (QuasiMetricSpace, ball, doubling_estimate,
                              generate_space, validate_quasi_metric)
 
-from bruteforce import ball_scan, tri_const_scan
+from bruteforce import ball_scan, fault_scan, tri_const_scan
 
 
 LINE4 = [0.0, 1.0, 3.0, 7.0]
@@ -256,3 +259,128 @@ def test_dist_rows_match_dist_row_for_table_and_row_oracle():
         assert space.dist_rows([]).shape == (0, 4)
         assert space.dist_pairs(ids, [2, 1, 1]).tolist() == [4.0, 1.0, 6.0]
         assert space.dist_pairs([], []).shape == (0,)
+
+
+# -- validation against the naive scans ---------------------------------------
+
+
+def _table(pts, power, norm):
+    pts = np.asarray(pts, dtype=float)
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    if norm == "l1":
+        d = diff.sum(axis=2)
+    elif norm == "max":
+        d = diff.max(axis=2)
+    else:
+        d = np.sqrt((diff * diff).sum(axis=2))
+    return d ** power
+
+
+@st.composite
+def powered_tables(draw, side=(3, 50)):
+    """Distance tables of small integer point sets (a side-3 grid makes
+    ties everywhere) under the l1, max or l2 norm, raised to a power."""
+    side = draw(st.sampled_from(side))
+    pts = draw(st.lists(st.tuples(st.integers(0, side), st.integers(0, side)),
+                        min_size=2, max_size=10, unique=True))
+    return _table(pts, draw(st.sampled_from([0.5, 1.0, 1.7, 2.0, 3.0])),
+                  draw(st.sampled_from(["l1", "max", "l2"])))
+
+
+@st.composite
+def nearly_symmetric_tables(draw):
+    """A powered table whose upper triangle is scaled by 1 + j * 1e-13,
+    0 < |j| <= 5: asymmetric, but within the rtol 1e-12 symmetry check."""
+    d = draw(powered_tables())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    jitter = rng.choice([-5, -3, -1, 1, 3, 5], size=d.shape)
+    return d * (1.0 + np.triu(jitter, 1) * 1e-13)
+
+
+@pytest.mark.parametrize("block", [space_module._BLOCK, 3])
+@settings(max_examples=150, deadline=None)
+@given(d=st.one_of(powered_tables(), powered_tables(side=(3,)),
+                   nearly_symmetric_tables()))
+def test_exact_tri_const_matches_scan(block, d):
+    # block 3 splits these small tables into several row blocks, so the
+    # half-square pass of exactly symmetric tables runs as well
+    with mock.patch.object(space_module, "_BLOCK", block):
+        assert QuasiMetricSpace.from_table(d).profile.tri_const \
+            == tri_const_scan(d.tolist())
+
+
+FAULTS = ["negative", "diagonal", "zero", "zero_pair", "asymmetric"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=powered_tables(), data=st.data())
+def test_validation_errors_match_fault_scan(d, data):
+    n = len(d)
+    for _ in range(data.draw(st.integers(0, 4))):
+        # faults crowd into the first rows, so rows often hold several
+        kind = data.draw(st.sampled_from(FAULTS))
+        x, y = data.draw(st.integers(0, min(n - 1, 2))), data.draw(st.integers(0, n - 1))
+        if kind == "diagonal":
+            d[x, x] = 0.5
+        elif x == y:
+            continue
+        elif kind == "negative":
+            d[x, y] = -1.0
+        elif kind == "asymmetric":
+            d[x, y] *= 1.5
+        else:
+            d[x, y] = 0.0
+            if kind == "zero_pair":
+                d[y, x] = 0.0
+    expect = fault_scan(d.tolist())
+    if expect is None:
+        validate_quasi_metric(range(n), d)
+        return
+    kind, x, y = expect
+    with pytest.raises((BadSpec, NegativeDistance, SymmetryViolation,
+                        ZeroDistance)) as err:
+        validate_quasi_metric(range(n), d)
+    e = err.value
+    if kind == "diagonal":
+        assert type(e) is BadSpec and str(e).startswith(f"d({x},{x}) = ")
+    else:
+        typ = {"negative": NegativeDistance, "zero": ZeroDistance,
+               "asymmetric": SymmetryViolation}[kind]
+        assert type(e) is typ and (e.x, e.y) == (x, y)
+
+
+def test_large_asymmetric_table_raises():
+    pos = np.random.default_rng(0).uniform(0.0, 100.0, 600)
+    table = np.abs(pos[:, None] - pos[None, :])
+    table[3, 7] *= 5.0
+    with pytest.raises(SymmetryViolation) as err:
+        QuasiMetricSpace.from_table(table)
+    e = err.value
+    assert (e.x, e.y, e.dxy, e.dyx) == (3, 7, table[3, 7], table[7, 3])
+
+
+def test_sampled_path_needs_a_declared_bound():
+    # |x - y|^2 on 0..7: A0 = 2, reached at z halfway between x and y
+    table = QuasiMetricSpace.from_line(np.arange(8.0)).table ** 2
+    assert tri_const_scan(table.tolist()) == 2.0
+    with pytest.raises(BadSpec, match="n = 8"):
+        validate_quasi_metric(range(8), table, exhaustive_cap=4)
+    with pytest.raises(BadSpec, match="exceeds declared bound"):
+        validate_quasi_metric(range(8), table, declared_tri_const=1.5,
+                              exhaustive_cap=4)
+    for distance in (table, lambda i: table[i]):
+        profile = validate_quasi_metric(range(8), distance,
+                                        declared_tri_const=2.0,
+                                        exhaustive_cap=4)
+        assert (profile.tri_const, profile.diam, profile.min_gap) == \
+            (2.0, 49.0, 1.0)
+
+
+def test_row_oracle_faults_raise_with_their_witness():
+    table = QuasiMetricSpace.from_line(np.arange(6.0)).table.copy()
+    table[4, 1] = 0.0
+    table[4, 2] = -3.0
+    with pytest.raises(NegativeDistance) as err:
+        validate_quasi_metric(range(6), lambda i: table[i],
+                              declared_tri_const=1.0, exhaustive_cap=2)
+    assert (err.value.x, err.value.y) == (4, 2)
