@@ -221,21 +221,17 @@ def verify_covering(family: AdjacentFamily, centers=None) -> VerificationReport:
     rep = VerificationReport("adjacent covering")
     contain_bad, diam_bad, n_queries = [], [], 0
     worst_ratio = 0.0
-    ids = range(space.n) if centers is None else centers
-    for x in ids:
-        row = space.dist_row(int(x))
-        for r in space.radii_from(int(x)):
+    for x, order, _, ends, radii in space.ball_sweep(centers):
+        for r, end in zip(radii, ends):
             n_queries += 1
-            q = find_containing_cube(family, int(x), float(r))
+            q = find_containing_cube(family, x, float(r))
             members = family.cube_members(q)
-            inside = np.where(row < r)[0]
-            if not np.isin(inside, members).all():
-                contain_bad.append((int(x), float(r), q.to_json()))
+            if not np.isin(order[:end], members).all():
+                contain_bad.append((x, float(r), q.to_json()))
             diam = family.cube_diam(q.t, q.k, q.index)
             if diam > C * r * (1 + _TOL):
-                diam_bad.append((int(x), float(r), diam, C * r))
-            if r > 0:
-                worst_ratio = max(worst_ratio, diam / r)
+                diam_bad.append((x, float(r), diam, C * r))
+            worst_ratio = max(worst_ratio, diam / r)
     rep.add("ball_containment", not contain_bad, n_queries, contain_bad)
     rep.add("diameter_bound", not diam_bad, n_queries, diam_bad,
             details={"worst_ratio": worst_ratio, "C": C})

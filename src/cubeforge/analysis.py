@@ -1,10 +1,11 @@
 """Measures, maximal operators, and weight constants on finite spaces.
 
 Everything here treats the point set as a finite measure space: a measure
-is a positive mass per point, "all balls" means the realized-radius ball
-enumeration of the space, and the dyadic operators run over the cube
-chains of a built system. The verify_* functions compare the two worlds
-and assert the constant-carrying inequalities between them.
+is a positive mass per point, "all balls" means the prefixes of each
+center's stably sorted distance row (QuasiMetricSpace.ball_sweep), so ball
+masses and averages are per-center prefix sums, and the dyadic operators
+run over the cube chains of a built system. The verify_* functions compare
+the two worlds and assert the constant-carrying inequalities between them.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .adjacent import AdjacentFamily, find_containing_cube
 from .cubes import CubeSystem
-from .errors import ConfigError, CubeforgeError, PreconditionFail
+from .errors import BadSpec, ConfigError, CubeforgeError, PreconditionFail
 from .report import VerificationReport
 from .space import QuasiMetricSpace
 
@@ -80,20 +81,18 @@ def doubling_constant(space: QuasiMetricSpace, mu):
     w = _weights_of(mu)
     best = 1.0
     per_center = []
-    for x in space.points():
-        row = space.dist_row(x)
-        order = np.argsort(row, kind="stable")
+    for _, order, sorted_row, ends, radii in space.ball_sweep():
         pre = np.cumsum(w[order])
-        sorted_row = row[order]
-        radii = space.radii_from(x)
-        m_r = pre[np.searchsorted(sorted_row, radii, side="left") - 1]
+        m_r = pre[ends - 1]
         m_2r = pre[np.searchsorted(sorted_row, 2.0 * radii, side="left") - 1]
         best = max(best, float((m_2r / m_r).max()))
         per_center.append((radii, m_r))
     c_exp = math.log2(best)
     bad = []
+    size = iu = None
     for x, (radii, m_r) in enumerate(per_center):
-        iu = np.triu_indices(radii.size, k=1)
+        if radii.size != size:   # on clouds every center has n radii
+            size, iu = radii.size, np.triu_indices(radii.size, k=1)
         lhs = m_r[iu[1]] / m_r[iu[0]]
         rhs = best * (radii[iu[1]] / radii[iu[0]]) ** c_exp
         viol = np.flatnonzero(lhs > rhs * (1.0 + _REL_TOL))
@@ -108,23 +107,30 @@ def doubling_constant(space: QuasiMetricSpace, mu):
 
 # -- maximal operators -------------------------------------------------------
 
-def _ball_values(space, base, f, sharp: bool, absolute_mean: bool = False):
-    """Per-ball averages over the realized ball enumeration.
+def _ball_sums(space, columns):
+    """Per center, (order, ends, sums): sums[i, j] sums columns[i] over the
+    ball order[:ends[j]]. Dense spaces only: the sharp sweep is O(n**3)."""
+    if space.table is None:
+        raise BadSpec("ball averages need a dense distance table")
+    columns = np.asarray(columns)
+    for _, order, _, ends, _ in space.ball_sweep():
+        yield order, ends, np.cumsum(columns[:, order], axis=1)[:, ends - 1]
 
-    Returns (masks, vals): vals[i] is the base-average of |f| over ball i,
-    or of |f - f_B| when sharp is set. f_B is the signed ball average by
-    default; absolute_mean switches it to the average of |f|.
-    """
-    masks, _ = space.realized_balls()
-    mass = masks @ base
-    if not sharp:
-        return masks, (masks @ (base * np.abs(f))) / mass
+
+def _ball_values(space, base, f, sharp: bool, absolute_mean: bool = False):
+    """Per center, (order, ends, vals): vals[j] is the base-average of |f|
+    over the ball order[:ends[j]], or of |f - f_B| when sharp is set, f_B the
+    signed ball average (absolute_mean: the average of |f|). Sharp sums
+    |f - f_B| over a rank-masked (balls, n) block, so constants give 0."""
     center = np.abs(f) if absolute_mean else f
-    f_b = (masks @ (base * center)) / mass
-    vals = np.empty(len(masks))
-    for i, mask in enumerate(masks):
-        vals[i] = np.sum(base[mask] * np.abs(f[mask] - f_b[i])) / mass[i]
-    return masks, vals
+    summed = base * (center if sharp else np.abs(f))
+    for order, ends, (mass, tot) in _ball_sums(space, [base, summed]):
+        if sharp:
+            dev = np.abs(f[order] - (tot / mass)[:, None])
+            dev *= base[order]
+            dev[np.arange(len(order)) >= ends[:, None]] = 0.0
+            tot = dev.sum(axis=1)
+        yield order, ends, tot / mass
 
 
 def _dyadic_values(system: CubeSystem, base, f, sharp: bool,
@@ -171,11 +177,13 @@ def maximal_function(space: QuasiMetricSpace, mu, f, variant: str = "ball",
         out, _ = _dyadic_values(system, base, f, variant == "dyadic_sharp",
                                 absolute_mean)
         return out
-    masks, vals = _ball_values(space, base, f, variant == "sharp",
-                               absolute_mean)
     out = np.zeros(space.n)
-    for i, mask in enumerate(masks):
-        np.maximum(out, np.where(mask, vals[i], 0.0), out=out)
+    for order, ends, vals in _ball_values(space, base, f, variant == "sharp",
+                                          absolute_mean):
+        # ranks ends[j-1] .. ends[j]-1 lie in balls j, j+1, ... only
+        sup = np.maximum.accumulate(vals[::-1])[::-1]
+        out[order] = np.maximum(out[order],
+                                np.repeat(sup, np.diff(ends, prepend=0)))
     return out
 
 
@@ -205,11 +213,10 @@ def ap_constant(space: QuasiMetricSpace, mu, omega, p: float,
             sm = np.bincount(idx, weights=w * sigma)
             best = max(best, float((wm * sm ** (p - 1.0) / m ** p).max()))
         return best
-    masks, _ = space.realized_balls()
-    m = masks @ w
-    wm = masks @ (w * omega)
-    sm = masks @ (w * sigma)
-    return float((wm * sm ** (p - 1.0) / m ** p).max())
+    best = 0.0
+    for _, _, (m, wm, sm) in _ball_sums(space, [w, w * omega, w * sigma]):
+        best = max(best, float((wm * sm ** (p - 1.0) / m ** p).max()))
+    return best
 
 
 def bmo_norm(space: QuasiMetricSpace, mu, f, variant: str = "ball",
@@ -230,8 +237,8 @@ def bmo_norm(space: QuasiMetricSpace, mu, f, variant: str = "ball",
             raise ConfigError("dyadic variants need a cube system")
         _, overall = _dyadic_values(system, w, f, True, absolute_mean)
         return overall
-    _, vals = _ball_values(space, w, f, True, absolute_mean)
-    return float(vals.max())
+    return max(float(vals.max()) for _, _, vals
+               in _ball_values(space, w, f, True, absolute_mean))
 
 
 # -- comparability of the two maximal worlds ---------------------------------
@@ -316,16 +323,13 @@ def verify_comparability(family: AdjacentFamily, mu,
     checked = 0
     bad = []
     flags = {"ok": 0, "clamped_coarse": 0, "underflow": 0}
-    for x in space.points():
-        row = space.dist_row(x)
-        order = np.argsort(row, kind="stable")
+    for x, order, _, ends, radii in space.ball_sweep():
         pre = np.cumsum(w[order])
-        sorted_row = row[order]
-        for r in space.radii_from(x):
-            q = find_containing_cube(family, int(x), float(r))
+        for r, end in zip(radii, ends):
+            q = find_containing_cube(family, x, float(r))
             flags[q.flag] += 1
             cube_mass = float(w[family.cube_members(q)].sum())
-            ball_mass = float(pre[np.searchsorted(sorted_row, r, "left") - 1])
+            ball_mass = float(pre[end - 1])
             ratio = cube_mass / ball_mass
             worst = max(worst, ratio)
             checked += 1

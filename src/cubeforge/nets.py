@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateWindow, ModeViolation
+from .errors import ConfigError, DegenerateWindow, ModeViolation
 from .report import VerificationReport
 from .space import QuasiMetricSpace
 
@@ -122,7 +122,8 @@ def build_reference_hierarchy(space: QuasiMetricSpace, delta: float,
     """
     check_mode(mode, space.profile.tri_const, delta)
     if distinguished is not None and not 0 <= distinguished < space.n:
-        raise ValueError(f"distinguished id {distinguished} out of range")
+        raise ConfigError(
+            f"distinguished id {distinguished} outside 0..{space.n - 1}")
     k_min, k_max = level_window(space, delta)
     order = list(range(space.n))
     if distinguished is not None:

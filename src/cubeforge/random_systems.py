@@ -326,6 +326,8 @@ def estimate_boundary_probability(sampler: OmegaSampler, x: int, k: int,
     if not lab.k_min <= k <= lab.k_max:
         raise PreconditionFail(f"level {k} outside [{lab.k_min}, {lab.k_max}]")
     space = lab.space
+    if not 0 <= x < space.n:
+        raise PreconditionFail(f"point {x} outside [0, {space.n})")
     eps = tau * delta ** k
     row = space.dist_row(x)
     hits = 0

@@ -117,25 +117,6 @@ class QuasiMetricSpace:
 
     # -- derived geometry ----------------------------------------------------
 
-    def radii_from(self, center: int) -> np.ndarray:
-        """Sorted distinct positive distances from `center`, plus one value
-        above the diameter, so every distinct ball centred there is realized."""
-        row = self.dist_row(center)
-        vals = np.unique(row[row > 0])
-        top = self._above_diam()
-        if vals.size == 0 or vals[-1] < top:
-            vals = np.append(vals, top)
-        return vals
-
-    def all_radii(self) -> np.ndarray:
-        """Sorted distinct pairwise distances plus one value above the
-        diameter. Dense-table spaces only."""
-        if self.table is None:
-            raise BadSpec("all_radii needs a dense distance table")
-        iu = np.triu_indices(self.n, k=1)
-        vals = np.unique(self.table[iu]) if self.n > 1 else np.array([])
-        return np.append(vals, self._above_diam())
-
     def _above_diam(self) -> float:
         d = self.profile.diam if self.profile is not None else self._diam_scan()
         return d * 1.25 + 1.0
@@ -143,19 +124,37 @@ class QuasiMetricSpace:
     def _diam_scan(self) -> float:
         return max(float(self.dist_row(i).max()) for i in self.points())
 
+    def ball_sweep(self, centers=None):
+        """Every ball of the space, as a prefix of a sorted distance row.
+
+        Yields (c, order, sorted_row, ends, radii) per center c (default: all,
+        ascending). order is the stable argsort of c's row; radii are the
+        distinct positive distances from c plus one above the diameter, and
+        ball(c, radii[j]) is order[:ends[j]]. Serves tables and row oracles.
+        """
+        top = self._above_diam()
+        for c in self.points() if centers is None else centers:
+            c = int(c)
+            row = self.dist_row(c)
+            order = np.argsort(row, kind="stable")
+            sorted_row = row[order]
+            starts = np.flatnonzero(sorted_row[1:] != sorted_row[:-1]) + 1
+            yield (c, order, sorted_row, np.append(starts, self.n),
+                   np.append(sorted_row[starts], top))
+
     def realized_balls(self):
         """All distinct balls of the space, deduplicated.
 
         Returns (masks, meta) where masks is a boolean (m, n) array and
-        meta[i] = (center, radius) names one realization of ball i.
-        Intended for the exhaustive analysis sweeps, so dense spaces only.
+        meta[i] = (center, radius) names one realization of ball i. Unused:
+        the analysis reads ball_sweep; benchmarks/tracer.py still wraps it.
         """
         if self.table is None:
             raise BadSpec("realized_balls needs a dense distance table")
         masks, meta, seen = [], [], set()
-        for c in self.points():
+        for c, _, _, _, radii in self.ball_sweep():
             row = self.table[c]
-            for r in self.radii_from(c):
+            for r in radii:
                 mask = row < r
                 key = mask.tobytes()
                 if key not in seen:
@@ -182,9 +181,8 @@ class QuasiMetricSpace:
             coords = coords.T
         n = coords.shape[0]
         if n <= TABLE_CAP:
-            diff = coords[:, None, :] - coords[None, :, :]
-            table = np.sqrt((diff * diff).sum(axis=2))
-            return cls.from_table(table, coords=coords, generator=generator,
+            return cls.from_table(_coords_table(coords), coords=coords,
+                                  generator=generator,
                                   declared_tri_const=declared_tri_const)
         space = cls(n, row_fn=lambda i: np.linalg.norm(coords - coords[i], axis=1),
                     coords=coords, generator=generator)
@@ -227,6 +225,17 @@ class QuasiMetricSpace:
         if d.get("profile") is not None:
             space.profile = SpaceProfile.from_json(d["profile"])
         return space
+
+
+def _coords_table(coords) -> np.ndarray:
+    """Euclidean distance table of (n, dim) coords, filled _BLOCK rows at a
+    time so no (n, n, dim) difference array is ever held."""
+    n = len(coords)
+    table = np.empty((n, n))
+    for x0 in range(0, n, _BLOCK):
+        diff = coords[x0:x0 + _BLOCK, None, :] - coords[None, :, :]
+        table[x0:x0 + _BLOCK] = np.sqrt((diff * diff).sum(axis=2))
+    return table
 
 
 # -- validation ----------------------------------------------------------------

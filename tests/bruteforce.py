@@ -270,23 +270,24 @@ def maximal_scan(d, mu, f):
     return out
 
 
-def sharp_scan(d, mu, f):
-    """Per point: max over balls of the mu-average of |f - f_B| (signed f_B)."""
+def sharp_scan(d, mu, f, absolute_mean=False):
+    """Per point: max over balls of the mu-average of |f - f_B|, f_B the
+    signed average of f (absolute_mean: the average of |f|)."""
     out = [0.0] * len(d)
     for b in inclusive_balls_scan(d):
         tot = sum(mu[y] for y in b)
-        fb = sum(mu[y] * f[y] for y in b) / tot
+        fb = sum(mu[y] * (abs(f[y]) if absolute_mean else f[y]) for y in b) / tot
         osc = sum(mu[y] * abs(f[y] - fb) for y in b) / tot
         for y in b:
             out[y] = max(out[y], osc)
     return out
 
 
-def bmo_scan(d, mu, f):
+def bmo_scan(d, mu, f, absolute_mean=False):
     best = 0.0
     for b in inclusive_balls_scan(d):
         tot = sum(mu[y] for y in b)
-        fb = sum(mu[y] * f[y] for y in b) / tot
+        fb = sum(mu[y] * (abs(f[y]) if absolute_mean else f[y]) for y in b) / tot
         best = max(best, sum(mu[y] * abs(f[y] - fb) for y in b) / tot)
     return best
 

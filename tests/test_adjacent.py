@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import bruteforce
 from cubeforge.adjacent import (
     build_adjacent_family,
     find_containing_cube,
@@ -104,6 +105,29 @@ def test_covering_passes_on_cloud():
     assert fam.n_systems == (fam.labeled.max_label + 1) * fam.labeled.max_children
     rep = verify_covering(fam)
     assert rep.passed, rep.summary()
+
+
+def test_covering_containment_matches_scan_on_corrupted_family():
+    # every cube below the top loses its last member, so some balls stick
+    # out of the cube their query returns
+    fam = geoline_family()
+    for sys_t in fam.systems:
+        for k in sys_t.level_ks()[1:]:
+            for cube in sys_t.cubes_at(k):
+                cube.members = cube.members[:-1]
+    space, d = fam.space, fam.space.table.tolist()
+    top = space.profile.diam * 1.25 + 1.0
+    queries, expect = 0, []
+    for x in range(space.n):
+        for r in sorted({d[x][y] for y in range(space.n)} - {0.0}) + [top]:
+            queries += 1
+            q = find_containing_cube(fam, x, r)
+            if not set(bruteforce.ball_scan(d, x, r)) <= \
+                    set(fam.cube_members(q).tolist()):
+                expect.append((x, r, q.to_json()))
+    chk = verify_covering(fam).check("ball_containment")
+    assert expect and chk.checked == queries
+    assert chk.witnesses == expect
 
 
 def test_query_center_is_local():

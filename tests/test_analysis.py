@@ -1,14 +1,15 @@
 """Measures, maximal operators, weight constants, and the transfer checks."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce
-from cubeforge.adjacent import build_adjacent_family
+from cubeforge.adjacent import build_adjacent_family, find_containing_cube
 from cubeforge.analysis import (Measure, ap_constant, bmo_norm,
                                 doubling_constant, lp_norm, maximal_function,
                                 verify_comparability, verify_weighted_bounds)
 from cubeforge.cubes import build_cube_system, build_partial_order
-from cubeforge.errors import ConfigError, PreconditionFail
+from cubeforge.errors import BadSpec, ConfigError, PreconditionFail
 from cubeforge.labeling import build_labels
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.space import QuasiMetricSpace
@@ -291,6 +292,85 @@ def test_bmo_shift_invariance_and_oracle():
     assert bmo_norm(space, mu, np.full(64, 2.0)) == 0.0
 
 
+# -- the ball sweep against the naive scans -----------------------------------
+
+@st.composite
+def int_clouds(draw):
+    """Small integer point sets; a side-3 square gives tie-heavy grids."""
+    side = draw(st.sampled_from([3, 8, 200]))
+    pts = draw(st.lists(st.tuples(st.integers(0, side), st.integers(0, side)),
+                        min_size=2, max_size=12, unique=True))
+    return QuasiMetricSpace.from_coords(np.asarray(pts, dtype=float))
+
+
+def close(got, expect):
+    return np.asarray(got) == pytest.approx(expect, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(space=int_clouds(), seed=st.integers(0, 2 ** 32 - 1))
+def test_ball_world_matches_scans(space, seed):
+    rng = np.random.default_rng(seed)
+    n, d = space.n, dense_rows(space)
+    # integer masses keep every mass sum exact, so the doubling ratios match
+    mu = rng.integers(1, 6, n).astype(float)
+    f = rng.normal(size=n)
+    w = np.exp(rng.normal(size=n))
+    lm, lf, lw = list(mu), list(f), list(w)
+    assert close(maximal_function(space, mu, f, "ball"),
+                 bruteforce.maximal_scan(d, lm, lf))
+    assert close(maximal_function(space, mu, f, "ball", weight=w),
+                 bruteforce.maximal_scan(d, list(mu * w), lf))
+    assert close(maximal_function(space, mu, f, "sharp"),
+                 bruteforce.sharp_scan(d, lm, lf))
+    assert close(maximal_function(space, mu, f, "sharp", weight=w),
+                 bruteforce.sharp_scan(d, list(mu * w), lf))
+    assert close(maximal_function(space, mu, f, "sharp", absolute_mean=True),
+                 bruteforce.sharp_scan(d, lm, lf, absolute_mean=True))
+    assert close(bmo_norm(space, mu, f), bruteforce.bmo_scan(d, lm, lf))
+    assert close(bmo_norm(space, mu, f, absolute_mean=True),
+                 bruteforce.bmo_scan(d, lm, lf, absolute_mean=True))
+    for p in (1.5, 3.0):
+        assert close(ap_constant(space, mu, w, p),
+                     bruteforce.ap_scan(d, lm, lw, p))
+    assert doubling_constant(space, mu)[0] == bruteforce.doubling_scan(d, lm)
+
+
+@settings(max_examples=80, deadline=None)
+@given(space=int_clouds())
+def test_ball_sweep_enumerates_every_ball(space):
+    d = dense_rows(space)
+    top = space.profile.diam * 1.25 + 1.0
+    centers = []
+    for c, order, sorted_row, ends, radii in space.ball_sweep():
+        centers.append(c)
+        row = space.dist_row(c)
+        assert order.tolist() == np.argsort(row, kind="stable").tolist()
+        assert sorted_row.tolist() == row[order].tolist()
+        assert radii.tolist() == np.unique(row[row > 0]).tolist() + [top]
+        assert ends[-1] == space.n
+        for r, end in zip(radii, ends):
+            assert sorted(order[:end].tolist()) == \
+                bruteforce.ball_scan(d, c, float(r))
+    assert centers == list(range(space.n))
+    assert [c for c, *_ in space.ball_sweep([1, 0])] == [1, 0]
+
+
+def test_ball_averages_refuse_row_oracle():
+    table_space, mu = grid64()
+    space = QuasiMetricSpace(64, row_fn=table_space.dist_row,
+                             profile=table_space.profile)
+    f = np.random.default_rng(13).normal(size=64)
+    for call in (lambda: maximal_function(space, mu, f, "ball"),
+                 lambda: maximal_function(space, mu, f, "sharp"),
+                 lambda: bmo_norm(space, mu, f),
+                 lambda: ap_constant(space, mu, np.exp(f), 2.0)):
+        with pytest.raises(BadSpec):
+            call()
+    # the doubling sweep reads rows, so it serves row oracles too
+    assert doubling_constant(space, mu) == doubling_constant(table_space, mu)
+
+
 # -- transfer checks ----------------------------------------------------------
 
 def test_comparability_on_grid_family():
@@ -309,6 +389,24 @@ def test_comparability_on_grid_family():
                  "sharp_dyadic_le_ball", "sharp_ball_le_dyadic_sum"):
         c = rep.check(name)
         assert c.details["empirical"] <= c.details["constant"]
+
+
+def test_ball_mass_check_matches_scan():
+    space, _ = grid64()
+    fam = line_family(space)
+    mu = np.random.default_rng(14).uniform(0.5, 2.0, 64)
+    d = dense_rows(space)
+    top = space.profile.diam * 1.25 + 1.0
+    queries, worst = 0, 0.0
+    for x in range(64):
+        for r in sorted({d[x][y] for y in range(64)} - {0.0}) + [top]:
+            queries += 1
+            cube = fam.cube_members(find_containing_cube(fam, x, r))
+            ball_mass = sum(mu[y] for y in bruteforce.ball_scan(d, x, r))
+            worst = max(worst, float(mu[cube].sum()) / ball_mass)
+    chk = verify_comparability(fam, mu, []).check("ball_containing_cube_mass")
+    assert chk.checked == queries
+    assert chk.details["empirical"] == pytest.approx(worst, rel=1e-12)
 
 
 def test_comparability_requires_strict_mode():

@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
 from cubeforge.cli import main
+from cubeforge.errors import ConfigError
+from cubeforge.nets import build_reference_hierarchy
+from cubeforge.space import generate_space
 
 DELTA = 1.0 / 144.0
 
@@ -80,6 +85,31 @@ def test_stage_failure_exits_two_with_build_error(tmp_path, capsys):
     assert err["command"] == "run"
     assert err["type"] == "BuildError"
     assert err["error"].startswith("stage space:")
+
+
+def test_out_of_range_distinguished_exits_two(tmp_path, capsys):
+    space = generate_space({"kind": "geometric_line", "levels": 3,
+                            "delta": DELTA})
+    with pytest.raises(ConfigError, match="distinguished id 999"):
+        build_reference_hierarchy(space, DELTA, distinguished=999)
+    cfg = write_config(tmp_path, distinguished=999)
+    assert main(["build-nets", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["command"] == "build-nets"
+    assert err["type"] == "ConfigError"
+
+
+def test_out_of_range_mc_point_fails_the_check(tmp_path, capsys):
+    cfg = write_config(tmp_path, mc={"N": 1000, "tau_list": [0.1],
+                                     "points": [999]})
+    out = tmp_path / "out"
+    assert main(["mc-boundary", "--config", cfg, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["failed_checks"] == \
+        {"mc_boundary": ["run"]}
+    with open(out / "report.json") as fh:
+        (entry,) = json.load(fh)["checks"]["mc_boundary"]["checks"]
+    assert entry["note"].startswith("PreconditionFail: point 999 outside")
 
 
 def test_build_commands_write_their_artifacts(tmp_path, capsys):

@@ -331,6 +331,9 @@ def test_boundary_estimate_preconditions():
         estimate_boundary_probability(s, 0, -2, 0.1, 999)
     with pytest.raises(PreconditionFail):
         estimate_boundary_probability(s, 0, 7, 0.1, 1000)
+    for x in (4, -1, 999):   # the line has points 0..3
+        with pytest.raises(PreconditionFail, match=f"point {x} outside"):
+            estimate_boundary_probability(s, x, -2, 0.1, 1000)
     with pytest.raises(ConfigError):
         estimate_boundary_probability(OmegaSampler(lab, "adjacent"),
                                       0, -2, 0.1, 1000)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,11 @@ LINE4 = [0.0, 1.0, 3.0, 7.0]
 
 def line4():
     return QuasiMetricSpace.from_line(LINE4)
+
+
+def radii(space, c):
+    """The radii of every distinct ball centred at c, from the ball sweep."""
+    return next(space.ball_sweep([c]))[4]
 
 
 def test_tri_const_metric_line_is_one():
@@ -88,7 +94,7 @@ def test_ball_monotone_in_radius():
     space = QuasiMetricSpace.from_coords(rng.uniform(0, 1, (20, 2)))
     for c in range(0, 20, 5):
         prev = set()
-        for r in space.radii_from(c):
+        for r in radii(space, c):
             cur = set(ball(space, c, float(r)).tolist())
             assert prev <= cur
             prev = cur
@@ -121,7 +127,7 @@ def test_packing_bound_small_spaces():
         for sub in (1.0, 0.5, 0.25):
             limit = a1 * sub ** (-bound_exp)
             for c in space.points():
-                for r in space.radii_from(c):
+                for r in radii(space, c):
                     members = ball_scan(d, c, float(r))
                     packed = _greedy_packing(d, members, sub * float(r))
                     assert len(packed) <= limit + 1e-9, (c, r, sub)
@@ -151,7 +157,7 @@ def test_separated_points_have_disjoint_shrunk_balls():
             for y in space.points():
                 if x == y:
                     continue
-                for r in space.radii_from(x):
+                for r in radii(space, x):
                     if space.dist(x, y) < r:
                         continue
                     shrunk = float(r) / (2.0 * tri)
@@ -234,10 +240,10 @@ def test_space_json_roundtrip():
 
 def test_radii_conventions():
     space = line4()
-    assert space.radii_from(0).tolist()[:3] == [1.0, 3.0, 7.0]
-    assert space.radii_from(0)[-1] > space.profile.diam
-    all_r = space.all_radii()
-    assert set(np.asarray(all_r[:-1]).tolist()) == {1.0, 2.0, 3.0, 4.0, 6.0, 7.0}
+    assert radii(space, 0).tolist()[:3] == [1.0, 3.0, 7.0]
+    assert radii(space, 0)[-1] > space.profile.diam
+    all_r = {float(r) for *_, rs in space.ball_sweep() for r in rs[:-1]}
+    assert all_r == {1.0, 2.0, 3.0, 4.0, 6.0, 7.0}
 
 
 def test_realized_balls_dedupe():
@@ -259,6 +265,26 @@ def test_dist_rows_match_dist_row_for_table_and_row_oracle():
         assert space.dist_rows([]).shape == (0, 4)
         assert space.dist_pairs(ids, [2, 1, 1]).tolist() == [4.0, 1.0, 6.0]
         assert space.dist_pairs([], []).shape == (0,)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_from_coords_table_matches_broadcast_form(dim):
+    coords = np.random.default_rng(dim).uniform(0.0, 20.0, (75, dim))
+    diff = coords[:, None, :] - coords[None, :, :]
+    expect = np.sqrt((diff * diff).sum(axis=2))
+    assert np.array_equal(QuasiMetricSpace.from_coords(coords).table, expect)
+
+
+def test_from_coords_table_needs_no_difference_array():
+    # the (n, n, 3) difference array alone would be three tables
+    coords = np.random.default_rng(0).uniform(0.0, 1.0, (1024, 3))
+    tracemalloc.start()
+    try:
+        table = space_module._coords_table(coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * table.nbytes
 
 
 # -- validation against the naive scans ---------------------------------------
