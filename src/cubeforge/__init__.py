@@ -34,6 +34,7 @@ from cubeforge.random_systems import (BoundaryEstimate, OmegaSampler,
                                       SelectionEstimate,
                                       check_chain_separation,
                                       estimate_boundary_probability,
+                                      estimate_boundary_sweep,
                                       estimate_selection_probability,
                                       realize_system, sample_adjacent_family,
                                       sample_outcome, sample_system,
@@ -59,7 +60,8 @@ __all__ = [
     "build_cube_system", "build_labels", "build_partial_order",
     "build_reference_hierarchy", "check_chain_separation", "check_mode",
     "doubling_constant", "doubling_estimate", "emit_report",
-    "estimate_boundary_probability", "estimate_selection_probability",
+    "estimate_boundary_probability", "estimate_boundary_sweep",
+    "estimate_selection_probability",
     "find_containing_cube", "generate_space", "index_to_pair", "level_window",
     "lp_norm", "maximal_function", "pair_to_index", "realize_system",
     "run_pipeline", "sample_adjacent_family", "sample_outcome",

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ModeViolation, NoParent, TightAmbiguity
+from .errors import ModeViolation, NoParent, PreconditionFail, TightAmbiguity
 from .report import VerificationReport
 from .space import QuasiMetricSpace
 
@@ -199,14 +199,10 @@ def build_cube_system(space: QuasiMetricSpace, level_points,
     """
     finest = np.asarray(level_points[-1], dtype=int)
     if sorted(finest.tolist()) != list(range(space.n)):
-        raise ValueError("finest level must enumerate every point of the space")
+        raise PreconditionFail(
+            "finest level must enumerate every point of the space")
     n_levels = len(level_points)
-    assign = [None] * n_levels
-    pos = np.empty(space.n, dtype=int)
-    pos[finest] = np.arange(len(finest))
-    assign[-1] = pos
-    for j in range(n_levels - 2, -1, -1):
-        assign[j] = order.maps[j][assign[j + 1]]
+    assign = close_assign(space.n, finest, order.maps[:n_levels - 1])
     cubes = []
     for j in range(n_levels):
         centers = np.asarray(level_points[j], dtype=int).tolist()
@@ -220,6 +216,21 @@ def build_cube_system(space: QuasiMetricSpace, level_points,
                       mode=order.mode,
                       level_points=[np.asarray(lv, dtype=int) for lv in level_points],
                       order=order, cubes=cubes, assign=assign)
+
+
+def close_assign(n: int, finest, maps) -> list:
+    """Point -> cube index on every level of a parent order, coarsest first.
+
+    The finest list (of all n points) indexes the finest level; each coarser
+    level composes the parent map below it, maps[j][assign[j + 1]].
+    """
+    assign = [None] * (len(maps) + 1)
+    pos = np.empty(n, dtype=int)
+    pos[finest] = np.arange(len(finest))
+    assign[-1] = pos
+    for j in range(len(maps) - 1, -1, -1):
+        assign[j] = maps[j][assign[j + 1]]
+    return assign
 
 
 def verify_cube_axioms(system: CubeSystem) -> VerificationReport:

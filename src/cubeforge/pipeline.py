@@ -28,7 +28,7 @@ from .labeling import build_labels, verify_new_point_axioms
 from .nets import build_reference_hierarchy, check_mode, verify_net_axioms
 from .random_systems import (
     OmegaSampler,
-    estimate_boundary_probability,
+    estimate_boundary_sweep,
     realize_system,
     sample_outcome,
     scan_chain_separation,
@@ -256,15 +256,12 @@ def _mc_boundary_check(config: PipelineConfig, labeled,
     k = mc.get("k", labeled.k_min)
     sampler = OmegaSampler(labeled, "single", seed=config.seed)
     rep = VerificationReport("boundary decay")
-    rows = []
-    for x in points:
-        for tau in taus:
-            est = estimate_boundary_probability(sampler, int(x), k,
-                                                float(tau), n)
-            rows.append(est.to_json())
-            rep.add(f"x{x}_tau{tau:g}", est.passed, n,
-                    details=est.to_json())
-    report.tables["boundary"] = rows
+    ests = estimate_boundary_sweep(sampler, [int(x) for x in points], k,
+                                   [float(tau) for tau in taus], n)
+    names = [f"x{x}_tau{tau:g}" for x in points for tau in taus]
+    for name, est in zip(names, ests):
+        rep.add(name, est.passed, n, details=est.to_json())
+    report.tables["boundary"] = [est.to_json() for est in ests]
     return rep
 
 

@@ -23,7 +23,10 @@ Every selected point is guaranteed a probability of at least
 tau_0 = 1/((L+1)*M) of being chosen, which drives the boundary-zone decay
 estimate: the chance that a point sits within tau * ratio**k of its level-k
 cube's complement is at most C_2 * tau**eta with eta = log(1-tau_0)/log(ratio)
-and C_2 = 4*tri**2/(inner_const*ratio).
+and C_2 = 4*tri**2/(inner_const*ratio). `estimate_boundary_sweep` estimates
+that chance for many points and taus at one level k: each sample realizes
+levels k and finer once, and every (point, tau) reads its hit off that one
+partition. `estimate_boundary_probability` is its one-point, one-tau case.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .adjacent import AdjacentFamily, index_to_pair
-from .cubes import CubeSystem, build_cube_system
+from .cubes import CubeSystem, build_cube_system, close_assign
 from .errors import ConfigError, ModeViolation, NotAChild, PreconditionFail
 from .labeling import (
     LabeledHierarchy,
@@ -307,41 +310,66 @@ def wilson_upper(hits: int, n: int, z: float = WILSON_Z) -> float:
 def estimate_boundary_probability(sampler: OmegaSampler, x: int, k: int,
                                   tau: float, n_samples: int
                                   ) -> BoundaryEstimate:
-    """Chance that x lands within tau * ratio**k of its level-k cube's edge.
+    """Chance that x lands within tau * ratio**k of its level-k cube's edge:
+    the one-point, one-tau case of `estimate_boundary_sweep`."""
+    return estimate_boundary_sweep(sampler, [x], k, [tau], n_samples)[0]
 
-    Realizes only levels k and finer per sample (coarser coordinates cannot
-    move the level-k partition). Passes when the 95% Wilson upper confidence
-    bound stays under C_2 * tau**eta.
+
+def estimate_boundary_sweep(sampler: OmegaSampler, points, k: int, taus,
+                            n_samples: int) -> list[BoundaryEstimate]:
+    """Boundary estimates for every point and every tau at level k, points
+    outer and taus inner (duplicates give duplicate rows).
+
+    Each sample realizes only levels k and finer, once (coarser coordinates
+    cannot move the level-k partition), and every (x, tau) reads its hit off
+    that one partition: x is within tau * ratio**k of its cube's edge when
+    its nearest point in another cube is. An estimate passes when its 95%
+    Wilson upper confidence bound stays under C_2 * tau**eta. Arguments are
+    checked pair by pair in output order, so a bad call raises what the
+    first failing one-pair call would.
     """
+    pairs = [(x, tau) for x in points for tau in taus]
+    for x, tau in pairs:
+        _check_boundary_args(sampler, x, k, tau, n_samples)
+    if not pairs:
+        return []
+    delta = sampler.labeled.hierarchy.delta
+    eps = np.array([tau * delta ** k for tau in taus])
+    pts = np.asarray(points, dtype=int)
+    rows = sampler.labeled.space.dist_rows(pts)
+    hits = np.zeros((pts.size, eps.size), dtype=int)
+    for i in range(n_samples):
+        assign = _partial_assign(sampler, i, k)
+        outside = assign != assign[pts][:, None]
+        gap = np.where(outside, rows, np.inf).min(axis=1)
+        # a point whose cube is the whole space has no edge, even at eps=inf
+        hits += (gap[:, None] <= eps) & outside.any(axis=1)[:, None]
+    out = []
+    for (x, tau), h in zip(pairs, hits.ravel().tolist()):
+        upper = wilson_upper(h, n_samples)
+        bound = sampler.boundary_const * tau ** sampler.decay_exp
+        out.append(BoundaryEstimate(
+            x=x, k=k, tau=tau, n_samples=n_samples, hits=h,
+            p_hat=h / n_samples, wilson_upper=upper, bound=bound,
+            passed=upper <= bound))
+    return out
+
+
+def _check_boundary_args(sampler: OmegaSampler, x: int, k: int, tau: float,
+                         n_samples: int) -> None:
     lab = sampler.labeled
     if sampler.variant != "single":
         raise ConfigError("boundary estimation uses the single variant")
     if lab.hierarchy.mode != "strict":
         raise PreconditionFail("boundary decay needs a strict-mode hierarchy")
-    delta = lab.hierarchy.delta
     if tau <= 0:
         raise PreconditionFail(f"tau must be positive, got {tau}")
     if n_samples < 1000:
         raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
     if not lab.k_min <= k <= lab.k_max:
         raise PreconditionFail(f"level {k} outside [{lab.k_min}, {lab.k_max}]")
-    space = lab.space
-    if not 0 <= x < space.n:
-        raise PreconditionFail(f"point {x} outside [0, {space.n})")
-    eps = tau * delta ** k
-    row = space.dist_row(x)
-    hits = 0
-    for i in range(n_samples):
-        assign = _partial_assign(sampler, i, k)
-        outside = assign != assign[x]
-        if outside.any():
-            hits += float(row[outside].min()) <= eps
-    p_hat = hits / n_samples
-    upper = wilson_upper(hits, n_samples)
-    bound = sampler.boundary_const * tau ** sampler.decay_exp
-    return BoundaryEstimate(x=x, k=k, tau=tau, n_samples=n_samples, hits=hits,
-                            p_hat=p_hat, wilson_upper=upper, bound=bound,
-                            passed=upper <= bound)
+    if not 0 <= x < lab.space.n:
+        raise PreconditionFail(f"point {x} outside [0, {lab.space.n})")
 
 
 def _partial_assign(sampler: OmegaSampler, sample_index: int, k: int
@@ -355,12 +383,7 @@ def _partial_assign(sampler: OmegaSampler, sample_index: int, k: int
         z_levels.append(h.level(j + 1)[entry["choice"]])
     z_levels.append(h.level(lab.k_max).copy())
     order = selected_order(lab, z_levels, k_top=k)
-    finest = z_levels[-1]
-    assign = np.empty(lab.space.n, dtype=int)
-    assign[finest] = np.arange(len(finest))
-    for j in range(len(z_levels) - 2, -1, -1):
-        assign = order.maps[j][assign]
-    return assign
+    return close_assign(lab.space.n, z_levels[-1], order.maps)[0]
 
 
 def check_chain_separation(system: CubeSystem, x: int, k: int, tau: float,

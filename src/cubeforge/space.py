@@ -176,9 +176,9 @@ class QuasiMetricSpace:
 
     @classmethod
     def from_coords(cls, coords, generator=None, declared_tri_const=1.0):
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        if coords.shape[0] == 1 and coords.shape[1] > 1 and generator is None:
-            coords = coords.T
+        coords = np.asarray(coords, dtype=float)
+        if coords.ndim < 2:   # a flat list is points on a line
+            coords = coords.reshape(-1, 1)
         n = coords.shape[0]
         if n <= TABLE_CAP:
             return cls.from_table(_coords_table(coords), coords=coords,

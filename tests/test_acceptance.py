@@ -25,7 +25,7 @@ from cubeforge.labeling import (build_labels, select_points,
                                 verify_new_point_axioms)
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.random_systems import (OmegaSampler,
-                                      estimate_boundary_probability,
+                                      estimate_boundary_sweep,
                                       estimate_selection_probability,
                                       sample_system, scan_chain_separation)
 from cubeforge.space import QuasiMetricSpace, ball, generate_space
@@ -210,10 +210,8 @@ def test_criterion_6_boundary_probability_decay():
     sampler = OmegaSampler(lab, "single", seed=2026)
     estimates = []
     for k in (lab.k_min, 0):
-        for x in range(lab.space.n):
-            for tau in (0.1, 0.01, 0.001):
-                estimates.append(
-                    estimate_boundary_probability(sampler, x, k, tau, 10000))
+        estimates += estimate_boundary_sweep(
+            sampler, range(lab.space.n), k, (0.1, 0.01, 0.001), 10000)
     elapsed = time.perf_counter() - t0
     worst = max(e.wilson_upper / e.bound for e in estimates)
     _verdict(6, all(e.passed for e in estimates) and elapsed < 600.0,

@@ -11,7 +11,12 @@ from cubeforge.cubes import (
     build_partial_order,
     verify_cube_axioms,
 )
-from cubeforge.errors import ModeViolation, NoParent, TightAmbiguity
+from cubeforge.errors import (
+    ModeViolation,
+    NoParent,
+    PreconditionFail,
+    TightAmbiguity,
+)
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.space import QuasiMetricSpace, generate_space
 
@@ -111,7 +116,7 @@ def test_members_match_closure_oracle():
 
 def test_finest_level_must_cover():
     space, levels, order = line4_order()
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionFail, match="finest level must enumerate"):
         build_cube_system(space, [levels[0], np.array([0, 1, 2])], order)
 
 

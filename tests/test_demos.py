@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script", ["walk_the_line.py",
-                                    "weighted_bounds_tour.py"])
+                                    "weighted_bounds_tour.py",
+                                    "boundary_decay_sweep.py"])
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / script)],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import stats
 
 from cubeforge.adjacent import build_adjacent_family, verify_covering
@@ -26,6 +27,7 @@ from cubeforge.random_systems import (
     OmegaSampler,
     check_chain_separation,
     estimate_boundary_probability,
+    estimate_boundary_sweep,
     estimate_selection_probability,
     realize_system,
     sample_adjacent_family,
@@ -37,6 +39,7 @@ from cubeforge.random_systems import (
 from cubeforge.space import QuasiMetricSpace, generate_space
 
 import bruteforce
+from test_selection import cloud_labels
 
 DELTA = 1.0 / 144.0
 
@@ -343,6 +346,106 @@ def test_boundary_estimate_preconditions():
     with pytest.raises(PreconditionFail):
         estimate_boundary_probability(OmegaSampler(soft, "single"),
                                       0, -1, 0.1, 1000)
+
+
+def tied_taus(lab, k):
+    """Three taus whose eps = tau * ratio**k is exactly a distance of the
+    space (smallest, middle, largest), so a strict comparison against eps
+    would drop the hits that sit right on it."""
+    scale = lab.hierarchy.delta ** k
+    dists = np.unique(lab.space.table[lab.space.table > 0]).tolist()
+    taus = [d / scale for d in dists if d / scale * scale == d]
+    return [taus[0], taus[len(taus) // 2], taus[-1]]
+
+
+def assert_sweep_matches_scan(lab, n_samples=1000):
+    """Every level's sweep over every point and three tied taus counts the
+    hits of a naive scan over fully sampled systems."""
+    s = OmegaSampler(lab, "single", seed=13)
+    d = lab.space.table.tolist()
+    ks = list(lab.hierarchy.level_ks())
+    taus = {k: tied_taus(lab, k) for k in ks}
+    expect = {k: np.zeros((lab.space.n, 3), dtype=int) for k in ks}
+    for i in range(n_samples):
+        system = sample_system(s, i)
+        for k in ks:
+            for t, tau in enumerate(taus[k]):
+                eps = tau * lab.hierarchy.delta ** k
+                for cube in system.cubes_at(k):
+                    members = cube.members.tolist()
+                    expect[k][bruteforce.boundary_scan(d, members, eps), t] += 1
+    for k in ks:
+        got = estimate_boundary_sweep(s, range(lab.space.n), k, taus[k],
+                                      n_samples)
+        assert [(e.x, e.tau) for e in got] == \
+            [(x, tau) for x in range(lab.space.n) for tau in taus[k]]
+        assert [e.hits for e in got] == expect[k].ravel().tolist()
+    return expect
+
+
+def test_boundary_sweep_matches_scan_on_the_line():
+    expect = assert_sweep_matches_scan(geoline_labels())
+    # the finest level's cubes are single points: the smallest tied tau
+    # puts the closest pair on the boundary in every sample
+    assert expect[1].max() == 1000
+    assert sum(int(e.sum()) for e in expect.values()) > 0
+
+
+@settings(max_examples=6, deadline=None)
+@given(lab=cloud_labels(deltas=(DELTA,), mode="strict"))
+def test_boundary_sweep_matches_scan_on_clouds(lab):
+    assert_sweep_matches_scan(lab)
+
+
+def test_boundary_sweep_rows_are_points_outer_taus_inner():
+    lab = geoline_labels()
+    s = OmegaSampler(lab, "single", seed=11)
+    # eps = 20736 is exactly point 2's gap at level -2; point 0 sits farther
+    points, taus = [2, 0, 2], [tied_taus(lab, -2)[1], 1e-6]
+    got = estimate_boundary_sweep(s, points, -2, taus, 1000)
+    assert [(e.x, e.k, e.tau) for e in got] == \
+        [(x, -2, tau) for x in points for tau in taus]
+    for est in got[:4]:
+        one = estimate_boundary_probability(s, est.x, -2, est.tau, 1000)
+        assert est.to_json() == one.to_json()
+    assert [e.to_json() for e in got[4:]] == [e.to_json() for e in got[:2]]
+    # the rows differ by point and by tau, so neither axis can be misread
+    assert got[0].hits == 1000
+    assert got[1].hits == got[2].hits == 0
+    assert estimate_boundary_sweep(s, [], -2, taus, 1000) == []
+
+
+def test_boundary_sweep_errors_match_first_pair():
+    lab = geoline_labels()
+    s = OmegaSampler(lab, "single", seed=1)
+    grid = QuasiMetricSpace.from_line(np.arange(300.0))
+    soft = OmegaSampler(build_labels(build_reference_hierarchy(
+        grid, 1 / 144, mode="exploratory")), "single")
+    cases = [
+        (s, [0], -2, [0.0], 1000, PreconditionFail, "tau must be positive"),
+        (s, [0], -2, [0.1], 999, PreconditionFail,
+         "need at least 1000 samples, got 999"),
+        (s, [0], 7, [0.1], 1000, PreconditionFail, "level 7 outside"),
+        (s, [4], -2, [0.1], 1000, PreconditionFail, "point 4 outside"),
+        (s, [-1], -2, [0.1], 1000, PreconditionFail, "point -1 outside"),
+        (OmegaSampler(lab, "adjacent"), [0], -2, [0.1], 1000, ConfigError,
+         "boundary estimation uses the single variant"),
+        (soft, [0], -1, [0.1], 1000, PreconditionFail,
+         "boundary decay needs a strict-mode hierarchy"),
+        # several faults: the first one-pair call in output order decides
+        (s, [0, 4], -2, [0.1, -1.0], 1000, PreconditionFail,
+         "tau must be positive, got -1.0"),
+        (s, [4, 0], -2, [0.1, -1.0], 1000, PreconditionFail,
+         "point 4 outside"),
+        (s, [0, 9], 7, [0.1], 1000, PreconditionFail, "level 7 outside"),
+    ]
+    for sampler, points, k, taus, n, err, msg in cases:
+        with pytest.raises(err, match=msg):
+            estimate_boundary_sweep(sampler, points, k, taus, n)
+        if len(points) == len(taus) == 1:
+            with pytest.raises(err, match=msg):
+                estimate_boundary_probability(sampler, points[0], k,
+                                              taus[0], n)
 
 
 def test_wilson_upper_matches_oracle():

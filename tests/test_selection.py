@@ -31,15 +31,14 @@ def line_space(pos):
 
 
 @st.composite
-def cloud_labels(draw, deltas=(DELTA, 1.0 / 16.0)):
+def cloud_labels(draw, deltas=(DELTA, 1.0 / 16.0), mode="exploratory"):
     side = draw(st.sampled_from([8, 200, 400]))
     pts = draw(st.lists(st.tuples(st.integers(0, side), st.integers(0, side)),
                         min_size=2, max_size=16, unique=True))
     space = QuasiMetricSpace.from_coords(np.asarray(pts, dtype=float))
     pin = 0 if draw(st.booleans()) else None
     return build_labels(build_reference_hierarchy(
-        space, draw(st.sampled_from(deltas)), mode="exploratory",
-        distinguished=pin))
+        space, draw(st.sampled_from(deltas)), mode=mode, distinguished=pin))
 
 
 @st.composite

@@ -275,6 +275,16 @@ def test_from_coords_table_matches_broadcast_form(dim):
     assert np.array_equal(QuasiMetricSpace.from_coords(coords).table, expect)
 
 
+def test_from_coords_reads_rows_as_points():
+    one = QuasiMetricSpace.from_coords([[3, 5]])
+    assert one.n == 1 and one.coords.tolist() == [[3.0, 5.0]]
+    assert QuasiMetricSpace.from_coords([[0, 0]]).n == 1
+    # a flat list is still a line of points
+    line = QuasiMetricSpace.from_coords([0.0, 2.0, 7.0])
+    assert line.n == 3 and line.coords.shape == (3, 1)
+    assert line.dist(0, 2) == 7.0
+
+
 def test_from_coords_table_needs_no_difference_array():
     # the (n, n, 3) difference array alone would be three tables
     coords = np.random.default_rng(0).uniform(0.0, 1.0, (1024, 3))
