@@ -8,9 +8,10 @@ selection rules (labeling), shifted families answering ball queries
 (analysis). pipeline and cli wrap the lot behind a JSON config.
 """
 
-from cubeforge.adjacent import (AdjacentFamily, CubeQuery,
+from cubeforge.adjacent import (AdjacentFamily, CubeQueries, CubeQuery,
                                 build_adjacent_family, find_containing_cube,
-                                index_to_pair, pair_to_index, verify_covering)
+                                find_containing_cubes, index_to_pair,
+                                pair_to_index, verify_covering)
 from cubeforge.analysis import (Measure, ap_constant, bmo_norm,
                                 doubling_constant, lp_norm, maximal_function,
                                 verify_comparability, verify_weighted_bounds)
@@ -48,7 +49,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjacentFamily", "BadSpec", "BoundaryEstimate", "BuildError", "Check",
-    "ConfigError", "Cube", "CubeQuery", "CubeSystem", "CubeforgeError",
+    "ConfigError", "Cube", "CubeQueries", "CubeQuery", "CubeSystem",
+    "CubeforgeError",
     "DegenerateWindow", "LabeledHierarchy", "Measure", "ModeViolation",
     "NegativeDistance", "NetHierarchy", "NoNearChild", "NoParent",
     "NotAChild", "OmegaSampler", "OrderError", "ParentMaps",
@@ -62,7 +64,7 @@ __all__ = [
     "doubling_constant", "doubling_estimate", "emit_report",
     "estimate_boundary_probability", "estimate_boundary_sweep",
     "estimate_selection_probability",
-    "find_containing_cube", "generate_space", "index_to_pair", "level_window",
+    "find_containing_cube", "find_containing_cubes", "generate_space", "index_to_pair", "level_window",
     "lp_norm", "maximal_function", "pair_to_index", "realize_system",
     "run_pipeline", "sample_adjacent_family", "sample_outcome",
     "sample_system", "scan_chain_separation", "select_points",

@@ -5,12 +5,17 @@ K = (L+1)*M systems in all, indexed by the lexicographic bijection
 t = l*M + m. System t realizes the specific selection rule for (l, m) (or its
 pinned variant when a distinguished point is set).
 
-find_containing_cube answers "which system holds a single cube containing
-this ball": for a query ball of radius r it picks the level k with
-ratio**(k+2) < r <= ratio**(k+1), walks to the nearest reference point one
-level finer, and reads the system index off that point's pair label. In
-strict mode the returned cube contains the ball and its diameter is at most
-C*r with C = 8*tri**3/ratio**2 (pinned variant: one level coarser and
+find_containing_cubes answers "which system holds a single cube containing
+this ball" for every radius of one center's ball sweep at once: a ball of
+radius r gets the level k with ratio**(k+2) < r <= ratio**(k+1), found by
+searching the powers of ratio over the level window; each distinct level
+walks once to the nearest reference point one level finer and reads the
+system index off that point's pair label. The ball order[:end] lies in the
+returned cube exactly when end is at most the first rank in the center's
+sweep order of a point outside the cube's member list, computed once per
+distinct cube. find_containing_cube is the one-radius case. In strict mode
+the returned cube contains the ball and its diameter is at most C*r with
+C = 8*tri**3/ratio**2 (pinned variant: one level coarser and
 C = 8*tri**3/ratio**3).
 """
 from __future__ import annotations
@@ -61,7 +66,6 @@ class AdjacentFamily:
     # to the system whose shifted label realizes a given fine point
     level_shifts: Optional[dict] = None          # k -> shift in 1..K
     ordinal_shifts: Optional[dict] = None        # k -> 1-based array per index
-    _diam_cache: dict = field(default_factory=dict)
 
     @property
     def space(self):
@@ -108,16 +112,6 @@ class AdjacentFamily:
 
     def cube_members(self, q: CubeQuery) -> np.ndarray:
         return self.system(q.t).cube(q.k, q.index).members
-
-    def cube_diam(self, t: int, k: int, index: int) -> float:
-        key = (t, k, index)
-        if key not in self._diam_cache:
-            members = self.system(t).cube(k, index).members
-            best = 0.0
-            for x in members:
-                best = max(best, float(self.space.dist_row(int(x))[members].max()))
-            self._diam_cache[key] = best
-        return self._diam_cache[key]
 
     def to_json(self):
         K = self.n_systems
@@ -166,21 +160,67 @@ def build_adjacent_family(labeled: LabeledHierarchy,
     return family
 
 
-def find_containing_cube(family: AdjacentFamily, x: int, r: float) -> CubeQuery:
-    """Locate (t, cube) whose members contain ball(x, r); see module docstring.
+@dataclass
+class CubeQueries:
+    """One center's answers: per radius j, its query is cubes[slot[j]] and
+    contained[j] says whether the ball order[:ends[j]] lies in that cube's
+    member list (members, per distinct query)."""
+
+    cubes: list
+    slot: np.ndarray
+    members: list
+    contained: np.ndarray
+
+    def query(self, j: int) -> CubeQuery:
+        return self.cubes[self.slot[j]]
+
+
+def find_containing_cubes(family: AdjacentFamily, x: int, order, ends,
+                          radii) -> CubeQueries:
+    """Answer ball(x, radii[j]) = order[:ends[j]] for every j at once; see
+    the module docstring.
 
     Radii outside the level window never error: too-coarse queries clamp to
     the full top cube ("clamped_coarse"), too-fine queries return the
     singleton cube of x itself ("underflow").
     """
-    if r <= 0:
-        raise ConfigError(f"query radius must be positive, got {r}")
-    h = family.labeled.hierarchy
-    delta = family.delta
-    k = _generation_for_radius(delta, r)
-    pinned = family.distinguished is not None
+    radii = np.asarray(radii, dtype=float)
+    bad = np.flatnonzero(~(radii > 0))
+    if bad.size:
+        raise ConfigError(f"query radius must be positive, got {radii[bad[0]]}")
     # the pinned variant answers one generation coarser
-    floor_k = family.k_min + 1 if pinned else family.k_min
+    floor_k = family.k_min + 1 if family.distinguished is not None \
+        else family.k_min
+    levels = _levels_for_radii(family.delta, radii, floor_k,
+                               max(family.k_max - 1, floor_k - 1))
+    distinct, slot = np.unique(levels, return_inverse=True)
+    slot = slot.ravel()
+    row = family.space.dist_row(x)
+    cubes = [_route(family, x, row, int(k), floor_k) for k in distinct]
+    members = [family.cube_members(q) for q in cubes]
+    # first rank in x's order of a point outside each cube
+    inside = np.zeros(family.space.n, dtype=bool)
+    first_out = np.empty(len(cubes), dtype=int)
+    for i, m in enumerate(members):
+        inside[:] = False
+        inside[m] = True
+        first_out[i] = np.append(~inside[order], True).argmax()
+    return CubeQueries(cubes=cubes, slot=slot, members=members,
+                       contained=np.asarray(ends) <= first_out[slot])
+
+
+def find_containing_cube(family: AdjacentFamily, x: int, r: float) -> CubeQuery:
+    """Locate (t, cube) whose members contain ball(x, r): the one-radius
+    case of find_containing_cubes."""
+    row = family.space.dist_row(x)
+    order = np.argsort(row, kind="stable")
+    end = np.searchsorted(row[order], r, side="left")
+    return find_containing_cubes(family, x, order, [end], [r]).query(0)
+
+
+def _route(family: AdjacentFamily, x: int, row, k: int,
+           floor_k: int) -> CubeQuery:
+    """The query answer for level k, read off x's distance row."""
     if k < floor_k:
         return CubeQuery(t=1, k=family.k_min, index=0, flag="clamped_coarse")
     if k > family.k_max - 1:
@@ -188,15 +228,22 @@ def find_containing_cube(family: AdjacentFamily, x: int, r: float) -> CubeQuery:
         return CubeQuery(t=t, k=family.k_max,
                          index=family.system(t).locate(family.k_max, x),
                          flag="underflow")
-    fine = h.level(k + 1)
-    row = family.space.dist_row(x)[fine]
-    beta = int(np.argmin(row))          # nearest fine reference point
+    # nearest fine reference point
+    beta = int(np.argmin(row[family.labeled.hierarchy.level(k + 1)]))
     t = family.route_t(k, beta)
     alpha = family.labeled.order.parent_of(k, beta)
-    if not pinned:
+    if family.distinguished is None:
         return CubeQuery(t=t, k=k, index=alpha, flag="ok")
     up = family.system(t).order.parent_of(k - 1, alpha)
     return CubeQuery(t=t, k=k - 1, index=up, flag="ok")
+
+
+def _levels_for_radii(delta: float, radii, k_lo: int, k_hi: int) -> np.ndarray:
+    """_generation_for_radius of every radius, clipped to [k_lo - 1, k_hi + 1]
+    (k_hi >= k_lo - 1): the count of window powers delta**j >= r, with
+    delta**j the same Python floats the scalar search compares against."""
+    powers = np.array([delta ** j for j in range(k_hi + 2, k_lo, -1)])
+    return k_lo - 1 + powers.size - np.searchsorted(powers, radii, side="left")
 
 
 def _generation_for_radius(delta: float, r: float) -> int:
@@ -221,17 +268,22 @@ def verify_covering(family: AdjacentFamily, centers=None) -> VerificationReport:
     rep = VerificationReport("adjacent covering")
     contain_bad, diam_bad, n_queries = [], [], 0
     worst_ratio = 0.0
+    diam_of = {}  # (t, k, index) -> diameter of the cube's member list
     for x, order, _, ends, radii in space.ball_sweep(centers):
-        for r, end in zip(radii, ends):
-            n_queries += 1
-            q = find_containing_cube(family, x, float(r))
-            members = family.cube_members(q)
-            if not np.isin(order[:end], members).all():
-                contain_bad.append((x, float(r), q.to_json()))
-            diam = family.cube_diam(q.t, q.k, q.index)
-            if diam > C * r * (1 + _TOL):
-                diam_bad.append((x, float(r), diam, C * r))
-            worst_ratio = max(worst_ratio, diam / r)
+        qs = find_containing_cubes(family, x, order, ends, radii)
+        diam = np.empty(len(qs.cubes))
+        for i, (q, m) in enumerate(zip(qs.cubes, qs.members)):
+            key = (q.t, q.k, q.index)
+            if key not in diam_of:
+                diam_of[key] = float(space.dist_rows(m, m).max(initial=0.0))
+            diam[i] = diam_of[key]
+        diam = diam[qs.slot]
+        n_queries += radii.size
+        for j in np.flatnonzero(~qs.contained):
+            contain_bad.append((x, float(radii[j]), qs.query(j).to_json()))
+        for j in np.flatnonzero(diam > C * radii * (1 + _TOL)):
+            diam_bad.append((x, float(radii[j]), float(diam[j]), C * radii[j]))
+        worst_ratio = max(worst_ratio, float((diam / radii).max()))
     rep.add("ball_containment", not contain_bad, n_queries, contain_bad)
     rep.add("diameter_bound", not diam_bad, n_queries, diam_bad,
             details={"worst_ratio": worst_ratio, "C": C})

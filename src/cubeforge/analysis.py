@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjacent import AdjacentFamily, find_containing_cube
+from .adjacent import AdjacentFamily, find_containing_cubes
 from .cubes import CubeSystem
 from .errors import BadSpec, ConfigError, CubeforgeError, PreconditionFail
 from .report import VerificationReport
@@ -276,8 +276,9 @@ def _max_ratio(lhs, rhs):
     return worst
 
 
-def verify_comparability(family: AdjacentFamily, mu,
-                         sample_functions) -> VerificationReport:
+def verify_comparability(family: AdjacentFamily, mu, sample_functions,
+                         constants: Optional[dict] = None
+                         ) -> VerificationReport:
     """Check the ball/cube mass bounds and the pointwise maximal bounds.
 
     (a) every cube's outer ball carries at most C_a times the cube's mass,
@@ -286,7 +287,8 @@ def verify_comparability(family: AdjacentFamily, mu,
     every system t: dyadic maximal <= C_a * ball maximal, ball maximal <=
     C_a_prime * sum_t dyadic maximal, and the sharp analogues with twice
     the constants. The report records the empirical extremal ratios next
-    to the asserted constants.
+    to the asserted constants. `constants` takes _instance_constants of
+    the same family and measure when the caller already has them.
     """
     space = family.space
     w = _weights_of(mu)
@@ -294,13 +296,25 @@ def verify_comparability(family: AdjacentFamily, mu,
         if family.system(t).mode != "strict":
             raise PreconditionFail(
                 "comparability bounds need strict-mode systems")
-    info = _instance_constants(family, w)
+    info = constants if constants is not None \
+        else _instance_constants(family, w)
     c_a, c_ap = info["C_a"], info["C_a_prime"]
     delta = family.delta
     outer = family.system(1).constants.outer_const
     rep = VerificationReport("maximal function comparability")
 
-    # (a) cube mass vs its outer ball
+    # (a) cube mass vs its outer ball; one ball mass per (center, k)
+    centers = {}
+    for sys_t in family.systems:
+        for k in sys_t.level_ks():
+            centers.setdefault(k, set()).update(
+                cube.center for cube in sys_t.cubes_at(k))
+    outer_mass = {}
+    for k, ids in centers.items():
+        ids = sorted(ids)
+        thr = outer * delta ** k
+        for c, row in zip(ids, space.dist_rows(ids)):
+            outer_mass[c, k] = float(w[row < thr].sum())
     worst = 0.0
     checked = 0
     bad = []
@@ -308,9 +322,8 @@ def verify_comparability(family: AdjacentFamily, mu,
         sys_t = family.system(t)
         for k in sys_t.level_ks():
             for i, cube in enumerate(sys_t.cubes_at(k)):
-                row = space.dist_row(cube.center)
-                ball_mass = float(w[row < outer * delta ** k].sum())
-                ratio = ball_mass / float(w[cube.members].sum())
+                ratio = outer_mass[cube.center, k] \
+                    / float(w[cube.members].sum())
                 worst = max(worst, ratio)
                 checked += 1
                 if ratio > c_a * (1.0 + _REL_TOL):
@@ -325,16 +338,15 @@ def verify_comparability(family: AdjacentFamily, mu,
     flags = {"ok": 0, "clamped_coarse": 0, "underflow": 0}
     for x, order, _, ends, radii in space.ball_sweep():
         pre = np.cumsum(w[order])
-        for r, end in zip(radii, ends):
-            q = find_containing_cube(family, x, float(r))
-            flags[q.flag] += 1
-            cube_mass = float(w[family.cube_members(q)].sum())
-            ball_mass = float(pre[end - 1])
-            ratio = cube_mass / ball_mass
-            worst = max(worst, ratio)
-            checked += 1
-            if ratio > c_ap * (1.0 + _REL_TOL):
-                bad.append((int(x), float(r), ratio))
+        qs = find_containing_cubes(family, x, order, ends, radii)
+        for q, hits in zip(qs.cubes, np.bincount(qs.slot).tolist()):
+            flags[q.flag] += hits
+        cube_mass = np.array([float(w[m].sum()) for m in qs.members])
+        ratio = cube_mass[qs.slot] / pre[ends - 1]
+        worst = max(worst, float(ratio.max()))
+        checked += radii.size
+        for j in np.flatnonzero(ratio > c_ap * (1.0 + _REL_TOL)):
+            bad.append((int(x), float(radii[j]), float(ratio[j])))
     rep.add("ball_containing_cube_mass", not bad, checked, bad,
             details={"C_a_prime": c_ap, "empirical": worst, "flags": flags})
 
@@ -375,8 +387,9 @@ def verify_comparability(family: AdjacentFamily, mu,
     return rep
 
 
-def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f,
-                           p: float) -> VerificationReport:
+def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
+                           constants: Optional[dict] = None
+                           ) -> VerificationReport:
     """Check the weighted-norm bounds for the dyadic maximal operators.
 
     (a) for every system t the weighted dyadic maximal is bounded on the
@@ -384,7 +397,7 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f,
     weights; (b) the unweighted dyadic maximal obeys the A_p-controlled
     bound p^(1/(p-1)) p' ||omega||_Ap^(1/(p-1)) ||f||; (c) the dyadic
     oscillation sups compare to the ball one with the doubled transfer
-    constants of verify_comparability.
+    constants of verify_comparability (`constants` as there).
     """
     if not p > 1:
         raise ConfigError(f"exponent p must exceed 1, got {p}")
@@ -422,7 +435,8 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f,
     rep.add("ap_controlled_norm", not bad_b, family.n_systems, bad_b,
             details={"per_system": buckley})
 
-    info = _instance_constants(family, w)
+    info = constants if constants is not None \
+        else _instance_constants(family, w)
     c_a, c_ap = info["C_a"], info["C_a_prime"]
     osc_ball = bmo_norm(space, w, f, "ball")
     osc_dy = [bmo_norm(space, w, f, "dyadic", system=family.system(t))

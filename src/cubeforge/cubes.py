@@ -66,9 +66,6 @@ class ParentMaps:
     def parent_of(self, k: int, child_index: int) -> int:
         return int(self.maps[k - self.k_top][child_index])
 
-    def children_of(self, k: int, parent_index: int) -> np.ndarray:
-        return np.where(self.maps[k - self.k_top] == parent_index)[0]
-
 
 @dataclass
 class Cube:
@@ -107,13 +104,6 @@ class CubeSystem:
     def locate(self, k: int, point: int) -> int:
         """Index of the cube containing `point` on level k."""
         return int(self.assign[k - self.k_min][point])
-
-    def chain(self, point: int):
-        """Cube indices containing `point`, coarsest level first."""
-        return [int(a[point]) for a in self.assign]
-
-    def center_point(self, k: int, index: int) -> int:
-        return int(self.level_points[k - self.k_min][index])
 
     def to_json(self):
         return {

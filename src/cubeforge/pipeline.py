@@ -17,7 +17,7 @@ import numpy as np
 
 from .adjacent import build_adjacent_family, verify_covering
 from .analysis import (
-    doubling_constant,
+    _instance_constants,
     maximal_function,
     verify_comparability,
     verify_weighted_bounds,
@@ -290,13 +290,14 @@ def _analysis_check(config: PipelineConfig, space, family,
     funcs = [rng.uniform(-1.0, 1.0, space.n) for _ in range(n_funcs)]
 
     parts = []
-    c_mu, c_exp = doubling_constant(space, mu)
+    constants = _instance_constants(family, mu)
     doubling = VerificationReport("doubling")
     doubling.add("doubling_sweep", True, space.n,
-                 details={"C_mu": c_mu, "exponent": c_exp})
+                 details={"C_mu": constants["C_mu"],
+                          "exponent": constants["c_mu"]})
     parts.append(("", doubling))
 
-    comp = verify_comparability(family, mu, funcs)
+    comp = verify_comparability(family, mu, funcs, constants=constants)
     parts.append(("comparability", comp))
 
     bounds_rows = []
@@ -310,7 +311,8 @@ def _analysis_check(config: PipelineConfig, space, family,
     for p in p_list:
         omega = rng.uniform(0.5, 2.0, space.n)
         f = rng.uniform(-1.0, 1.0, space.n)
-        wrep = verify_weighted_bounds(family, mu, omega, f, p)
+        wrep = verify_weighted_bounds(family, mu, omega, f, p,
+                                      constants=constants)
         parts.append((f"p{p:g}", wrep))
         for c in wrep.checks:
             for entry in c.details.get("per_system", []):

@@ -362,8 +362,10 @@ def _check_boundary_args(sampler: OmegaSampler, x: int, k: int, tau: float,
         raise ConfigError("boundary estimation uses the single variant")
     if lab.hierarchy.mode != "strict":
         raise PreconditionFail("boundary decay needs a strict-mode hierarchy")
-    if tau <= 0:
+    if not tau > 0:
         raise PreconditionFail(f"tau must be positive, got {tau}")
+    if not math.isfinite(tau):
+        raise PreconditionFail(f"tau must be finite, got {tau}")
     if n_samples < 1000:
         raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
     if not lab.k_min <= k <= lab.k_max:

@@ -48,6 +48,17 @@ def ball_scan(d, center, r):
     return sorted(y for y in range(len(d)) if d[y][center] < r)
 
 
+def ball_in_members_scan(d, center, r, members):
+    """(ball(center, r) lies in members, diameter of members) by plain
+    set inclusion and a double loop; an empty member list has diameter 0."""
+    inside = set(ball_scan(d, center, r)) <= set(members)
+    diam = 0.0
+    for a in members:
+        for b in members:
+            diam = max(diam, d[a][b])
+    return inside, diam
+
+
 def greedy_net_scan(d, order, threshold):
     """Greedy maximal threshold-separated subset, insertion in `order`."""
     chosen = []

@@ -91,6 +91,7 @@ def straddle_labels():
     return labels_for(space)
 
 
+@pytest.mark.slow
 def test_criterion_1_cube_axioms_exact_on_line_and_clouds():
     t0 = time.perf_counter()
     fams = [build_adjacent_family(labels_for(geoline()))]
@@ -204,6 +205,7 @@ def test_criterion_5_chain_separation_on_sampled_systems():
              f"straddle depths {summary['straddle'][1]}")
 
 
+@pytest.mark.slow
 def test_criterion_6_boundary_probability_decay():
     t0 = time.perf_counter()
     lab = labels_for(geoline())
@@ -220,6 +222,7 @@ def test_criterion_6_boundary_probability_decay():
              f"{worst:.2e}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_selection_marginals():
     lab = two_label_labels()
     # (a) every parent-child pair at the branching level clears tau_0 - 3s

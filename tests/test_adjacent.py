@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from cubeforge.adjacent import (
+    _generation_for_radius,
+    _levels_for_radii,
     build_adjacent_family,
     find_containing_cube,
+    find_containing_cubes,
     index_to_pair,
     pair_to_index,
     verify_covering,
@@ -15,7 +19,9 @@ from cubeforge.cubes import verify_cube_axioms
 from cubeforge.errors import ConfigError
 from cubeforge.labeling import build_labels
 from cubeforge.nets import build_reference_hierarchy
+from cubeforge.random_systems import OmegaSampler
 from cubeforge.space import QuasiMetricSpace, generate_space
+from test_selection import cloud_labels
 
 DELTA = 1 / 144
 
@@ -34,6 +40,44 @@ def cloud_family(n=48, seed=11):
                             "seed": seed})
     hier = build_reference_hierarchy(space, DELTA, mode="strict")
     return build_adjacent_family(build_labels(hier))
+
+
+def corrupt(fam, keep):
+    """Cut every cube below the top level down to members[keep]; assign
+    stays as built, so only a check reading member lists can notice."""
+    for sys_t in fam.systems:
+        for k in sys_t.level_ks()[1:]:
+            for cube in sys_t.cubes_at(k):
+                cube.members = cube.members[keep]
+    return fam
+
+
+def assert_kernel_matches_scans(fam):
+    """Per sweep radius: the batched query equals the one-radius query, and
+    its containment verdict and cube diameter equal a naive scan of the
+    cube's member list. Then covering's witnesses and worst ratio equal
+    the scans' (C = 0 makes every query of positive diameter a witness)."""
+    d = fam.space.table.tolist()
+    contain, diams, worst = [], [], 0.0
+    for x, order, _, ends, radii in fam.space.ball_sweep():
+        qs = find_containing_cubes(fam, x, order, ends, radii)
+        for j, r in enumerate(radii.tolist()):
+            q = qs.query(j)
+            assert q == find_containing_cube(fam, x, r)
+            members = fam.cube_members(q).tolist()
+            assert qs.members[qs.slot[j]].tolist() == members
+            inside, diam = bruteforce.ball_in_members_scan(d, x, r, members)
+            assert bool(qs.contained[j]) == inside, (x, r, q)
+            if not inside:
+                contain.append((x, r, q.to_json()))
+            if diam > 0:
+                diams.append((x, r, diam, 0.0))
+            worst = max(worst, diam / r)
+    fam.covering_const = 0.0
+    rep = verify_covering(fam)
+    assert rep.check("ball_containment").witnesses == contain
+    assert rep.check("diameter_bound").witnesses == diams
+    assert rep.check("diameter_bound").details["worst_ratio"] == worst
 
 
 def test_pair_index_bijection_frozen():
@@ -110,11 +154,7 @@ def test_covering_passes_on_cloud():
 def test_covering_containment_matches_scan_on_corrupted_family():
     # every cube below the top loses its last member, so some balls stick
     # out of the cube their query returns
-    fam = geoline_family()
-    for sys_t in fam.systems:
-        for k in sys_t.level_ks()[1:]:
-            for cube in sys_t.cubes_at(k):
-                cube.members = cube.members[:-1]
+    fam = corrupt(geoline_family(), slice(None, -1))
     space, d = fam.space, fam.space.table.tolist()
     top = space.profile.diam * 1.25 + 1.0
     queries, expect = 0, []
@@ -189,3 +229,59 @@ def test_rules_override_matches_default():
     overridden = build_adjacent_family(
         labeled, rules={1: {"kind": "specific", "label": [0, 1]}})
     assert json.dumps(default.to_json()) == json.dumps(overridden.to_json())
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta=st.sampled_from([1 / 144, 1 / 16, 0.5, 0.3]),
+       k_lo=st.integers(-4, 2), width=st.integers(0, 5),
+       extra=st.lists(st.floats(1e-12, 1e12), max_size=8))
+def test_levels_match_scalar_generation(delta, k_lo, width, extra):
+    k_hi = k_lo - 1 + width
+    powers = [delta ** j for j in range(k_lo - 2, k_hi + 5)]
+    radii = powers + extra + [np.nextafter(p, 0.0) for p in powers] \
+        + [np.nextafter(p, np.inf) for p in powers]
+    want = [min(max(_generation_for_radius(delta, r), k_lo - 1), k_hi + 1)
+            for r in radii]
+    assert _levels_for_radii(delta, radii, k_lo, k_hi).tolist() == want
+
+
+@pytest.mark.parametrize("distinguished", [None, 0])
+def test_kernel_matches_scans_on_the_line(distinguished):
+    assert_kernel_matches_scans(geoline_family(distinguished))
+
+
+def test_kernel_matches_scans_on_corrupted_families():
+    assert_kernel_matches_scans(corrupt(geoline_family(), slice(None, -1)))
+    assert_kernel_matches_scans(corrupt(cloud_family(n=24, seed=5),
+                                        slice(1, None)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(lab=st.one_of(cloud_labels(deltas=(DELTA,), mode="strict"),
+                     cloud_labels(deltas=(DELTA,), mode="strict",
+                                  sides=(3,))))
+def test_kernel_matches_scans_on_clouds(lab):
+    assert_kernel_matches_scans(build_adjacent_family(
+        lab, distinguished=lab.hierarchy.distinguished))
+
+
+@pytest.mark.parametrize("variant", ["adjacent", "adjacent_refined"])
+def test_kernel_matches_scans_on_sampled_families(variant):
+    space = generate_space({"kind": "euclidean_cloud", "n": 24, "dim": 2,
+                            "seed": 7})
+    for lab in (geoline_family().labeled, build_labels(
+            build_reference_hierarchy(space, DELTA, mode="strict"))):
+        sampler = OmegaSampler(lab, variant, seed=3)
+        for i in range(2):
+            fam = sampler.realize_family(sampler.draw(i))
+            assert fam.level_shifts is not None
+            assert_kernel_matches_scans(fam)
+
+
+def test_kernel_rejects_bad_radii():
+    fam = geoline_family()
+    _, order, _, ends, radii = next(fam.space.ball_sweep([0]))
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ConfigError, match="radius must be positive"):
+            find_containing_cubes(fam, 0, order, ends,
+                                  np.append(radii[:-1], bad))

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from cubeforge.adjacent import build_adjacent_family, find_containing_cube
-from cubeforge.analysis import (Measure, ap_constant, bmo_norm,
+from cubeforge.analysis import (Measure, _instance_constants, ap_constant,
+                                bmo_norm,
                                 doubling_constant, lp_norm, maximal_function,
                                 verify_comparability, verify_weighted_bounds)
 from cubeforge.cubes import build_cube_system, build_partial_order
@@ -407,6 +408,35 @@ def test_ball_mass_check_matches_scan():
     chk = verify_comparability(fam, mu, []).check("ball_containing_cube_mass")
     assert chk.checked == queries
     assert chk.details["empirical"] == pytest.approx(worst, rel=1e-12)
+
+
+def test_ball_mass_witnesses_match_scan_on_corrupted_family():
+    # every cube of two or more points loses its first member; assign stays
+    # as built, so the check must read the member lists. Integer masses keep
+    # every sum exact, and a small C_a_prime makes many balls witnesses.
+    space, _ = grid64()
+    fam = line_family(space)
+    for sys_t in fam.systems:
+        for k in sys_t.level_ks():
+            for cube in sys_t.cubes_at(k):
+                if cube.members.size > 1:
+                    cube.members = cube.members[1:]
+    mu = np.random.default_rng(15).integers(1, 6, 64).astype(float)
+    constants = {**_instance_constants(fam, mu), "C_a_prime": 1.25}
+    d = dense_rows(space)
+    top = space.profile.diam * 1.25 + 1.0
+    expect = []
+    for x in range(64):
+        for r in sorted({d[x][y] for y in range(64)} - {0.0}) + [top]:
+            cube = fam.cube_members(find_containing_cube(fam, x, r))
+            ball_mass = sum(mu[y] for y in bruteforce.ball_scan(d, x, r))
+            ratio = float(mu[cube].sum()) / ball_mass
+            if ratio > 1.25 * (1.0 + 1e-9):
+                expect.append((x, r, ratio))
+    chk = verify_comparability(fam, mu, [], constants=constants).check(
+        "ball_containing_cube_mass")
+    assert expect and not chk.passed
+    assert chk.witnesses == expect
 
 
 def test_comparability_requires_strict_mode():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from cubeforge import analysis, pipeline
 from cubeforge.errors import BuildError, ConfigError
 from cubeforge.pipeline import (
     PipelineConfig,
@@ -72,6 +73,29 @@ def test_runs_are_deterministic_modulo_timing():
     a = run_pipeline(small_config())
     b = run_pipeline(small_config())
     assert strip_timing(a.to_json()) == strip_timing(b.to_json())
+
+
+def test_analysis_runs_the_doubling_sweep_once(monkeypatch):
+    calls = []
+    real = analysis.doubling_constant
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "doubling_constant", counted)
+    cfg = small_config(checks=["analysis"])
+    once = run_pipeline(cfg)
+    assert len(calls) == 1
+    # the verifiers computing their own constants give the same report
+    for name in ("verify_comparability", "verify_weighted_bounds"):
+        monkeypatch.setattr(pipeline, name,
+                            lambda *a, constants=None, _f=getattr(
+                                pipeline, name): _f(*a))
+    calls.clear()
+    each = run_pipeline(cfg)
+    assert len(calls) == 2 + len(REFERENCE["analysis"]["p_list"])
+    assert strip_timing(once.to_json()) == strip_timing(each.to_json())
 
 
 def test_config_field_paths_in_errors():

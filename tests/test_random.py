@@ -391,6 +391,7 @@ def test_boundary_sweep_matches_scan_on_the_line():
     assert sum(int(e.sum()) for e in expect.values()) > 0
 
 
+@pytest.mark.slow
 @settings(max_examples=6, deadline=None)
 @given(lab=cloud_labels(deltas=(DELTA,), mode="strict"))
 def test_boundary_sweep_matches_scan_on_clouds(lab):
@@ -423,6 +424,12 @@ def test_boundary_sweep_errors_match_first_pair():
         grid, 1 / 144, mode="exploratory")), "single")
     cases = [
         (s, [0], -2, [0.0], 1000, PreconditionFail, "tau must be positive"),
+        (s, [0], -2, [math.nan], 1000, PreconditionFail,
+         "tau must be positive, got nan"),
+        (s, [0], -2, [-math.inf], 1000, PreconditionFail,
+         "tau must be positive, got -inf"),
+        (s, [0], -2, [math.inf], 1000, PreconditionFail,
+         "tau must be finite, got inf"),
         (s, [0], -2, [0.1], 999, PreconditionFail,
          "need at least 1000 samples, got 999"),
         (s, [0], 7, [0.1], 1000, PreconditionFail, "level 7 outside"),
@@ -438,6 +445,8 @@ def test_boundary_sweep_errors_match_first_pair():
         (s, [4, 0], -2, [0.1, -1.0], 1000, PreconditionFail,
          "point 4 outside"),
         (s, [0, 9], 7, [0.1], 1000, PreconditionFail, "level 7 outside"),
+        (s, [0], -2, [0.1, math.inf, math.nan], 1000, PreconditionFail,
+         "tau must be finite, got inf"),
     ]
     for sampler, points, k, taus, n, err, msg in cases:
         with pytest.raises(err, match=msg):

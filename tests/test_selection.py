@@ -31,8 +31,9 @@ def line_space(pos):
 
 
 @st.composite
-def cloud_labels(draw, deltas=(DELTA, 1.0 / 16.0), mode="exploratory"):
-    side = draw(st.sampled_from([8, 200, 400]))
+def cloud_labels(draw, deltas=(DELTA, 1.0 / 16.0), mode="exploratory",
+                 sides=(8, 200, 400)):
+    side = draw(st.sampled_from(sides))
     pts = draw(st.lists(st.tuples(st.integers(0, side), st.integers(0, side)),
                         min_size=2, max_size=16, unique=True))
     space = QuasiMetricSpace.from_coords(np.asarray(pts, dtype=float))
