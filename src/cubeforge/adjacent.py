@@ -1,9 +1,14 @@
 """The full family of shifted cube systems and its ball-covering query.
 
-One system is built per pair label (l, m) with l in {0..L} and m in {1..M},
-K = (L+1)*M systems in all, indexed by the lexicographic bijection
+There is one system per pair label (l, m) with l in {0..L} and m in
+{1..M}, K = (L+1)*M systems in all, indexed by the lexicographic bijection
 t = l*M + m. System t realizes the specific selection rule for (l, m) (or its
-pinned variant when a distinguished point is set).
+pinned variant when a distinguished point is set). The systems differ at few
+levels, so build_shared_systems builds each distinct piece once: one parent
+link per distinct (level, coarse, fine) triple of center arrays and one
+closed level per distinct suffix of levels. The K systems then share their
+level arrays, parent maps, assign arrays and Cube objects by reference, and
+must be treated as read-only.
 
 find_containing_cubes answers "which system holds a single cube containing
 this ball" for every radius of one center's ball sweep at once: a ball of
@@ -26,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import CubeSystem, build_cube_system
+from .cubes import CubeSystem, ParentMaps, build_cube_system
 from .errors import ConfigError
 from .labeling import LabeledHierarchy, select_points, selected_order
 from .report import VerificationReport
@@ -125,13 +130,9 @@ class AdjacentFamily:
 
 
 def build_adjacent_family(labeled: LabeledHierarchy,
-                          distinguished: Optional[int] = None,
-                          rules: Optional[dict] = None) -> AdjacentFamily:
-    """Build all K = (L+1)*M systems from the labeled hierarchy.
-
-    `rules` optionally overrides the per-system selection rule (used by the
-    randomized builders); keys are system indices t, values rule dicts.
-    """
+                          distinguished: Optional[int] = None
+                          ) -> AdjacentFamily:
+    """Build all K = (L+1)*M systems from the labeled hierarchy."""
     if distinguished is not None \
             and labeled.hierarchy.distinguished != distinguished:
         raise ConfigError(
@@ -144,20 +145,52 @@ def build_adjacent_family(labeled: LabeledHierarchy,
     family = AdjacentFamily(labeled=labeled, n_systems=K,
                             covering_const=8.0 * tri ** 3 / delta ** exponent,
                             distinguished=distinguished)
-    for t in range(1, K + 1):
-        if rules is not None and t in rules:
-            rule = rules[t]
-        else:
+
+    def selections():
+        for t in range(1, K + 1):
             l, m = index_to_pair(t, labeled.max_children)
             if distinguished is None:
                 rule = {"kind": "specific", "label": [l, m]}
             else:
                 rule = {"kind": "specific_distinguished", "label": [l, m],
                         "distinguished": distinguished}
-        z_levels = select_points(labeled, rule).new_levels()
-        family.systems.append(build_cube_system(
-            labeled.space, z_levels, selected_order(labeled, z_levels)))
+            yield select_points(labeled, rule).new_levels()
+
+    family.systems = build_shared_systems(labeled, selections())
     return family
+
+
+def build_shared_systems(labeled: LabeledHierarchy, level_lists) -> list:
+    """One cube system per entry of `level_lists` (selected-center levels,
+    coarsest first), sharing every level piece two systems have in common.
+
+    Each level's array is kept once per distinct content. Each parent link
+    is made by one `selected_order` call per distinct (level, coarse, fine)
+    triple, and build_cube_system closes each distinct suffix of levels once
+    (see its `closed`). The entries are drawn one at a time and their pairs
+    visited in level order, so the first failing selection or link raises
+    just as building the systems one by one would. The systems share arrays
+    and Cube objects: treat them as read-only.
+    """
+    seen, links, closed, systems = {}, {}, {}, []
+    for levels in level_lists:
+        levels = [seen.setdefault((j, lv.tobytes()), lv) for j, lv in
+                  enumerate(np.asarray(lv, dtype=int) for lv in levels)]
+        parts = []
+        # a one-level system still makes one call, for its strict checks
+        for j in range(max(len(levels) - 1, 1)):
+            pair = levels[j:j + 2]
+            key = (j, *map(id, pair))
+            if key not in links:
+                links[key] = selected_order(labeled, pair,
+                                            k_top=labeled.k_min + j)
+            parts.append(links[key])
+        order = ParentMaps(k_top=labeled.k_min, constants=parts[0].constants,
+                           mode=parts[0].mode,
+                           maps=[m for p in parts for m in p.maps],
+                           tight=[t for p in parts for t in p.tight])
+        systems.append(build_cube_system(labeled.space, levels, order, closed))
+    return systems
 
 
 @dataclass

@@ -23,6 +23,7 @@ from .space import QuasiMetricSpace
 
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-12
+_SLACK = 1e-12   # relative to the magnitude of the logs compared
 
 MAXIMAL_VARIANTS = ("ball", "dyadic", "sharp", "dyadic_sharp")
 SUP_VARIANTS = ("ball", "dyadic")
@@ -88,21 +89,43 @@ def doubling_constant(space: QuasiMetricSpace, mu):
         best = max(best, float((m_2r / m_r).max()))
         per_center.append((radii, m_r))
     c_exp = math.log2(best)
-    bad = []
-    size = iu = None
-    for x, (radii, m_r) in enumerate(per_center):
-        if radii.size != size:   # on clouds every center has n radii
-            size, iu = radii.size, np.triu_indices(radii.size, k=1)
-        lhs = m_r[iu[1]] / m_r[iu[0]]
-        rhs = best * (radii[iu[1]] / radii[iu[0]]) ** c_exp
-        viol = np.flatnonzero(lhs > rhs * (1.0 + _REL_TOL))
-        for j in viol[:4]:
-            bad.append((x, float(radii[iu[0][j]]), float(radii[iu[1][j]])))
+    bad = _iterated_violations(per_center, best, c_exp)
     if bad:
         raise CubeforgeError(
             f"doubling sweep found {len(bad)} radius pairs breaking the "
             f"iterated bound, first at {bad[0]}")
     return best, c_exp
+
+
+def _iterated_violations(per_center, best: float, c_exp: float) -> list:
+    """Up to four (x, r, R) per center, in (r, R) pair order, whose masses
+    break m(R)/m(r) <= best * (R/r)**c_exp * (1 + tol) for radii r < R.
+
+    All pairs of a center hold exactly when the suffix max of
+    log m(R) - c_exp log R stays under log best + log m(r) - c_exp log r.
+    That O(n) test, with a slack far above its rounding, only picks the
+    centers whose pairs are then compared one by one by the pairwise formula,
+    so the verdict and the witnesses are those of the pairwise formula.
+    """
+    bound = math.log(best) + math.log1p(_REL_TOL)
+    bad = []
+    for x, (radii, m_r) in enumerate(per_center):
+        if radii.size < 2:
+            continue
+        log_m, log_r = np.log(m_r), c_exp * np.log(radii)
+        h = log_m - log_r
+        later = np.maximum.accumulate(h[::-1])[::-1][1:]   # max of h[i+1:]
+        slack = _SLACK * (1.0 + abs(bound) + np.abs(log_m).max()
+                          + np.abs(log_r).max())
+        if not (later - h[:-1] > bound - slack).any():
+            continue
+        iu = np.triu_indices(radii.size, k=1)
+        lhs = m_r[iu[1]] / m_r[iu[0]]
+        rhs = best * (radii[iu[1]] / radii[iu[0]]) ** c_exp
+        viol = np.flatnonzero(lhs > rhs * (1.0 + _REL_TOL))
+        for j in viol[:4]:
+            bad.append((x, float(radii[iu[0][j]]), float(radii[iu[1][j]])))
+    return bad
 
 
 # -- maximal operators -------------------------------------------------------
@@ -315,6 +338,7 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
         thr = outer * delta ** k
         for c, row in zip(ids, space.dist_rows(ids)):
             outer_mass[c, k] = float(w[row < thr].sum())
+    cube_mass = {}  # one sum per distinct member list
     worst = 0.0
     checked = 0
     bad = []
@@ -322,8 +346,10 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
         sys_t = family.system(t)
         for k in sys_t.level_ks():
             for i, cube in enumerate(sys_t.cubes_at(k)):
-                ratio = outer_mass[cube.center, k] \
-                    / float(w[cube.members].sum())
+                key = cube.members.tobytes()
+                if key not in cube_mass:
+                    cube_mass[key] = float(w[cube.members].sum())
+                ratio = outer_mass[cube.center, k] / cube_mass[key]
                 worst = max(worst, ratio)
                 checked += 1
                 if ratio > c_a * (1.0 + _REL_TOL):

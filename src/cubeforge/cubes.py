@@ -7,7 +7,8 @@ candidates would contradict level separation and raise), otherwise the
 first-listed center within cover_const * ratio**k. build_cube_system then
 closes the order downward: the cube of a center is the set of finest-level
 points whose parent chain passes through it, which partitions the space at
-every level by construction.
+every level by construction. Systems built with one shared `closed` dict
+close each distinct level once and share its arrays and Cube objects.
 
 The checker re-derives the promised geometry from the realized member sets:
 partition, nesting across levels, the inner/outer ball sandwich with
@@ -181,43 +182,65 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
 
 
 def build_cube_system(space: QuasiMetricSpace, level_points,
-                      order: ParentMaps) -> CubeSystem:
+                      order: ParentMaps,
+                      closed: Optional[dict] = None) -> CubeSystem:
     """Close the parent order downward into per-level partitions.
 
     The finest level list must contain every point of the space (it seeds the
     member closure); coarser members are unions of their children's members.
+    `closed`, a dict kept across calls on one space, shares levels between
+    the systems built with it: level j's assign array and Cube list are made
+    once per distinct content of levels j.. and their parent maps, and every
+    later system gets the same objects.
     """
-    finest = np.asarray(level_points[-1], dtype=int)
-    if sorted(finest.tolist()) != list(range(space.n)):
-        raise PreconditionFail(
-            "finest level must enumerate every point of the space")
-    n_levels = len(level_points)
-    assign = close_assign(space.n, finest, order.maps[:n_levels - 1])
-    cubes = []
-    for j in range(n_levels):
-        centers = np.asarray(level_points[j], dtype=int).tolist()
+    centers = [np.asarray(lv, dtype=int) for lv in level_points]
+    n_levels = len(centers)
+    maps = order.maps[:n_levels - 1]
+    closed = {} if closed is None else closed
+    keys, key = [None] * n_levels, ()
+    for j in range(n_levels - 1, -1, -1):
+        link = maps[j].tobytes() if j < n_levels - 1 else b""
+        key = keys[j] = (centers[j].tobytes(), link, key)
+    # levels m.. are known: a level is only ever stored with every finer one
+    m = n_levels
+    while m and keys[m - 1] in closed:
+        m -= 1
+    if m == n_levels:
+        if sorted(centers[-1].tolist()) != list(range(space.n)):
+            raise PreconditionFail(
+                "finest level must enumerate every point of the space")
+        below = None
+    else:
+        below = closed[keys[m]][0]
+    assign = close_assign(space.n, centers[-1], maps[:min(m, n_levels - 1)],
+                          below)
+    for j in range(m):
         # a stable sort keeps each cube's members in ascending point order
         by_cube = np.argsort(assign[j], kind="stable")
-        ends = np.cumsum(np.bincount(assign[j], minlength=len(centers))).tolist()
-        cubes.append([Cube(c, by_cube[s:e])
-                      for c, s, e in zip(centers, [0] + ends[:-1], ends)])
+        ends = np.cumsum(np.bincount(assign[j],
+                                     minlength=len(centers[j]))).tolist()
+        closed[keys[j]] = (assign[j], [
+            Cube(c, by_cube[s:e])
+            for c, s, e in zip(centers[j].tolist(), [0] + ends[:-1], ends)])
+    assign, cubes = (list(part) for part in zip(*(closed[k] for k in keys)))
     return CubeSystem(space=space, k_min=order.k_top,
                       k_max=order.k_top + n_levels - 1, constants=order.constants,
-                      mode=order.mode,
-                      level_points=[np.asarray(lv, dtype=int) for lv in level_points],
-                      order=order, cubes=cubes, assign=assign)
+                      mode=order.mode, level_points=centers, order=order,
+                      cubes=cubes, assign=assign)
 
 
-def close_assign(n: int, finest, maps) -> list:
+def close_assign(n: int, finest, maps, below=None) -> list:
     """Point -> cube index on every level of a parent order, coarsest first.
 
-    The finest list (of all n points) indexes the finest level; each coarser
-    level composes the parent map below it, maps[j][assign[j + 1]].
+    The finest list (of all n points) indexes the finest level, unless
+    `below` already gives that level's array; each coarser level composes
+    the parent map below it, maps[j][assign[j + 1]].
     """
     assign = [None] * (len(maps) + 1)
-    pos = np.empty(n, dtype=int)
-    pos[finest] = np.arange(len(finest))
-    assign[-1] = pos
+    if below is None:
+        below = np.empty(n, dtype=int)
+        below[finest] = np.arange(len(finest))
+    assign[-1] = below
     for j in range(len(maps) - 1, -1, -1):
         assign[j] = maps[j][assign[j + 1]]
     return assign

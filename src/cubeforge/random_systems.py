@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjacent import AdjacentFamily, index_to_pair
+from .adjacent import AdjacentFamily, build_shared_systems, index_to_pair
 from .cubes import CubeSystem, build_cube_system, close_assign
 from .errors import ConfigError, ModeViolation, NotAChild, PreconditionFail
 from .labeling import (
@@ -174,17 +174,16 @@ class OmegaSampler:
             labeled=lab, n_systems=self.n_systems,
             covering_const=8.0 * tri ** 3 / lab.hierarchy.delta ** 2,
             level_shifts=shifts, ordinal_shifts=ordinals)
-        for t in range(1, self.n_systems + 1):
-            chosen = []
-            for k in lab.parent_ks():
-                chosen.append(self.shifted_pick(k, t, omega["levels"][k]))
-                require_near(lab, k, chosen[-1] < 0)
-            outcome = SelectionOutcome(
-                labeled=lab,
-                rule={"kind": "sampled_adjacent", "t": t, "seed": self.seed,
-                      "sample": omega["sample"]},
-                chosen=chosen)
-            family.systems.append(realize_system(lab, outcome))
+
+        def selections():
+            for t in range(1, self.n_systems + 1):
+                chosen = []
+                for k in lab.parent_ks():
+                    chosen.append(self.shifted_pick(k, t, omega["levels"][k]))
+                    require_near(lab, k, chosen[-1] < 0)
+                yield SelectionOutcome(lab, {}, chosen).new_levels()
+
+        family.systems = build_shared_systems(lab, selections())
         return family
 
     def shifted_pick(self, k: int, t: int, entry: dict) -> np.ndarray:

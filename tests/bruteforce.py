@@ -343,6 +343,25 @@ def doubling_scan(d, mu):
     return best
 
 
+def iterated_doubling_scan(per_center, best, c_exp, tol=1e-9):
+    """Up to four (x, r, R) per center whose masses break
+    m(R)/m(r) <= best * (R/r)**c_exp * (1 + tol), found by comparing every
+    radius pair r < R of the center. per_center[x] is (radii, masses) as
+    numpy arrays; the pairs are formed as whole numpy blocks so that each
+    comparison is made on the same floats as the library's pairwise formula.
+    """
+    import numpy as np
+    bad = []
+    for x, (radii, m_r) in enumerate(per_center):
+        iu = np.triu_indices(radii.size, k=1)
+        lhs = m_r[iu[1]] / m_r[iu[0]]
+        rhs = best * (radii[iu[1]] / radii[iu[0]]) ** c_exp
+        viol = np.flatnonzero(lhs > rhs * (1.0 + tol))
+        for j in viol[:4]:
+            bad.append((x, float(radii[iu[0][j]]), float(radii[iu[1][j]])))
+    return bad
+
+
 def dyadic_sharp_scan(levels_members, mu, f):
     """Per point: max over listed cubes containing it of the mu-average of
     |f - f_Q|, f_Q the signed cube average."""

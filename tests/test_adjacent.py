@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,9 +16,13 @@ from cubeforge.adjacent import (
     pair_to_index,
     verify_covering,
 )
-from cubeforge.cubes import verify_cube_axioms
-from cubeforge.errors import ConfigError
-from cubeforge.labeling import build_labels
+from cubeforge import labeling
+from cubeforge.cubes import build_cube_system, verify_cube_axioms
+from cubeforge.errors import (ConfigError, CubeforgeError, NoNearChild,
+                              NoParent, TightAmbiguity)
+from cubeforge.labeling import (LabeledHierarchy, SelectionOutcome,
+                                build_labels, require_near, select_points,
+                                selected_order)
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.random_systems import OmegaSampler
 from cubeforge.space import QuasiMetricSpace, generate_space
@@ -44,11 +49,15 @@ def cloud_family(n=48, seed=11):
 
 def corrupt(fam, keep):
     """Cut every cube below the top level down to members[keep]; assign
-    stays as built, so only a check reading member lists can notice."""
+    stays as built, so only a check reading member lists can notice. The
+    systems share Cube objects, so each distinct one is cut once."""
+    cut = set()
     for sys_t in fam.systems:
         for k in sys_t.level_ks()[1:]:
             for cube in sys_t.cubes_at(k):
-                cube.members = cube.members[keep]
+                if id(cube) not in cut:
+                    cut.add(id(cube))
+                    cube.members = cube.members[keep]
     return fam
 
 
@@ -220,17 +229,6 @@ def test_family_build_is_deterministic():
     assert a == b
 
 
-def test_rules_override_matches_default():
-    space = generate_space({"kind": "geometric_line", "levels": 3,
-                            "delta": DELTA})
-    hier = build_reference_hierarchy(space, DELTA, mode="strict")
-    labeled = build_labels(hier)
-    default = build_adjacent_family(labeled)
-    overridden = build_adjacent_family(
-        labeled, rules={1: {"kind": "specific", "label": [0, 1]}})
-    assert json.dumps(default.to_json()) == json.dumps(overridden.to_json())
-
-
 @settings(max_examples=60, deadline=None)
 @given(delta=st.sampled_from([1 / 144, 1 / 16, 0.5, 0.3]),
        k_lo=st.integers(-4, 2), width=st.integers(0, 5),
@@ -285,3 +283,210 @@ def test_kernel_rejects_bad_radii():
         with pytest.raises(ConfigError, match="radius must be positive"):
             find_containing_cubes(fam, 0, order, ends,
                                   np.append(radii[:-1], bad))
+
+
+# -- the shared-level builder against systems built one by one -------------
+
+
+def reference_systems(lab, distinguished=None):
+    """Each system of the family built on its own: select_points, then
+    selected_order and build_cube_system over all of its levels."""
+    systems = []
+    for t in range(1, (lab.max_label + 1) * lab.max_children + 1):
+        l, m = index_to_pair(t, lab.max_children)
+        rule = {"kind": "specific", "label": [l, m]}
+        if distinguished is not None:
+            rule = {"kind": "specific_distinguished", "label": [l, m],
+                    "distinguished": distinguished}
+        z = select_points(lab, rule).new_levels()
+        systems.append(build_cube_system(lab.space, z, selected_order(lab, z)))
+    return systems
+
+
+def reference_sampled_systems(sampler, omega):
+    """Each system of a sampled family built on its own from its shifted
+    picks."""
+    lab = sampler.labeled
+    systems = []
+    for t in range(1, sampler.n_systems + 1):
+        chosen = []
+        for k in lab.parent_ks():
+            chosen.append(sampler.shifted_pick(k, t, omega["levels"][k]))
+            require_near(lab, k, chosen[-1] < 0)
+        z = SelectionOutcome(lab, {}, chosen).new_levels()
+        systems.append(build_cube_system(lab.space, z, selected_order(lab, z)))
+    return systems
+
+
+def assert_matches_reference(fam, systems):
+    want = dataclasses.replace(fam, systems=systems).to_json()
+    assert json.dumps(fam.to_json()) == json.dumps(want)
+
+
+def assert_shares_levels(fam, systems):
+    """One parent link per distinct (level, coarse, fine) triple, and one
+    Cube list per level and distinct content of that level and all finer
+    ones, whatever order the systems came in."""
+    triples, suffixes = set(), set()
+    for s in systems:
+        z = [lv.tobytes() for lv in s.level_points]
+        triples.update((j, *z[j:j + 2]) for j in range(len(z) - 1))
+        suffixes.update((j, *z[j:]) for j in range(len(z)))
+    assert len({id(m) for s in fam.systems for m in s.order.maps}) \
+        == len(triples)
+    assert len({id(c) for s in fam.systems for c in s.cubes}) == len(suffixes)
+    return len(triples)
+
+
+def build_counting_links(build):
+    """Run build() and count its build_partial_order calls."""
+    real, calls = labeling.build_partial_order, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "build_partial_order", counted)
+        fam = build()
+    return fam, len(calls)
+
+
+def check_shared_build(lab, distinguished=None):
+    fam, calls = build_counting_links(
+        lambda: build_adjacent_family(lab, distinguished=distinguished))
+    systems = reference_systems(lab, distinguished)
+    assert_matches_reference(fam, systems)
+    assert calls == assert_shares_levels(fam, systems)
+
+
+def cloud_labeled(seed, n=24, box=20.0):
+    space = generate_space({"kind": "euclidean_cloud", "n": n, "dim": 2,
+                            "box": box, "seed": seed})
+    return build_labels(build_reference_hierarchy(space, DELTA, mode="strict"))
+
+
+@pytest.mark.parametrize("distinguished", [None, 0])
+def test_shared_build_matches_reference_on_the_line(distinguished):
+    check_shared_build(geoline_family(distinguished).labeled, distinguished)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_build_matches_reference_on_clouds(seed):
+    check_shared_build(cloud_labeled(seed, n=100))
+
+
+@settings(max_examples=12, deadline=None)
+@given(lab=st.one_of(cloud_labels(deltas=(DELTA,), mode="strict"),
+                     cloud_labels(deltas=(DELTA,), mode="strict",
+                                  sides=(3,))))
+def test_shared_build_matches_reference_on_integer_clouds(lab):
+    check_shared_build(lab, lab.hierarchy.distinguished)
+
+
+@pytest.mark.parametrize("variant", ["adjacent", "adjacent_refined"])
+def test_shared_build_matches_reference_on_sampled_families(variant):
+    for lab in (geoline_family().labeled, cloud_labeled(7),
+                cloud_labeled(2, n=40, box=1.0)):
+        sampler = OmegaSampler(lab, variant, seed=5)
+        for i in range(2):
+            omega = sampler.draw(i)
+            fam, calls = build_counting_links(
+                lambda: sampler.realize_family(omega))
+            systems = reference_sampled_systems(sampler, omega)
+            assert_matches_reference(fam, systems)
+            assert calls == assert_shares_levels(fam, systems)
+
+
+def corrupt_picks(mp, spoil):
+    """Spoil pick_children's answer for the (k, l, m) keys of `spoil`: a
+    center with no child ("none"), every center on one child ("same", so
+    the child has several tight parents) or the level's first indices
+    ("first", so some point finer down has no parent in range)."""
+    real = LabeledHierarchy.pick_children
+
+    def pick(self, k, l, m, ordinals=None):
+        out = real(self, k, l, m, ordinals)
+        how = spoil.get((k, l, m))
+        if how == "none":
+            out[-1] = -1
+        elif how == "same":
+            out[:] = out[0]
+        elif how == "first":
+            out = np.arange(len(out))
+        return out
+
+    mp.setattr(LabeledHierarchy, "pick_children", pick)
+
+
+def outcome(build):
+    try:
+        return build()
+    except CubeforgeError as err:
+        return err
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, CubeforgeError):
+        assert type(got) is type(want)
+        assert (vars(got), str(got)) == (vars(want), str(want))
+    else:
+        assert not isinstance(got, CubeforgeError), got
+
+
+@pytest.mark.parametrize("how, k, error", [("none", -1, NoNearChild),
+                                           ("same", 0, TightAmbiguity),
+                                           ("first", 0, NoParent)])
+def test_shared_build_raises_what_the_reference_raises(how, k, error):
+    lab = cloud_labeled(0)
+    K = (lab.max_label + 1) * lab.max_children
+    for t in (2, K // 2 + 1, K):
+        with pytest.MonkeyPatch.context() as mp:
+            corrupt_picks(mp, {(k, *index_to_pair(t, lab.max_children)): how})
+            want = outcome(lambda: reference_systems(lab))
+            got = outcome(lambda: build_adjacent_family(lab))
+        assert isinstance(want, error)
+        assert_same_outcome(got, want)
+
+
+def test_shared_build_raises_the_first_systems_error():
+    # system 3 fails to link and system 5 fails to select: selecting every
+    # system before linking any would raise the later system's error
+    lab = cloud_labeled(0)
+
+    def key(k, t):
+        return (k, *index_to_pair(t, lab.max_children))
+
+    for spoil, error in (({key(0, 3): "same", key(-1, 5): "none"},
+                          TightAmbiguity),
+                         ({key(0, 3): "first", key(0, 5): "same"}, NoParent)):
+        with pytest.MonkeyPatch.context() as mp:
+            corrupt_picks(mp, spoil)
+            want = outcome(lambda: reference_systems(lab))
+            got = outcome(lambda: build_adjacent_family(lab))
+        assert isinstance(want, error)
+        assert_same_outcome(got, want)
+
+
+@settings(max_examples=16, deadline=None)
+@given(lab=cloud_labels(deltas=(DELTA,), mode="strict"), data=st.data())
+def test_shared_build_error_parity_on_integer_clouds(lab, data):
+    pin = lab.hierarchy.distinguished
+    K = (lab.max_label + 1) * lab.max_children
+    t = data.draw(st.integers(1, K))
+    k = data.draw(st.sampled_from(list(lab.parent_ks()) or [lab.k_min]))
+    how = data.draw(st.sampled_from(["none", "same", "first"]))
+    sampler = OmegaSampler(lab, "adjacent", seed=data.draw(st.integers(0, 9)))
+    omega = sampler.draw(0)
+    with pytest.MonkeyPatch.context() as mp:
+        corrupt_picks(mp, {(k, *index_to_pair(t, lab.max_children)): how})
+        want = outcome(lambda: reference_systems(lab, pin))
+        got = outcome(lambda: build_adjacent_family(lab, distinguished=pin))
+        assert_same_outcome(got, want)
+        if not isinstance(want, CubeforgeError):
+            assert_matches_reference(got, want)
+        want = outcome(lambda: reference_sampled_systems(sampler, omega))
+        got = outcome(lambda: sampler.realize_family(omega))
+        assert_same_outcome(got, want)
+        if not isinstance(want, CubeforgeError):
+            assert_matches_reference(got, want)

@@ -1,16 +1,19 @@
 """Measures, maximal operators, weight constants, and the transfer checks."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from cubeforge.adjacent import build_adjacent_family, find_containing_cube
-from cubeforge.analysis import (Measure, _instance_constants, ap_constant,
-                                bmo_norm,
+from cubeforge.analysis import (Measure, _instance_constants,
+                                _iterated_violations, ap_constant, bmo_norm,
                                 doubling_constant, lp_norm, maximal_function,
                                 verify_comparability, verify_weighted_bounds)
 from cubeforge.cubes import build_cube_system, build_partial_order
-from cubeforge.errors import BadSpec, ConfigError, PreconditionFail
+from cubeforge.errors import (BadSpec, ConfigError, CubeforgeError,
+                              PreconditionFail)
 from cubeforge.labeling import build_labels
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.space import QuasiMetricSpace
@@ -372,6 +375,76 @@ def test_ball_averages_refuse_row_oracle():
     assert doubling_constant(space, mu) == doubling_constant(table_space, mu)
 
 
+def sweep_masses(space, mu):
+    """Per center, its realized radii and ball masses, and the largest
+    doubling ratio m(2r)/m(r) over them (at least 1)."""
+    per_center, best = [], 1.0
+    for _, order, sorted_row, ends, radii in space.ball_sweep():
+        pre = np.cumsum(mu[order])
+        m_2r = pre[np.searchsorted(sorted_row, 2.0 * radii, side="left") - 1]
+        best = max(best, float((m_2r / pre[ends - 1]).max()))
+        per_center.append((radii, pre[ends - 1]))
+    return per_center, best
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=int_clouds(), seed=st.integers(0, 2 ** 32 - 1),
+       shrink=st.sampled_from([1.0, 0.9, 0.5, 0.0]))
+def test_iterated_doubling_check_matches_pairwise_scan(space, seed, shrink):
+    # shrink < 1 lowers the asserted constant, so pairs break the bound
+    mu = np.random.default_rng(seed).uniform(0.5, 4.0, space.n)
+    per_center, best = sweep_masses(space, mu)
+    c = best ** shrink
+    for c_exp in (math.log2(best), math.log2(c)):
+        assert _iterated_violations(per_center, c, c_exp) \
+            == bruteforce.iterated_doubling_scan(per_center, c, c_exp)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_iterated_doubling_check_at_the_tolerance_boundary(seed):
+    # every pair (r_0, R) has m(R)/m(r_0) a few ulps from
+    # best * (R/r_0)**c * (1 + tol), so only exact rounding decides it
+    rng = np.random.default_rng(seed)
+    per_center, flagged = [], 0
+    for _ in range(40):
+        radii = np.sort(rng.choice(np.geomspace(1e-3, 1e3, 500), 6,
+                                   replace=False))
+        best = float(rng.choice([1.0, 2.0, 3.0, 17.5, 1e6]))
+        c_exp = math.log2(best)
+        m_r = best * (radii / radii[0]) ** c_exp * (1.0 + 1e-9)
+        m_r[0] = 1.0
+        for j in range(1, 6):
+            for _ in range(rng.integers(0, 3)):
+                m_r[j] = np.nextafter(m_r[j], rng.choice([0.0, np.inf]))
+        per_center.append((radii, m_r))
+        want = bruteforce.iterated_doubling_scan(per_center[-1:], best, c_exp)
+        assert _iterated_violations(per_center[-1:], best, c_exp) == want
+        flagged += bool(want)
+    assert 0 < flagged < 40
+
+
+def test_doubling_raises_on_a_broken_enumeration(monkeypatch):
+    # a sweep whose sorted rows are scaled up finds no doubling at all
+    # (C = 1), yet its balls still grow, so the iterated bound breaks; the
+    # error names the pairwise scan's count and first witness
+    space, mu = grid64()
+    real = space.ball_sweep
+
+    def broken(centers=None):
+        for c, order, sorted_row, ends, radii in real(centers):
+            yield c, order, sorted_row * 1e6, ends, radii
+
+    monkeypatch.setattr(space, "ball_sweep", broken)
+    per_center, best = sweep_masses(space, mu)
+    bad = bruteforce.iterated_doubling_scan(per_center, best, math.log2(best))
+    assert bad
+    with pytest.raises(CubeforgeError) as err:
+        doubling_constant(space, mu)
+    assert str(err.value) == (
+        f"doubling sweep found {len(bad)} radius pairs breaking the "
+        f"iterated bound, first at {bad[0]}")
+
+
 # -- transfer checks ----------------------------------------------------------
 
 def test_comparability_on_grid_family():
@@ -390,6 +463,42 @@ def test_comparability_on_grid_family():
                  "sharp_dyadic_le_ball", "sharp_ball_le_dyadic_sum"):
         c = rep.check(name)
         assert c.details["empirical"] <= c.details["constant"]
+
+
+@pytest.mark.parametrize("corrupted", [False, True])
+def test_cube_mass_witnesses_match_scan(corrupted):
+    # integer masses keep every sum exact, and C_a = 1 makes every cube
+    # whose outer ball holds more than its members a witness; corrupted,
+    # cubes of two or more points lose their first member
+    space, _ = grid64()
+    fam = line_family(space)
+    if corrupted:
+        cubes = {id(cube): cube for sys_t in fam.systems
+                 for k in sys_t.level_ks() for cube in sys_t.cubes_at(k)}
+        for cube in cubes.values():
+            if cube.members.size > 1:
+                cube.members = cube.members[1:]
+    mu = np.random.default_rng(16).integers(1, 6, 64).astype(float)
+    constants = {**_instance_constants(fam, mu), "C_a": 1.0}
+    d = dense_rows(space)
+    outer = fam.system(1).constants.outer_const
+    expect, worst, checked = [], 0.0, 0
+    for t in range(1, fam.n_systems + 1):
+        sys_t = fam.system(t)
+        for k in sys_t.level_ks():
+            r = outer * fam.delta ** k
+            for i, cube in enumerate(sys_t.cubes_at(k)):
+                ball = sum(mu[y] for y in bruteforce.ball_scan(d, cube.center, r))
+                ratio = ball / sum(mu[y] for y in cube.members.tolist())
+                worst = max(worst, ratio)
+                checked += 1
+                if ratio > 1.0 + 1e-9:
+                    expect.append((t, k, i, ratio))
+    chk = verify_comparability(fam, mu, [], constants=constants).check(
+        "cube_outer_ball_mass")
+    assert expect and chk.checked == checked
+    assert chk.witnesses == expect
+    assert chk.details["empirical"] == worst
 
 
 def test_ball_mass_check_matches_scan():
@@ -413,14 +522,15 @@ def test_ball_mass_check_matches_scan():
 def test_ball_mass_witnesses_match_scan_on_corrupted_family():
     # every cube of two or more points loses its first member; assign stays
     # as built, so the check must read the member lists. Integer masses keep
-    # every sum exact, and a small C_a_prime makes many balls witnesses.
+    # every sum exact, and a small C_a_prime makes many balls witnesses. The
+    # systems share Cube objects, so each distinct one is cut once.
     space, _ = grid64()
     fam = line_family(space)
-    for sys_t in fam.systems:
-        for k in sys_t.level_ks():
-            for cube in sys_t.cubes_at(k):
-                if cube.members.size > 1:
-                    cube.members = cube.members[1:]
+    cubes = {id(cube): cube for sys_t in fam.systems
+             for k in sys_t.level_ks() for cube in sys_t.cubes_at(k)}
+    for cube in cubes.values():
+        if cube.members.size > 1:
+            cube.members = cube.members[1:]
     mu = np.random.default_rng(15).integers(1, 6, 64).astype(float)
     constants = {**_instance_constants(fam, mu), "C_a_prime": 1.25}
     d = dense_rows(space)

@@ -6,6 +6,7 @@ import pytest
 from cubeforge.cubes import (
     SystemConstants,
     CubeSystem,
+    ParentMaps,
     boundary_zone,
     build_cube_system,
     build_partial_order,
@@ -116,6 +117,34 @@ def test_finest_level_must_cover():
     space, levels, order = line4_order()
     with pytest.raises(PreconditionFail, match="finest level must enumerate"):
         build_cube_system(space, [levels[0], np.array([0, 1, 2])], order)
+
+
+def test_shared_closure_matches_fresh_builds():
+    # systems closed with one `closed` dict equal fresh builds; a level is
+    # shared only when its centers, its parent map and every finer level
+    # agree (the third system differs from the second in its finest list)
+    space, levels, order = line4_order()
+
+    def parents(m):
+        return ParentMaps(k_top=-1, constants=order.constants,
+                          mode="exploratory", maps=[np.array(m)],
+                          tight=[np.zeros(4, dtype=bool)])
+
+    cases = [(levels, order), (levels, parents([0, 1, 0, 1])),
+             ([levels[0], np.array([1, 0, 2, 3])], parents([0, 1, 0, 1])),
+             (levels, parents([0, 1, 0, 1]))]
+    closed = {}
+    shared = [build_cube_system(space, lv, o, closed) for lv, o in cases]
+    for system, (lv, o) in zip(shared, cases):
+        fresh = build_cube_system(space, lv, o)
+        assert json.dumps(system.to_json()) == json.dumps(fresh.to_json())
+        assert [a.tolist() for a in system.assign] \
+            == [a.tolist() for a in fresh.assign]
+    assert shared[1].cubes[1] is shared[0].cubes[1]
+    assert shared[1].cubes[0] is not shared[0].cubes[0]
+    assert shared[2].cubes[0] is not shared[1].cubes[0]
+    assert shared[3].cubes[0] is shared[1].cubes[0]
+    assert shared[3].assign[0] is shared[1].assign[0]
 
 
 def test_locate_and_chain():
