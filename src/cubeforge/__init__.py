@@ -42,8 +42,7 @@ from cubeforge.random_systems import (BoundaryEstimate, OmegaSampler,
                                       scan_chain_separation, wilson_upper)
 from cubeforge.report import Check, VerificationReport
 from cubeforge.space import (QuasiMetricSpace, SpaceProfile, ball,
-                             doubling_estimate, generate_space,
-                             validate_quasi_metric)
+                             generate_space, validate_quasi_metric)
 
 __version__ = "0.1.0"
 
@@ -61,7 +60,7 @@ __all__ = [
     "ball", "bmo_norm", "boundary_zone", "build_adjacent_family",
     "build_cube_system", "build_labels", "build_partial_order",
     "build_reference_hierarchy", "check_chain_separation", "check_mode",
-    "doubling_constant", "doubling_estimate", "emit_report",
+    "doubling_constant", "emit_report",
     "estimate_boundary_probability", "estimate_boundary_sweep",
     "estimate_selection_probability",
     "find_containing_cube", "find_containing_cubes", "generate_space", "index_to_pair", "level_window",

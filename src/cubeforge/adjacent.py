@@ -7,8 +7,8 @@ pinned variant when a distinguished point is set). The systems differ at few
 levels, so build_shared_systems builds each distinct piece once: one parent
 link per distinct (level, coarse, fine) triple of center arrays and one
 closed level per distinct suffix of levels. The K systems then share their
-level arrays, parent maps, assign arrays and Cube objects by reference, and
-must be treated as read-only.
+center, parent-map, assign and grouped-member arrays by reference, so none
+of them is written in place.
 
 find_containing_cubes answers "which system holds a single cube containing
 this ball" for every radius of one center's ball sweep at once: a ball of
@@ -169,8 +169,8 @@ def build_shared_systems(labeled: LabeledHierarchy, level_lists) -> list:
     triple, and build_cube_system closes each distinct suffix of levels once
     (see its `closed`). The entries are drawn one at a time and their pairs
     visited in level order, so the first failing selection or link raises
-    just as building the systems one by one would. The systems share arrays
-    and Cube objects: treat them as read-only.
+    just as building the systems one by one would. The systems share
+    arrays: write none of them in place.
     """
     seen, links, closed, systems = {}, {}, {}, []
     for levels in level_lists:
@@ -340,8 +340,9 @@ def verify_covering(family: AdjacentFamily, centers=None) -> VerificationReport:
             sys_t = family.system(t)
             for k in sys_t.level_ks():
                 pin_n += 1
-                if sys_t.cube(k, 0).center != family.distinguished:
-                    pin_bad.append((t, k, sys_t.cube(k, 0).center))
+                center = sys_t.cube(k, 0).center
+                if center != family.distinguished:
+                    pin_bad.append((t, k, center))
         rep.add("pinned_center", not pin_bad, pin_n, pin_bad,
                 note="the pinned point heads every level of every system")
     return rep

@@ -326,34 +326,37 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     outer = family.system(1).constants.outer_const
     rep = VerificationReport("maximal function comparability")
 
-    # (a) cube mass vs its outer ball; one ball mass per (center, k)
+    # (a) cube mass vs its outer ball; one ball mass per (center, k) and
+    # one ratio array per distinct level content
     centers = {}
     for sys_t in family.systems:
-        for k in sys_t.level_ks():
-            centers.setdefault(k, set()).update(
-                cube.center for cube in sys_t.cubes_at(k))
+        for k, pts in zip(sys_t.level_ks(), sys_t.level_points):
+            centers.setdefault(k, set()).update(pts.tolist())
     outer_mass = {}
     for k, ids in centers.items():
         ids = sorted(ids)
         thr = outer * delta ** k
         for c, row in zip(ids, space.dist_rows(ids)):
             outer_mass[c, k] = float(w[row < thr].sum())
-    cube_mass = {}  # one sum per distinct member list
+    ratios = {}
     worst = 0.0
     checked = 0
     bad = []
     for t in range(1, family.n_systems + 1):
         sys_t = family.system(t)
-        for k in sys_t.level_ks():
-            for i, cube in enumerate(sys_t.cubes_at(k)):
-                key = cube.members.tobytes()
-                if key not in cube_mass:
-                    cube_mass[key] = float(w[cube.members].sum())
-                ratio = outer_mass[cube.center, k] / cube_mass[key]
-                worst = max(worst, ratio)
-                checked += 1
-                if ratio > c_a * (1.0 + _REL_TOL):
-                    bad.append((t, k, i, ratio))
+        for k, pts, (flat, start) in zip(sys_t.level_ks(), sys_t.level_points,
+                                         sys_t.members):
+            key = (k, pts.tobytes(), flat.tobytes(), start.tobytes())
+            if key not in ratios:
+                start = start.tolist()
+                ratios[key] = np.array([
+                    outer_mass[c, k] / float(w[flat[s:e]].sum())
+                    for c, s, e in zip(pts.tolist(), start, start[1:])])
+            ratio = ratios[key]
+            worst = max(worst, float(ratio.max(initial=0.0)))
+            checked += ratio.size
+            bad.extend((t, k, int(i), float(ratio[i]))
+                       for i in np.flatnonzero(ratio > c_a * (1.0 + _REL_TOL)))
     rep.add("cube_outer_ball_mass", not bad, checked, bad,
             details={"C_a": c_a, "empirical": worst, **info})
 

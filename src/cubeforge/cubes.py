@@ -7,8 +7,15 @@ candidates would contradict level separation and raise), otherwise the
 first-listed center within cover_const * ratio**k. build_cube_system then
 closes the order downward: the cube of a center is the set of finest-level
 points whose parent chain passes through it, which partitions the space at
-every level by construction. Systems built with one shared `closed` dict
-close each distinct level once and share its arrays and Cube objects.
+every level by construction.
+
+A system holds each level as arrays only: its centers level_points[j], its
+point -> cube map assign[j] and its members[j] = (flat, start), the point
+ids grouped by cube with the group starts and a final end, so cube i is
+flat[start[i]:start[i + 1]] around the center level_points[j][i]. Cube
+values are built on demand by cube() and cubes_at(). Systems built with one
+shared `closed` dict close each distinct level once and share its arrays,
+so no array of a system is written in place.
 
 The checker re-derives the promised geometry from the realized member sets:
 partition, nesting across levels, the inner/outer ball sandwich with
@@ -27,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ModeViolation, NoParent, PreconditionFail, TightAmbiguity
+from .errors import (ConfigError, ModeViolation, NoParent, PreconditionFail,
+                     TightAmbiguity)
 from .report import VerificationReport
 from .space import QuasiMetricSpace
 
@@ -68,13 +76,14 @@ class ParentMaps:
         return int(self.maps[k - self.k_top][child_index])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cube:
+    """One cube, read off its system's level arrays: `members` is a view of
+    the level's grouped member array, shared with every system that holds
+    the level."""
+
     center: int
     members: np.ndarray
-
-    def to_json(self):
-        return {"center": int(self.center), "members": self.members.tolist()}
 
 
 @dataclass
@@ -86,7 +95,9 @@ class CubeSystem:
     mode: str
     level_points: list = field(default_factory=list)  # arrays of center ids
     order: Optional[ParentMaps] = None
-    cubes: list = field(default_factory=list)         # list of lists of Cube
+    # members[j] = (flat, start): cube i of level k_min + j has the members
+    # flat[start[i]:start[i + 1]] and the center level_points[j][i]
+    members: list = field(default_factory=list)
     assign: list = field(default_factory=list)        # arrays point -> cube index
 
     @property
@@ -96,25 +107,35 @@ class CubeSystem:
     def level_ks(self):
         return range(self.k_min, self.k_max + 1)
 
-    def cubes_at(self, k: int):
-        return self.cubes[k - self.k_min]
+    def cubes_at(self, k: int) -> list:
+        return [self.cube(k, i)
+                for i in range(len(self.level_points[k - self.k_min]))]
 
     def cube(self, k: int, index: int) -> Cube:
-        return self.cubes[k - self.k_min][index]
+        j = k - self.k_min
+        flat, start = self.members[j]
+        return Cube(int(self.level_points[j][index]),
+                    flat[start[index]:start[index + 1]])
 
     def locate(self, k: int, point: int) -> int:
         """Index of the cube containing `point` on level k."""
         return int(self.assign[k - self.k_min][point])
 
     def to_json(self):
+        levels = []
+        for k, pts, (flat, start) in zip(self.level_ks(), self.level_points,
+                                          self.members):
+            flat, start = flat.tolist(), start.tolist()
+            levels.append({"k": k, "cubes": [
+                {"center": c, "members": flat[s:e]}
+                for c, s, e in zip(pts.tolist(), start, start[1:])]})
         return {
             "delta": self.delta,
             "mode": self.mode,
             "k_min": self.k_min,
             "k_max": self.k_max,
             "constants": self.constants.to_json(),
-            "levels": [{"k": k, "cubes": [c.to_json() for c in self.cubes_at(k)]}
-                       for k in self.level_ks()],
+            "levels": levels,
             "parents": [{"k": self.k_min + j, "map": m.tolist(), "tight": t.tolist()}
                         for j, (m, t) in enumerate(zip(self.order.maps, self.order.tight))]
                        if self.order else [],
@@ -122,6 +143,8 @@ class CubeSystem:
 
     @classmethod
     def from_json(cls, d, space):
+        """Read a system back; a point listed in several cubes of one level
+        is assigned to the last of them."""
         consts = SystemConstants(delta=float(d["delta"]),
                                  tri_const=space.profile.tri_const,
                                  sep_const=float(d["constants"]["c0"]),
@@ -130,19 +153,27 @@ class CubeSystem:
         order = ParentMaps(k_top=k_min, constants=consts, mode=d["mode"],
                            maps=[np.asarray(p["map"], dtype=int) for p in d["parents"]],
                            tight=[np.asarray(p["tight"], dtype=bool) for p in d["parents"]])
-        cubes, level_points, assign = [], [], []
-        for lv in d["levels"]:
-            cs = [Cube(int(c["center"]), np.asarray(c["members"], dtype=int))
-                  for c in lv["cubes"]]
-            cubes.append(cs)
-            level_points.append(np.array([c.center for c in cs], dtype=int))
+        level_points, members, assign = [], [], []
+        for k, lv in enumerate((lv["cubes"] for lv in d["levels"]), k_min):
+            pts = np.array([c["center"] for c in lv], dtype=int)
+            size = np.array([len(c["members"]) for c in lv], dtype=int)
+            flat = np.array([p for c in lv for p in c["members"]], dtype=int)
+            cube_of = np.repeat(np.arange(size.size), size)
+            for what, ids, owner in (("center", pts, np.arange(pts.size)),
+                                     ("member", flat, cube_of)):
+                bad = np.flatnonzero((ids < 0) | (ids >= space.n))
+                if bad.size:
+                    raise ConfigError(
+                        f"level {k}, cube {owner[bad[0]]}: {what} id "
+                        f"{ids[bad[0]]} outside [0, {space.n})")
             a = np.full(space.n, -1, dtype=int)
-            for i, c in enumerate(cs):
-                a[c.members] = i
+            np.maximum.at(a, flat, cube_of)
+            level_points.append(pts)
+            members.append((flat, np.concatenate(([0], np.cumsum(size)))))
             assign.append(a)
         return cls(space=space, k_min=k_min, k_max=k_max, constants=consts,
                    mode=d["mode"], level_points=level_points, order=order,
-                   cubes=cubes, assign=assign)
+                   members=members, assign=assign)
 
 
 def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
@@ -189,9 +220,9 @@ def build_cube_system(space: QuasiMetricSpace, level_points,
     The finest level list must contain every point of the space (it seeds the
     member closure); coarser members are unions of their children's members.
     `closed`, a dict kept across calls on one space, shares levels between
-    the systems built with it: level j's assign array and Cube list are made
-    once per distinct content of levels j.. and their parent maps, and every
-    later system gets the same objects.
+    the systems built with it: level j's assign array and grouped members
+    are made once per distinct content of levels j.. and their parent maps,
+    and every later system gets the same arrays.
     """
     centers = [np.asarray(lv, dtype=int) for lv in level_points]
     n_levels = len(centers)
@@ -216,17 +247,14 @@ def build_cube_system(space: QuasiMetricSpace, level_points,
                           below)
     for j in range(m):
         # a stable sort keeps each cube's members in ascending point order
-        by_cube = np.argsort(assign[j], kind="stable")
-        ends = np.cumsum(np.bincount(assign[j],
-                                     minlength=len(centers[j]))).tolist()
-        closed[keys[j]] = (assign[j], [
-            Cube(c, by_cube[s:e])
-            for c, s, e in zip(centers[j].tolist(), [0] + ends[:-1], ends)])
-    assign, cubes = (list(part) for part in zip(*(closed[k] for k in keys)))
+        sizes = np.bincount(assign[j], minlength=len(centers[j]))
+        closed[keys[j]] = (assign[j], (np.argsort(assign[j], kind="stable"),
+                                       np.concatenate(([0], np.cumsum(sizes)))))
+    assign, members = (list(part) for part in zip(*(closed[k] for k in keys)))
     return CubeSystem(space=space, k_min=order.k_top,
                       k_max=order.k_top + n_levels - 1, constants=order.constants,
                       mode=order.mode, level_points=centers, order=order,
-                      cubes=cubes, assign=assign)
+                      members=members, assign=assign)
 
 
 def close_assign(n: int, finest, maps, below=None) -> list:
@@ -255,12 +283,12 @@ def verify_cube_axioms(system: CubeSystem) -> VerificationReport:
     each one's `checked` count and witness tuples are part of it. Nesting and the descendant
     checks cover every pair of levels, not only consecutive ones (the radii
     bound alone is checked between consecutive levels but counted over all
-    pairs). A point's cube on a level is read from the member lists, never
-    from `system.assign`; a point listed in several cubes of one level
-    belongs to the last of them. The sandwich is taken around each cube's
-    `center`, the descendant checks around `system.level_points` linked by
-    the parent maps; their distance rows (level size x n per level) are
-    gathered once per level.
+    pairs). A point's cube on a level is read from the grouped member
+    arrays, never from `system.assign`; a point listed in several cubes of
+    one level belongs to the last of them. The sandwich is taken around
+    the centers `system.level_points`, the descendant checks around the
+    same centers linked by the parent maps; their distance rows (level
+    size x n per level) are gathered once per level.
     """
     space = system.space
     n = space.n
@@ -272,19 +300,13 @@ def verify_cube_axioms(system: CubeSystem) -> VerificationReport:
 
     # partition: member lists of one level cover each point exactly once
     part_bad, part_n = [], 0
-    flat, owner, sizes, member_assign = [], [], [], []
-    for k in ks:
-        cubes = system.cubes_at(k)
-        size = np.array([c.members.size for c in cubes], dtype=int)
-        members = np.concatenate([c.members for c in cubes]) \
-            if cubes else np.array([], dtype=int)
-        counts = np.bincount(members, minlength=n)
-        cube_of = np.repeat(np.arange(len(cubes)), size)
+    owner, member_assign = [], []
+    for k, (flat, start) in zip(ks, system.members):
+        counts = np.bincount(flat, minlength=n)
+        cube_of = np.repeat(np.arange(start.size - 1), np.diff(start))
         arr = np.full(n, -1, dtype=int)
-        np.maximum.at(arr, members, cube_of)
-        flat.append(members)
+        np.maximum.at(arr, flat, cube_of)
         owner.append(cube_of)
-        sizes.append(size)
         member_assign.append(arr)
         part_n += n
         if (counts != 1).any():
@@ -298,36 +320,37 @@ def verify_cube_axioms(system: CubeSystem) -> VerificationReport:
     for a, k in enumerate(ks):
         for b in range(a + 1, len(ks)):
             fine = ks[b]
-            full = np.flatnonzero(sizes[b])
+            flat, start = system.members[b]
+            full = np.flatnonzero(np.diff(start))
             nest_n += full.size
             if not full.size:
                 continue
             # empty cubes add no entries: each segment is one cube's members
-            starts = (np.cumsum(sizes[b]) - sizes[b])[full]
-            up = member_assign[a][flat[b]]
-            lo = np.minimum.reduceat(up, starts)
-            hi = np.maximum.reduceat(up, starts)
+            up = member_assign[a][flat]
+            lo = np.minimum.reduceat(up, start[full])
+            hi = np.maximum.reduceat(up, start[full])
             for i in full[(lo != hi) | (lo < 0)]:
-                hit = np.unique(member_assign[a][system.cube(fine, i).members])
+                hit = np.unique(up[start[i]:start[i + 1]])
                 nest_bad.append((k, fine, int(i), hit.tolist()))
     rep.add("nesting", not nest_bad, nest_n, nest_bad,
             note="witness: (coarse level, fine level, cube, coarse indices hit)")
 
     # ball sandwich around each center
+    center_rows = [space.dist_rows(pts) for pts in system.level_points]
     lo_bad, hi_bad, sand_n = [], [], 0
     for j, k in enumerate(ks):
         r_in = inner * delta ** k
         r_out = outer * delta ** k
-        cubes = system.cubes_at(k)
-        rows = space.dist_rows([c.center for c in cubes])
-        sand_n += len(cubes)
-        stray = (rows < r_in) & (member_assign[j] != np.arange(len(cubes))[:, None])
+        rows = center_rows[j]
+        flat = system.members[j][0]
+        sand_n += len(rows)
+        stray = (rows < r_in) & (member_assign[j] != np.arange(len(rows))[:, None])
         for i in np.flatnonzero(stray.any(axis=1)):
             miss = int(np.argmax(stray[i]))
             lo_bad.append((k, int(i), miss, float(rows[i, miss])))
-        far = np.flatnonzero(rows[owner[j], flat[j]] >= r_out)
+        far = np.flatnonzero(rows[owner[j], flat] >= r_out)
         for i, first in zip(*np.unique(owner[j][far], return_index=True)):
-            p = int(flat[j][far[first]])
+            p = int(flat[far[first]])
             hi_bad.append((k, int(i), p, float(rows[i, p])))
     rep.add("ball_sandwich_inner", not lo_bad, sand_n, lo_bad,
             note="points inside the inner ball must be members")
@@ -337,7 +360,6 @@ def verify_cube_axioms(system: CubeSystem) -> VerificationReport:
     # descendants: outer balls nest as sets, radii close arithmetically,
     # and descendant centers stay near ancestor centers
     anc = _ancestor_tables(system)
-    center_rows = [space.dist_rows(pts) for pts in system.level_points]
     set_bad, radii_bad, prox_bad, desc_n = [], [], [], 0
     for b, fine in enumerate(ks):
         pts_f = np.asarray(system.level_points[b], dtype=int)
@@ -388,11 +410,10 @@ def boundary_zone(system: CubeSystem, k: int, index: int, eps: float) -> np.ndar
 
     The cube covering the whole space has an empty boundary zone.
     """
-    cube = system.cube(k, index)
-    members = cube.members
-    if members.size == system.space.n:
-        return np.array([], dtype=int)
-    outside = np.setdiff1d(np.arange(system.space.n), members, assume_unique=False)
-    out = [int(x) for x in members
-           if system.space.dist_row(int(x))[outside].min() <= eps]
-    return np.array(out, dtype=int)
+    members = system.cube(k, index).members
+    outside = np.ones(system.space.n, dtype=bool)
+    outside[members] = False
+    if not outside.any():
+        return members[:0]
+    gap = system.space.dist_rows(members, np.flatnonzero(outside))
+    return members[gap.min(axis=1) <= eps]

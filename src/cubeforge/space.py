@@ -38,9 +38,9 @@ class SpaceProfile:
     tri_const: triangle inflation constant A0, exact for every dense table
     unless a declared analytic bound within 1e-9 of it (or above it) is
     given, which is then stored; a row-oracle space always stores its
-    declared bound, asserted on sampled triples. doubling_count: greedy upper
-    bound on how many half-radius balls cover any ball; filled lazily because
-    it costs far more than the rest of the profile.
+    declared bound, asserted on sampled triples. doubling_count: an optional
+    bound A_1 on how many half-radius balls cover any ball, carried through
+    JSON; no validation fills it in.
     """
 
     tri_const: float
@@ -381,52 +381,12 @@ def _gather(row_of, ids, *cols):
     return out
 
 
-# -- balls and doubling ----------------------------------------------------------
+# -- balls -----------------------------------------------------------------------
 
 
 def ball(space: QuasiMetricSpace, center: int, radius: float) -> np.ndarray:
     """Ids strictly closer than `radius` to `center` (always includes it)."""
     return np.where(space.dist_row(center) < radius)[0]
-
-
-def doubling_estimate(space: QuasiMetricSpace, center_cap=512, seed=0) -> int:
-    """Upper bound on the half-radius covering count.
-
-    For every center, sweeps each realized distance d and the float value
-    just above it, greedily covering the ball by half-radius balls centred
-    at its own points; returns the worst count. The just-above radii matter:
-    ball sets are constant between consecutive distances, so the cover at the
-    lower endpoint's limit dominates the whole interval, which makes the
-    returned count a genuine doubling bound for every radius, not only the
-    swept ones. Centers are subsampled above `center_cap` to keep large
-    spaces tractable.
-    """
-    n = space.n
-    if n == 1:
-        return 1
-    if n <= center_cap:
-        centers = range(n)
-    else:
-        centers = np.random.default_rng(seed).choice(n, size=center_cap, replace=False)
-    worst = 1
-    for c in centers:
-        row = space.dist_row(int(c))
-        base = np.unique(row[row > 0])
-        for r in np.concatenate([base, np.nextafter(base, np.inf)]):
-            members = np.where(row < r)[0]
-            worst = max(worst, _greedy_cover_count(space, members, r / 2.0))
-    return worst
-
-
-def _greedy_cover_count(space, members, radius):
-    uncovered = np.ones(len(members), dtype=bool)
-    count = 0
-    while uncovered.any():
-        p = members[np.argmax(uncovered)]  # first uncovered, ascending id
-        covered = space.dist_row(int(p))[members] < radius
-        uncovered &= ~covered
-        count += 1
-    return count
 
 
 # -- generators -------------------------------------------------------------------

@@ -26,6 +26,7 @@ from cubeforge.labeling import (LabeledHierarchy, SelectionOutcome,
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.random_systems import OmegaSampler
 from cubeforge.space import QuasiMetricSpace, generate_space
+from test_cubes import relist
 from test_selection import cloud_labels
 
 DELTA = 1 / 144
@@ -49,15 +50,10 @@ def cloud_family(n=48, seed=11):
 
 def corrupt(fam, keep):
     """Cut every cube below the top level down to members[keep]; assign
-    stays as built, so only a check reading member lists can notice. The
-    systems share Cube objects, so each distinct one is cut once."""
-    cut = set()
+    stays as built, so only a check reading member lists can notice."""
     for sys_t in fam.systems:
         for k in sys_t.level_ks()[1:]:
-            for cube in sys_t.cubes_at(k):
-                if id(cube) not in cut:
-                    cut.add(id(cube))
-                    cube.members = cube.members[keep]
+            relist(sys_t, k, [c.members[keep] for c in sys_t.cubes_at(k)])
     return fam
 
 
@@ -325,7 +321,7 @@ def assert_matches_reference(fam, systems):
 
 def assert_shares_levels(fam, systems):
     """One parent link per distinct (level, coarse, fine) triple, and one
-    Cube list per level and distinct content of that level and all finer
+    (flat, start) member pair per level and distinct content of that level and all finer
     ones, whatever order the systems came in."""
     triples, suffixes = set(), set()
     for s in systems:
@@ -334,7 +330,8 @@ def assert_shares_levels(fam, systems):
         suffixes.update((j, *z[j:]) for j in range(len(z)))
     assert len({id(m) for s in fam.systems for m in s.order.maps}) \
         == len(triples)
-    assert len({id(c) for s in fam.systems for c in s.cubes}) == len(suffixes)
+    assert len({id(m) for s in fam.systems for m in s.members}) \
+        == len(suffixes)
     return len(triples)
 
 

@@ -17,6 +17,7 @@ from cubeforge.errors import (BadSpec, ConfigError, CubeforgeError,
 from cubeforge.labeling import build_labels
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.space import QuasiMetricSpace
+from test_cubes import relist
 
 DELTA = 1.0 / 144.0
 
@@ -465,6 +466,15 @@ def test_comparability_on_grid_family():
         assert c.details["empirical"] <= c.details["constant"]
 
 
+def drop_first_members(fam):
+    """Every cube of two or more points loses its first member."""
+    for sys_t in fam.systems:
+        for k in sys_t.level_ks():
+            lists = [c.members for c in sys_t.cubes_at(k)]
+            relist(sys_t, k, [m[1:] if m.size > 1 else m for m in lists])
+    return fam
+
+
 @pytest.mark.parametrize("corrupted", [False, True])
 def test_cube_mass_witnesses_match_scan(corrupted):
     # integer masses keep every sum exact, and C_a = 1 makes every cube
@@ -473,11 +483,7 @@ def test_cube_mass_witnesses_match_scan(corrupted):
     space, _ = grid64()
     fam = line_family(space)
     if corrupted:
-        cubes = {id(cube): cube for sys_t in fam.systems
-                 for k in sys_t.level_ks() for cube in sys_t.cubes_at(k)}
-        for cube in cubes.values():
-            if cube.members.size > 1:
-                cube.members = cube.members[1:]
+        drop_first_members(fam)
     mu = np.random.default_rng(16).integers(1, 6, 64).astype(float)
     constants = {**_instance_constants(fam, mu), "C_a": 1.0}
     d = dense_rows(space)
@@ -522,15 +528,9 @@ def test_ball_mass_check_matches_scan():
 def test_ball_mass_witnesses_match_scan_on_corrupted_family():
     # every cube of two or more points loses its first member; assign stays
     # as built, so the check must read the member lists. Integer masses keep
-    # every sum exact, and a small C_a_prime makes many balls witnesses. The
-    # systems share Cube objects, so each distinct one is cut once.
+    # every sum exact, and a small C_a_prime makes many balls witnesses
     space, _ = grid64()
-    fam = line_family(space)
-    cubes = {id(cube): cube for sys_t in fam.systems
-             for k in sys_t.level_ks() for cube in sys_t.cubes_at(k)}
-    for cube in cubes.values():
-        if cube.members.size > 1:
-            cube.members = cube.members[1:]
+    fam = drop_first_members(line_family(space))
     mu = np.random.default_rng(15).integers(1, 6, 64).astype(float)
     constants = {**_instance_constants(fam, mu), "C_a_prime": 1.25}
     d = dense_rows(space)

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cubeforge.adjacent import index_to_pair
 from cubeforge.cubes import (
     SystemConstants,
     CubeSystem,
@@ -13,15 +16,19 @@ from cubeforge.cubes import (
     verify_cube_axioms,
 )
 from cubeforge.errors import (
+    ConfigError,
+    CubeforgeError,
     ModeViolation,
     NoParent,
     PreconditionFail,
     TightAmbiguity,
 )
+from cubeforge.labeling import select_points, selected_order
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.space import QuasiMetricSpace, generate_space
 
 import bruteforce
+from test_selection import cloud_labels
 
 LINE4 = [0.0, 1.0, 3.0, 7.0]
 
@@ -30,6 +37,18 @@ def line4_space():
     pts = np.asarray(LINE4)
     table = np.abs(pts[:, None] - pts[None, :])
     return QuasiMetricSpace.from_table(table, declared_tri_const=1.0)
+
+
+def relist(system, k, lists):
+    """Give `system` the member lists `lists` on level k, as a new (flat,
+    start) pair. Systems may share their arrays, so nothing is written in
+    place: the system gets a new list of levels holding new arrays."""
+    sizes = [len(m) for m in lists]
+    system.members = list(system.members)
+    system.members[k - system.k_min] = (
+        np.array([p for m in lists for p in m], dtype=int),
+        np.concatenate(([0], np.cumsum(sizes, dtype=int))))
+    return system
 
 
 def line4_order():
@@ -107,8 +126,8 @@ def test_members_match_closure_oracle():
     assign = bruteforce.descendant_closure([m.tolist() for m in order.maps],
                                            finest_size=4)
     finest = levels[-1].tolist()
-    for j, lv in enumerate(system.cubes):
-        for alpha, cube in enumerate(lv):
+    for j, k in enumerate(system.level_ks()):
+        for alpha, cube in enumerate(system.cubes_at(k)):
             expected = sorted(finest[i] for i in range(4) if assign[j][i] == alpha)
             assert cube.members.tolist() == expected
 
@@ -140,10 +159,10 @@ def test_shared_closure_matches_fresh_builds():
         assert json.dumps(system.to_json()) == json.dumps(fresh.to_json())
         assert [a.tolist() for a in system.assign] \
             == [a.tolist() for a in fresh.assign]
-    assert shared[1].cubes[1] is shared[0].cubes[1]
-    assert shared[1].cubes[0] is not shared[0].cubes[0]
-    assert shared[2].cubes[0] is not shared[1].cubes[0]
-    assert shared[3].cubes[0] is shared[1].cubes[0]
+    assert shared[1].members[1] is shared[0].members[1]
+    assert shared[1].members[0] is not shared[0].members[0]
+    assert shared[2].members[0] is not shared[1].members[0]
+    assert shared[3].members[0] is shared[1].members[0]
     assert shared[3].assign[0] is shared[1].assign[0]
 
 
@@ -175,9 +194,8 @@ def test_axioms_pass_strict_geometric_line():
     rep = verify_cube_axioms(system)
     assert rep.passed, rep.summary()
     # every cube keeps at least one member in strict mode
-    for lv in system.cubes:
-        for cube in lv:
-            assert cube.members.size >= 1
+    for flat, start in system.members:
+        assert (np.diff(start) >= 1).all()
 
 
 def test_axioms_pass_strict_cloud():
@@ -191,16 +209,14 @@ def test_axioms_pass_strict_cloud():
     system = build_cube_system(space, hier.levels, order)
     rep = verify_cube_axioms(system)
     assert rep.passed, rep.summary()
-    for lv in system.cubes:
-        for cube in lv:
-            assert cube.members.size >= 1
+    for flat, start in system.members:
+        assert (np.diff(start) >= 1).all()
 
 
 def test_partition_flags_corruption():
     space, levels, order = line4_order()
     system = build_cube_system(space, levels, order)
-    cube = system.cube(-1, 0)
-    cube.members = cube.members[cube.members != 1]  # orphan point 1
+    relist(system, -1, [[0, 2], [3]])  # orphan point 1
     rep = verify_cube_axioms(system)
     chk = rep.check("partition")
     assert not chk.passed
@@ -210,8 +226,7 @@ def test_partition_flags_corruption():
 def test_partition_flags_duplicates():
     space, levels, order = line4_order()
     system = build_cube_system(space, levels, order)
-    cube = system.cube(-1, 1)
-    cube.members = np.append(cube.members, 1)  # 1 now sits in both cubes
+    relist(system, -1, [[0, 1, 2], [3, 1]])  # 1 now sits in both cubes
     rep = verify_cube_axioms(system)
     chk = rep.check("partition")
     assert not chk.passed
@@ -221,8 +236,7 @@ def test_partition_flags_duplicates():
 def test_nesting_flags_corruption():
     space, levels, order = line4_order()
     system = build_cube_system(space, levels, order)
-    fine = system.cube(0, 3)
-    fine.members = np.array([0, 3])  # straddles both coarse cubes
+    relist(system, 0, [[0], [1], [2], [0, 3]])  # straddles both coarse cubes
     rep = verify_cube_axioms(system)
     assert rep.check("nesting").witnesses == [(-1, 0, 3, [0, 1])]
 
@@ -276,6 +290,39 @@ def test_json_roundtrip():
     assert back.locate(-1, 2) == system.locate(-1, 2)
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_json_rejects_ids_outside_space(bad):
+    # -1 used to wrap to the last point, and 4 raised a bare IndexError
+    space, levels, order = line4_order()
+    for lv, cube, field, want in ((1, 2, "members", "member"),
+                                  (0, 1, "center", "center")):
+        doc = build_cube_system(space, levels, order).to_json()
+        doc["levels"][lv]["cubes"][cube][field] = [bad] \
+            if field == "members" else bad
+        with pytest.raises(ConfigError, match=rf"level {lv - 1}, cube {cube}: "
+                           rf"{want} id {bad} outside \[0, 4\)"):
+            CubeSystem.from_json(doc, space)
+
+
+def test_json_last_listed_member_wins():
+    space, levels, order = line4_order()
+    doc = build_cube_system(space, levels, order).to_json()
+    doc["levels"][0]["cubes"][0]["members"] = [0, 1, 2, 3]  # 3 in both cubes
+    back = CubeSystem.from_json(doc, space)
+    assert back.assign[0].tolist() == [0, 0, 0, 1]
+    assert back.cube(-1, 0).members.tolist() == [0, 1, 2, 3]
+
+
+def test_cubes_are_built_on_demand_and_frozen():
+    system = build_cube_system(*line4_order())
+    cube = system.cube(-1, 0)
+    again = system.cubes_at(-1)[0]
+    assert again is not cube and again.center == cube.center == 0
+    assert again.members.tolist() == cube.members.tolist() == [0, 1, 2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cube.members = cube.members[:1]
+
+
 def test_constants_json_keys():
     c = SystemConstants(delta=0.25, tri_const=1.0, sep_const=1.0,
                         cover_const=1.0)
@@ -322,8 +369,7 @@ def test_checked_counts_cover_all_level_pairs():
 def test_inner_sandwich_flags_member_moved_out():
     system = line4_system()
     # the point 1 lies within 4/3 of the center 0 but now sits with 7
-    system.cube(-1, 0).members = np.array([0, 2])
-    system.cube(-1, 1).members = np.array([1, 3])
+    relist(system, -1, [[0, 2], [1, 3]])
     rep = verify_cube_axioms(system)
     assert failing(rep) == {"ball_sandwich_inner": [(-1, 0, 1, 1.0)]}
 
@@ -343,7 +389,7 @@ def test_outer_sandwich_names_first_listed_far_member():
     # the points 9 and 10 both leave the outer ball around 0; the witness
     # is the first of them in member-list order, not the smallest id
     system = line4_system([0.0, 9.0, 10.0, 7.0])
-    system.cube(-1, 0).members = np.array([2, 1, 0])
+    relist(system, -1, [[2, 1, 0], [3]])
     rep = verify_cube_axioms(system)
     assert rep.check("ball_sandwich_outer").witnesses == [(-1, 0, 2, 10.0)]
     assert rep.check("descendant_center_proximity").witnesses == [
@@ -362,10 +408,17 @@ def test_descendant_sets_flag_ball_leaking_past_ancestor():
 
 def test_descendant_radii_flag_moved_center():
     system = line4_system()
-    # fine cube 1 (ancestor center 0) is listed at the point 7: 7 + 2 > 8
+    # fine cube 1 (ancestor center 0) is listed at the point 7: 7 + 2 > 8.
+    # The centers are the sandwich's too, so the cube {1} is now centered
+    # at 7: its member 1 sits 6 away (outer radius 2 at level 0) and the
+    # point 7 sits inside its inner ball without being a member
     system.level_points[1] = np.array([0, 3, 2, 3])
     rep = verify_cube_axioms(system)
-    assert failing(rep) == {"descendant_ball_radii": [(-1, 0, 1, 9.0, 8.0)]}
+    assert failing(rep) == {
+        "ball_sandwich_inner": [(0, 1, 3, 0.0)],
+        "ball_sandwich_outer": [(0, 1, 1, 6.0)],
+        "descendant_ball_radii": [(-1, 0, 1, 9.0, 8.0)],
+    }
 
 
 # -- per-check agreement with the naive scan ------------------------------
@@ -398,16 +451,14 @@ def corrupt(system, kind, rng):
     """Move, drop or repeat one member on a random level with two cubes."""
     ks = [k for k in system.level_ks() if len(system.cubes_at(k)) > 1]
     k = ks[rng.integers(len(ks))]
-    cubes = system.cubes_at(k)
-    src, dst = rng.choice(len(cubes), size=2, replace=False)
-    p = int(rng.choice(cubes[src].members))
-    if kind == "straddle":   # still a partition, but p leaves its cube
-        cubes[src].members = cubes[src].members[cubes[src].members != p]
-    elif kind == "orphan":
-        cubes[src].members = cubes[src].members[cubes[src].members != p]
-        return system
-    cubes[dst].members = np.append(cubes[dst].members, p)
-    return system
+    lists = [c.members.tolist() for c in system.cubes_at(k)]
+    src, dst = rng.choice(len(lists), size=2, replace=False)
+    p = int(rng.choice(lists[src]))
+    if kind != "duplicate":  # straddle: still a partition, but p moves
+        lists[src].remove(p)
+    if kind != "orphan":
+        lists[dst].append(p)
+    return relist(system, k, lists)
 
 
 SCAN_SPACES = [
@@ -440,3 +491,103 @@ def test_corrupted_axioms_match_scan_oracle(make_space, kind):
         broke |= {name for name, ok in got.items() if not ok}
     assert ("partition" in broke) == (kind != "straddle")
     assert broke
+
+
+# -- parent links and closure against the naive scans -----------------------
+
+
+GRID_OR_CLOUD = st.one_of(cloud_labels(), cloud_labels(sides=(3,)))
+
+
+def shuffled(levels, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.permutation(lv) for lv in levels]
+
+
+def expected_order(space, levels, delta, sep, cover, k_top):
+    """parent_scan per child and level pair: the (parent, tight) pairs, or
+    the error build_partial_order owes (type, level, child index) at the
+    first pair with a tie, else at the first pair with an orphan."""
+    d = space.table.tolist()
+    tri = space.profile.tri_const
+    links = []
+    for j in range(len(levels) - 1):
+        k = k_top + j
+        tight_thr = sep * delta ** k / (2.0 * tri)
+        loose_thr = cover * delta ** k
+        row = []
+        for c in levels[j + 1].tolist():
+            try:
+                row += bruteforce.parent_scan(d, levels[j].tolist(), [c],
+                                              tight_thr, loose_thr)
+            except AssertionError:
+                row.append("tie")
+        if "tie" in row:
+            return TightAmbiguity, k, row.index("tie")
+        if None in row:
+            return NoParent, k, row.index(None)
+        links.append(row)
+    return links
+
+
+@settings(max_examples=80, deadline=None)
+@given(lab=GRID_OR_CLOUD, sep=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+       cover=st.sampled_from([0.05, 0.3, 1.0, 2.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_parent_order_matches_scan_on_clouds(lab, sep, cover, seed):
+    h = lab.hierarchy
+    levels = shuffled(h.levels, seed)
+    want = expected_order(lab.space, levels, h.delta, sep, cover, h.k_min)
+    args = (lab.space, levels, h.delta, sep, cover,
+            lab.space.profile.tri_const, h.k_min, "exploratory")
+    if isinstance(want, tuple):
+        with pytest.raises(want[0]) as err:
+            build_partial_order(*args)
+        assert (err.value.level, err.value.child_index) == want[1:]
+        return
+    order = build_partial_order(*args)
+    assert [list(zip(m.tolist(), t.tolist()))
+            for m, t in zip(order.maps, order.tight)] == want
+
+
+def assert_closure_matches(system, levels, order):
+    finest = levels[-1].tolist()
+    assign = bruteforce.descendant_closure([m.tolist() for m in order.maps],
+                                           finest_size=len(finest))
+    for j, k in enumerate(system.level_ks()):
+        want = [sorted(p for p, a in zip(finest, assign[j]) if a == alpha)
+                for alpha in range(len(levels[j]))]
+        assert [c.members.tolist() for c in system.cubes_at(k)] == want
+        assert system.level_points[j].tolist() == levels[j].tolist()
+
+
+def closure_cases(lab, seed):
+    """(levels, order) pairs whose systems share every level, only the
+    finer ones, or none: the hierarchy, shuffled copies of it, and the
+    selections of its family, whose levels share their coarse centers but
+    differ below them."""
+    h, c = lab.hierarchy, lab.order.constants
+    every = shuffled(h.levels, seed)
+    for levels in (h.levels, [every[0], *h.levels[1:]], every):
+        yield levels, build_partial_order(
+            lab.space, levels, h.delta, c.sep_const, c.cover_const,
+            c.tri_const, h.k_min, mode="exploratory")
+    for t in range(1, (lab.max_label + 1) * lab.max_children + 1):
+        rule = {"kind": "specific",
+                "label": list(index_to_pair(t, lab.max_children))}
+        try:
+            levels = select_points(lab, rule).new_levels()
+            yield levels, selected_order(lab, levels)
+        except CubeforgeError:
+            continue
+
+
+@settings(max_examples=40, deadline=None)
+@given(lab=GRID_OR_CLOUD, seed=st.integers(0, 2 ** 16))
+def test_closure_matches_scan_fresh_and_shared(lab, seed):
+    # every system of one closed dict must close as a fresh build does
+    closed = {}
+    for levels, order in [*closure_cases(lab, seed), *closure_cases(lab, seed)]:
+        for shared in (None, closed):
+            system = build_cube_system(lab.space, levels, order, shared)
+            assert_closure_matches(system, levels, order)

@@ -9,12 +9,23 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["walk_the_line.py",
-                                    "weighted_bounds_tour.py",
-                                    "boundary_decay_sweep.py"])
-def test_demo_runs(script):
+def run_demo(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("script", ["walk_the_line.py",
+                                    "weighted_bounds_tour.py",
+                                    "boundary_decay_sweep.py"])
+def test_demo_runs(script):
+    run_demo(script)
+
+
+def test_walk_the_line_snapshot():
+    # the walk is deterministic: its output is a snapshot of the construction
+    want = (ROOT / "tests" / "data" / "walk_the_line.out").read_text()
+    assert run_demo("walk_the_line.py") == want

@@ -168,10 +168,8 @@ def test_sampled_system_bit_identical():
     two = sample_system(s, 5)
     assert all(np.array_equal(p, q)
                for p, q in zip(one.level_points, two.level_points))
-    for la, lb in zip(one.cubes, two.cubes):
-        for ca, cb in zip(la, lb):
-            assert ca.center == cb.center
-            assert np.array_equal(ca.members, cb.members)
+    for (fa, sa), (fb, sb) in zip(one.members, two.members):
+        assert np.array_equal(fa, fb) and np.array_equal(sa, sb)
 
 
 def test_sampled_systems_pass_axioms():

@@ -1,5 +1,4 @@
 import json
-import math
 import tracemalloc
 from unittest import mock
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubeforge import space as space_module
 from cubeforge.errors import BadSpec, NegativeDistance, SymmetryViolation, ZeroDistance
-from cubeforge.space import (QuasiMetricSpace, ball, doubling_estimate,
+from cubeforge.space import (QuasiMetricSpace, ball,
                              generate_space, validate_quasi_metric)
 
 from bruteforce import ball_scan, fault_scan, tri_const_scan
@@ -101,49 +100,6 @@ def test_ball_monotone_in_radius():
         assert prev == set(range(20))
 
 
-def test_doubling_two_points_frozen():
-    space = QuasiMetricSpace.from_line([0.0, 1.0])
-    # just above r=2 the ball {0,1} needs two unit balls
-    assert doubling_estimate(space) == 2
-
-
-def test_doubling_grid16_range():
-    space = QuasiMetricSpace.from_line(list(range(16)))
-    a1 = doubling_estimate(space)
-    assert 2 <= a1 <= 4
-
-
-def test_packing_bound_small_spaces():
-    # any ball holds at most A1 * delta^-a1 centers of disjoint delta*r balls
-    spaces = [
-        line4(),
-        QuasiMetricSpace.from_line(list(range(12))),
-        QuasiMetricSpace.from_coords(np.random.default_rng(3).uniform(0, 1, (24, 2))),
-    ]
-    for space in spaces:
-        a1 = doubling_estimate(space)
-        bound_exp = math.log2(a1)
-        d = space.table.tolist()
-        for sub in (1.0, 0.5, 0.25):
-            limit = a1 * sub ** (-bound_exp)
-            for c in space.points():
-                for r in radii(space, c):
-                    members = ball_scan(d, c, float(r))
-                    packed = _greedy_packing(d, members, sub * float(r))
-                    assert len(packed) <= limit + 1e-9, (c, r, sub)
-
-
-def _greedy_packing(d, members, sub_radius):
-    chosen = []
-    chosen_balls = []
-    for p in members:
-        b = set(ball_scan(d, p, sub_radius))
-        if all(not (b & q) for q in chosen_balls):
-            chosen.append(p)
-            chosen_balls.append(b)
-    return chosen
-
-
 def test_separated_points_have_disjoint_shrunk_balls():
     spaces = [
         line4(),
@@ -229,7 +185,7 @@ def test_validate_generated_never_errors():
 
 def test_space_json_roundtrip():
     space = line4()
-    space.profile.doubling_count = doubling_estimate(space)
+    space.profile.doubling_count = 3
     blob = json.dumps(space.to_json())
     back = QuasiMetricSpace.from_json(json.loads(blob))
     assert back.n == space.n
