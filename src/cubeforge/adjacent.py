@@ -289,7 +289,7 @@ def _generation_for_radius(delta: float, r: float) -> int:
     return j - 1
 
 
-def verify_covering(family: AdjacentFamily, centers=None) -> VerificationReport:
+def verify_covering(family: AdjacentFamily) -> VerificationReport:
     """Sweep realized radii per center and check both query guarantees.
 
     Also checks that every fine reference point is realized as a chosen
@@ -302,7 +302,7 @@ def verify_covering(family: AdjacentFamily, centers=None) -> VerificationReport:
     contain_bad, diam_bad, n_queries = [], [], 0
     worst_ratio = 0.0
     diam_of = {}  # (t, k, index) -> diameter of the cube's member list
-    for x, order, _, ends, radii in space.ball_sweep(centers):
+    for x, order, _, ends, radii in space.ball_sweep():
         qs = find_containing_cubes(family, x, order, ends, radii)
         diam = np.empty(len(qs.cubes))
         for i, (q, m) in enumerate(zip(qs.cubes, qs.members)):

@@ -140,13 +140,19 @@ def _ball_sums(space, columns):
         yield order, ends, np.cumsum(columns[:, order], axis=1)[:, ends - 1]
 
 
-def _ball_values(space, base, f, sharp: bool, absolute_mean: bool = False):
+def _cube_sums(system: CubeSystem, columns):
+    """Per level of the system, (idx, sums): idx is the level's assign array
+    and sums[i][q] sums columns[i] over cube q of the level."""
+    for idx in system.assign:
+        yield idx, [np.bincount(idx, weights=c) for c in columns]
+
+
+def _ball_values(space, base, f, sharp: bool):
     """Per center, (order, ends, vals): vals[j] is the base-average of |f|
     over the ball order[:ends[j]], or of |f - f_B| when sharp is set, f_B the
-    signed ball average (absolute_mean: the average of |f|). Sharp sums
-    |f - f_B| over a rank-masked (balls, n) block, so constants give 0."""
-    center = np.abs(f) if absolute_mean else f
-    summed = base * (center if sharp else np.abs(f))
+    signed ball average. Sharp sums |f - f_B| over a rank-masked (balls, n)
+    block, so constants give 0."""
+    summed = base * (f if sharp else np.abs(f))
     for order, ends, (mass, tot) in _ball_sums(space, [base, summed]):
         if sharp:
             dev = np.abs(f[order] - (tot / mass)[:, None])
@@ -156,37 +162,27 @@ def _ball_values(space, base, f, sharp: bool, absolute_mean: bool = False):
         yield order, ends, tot / mass
 
 
-def _dyadic_values(system: CubeSystem, base, f, sharp: bool,
-                   absolute_mean: bool = False):
-    """Per-point running max of cube averages down the chain, plus the
-    overall per-cube max (used by the sup-style quantities)."""
+def _dyadic_values(system: CubeSystem, base, f, sharp: bool):
+    """Per point, the largest base-average of |f| (sharp: of |f - f_Q|, f_Q
+    the signed cube average) over the cubes of its chain."""
     out = np.zeros(len(base))
-    overall = 0.0
-    center = np.abs(f) if absolute_mean else f
-    for idx in system.assign:
-        tot = np.bincount(idx, weights=base)
+    summed = base * (f if sharp else np.abs(f))
+    for idx, (mass, tot) in _cube_sums(system, [base, summed]):
+        val = tot / mass
         if sharp:
-            f_q = np.bincount(idx, weights=base * center) / tot
-            dev = np.abs(f - f_q[idx])
-            val = np.bincount(idx, weights=base * dev) / tot
-        else:
-            val = np.bincount(idx, weights=base * np.abs(f)) / tot
-        overall = max(overall, float(val.max()))
+            val = np.bincount(idx, weights=base * np.abs(f - val[idx])) / mass
         np.maximum(out, val[idx], out=out)
-    return out, overall
+    return out
 
 
 def maximal_function(space: QuasiMetricSpace, mu, f, variant: str = "ball",
-                     weight=None, system: Optional[CubeSystem] = None,
-                     absolute_mean: bool = False):
+                     weight=None, system: Optional[CubeSystem] = None):
     """Pointwise maximal averages of |f|.
 
     variant "ball": max over every realized ball containing the point.
     variant "dyadic": max over the point's cube chain in `system`.
     "sharp"/"dyadic_sharp": same suprema, but of the average oscillation
-    |f - f_B| about the ball (cube) average. The centering value f_B is the
-    signed average by default; absolute_mean uses the average of |f|
-    instead (the two agree on nonnegative f).
+    |f - f_B| about the signed ball (cube) average f_B.
     Passing `weight` replaces the averaging measure mu by weight*mu.
     """
     if variant not in MAXIMAL_VARIANTS:
@@ -197,12 +193,9 @@ def maximal_function(space: QuasiMetricSpace, mu, f, variant: str = "ball",
     if variant in ("dyadic", "dyadic_sharp"):
         if system is None:
             raise ConfigError("dyadic variants need a cube system")
-        out, _ = _dyadic_values(system, base, f, variant == "dyadic_sharp",
-                                absolute_mean)
-        return out
+        return _dyadic_values(system, base, f, variant == "dyadic_sharp")
     out = np.zeros(space.n)
-    for order, ends, vals in _ball_values(space, base, f, variant == "sharp",
-                                          absolute_mean):
+    for order, ends, vals in _ball_values(space, base, f, variant == "sharp"):
         # ranks ends[j-1] .. ends[j]-1 lie in balls j, j+1, ... only
         sup = np.maximum.accumulate(vals[::-1])[::-1]
         out[order] = np.maximum(out[order],
@@ -225,43 +218,32 @@ def ap_constant(space: QuasiMetricSpace, mu, omega, p: float,
     omega = np.asarray(omega, dtype=float)
     if not np.all(omega > 0):
         raise ConfigError("weight must be strictly positive")
-    sigma = omega ** (-1.0 / (p - 1.0))
+    columns = [w, w * omega, w * omega ** (-1.0 / (p - 1.0))]
     if variant == "dyadic":
         if system is None:
             raise ConfigError("dyadic variants need a cube system")
-        best = 0.0
-        for idx in system.assign:
-            m = np.bincount(idx, weights=w)
-            wm = np.bincount(idx, weights=w * omega)
-            sm = np.bincount(idx, weights=w * sigma)
-            best = max(best, float((wm * sm ** (p - 1.0) / m ** p).max()))
-        return best
+        sums = (s for _, s in _cube_sums(system, columns))
+    else:
+        sums = (s for _, _, s in _ball_sums(space, columns))
     best = 0.0
-    for _, _, (m, wm, sm) in _ball_sums(space, [w, w * omega, w * sigma]):
+    for m, wm, sm in sums:
         best = max(best, float((wm * sm ** (p - 1.0) / m ** p).max()))
     return best
 
 
 def bmo_norm(space: QuasiMetricSpace, mu, f, variant: str = "ball",
-             system: Optional[CubeSystem] = None,
-             absolute_mean: bool = False) -> float:
+             system: Optional[CubeSystem] = None) -> float:
     """sup over balls (or cubes) of the average oscillation |f - f_B|.
 
-    f_B defaults to the signed average, which makes the norm vanish
-    exactly on constants and shift-invariant; absolute_mean centers on the
-    average of |f| instead, for callers wanting that reading.
+    f_B is the signed average, which makes the norm vanish exactly on
+    constants and shift-invariant. Every ball holds its center and every
+    cube of a built system holds a point, so the sup is the largest value
+    of the sharp maximal function.
     """
     if variant not in SUP_VARIANTS:
         raise ConfigError(f"unknown oscillation variant {variant!r}")
-    w = _weights_of(mu)
-    f = np.asarray(f, dtype=float)
-    if variant == "dyadic":
-        if system is None:
-            raise ConfigError("dyadic variants need a cube system")
-        _, overall = _dyadic_values(system, w, f, True, absolute_mean)
-        return overall
-    return max(float(vals.max()) for _, _, vals
-               in _ball_values(space, w, f, True, absolute_mean))
+    sharp = "sharp" if variant == "ball" else "dyadic_sharp"
+    return float(maximal_function(space, mu, f, sharp, system=system).max())
 
 
 # -- comparability of the two maximal worlds ---------------------------------
@@ -315,10 +297,8 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     """
     space = family.space
     w = _weights_of(mu)
-    for t in range(1, family.n_systems + 1):
-        if family.system(t).mode != "strict":
-            raise PreconditionFail(
-                "comparability bounds need strict-mode systems")
+    if any(sys_t.mode != "strict" for sys_t in family.systems):
+        raise PreconditionFail("comparability bounds need strict-mode systems")
     info = constants if constants is not None \
         else _instance_constants(family, w)
     c_a, c_ap = info["C_a"], info["C_a_prime"]
@@ -342,8 +322,7 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     worst = 0.0
     checked = 0
     bad = []
-    for t in range(1, family.n_systems + 1):
-        sys_t = family.system(t)
+    for t, sys_t in enumerate(family.systems, start=1):
         for k, pts, (flat, start) in zip(sys_t.level_ks(), sys_t.level_points,
                                          sys_t.members):
             key = (k, pts.tobytes(), flat.tobytes(), start.tobytes())
@@ -368,8 +347,9 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     for x, order, _, ends, radii in space.ball_sweep():
         pre = np.cumsum(w[order])
         qs = find_containing_cubes(family, x, order, ends, radii)
-        for q, hits in zip(qs.cubes, np.bincount(qs.slot).tolist()):
-            flags[q.flag] += hits
+        _, hits = np.unique(qs.slot, return_counts=True)
+        for q, n_hits in zip(qs.cubes, hits.tolist()):
+            flags[q.flag] += n_hits
         cube_mass = np.array([float(w[m].sum()) for m in qs.members])
         ratio = cube_mass[qs.slot] / pre[ends - 1]
         worst = max(worst, float(ratio.max()))
@@ -386,30 +366,29 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     worsts = [0.0, 0.0, 0.0, 0.0]
     counts = [0, 0, 0, 0]
     bads = [[], [], [], []]
+
+    def compare(slot, lhs, rhs, *witness):
+        ratio = _max_ratio(lhs, rhs)
+        worsts[slot] = max(worsts[slot], ratio)
+        counts[slot] += space.n
+        if ratio > consts[slot] * (1.0 + _REL_TOL):
+            bads[slot].append((*witness, ratio))
+
     for fi, f in enumerate(sample_functions):
         f = np.asarray(f, dtype=float)
         m_ball = maximal_function(space, w, f, "ball")
         m_sharp = maximal_function(space, w, f, "sharp")
         dy_sum = np.zeros(space.n)
         dy_sharp_sum = np.zeros(space.n)
-        for t in range(1, family.n_systems + 1):
-            sys_t = family.system(t)
+        for t, sys_t in enumerate(family.systems, start=1):
             m_dy = maximal_function(space, w, f, "dyadic", system=sys_t)
             m_dys = maximal_function(space, w, f, "dyadic_sharp", system=sys_t)
             dy_sum += m_dy
             dy_sharp_sum += m_dys
-            for slot, lhs, rhs in ((0, m_dy, m_ball), (2, m_dys, m_sharp)):
-                ratio = _max_ratio(lhs, rhs)
-                worsts[slot] = max(worsts[slot], ratio)
-                counts[slot] += space.n
-                if ratio > consts[slot] * (1.0 + _REL_TOL):
-                    bads[slot].append((fi, t, ratio))
-        for slot, lhs, rhs in ((1, m_ball, dy_sum), (3, m_sharp, dy_sharp_sum)):
-            ratio = _max_ratio(lhs, rhs)
-            worsts[slot] = max(worsts[slot], ratio)
-            counts[slot] += space.n
-            if ratio > consts[slot] * (1.0 + _REL_TOL):
-                bads[slot].append((fi, ratio))
+            compare(0, m_dy, m_ball, fi, t)
+            compare(2, m_dys, m_sharp, fi, t)
+        compare(1, m_ball, dy_sum, fi)
+        compare(3, m_sharp, dy_sharp_sum, fi)
     for slot, name in enumerate(names):
         rep.add(name, not bads[slot], counts[slot], bads[slot],
                 details={"constant": consts[slot], "empirical": worsts[slot]})
@@ -440,14 +419,17 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
     norm_f = lp_norm(f, w, omega, p)
     rep = VerificationReport("weighted maximal bounds")
 
-    doob, buckley = [], []
-    bad_a, bad_b = [], []
-    for t in range(1, family.n_systems + 1):
-        sys_t = family.system(t)
+    info = constants if constants is not None \
+        else _instance_constants(family, w)
+    c_a, c_ap = info["C_a"], info["C_a_prime"]
+    osc_ball = bmo_norm(space, w, f, "ball")
+    bound_a = p_conj * norm_f
+    doob, buckley, osc_dy = [], [], []
+    bad_a, bad_b, bad_c = [], [], []
+    for t, sys_t in enumerate(family.systems, start=1):
         m_w = maximal_function(space, w, f, "dyadic", weight=omega,
                                system=sys_t)
         lhs_a = lp_norm(m_w, w, omega, p)
-        bound_a = p_conj * norm_f
         doob.append({"t": t, "norm": lhs_a, "bound": bound_a})
         if lhs_a > bound_a * (1.0 + _REL_TOL):
             bad_a.append((t, lhs_a, bound_a))
@@ -458,24 +440,17 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
         buckley.append({"t": t, "norm": lhs_b, "A_p": a_p, "bound": bound_b})
         if lhs_b > bound_b * (1.0 + _REL_TOL):
             bad_b.append((t, lhs_b, bound_b))
+        osc = bmo_norm(space, w, f, "dyadic", system=sys_t)
+        osc_dy.append(osc)
+        if osc > 2.0 * c_a * osc_ball * (1.0 + _REL_TOL) + _ABS_TOL:
+            bad_c.append(("dyadic_le_ball", t, osc))
+    if osc_ball > 2.0 * c_ap * sum(osc_dy) * (1.0 + _REL_TOL) + _ABS_TOL:
+        bad_c.append(("ball_le_dyadic_sum", osc_ball))
     rep.add("weighted_dyadic_norm", not bad_a, family.n_systems, bad_a,
             details={"per_system": doob, "p_conj": p_conj, "norm_f": norm_f},
             note="uniform in the weight")
     rep.add("ap_controlled_norm", not bad_b, family.n_systems, bad_b,
             details={"per_system": buckley})
-
-    info = constants if constants is not None \
-        else _instance_constants(family, w)
-    c_a, c_ap = info["C_a"], info["C_a_prime"]
-    osc_ball = bmo_norm(space, w, f, "ball")
-    osc_dy = [bmo_norm(space, w, f, "dyadic", system=family.system(t))
-              for t in range(1, family.n_systems + 1)]
-    bad_c = []
-    for t, v in enumerate(osc_dy, start=1):
-        if v > 2.0 * c_a * osc_ball * (1.0 + _REL_TOL) + _ABS_TOL:
-            bad_c.append(("dyadic_le_ball", t, v))
-    if osc_ball > 2.0 * c_ap * sum(osc_dy) * (1.0 + _REL_TOL) + _ABS_TOL:
-        bad_c.append(("ball_le_dyadic_sum", osc_ball))
     rep.add("oscillation_transfer", not bad_c, family.n_systems + 1, bad_c,
             details={"ball": osc_ball, "dyadic": osc_dy,
                      "C_a": c_a, "C_a_prime": c_ap})

@@ -155,17 +155,12 @@ class CubeSystem:
                            tight=[np.asarray(p["tight"], dtype=bool) for p in d["parents"]])
         level_points, members, assign = [], [], []
         for k, lv in enumerate((lv["cubes"] for lv in d["levels"]), k_min):
-            pts = np.array([c["center"] for c in lv], dtype=int)
             size = np.array([len(c["members"]) for c in lv], dtype=int)
-            flat = np.array([p for c in lv for p in c["members"]], dtype=int)
             cube_of = np.repeat(np.arange(size.size), size)
-            for what, ids, owner in (("center", pts, np.arange(pts.size)),
-                                     ("member", flat, cube_of)):
-                bad = np.flatnonzero((ids < 0) | (ids >= space.n))
-                if bad.size:
-                    raise ConfigError(
-                        f"level {k}, cube {owner[bad[0]]}: {what} id "
-                        f"{ids[bad[0]]} outside [0, {space.n})")
+            pts = _point_ids([c["center"] for c in lv], space.n, k,
+                             np.arange(size.size), "center")
+            flat = _point_ids([p for c in lv for p in c["members"]], space.n,
+                              k, cube_of, "member")
             a = np.full(space.n, -1, dtype=int)
             np.maximum.at(a, flat, cube_of)
             level_points.append(pts)
@@ -174,6 +169,20 @@ class CubeSystem:
         return cls(space=space, k_min=k_min, k_max=k_max, constants=consts,
                    mode=d["mode"], level_points=level_points, order=order,
                    members=members, assign=assign)
+
+
+def _point_ids(ids, n: int, k: int, owner, what: str) -> np.ndarray:
+    """Level k's ids as an int array; ConfigError naming the cube owner[i]
+    of the first id that is not an integer in [0, n)."""
+    raw = np.array(ids)
+    whole = raw == np.floor(raw)
+    bad = np.flatnonzero(~whole | (raw < 0) | (raw >= n))
+    if bad.size:
+        i = bad[0]
+        why = f"outside [0, {n})" if whole[i] else "is not an integer"
+        raise ConfigError(
+            f"level {k}, cube {owner[i]}: {what} id {raw[i]} {why}")
+    return raw.astype(int)
 
 
 def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,

@@ -15,7 +15,6 @@ sample of triples then asserts; without one they are refused.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,12 +46,6 @@ class SpaceProfile:
     diam: float
     min_gap: Optional[float]
     doubling_count: Optional[int] = None
-
-    @property
-    def doubling_exp(self) -> Optional[float]:
-        if self.doubling_count is None:
-            return None
-        return math.log2(self.doubling_count)
 
     def to_json(self):
         return {

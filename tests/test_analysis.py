@@ -18,6 +18,7 @@ from cubeforge.labeling import build_labels
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.space import QuasiMetricSpace
 from test_cubes import relist
+from test_selection import cloud_labels
 
 DELTA = 1.0 / 144.0
 
@@ -271,18 +272,11 @@ def test_bmo_two_point_frozen():
 
 
 def test_oscillation_centering_flag():
-    """Signed centering (the default) kills constants; centering on the
-    average of |f| does not, which is why signed is the default. The two
-    agree whenever f is nonnegative."""
+    """BMO centers on the signed average, so it vanishes on a negative
+    constant, where centering on the average of |f| would give 10."""
     space, mu = grid64()
     f = np.full(64, -5.0)
     assert bmo_norm(space, mu, f) == 0.0
-    assert bmo_norm(space, mu, f, absolute_mean=True) == pytest.approx(10.0)
-    g = np.abs(np.random.default_rng(12).normal(size=64))
-    assert bmo_norm(space, mu, g) == pytest.approx(
-        bmo_norm(space, mu, g, absolute_mean=True))
-    assert maximal_function(space, mu, g, "sharp") == pytest.approx(
-        maximal_function(space, mu, g, "sharp", absolute_mean=True))
 
 
 def test_bmo_shift_invariance_and_oracle():
@@ -330,11 +324,7 @@ def test_ball_world_matches_scans(space, seed):
                  bruteforce.sharp_scan(d, lm, lf))
     assert close(maximal_function(space, mu, f, "sharp", weight=w),
                  bruteforce.sharp_scan(d, list(mu * w), lf))
-    assert close(maximal_function(space, mu, f, "sharp", absolute_mean=True),
-                 bruteforce.sharp_scan(d, lm, lf, absolute_mean=True))
     assert close(bmo_norm(space, mu, f), bruteforce.bmo_scan(d, lm, lf))
-    assert close(bmo_norm(space, mu, f, absolute_mean=True),
-                 bruteforce.bmo_scan(d, lm, lf, absolute_mean=True))
     for p in (1.5, 3.0):
         assert close(ap_constant(space, mu, w, p),
                      bruteforce.ap_scan(d, lm, lw, p))
@@ -374,6 +364,41 @@ def test_ball_averages_refuse_row_oracle():
             call()
     # the doubling sweep reads rows, so it serves row oracles too
     assert doubling_constant(space, mu) == doubling_constant(table_space, mu)
+
+
+# -- the cube sweep against the naive scans -----------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(lab=st.one_of(cloud_labels(deltas=(DELTA,), mode="strict"),
+                     cloud_labels(deltas=(DELTA,), mode="strict",
+                                  sides=(3,))),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dyadic_world_matches_scans(lab, seed):
+    # every system of a family whose systems share level arrays
+    fam = build_adjacent_family(lab, distinguished=lab.hierarchy.distinguished)
+    space, n = fam.space, fam.space.n
+    rng = np.random.default_rng(seed)
+    mu = rng.integers(1, 6, n).astype(float)
+    f = rng.normal(size=n)
+    w = np.exp(rng.normal(size=n))
+    lm, lf, lw = list(mu), list(f), list(w)
+    for sys_t in fam.systems:
+        lists = member_lists(sys_t)
+        assert close(maximal_function(space, mu, f, "dyadic", system=sys_t),
+                     bruteforce.dyadic_maximal_scan(lists, lm, lf))
+        assert close(maximal_function(space, mu, f, "dyadic", weight=w,
+                                      system=sys_t),
+                     bruteforce.dyadic_maximal_scan(lists, list(mu * w), lf))
+        sharp = bruteforce.dyadic_sharp_scan(lists, lm, lf)
+        assert close(maximal_function(space, mu, f, "dyadic_sharp",
+                                      system=sys_t), sharp)
+        assert close(bmo_norm(space, mu, f, "dyadic", system=sys_t),
+                     max(sharp))
+        for p in (1.5, 3.0):
+            assert close(ap_constant(space, mu, w, p, "dyadic", system=sys_t),
+                         bruteforce.dyadic_ap_scan(lists, lm, lw, p))
+    assert close(bmo_norm(space, mu, f),
+                 bruteforce.bmo_scan(dense_rows(space), lm, lf))
 
 
 def sweep_masses(space, mu):

@@ -304,6 +304,29 @@ def test_json_rejects_ids_outside_space(bad):
             CubeSystem.from_json(doc, space)
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.5])
+def test_json_rejects_non_integer_ids(bad):
+    # 1.5 used to load as point 1, leaving point 2 in no cube
+    space, levels, order = line4_order()
+    for lv, cube, field, want in ((1, 2, "members", "member"),
+                                  (0, 1, "center", "center")):
+        doc = build_cube_system(space, levels, order).to_json()
+        doc["levels"][lv]["cubes"][cube][field] = [bad] \
+            if field == "members" else bad
+        with pytest.raises(ConfigError, match=rf"level {lv - 1}, cube {cube}: "
+                           rf"{want} id {bad} is not an integer"):
+            CubeSystem.from_json(doc, space)
+
+
+def test_json_loads_an_empty_member_list():
+    space, levels, order = line4_order()
+    doc = build_cube_system(space, levels, order).to_json()
+    doc["levels"][1]["cubes"][2]["members"] = []
+    back = CubeSystem.from_json(doc, space)
+    assert back.cube(0, 2).members.tolist() == []
+    assert back.assign[1].tolist() == [0, 1, -1, 3]
+
+
 def test_json_last_listed_member_wins():
     space, levels, order = line4_order()
     doc = build_cube_system(space, levels, order).to_json()

@@ -29,3 +29,10 @@ def test_walk_the_line_snapshot():
     # the walk is deterministic: its output is a snapshot of the construction
     want = (ROOT / "tests" / "data" / "walk_the_line.out").read_text()
     assert run_demo("walk_the_line.py") == want
+
+
+def test_weighted_bounds_tour_snapshot():
+    # A_p, BMO, the maximal functions and the weighted bounds in both
+    # worlds, on a fixed grid and seed: the output is a snapshot
+    want = (ROOT / "tests" / "data" / "weighted_bounds_tour.out").read_text()
+    assert run_demo("weighted_bounds_tour.py") == want
