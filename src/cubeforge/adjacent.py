@@ -25,7 +25,6 @@ C = 8*tri**3/ratio**3).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -88,9 +87,6 @@ class AdjacentFamily:
     def delta(self):
         return self.labeled.hierarchy.delta
 
-    def phi(self, l: int, m: int) -> int:
-        return pair_to_index(l, m, self.labeled.max_children)
-
     def phi_inv(self, t: int):
         return index_to_pair(t, self.labeled.max_children)
 
@@ -98,7 +94,7 @@ class AdjacentFamily:
         """System index whose level-k choice lands on fine point beta.
 
         Undoes the family's recorded shifts; without shifts this is just
-        phi of the fine point's pair label.
+        pair_to_index of the fine point's pair label.
         """
         l, m = self.labeled.label2(k + 1, beta)
         if self.ordinal_shifts is not None:
@@ -272,21 +268,11 @@ def _route(family: AdjacentFamily, x: int, row, k: int,
 
 
 def _levels_for_radii(delta: float, radii, k_lo: int, k_hi: int) -> np.ndarray:
-    """_generation_for_radius of every radius, clipped to [k_lo - 1, k_hi + 1]
-    (k_hi >= k_lo - 1): the count of window powers delta**j >= r, with
-    delta**j the same Python floats the scalar search compares against."""
+    """The generation k with delta**(k+2) < r <= delta**(k+1) of every
+    radius, clipped to [k_lo - 1, k_hi + 1] (k_hi >= k_lo - 1): the count of
+    window powers delta**j >= r, each power a Python float delta ** j."""
     powers = np.array([delta ** j for j in range(k_hi + 2, k_lo, -1)])
     return k_lo - 1 + powers.size - np.searchsorted(powers, radii, side="left")
-
-
-def _generation_for_radius(delta: float, r: float) -> int:
-    """The k with delta**(k+2) < r <= delta**(k+1), float-safe."""
-    j = math.floor(math.log(r) / math.log(delta))
-    while delta ** j < r:
-        j -= 1
-    while delta ** (j + 1) >= r:
-        j += 1
-    return j - 1
 
 
 def verify_covering(family: AdjacentFamily) -> VerificationReport:
@@ -301,12 +287,12 @@ def verify_covering(family: AdjacentFamily) -> VerificationReport:
     rep = VerificationReport("adjacent covering")
     contain_bad, diam_bad, n_queries = [], [], 0
     worst_ratio = 0.0
-    diam_of = {}  # (t, k, index) -> diameter of the cube's member list
+    diam_of = {}  # member list bytes -> its diameter; systems share cubes
     for x, order, _, ends, radii in space.ball_sweep():
         qs = find_containing_cubes(family, x, order, ends, radii)
-        diam = np.empty(len(qs.cubes))
-        for i, (q, m) in enumerate(zip(qs.cubes, qs.members)):
-            key = (q.t, q.k, q.index)
+        diam = np.empty(len(qs.members))
+        for i, m in enumerate(qs.members):
+            key = m.tobytes()
             if key not in diam_of:
                 diam_of[key] = float(space.dist_rows(m, m).max(initial=0.0))
             diam[i] = diam_of[key]

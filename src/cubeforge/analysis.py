@@ -42,17 +42,6 @@ class Measure:
         if not np.all(self.weights > 0):
             raise ConfigError("measure weights must be strictly positive")
 
-    @property
-    def n(self) -> int:
-        return self.weights.size
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
-    def mass(self, members) -> float:
-        return float(self.weights[members].sum())
-
 
 def _weights_of(mu) -> np.ndarray:
     """Accept a Measure or a bare weight vector; validate either way."""
@@ -142,9 +131,19 @@ def _ball_sums(space, columns):
 
 def _cube_sums(system: CubeSystem, columns):
     """Per level of the system, (idx, sums): idx is the level's assign array
-    and sums[i][q] sums columns[i] over cube q of the level."""
-    for idx in system.assign:
-        yield idx, [np.bincount(idx, weights=c) for c in columns]
+    and sums[i][q] sums columns[i] over cube q of the level. A level with a
+    point in none of its cubes (assign -1, which from_json can load) raises
+    PreconditionFail."""
+    for k, idx in zip(system.level_ks(), system.assign):
+        try:
+            sums = [np.bincount(idx, weights=c) for c in columns]
+        except ValueError:   # bincount refuses the -1 of an uncovered point
+            bad = np.flatnonzero(idx < 0)
+            if not bad.size:
+                raise
+            raise PreconditionFail(
+                f"level {k}: point {int(bad[0])} lies in no cube") from None
+        yield idx, sums
 
 
 def _ball_values(space, base, f, sharp: bool):

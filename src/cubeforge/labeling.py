@@ -17,8 +17,8 @@ indices grouped by parent (a stable argsort of the parent map, so siblings
 stay in ascending order) plus each group's start offset. Sibling ordinals,
 the designated near child (the child closest to the parent, ties to the
 smallest index, required to sit within ratio**(k+1)) and the pool of near
-children all come from that table, and `children_of` / `near_children` are
-slices of it.
+children all come from that table; `children_of` slices it, and
+`near_pool` keeps the near children in the same grouped layout.
 
 Selection rules pick one child per center, producing one new point per old
 point. One kernel, `LabeledHierarchy.pick_children`, serves every rule and
@@ -75,24 +75,12 @@ class LabeledHierarchy:
     def parent_ks(self):
         return range(self.k_min, self.k_max)
 
-    def label1(self, k: int, index: int) -> int:
-        return int(self.primary[k - self.k_min][index])
-
     def label2(self, k_child: int, index: int):
         l, m = self.duplex[k_child - self.k_min - 1][index]
         return int(l), int(m)
 
     def children_of(self, k: int, index: int) -> np.ndarray:
         kids, start = self.children[k - self.k_min]
-        return kids[start[index]:start[index + 1]]
-
-    def designated_near(self, k: int, index: int) -> int:
-        """Child index closest to the parent, or -1 if none is near enough."""
-        return int(self.near[k - self.k_min][index])
-
-    def near_children(self, k: int, index: int) -> np.ndarray:
-        """Children within ratio**(k+1) of the parent point."""
-        kids, start = self.near_pool[k - self.k_min]
         return kids[start[index]:start[index + 1]]
 
     def pick_children(self, k: int, l: int, m: int,
@@ -115,21 +103,6 @@ class LabeledHierarchy:
         pick[hit] = kids[(start[:-1] + m - 1)[hit]]
         return pick
 
-    def to_json(self):
-        out = {"L": self.max_label, "M": self.max_children, "levels": []}
-        for k in self.hierarchy.level_ks():
-            j = k - self.k_min
-            entry = {"k": k,
-                     "conflicts": [list(p) for p in self.conflicts[j]],
-                     "labels": None, "neighbours": None, "duplex": None}
-            if k < self.k_max:
-                entry["labels"] = self.primary[j].tolist()
-                entry["neighbours"] = [list(p) for p in self.neighbours[j]]
-            if k > self.k_min:
-                entry["duplex"] = self.duplex[j - 1].tolist()
-            out["levels"].append(entry)
-        return out
-
 
 @dataclass
 class SelectionOutcome:
@@ -140,9 +113,6 @@ class SelectionOutcome:
     @property
     def hierarchy(self):
         return self.labeled.hierarchy
-
-    def chosen_child(self, k: int, index: int) -> int:
-        return int(self.chosen[k - self.labeled.k_min][index])
 
     def new_points(self, k: int) -> np.ndarray:
         """Point ids of the selected centers, aligned with level k indices."""

@@ -139,12 +139,6 @@ class OmegaSampler:
                 "levels": {k: self.draw_level(sample_index, k)
                            for k in self.labeled.parent_ks()}}
 
-    def resample_level(self, omega: dict, k: int, sample_index: int) -> dict:
-        """Copy of omega with only level k's coordinate redrawn."""
-        levels = dict(omega["levels"])
-        levels[k] = self.draw_level(sample_index, k)
-        return {**omega, "levels": levels}
-
     # -- realization ----------------------------------------------------------
 
     def realize_outcome(self, omega: dict) -> SelectionOutcome:

@@ -37,20 +37,16 @@ class SpaceProfile:
     tri_const: triangle inflation constant A0, exact for every dense table
     unless a declared analytic bound within 1e-9 of it (or above it) is
     given, which is then stored; a row-oracle space always stores its
-    declared bound, asserted on sampled triples. doubling_count: an optional
-    bound A_1 on how many half-radius balls cover any ball, carried through
-    JSON; no validation fills it in.
+    declared bound, asserted on sampled triples.
     """
 
     tri_const: float
     diam: float
     min_gap: Optional[float]
-    doubling_count: Optional[int] = None
 
     def to_json(self):
         return {
             "A_0": float(self.tri_const),
-            "A_1": None if self.doubling_count is None else int(self.doubling_count),
             "diam": float(self.diam),
             "min_gap": None if self.min_gap is None else float(self.min_gap),
         }
@@ -59,8 +55,7 @@ class SpaceProfile:
     def from_json(cls, d):
         return cls(tri_const=float(d["A_0"]),
                    diam=float(d["diam"]),
-                   min_gap=None if d.get("min_gap") is None else float(d["min_gap"]),
-                   doubling_count=None if d.get("A_1") is None else int(d["A_1"]))
+                   min_gap=None if d.get("min_gap") is None else float(d["min_gap"]))
 
 
 class QuasiMetricSpace:
@@ -117,17 +112,16 @@ class QuasiMetricSpace:
     def _diam_scan(self) -> float:
         return max(float(self.dist_row(i).max()) for i in self.points())
 
-    def ball_sweep(self, centers=None):
+    def ball_sweep(self):
         """Every ball of the space, as a prefix of a sorted distance row.
 
-        Yields (c, order, sorted_row, ends, radii) per center c (default: all,
-        ascending). order is the stable argsort of c's row; radii are the
+        Yields (c, order, sorted_row, ends, radii) per center c, in ascending
+        order of c. order is the stable argsort of c's row; radii are the
         distinct positive distances from c plus one above the diameter, and
         ball(c, radii[j]) is order[:ends[j]]. Serves tables and row oracles.
         """
         top = self._above_diam()
-        for c in self.points() if centers is None else centers:
-            c = int(c)
+        for c in self.points():
             row = self.dist_row(c)
             order = np.argsort(row, kind="stable")
             sorted_row = row[order]

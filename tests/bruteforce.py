@@ -59,6 +59,17 @@ def ball_in_members_scan(d, center, r, members):
     return inside, diam
 
 
+def generation_scan(delta, r):
+    """The k with delta**(k+2) < r <= delta**(k+1), walking the powers
+    delta**j one step at a time from j = 0."""
+    j = 0
+    while delta ** j < r:
+        j -= 1
+    while delta ** (j + 1) >= r:
+        j += 1
+    return j - 1
+
+
 def greedy_net_scan(d, order, threshold):
     """Greedy maximal threshold-separated subset, insertion in `order`."""
     chosen = []

@@ -29,6 +29,7 @@ from cubeforge.random_systems import (OmegaSampler,
                                       estimate_selection_probability,
                                       sample_system, scan_chain_separation)
 from cubeforge.space import QuasiMetricSpace, ball, generate_space
+from test_selection import near_pool
 
 DELTA = 1.0 / 144.0
 REL_TOL = 1e-9
@@ -266,8 +267,8 @@ def test_criterion_7_selection_marginals():
     for alpha in (0, 1):
         exact = bruteforce.single_draw_marginals(
             lab.children_of(-1, alpha).tolist(),
-            lab.near_children(-1, alpha).tolist(),
-            lab.label1(-1, alpha), lab.max_label + 1)
+            near_pool(lab, -1, alpha),
+            lab.primary[-1 - lab.k_min][alpha], lab.max_label + 1)
         stat = sum((counts[alpha].get(c, 0) - n * p) ** 2 / (n * p)
                    for c, p in exact.items())
         chi2_stats.append(stat)

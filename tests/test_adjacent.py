@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from cubeforge.adjacent import (
-    _generation_for_radius,
     _levels_for_radii,
     build_adjacent_family,
     find_containing_cube,
@@ -41,9 +40,9 @@ def geoline_family(distinguished=None):
     return build_adjacent_family(labeled, distinguished=distinguished)
 
 
-def cloud_family(n=48, seed=11):
+def cloud_family(n=48, seed=11, box=1.0):
     space = generate_space({"kind": "euclidean_cloud", "n": n, "dim": 2,
-                            "seed": seed})
+                            "seed": seed, "box": box})
     hier = build_reference_hierarchy(space, DELTA, mode="strict")
     return build_adjacent_family(build_labels(hier))
 
@@ -156,6 +155,26 @@ def test_covering_passes_on_cloud():
     assert rep.passed, rep.summary()
 
 
+def test_covering_measures_each_member_list_once(monkeypatch):
+    # the K systems share most cubes: each distinct member list a query
+    # returns has its diameter gathered once, whichever system holds it (in
+    # the box of side 20, 8 (system, level, index) keys share 1 list)
+    fam = cloud_family(box=20.0)
+    queried = set()
+    for x, order, _, ends, radii in fam.space.ball_sweep():
+        qs = find_containing_cubes(fam, x, order, ends, radii)
+        queried.update(m.tobytes() for m in qs.members)
+    real, calls = fam.space.dist_rows, []
+
+    def counting(ids, cols=None):
+        calls.append(np.asarray(ids).tobytes())
+        return real(ids, cols)
+
+    monkeypatch.setattr(fam.space, "dist_rows", counting)
+    assert verify_covering(fam).passed
+    assert sorted(calls) == sorted(queried)
+
+
 def test_covering_containment_matches_scan_on_corrupted_family():
     # every cube below the top loses its last member, so some balls stick
     # out of the cube their query returns
@@ -234,7 +253,7 @@ def test_levels_match_scalar_generation(delta, k_lo, width, extra):
     powers = [delta ** j for j in range(k_lo - 2, k_hi + 5)]
     radii = powers + extra + [np.nextafter(p, 0.0) for p in powers] \
         + [np.nextafter(p, np.inf) for p in powers]
-    want = [min(max(_generation_for_radius(delta, r), k_lo - 1), k_hi + 1)
+    want = [min(max(bruteforce.generation_scan(delta, r), k_lo - 1), k_hi + 1)
             for r in radii]
     assert _levels_for_radii(delta, radii, k_lo, k_hi).tolist() == want
 
@@ -274,7 +293,7 @@ def test_kernel_matches_scans_on_sampled_families(variant):
 
 def test_kernel_rejects_bad_radii():
     fam = geoline_family()
-    _, order, _, ends, radii = next(fam.space.ball_sweep([0]))
+    _, order, _, ends, radii = next(fam.space.ball_sweep())
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ConfigError, match="radius must be positive"):
             find_containing_cubes(fam, 0, order, ends,

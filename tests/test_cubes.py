@@ -325,6 +325,7 @@ def test_json_loads_an_empty_member_list():
     back = CubeSystem.from_json(doc, space)
     assert back.cube(0, 2).members.tolist() == []
     assert back.assign[1].tolist() == [0, 1, -1, 3]
+    assert "partition" in failing(verify_cube_axioms(back))
 
 
 def test_json_last_listed_member_wins():

@@ -13,6 +13,7 @@ from cubeforge.nets import NetHierarchy, build_reference_hierarchy
 from cubeforge.space import QuasiMetricSpace, generate_space
 
 import bruteforce
+from test_selection import near_pool
 
 LINE4 = [0.0, 1.0, 3.0, 7.0]
 
@@ -128,7 +129,7 @@ def test_general_chooser_is_used():
                         chooser=lambda k, alpha:
                             int(lab.children_of(k, alpha)[-1]))
     # the root's last child is the far point, id 3 at level -1
-    assert out.chosen_child(-2, 0) == 1
+    assert out.chosen[-2 - lab.k_min][0] == 1
     assert int(out.new_points(-2)[0]) == 3
 
 
@@ -156,9 +157,10 @@ def test_specific_refines_general():
 
             def duplex_chooser(k, alpha):
                 kids = lab.children_of(k, alpha)
-                if lab.label1(k, alpha) == l and m <= len(kids):
+                j = k - lab.k_min
+                if lab.primary[j][alpha] == l and m <= len(kids):
                     return int(kids[m - 1])
-                return lab.designated_near(k, alpha)
+                return int(lab.near[j][alpha])
 
             gen = select_points(lab, {"kind": "general",
                                       "master": {k: l for k in lab.parent_ks()}},
@@ -220,7 +222,7 @@ def test_no_near_child_raises():
                         mode="exploratory",
                         levels=[np.array([0]), np.array([1])])
     lab = build_labels(hier)
-    assert lab.designated_near(0, 0) == -1
+    assert lab.near[0][0] == -1
     with pytest.raises(NoNearChild):
         select_points(lab, {"kind": "specific", "label": [5, 1]})
 
@@ -236,21 +238,11 @@ def test_single_level_hierarchy():
     assert verify_new_point_axioms(out).passed
 
 
-def test_labeled_json_layout():
-    lab = line4_labeled()
-    blob = lab.to_json()
-    assert set(blob) == {"L", "M", "levels"}
-    assert blob["L"] == 0 and blob["M"] == 3
-    first, last = blob["levels"][0], blob["levels"][-1]
-    assert first["labels"] is not None and first["duplex"] is None
-    assert last["labels"] is None and last["duplex"] is not None
-
-
 def test_near_children_subset():
     lab = geoline_labeled()
     for k in lab.parent_ks():
         for alpha in range(len(lab.hierarchy.level(k))):
-            near = lab.near_children(k, alpha)
+            near = near_pool(lab, k, alpha)
             kids = lab.children_of(k, alpha)
-            assert set(near.tolist()) <= set(kids.tolist())
-            assert lab.designated_near(k, alpha) in near
+            assert set(near) <= set(kids.tolist())
+            assert lab.near[k - lab.k_min][alpha] in near

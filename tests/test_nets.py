@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubeforge.errors import ModeViolation
 from cubeforge.nets import (NetHierarchy, build_reference_hierarchy, level_window,
@@ -7,6 +8,7 @@ from cubeforge.nets import (NetHierarchy, build_reference_hierarchy, level_windo
 from cubeforge.space import QuasiMetricSpace, generate_space
 
 from bruteforce import greedy_net_scan
+from test_analysis import int_clouds
 
 
 def line4():
@@ -39,6 +41,21 @@ def test_levels_match_greedy_oracle():
     for k in h.level_ks():
         expect = greedy_net_scan(d, range(4), 0.25 ** k)
         assert h.level(k).tolist() == expect
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=int_clouds(), delta=st.sampled_from([0.5, 0.25]), data=st.data())
+def test_levels_match_greedy_scan_on_clouds(space, delta, data):
+    # integer points put distances 1, 2, 4, ... exactly on the thresholds
+    pin = data.draw(st.none() | st.integers(0, space.n - 1))
+    h = build_reference_hierarchy(space, delta, mode="exploratory",
+                                  distinguished=pin)
+    order = [p for p in range(space.n) if p != pin]
+    if pin is not None:
+        order.insert(0, pin)
+    d = space.table.tolist()
+    for k in h.level_ks():
+        assert h.level(k).tolist() == greedy_net_scan(d, order, delta ** k)
 
 
 def test_strict_line_144_levels():

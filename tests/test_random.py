@@ -39,7 +39,7 @@ from cubeforge.random_systems import (
 from cubeforge.space import QuasiMetricSpace, generate_space
 
 import bruteforce
-from test_selection import cloud_labels
+from test_selection import cloud_labels, near_pool
 
 DELTA = 1.0 / 144.0
 
@@ -193,7 +193,7 @@ def test_coordinate_surgery_touches_one_level():
     """Redrawing one level's coordinate moves no other level's points."""
     s = OmegaSampler(geoline_labels(), "single", seed=3)
     omega = s.draw(0)
-    redrawn = s.resample_level(omega, -2, 2)
+    redrawn = {**omega, "levels": {**omega["levels"], -2: s.draw_level(2, -2)}}
     base = s.realize_outcome(omega)
     moved = s.realize_outcome(redrawn)
     assert not np.array_equal(base.new_points(-2), moved.new_points(-2))
@@ -207,8 +207,8 @@ def test_single_marginal_matches_enumeration():
     s = OmegaSampler(lab, "single", seed=21)
     exact = bruteforce.single_draw_marginals(
         lab.children_of(-1, 1).tolist(),
-        lab.near_children(-1, 1).tolist(),
-        lab.label1(-1, 1),
+        near_pool(lab, -1, 1),
+        lab.primary[-1 - lab.k_min][1],
         lab.max_label + 1)
     assert exact == {2: 0.25, 3: 0.75}
     n = 4000

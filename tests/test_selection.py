@@ -70,6 +70,12 @@ def level_args(lab, k):
             lab.primary[j].tolist(), h.delta ** (k + 1))
 
 
+def near_pool(lab, k, alpha):
+    """Children of level-k center alpha within ratio**(k+1) of it."""
+    kids, start = lab.near_pool[k - lab.k_min]
+    return kids[start[alpha]:start[alpha + 1]].tolist()
+
+
 def assert_selects(lab, rule, expect, chooser=None):
     """select_points equals the scan, or raises NoNearChild at the first
     center the scan leaves without a child."""
@@ -97,9 +103,8 @@ def check_against_scans(lab):
                   for a, cs in enumerate(kids) for c in cs}
         assert [lab.children_of(k, a).tolist()
                 for a in range(len(parents))] == kids
-        assert [lab.near_children(k, a).tolist()
-                for a in range(len(parents))] == near
-        assert [lab.designated_near(k, a) for a in range(len(parents))] == \
+        assert [near_pool(lab, k, a) for a in range(len(parents))] == near
+        assert lab.near[k - lab.k_min].tolist() == \
             [-1 if c is None else c for c in designated]
         assert lab.duplex[k - lab.k_min].tolist() == \
             [duplex[c] for c in range(len(children))]
@@ -237,7 +242,7 @@ def test_selection_estimate_raises_only_for_its_own_center():
                         -1, 0, "exploratory",
                         levels=[np.array([0, 1]), np.array([2, 3, 4])])
     lab = build_labels(hier)
-    assert lab.designated_near(-1, 1) == -1
+    assert lab.near[0][1] == -1  # k_min is -1
     adjacent = OmegaSampler(lab, "adjacent", seed=5)
     with pytest.raises(NoNearChild) as err:
         estimate_selection_probability(adjacent, -1, 1, 2, 1000)

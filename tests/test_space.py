@@ -23,7 +23,7 @@ def line4():
 
 def radii(space, c):
     """The radii of every distinct ball centred at c, from the ball sweep."""
-    return next(space.ball_sweep([c]))[4]
+    return next(rs for x, *_, rs in space.ball_sweep() if x == c)
 
 
 def test_tri_const_metric_line_is_one():
@@ -185,13 +185,15 @@ def test_validate_generated_never_errors():
 
 def test_space_json_roundtrip():
     space = line4()
-    space.profile.doubling_count = 3
-    blob = json.dumps(space.to_json())
-    back = QuasiMetricSpace.from_json(json.loads(blob))
+    doc = json.loads(json.dumps(space.to_json()))
+    assert set(doc["profile"]) == {"A_0", "diam", "min_gap"}
+    back = QuasiMetricSpace.from_json(doc)
     assert back.n == space.n
     assert np.allclose(back.table, space.table)
-    assert back.profile.tri_const == space.profile.tri_const
-    assert back.profile.doubling_count == space.profile.doubling_count
+    assert back.profile == space.profile
+    # documents written with the retired A_1 key still load
+    doc["profile"]["A_1"] = 3
+    assert QuasiMetricSpace.from_json(doc).profile == space.profile
 
 
 def test_radii_conventions():

@@ -1,0 +1,21 @@
+"""The package's public names, and the independence of the test oracles."""
+import ast
+from pathlib import Path
+
+import cubeforge
+
+
+def test_all_names_resolve_once():
+    names = cubeforge.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(cubeforge, n)] == []
+
+
+def test_bruteforce_imports_no_cubeforge_module():
+    # the oracles must share no code with the package they check
+    tree = ast.parse((Path(__file__).parent / "bruteforce.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert [m for m in imported if m.split(".")[0] == "cubeforge"] == []
