@@ -6,7 +6,8 @@ t = l*M + m. System t realizes the specific selection rule for (l, m) (or its
 pinned variant when a distinguished point is set). The systems differ at few
 levels, so build_shared_systems builds each distinct piece once: one parent
 link per distinct (level, coarse, fine) triple of center arrays and one
-closed level per distinct suffix of levels. The K systems then share their
+assign and grouped-member pair per distinct level content (cube count and
+assign), whatever the level's centers. The K systems then share their
 center, parent-map, assign and grouped-member arrays by reference, so none
 of them is written in place.
 
@@ -160,13 +161,13 @@ def build_shared_systems(labeled: LabeledHierarchy, level_lists) -> list:
     """One cube system per entry of `level_lists` (selected-center levels,
     coarsest first), sharing every level piece two systems have in common.
 
-    Each level's array is kept once per distinct content. Each parent link
-    is made by one `selected_order` call per distinct (level, coarse, fine)
-    triple, and build_cube_system closes each distinct suffix of levels once
-    (see its `closed`). The entries are drawn one at a time and their pairs
-    visited in level order, so the first failing selection or link raises
-    just as building the systems one by one would. The systems share
-    arrays: write none of them in place.
+    Each level's center array is kept once per distinct content. Each
+    parent link is made by one `selected_order` call per distinct (level,
+    coarse, fine) triple, and build_cube_system stores each distinct level
+    partition once (see its `closed`). The entries are drawn one at a time
+    and their pairs visited in level order, so the first failing selection
+    or link raises just as building the systems one by one would. The
+    systems share arrays: write none of them in place.
     """
     seen, links, closed, systems = {}, {}, {}, []
     for levels in level_lists:

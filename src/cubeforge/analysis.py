@@ -305,18 +305,8 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     outer = family.system(1).constants.outer_const
     rep = VerificationReport("maximal function comparability")
 
-    # (a) cube mass vs its outer ball; one ball mass per (center, k) and
-    # one ratio array per distinct level content
-    centers = {}
-    for sys_t in family.systems:
-        for k, pts in zip(sys_t.level_ks(), sys_t.level_points):
-            centers.setdefault(k, set()).update(pts.tolist())
-    outer_mass = {}
-    for k, ids in centers.items():
-        ids = sorted(ids)
-        thr = outer * delta ** k
-        for c, row in zip(ids, space.dist_rows(ids)):
-            outer_mass[c, k] = float(w[row < thr].sum())
+    # (a) cube mass vs its outer ball; one ratio array per distinct level
+    # content and one block of outer balls for it
     ratios = {}
     worst = 0.0
     checked = 0
@@ -326,10 +316,11 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
                                          sys_t.members):
             key = (k, pts.tobytes(), flat.tobytes(), start.tobytes())
             if key not in ratios:
+                near = space.dist_rows(pts) < outer * delta ** k
                 start = start.tolist()
                 ratios[key] = np.array([
-                    outer_mass[c, k] / float(w[flat[s:e]].sum())
-                    for c, s, e in zip(pts.tolist(), start, start[1:])])
+                    float(w[row].sum()) / float(w[flat[s:e]].sum())
+                    for row, s, e in zip(near, start, start[1:])])
             ratio = ratios[key]
             worst = max(worst, float(ratio.max(initial=0.0)))
             checked += ratio.size

@@ -14,8 +14,10 @@ point -> cube map assign[j] and its members[j] = (flat, start), the point
 ids grouped by cube with the group starts and a final end, so cube i is
 flat[start[i]:start[i + 1]] around the center level_points[j][i]. Cube
 values are built on demand by cube() and cubes_at(). Systems built with one
-shared `closed` dict close each distinct level once and share its arrays,
-so no array of a system is written in place.
+shared `closed` dict store each distinct level content, its cube count and
+assign array, once: two levels that partition the space alike share their
+assign and member arrays even when their centers differ. So no array of a
+system is written in place.
 
 The checker re-derives the promised geometry from the realized member sets:
 partition, nesting across levels, the inner/outer ball sandwich with
@@ -107,19 +109,26 @@ class CubeSystem:
     def level_ks(self):
         return range(self.k_min, self.k_max + 1)
 
+    def _level_index(self, k: int) -> int:
+        """Position j of level k in the per-level lists."""
+        if not self.k_min <= k <= self.k_max:
+            raise PreconditionFail(
+                f"level {k} outside [{self.k_min}, {self.k_max}]")
+        return k - self.k_min
+
     def cubes_at(self, k: int) -> list:
         return [self.cube(k, i)
-                for i in range(len(self.level_points[k - self.k_min]))]
+                for i in range(len(self.level_points[self._level_index(k)]))]
 
     def cube(self, k: int, index: int) -> Cube:
-        j = k - self.k_min
+        j = self._level_index(k)
         flat, start = self.members[j]
         return Cube(int(self.level_points[j][index]),
                     flat[start[index]:start[index + 1]])
 
     def locate(self, k: int, point: int) -> int:
         """Index of the cube containing `point` on level k."""
-        return int(self.assign[k - self.k_min][point])
+        return int(self.assign[self._level_index(k)][point])
 
     def to_json(self):
         levels = []
@@ -229,55 +238,42 @@ def build_cube_system(space: QuasiMetricSpace, level_points,
     The finest level list must contain every point of the space (it seeds the
     member closure); coarser members are unions of their children's members.
     `closed`, a dict kept across calls on one space, shares levels between
-    the systems built with it: level j's assign array and grouped members
-    are made once per distinct content of levels j.. and their parent maps,
-    and every later system gets the same arrays.
+    the systems built with it by content: the assign array and grouped
+    members are made once per distinct (cube count, assign) pair, and every
+    later level with that content, in any system, gets the same arrays.
     """
     centers = [np.asarray(lv, dtype=int) for lv in level_points]
     n_levels = len(centers)
-    maps = order.maps[:n_levels - 1]
+    if not np.array_equal(np.sort(centers[-1]), np.arange(space.n)):
+        raise PreconditionFail(
+            "finest level must enumerate every point of the space")
     closed = {} if closed is None else closed
-    keys, key = [None] * n_levels, ()
-    for j in range(n_levels - 1, -1, -1):
-        link = maps[j].tobytes() if j < n_levels - 1 else b""
-        key = keys[j] = (centers[j].tobytes(), link, key)
-    # levels m.. are known: a level is only ever stored with every finer one
-    m = n_levels
-    while m and keys[m - 1] in closed:
-        m -= 1
-    if m == n_levels:
-        if sorted(centers[-1].tolist()) != list(range(space.n)):
-            raise PreconditionFail(
-                "finest level must enumerate every point of the space")
-        below = None
-    else:
-        below = closed[keys[m]][0]
-    assign = close_assign(space.n, centers[-1], maps[:min(m, n_levels - 1)],
-                          below)
-    for j in range(m):
-        # a stable sort keeps each cube's members in ascending point order
-        sizes = np.bincount(assign[j], minlength=len(centers[j]))
-        closed[keys[j]] = (assign[j], (np.argsort(assign[j], kind="stable"),
-                                       np.concatenate(([0], np.cumsum(sizes)))))
-    assign, members = (list(part) for part in zip(*(closed[k] for k in keys)))
+    assign, members = [], []
+    for pts, a in zip(centers, close_assign(space.n, centers[-1],
+                                            order.maps[:n_levels - 1])):
+        key = (pts.size, a.tobytes())
+        if key not in closed:
+            # a stable sort keeps each cube's members in ascending point order
+            sizes = np.bincount(a, minlength=pts.size)
+            closed[key] = (a, (np.argsort(a, kind="stable"),
+                               np.concatenate(([0], np.cumsum(sizes)))))
+        assign.append(closed[key][0])
+        members.append(closed[key][1])
     return CubeSystem(space=space, k_min=order.k_top,
                       k_max=order.k_top + n_levels - 1, constants=order.constants,
                       mode=order.mode, level_points=centers, order=order,
                       members=members, assign=assign)
 
 
-def close_assign(n: int, finest, maps, below=None) -> list:
+def close_assign(n: int, finest, maps) -> list:
     """Point -> cube index on every level of a parent order, coarsest first.
 
-    The finest list (of all n points) indexes the finest level, unless
-    `below` already gives that level's array; each coarser level composes
-    the parent map below it, maps[j][assign[j + 1]].
+    The finest list (of all n points) indexes the finest level; each coarser
+    level composes the parent map below it, maps[j][assign[j + 1]].
     """
     assign = [None] * (len(maps) + 1)
-    if below is None:
-        below = np.empty(n, dtype=int)
-        below[finest] = np.arange(len(finest))
-    assign[-1] = below
+    assign[-1] = np.empty(n, dtype=int)
+    assign[-1][finest] = np.arange(len(finest))
     for j in range(len(maps) - 1, -1, -1):
         assign[j] = maps[j][assign[j + 1]]
     return assign

@@ -253,6 +253,13 @@ def estimate_selection_probability(sampler: OmegaSampler, k: int, alpha: int,
     lab = sampler.labeled
     if n_samples < 1000:
         raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
+    # only levels k_min .. k_max - 1 choose children
+    if not lab.k_min <= k < lab.k_max:
+        raise PreconditionFail(
+            f"level {k} outside [{lab.k_min}, {lab.k_max - 1}]")
+    size = len(lab.hierarchy.level(k))
+    if not 0 <= alpha < size:
+        raise PreconditionFail(f"center {alpha} outside [0, {size})")
     if beta not in lab.children_of(k, alpha):
         raise NotAChild(k, alpha, beta)
     hits = 0

@@ -339,18 +339,23 @@ def assert_matches_reference(fam, systems):
 
 
 def assert_shares_levels(fam, systems):
-    """One parent link per distinct (level, coarse, fine) triple, and one
-    (flat, start) member pair per level and distinct content of that level and all finer
-    ones, whatever order the systems came in."""
-    triples, suffixes = set(), set()
+    """One parent link per distinct (level, coarse, fine) triple, one
+    (flat, start) member pair per distinct (level, cube count, assign)
+    content, and one across the family per distinct (cube count, assign),
+    whatever order the systems came in."""
+    triples, contents = set(), set()
     for s in systems:
         z = [lv.tobytes() for lv in s.level_points]
         triples.update((j, *z[j:j + 2]) for j in range(len(z) - 1))
-        suffixes.update((j, *z[j:]) for j in range(len(z)))
+        contents.update((j, len(pts), a.tobytes()) for j, (pts, a) in
+                        enumerate(zip(s.level_points, s.assign)))
     assert len({id(m) for s in fam.systems for m in s.order.maps}) \
         == len(triples)
+    for j in {j for j, _, _ in contents}:
+        assert len({id(s.members[j]) for s in fam.systems}) \
+            == len({c for c in contents if c[0] == j})
     assert len({id(m) for s in fam.systems for m in s.members}) \
-        == len(suffixes)
+        == len({c[1:] for c in contents})
     return len(triples)
 
 
@@ -398,6 +403,18 @@ def test_shared_build_matches_reference_on_clouds(seed):
                                   sides=(3,))))
 def test_shared_build_matches_reference_on_integer_clouds(lab):
     check_shared_build(lab, lab.hierarchy.distinguished)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_every_system_holds_one_coarsest_level(seed):
+    # the coarsest level is one cube in every system, whatever its center
+    fam = build_adjacent_family(cloud_labeled(seed, n=100))
+    first = fam.systems[0]
+    assert fam.n_systems > 1
+    assert len({s.level_points[0].tobytes() for s in fam.systems}) > 1
+    for s in fam.systems:
+        assert s.assign[0] is first.assign[0]
+        assert s.members[0] is first.members[0]
 
 
 @pytest.mark.parametrize("variant", ["adjacent", "adjacent_refined"])

@@ -134,14 +134,18 @@ def test_members_match_closure_oracle():
 
 def test_finest_level_must_cover():
     space, levels, order = line4_order()
-    with pytest.raises(PreconditionFail, match="finest level must enumerate"):
-        build_cube_system(space, [levels[0], np.array([0, 1, 2])], order)
+    for finest in ([0, 1, 2], [0, 1, 1, 3], [0, 1, 2, 4]):
+        with pytest.raises(PreconditionFail,
+                           match="finest level must enumerate"):
+            build_cube_system(space, [levels[0], np.array(finest)], order)
 
 
 def test_shared_closure_matches_fresh_builds():
     # systems closed with one `closed` dict equal fresh builds; a level is
-    # shared only when its centers, its parent map and every finer level
-    # agree (the third system differs from the second in its finest list)
+    # shared exactly when its cube count and assign array agree, whatever
+    # its centers and finer levels (the fifth system has other coarse
+    # centers and another finest list than the first, and the same coarse
+    # partition; the sixth adds an empty cube to the first's)
     space, levels, order = line4_order()
 
     def parents(m):
@@ -151,7 +155,9 @@ def test_shared_closure_matches_fresh_builds():
 
     cases = [(levels, order), (levels, parents([0, 1, 0, 1])),
              ([levels[0], np.array([1, 0, 2, 3])], parents([0, 1, 0, 1])),
-             (levels, parents([0, 1, 0, 1]))]
+             (levels, parents([0, 1, 0, 1])),
+             ([np.array([1, 2]), np.array([1, 0, 2, 3])], order),
+             ([np.array([0, 3, 1]), levels[1]], order)]
     closed = {}
     shared = [build_cube_system(space, lv, o, closed) for lv, o in cases]
     for system, (lv, o) in zip(shared, cases):
@@ -164,6 +170,11 @@ def test_shared_closure_matches_fresh_builds():
     assert shared[2].members[0] is not shared[1].members[0]
     assert shared[3].members[0] is shared[1].members[0]
     assert shared[3].assign[0] is shared[1].assign[0]
+    assert shared[4].members[0] is shared[0].members[0]
+    assert shared[4].assign[0] is shared[0].assign[0]
+    assert shared[4].members[1] is shared[2].members[1]
+    assert shared[5].members[0] is not shared[0].members[0]
+    assert len(closed) == 6
 
 
 def test_locate_and_chain():
@@ -173,6 +184,20 @@ def test_locate_and_chain():
     assert system.locate(-1, 3) == 1
     assert [int(a[3]) for a in system.assign] == [1, 3]
     assert system.cube(-1, 1).center == 3
+
+
+@pytest.mark.parametrize("k", [-2, 1])
+def test_level_outside_window_is_refused(k):
+    # levels -2 and 1 lie just outside [-1, 0]; a negative position must not
+    # wrap round to the finest level
+    space, levels, order = line4_order()
+    system = build_cube_system(space, levels, order)
+    for query in (lambda: system.cube(k, 0), lambda: system.cubes_at(k),
+                  lambda: system.locate(k, 0),
+                  lambda: boundary_zone(system, k, 0, 1.0)):
+        with pytest.raises(PreconditionFail,
+                           match=rf"level {k} outside \[-1, 0\]"):
+            query()
 
 
 def test_axioms_pass_on_line_example():

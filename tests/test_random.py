@@ -236,6 +236,18 @@ def test_selection_estimate_thresholds():
         estimate_selection_probability(s, -1, 1, 2, 500)
 
 
+@pytest.mark.parametrize("k, alpha, why", [
+    (-3, 0, r"level -3 outside \[-2, -1\]"),
+    (0, 0, r"level 0 outside \[-2, -1\]"),
+    (-2, 5, r"center 5 outside \[0, 1\)"),
+    (-2, -1, r"center -1 outside \[0, 1\)")])
+def test_selection_estimate_refuses_levels_and_centers_outside(k, alpha, why):
+    # the window is [-2, 0] and only levels -2 and -1 choose children
+    s = OmegaSampler(two_label_line(), "single", seed=21)
+    with pytest.raises(PreconditionFail, match=why):
+        estimate_selection_probability(s, k, alpha, 0, 1000)
+
+
 def test_forced_choice_has_frequency_one():
     s = OmegaSampler(forced_pair(), "single", seed=5)
     assert s.tau_0 == 1.0
