@@ -4,8 +4,8 @@ Everything here treats the point set as a finite measure space: a measure
 is a positive mass per point, "all balls" means the prefixes of each
 center's stably sorted distance row (QuasiMetricSpace.ball_sweep), so ball
 masses and averages are per-center prefix sums, and the dyadic operators
-run over the cube chains of a built system. The verify_* functions compare
-the two worlds and assert the constant-carrying inequalities between them.
+sweep each distinct level of the systems passed in once. The verify_*
+functions check the constant-carrying inequalities between the two worlds.
 """
 from __future__ import annotations
 
@@ -43,17 +43,33 @@ class Measure:
             raise ConfigError("measure weights must be strictly positive")
 
 
-def _weights_of(mu) -> np.ndarray:
-    """Accept a Measure or a bare weight vector; validate either way."""
-    if isinstance(mu, Measure):
-        return mu.weights
-    return Measure(mu).weights
+def _vector(v, n: int, name: str) -> np.ndarray:
+    """v as a float vector of n entries; ConfigError naming v otherwise."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ConfigError(f"{name} has shape {v.shape}, expected ({n},)")
+    return v
+
+
+def _weights_of(mu, n: int) -> np.ndarray:
+    """Accept a Measure or a bare weight vector of n masses; validate
+    either way."""
+    w = mu.weights if isinstance(mu, Measure) else Measure(mu).weights
+    return _vector(w, n, "mu")
+
+
+def _positive(v, n: int, name: str) -> np.ndarray:
+    """_vector(v, n, name), refused unless every entry is positive."""
+    v = _vector(v, n, name)
+    if not np.all(v > 0):
+        raise ConfigError("weight must be strictly positive")
+    return v
 
 
 def lp_norm(values, mu, omega, p: float) -> float:
     """Discrete weighted norm: (sum |v(x)|^p omega(x) mu({x}))^(1/p)."""
-    w = _weights_of(mu)
     v = np.abs(np.asarray(values, dtype=float))
+    w = _weights_of(mu, v.size)
     return float(np.sum(v ** p * np.asarray(omega, dtype=float) * w) ** (1.0 / p))
 
 
@@ -68,7 +84,7 @@ def doubling_constant(space: QuasiMetricSpace, mu):
     the sweep bound is derived from the same doubling ratios and cannot
     fail unless the enumeration itself is broken.
     """
-    w = _weights_of(mu)
+    w = _weights_of(mu, space.n)
     best = 1.0
     per_center = []
     for _, order, sorted_row, ends, radii in space.ball_sweep():
@@ -129,21 +145,30 @@ def _ball_sums(space, columns):
         yield order, ends, np.cumsum(columns[:, order], axis=1)[:, ends - 1]
 
 
-def _cube_sums(system: CubeSystem, columns):
-    """Per level of the system, (idx, sums): idx is the level's assign array
-    and sums[i][q] sums columns[i] over cube q of the level. A level with a
-    point in none of its cubes (assign -1, which from_json can load) raises
-    PreconditionFail."""
-    for k, idx in zip(system.level_ks(), system.assign):
-        try:
-            sums = [np.bincount(idx, weights=c) for c in columns]
-        except ValueError:   # bincount refuses the -1 of an uncovered point
-            bad = np.flatnonzero(idx < 0)
-            if not bad.size:
-                raise
+def _cube_sums(systems, columns):
+    """Per distinct level of the systems, (idx, held, sums): idx is its
+    assign array, held the position in `systems` of each level holding it,
+    and sums[i][q] sums columns[i] over cube q. Levels are grouped on their
+    cube count and assign bytes, never on object identity. columns[0] must
+    be a positive mass: a point in no cube (assign -1) or a cube with no
+    point, both loadable by from_json, raises PreconditionFail."""
+    groups = {}
+    for s, system in enumerate(systems):
+        for k, pts, idx in zip(system.level_ks(), system.level_points,
+                               system.assign):
+            key = (pts.size, idx.tobytes())
+            groups.setdefault(key, (k, pts.size, idx, []))[3].append(s)
+    for k, size, idx, held in groups.values():
+        bad = np.flatnonzero(idx < 0)
+        if bad.size:
             raise PreconditionFail(
-                f"level {k}: point {int(bad[0])} lies in no cube") from None
-        yield idx, sums
+                f"level {k}: point {int(bad[0])} lies in no cube")
+        sums = [np.bincount(idx, weights=c, minlength=size) for c in columns]
+        empty = np.flatnonzero(sums[0] == 0)
+        if empty.size:
+            raise PreconditionFail(
+                f"level {k}: cube {int(empty[0])} holds no point")
+        yield idx, held, sums
 
 
 def _ball_values(space, base, f, sharp: bool):
@@ -161,16 +186,18 @@ def _ball_values(space, base, f, sharp: bool):
         yield order, ends, tot / mass
 
 
-def _dyadic_values(system: CubeSystem, base, f, sharp: bool):
-    """Per point, the largest base-average of |f| (sharp: of |f - f_Q|, f_Q
-    the signed cube average) over the cubes of its chain."""
-    out = np.zeros(len(base))
+def _dyadic_values(systems, base, f, sharp: bool):
+    """Per system and point, the largest base-average of |f| (sharp: of
+    |f - f_Q|, f_Q the signed cube average) over the cubes of the point's
+    chain: a (len(systems), n) array, so K·n floats for a family of K."""
+    out = np.zeros((len(systems), len(base)))
     summed = base * (f if sharp else np.abs(f))
-    for idx, (mass, tot) in _cube_sums(system, [base, summed]):
+    for idx, held, (mass, tot) in _cube_sums(systems, [base, summed]):
         val = tot / mass
         if sharp:
-            val = np.bincount(idx, weights=base * np.abs(f - val[idx])) / mass
-        np.maximum(out, val[idx], out=out)
+            val = np.bincount(idx, weights=base * np.abs(f - val[idx]),
+                              minlength=mass.size) / mass
+        out[held] = np.maximum(out[held], val[idx])
     return out
 
 
@@ -186,13 +213,13 @@ def maximal_function(space: QuasiMetricSpace, mu, f, variant: str = "ball",
     """
     if variant not in MAXIMAL_VARIANTS:
         raise ConfigError(f"unknown maximal variant {variant!r}")
-    w = _weights_of(mu)
-    f = np.asarray(f, dtype=float)
-    base = w if weight is None else w * np.asarray(weight, dtype=float)
+    w = _weights_of(mu, space.n)
+    f = _vector(f, space.n, "f")
+    base = w if weight is None else w * _positive(weight, space.n, "weight")
     if variant in ("dyadic", "dyadic_sharp"):
         if system is None:
             raise ConfigError("dyadic variants need a cube system")
-        return _dyadic_values(system, base, f, variant == "dyadic_sharp")
+        return _dyadic_values([system], base, f, variant == "dyadic_sharp")[0]
     out = np.zeros(space.n)
     for order, ends, vals in _ball_values(space, base, f, variant == "sharp"):
         # ranks ends[j-1] .. ends[j]-1 lie in balls j, j+1, ... only
@@ -213,15 +240,13 @@ def ap_constant(space: QuasiMetricSpace, mu, omega, p: float,
         raise ConfigError(f"exponent p must exceed 1, got {p}")
     if variant not in SUP_VARIANTS:
         raise ConfigError(f"unknown A_p variant {variant!r}")
-    w = _weights_of(mu)
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(omega > 0):
-        raise ConfigError("weight must be strictly positive")
+    w = _weights_of(mu, space.n)
+    omega = _positive(omega, space.n, "omega")
     columns = [w, w * omega, w * omega ** (-1.0 / (p - 1.0))]
     if variant == "dyadic":
         if system is None:
             raise ConfigError("dyadic variants need a cube system")
-        sums = (s for _, s in _cube_sums(system, columns))
+        sums = (s for _, _, s in _cube_sums([system], columns))
     else:
         sums = (s for _, _, s in _ball_sums(space, columns))
     best = 0.0
@@ -295,7 +320,9 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     the same family and measure when the caller already has them.
     """
     space = family.space
-    w = _weights_of(mu)
+    w = _weights_of(mu, space.n)
+    funcs = [_vector(f, space.n, f"sample_functions[{fi}]")
+             for fi, f in enumerate(sample_functions)]
     if any(sys_t.mode != "strict" for sys_t in family.systems):
         raise PreconditionFail("comparability bounds need strict-mode systems")
     info = constants if constants is not None \
@@ -364,21 +391,16 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
         if ratio > consts[slot] * (1.0 + _REL_TOL):
             bads[slot].append((*witness, ratio))
 
-    for fi, f in enumerate(sample_functions):
-        f = np.asarray(f, dtype=float)
+    for fi, f in enumerate(funcs):
         m_ball = maximal_function(space, w, f, "ball")
         m_sharp = maximal_function(space, w, f, "sharp")
-        dy_sum = np.zeros(space.n)
-        dy_sharp_sum = np.zeros(space.n)
-        for t, sys_t in enumerate(family.systems, start=1):
-            m_dy = maximal_function(space, w, f, "dyadic", system=sys_t)
-            m_dys = maximal_function(space, w, f, "dyadic_sharp", system=sys_t)
-            dy_sum += m_dy
-            dy_sharp_sum += m_dys
-            compare(0, m_dy, m_ball, fi, t)
-            compare(2, m_dys, m_sharp, fi, t)
-        compare(1, m_ball, dy_sum, fi)
-        compare(3, m_sharp, dy_sharp_sum, fi)
+        m_dy = _dyadic_values(family.systems, w, f, False)
+        m_dys = _dyadic_values(family.systems, w, f, True)
+        for t, (dy_t, dys_t) in enumerate(zip(m_dy, m_dys), start=1):
+            compare(0, dy_t, m_ball, fi, t)
+            compare(2, dys_t, m_sharp, fi, t)
+        compare(1, m_ball, m_dy.sum(axis=0), fi)
+        compare(3, m_sharp, m_dys.sum(axis=0), fi)
     for slot, name in enumerate(names):
         rep.add(name, not bads[slot], counts[slot], bads[slot],
                 details={"constant": consts[slot], "empirical": worsts[slot]})
@@ -400,11 +422,9 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
     if not p > 1:
         raise ConfigError(f"exponent p must exceed 1, got {p}")
     space = family.space
-    w = _weights_of(mu)
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(omega > 0):
-        raise ConfigError("weight must be strictly positive")
-    f = np.asarray(f, dtype=float)
+    w = _weights_of(mu, space.n)
+    omega = _positive(omega, space.n, "omega")
+    f = _vector(f, space.n, "f")
     p_conj = p / (p - 1.0)
     norm_f = lp_norm(f, w, omega, p)
     rep = VerificationReport("weighted maximal bounds")
@@ -414,24 +434,23 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
     c_a, c_ap = info["C_a"], info["C_a_prime"]
     osc_ball = bmo_norm(space, w, f, "ball")
     bound_a = p_conj * norm_f
-    doob, buckley, osc_dy = [], [], []
+    m_w = _dyadic_values(family.systems, w * omega, f, False)
+    m_d = _dyadic_values(family.systems, w, f, False)
+    osc_dy = _dyadic_values(family.systems, w, f, True).max(axis=1).tolist()
+    doob, buckley = [], []
     bad_a, bad_b, bad_c = [], [], []
-    for t, sys_t in enumerate(family.systems, start=1):
-        m_w = maximal_function(space, w, f, "dyadic", weight=omega,
-                               system=sys_t)
-        lhs_a = lp_norm(m_w, w, omega, p)
+    for t, (sys_t, m_w_t, m_d_t, osc) in enumerate(
+            zip(family.systems, m_w, m_d, osc_dy), start=1):
+        lhs_a = lp_norm(m_w_t, w, omega, p)
         doob.append({"t": t, "norm": lhs_a, "bound": bound_a})
         if lhs_a > bound_a * (1.0 + _REL_TOL):
             bad_a.append((t, lhs_a, bound_a))
-        m_d = maximal_function(space, w, f, "dyadic", system=sys_t)
         a_p = ap_constant(space, w, omega, p, "dyadic", system=sys_t)
-        lhs_b = lp_norm(m_d, w, omega, p)
+        lhs_b = lp_norm(m_d_t, w, omega, p)
         bound_b = p ** (1.0 / (p - 1.0)) * p_conj * a_p ** (1.0 / (p - 1.0)) * norm_f
         buckley.append({"t": t, "norm": lhs_b, "A_p": a_p, "bound": bound_b})
         if lhs_b > bound_b * (1.0 + _REL_TOL):
             bad_b.append((t, lhs_b, bound_b))
-        osc = bmo_norm(space, w, f, "dyadic", system=sys_t)
-        osc_dy.append(osc)
         if osc > 2.0 * c_a * osc_ball * (1.0 + _REL_TOL) + _ABS_TOL:
             bad_c.append(("dyadic_le_ball", t, osc))
     if osc_ball > 2.0 * c_ap * sum(osc_dy) * (1.0 + _REL_TOL) + _ABS_TOL:

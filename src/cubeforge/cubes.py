@@ -122,13 +122,20 @@ class CubeSystem:
 
     def cube(self, k: int, index: int) -> Cube:
         j = self._level_index(k)
+        size = len(self.level_points[j])
+        if not 0 <= index < size:
+            raise PreconditionFail(f"cube {index} outside [0, {size})")
         flat, start = self.members[j]
         return Cube(int(self.level_points[j][index]),
                     flat[start[index]:start[index + 1]])
 
     def locate(self, k: int, point: int) -> int:
         """Index of the cube containing `point` on level k."""
-        return int(self.assign[self._level_index(k)][point])
+        j = self._level_index(k)
+        if not 0 <= point < self.space.n:
+            raise PreconditionFail(
+                f"point {point} outside [0, {self.space.n})")
+        return int(self.assign[j][point])
 
     def to_json(self):
         levels = []

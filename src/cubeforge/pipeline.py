@@ -17,6 +17,7 @@ import numpy as np
 
 from .adjacent import build_adjacent_family, verify_covering
 from .analysis import (
+    _dyadic_values,
     _instance_constants,
     maximal_function,
     verify_comparability,
@@ -324,9 +325,7 @@ def _analysis_check(config: PipelineConfig, space, family,
 
     f0 = funcs[0]
     m_ball = maximal_function(space, mu, f0, "ball")
-    per_t = np.stack([
-        maximal_function(space, mu, f0, "dyadic", system=family.system(t))
-        for t in range(1, family.n_systems + 1)])
+    per_t = _dyadic_values(family.systems, mu, f0, False)
     report.tables["maximal"] = [
         {"x": int(x), "ball": float(m_ball[x]),
          "dyadic_max": float(per_t[:, x].max()),

@@ -1,5 +1,6 @@
 """Measures, maximal operators, weight constants, and the transfer checks."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from cubeforge.adjacent import build_adjacent_family, find_containing_cube
-from cubeforge.analysis import (Measure, _instance_constants,
+from cubeforge.analysis import (Measure, _dyadic_values, _instance_constants,
                                 _iterated_violations, ap_constant, bmo_norm,
                                 doubling_constant, lp_norm, maximal_function,
                                 verify_comparability, verify_weighted_bounds)
@@ -17,6 +18,7 @@ from cubeforge.errors import (BadSpec, ConfigError, CubeforgeError,
 from cubeforge.labeling import build_labels
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.space import QuasiMetricSpace
+from test_adjacent import cloud_family
 from test_cubes import line4_order, relist
 from test_selection import cloud_labels
 
@@ -152,6 +154,16 @@ def test_dyadic_matches_chain_oracle():
             pytest.approx(bruteforce.dyadic_sharp_scan(lists, list(mu), list(f)))
 
 
+def dyadic_calls(space, system):
+    """The four dyadic operators on the line4 space and `system`."""
+    mu, f = np.ones(4), np.arange(4.0)
+    return [lambda: maximal_function(space, mu, f, "dyadic", system=system),
+            lambda: maximal_function(space, mu, f, "dyadic_sharp",
+                                     system=system),
+            lambda: ap_constant(space, mu, f + 1, 2.0, "dyadic", system=system),
+            lambda: bmo_norm(space, mu, f, "dyadic", system=system)]
+
+
 def test_dyadic_operators_refuse_an_uncovered_point():
     # emptying fine cube 2 of the line4 system leaves point 2 in no cube;
     # numpy's bincount used to fail on its assign entry -1
@@ -159,17 +171,71 @@ def test_dyadic_operators_refuse_an_uncovered_point():
     doc = build_cube_system(space, levels, order).to_json()
     doc["levels"][1]["cubes"][2]["members"] = []
     system = CubeSystem.from_json(doc, space)
-    mu, f = np.ones(4), np.arange(4.0)
-    for call in (lambda: maximal_function(space, mu, f, "dyadic",
-                                          system=system),
-                 lambda: maximal_function(space, mu, f, "dyadic_sharp",
-                                          system=system),
-                 lambda: ap_constant(space, mu, f + 1, 2.0, "dyadic",
-                                     system=system),
-                 lambda: bmo_norm(space, mu, f, "dyadic", system=system)):
+    for call in dyadic_calls(space, system):
         with pytest.raises(PreconditionFail,
                            match="level 0: point 2 lies in no cube"):
             call()
+
+
+def test_dyadic_operators_refuse_an_empty_cube():
+    # coarse cube 0 hands its points to cube 1: its zero mass made the
+    # dyadic A_p drop the whole level (max(best, nan) keeps best)
+    space, levels, order = line4_order()
+    doc = build_cube_system(space, levels, order).to_json()
+    doc["levels"][0]["cubes"][0]["members"] = []
+    doc["levels"][0]["cubes"][1]["members"] = [0, 1, 2, 3]
+    system = CubeSystem.from_json(doc, space)
+    for call in dyadic_calls(space, system):
+        with pytest.raises(PreconditionFail,
+                           match="level -1: cube 0 holds no point"):
+            call()
+
+
+ENTRY_ARGS = [
+    ("maximal_function", "mu"), ("maximal_function", "f"),
+    ("maximal_function", "weight"), ("maximal_function_dyadic", "f"),
+    ("ap_constant", "mu"), ("ap_constant", "omega"),
+    ("ap_constant_dyadic", "omega"), ("bmo_norm", "f"),
+    ("bmo_norm_dyadic", "mu"), ("doubling_constant", "mu"),
+    ("verify_comparability", "mu"),
+    ("verify_comparability", "sample_functions[1]"),
+    ("verify_weighted_bounds", "mu"), ("verify_weighted_bounds", "omega"),
+    ("verify_weighted_bounds", "f")]
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("entry, arg", ENTRY_ARGS)
+def test_entry_points_refuse_vectors_of_the_wrong_length(entry, arg, extra):
+    # a longer vector used to be cut to the space's n points without a word,
+    # a shorter one raised a bare numpy ValueError
+    space = QuasiMetricSpace.from_line(np.arange(8.0))
+    fam, n = line_family(space), space.n
+    sys1 = fam.system(1)
+    bad = np.ones(n + extra)
+    good = {"mu": np.ones(n), "f": np.linspace(-1.0, 1.0, n),
+            "weight": None, "omega": np.ones(n),
+            "sample_functions[1]": np.ones(n)}
+    a = {**good, arg: bad}
+    calls = {
+        "maximal_function": lambda: maximal_function(
+            space, a["mu"], a["f"], weight=a["weight"]),
+        "maximal_function_dyadic": lambda: maximal_function(
+            space, a["mu"], a["f"], "dyadic", system=sys1),
+        "ap_constant": lambda: ap_constant(space, a["mu"], a["omega"], 2.0),
+        "ap_constant_dyadic": lambda: ap_constant(
+            space, a["mu"], a["omega"], 2.0, "dyadic", system=sys1),
+        "bmo_norm": lambda: bmo_norm(space, a["mu"], a["f"]),
+        "bmo_norm_dyadic": lambda: bmo_norm(space, a["mu"], a["f"],
+                                            "dyadic", system=sys1),
+        "doubling_constant": lambda: doubling_constant(space, a["mu"]),
+        "verify_comparability": lambda: verify_comparability(
+            fam, a["mu"], [a["f"], a["sample_functions[1]"]]),
+        "verify_weighted_bounds": lambda: verify_weighted_bounds(
+            fam, a["mu"], a["omega"], a["f"], 2.0)}
+    with pytest.raises(ConfigError, match=(
+            rf"^{re.escape(arg)} has shape \({n + extra},\), "
+            rf"expected \({n},\)$")):
+        calls[entry]()
 
 
 def test_dyadic_can_exceed_ball_average():
@@ -397,14 +463,22 @@ def test_dyadic_world_matches_scans(lab, seed):
     f = rng.normal(size=n)
     w = np.exp(rng.normal(size=n))
     lm, lf, lw = list(mu), list(f), list(w)
-    for sys_t in fam.systems:
+    # the family sweep: one row per system, each distinct level summed once
+    rows = zip(_dyadic_values(fam.systems, mu, f, False),
+               _dyadic_values(fam.systems, mu * w, f, False),
+               _dyadic_values(fam.systems, mu, f, True))
+    for sys_t, (row, row_w, row_sharp) in zip(fam.systems, rows):
         lists = member_lists(sys_t)
-        assert close(maximal_function(space, mu, f, "dyadic", system=sys_t),
-                     bruteforce.dyadic_maximal_scan(lists, lm, lf))
-        assert close(maximal_function(space, mu, f, "dyadic", weight=w,
-                                      system=sys_t),
-                     bruteforce.dyadic_maximal_scan(lists, list(mu * w), lf))
+        plain = bruteforce.dyadic_maximal_scan(lists, lm, lf)
+        weighted = bruteforce.dyadic_maximal_scan(lists, list(mu * w), lf)
         sharp = bruteforce.dyadic_sharp_scan(lists, lm, lf)
+        assert close(row, plain)
+        assert close(row_w, weighted)
+        assert close(row_sharp, sharp)
+        assert close(maximal_function(space, mu, f, "dyadic", system=sys_t),
+                     plain)
+        assert close(maximal_function(space, mu, f, "dyadic", weight=w,
+                                      system=sys_t), weighted)
         assert close(maximal_function(space, mu, f, "dyadic_sharp",
                                       system=sys_t), sharp)
         assert close(bmo_norm(space, mu, f, "dyadic", system=sys_t),
@@ -504,6 +578,27 @@ def test_comparability_on_grid_family():
                  "sharp_dyadic_le_ball", "sharp_ball_le_dyadic_sum"):
         c = rep.check(name)
         assert c.details["empirical"] <= c.details["constant"]
+
+
+def test_comparability_sums_each_distinct_level_once(monkeypatch):
+    # the K systems of a box-20 cloud family share most levels; per sample
+    # function, each distinct assign content takes 2 bincounts in the plain
+    # pass (mass, |f|) and 3 in the sharp pass (mass, f, |f - f_Q|)
+    fam = cloud_family(box=20.0)
+    mu = np.ones(fam.space.n)
+    f = np.random.default_rng(3).normal(size=fam.space.n)
+    constants = _instance_constants(fam, mu)
+    distinct = {a.tobytes() for sys_t in fam.systems for a in sys_t.assign}
+    assert len(distinct) < sum(len(sys_t.assign) for sys_t in fam.systems)
+    real, calls = np.bincount, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    assert verify_comparability(fam, mu, [f], constants=constants).passed
+    assert len(calls) == 5 * len(distinct)
 
 
 def drop_first_members(fam):

@@ -200,6 +200,27 @@ def test_level_outside_window_is_refused(k):
             query()
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_cube_index_outside_level_is_refused(index):
+    # level -1 holds 2 cubes: index -1 used to wrap round to the last cube's
+    # center with an empty member slice, and 2 raised a bare IndexError
+    system = build_cube_system(*line4_order())
+    for query in (lambda: system.cube(-1, index),
+                  lambda: boundary_zone(system, -1, index, 1.0)):
+        with pytest.raises(PreconditionFail,
+                           match=rf"cube {index} outside \[0, 2\)"):
+            query()
+
+
+@pytest.mark.parametrize("point", [-1, 4])
+def test_locate_refuses_a_point_outside_the_space(point):
+    # point -1 used to wrap round to point 3, and 4 raised a bare IndexError
+    system = build_cube_system(*line4_order())
+    with pytest.raises(PreconditionFail,
+                       match=rf"point {point} outside \[0, 4\)"):
+        system.locate(0, point)
+
+
 def test_axioms_pass_on_line_example():
     space, levels, order = line4_order()
     system = build_cube_system(space, levels, order)
