@@ -40,8 +40,7 @@ for k in sys1.level_ks():
     members = [c.members.tolist() for c in sys1.cubes_at(k)]
     print(f"  system 1, level {k:+d} cubes: {members}")
 
-axioms = [verify_cube_axioms(fam.system(t)).passed
-          for t in range(1, fam.n_systems + 1)]
+axioms = [rep.passed for rep in verify_cube_axioms(fam.systems)]
 cover = verify_covering(fam)
 print(f"\ncube axioms pass on all {len(axioms)} systems: {all(axioms)}")
 for check in cover.checks:

@@ -70,7 +70,8 @@ def lp_norm(values, mu, omega, p: float) -> float:
     """Discrete weighted norm: (sum |v(x)|^p omega(x) mu({x}))^(1/p)."""
     v = np.abs(np.asarray(values, dtype=float))
     w = _weights_of(mu, v.size)
-    return float(np.sum(v ** p * np.asarray(omega, dtype=float) * w) ** (1.0 / p))
+    omega = _vector(omega, v.size, "omega")
+    return float(np.sum(v ** p * omega * w) ** (1.0 / p))
 
 
 # -- doubling ----------------------------------------------------------------
@@ -242,17 +243,23 @@ def ap_constant(space: QuasiMetricSpace, mu, omega, p: float,
         raise ConfigError(f"unknown A_p variant {variant!r}")
     w = _weights_of(mu, space.n)
     omega = _positive(omega, space.n, "omega")
+    if variant == "dyadic" and system is None:
+        raise ConfigError("dyadic variants need a cube system")
+    return _ap_values(space, w, omega, p,
+                      [system] if variant == "dyadic" else None)[0]
+
+
+def _ap_values(space, w, omega, p: float, systems=None) -> list:
+    """The A_p sup over the realized balls (systems None: one value) or per
+    system over its cubes, each distinct level summed once; NaN is skipped."""
     columns = [w, w * omega, w * omega ** (-1.0 / (p - 1.0))]
-    if variant == "dyadic":
-        if system is None:
-            raise ConfigError("dyadic variants need a cube system")
-        sums = (s for _, _, s in _cube_sums([system], columns))
-    else:
-        sums = (s for _, _, s in _ball_sums(space, columns))
-    best = 0.0
-    for m, wm, sm in sums:
-        best = max(best, float((wm * sm ** (p - 1.0) / m ** p).max()))
-    return best
+    sums = (((held, s) for _, held, s in _cube_sums(systems, columns))
+            if systems is not None else
+            (([0], s) for _, _, s in _ball_sums(space, columns)))
+    out = np.zeros(1 if systems is None else len(systems))
+    for held, (m, wm, sm) in sums:
+        out[held] = np.fmax(out[held], (wm * sm ** (p - 1.0) / m ** p).max())
+    return out.tolist()
 
 
 def bmo_norm(space: QuasiMetricSpace, mu, f, variant: str = "ball",
@@ -437,15 +444,15 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
     m_w = _dyadic_values(family.systems, w * omega, f, False)
     m_d = _dyadic_values(family.systems, w, f, False)
     osc_dy = _dyadic_values(family.systems, w, f, True).max(axis=1).tolist()
+    a_ps = _ap_values(space, w, omega, p, family.systems)
     doob, buckley = [], []
     bad_a, bad_b, bad_c = [], [], []
-    for t, (sys_t, m_w_t, m_d_t, osc) in enumerate(
-            zip(family.systems, m_w, m_d, osc_dy), start=1):
+    for t, (m_w_t, m_d_t, osc, a_p) in enumerate(
+            zip(m_w, m_d, osc_dy, a_ps), start=1):
         lhs_a = lp_norm(m_w_t, w, omega, p)
         doob.append({"t": t, "norm": lhs_a, "bound": bound_a})
         if lhs_a > bound_a * (1.0 + _REL_TOL):
             bad_a.append((t, lhs_a, bound_a))
-        a_p = ap_constant(space, w, omega, p, "dyadic", system=sys_t)
         lhs_b = lp_norm(m_d_t, w, omega, p)
         bound_b = p ** (1.0 / (p - 1.0)) * p_conj * a_p ** (1.0 / (p - 1.0)) * norm_f
         buckley.append({"t": t, "norm": lhs_b, "A_p": a_p, "bound": bound_b})

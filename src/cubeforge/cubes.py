@@ -19,18 +19,20 @@ assign array, once: two levels that partition the space alike share their
 assign and member arrays even when their centers differ. So no array of a
 system is written in place.
 
-The checker re-derives the promised geometry from the realized member sets:
-partition, nesting across levels, the inner/outer ball sandwich with
+The checker re-derives each system's promised geometry from its realized
+member sets: partition, nesting, the inner/outer ball sandwich with
 inner_const = sep_const / (3 * tri_const^2) and
 outer_const = 2 * tri_const * cover_const, containment of descendant outer
 balls, and proximity of descendant centers. Nesting and the descendant
-checks run over every pair of levels, not only consecutive ones. Each
-check's name, its place in the report and its `checked` count are part of
-the report contract: run reports and benchmark references digest them.
-Every check is batched over whole levels with numpy.
+checks run over every pair of levels. It takes the systems of one space, a
+family say, and runs each check once per distinct level or level pair,
+keyed on array bytes. Each check's name, its place in the report and its
+`checked` count are part of the report contract: run reports and benchmark
+references digest them.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -286,135 +288,147 @@ def close_assign(n: int, finest, maps) -> list:
     return assign
 
 
-def verify_cube_axioms(system: CubeSystem) -> VerificationReport:
-    """Re-derive the promised cube geometry from realized member sets.
+_AXIOMS = (  # the report contract: check names in report order, with notes
+    ("partition", "witness: (level, point, multiplicity)"),
+    ("nesting", "witness: (coarse level, fine level, cube, coarse indices hit)"),
+    ("ball_sandwich_inner", "points inside the inner ball must be members"),
+    ("ball_sandwich_outer", "members must stay inside the outer ball"),
+    ("descendant_ball_sets", ""),
+    ("descendant_ball_radii",
+     "one-step arithmetic bound between consecutive levels"),
+    ("descendant_center_proximity", ""),
+    ("topology",
+     "interior/closure coincide on finite point sets; nothing to check"))
 
-    The report contract: the checks are, in this order, partition, nesting,
-    ball_sandwich_inner, ball_sandwich_outer, descendant_ball_sets,
-    descendant_ball_radii, descendant_center_proximity and topology, and
-    each one's `checked` count and witness tuples are part of it. Nesting and the descendant
-    checks cover every pair of levels, not only consecutive ones (the radii
-    bound alone is checked between consecutive levels but counted over all
-    pairs). A point's cube on a level is read from the grouped member
-    arrays, never from `system.assign`; a point listed in several cubes of
-    one level belongs to the last of them. The sandwich is taken around
-    the centers `system.level_points`, the descendant checks around the
-    same centers linked by the parent maps; their distance rows (level
-    size x n per level) are gathered once per level.
+
+def verify_cube_axioms(systems) -> list:
+    """One report per system of one space, in order: the _AXIOMS checks with
+    their `checked` counts and witnesses, each report the one its system
+    gets alone. Cubes are read from the member arrays, never from
+    `system.assign` (a point listed twice on a level belongs to the last
+    cube), centers from `system.level_points`, linked by the composed parent
+    maps. Each check runs once per distinct key of the call: its levels k,
+    the constants behind the radii and the bytes of every array it reads.
     """
-    space = system.space
-    n = space.n
-    delta = system.delta
-    inner = system.constants.inner_const
-    outer = system.constants.outer_const
-    ks = list(system.level_ks())
-    rep = VerificationReport("cube axioms")
+    systems = list(systems)
+    if any(s.space is not systems[0].space for s in systems):
+        raise PreconditionFail("the systems must share one space")
+    tokens, memo = {}, {}
 
-    # partition: member lists of one level cover each point exactly once
-    part_bad, part_n = [], 0
-    owner, member_assign = [], []
-    for k, (flat, start) in zip(ks, system.members):
-        counts = np.bincount(flat, minlength=n)
-        cube_of = np.repeat(np.arange(start.size - 1), np.diff(start))
-        arr = np.full(n, -1, dtype=int)
-        np.maximum.at(arr, flat, cube_of)
-        owner.append(cube_of)
-        member_assign.append(arr)
-        part_n += n
-        if (counts != 1).any():
-            bad = int(np.argmax(counts != 1))
-            part_bad.append((k, bad, int(counts[bad])))
-    rep.add("partition", not part_bad, part_n, part_bad,
-            note="witness: (level, point, multiplicity)")
+    def tag(a):
+        return tokens.setdefault((a.dtype.str, a.tobytes()), len(tokens))
 
-    # nesting: a finer cube's members sit inside a single coarser cube
-    nest_bad, nest_n = [], 0
-    for a, k in enumerate(ks):
-        for b in range(a + 1, len(ks)):
-            fine = ks[b]
-            flat, start = system.members[b]
-            full = np.flatnonzero(np.diff(start))
-            nest_n += full.size
-            if not full.size:
-                continue
-            # empty cubes add no entries: each segment is one cube's members
-            up = member_assign[a][flat]
-            lo = np.minimum.reduceat(up, start[full])
-            hi = np.maximum.reduceat(up, start[full])
-            for i in full[(lo != hi) | (lo < 0)]:
-                hit = np.unique(up[start[i]:start[i + 1]])
-                nest_bad.append((k, fine, int(i), hit.tolist()))
-    rep.add("nesting", not nest_bad, nest_n, nest_bad,
-            note="witness: (coarse level, fine level, cube, coarse indices hit)")
+    def once(key, fn, *args):
+        return memo[key] if key in memo else memo.setdefault(key, fn(*args))
 
-    # ball sandwich around each center
-    center_rows = [space.dist_rows(pts) for pts in system.level_points]
-    lo_bad, hi_bad, sand_n = [], [], 0
-    for j, k in enumerate(ks):
-        r_in = inner * delta ** k
-        r_out = outer * delta ** k
-        rows = center_rows[j]
-        flat = system.members[j][0]
-        sand_n += len(rows)
-        stray = (rows < r_in) & (member_assign[j] != np.arange(len(rows))[:, None])
-        for i in np.flatnonzero(stray.any(axis=1)):
-            miss = int(np.argmax(stray[i]))
-            lo_bad.append((k, int(i), miss, float(rows[i, miss])))
-        far = np.flatnonzero(rows[owner[j], flat] >= r_out)
-        for i, first in zip(*np.unique(owner[j][far], return_index=True)):
-            p = int(flat[far[first]])
-            hi_bad.append((k, int(i), p, float(rows[i, p])))
-    rep.add("ball_sandwich_inner", not lo_bad, sand_n, lo_bad,
-            note="points inside the inner ball must be members")
-    rep.add("ball_sandwich_outer", not hi_bad, sand_n, hi_bad,
-            note="members must stay inside the outer ball")
-
-    # descendants: outer balls nest as sets, radii close arithmetically,
-    # and descendant centers stay near ancestor centers
-    anc = _ancestor_tables(system)
-    set_bad, radii_bad, prox_bad, desc_n = [], [], [], 0
-    for b, fine in enumerate(ks):
-        pts_f = np.asarray(system.level_points[b], dtype=int)
-        r_f = outer * delta ** fine
-        inside = center_rows[b] < r_f
-        for a in range(b):
-            k = ks[a]
-            r_c = outer * delta ** k
-            row_c = center_rows[a][anc[b][a]]           # ancestor center rows
-            d_cf = row_c[np.arange(pts_f.size), pts_f]  # ancestor -> fine center
-            desc_n += pts_f.size
-            for i in np.flatnonzero((inside & (row_c >= r_c)).any(axis=1)):
-                set_bad.append((k, fine, int(i)))
-            if fine == k + 1:
-                # arithmetic closure is an immediate-step bound; deeper
-                # pairs inherit containment by chaining the steps
-                gap = system.constants.tri_const * (d_cf + r_f)
-                for i in np.flatnonzero(gap > r_c * (1 + _TOL)):
-                    radii_bad.append((k, fine, int(i), float(gap[i]), float(r_c)))
-            for i in np.flatnonzero(d_cf >= r_c):
-                prox_bad.append((k, fine, int(i), float(d_cf[i])))
-    rep.add("descendant_ball_sets", not set_bad, desc_n, set_bad)
-    rep.add("descendant_ball_radii", not radii_bad, desc_n, radii_bad,
-            note="one-step arithmetic bound between consecutive levels")
-    rep.add("descendant_center_proximity", not prox_bad, desc_n, prox_bad)
-
-    rep.add("topology", True, 0,
-            note="interior/closure coincide on finite point sets; nothing to check")
-    return rep
+    reports = []
+    for system in systems:
+        space, c, pts = system.space, system.constants, system.level_points
+        consts = (c.delta, c.tri_const, c.sep_const, c.cover_const)
+        ks, members = list(system.level_ks()), system.members
+        mem = [(tag(flat), tag(start)) for flat, start in members]  # tokens
+        ctr = [tag(p) for p in pts]
+        rows = [once(("rows", t), space.dist_rows, p)
+                for t, p in zip(ctr, pts)]
+        found, parts = [], []   # found: (check, checked, witnesses)
+        for j, k in enumerate(ks):
+            parts.append(once(("partition", k, *mem[j]), _partition, space.n,
+                              k, *members[j]))
+            lo, hi = once(("sandwich", k, consts, ctr[j], *mem[j]), _sandwich,
+                          k, c, rows[j], *parts[j][1:], members[j][0])
+            found += [("partition", space.n, parts[j][0]),
+                      ("ball_sandwich_inner", pts[j].size, lo),
+                      ("ball_sandwich_outer", pts[j].size, hi)]
+        for a, b in itertools.combinations(range(len(ks)), 2):
+            found.append(("nesting", *once(
+                ("nesting", ks[a], ks[b], *mem[a], *mem[b]), _nesting,
+                ks[a], ks[b], parts[a][2], *members[b])))
+        for b, fine in enumerate(ks):
+            anc = [np.arange(pts[b].size)]   # anc[a][i]: ancestor on level a
+            for m in reversed(system.order.maps[:b]):
+                anc.insert(0, m[anc[0]])
+            for a, k in enumerate(ks[:b]):
+                key = (fine, consts, ctr[b], tag(anc[a]))
+                union = once(("union", *key), _ball_union, fine, c, rows[b],
+                             anc[a])
+                sets, radii, near = once(
+                    ("descendants", k, ctr[a], *key), _descendants, k, fine,
+                    c, rows[a], rows[b], pts[b], anc[a], *union)
+                found += [("descendant_ball_sets", pts[b].size, sets),
+                          ("descendant_ball_radii", pts[b].size, radii),
+                          ("descendant_center_proximity", pts[b].size, near)]
+        rep = VerificationReport("cube axioms")
+        for name, note in _AXIOMS:
+            hits = [f for f in found if f[0] == name]
+            bad = [w for *_, witnesses in hits for w in witnesses]
+            rep.add(name, not bad, sum(f[1] for f in hits), bad, note=note)
+        reports.append(rep)
+    return reports
 
 
-def _ancestor_tables(system):
-    """anc[b][a][i]: index on level a of the ancestor of cube i on level b."""
-    n_levels = len(system.level_points)
-    anc = []
-    for b in range(n_levels):
-        rows = [None] * b
-        cur = np.arange(len(system.level_points[b]))
-        for a in range(b - 1, -1, -1):
-            cur = system.order.maps[a][cur]
-            rows[a] = cur
-        anc.append(rows)
-    return anc
+def _partition(n, k, flat, start):
+    """(witnesses, owner, member_assign): cube owner[e] lists flat[e], and
+    cube member_assign[p] is the last to list p."""
+    counts = np.bincount(flat, minlength=n)
+    owner = np.repeat(np.arange(start.size - 1), np.diff(start))
+    member_assign = np.full(n, -1, dtype=int)
+    np.maximum.at(member_assign, flat, owner)
+    bad = np.flatnonzero(counts != 1)[:1]
+    return [(k, int(p), int(counts[p])) for p in bad], owner, member_assign
+
+
+def _nesting(k, fine, member_assign, flat, start):
+    """(checked, witnesses): each nonempty cube of level `fine`, one reduceat
+    segment (empty cubes list no entries), sits in one cube of level k."""
+    full = np.flatnonzero(np.diff(start))
+    up = member_assign[flat]
+    lo = np.minimum.reduceat(up, start[full])
+    hi = np.maximum.reduceat(up, start[full])
+    return full.size, [
+        (k, fine, int(i), np.unique(up[start[i]:start[i + 1]]).tolist())
+        for i in full[(lo != hi) | (lo < 0)]]
+
+
+def _sandwich(k, c, rows, owner, member_assign, flat):
+    """(inner, outer) witnesses; rows[i] is the row of cube i's center."""
+    stray = ((rows < c.inner_const * c.delta ** k)
+             & (member_assign != np.arange(len(rows))[:, None]))
+    miss = stray.argmax(axis=1)
+    far = np.flatnonzero(rows[owner, flat] >= c.outer_const * c.delta ** k)
+    cubes, first = np.unique(owner[far], return_index=True)
+    return ([(k, int(i), int(miss[i]), float(rows[i, miss[i]]))
+             for i in np.flatnonzero(stray.any(axis=1))],
+            [(k, int(i), int(p), float(rows[i, p]))
+             for i, p in zip(cubes, flat[far[first]])])
+
+
+def _ball_union(fine, c, rows, anc):
+    """(q, union): the ancestors q in anc, ascending, and for each the union
+    of its descendants' outer balls on level `fine` as a point mask."""
+    order = np.argsort(anc, kind="stable")
+    q, first = np.unique(anc[order], return_index=True)
+    return q, np.logical_or.reduceat(
+        rows[order] < c.outer_const * c.delta ** fine, first)
+
+
+def _descendants(k, fine, c, rows_k, rows_f, pts_f, anc, q, balls):
+    """(sets, radii, proximity) witnesses of level k over level `fine`: cube
+    i has center pts_f[i] and ancestor anc[i]; _ball_union gives q, balls."""
+    r_c, r_f = c.outer_const * c.delta ** k, c.outer_const * c.delta ** fine
+    # a fine ball leaves its ancestor's ball only where the union of that
+    # ancestor's descendant balls does, so only those fine cubes are scanned
+    suspects = np.flatnonzero(np.isin(
+        anc, q[(balls & (rows_k[q] >= r_c)).any(axis=1)]))
+    leaks = ((rows_f[suspects] < r_f)
+             & (rows_k[anc[suspects]] >= r_c)).any(axis=1)
+    d_cf = rows_k[anc, pts_f]   # ancestor center -> fine center
+    # the radii bound is one step; deeper pairs chain the steps
+    gap = c.tri_const * (d_cf + r_f)
+    over = np.flatnonzero(gap > r_c * (1 + _TOL)) if fine == k + 1 else []
+    return ([(k, fine, int(i)) for i in suspects[leaks]],
+            [(k, fine, int(i), float(gap[i]), float(r_c)) for i in over],
+            [(k, fine, int(i), float(d_cf[i]))
+             for i in np.flatnonzero(d_cf >= r_c)])
 
 
 def boundary_zone(system: CubeSystem, k: int, index: int, eps: float) -> np.ndarray:
@@ -422,6 +436,8 @@ def boundary_zone(system: CubeSystem, k: int, index: int, eps: float) -> np.ndar
 
     The cube covering the whole space has an empty boundary zone.
     """
+    if not eps >= 0:
+        raise PreconditionFail(f"eps must be nonnegative, got {eps}")
     members = system.cube(k, index).members
     outside = np.ones(system.space.n, dtype=bool)
     outside[members] = False

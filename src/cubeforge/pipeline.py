@@ -218,8 +218,8 @@ def run_pipeline(config: PipelineConfig,
         elif check == "cubes":
             _run_check(report, "cubes", lambda: _flatten(
                 "cube axioms",
-                [(f"t{t}", verify_cube_axioms(family.system(t)))
-                 for t in range(1, family.n_systems + 1)]))
+                [(f"t{t}", rep) for t, rep in enumerate(
+                    verify_cube_axioms(family.systems), start=1)]))
         elif check == "covering":
             _run_check(report, "covering", lambda: verify_covering(family))
         elif check == "mc_boundary":

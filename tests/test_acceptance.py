@@ -108,10 +108,9 @@ def test_criterion_1_cube_axioms_exact_on_line_and_clouds():
         # radii are c0/(3 tri^2) inward and 2 tri * C0 outward
         assert consts.sep_const == pytest.approx(1.0 / (4.0 * tri ** 2))
         assert consts.cover_const == pytest.approx(2.0 * tri)
-        for t in range(1, fam.n_systems + 1):
-            n_systems += 1
-            if not verify_cube_axioms(fam.system(t)).passed:
-                bad.append((i, t))
+        n_systems += fam.n_systems
+        bad += [(i, t) for t, rep in enumerate(
+            verify_cube_axioms(fam.systems), start=1) if not rep.passed]
     elapsed = time.perf_counter() - t0
     _verdict(1, not bad and elapsed < 60.0,
              "nesting, partition, and ball sandwich hold exhaustively",

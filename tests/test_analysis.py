@@ -200,7 +200,7 @@ ENTRY_ARGS = [
     ("verify_comparability", "mu"),
     ("verify_comparability", "sample_functions[1]"),
     ("verify_weighted_bounds", "mu"), ("verify_weighted_bounds", "omega"),
-    ("verify_weighted_bounds", "f")]
+    ("verify_weighted_bounds", "f"), ("lp_norm", "omega")]
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
@@ -231,7 +231,8 @@ def test_entry_points_refuse_vectors_of_the_wrong_length(entry, arg, extra):
         "verify_comparability": lambda: verify_comparability(
             fam, a["mu"], [a["f"], a["sample_functions[1]"]]),
         "verify_weighted_bounds": lambda: verify_weighted_bounds(
-            fam, a["mu"], a["omega"], a["f"], 2.0)}
+            fam, a["mu"], a["omega"], a["f"], 2.0),
+        "lp_norm": lambda: lp_norm(a["f"], a["mu"], a["omega"], 2.0)}
     with pytest.raises(ConfigError, match=(
             rf"^{re.escape(arg)} has shape \({n + extra},\), "
             rf"expected \({n},\)$")):
@@ -599,6 +600,35 @@ def test_comparability_sums_each_distinct_level_once(monkeypatch):
     monkeypatch.setattr(np, "bincount", counting)
     assert verify_comparability(fam, mu, [f], constants=constants).passed
     assert len(calls) == 5 * len(distinct)
+
+
+def test_weighted_bounds_sum_each_distinct_level_once(monkeypatch):
+    # per distinct assign content: 2 bincounts for the weighted maximal, 2
+    # for the plain one, 3 for the sharp one and 3 for A_p (mass, omega
+    # mass, sigma mass), where A_p used to take 3 per (system, level); each
+    # system still gets the A_p of its own levels (two values here)
+    fam = cloud_family(box=20.0)
+    rng = np.random.default_rng(4)
+    mu = np.ones(fam.space.n)
+    omega = rng.uniform(0.5, 2.0, fam.space.n)
+    f = rng.normal(size=fam.space.n)
+    constants = _instance_constants(fam, mu)
+    distinct = {a.tobytes() for sys_t in fam.systems for a in sys_t.assign}
+    real, calls = np.bincount, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    rep = verify_weighted_bounds(fam, mu, omega, f, 2.0, constants=constants)
+    assert rep.passed
+    assert len(calls) == 10 * len(distinct)
+    per_system = rep.check("ap_controlled_norm").details["per_system"]
+    a_p = [entry["A_p"] for entry in per_system]
+    assert a_p == [ap_constant(fam.space, mu, omega, 2.0, "dyadic", system=s)
+                   for s in fam.systems]
+    assert len(set(a_p)) > 1
 
 
 def drop_first_members(fam):

@@ -33,8 +33,8 @@ from test_selection import cloud_labels
 LINE4 = [0.0, 1.0, 3.0, 7.0]
 
 
-def line4_space():
-    pts = np.asarray(LINE4)
+def line4_space(positions=LINE4):
+    pts = np.asarray(positions, dtype=float)
     table = np.abs(pts[:, None] - pts[None, :])
     return QuasiMetricSpace.from_table(table, declared_tri_const=1.0)
 
@@ -224,7 +224,7 @@ def test_locate_refuses_a_point_outside_the_space(point):
 def test_axioms_pass_on_line_example():
     space, levels, order = line4_order()
     system = build_cube_system(space, levels, order)
-    rep = verify_cube_axioms(system)
+    rep = verify_cube_axioms([system])[0]
     assert rep.passed, rep.summary()
 
 
@@ -237,7 +237,7 @@ def test_axioms_pass_strict_geometric_line():
                                 tri_const=space.profile.tri_const,
                                 k_top=hier.k_min, mode="strict")
     system = build_cube_system(space, hier.levels, order)
-    rep = verify_cube_axioms(system)
+    rep = verify_cube_axioms([system])[0]
     assert rep.passed, rep.summary()
     # every cube keeps at least one member in strict mode
     for flat, start in system.members:
@@ -253,7 +253,7 @@ def test_axioms_pass_strict_cloud():
                                 tri_const=space.profile.tri_const,
                                 k_top=hier.k_min, mode="strict")
     system = build_cube_system(space, hier.levels, order)
-    rep = verify_cube_axioms(system)
+    rep = verify_cube_axioms([system])[0]
     assert rep.passed, rep.summary()
     for flat, start in system.members:
         assert (np.diff(start) >= 1).all()
@@ -263,7 +263,7 @@ def test_partition_flags_corruption():
     space, levels, order = line4_order()
     system = build_cube_system(space, levels, order)
     relist(system, -1, [[0, 2], [3]])  # orphan point 1
-    rep = verify_cube_axioms(system)
+    rep = verify_cube_axioms([system])[0]
     chk = rep.check("partition")
     assert not chk.passed
     assert (-1, 1, 0) in chk.witnesses
@@ -273,7 +273,7 @@ def test_partition_flags_duplicates():
     space, levels, order = line4_order()
     system = build_cube_system(space, levels, order)
     relist(system, -1, [[0, 1, 2], [3, 1]])  # 1 now sits in both cubes
-    rep = verify_cube_axioms(system)
+    rep = verify_cube_axioms([system])[0]
     chk = rep.check("partition")
     assert not chk.passed
     assert (-1, 1, 2) in chk.witnesses
@@ -283,7 +283,7 @@ def test_nesting_flags_corruption():
     space, levels, order = line4_order()
     system = build_cube_system(space, levels, order)
     relist(system, 0, [[0], [1], [2], [0, 3]])  # straddles both coarse cubes
-    rep = verify_cube_axioms(system)
+    rep = verify_cube_axioms([system])[0]
     assert rep.check("nesting").witnesses == [(-1, 0, 3, [0, 1])]
 
 
@@ -371,7 +371,7 @@ def test_json_loads_an_empty_member_list():
     back = CubeSystem.from_json(doc, space)
     assert back.cube(0, 2).members.tolist() == []
     assert back.assign[1].tolist() == [0, 1, -1, 3]
-    assert "partition" in failing(verify_cube_axioms(back))
+    assert "partition" in failing(verify_cube_axioms([back])[0])
 
 
 def test_json_last_listed_member_wins():
@@ -407,9 +407,7 @@ def line4_system(positions=None):
     the build, so the cubes keep their members but not their geometry."""
     system = build_cube_system(*line4_order())
     if positions is not None:
-        pts = np.asarray(positions, dtype=float)
-        system.space = QuasiMetricSpace.from_table(
-            np.abs(pts[:, None] - pts[None, :]), declared_tri_const=1.0)
+        system.space = line4_space(positions)
     return system
 
 
@@ -418,7 +416,7 @@ def failing(rep):
 
 
 def test_checked_counts_frozen_on_line4():
-    rep = verify_cube_axioms(line4_system())
+    rep = verify_cube_axioms([line4_system()])[0]
     # 4 points on 2 levels; 4 fine cubes under 1 coarse level; 2 + 4 centers
     assert [(c.name, c.checked) for c in rep.checks] == [
         ("partition", 8), ("nesting", 4),
@@ -430,7 +428,7 @@ def test_checked_counts_frozen_on_line4():
 def test_checked_counts_cover_all_level_pairs():
     space = generate_space({"kind": "geometric_line", "levels": 5,
                             "delta": 1 / 144})
-    rep = verify_cube_axioms(strict_system(space))
+    rep = verify_cube_axioms([strict_system(space)])[0]
     # level sizes 1, 2, ..., 6, 6 over 6 points: each fine cube is checked
     # against every coarser level, 0*1 + 1*2 + ... + 5*6 + 6*6 = 106 pairs
     assert [c.checked for c in rep.checks] == [42, 106, 27, 27, 106, 106, 106, 0]
@@ -440,13 +438,13 @@ def test_inner_sandwich_flags_member_moved_out():
     system = line4_system()
     # the point 1 lies within 4/3 of the center 0 but now sits with 7
     relist(system, -1, [[0, 2], [1, 3]])
-    rep = verify_cube_axioms(system)
+    rep = verify_cube_axioms([system])[0]
     assert failing(rep) == {"ball_sandwich_inner": [(-1, 0, 1, 1.0)]}
 
 
 def test_outer_sandwich_and_descendants_flag_far_member():
     # the point 3 (id 2) moves to 9: 9 >= 8 from its coarse center 0
-    rep = verify_cube_axioms(line4_system([0.0, 1.0, 9.0, 7.0]))
+    rep = verify_cube_axioms([line4_system([0.0, 1.0, 9.0, 7.0])])[0]
     assert failing(rep) == {
         "ball_sandwich_outer": [(-1, 0, 2, 9.0)],
         "descendant_ball_sets": [(-1, 0, 2)],
@@ -460,7 +458,7 @@ def test_outer_sandwich_names_first_listed_far_member():
     # is the first of them in member-list order, not the smallest id
     system = line4_system([0.0, 9.0, 10.0, 7.0])
     relist(system, -1, [[2, 1, 0], [3]])
-    rep = verify_cube_axioms(system)
+    rep = verify_cube_axioms([system])[0]
     assert rep.check("ball_sandwich_outer").witnesses == [(-1, 0, 2, 10.0)]
     assert rep.check("descendant_center_proximity").witnesses == [
         (-1, 0, 1, 9.0), (-1, 0, 2, 10.0)]
@@ -469,7 +467,7 @@ def test_outer_sandwich_names_first_listed_far_member():
 def test_descendant_sets_flag_ball_leaking_past_ancestor():
     # the fine center 7 stays within 8 of its ancestor 0, but its outer
     # ball of radius 2 reaches the point 8.5, which is 8.5 from 0
-    rep = verify_cube_axioms(line4_system([0.0, 1.0, 7.0, 8.5]))
+    rep = verify_cube_axioms([line4_system([0.0, 1.0, 7.0, 8.5])])[0]
     assert failing(rep) == {
         "descendant_ball_sets": [(-1, 0, 2)],
         "descendant_ball_radii": [(-1, 0, 2, 9.0, 8.0)],
@@ -483,7 +481,7 @@ def test_descendant_radii_flag_moved_center():
     # at 7: its member 1 sits 6 away (outer radius 2 at level 0) and the
     # point 7 sits inside its inner ball without being a member
     system.level_points[1] = np.array([0, 3, 2, 3])
-    rep = verify_cube_axioms(system)
+    rep = verify_cube_axioms([system])[0]
     assert failing(rep) == {
         "ball_sandwich_inner": [(0, 1, 3, 0.0)],
         "ball_sandwich_outer": [(0, 1, 1, 6.0)],
@@ -513,8 +511,10 @@ def scan_verdicts(system):
         system.delta, c.inner_const, c.outer_const, c.tri_const)
 
 
-def verdicts(system):
-    return {c.name: c.passed for c in verify_cube_axioms(system).checks}
+def verdicts(systems):
+    """Each system's check verdicts, from one family call."""
+    return [{c.name: c.passed for c in rep.checks}
+            for rep in verify_cube_axioms(systems)]
 
 
 def corrupt(system, kind, rng):
@@ -545,22 +545,119 @@ SCAN_SPACES = [
 @pytest.mark.parametrize("make_space", SCAN_SPACES)
 def test_axioms_match_scan_oracle(make_space):
     system = strict_system(make_space())
-    assert verdicts(system) == scan_verdicts(system)
-    assert all(verdicts(system).values())
+    got, = verdicts([system])
+    assert got == scan_verdicts(system)
+    assert all(got.values())
 
 
 @pytest.mark.parametrize("kind", ["duplicate", "orphan", "straddle"])
 @pytest.mark.parametrize("make_space", SCAN_SPACES)
 def test_corrupted_axioms_match_scan_oracle(make_space, kind):
     rng = np.random.default_rng(11)
+    space = make_space()
+    systems = [corrupt(strict_system(space), kind, rng) for _ in range(6)]
     broke = set()
-    for _ in range(6):
-        system = corrupt(strict_system(make_space()), kind, rng)
-        got = verdicts(system)
+    for system, got in zip(systems, verdicts(systems)):
         assert got == scan_verdicts(system), kind
         broke |= {name for name, ok in got.items() if not ok}
     assert ("partition" in broke) == (kind != "straddle")
     assert broke
+
+
+def box20_family():
+    from test_adjacent import cloud_family  # test_adjacent imports this module
+    return cloud_family(box=20.0)
+
+
+def test_family_reports_equal_lone_reports():
+    # one call checks each distinct level and level pair once; corrupted
+    # systems share most arrays with intact ones, so a memo keyed on less
+    # than the bytes a check reads would hand them an intact system's report
+    systems = box20_family().systems
+    rng = np.random.default_rng(7)
+    for t, kind in ((0, "duplicate"), (3, "orphan"), (4, "straddle"),
+                    (9, "straddle")):
+        corrupt(systems[t], kind, rng)
+    moved = systems[6]
+    moved.level_points = list(moved.level_points)
+    moved.level_points[1] = np.roll(moved.level_points[1], 1)
+    relinked = systems[8]   # finest cube 0 hangs under the farthest center
+    coarse, fine = relinked.level_points[-2:]
+    link = relinked.order.maps[-1].copy()
+    link[0] = np.argmax(relinked.space.dist_rows([fine[0]], coarse))
+    relinked.order = dataclasses.replace(
+        relinked.order, maps=[*relinked.order.maps[:-1], link])
+    reports = verify_cube_axioms(systems)
+    assert len(reports) == len(systems) > 10
+    assert sum(not rep.passed for rep in reports) == 6
+    for system, rep, got in zip(systems, reports, verdicts(systems)):
+        assert rep.to_json() == verify_cube_axioms([system])[0].to_json()
+        assert got == scan_verdicts(system)
+
+
+def test_memo_keys_on_level_and_constants():
+    # equal arrays on another level k or under other constants meet other
+    # radii and give other witnesses, so one call must not share their checks
+    space = line4_space([0.0, 1.0, 9.0, 7.0])
+    _, levels, order = line4_order()
+    systems = []
+    for k_top, cover in ((-1, 1.0), (0, 1.0), (-1, 2.0)):
+        consts = dataclasses.replace(order.constants, cover_const=cover)
+        system = build_cube_system(space, levels, dataclasses.replace(
+            order, k_top=k_top, constants=consts))
+        systems.append(relist(system, k_top, [[0, 2], [3]]))
+    reports = [rep.to_json() for rep in verify_cube_axioms(systems)]
+    assert reports == [verify_cube_axioms([s])[0].to_json() for s in systems]
+    assert len({json.dumps(rep) for rep in reports}) == 3
+
+
+def test_descendant_checks_keyed_on_the_coarse_level():
+    # levels -2 and -1 both hold one cube centered at 0, so both pairs with
+    # level 0 read equal arrays; only level -1's outer radius 8 is left by
+    # the fine balls around 7 and 8.5
+    space = line4_space([0.0, 1.0, 7.0, 8.5])
+    order = ParentMaps(k_top=-2,
+                       constants=SystemConstants(0.25, 1.0, 1.0, 1.0),
+                       mode="exploratory",
+                       maps=[np.zeros(1, int), np.zeros(4, int)],
+                       tight=[np.ones(1, bool), np.ones(4, bool)])
+    system = build_cube_system(space, [[0], [0], [0, 1, 2, 3]], order)
+    assert failing(verify_cube_axioms([system])[0]) == {
+        "ball_sandwich_outer": [(-1, 0, 3, 8.5)],
+        "descendant_ball_sets": [(-1, 0, 2), (-1, 0, 3)],
+        "descendant_ball_radii": [(-1, 0, 2, 9.0, 8.0), (-1, 0, 3, 10.5, 8.0)],
+        "descendant_center_proximity": [(-1, 0, 3, 8.5)]}
+
+
+def test_distance_rows_gathered_once_per_center_list(monkeypatch):
+    fam = box20_family()
+    space = fam.space
+    real, calls = space.dist_rows, []
+
+    def counting(ids, cols=None):
+        calls.append(np.asarray(ids).tobytes())
+        return real(ids, cols)
+
+    monkeypatch.setattr(space, "dist_rows", counting)
+    assert all(rep.passed for rep in verify_cube_axioms(fam.systems))
+    distinct = {p.tobytes() for s in fam.systems for p in s.level_points}
+    assert len(distinct) < sum(len(s.level_points) for s in fam.systems)
+    assert sorted(calls) == sorted(distinct)
+
+
+def test_systems_of_two_spaces_are_refused():
+    with pytest.raises(PreconditionFail, match="share one space"):
+        verify_cube_axioms([line4_system(),
+                            line4_system([0.0, 1.0, 3.0, 8.0])])
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -1.0])
+def test_boundary_zone_refuses_eps_below_zero_or_nan(eps):
+    # a NaN eps used to give an empty zone without a word
+    system = build_cube_system(*line4_order())
+    with pytest.raises(PreconditionFail,
+                       match=f"eps must be nonnegative, got {eps}"):
+        boundary_zone(system, -1, 0, eps)
 
 
 # -- parent links and closure against the naive scans -----------------------

@@ -175,8 +175,9 @@ def test_sampled_system_bit_identical():
 def test_sampled_systems_pass_axioms():
     for lab in (geoline_labels(), two_label_line()):
         s = OmegaSampler(lab, "single", seed=2)
+        systems = [sample_system(s, i) for i in range(10)]
+        assert all(rep.passed for rep in verify_cube_axioms(systems))
         for i in range(10):
-            assert verify_cube_axioms(sample_system(s, i)).passed
             assert verify_new_point_axioms(sample_outcome(s, i)).passed
 
 
@@ -185,8 +186,8 @@ def test_sampled_cloud_system_passes_axioms():
                             "seed": 17})
     lab = build_labels(build_reference_hierarchy(space, DELTA, mode="strict"))
     s = OmegaSampler(lab, "single", seed=23)
-    for i in range(5):
-        assert verify_cube_axioms(sample_system(s, i)).passed
+    systems = [sample_system(s, i) for i in range(5)]
+    assert all(rep.passed for rep in verify_cube_axioms(systems))
 
 
 def test_coordinate_surgery_touches_one_level():
