@@ -4,7 +4,8 @@ Everything here treats the point set as a finite measure space: a measure
 is a positive mass per point, "all balls" means the prefixes of each
 center's stably sorted distance row (QuasiMetricSpace.ball_sweep), so ball
 masses and averages are per-center prefix sums, and the dyadic operators
-sweep each distinct level of the systems passed in once. The verify_*
+sweep each distinct level of the systems passed in once; both maximal
+kernels answer a list of functions from that one sweep. The verify_*
 functions check the constant-carrying inequalities between the two worlds.
 """
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _cube_sums(systems, columns):
         if bad.size:
             raise PreconditionFail(
                 f"level {k}: point {int(bad[0])} lies in no cube")
-        sums = [np.bincount(idx, weights=c, minlength=size) for c in columns]
+        sums = np.array([np.bincount(idx, c, size) for c in columns])
         empty = np.flatnonzero(sums[0] == 0)
         if empty.size:
             raise PreconditionFail(
@@ -172,33 +173,47 @@ def _cube_sums(systems, columns):
         yield idx, held, sums
 
 
-def _ball_values(space, base, f, sharp: bool):
-    """Per center, (order, ends, vals): vals[j] is the base-average of |f|
-    over the ball order[:ends[j]], or of |f - f_B| when sharp is set, f_B the
-    signed ball average. Sharp sums |f - f_B| over a rank-masked (balls, n)
-    block, so constants give 0."""
-    summed = base * (f if sharp else np.abs(f))
-    for order, ends, (mass, tot) in _ball_sums(space, [base, summed]):
+def _ball_values(space, base, fs, sharp: bool):
+    """Per function and point, the largest base-average of |f| (sharp: of
+    |f - f_B|, f_B the signed average) over the realized balls holding the
+    point: a (len(fs), n) array from one ball sweep. Sharp sums over a
+    rank-masked (balls, n) block per function, so constants give 0."""
+    fs = np.reshape(fs, (-1, space.n))
+    out = np.zeros(fs.shape)
+    columns = [base, *(base * (fs if sharp else np.abs(fs)))]
+    for order, ends, sums in _ball_sums(space, columns):
+        vals = sums[1:] / sums[0]
         if sharp:
-            dev = np.abs(f[order] - (tot / mass)[:, None])
-            dev *= base[order]
-            dev[np.arange(len(order)) >= ends[:, None]] = 0.0
-            tot = dev.sum(axis=1)
-        yield order, ends, tot / mass
+            beyond = np.arange(len(order)) >= ends[:, None]
+            for i, f in enumerate(fs):
+                dev = np.abs(f[order] - vals[i][:, None])
+                dev *= base[order]
+                dev[beyond] = 0.0
+                vals[i] = dev.sum(axis=1) / sums[0]
+        # ranks ends[j-1] .. ends[j]-1 lie in balls j, j+1, ... only
+        sup = np.maximum.accumulate(vals[:, ::-1], axis=1)[:, ::-1]
+        out[:, order] = np.maximum(
+            out[:, order], np.repeat(sup, np.diff(ends, prepend=0), axis=1))
+    return out
 
 
-def _dyadic_values(systems, base, f, sharp: bool):
-    """Per system and point, the largest base-average of |f| (sharp: of
-    |f - f_Q|, f_Q the signed cube average) over the cubes of the point's
-    chain: a (len(systems), n) array, so K·n floats for a family of K."""
-    out = np.zeros((len(systems), len(base)))
-    summed = base * (f if sharp else np.abs(f))
-    for idx, held, (mass, tot) in _cube_sums(systems, [base, summed]):
-        val = tot / mass
+def _dyadic_values(systems, base, fs, sharp: bool):
+    """Per function, system and point, the largest base-average of |f|
+    (sharp: of |f - f_Q|, f_Q the signed cube average) over the cubes of
+    the point's chain: a (len(fs), len(systems), n) array, so a family call
+    holds F·K·n floats for F functions and K systems."""
+    fs = np.reshape(fs, (-1, len(base)))
+    out = np.zeros((len(fs), len(systems), len(base)))
+    columns = [base, *(base * (fs if sharp else np.abs(fs)))]
+    for idx, held, sums in _cube_sums(systems, columns):
+        val = sums[1:] / sums[0]
         if sharp:
-            val = np.bincount(idx, weights=base * np.abs(f - val[idx]),
-                              minlength=mass.size) / mass
-        out[held] = np.maximum(out[held], val[idx])
+            for i, f in enumerate(fs):
+                dev = base * np.abs(f - val[i][idx])
+                val[i] = np.bincount(idx, weights=dev,
+                                     minlength=sums.shape[1]) / sums[0]
+        for i, v in enumerate(val[:, idx]):   # per function: |held|·n temps
+            out[i, held] = np.maximum(out[i, held], v)
     return out
 
 
@@ -220,14 +235,9 @@ def maximal_function(space: QuasiMetricSpace, mu, f, variant: str = "ball",
     if variant in ("dyadic", "dyadic_sharp"):
         if system is None:
             raise ConfigError("dyadic variants need a cube system")
-        return _dyadic_values([system], base, f, variant == "dyadic_sharp")[0]
-    out = np.zeros(space.n)
-    for order, ends, vals in _ball_values(space, base, f, variant == "sharp"):
-        # ranks ends[j-1] .. ends[j]-1 lie in balls j, j+1, ... only
-        sup = np.maximum.accumulate(vals[::-1])[::-1]
-        out[order] = np.maximum(out[order],
-                                np.repeat(sup, np.diff(ends, prepend=0)))
-    return out
+        return _dyadic_values([system], base, [f],
+                              variant == "dyadic_sharp")[0, 0]
+    return _ball_values(space, base, [f], variant == "sharp")[0]
 
 
 def ap_constant(space: QuasiMetricSpace, mu, omega, p: float,
@@ -301,15 +311,14 @@ def _instance_constants(family: AdjacentFamily, weights):
 
 
 def _max_ratio(lhs, rhs):
-    """Largest lhs/rhs over entries with rhs > 0; inf if lhs lives on a
-    zero of rhs (beyond tolerance)."""
-    lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+    """Per row (the last axis reduced), the largest of 0 and lhs/rhs over
+    entries with rhs > 0, or inf for a row whose lhs exceeds tolerance on a
+    zero of rhs; rhs broadcasts against lhs."""
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
     pos = rhs > 0
-    worst = float((lhs[pos] / rhs[pos]).max()) if pos.any() else 0.0
-    if np.any(lhs[~pos] > _ABS_TOL):
-        return math.inf
-    return worst
+    ratio = np.divide(lhs, rhs, out=np.zeros(lhs.shape), where=pos)
+    return np.where(((lhs > _ABS_TOL) & ~pos).any(axis=-1), np.inf,
+                    ratio.max(axis=-1, initial=0.0))
 
 
 def verify_comparability(family: AdjacentFamily, mu, sample_functions,
@@ -383,34 +392,25 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     rep.add("ball_containing_cube_mass", not bad, checked, bad,
             details={"C_a_prime": c_ap, "empirical": worst, "flags": flags})
 
-    # (b) pointwise comparability, plain and sharp
-    names = ["dyadic_le_ball", "ball_le_dyadic_sum",
-             "sharp_dyadic_le_ball", "sharp_ball_le_dyadic_sum"]
-    consts = [c_a, c_ap, 2.0 * c_a, 2.0 * c_ap]
-    worsts = [0.0, 0.0, 0.0, 0.0]
-    counts = [0, 0, 0, 0]
-    bads = [[], [], [], []]
-
-    def compare(slot, lhs, rhs, *witness):
-        ratio = _max_ratio(lhs, rhs)
-        worsts[slot] = max(worsts[slot], ratio)
-        counts[slot] += space.n
-        if ratio > consts[slot] * (1.0 + _REL_TOL):
-            bads[slot].append((*witness, ratio))
-
-    for fi, f in enumerate(funcs):
-        m_ball = maximal_function(space, w, f, "ball")
-        m_sharp = maximal_function(space, w, f, "sharp")
-        m_dy = _dyadic_values(family.systems, w, f, False)
-        m_dys = _dyadic_values(family.systems, w, f, True)
-        for t, (dy_t, dys_t) in enumerate(zip(m_dy, m_dys), start=1):
-            compare(0, dy_t, m_ball, fi, t)
-            compare(2, dys_t, m_sharp, fi, t)
-        compare(1, m_ball, m_dy.sum(axis=0), fi)
-        compare(3, m_sharp, m_dys.sum(axis=0), fi)
-    for slot, name in enumerate(names):
-        rep.add(name, not bads[slot], counts[slot], bads[slot],
-                details={"constant": consts[slot], "empirical": worsts[slot]})
+    # (b) pointwise comparability, plain then sharp, every function at once:
+    # ratios are (function, system) against the ball maximal and (function,)
+    # against the sum over systems
+    for sharp, prefix, scale in ((False, "", 1.0), (True, "sharp_", 2.0)):
+        m_ball = _ball_values(space, w, funcs, sharp)
+        m_dy = _dyadic_values(family.systems, w, funcs, sharp)
+        for name, const, ratio in (
+                ("dyadic_le_ball", c_a, _max_ratio(m_dy, m_ball[:, None])),
+                ("ball_le_dyadic_sum", c_ap,
+                 _max_ratio(m_ball, m_dy.sum(axis=1)))):
+            const *= scale
+            hits = np.argwhere(ratio > const * (1.0 + _REL_TOL))
+            # witnesses (fi, t, ratio) or (fi, ratio), systems t from 1
+            bad = [(*(ix + np.arange(ix.size)).tolist(),
+                    float(ratio[tuple(ix)])) for ix in hits]
+            rep.add(prefix + name, not bad, ratio.size * space.n, bad,
+                    details={"constant": const,
+                             "empirical": float(ratio.max(initial=0.0))})
+        del m_dy   # F·K·n floats: free them before the sharp pass
     return rep
 
 
@@ -441,9 +441,9 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
     c_a, c_ap = info["C_a"], info["C_a_prime"]
     osc_ball = bmo_norm(space, w, f, "ball")
     bound_a = p_conj * norm_f
-    m_w = _dyadic_values(family.systems, w * omega, f, False)
-    m_d = _dyadic_values(family.systems, w, f, False)
-    osc_dy = _dyadic_values(family.systems, w, f, True).max(axis=1).tolist()
+    m_w = _dyadic_values(family.systems, w * omega, [f], False)[0]
+    m_d = _dyadic_values(family.systems, w, [f], False)[0]
+    osc_dy = _dyadic_values(family.systems, w, [f], True)[0].max(1).tolist()
     a_ps = _ap_values(space, w, omega, p, family.systems)
     doob, buckley = [], []
     bad_a, bad_b, bad_c = [], [], []

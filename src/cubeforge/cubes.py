@@ -321,13 +321,16 @@ def verify_cube_axioms(systems) -> list:
     def once(key, fn, *args):
         return memo[key] if key in memo else memo.setdefault(key, fn(*args))
 
+    # center list tokens per system, and the last system reading each list:
+    # its distance rows leave the memo after that system
+    ctrs = [[tag(p) for p in s.level_points] for s in systems]
+    last = {t: i for i, ctr in enumerate(ctrs) for t in ctr}
     reports = []
-    for system in systems:
+    for i, (system, ctr) in enumerate(zip(systems, ctrs)):
         space, c, pts = system.space, system.constants, system.level_points
         consts = (c.delta, c.tri_const, c.sep_const, c.cover_const)
         ks, members = list(system.level_ks()), system.members
         mem = [(tag(flat), tag(start)) for flat, start in members]  # tokens
-        ctr = [tag(p) for p in pts]
         rows = [once(("rows", t), space.dist_rows, p)
                 for t, p in zip(ctr, pts)]
         found, parts = [], []   # found: (check, checked, witnesses)
@@ -363,6 +366,9 @@ def verify_cube_axioms(systems) -> list:
             bad = [w for *_, witnesses in hits for w in witnesses]
             rep.add(name, not bad, sum(f[1] for f in hits), bad, note=note)
         reports.append(rep)
+        for t in ctr:
+            if last[t] == i:
+                memo.pop(("rows", t), None)
     return reports
 
 

@@ -36,7 +36,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cubes import ParentMaps, build_partial_order
-from .errors import ConfigError, ModeViolation, NoNearChild, NotAChild
+from .errors import (ConfigError, ModeViolation, NoNearChild, NotAChild,
+                     PreconditionFail)
 from .nets import NetHierarchy
 from .report import VerificationReport
 
@@ -75,12 +76,21 @@ class LabeledHierarchy:
     def parent_ks(self):
         return range(self.k_min, self.k_max)
 
+    def _window(self, k: int, lo: int, hi: int) -> int:
+        """Position of level k in a per-level list of the levels lo..hi:
+        k_min..k_max - 1 for the parent levels, which choose children."""
+        if not lo <= k <= hi:
+            raise PreconditionFail(f"level {k} outside [{lo}, {hi}]")
+        return k - lo
+
     def label2(self, k_child: int, index: int):
-        l, m = self.duplex[k_child - self.k_min - 1][index]
+        j = self._window(k_child, self.k_min + 1, self.k_max)
+        l, m = self.duplex[j][index]
         return int(l), int(m)
 
     def children_of(self, k: int, index: int) -> np.ndarray:
-        kids, start = self.children[k - self.k_min]
+        kids, start = self.children[self._window(k, self.k_min,
+                                                 self.k_max - 1)]
         return kids[start[index]:start[index + 1]]
 
     def pick_children(self, k: int, l: int, m: int,
@@ -93,7 +103,7 @@ class LabeledHierarchy:
         one with no such child, takes its designated near child, -1 where
         it has none (see `require_near`).
         """
-        j = k - self.k_min
+        j = self._window(k, self.k_min, self.k_max - 1)
         kids, start = self.children[j]
         sizes = np.diff(start)
         if ordinals is not None:
@@ -116,10 +126,11 @@ class SelectionOutcome:
 
     def new_points(self, k: int) -> np.ndarray:
         """Point ids of the selected centers, aligned with level k indices."""
-        h = self.hierarchy
-        if k == self.labeled.k_max:
+        h, lab = self.hierarchy, self.labeled
+        j = lab._window(k, lab.k_min, lab.k_max)
+        if k == lab.k_max:
             return h.level(k).copy()
-        return h.level(k + 1)[self.chosen[k - self.labeled.k_min]]
+        return h.level(k + 1)[self.chosen[j]]
 
     def new_levels(self):
         """Selected center ids for every level; the finest level passes

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateWindow, ModeViolation
+from .errors import (ConfigError, DegenerateWindow, ModeViolation,
+                     PreconditionFail)
 from .report import VerificationReport
 from .space import QuasiMetricSpace
 
@@ -38,7 +39,8 @@ class NetHierarchy:
 
     def level(self, k: int) -> np.ndarray:
         if not self.k_min <= k <= self.k_max:
-            raise IndexError(f"level {k} outside window [{self.k_min}, {self.k_max}]")
+            raise PreconditionFail(
+                f"level {k} outside [{self.k_min}, {self.k_max}]")
         return self.levels[k - self.k_min]
 
     def level_ks(self):

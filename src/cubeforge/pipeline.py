@@ -325,7 +325,7 @@ def _analysis_check(config: PipelineConfig, space, family,
 
     f0 = funcs[0]
     m_ball = maximal_function(space, mu, f0, "ball")
-    per_t = _dyadic_values(family.systems, mu, f0, False)
+    per_t = _dyadic_values(family.systems, mu, [f0], False)[0]
     report.tables["maximal"] = [
         {"x": int(x), "ball": float(m_ball[x]),
          "dyadic_max": float(per_t[:, x].max()),

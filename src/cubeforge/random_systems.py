@@ -111,7 +111,7 @@ class OmegaSampler:
         """One level's coordinate; streams are independent across levels.
         The centers of the level draw together (see the module docstring)."""
         lab = self.labeled
-        j = k - lab.k_min
+        j = lab._window(k, lab.k_min, lab.k_max - 1)
         rng = self._rng(sample_index, k)
         kids, start = lab.children[j]
         if self.variant == "single":
@@ -253,10 +253,7 @@ def estimate_selection_probability(sampler: OmegaSampler, k: int, alpha: int,
     lab = sampler.labeled
     if n_samples < 1000:
         raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
-    # only levels k_min .. k_max - 1 choose children
-    if not lab.k_min <= k < lab.k_max:
-        raise PreconditionFail(
-            f"level {k} outside [{lab.k_min}, {lab.k_max - 1}]")
+    lab._window(k, lab.k_min, lab.k_max - 1)   # only these choose children
     size = len(lab.hierarchy.level(k))
     if not 0 <= alpha < size:
         raise PreconditionFail(f"center {alpha} outside [0, {size})")
@@ -368,8 +365,7 @@ def _check_boundary_args(sampler: OmegaSampler, x: int, k: int, tau: float,
         raise PreconditionFail(f"tau must be finite, got {tau}")
     if n_samples < 1000:
         raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
-    if not lab.k_min <= k <= lab.k_max:
-        raise PreconditionFail(f"level {k} outside [{lab.k_min}, {lab.k_max}]")
+    lab._window(k, lab.k_min, lab.k_max)
     if not 0 <= x < lab.space.n:
         raise PreconditionFail(f"point {x} outside [0, {lab.space.n})")
 

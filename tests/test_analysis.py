@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from cubeforge.adjacent import build_adjacent_family, find_containing_cube
-from cubeforge.analysis import (Measure, _dyadic_values, _instance_constants,
-                                _iterated_violations, ap_constant, bmo_norm,
+from cubeforge.analysis import (Measure, _ball_values, _dyadic_values,
+                                _instance_constants, _iterated_violations,
+                                _max_ratio, ap_constant, bmo_norm,
                                 doubling_constant, lp_norm, maximal_function,
                                 verify_comparability, verify_weighted_bounds)
 from cubeforge.cubes import CubeSystem, build_cube_system, build_partial_order
@@ -408,6 +409,14 @@ def test_ball_world_matches_scans(space, seed):
     assert close(maximal_function(space, mu, f, "sharp", weight=w),
                  bruteforce.sharp_scan(d, list(mu * w), lf))
     assert close(bmo_norm(space, mu, f), bruteforce.bmo_scan(d, lm, lf))
+    # the kernel over a list of functions: one row per function, one sweep
+    g = rng.normal(size=n) * rng.integers(0, 2, n)
+    for sharp, scan in ((False, bruteforce.maximal_scan),
+                        (True, bruteforce.sharp_scan)):
+        rows = _ball_values(space, mu, [f, g], sharp)
+        assert rows.shape == (2, n)
+        for row, h in zip(rows, (f, g)):
+            assert close(row, scan(d, lm, list(h)))
     for p in (1.5, 3.0):
         assert close(ap_constant(space, mu, w, p),
                      bruteforce.ap_scan(d, lm, lw, p))
@@ -465,9 +474,9 @@ def test_dyadic_world_matches_scans(lab, seed):
     w = np.exp(rng.normal(size=n))
     lm, lf, lw = list(mu), list(f), list(w)
     # the family sweep: one row per system, each distinct level summed once
-    rows = zip(_dyadic_values(fam.systems, mu, f, False),
-               _dyadic_values(fam.systems, mu * w, f, False),
-               _dyadic_values(fam.systems, mu, f, True))
+    rows = zip(_dyadic_values(fam.systems, mu, [f], False)[0],
+               _dyadic_values(fam.systems, mu * w, [f], False)[0],
+               _dyadic_values(fam.systems, mu, [f], True)[0])
     for sys_t, (row, row_w, row_sharp) in zip(fam.systems, rows):
         lists = member_lists(sys_t)
         plain = bruteforce.dyadic_maximal_scan(lists, lm, lf)
@@ -581,13 +590,44 @@ def test_comparability_on_grid_family():
         assert c.details["empirical"] <= c.details["constant"]
 
 
-def test_comparability_sums_each_distinct_level_once(monkeypatch):
-    # the K systems of a box-20 cloud family share most levels; per sample
-    # function, each distinct assign content takes 2 bincounts in the plain
-    # pass (mass, |f|) and 3 in the sharp pass (mass, f, |f - f_Q|)
+def test_comparability_witnesses_name_function_and_system():
+    # with constants far below every ratio each bound fails everywhere, so
+    # the witnesses list every (function, system t from 1) or function, in
+    # that order, with the ratio of one maximal_function call per system
+    space, mu = grid64()
+    fam = line_family(space)
+    rng = np.random.default_rng(7)
+    fs = [rng.normal(size=64) for _ in range(2)]
+    info = dict(_instance_constants(fam, mu), C_a=1e-6, C_a_prime=1e-6)
+    rep = verify_comparability(fam, mu, fs, constants=info)
+    for prefix, ball, dyadic in (("", "ball", "dyadic"),
+                                 ("sharp_", "sharp", "dyadic_sharp")):
+        per_t, per_sum = [], []
+        for fi, f in enumerate(fs):
+            mb = maximal_function(space, mu, f, ball)
+            md = [maximal_function(space, mu, f, dyadic, system=s)
+                  for s in fam.systems]
+            per_t += [(fi, t, float((row / mb).max()))
+                      for t, row in enumerate(md, start=1)]
+            per_sum.append((fi, float((mb / sum(md)).max())))
+        for name, want in (("dyadic_le_ball", per_t),
+                           ("ball_le_dyadic_sum", per_sum)):
+            c = rep.check(prefix + name)
+            assert c.witnesses == want
+            assert c.checked == len(want) * space.n
+            assert c.details["empirical"] == max(w[-1] for w in want)
+
+
+@pytest.mark.parametrize("n_funcs", [1, 3])
+def test_comparability_sums_each_distinct_level_once(monkeypatch, n_funcs):
+    # the K systems of a box-20 cloud family share most levels; for F sample
+    # functions, each distinct assign content takes F + 1 bincounts in the
+    # plain pass (mass, each |f|) and 2F + 1 in the sharp pass (mass, each
+    # f, each |f - f_Q|)
     fam = cloud_family(box=20.0)
     mu = np.ones(fam.space.n)
-    f = np.random.default_rng(3).normal(size=fam.space.n)
+    rng = np.random.default_rng(3)
+    fs = [rng.normal(size=fam.space.n) for _ in range(n_funcs)]
     constants = _instance_constants(fam, mu)
     distinct = {a.tobytes() for sys_t in fam.systems for a in sys_t.assign}
     assert len(distinct) < sum(len(sys_t.assign) for sys_t in fam.systems)
@@ -598,8 +638,36 @@ def test_comparability_sums_each_distinct_level_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np, "bincount", counting)
-    assert verify_comparability(fam, mu, [f], constants=constants).passed
-    assert len(calls) == 5 * len(distinct)
+    assert verify_comparability(fam, mu, fs, constants=constants).passed
+    assert len(calls) == (3 * n_funcs + 2) * len(distinct)
+
+
+def test_comparability_sweeps_the_ball_world_three_times(monkeypatch):
+    # one sweep for the containing-cube masses, one plain and one sharp
+    # ball sweep for every sample function at once
+    fam = cloud_family(box=20.0)
+    space, mu = fam.space, np.ones(fam.space.n)
+    rng = np.random.default_rng(5)
+    fs = [rng.normal(size=space.n) for _ in range(3)]
+    constants = _instance_constants(fam, mu)
+    real, calls = space.ball_sweep, []
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(space, "ball_sweep", counting)
+    assert verify_comparability(fam, mu, fs, constants=constants).passed
+    assert len(calls) == 3
+
+
+def test_max_ratio_reduces_each_row():
+    lhs = np.array([[1.0, 2.0, 0.0], [1.0, 3.0, 1e-13]])
+    rhs = np.array([[1.0, 0.0, 4.0], [2.0, 1.0, 0.0]])
+    assert _max_ratio(lhs, rhs).tolist() == [math.inf, 3.0]
+    # rhs broadcasts; a row with no positive rhs and no mass reads 0
+    assert _max_ratio(lhs, np.array([0.5, 1.0, 2.0])).tolist() == [2.0, 3.0]
+    assert _max_ratio(np.zeros((2, 2)), np.zeros(2)).tolist() == [0.0, 0.0]
 
 
 def test_weighted_bounds_sum_each_distinct_level_once(monkeypatch):

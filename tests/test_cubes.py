@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -643,6 +644,26 @@ def test_distance_rows_gathered_once_per_center_list(monkeypatch):
     distinct = {p.tobytes() for s in fam.systems for p in s.level_points}
     assert len(distinct) < sum(len(s.level_points) for s in fam.systems)
     assert sorted(calls) == sorted(distinct)
+
+
+def test_distance_rows_leave_after_their_last_system(monkeypatch):
+    # a center list's rows are dropped after the last system reading them,
+    # so fewer blocks are alive at once than there are distinct lists
+    fam = box20_family()
+    space = fam.space
+    real, blocks, peak = space.dist_rows, [], [0]
+
+    def tracking(ids, cols=None):
+        rows = real(ids, cols)
+        blocks.append(weakref.ref(rows))
+        peak[0] = max(peak[0], sum(b() is not None for b in blocks))
+        return rows
+
+    monkeypatch.setattr(space, "dist_rows", tracking)
+    assert all(rep.passed for rep in verify_cube_axioms(fam.systems))
+    distinct = {p.tobytes() for s in fam.systems for p in s.level_points}
+    assert len(blocks) == len(distinct)
+    assert peak[0] < len(distinct)
 
 
 def test_systems_of_two_spaces_are_refused():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cubeforge.errors import ConfigError, NoNearChild, NotAChild
+from cubeforge.errors import (ConfigError, NoNearChild, NotAChild,
+                              PreconditionFail)
 from cubeforge.labeling import (
     LabeledHierarchy,
     _greedy_labels,
@@ -10,6 +11,7 @@ from cubeforge.labeling import (
     verify_new_point_axioms,
 )
 from cubeforge.nets import NetHierarchy, build_reference_hierarchy
+from cubeforge.random_systems import OmegaSampler
 from cubeforge.space import QuasiMetricSpace, generate_space
 
 import bruteforce
@@ -246,3 +248,36 @@ def test_near_children_subset():
             kids = lab.children_of(k, alpha)
             assert set(near) <= set(kids.tolist())
             assert lab.near[k - lab.k_min][alpha] in near
+
+
+# call -> (its window as offsets from (k_min, k_max), the call at level k):
+# parent levels choose children, child levels carry pair labels
+LEVEL_CALLS = {
+    "children_of": ((0, -1), lambda lab, k: lab.children_of(k, 0)),
+    "pick_children": ((0, -1), lambda lab, k: lab.pick_children(k, 0, 1)),
+    "label2": ((1, 0), lambda lab, k: lab.label2(k, 0)),
+    "draw_level": ((0, -1), lambda lab, k: OmegaSampler(
+        lab, "single", seed=0).draw_level(0, k)),
+    "level": ((0, 0), lambda lab, k: lab.hierarchy.level(k)),
+    "new_points": ((0, 0), lambda lab, k: select_points(
+        lab, {"kind": "specific", "label": [0, 1]}).new_points(k)),
+}
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("call", sorted(LEVEL_CALLS))
+def test_levels_outside_the_window_are_refused(call, side):
+    # a level below the window used to wrap round to the finest levels
+    space = generate_space({"kind": "euclidean_cloud", "n": 60, "dim": 2,
+                            "seed": 0, "box": 20.0})
+    lab = build_labels(build_reference_hierarchy(space, 1 / 144,
+                                                 mode="strict"))
+    assert (lab.k_min, lab.k_max) == (-1, 1)
+    (lo_off, hi_off), fn = LEVEL_CALLS[call]
+    lo, hi = lab.k_min + lo_off, lab.k_max + hi_off
+    k = lo - 1 if side == "below" else hi + 1
+    with pytest.raises(PreconditionFail,
+                       match=rf"^level {k} outside \[{lo}, {hi}\]$"):
+        fn(lab, k)
+    fn(lab, lo)
+    fn(lab, hi)

@@ -362,10 +362,13 @@ def test_boundary_estimate_preconditions():
 def tied_taus(lab, k):
     """Three taus whose eps = tau * ratio**k is exactly a distance of the
     space (smallest, middle, largest), so a strict comparison against eps
-    would drop the hits that sit right on it."""
+    would drop the hits that sit right on it. Where rounding leaves no
+    distance reachable as a float tau * ratio**k (a cloud with one or two
+    irrational gaps), the nearest taus stand in."""
     scale = lab.hierarchy.delta ** k
     dists = np.unique(lab.space.table[lab.space.table > 0]).tolist()
-    taus = [d / scale for d in dists if d / scale * scale == d]
+    taus = [d / scale for d in dists if d / scale * scale == d] or \
+        [d / scale for d in dists]
     return [taus[0], taus[len(taus) // 2], taus[-1]]
 
 
