@@ -116,13 +116,17 @@ class AdjacentFamily:
         return self.system(q.t).cube(q.k, q.index).members
 
     def to_json(self):
+        """The family as a JSON document. Equal levels and parent entries of
+        its systems are one shared object (see CubeSystem.to_json), so the
+        document is read-only."""
         K = self.n_systems
+        shared = {}
         return {
             "K": K,
             "C": self.covering_const,
             "distinguished": self.distinguished,
             "phi": [[*self.phi_inv(t), t] for t in range(1, K + 1)],
-            "systems": [s.to_json() for s in self.systems],
+            "systems": [s.to_json(shared) for s in self.systems],
         }
 
 

@@ -17,7 +17,8 @@ from .adjacent import build_adjacent_family
 from .errors import ConfigError, CubeforgeError
 from .labeling import build_labels
 from .nets import build_reference_hierarchy
-from .pipeline import KNOWN_CHECKS, PipelineConfig, emit_report, run_pipeline
+from .pipeline import (KNOWN_CHECKS, PipelineConfig, emit_report, run_pipeline,
+                       write_json)
 from .random_systems import OmegaSampler, sample_outcome
 from .space import generate_space
 
@@ -76,9 +77,7 @@ def _load_config(args) -> PipelineConfig:
 def _write(out_dir: str, name: str, doc) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc, end="\n")
     return path
 
 

@@ -139,14 +139,31 @@ class CubeSystem:
                 f"point {point} outside [0, {self.space.n})")
         return int(self.assign[j][point])
 
-    def to_json(self):
+    def to_json(self, shared: Optional[dict] = None):
+        """The system as a JSON document. `shared`, a dict kept across calls
+        on one family, makes equal level and parent entries one object,
+        keyed on their content (k and array bytes), never on identity; a
+        document built with it is read-only."""
+        shared = {} if shared is None else shared
         levels = []
         for k, pts, (flat, start) in zip(self.level_ks(), self.level_points,
                                           self.members):
-            flat, start = flat.tolist(), start.tolist()
-            levels.append({"k": k, "cubes": [
-                {"center": c, "members": flat[s:e]}
-                for c, s, e in zip(pts.tolist(), start, start[1:])]})
+            key = (k, pts.tobytes(), flat.tobytes(), start.tobytes())
+            if key not in shared:
+                flat, start = flat.tolist(), start.tolist()
+                shared[key] = {"k": k, "cubes": [
+                    {"center": c, "members": flat[s:e]}
+                    for c, s, e in zip(pts.tolist(), start, start[1:])]}
+            levels.append(shared[key])
+        parents = []
+        if self.order:
+            for k, m, t in zip(self.level_ks(), self.order.maps,
+                               self.order.tight):
+                key = (k, m.tobytes(), t.tobytes())
+                if key not in shared:
+                    shared[key] = {"k": k, "map": m.tolist(),
+                                   "tight": t.tolist()}
+                parents.append(shared[key])
         return {
             "delta": self.delta,
             "mode": self.mode,
@@ -154,9 +171,7 @@ class CubeSystem:
             "k_max": self.k_max,
             "constants": self.constants.to_json(),
             "levels": levels,
-            "parents": [{"k": self.k_min + j, "map": m.tolist(), "tight": t.tolist()}
-                        for j, (m, t) in enumerate(zip(self.order.maps, self.order.tight))]
-                       if self.order else [],
+            "parents": parents,
         }
 
     @classmethod

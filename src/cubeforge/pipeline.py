@@ -9,8 +9,10 @@ the same config differ only in the recorded stage timings.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional
 
 import numpy as np
@@ -236,12 +238,10 @@ def run_pipeline(config: PipelineConfig,
     if out_dir is not None:
         import os
         os.makedirs(out_dir, exist_ok=True)
-        for name, doc in (("space", space.to_json()),
-                          ("hierarchy", hier.to_json()),
-                          ("family", family.to_json())):
+        for name, built in (("space", space), ("hierarchy", hier),
+                            ("family", family)):
             path = os.path.join(out_dir, f"{name}.json")
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
+            write_json(path, built.to_json())
             report.artifacts[name] = path
         report.artifacts["report"] = os.path.join(out_dir, "report.json")
         emit_report(report, "json", out_dir)
@@ -336,6 +336,107 @@ def _analysis_check(config: PipelineConfig, space, family,
 
 # -- emission ------------------------------------------------------------------
 
+_SCALAR_REPR = {int: int.__repr__, float: float.__repr__,
+                bool: ("false", "true").__getitem__}
+_CONTAINERS = {dict, list, tuple}
+_CHUNK = 1 << 14   # items per joined piece of a long scalar list
+
+
+def write_json(path: str, doc, end: str = "") -> None:
+    """Write `json.dumps(doc, indent=2, sort_keys=True) + end` to `path`,
+    byte for byte.
+
+    A list of only ints, only bools or only floats is joined in C. A
+    container that occurs more than once in `doc` is encoded once per depth
+    (keyed on its id, which `doc` keeps alive for the call). Anything else
+    the fast paths do not cover exactly (nan and infinities, non-str keys,
+    subclasses, empty containers) goes through json.dumps, re-indented to
+    its depth; JSON text holds no raw newline, so that is exact. The text
+    goes to the file as it is made: only repeated containers and one chunk
+    of a long scalar list are held in memory.
+    """
+    with open(path, "w") as fh:
+        _Encoder(_repeated(doc)).emit(doc, "\n", fh.write)
+        fh.write(end)
+
+
+def _repeated(doc) -> set:
+    """Ids of the containers that occur more than once in `doc`."""
+    seen, again = set(), set()
+    todo = [doc] if type(doc) in _CONTAINERS else []
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            again.add(id(o))
+            continue
+        seen.add(id(o))
+        items = o.values() if type(o) is dict else o
+        if not _CONTAINERS.isdisjoint(map(type, items)):
+            todo.extend(v for v in items if type(v) in _CONTAINERS)
+    return again
+
+
+class _Encoder:
+    """State of one write_json call: the repeated containers' ids and the
+    text of each at the depths met so far. A class rather than a closure
+    that calls itself, so no reference cycle outlives the call."""
+
+    def __init__(self, repeated: set):
+        self.repeated = repeated
+        self.memo = {}
+
+    def emit(self, o, pad: str, out) -> None:
+        """Pass o's text to `out` in pieces; `pad` is a newline plus the
+        indent of o's depth."""
+        t = type(o)
+        if t is str:
+            out(_encode_str(o))
+        elif t in _SCALAR_REPR and (t is not float or math.isfinite(o)):
+            out(_SCALAR_REPR[t](o))
+        elif o is None:
+            out("null")
+        elif t in _CONTAINERS and o and (
+                t is not dict or all(type(k) is str for k in o)):
+            if id(o) not in self.repeated:
+                self._container(o, pad, out)
+                return
+            key = (id(o), pad)
+            if key not in self.memo:
+                parts = []
+                self._container(o, pad, parts.append)
+                self.memo[key] = "".join(parts)
+            out(self.memo[key])
+        else:
+            out(json.dumps(o, indent=2, sort_keys=True).replace("\n", pad))
+
+    def _container(self, o, pad: str, out) -> None:
+        inner = pad + "  "
+        if type(o) is dict:
+            sep = "{" + inner
+            for k in sorted(o):
+                out(sep + _encode_str(k) + ": ")
+                self.emit(o[k], inner, out)
+                sep = "," + inner
+            out(pad + "}")
+            return
+        kinds = set(map(type, o))
+        rep = _SCALAR_REPR.get(kinds.pop()) if len(kinds) == 1 else None
+        sep = "[" + inner
+        for i in range(0, len(o), _CHUNK):
+            chunk = o[i:i + _CHUNK]
+            text = ("," + inner).join(map(rep, chunk)) if rep else None
+            # of the joined reprs, only nan and the infinities hold an "n"
+            if text is not None and "n" not in text:
+                out(sep + text)
+            else:
+                for v in chunk:
+                    out(sep)
+                    self.emit(v, inner, out)
+                    sep = "," + inner
+            sep = "," + inner
+        out(pad + "]")
+
+
 CSV_SCHEMAS = {
     "boundary": ("boundary.csv", ["x", "k", "tau", "N", "hits", "p_hat",
                                   "wilson_upper", "bound_C2_tau_eta",
@@ -360,9 +461,7 @@ def emit_report(report: RunReport, format: str, out_dir: str = ".") -> list:
     os.makedirs(out_dir, exist_ok=True)
     if format == "json":
         path = os.path.join(out_dir, "report.json")
-        with open(path, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, report.to_json(), end="\n")
         return [path]
     paths = []
     for key, (fname, columns) in CSV_SCHEMAS.items():

@@ -16,7 +16,7 @@ from cubeforge.adjacent import (
     verify_covering,
 )
 from cubeforge import labeling
-from cubeforge.cubes import build_cube_system, verify_cube_axioms
+from cubeforge.cubes import CubeSystem, build_cube_system, verify_cube_axioms
 from cubeforge.errors import (ConfigError, CubeforgeError, NoNearChild,
                               NoParent, TightAmbiguity)
 from cubeforge.labeling import (LabeledHierarchy, SelectionOutcome,
@@ -522,3 +522,49 @@ def test_shared_build_error_parity_on_integer_clouds(lab, data):
         assert_same_outcome(got, want)
         if not isinstance(want, CubeforgeError):
             assert_matches_reference(got, want)
+
+
+# -- the family document ---------------------------------------------------
+
+
+def refined_family(lab):
+    sampler = OmegaSampler(lab, "adjacent_refined", seed=5)
+    return sampler.realize_family(sampler.draw(0))
+
+
+FAMILIES = {
+    "line": geoline_family,
+    "pinned-line": lambda: geoline_family(distinguished=0),
+    "cloud40": lambda: build_adjacent_family(cloud_labeled(40, n=100)),
+    "cloud72": lambda: build_adjacent_family(cloud_labeled(72, n=100)),
+    "refined-line": lambda: refined_family(geoline_family().labeled),
+    "refined-cloud": lambda: refined_family(cloud_labeled(7)),
+}
+
+
+def assert_same_system(a, b):
+    assert (a.k_min, a.k_max, a.mode) == (b.k_min, b.k_max, b.mode)
+    assert a.constants.to_json() == b.constants.to_json()
+    pairs = [*zip(a.level_points, b.level_points), *zip(a.assign, b.assign),
+             *zip(a.order.maps, b.order.maps),
+             *zip(a.order.tight, b.order.tight)]
+    pairs += [(x, y) for ma, mb in zip(a.members, b.members)
+              for x, y in zip(ma, mb)]
+    assert len(pairs) == 4 * (a.k_max - a.k_min) + 2 + 2 * len(a.members)
+    for x, y in pairs:
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_family_document_shares_equal_content(name):
+    fam = FAMILIES[name]()
+    doc = fam.to_json()
+    assert doc["systems"] == [s.to_json() for s in fam.systems]
+    # one object per distinct level content and per distinct parent entry
+    for part in ("levels", "parents"):
+        entries = [e for s in doc["systems"] for e in s[part]]
+        assert len({id(e) for e in entries}) \
+            == len({json.dumps(e, sort_keys=True) for e in entries})
+    for system, sdoc in zip(fam.systems, doc["systems"]):
+        back = CubeSystem.from_json(json.loads(json.dumps(sdoc)), fam.space)
+        assert_same_system(back, system)

@@ -337,6 +337,18 @@ def test_json_roundtrip():
     assert back.locate(-1, 2) == system.locate(-1, 2)
 
 
+def test_shared_json_keys_levels_on_their_whole_content():
+    # same k, centers and grouped members, but different cube bounds
+    a = line4_system()
+    b = relist(line4_system(), -1, [[0, 1], [2, 3]])
+    assert a.level_points[0].tolist() == b.level_points[0].tolist()
+    assert a.members[0][0].tolist() == b.members[0][0].tolist()
+    shared = {}
+    assert [a.to_json(shared), b.to_json(shared)] == [a.to_json(),
+                                                      b.to_json()]
+    assert a.to_json(shared)["parents"][0] is b.to_json(shared)["parents"][0]
+
+
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_json_rejects_ids_outside_space(bad):
     # -1 used to wrap to the last point, and 4 raised a bare IndexError

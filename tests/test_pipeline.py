@@ -1,16 +1,26 @@
 import copy
+import gc
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubeforge import analysis, pipeline
+from cubeforge.adjacent import build_adjacent_family
 from cubeforge.errors import BuildError, ConfigError
+from cubeforge.labeling import build_labels
+from cubeforge.nets import build_reference_hierarchy
 from cubeforge.pipeline import (
     PipelineConfig,
     RunReport,
     emit_report,
     run_pipeline,
+    write_json,
 )
+from cubeforge.random_systems import OmegaSampler
+from cubeforge.space import generate_space
 
 DELTA = 1.0 / 144.0
 
@@ -204,3 +214,130 @@ def test_run_pipeline_writes_artifacts(tmp_path):
     for path in report.artifacts.values():
         with open(path) as fh:
             json.load(fh)
+
+
+# -- write_json against the stdlib's indented dump -------------------------
+
+
+def stdlib_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def assert_same_text(got: str, want: str):
+    """`got == want`, failing with the first difference: pytest's own diff
+    of two long texts takes minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"texts differ at offset {at} (lengths {len(got)}, "
+                    f"{len(want)}): {got[at - 40:at + 40]!r} != "
+                    f"{want[at - 40:at + 40]!r}")
+
+
+def written(path, doc, end="") -> str:
+    write_json(str(path), doc, end=end)
+    with open(path) as fh:
+        return fh.read()
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(allow_nan=False).map(np.float64), st.text(max_size=8))
+
+
+@st.composite
+def long_lists(draw):
+    """An int, float or bool list up to three write chunks long, the float
+    ones maybe holding a non-finite value."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    size = draw(st.integers(1, 3 * pipeline._CHUNK))
+    kind = draw(st.sampled_from(["int", "float", "bool"]))
+    if kind == "int":
+        return rng.integers(-10 ** 12, 10 ** 12, size).tolist()
+    if kind == "bool":
+        return (rng.random(size) < 0.5).tolist()
+    values = (rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, size - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    return values.tolist()
+
+
+NESTS = st.recursive(
+    st.one_of(SCALARS, st.lists(st.integers(), max_size=6),
+              st.lists(st.floats(), max_size=6),
+              st.lists(st.booleans(), max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        st.dictionaries(st.integers(-5, 5), inner, max_size=3)),
+    max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nest=NESTS, shared=st.lists(NESTS, min_size=1, max_size=3),
+       long=st.one_of(st.none(), long_lists()))
+def test_write_json_matches_the_stdlib_dump(tmp_path_factory, nest, shared,
+                                            long):
+    # `shared` and `nest` sit at two depths each, as a family's shared
+    # levels sit under every system that holds them
+    doc = {"nest": nest, "shared": shared,
+           "deeper": [{"again": [shared, nest]}, long]}
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    assert_same_text(written(path, doc), stdlib_text(doc))
+    assert_same_text(written(path, doc, end="\n"), stdlib_text(doc) + "\n")
+
+
+def family_from_config(doc):
+    space = generate_space(doc["space"])
+    hier = build_reference_hierarchy(space, doc["delta"], mode=doc["mode"],
+                                     distinguished=doc.get("distinguished"))
+    return space, hier, build_adjacent_family(
+        build_labels(hier), distinguished=doc.get("distinguished"))
+
+
+def cloud_config(seed):
+    return {"space": {"kind": "euclidean_cloud", "n": 100, "dim": 2,
+                      "box": 20.0, "seed": seed},
+            "delta": DELTA, "mode": "strict", "seed": seed, "checks": []}
+
+
+@pytest.mark.parametrize("doc", [
+    dict(REFERENCE, checks=[]),
+    dict(REFERENCE, checks=[], distinguished=0),
+    cloud_config(40), cloud_config(72)],
+    ids=["line", "pinned-line", "cloud40", "cloud72"])
+def test_artifacts_are_the_stdlib_dump(tmp_path, doc):
+    report = run_pipeline(PipelineConfig.from_json(doc), str(tmp_path))
+    for name, built in zip(("space", "hierarchy", "family"),
+                           family_from_config(doc)):
+        with open(report.artifacts[name]) as fh:
+            assert_same_text(fh.read(), stdlib_text(built.to_json()))
+    with open(report.artifacts["report"]) as fh:
+        text = fh.read()
+    assert_same_text(text, stdlib_text(json.loads(text)) + "\n")
+
+
+def test_sampled_family_is_the_stdlib_dump(tmp_path):
+    _, _, fam = family_from_config(cloud_config(7))
+    sampler = OmegaSampler(fam.labeled, "adjacent_refined", seed=5)
+    doc = sampler.realize_family(sampler.draw(0)).to_json()
+    assert_same_text(written(tmp_path / "family.json", doc), stdlib_text(doc))
+
+
+def test_write_json_frees_what_it_made(tmp_path):
+    # nothing it builds may wait for the cyclic collector
+    doc = family_from_config(cloud_config(40))[2].to_json()
+    path = str(tmp_path / "family.json")
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_json(path, doc)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after - before < 64 * 1024
