@@ -3,13 +3,14 @@
 There is one system per pair label (l, m) with l in {0..L} and m in
 {1..M}, K = (L+1)*M systems in all, indexed by the lexicographic bijection
 t = l*M + m. System t realizes the specific selection rule for (l, m) (or its
-pinned variant when a distinguished point is set). The systems differ at few
-levels, so build_shared_systems builds each distinct piece once: one parent
-link per distinct (level, coarse, fine) triple of center arrays and one
-assign and grouped-member pair per distinct level content (cube count and
-assign), whatever the level's centers. The K systems then share their
-center, parent-map, assign and grouped-member arrays by reference, so none
-of them is written in place.
+pinned variant when a distinguished point is set); a random adjacent draw
+shifts that label level by level, and the fixed family is the draw with no
+shift. The systems differ at few levels, so one builder makes each
+distinct piece once: one parent link per distinct (level, coarse, fine)
+triple of center arrays and one assign and grouped-member pair per distinct
+level content (cube count and assign), whatever the level's centers. The K
+systems then share their center, parent-map, assign and grouped-member
+arrays by reference, so none of them is written in place.
 
 find_containing_cubes answers "which system holds a single cube containing
 this ball" for every radius of one center's ball sweep at once: a ball of
@@ -33,19 +34,12 @@ import numpy as np
 
 from .cubes import CubeSystem, ParentMaps, build_cube_system
 from .errors import ConfigError
-from .labeling import LabeledHierarchy, select_points, selected_order
+from .labeling import (LabeledHierarchy, SelectionOutcome, index_to_pair,
+                       pair_to_index, require_near, selected_order,
+                       specific_pick)
 from .report import VerificationReport
 
 _TOL = 1e-12
-
-
-def pair_to_index(l: int, m: int, max_children: int) -> int:
-    """Lexicographic pair label -> system index in {1..K}."""
-    return l * max_children + m
-
-
-def index_to_pair(t: int, max_children: int):
-    return (t - 1) // max_children, (t - 1) % max_children + 1
 
 
 @dataclass
@@ -133,65 +127,68 @@ class AdjacentFamily:
 def build_adjacent_family(labeled: LabeledHierarchy,
                           distinguished: Optional[int] = None
                           ) -> AdjacentFamily:
-    """Build all K = (L+1)*M systems from the labeled hierarchy."""
+    """Build all K = (L+1)*M systems from the labeled hierarchy: the family
+    of the adjacent draw with no shift."""
     if distinguished is not None \
             and labeled.hierarchy.distinguished != distinguished:
         raise ConfigError(
             f"family pins {distinguished!r} but the hierarchy distinguishes "
             f"{labeled.hierarchy.distinguished!r}")
-    tri = labeled.space.profile.tri_const
-    delta = labeled.hierarchy.delta
-    K = (labeled.max_label + 1) * labeled.max_children
-    exponent = 3 if distinguished is not None else 2
-    family = AdjacentFamily(labeled=labeled, n_systems=K,
-                            covering_const=8.0 * tri ** 3 / delta ** exponent,
-                            distinguished=distinguished)
-
-    def selections():
-        for t in range(1, K + 1):
-            l, m = index_to_pair(t, labeled.max_children)
-            if distinguished is None:
-                rule = {"kind": "specific", "label": [l, m]}
-            else:
-                rule = {"kind": "specific_distinguished", "label": [l, m],
-                        "distinguished": distinguished}
-            yield select_points(labeled, rule).new_levels()
-
-    family.systems = build_shared_systems(labeled, selections())
-    return family
+    return _build_family(labeled, pinned=distinguished)
 
 
-def build_shared_systems(labeled: LabeledHierarchy, level_lists) -> list:
-    """One cube system per entry of `level_lists` (selected-center levels,
-    coarsest first), sharing every level piece two systems have in common.
+def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
+                  pinned: Optional[int] = None) -> AdjacentFamily:
+    """The family of an adjacent draw's `levels` (k -> its level entry; None:
+    no shift), with the `pinned` point kept at index 0 of every level.
 
-    Each level's center array is kept once per distinct content. Each
-    parent link is made by one `selected_order` call per distinct (level,
-    coarse, fine) triple, and build_cube_system stores each distinct level
-    partition once (see its `closed`). The entries are drawn one at a time
-    and their pairs visited in level order, so the first failing selection
-    or link raises just as building the systems one by one would. The
-    systems share arrays: write none of them in place.
+    System t picks at level k by specific_pick for pair label phi^-1(t),
+    moved by the level's entry. Each distinct level content is kept once,
+    each distinct (level, coarse, fine) triple linked by one
+    `selected_order` call, and build_cube_system closes each distinct level
+    partition once (see its `closed`). A system is picked, checked and
+    linked level by level before the next one, so the first failing
+    selection or link raises just as building the systems one by one would.
     """
-    seen, links, closed, systems = {}, {}, {}, []
-    for levels in level_lists:
-        levels = [seen.setdefault((j, lv.tobytes()), lv) for j, lv in
-                  enumerate(np.asarray(lv, dtype=int) for lv in levels)]
+    size = labeled.max_children
+    K = (labeled.max_label + 1) * size
+    tri = labeled.space.profile.tri_const
+    exponent = 2 if pinned is None else 3
+    shifts = ordinals = None
+    if levels is not None:
+        shifts = {k: int(levels[k]["shift"]) for k in labeled.parent_ks()}
+        ordinals = {k: np.asarray(levels[k]["ordinals"], dtype=int)
+                    for k in labeled.parent_ks()
+                    if "ordinals" in levels[k]} or None
+    family = AdjacentFamily(
+        labeled=labeled, n_systems=K,
+        covering_const=8.0 * tri ** 3 / labeled.hierarchy.delta ** exponent,
+        distinguished=pinned, level_shifts=shifts, ordinal_shifts=ordinals)
+    seen, links, closed = {}, {}, {}
+    for t in range(1, K + 1):
+        chosen = []
+        for k in labeled.parent_ks():
+            entry = None if levels is None else levels[k]
+            chosen.append(specific_pick(labeled, k, index_to_pair(t, size),
+                                        entry, pinned))
+            require_near(labeled, k, chosen[-1] < 0)
+        z = [seen.setdefault((j, lv.tobytes()), lv) for j, lv in enumerate(
+            SelectionOutcome(labeled, {}, chosen).new_levels())]
         parts = []
         # a one-level system still makes one call, for its strict checks
-        for j in range(max(len(levels) - 1, 1)):
-            pair = levels[j:j + 2]
-            key = (j, *map(id, pair))
+        for j in range(max(len(z) - 1, 1)):
+            key = (j, *map(id, z[j:j + 2]))
             if key not in links:
-                links[key] = selected_order(labeled, pair,
+                links[key] = selected_order(labeled, z[j:j + 2],
                                             k_top=labeled.k_min + j)
             parts.append(links[key])
         order = ParentMaps(k_top=labeled.k_min, constants=parts[0].constants,
                            mode=parts[0].mode,
                            maps=[m for p in parts for m in p.maps],
-                           tight=[t for p in parts for t in p.tight])
-        systems.append(build_cube_system(labeled.space, levels, order, closed))
-    return systems
+                           tight=[x for p in parts for x in p.tight])
+        family.systems.append(
+            build_cube_system(labeled.space, z, order, closed))
+    return family
 
 
 @dataclass

@@ -15,11 +15,11 @@ import sys
 
 from .adjacent import build_adjacent_family
 from .errors import ConfigError, CubeforgeError
-from .labeling import build_labels
+from .labeling import build_labels, index_to_pair, select_points
 from .nets import build_reference_hierarchy
 from .pipeline import (KNOWN_CHECKS, PipelineConfig, emit_report, run_pipeline,
                        write_json)
-from .random_systems import OmegaSampler, sample_outcome
+from .random_systems import OmegaSampler, realize_system, sample_outcome
 from .space import generate_space
 
 BUILD_COMMANDS = ("gen-space", "build-nets", "build-system",
@@ -96,10 +96,17 @@ def _run_build(cmd: str, cfg: PipelineConfig, out: str) -> int:
         sampler = OmegaSampler(labeled, "single", seed=cfg.seed)
         print(_write(out, "sample.json", sample_outcome(sampler, 0).to_json()))
         return 0
-    family = build_adjacent_family(labeled, distinguished=cfg.distinguished)
     if cmd == "build-system":
-        print(_write(out, "system.json", family.system(1).to_json()))
+        # system 1 alone: the specific rule for its pair label phi^-1(1)
+        rule = {"kind": "specific",
+                "label": list(index_to_pair(1, labeled.max_children))}
+        if cfg.distinguished is not None:
+            rule.update(kind="specific_distinguished",
+                        distinguished=cfg.distinguished)
+        system = realize_system(labeled, select_points(labeled, rule))
+        print(_write(out, "system.json", system.to_json()))
         return 0
+    family = build_adjacent_family(labeled, distinguished=cfg.distinguished)
     print(_write(out, "family.json", family.to_json()))
     return 0
 

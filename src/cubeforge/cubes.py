@@ -44,6 +44,13 @@ from .report import VerificationReport
 from .space import QuasiMetricSpace
 
 _TOL = 1e-12
+MODES = ("strict", "exploratory")
+
+
+def require_mode(mode) -> None:
+    """ConfigError unless `mode` is one of MODES."""
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 @dataclass
@@ -178,6 +185,7 @@ class CubeSystem:
     def from_json(cls, d, space):
         """Read a system back; a point listed in several cubes of one level
         is assigned to the last of them."""
+        require_mode(d["mode"])
         consts = SystemConstants(delta=float(d["delta"]),
                                  tri_const=space.profile.tri_const,
                                  sep_const=float(d["constants"]["c0"]),
@@ -224,6 +232,7 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
     """Link each center to its parent one level up; see the module docstring
     for the tight/loose rule. Strict mode insists on the scale headroom
     12 * tri_const^3 * cover_const * delta <= sep_const."""
+    require_mode(mode)
     if mode == "strict":
         product = 12.0 * tri_const ** 3 * cover_const * delta
         if product > sep_const * (1 + _TOL):

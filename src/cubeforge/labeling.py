@@ -24,9 +24,10 @@ Selection rules pick one child per center, producing one new point per old
 point. One kernel, `LabeledHierarchy.pick_children`, serves every rule and
 every sampler: for a whole level it returns each center's child with pair
 label (l, m), optionally with a per-center ordinal shift, and the designated
-near child where there is none. `selected_order` links the selected centers
-with the auxiliary constants; every function that builds selected-point
-systems goes through it.
+near child where there is none; every specific pick goes through
+`specific_pick`. `selected_order` links the selected centers with the
+auxiliary constants; every function that builds selected-point systems goes
+through it.
 """
 from __future__ import annotations
 
@@ -282,23 +283,46 @@ def select_points(labeled: LabeledHierarchy, rule: dict,
         if missing:
             raise ConfigError(f"master labels missing for levels {missing}")
 
+    pinned = h.distinguished if kind == "specific_distinguished" else None
     chosen = []
     for k in labeled.parent_ks():
         if kind == "general":
             pick = _general_pick(labeled, k, master[k], chooser)
         else:
-            pick = labeled.pick_children(k, *rule["label"])
-            if kind == "specific_distinguished" \
-                    and int(h.level(k)[0]) == h.distinguished:
-                # the distinguished point heads every level, and it is
-                # its own child there by the same construction
-                pick[0] = 0
+            pick = specific_pick(labeled, k, rule["label"], pinned=pinned)
         require_near(labeled, k, pick < 0)
         chosen.append(pick)
     json_rule = dict(rule)
     if kind == "general":
         json_rule["master"] = {str(k): v for k, v in sorted(master.items())}
     return SelectionOutcome(labeled=labeled, rule=json_rule, chosen=chosen)
+
+
+def pair_to_index(l: int, m: int, max_children: int) -> int:
+    """Lexicographic pair label -> system index in {1..K}."""
+    return l * max_children + m
+
+
+def index_to_pair(t: int, max_children: int):
+    return (t - 1) // max_children, (t - 1) % max_children + 1
+
+
+def specific_pick(labeled: LabeledHierarchy, k: int, label, entry=None,
+                  pinned: Optional[int] = None) -> np.ndarray:
+    """Level-k picks of the specific rule for pair label `label`. An adjacent
+    draw's level `entry` moves the label's index by its shift (mod K) and,
+    with "ordinals", each center's sibling. The `pinned` point, which heads
+    every level, stays its own child. -1 marks a missing near child."""
+    l, m = label
+    if entry is not None:
+        size = labeled.max_children
+        K = (labeled.max_label + 1) * size
+        t = (pair_to_index(l, m, size) + int(entry["shift"]) - 1) % K + 1
+        l, m = index_to_pair(t, size)
+    pick = labeled.pick_children(k, l, m, entry and entry.get("ordinals"))
+    if pinned is not None and int(labeled.hierarchy.level(k)[0]) == pinned:
+        pick[0] = 0
+    return pick
 
 
 def _general_pick(labeled, k, master, chooser):

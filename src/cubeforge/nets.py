@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cubes import require_mode
 from .errors import (ConfigError, DegenerateWindow, ModeViolation,
                      PreconditionFail)
 from .report import VerificationReport
@@ -65,6 +66,7 @@ class NetHierarchy:
 
     @classmethod
     def from_json(cls, d, space):
+        require_mode(d["mode"])
         return cls(space=space, delta=float(d["delta"]), k_min=int(d["k_min"]),
                    k_max=int(d["k_max"]), mode=d["mode"],
                    levels=[np.asarray(lv, dtype=int) for lv in d["levels"]],
@@ -72,8 +74,7 @@ class NetHierarchy:
 
 
 def check_mode(mode: str, tri_const: float, delta: float):
-    if mode not in ("strict", "exploratory"):
-        raise ValueError(f"mode must be 'strict' or 'exploratory', got {mode!r}")
+    require_mode(mode)
     if not 0 < delta < 1:
         raise ModeViolation(delta, 1.0, "scale ratio must lie in (0, 1)")
     if mode == "strict":

@@ -25,7 +25,7 @@ from .analysis import (
     verify_comparability,
     verify_weighted_bounds,
 )
-from .cubes import verify_cube_axioms
+from .cubes import MODES, verify_cube_axioms
 from .errors import BuildError, ConfigError, CubeforgeError, ModeViolation
 from .labeling import build_labels, verify_new_point_axioms
 from .nets import build_reference_hierarchy, check_mode, verify_net_axioms
@@ -41,7 +41,6 @@ from .space import generate_space
 
 KNOWN_CHECKS = ("net", "cubes", "covering", "mc_boundary", "chain",
                 "analysis")
-MODES = ("strict", "exploratory")
 CHAIN_SCAN_SAMPLES = 10
 CSV_VERSION_LINE = "# cubeforge-report v1"
 
@@ -62,26 +61,25 @@ class PipelineConfig:
         """Validate a parsed JSON document; errors carry the field path."""
         if not isinstance(doc, dict):
             raise ConfigError("config: expected a JSON object")
-        unknown = set(doc) - {"space", "delta", "mode", "seed",
-                              "distinguished", "checks", "mc", "analysis"}
-        if unknown:
-            raise ConfigError(f"config: unknown fields {sorted(unknown)}")
+        _refuse_unknown("config", doc, ("space", "delta", "mode", "seed",
+                                        "distinguished", "checks", "mc",
+                                        "analysis"))
         space = doc.get("space")
         if not isinstance(space, dict) or "kind" not in space:
             raise ConfigError("space: expected an object with a 'kind'")
         delta = doc.get("delta")
-        if not isinstance(delta, (int, float)) or not 0.0 < delta < 1.0:
+        if not _is_number(delta) or not 0.0 < delta < 1.0:
             raise ConfigError(f"delta: expected a ratio in (0, 1), "
                               f"got {delta!r}")
         mode = doc.get("mode", "strict")
         if mode not in MODES:
             raise ConfigError(f"mode: expected one of {MODES}, got {mode!r}")
         seed = doc.get("seed", 0)
-        if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+        if not _is_int(seed) or not 0 <= seed < 2 ** 64:
             raise ConfigError(f"seed: expected an unsigned 64-bit integer, "
                               f"got {seed!r}")
         dist = doc.get("distinguished")
-        if dist is not None and (not isinstance(dist, int) or dist < 0):
+        if dist is not None and (not _is_int(dist) or dist < 0):
             raise ConfigError(f"distinguished: expected a point id, "
                               f"got {dist!r}")
         checks = doc.get("checks", [])
@@ -94,36 +92,37 @@ class PipelineConfig:
         mc = doc.get("mc", {})
         if not isinstance(mc, dict):
             raise ConfigError("mc: expected an object")
-        if "N" in mc and (not isinstance(mc["N"], int) or mc["N"] < 1):
+        _refuse_unknown("mc", mc, ("N", "tau_list", "points", "k"))
+        if "N" in mc and (not _is_int(mc["N"]) or mc["N"] < 1):
             raise ConfigError(f"mc.N: expected a positive integer, "
                               f"got {mc['N']!r}")
         if "tau_list" in mc:
             taus = mc["tau_list"]
             if not isinstance(taus, list) or not taus \
-                    or any(not isinstance(t, (int, float)) or t <= 0
-                           for t in taus):
+                    or any(not _is_number(t) or t <= 0 for t in taus):
                 raise ConfigError("mc.tau_list: expected a non-empty list of "
                                   "positive thresholds")
         if "points" in mc:
             pts = mc["points"]
             if not isinstance(pts, list) \
-                    or any(not isinstance(x, int) or x < 0 for x in pts):
+                    or any(not _is_int(x) or x < 0 for x in pts):
                 raise ConfigError("mc.points: expected a list of point ids")
-        if "k" in mc and not isinstance(mc["k"], int):
+        if "k" in mc and not _is_int(mc["k"]):
             raise ConfigError(f"mc.k: expected an integer level, "
                               f"got {mc['k']!r}")
         analysis = doc.get("analysis", {})
         if not isinstance(analysis, dict):
             raise ConfigError("analysis: expected an object")
+        _refuse_unknown("analysis", analysis,
+                        ("p_list", "n_random_functions"))
         if "p_list" in analysis:
             ps = analysis["p_list"]
             if not isinstance(ps, list) \
-                    or any(not isinstance(p, (int, float)) or p <= 1
-                           for p in ps):
+                    or any(not _is_number(p) or p <= 1 for p in ps):
                 raise ConfigError("analysis.p_list: expected a list of "
                                   "exponents above 1")
         nrf = analysis.get("n_random_functions", 3)
-        if not isinstance(nrf, int) or nrf < 1:
+        if not _is_int(nrf) or nrf < 1:
             raise ConfigError("analysis.n_random_functions: expected a "
                               f"positive integer, got {nrf!r}")
         return cls(space=space, delta=float(delta), mode=mode, seed=seed,
@@ -140,6 +139,21 @@ class PipelineConfig:
         if self.analysis:
             out["analysis"] = self.analysis
         return out
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _refuse_unknown(path: str, doc: dict, known) -> None:
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
 
 
 @dataclass

@@ -15,9 +15,10 @@ adjacent_refined additionally one uniform sibling-ordinal shift per center,
 
 A level's per-center coordinates are drawn in one bounded-integer call over
 the whole level, which consumes the stream exactly as one call per center in
-index order. Adjacent draws realize their systems through the labeling
-kernel `pick_children` (see `OmegaSampler.shifted_pick`), and every
-selected-point order comes from `selected_order`.
+index order. An adjacent draw realizes its family through the one family
+builder in `adjacent`, whose system t picks by `specific_pick`; with every
+shift K (no shift) that is the fixed family of `build_adjacent_family`.
+Every selected-point order comes from `selected_order`.
 
 Every selected point is guaranteed a probability of at least
 tau_0 = 1/((L+1)*M) of being chosen, which drives the boundary-zone decay
@@ -36,15 +37,17 @@ from typing import Optional
 
 import numpy as np
 
-from .adjacent import AdjacentFamily, build_shared_systems, index_to_pair
+from .adjacent import AdjacentFamily, _build_family
 from .cubes import CubeSystem, build_cube_system, close_assign
 from .errors import ConfigError, ModeViolation, NotAChild, PreconditionFail
 from .labeling import (
     LabeledHierarchy,
     SelectionOutcome,
     aux_sep_const,
+    index_to_pair,
     require_near,
     selected_order,
+    specific_pick,
 )
 from .report import VerificationReport
 
@@ -157,35 +160,7 @@ class OmegaSampler:
     def realize_family(self, omega: dict) -> AdjacentFamily:
         if omega["variant"] == "single":
             raise ConfigError("single draws realize one system, not a family")
-        lab = self.labeled
-        shifts = {k: int(omega["levels"][k]["shift"]) for k in lab.parent_ks()}
-        ordinals = None
-        if omega["variant"] == "adjacent_refined":
-            ordinals = {k: np.asarray(omega["levels"][k]["ordinals"], dtype=int)
-                        for k in lab.parent_ks()}
-        tri = lab.space.profile.tri_const
-        family = AdjacentFamily(
-            labeled=lab, n_systems=self.n_systems,
-            covering_const=8.0 * tri ** 3 / lab.hierarchy.delta ** 2,
-            level_shifts=shifts, ordinal_shifts=ordinals)
-
-        def selections():
-            for t in range(1, self.n_systems + 1):
-                chosen = []
-                for k in lab.parent_ks():
-                    chosen.append(self.shifted_pick(k, t, omega["levels"][k]))
-                    require_near(lab, k, chosen[-1] < 0)
-                yield SelectionOutcome(lab, {}, chosen).new_levels()
-
-        family.systems = build_shared_systems(lab, selections())
-        return family
-
-    def shifted_pick(self, k: int, t: int, entry: dict) -> np.ndarray:
-        """Level-k picks of system t under one adjacent draw of level k: its
-        shift moves the pair label, its ordinals (if any) the sibling."""
-        pi = (t + int(entry["shift"]) - 1) % self.n_systems + 1
-        l, m = index_to_pair(pi, self.labeled.max_children)
-        return self.labeled.pick_children(k, l, m, entry.get("ordinals"))
+        return _build_family(self.labeled, omega["levels"])
 
 
 def realize_system(labeled: LabeledHierarchy,
@@ -265,7 +240,8 @@ def estimate_selection_probability(sampler: OmegaSampler, k: int, alpha: int,
         if sampler.variant == "single":
             pick = entry["choice"]
         else:
-            pick = sampler.shifted_pick(k, t, entry)
+            pick = specific_pick(lab, k, index_to_pair(t, lab.max_children),
+                                 entry)
             require_near(lab, k, (pick < 0) & (np.arange(pick.size) == alpha))
         hits += int(pick[alpha]) == beta
     freq = hits / n_samples

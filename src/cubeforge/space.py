@@ -379,6 +379,12 @@ def ball(space: QuasiMetricSpace, center: int, radius: float) -> np.ndarray:
 # -- generators -------------------------------------------------------------------
 
 
+# the keys each kind reads; any other key is refused rather than ignored
+_SPEC_KEYS = {"euclidean_cloud": ("kind", "n", "dim", "box", "seed"),
+              "power_snowflake": ("kind", "base", "exponent"),
+              "geometric_line": ("kind", "levels", "delta")}
+
+
 def generate_space(spec: dict) -> QuasiMetricSpace:
     """Build one of the supported synthetic spaces from a descriptor dict.
 
@@ -388,29 +394,40 @@ def generate_space(spec: dict) -> QuasiMetricSpace:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise BadSpec(f"descriptor must be a dict with a 'kind': {spec!r}")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise BadSpec(f"unknown space kind {kind!r}")
+    unknown = sorted(set(spec) - set(_SPEC_KEYS[kind]), key=str)
+    if unknown:
+        raise BadSpec(f"{kind}: unknown keys {unknown}")
     if kind == "euclidean_cloud":
         return _gen_cloud(spec)
     if kind == "power_snowflake":
         return _gen_snowflake(spec)
-    if kind == "geometric_line":
-        return _gen_line(spec)
-    raise BadSpec(f"unknown space kind {kind!r}")
+    return _gen_line(spec)
 
 
-def _req(spec, key, typ=float):
-    if key not in spec:
+def _req(spec, key, typ=float, default=None):
+    """spec[key], or `default` when given and the key is absent, as `typ`.
+    BadSpec for a missing key or a boolean; an int field that is fractional
+    is refused, not truncated."""
+    if key not in spec and default is None:
         raise BadSpec(f"{spec['kind']}: missing {key!r}")
+    value = spec.get(key, default)
     try:
-        return typ(spec[key])
+        if isinstance(value, (bool, np.bool_)) or (
+                typ is int and isinstance(value, float)
+                and not value.is_integer()):
+            raise ValueError
+        return typ(value)
     except (TypeError, ValueError) as e:
-        raise BadSpec(f"{spec['kind']}: bad {key!r}: {spec[key]!r}") from e
+        raise BadSpec(f"{spec['kind']}: bad {key!r}: {value!r}") from e
 
 
 def _gen_cloud(spec):
     n = _req(spec, "n", int)
-    dim = int(spec.get("dim", 2))
-    box = float(spec.get("box", 1.0))
-    seed = int(spec.get("seed", 0))
+    dim = _req(spec, "dim", int, 2)
+    box = _req(spec, "box", float, 1.0)
+    seed = _req(spec, "seed", int, 0)
     if n < 1 or dim < 1 or box <= 0:
         raise BadSpec(f"euclidean_cloud: need n >= 1, dim >= 1, box > 0")
     rng = np.random.default_rng(seed)

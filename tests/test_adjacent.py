@@ -21,7 +21,7 @@ from cubeforge.errors import (ConfigError, CubeforgeError, NoNearChild,
                               NoParent, TightAmbiguity)
 from cubeforge.labeling import (LabeledHierarchy, SelectionOutcome,
                                 build_labels, require_near, select_points,
-                                selected_order)
+                                selected_order, specific_pick)
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.random_systems import OmegaSampler
 from cubeforge.space import QuasiMetricSpace, generate_space
@@ -320,12 +320,13 @@ def reference_systems(lab, distinguished=None):
 def reference_sampled_systems(sampler, omega):
     """Each system of a sampled family built on its own from its shifted
     picks."""
-    lab = sampler.labeled
+    lab, M = sampler.labeled, sampler.labeled.max_children
     systems = []
     for t in range(1, sampler.n_systems + 1):
         chosen = []
         for k in lab.parent_ks():
-            chosen.append(sampler.shifted_pick(k, t, omega["levels"][k]))
+            chosen.append(specific_pick(lab, k, index_to_pair(t, M),
+                                        omega["levels"][k]))
             require_near(lab, k, chosen[-1] < 0)
         z = SelectionOutcome(lab, {}, chosen).new_levels()
         systems.append(build_cube_system(lab.space, z, selected_order(lab, z)))
@@ -522,6 +523,19 @@ def test_shared_build_error_parity_on_integer_clouds(lab, data):
         assert_same_outcome(got, want)
         if not isinstance(want, CubeforgeError):
             assert_matches_reference(got, want)
+
+
+@settings(max_examples=12, deadline=None)
+@given(lab=st.one_of(cloud_labels(deltas=(DELTA,), mode="strict"),
+                     st.sampled_from([None, 0]).map(
+                         lambda pin: geoline_family(pin).labeled)))
+def test_fixed_family_is_the_draw_with_every_shift_k(lab):
+    sampler = OmegaSampler(lab, "adjacent")
+    omega = {"variant": "adjacent", "sample": 0,
+             "levels": {k: {"shift": sampler.n_systems}
+                        for k in lab.parent_ks()}}
+    assert json.dumps(build_adjacent_family(lab).to_json()) \
+        == json.dumps(sampler.realize_family(omega).to_json())
 
 
 # -- the family document ---------------------------------------------------

@@ -1,10 +1,14 @@
+import hashlib
 import json
 
 import pytest
 
+from cubeforge.adjacent import build_adjacent_family
 from cubeforge.cli import main
 from cubeforge.errors import ConfigError
+from cubeforge.labeling import build_labels
 from cubeforge.nets import build_reference_hierarchy
+from cubeforge.pipeline import PipelineConfig
 from cubeforge.space import generate_space
 
 DELTA = 1.0 / 144.0
@@ -124,6 +128,38 @@ def test_build_commands_write_their_artifacts(tmp_path, capsys):
         with open(out / artifact) as fh:
             json.load(fh)
     capsys.readouterr()
+
+
+# sha256 of system.json: system 1 as the full family builds it
+SYSTEM_ONE = {
+    "line": ({}, "bcd7953ecd6557afa72a1325188427c991b7343c2370cd31d7cfdc95a0a"
+                 "3523d"),
+    "pinned-line": ({"distinguished": 0}, "bcd7953ecd6557afa72a1325188427c991b"
+                                          "7343c2370cd31d7cfdc95a0a3523d"),
+    "pinned-cloud": ({"space": {"kind": "euclidean_cloud", "n": 40, "dim": 2,
+                                "box": 20.0, "seed": 5},
+                      "seed": 5, "distinguished": 7},
+                     "fd1aafa9bc9fdc38a9288a63f38be617f663b782c5bc27fc2a7532752"
+                     "cff811b"),
+}
+
+
+@pytest.mark.parametrize("name", SYSTEM_ONE)
+def test_build_system_writes_the_familys_first_system(tmp_path, capsys, name):
+    overrides, digest = SYSTEM_ONE[name]
+    cfg = write_config(tmp_path, checks=[], **overrides)
+    out = tmp_path / "out"
+    assert main(["build-system", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = (out / "system.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    with open(cfg) as fh:
+        doc = PipelineConfig.from_json(json.load(fh))
+    hier = build_reference_hierarchy(generate_space(doc.space), DELTA,
+                                     distinguished=doc.distinguished)
+    family = build_adjacent_family(build_labels(hier),
+                                   distinguished=doc.distinguished)
+    assert json.loads(data) == family.system(1).to_json()
 
 
 def test_sample_is_seed_deterministic(tmp_path, capsys):

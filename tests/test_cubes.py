@@ -25,7 +25,8 @@ from cubeforge.errors import (
     TightAmbiguity,
 )
 from cubeforge.labeling import select_points, selected_order
-from cubeforge.nets import build_reference_hierarchy
+from cubeforge.nets import (NetHierarchy, build_reference_hierarchy,
+                            check_mode)
 from cubeforge.space import QuasiMetricSpace, generate_space
 
 import bruteforce
@@ -107,6 +108,24 @@ def test_strict_mode_needs_scale_headroom():
         build_partial_order(space, levels, delta=0.25, sep_const=1.0,
                             cover_const=1.0, tri_const=1.0, k_top=-1,
                             mode="strict")
+
+
+@pytest.mark.parametrize("mode", ["Strict", "fast", None])
+def test_unknown_modes_are_refused(mode):
+    # "Strict" used to skip the strict headroom check and be stored as is
+    space, levels, order = line4_order()
+    with pytest.raises(ConfigError, match="mode must be one of"):
+        build_partial_order(space, levels, delta=0.25, sep_const=1.0,
+                            cover_const=1.0, tri_const=1.0, k_top=-1,
+                            mode=mode)
+    with pytest.raises(ConfigError, match="mode must be one of"):
+        check_mode(mode, 1.0, 0.25)
+    doc = build_cube_system(space, levels, order).to_json()
+    with pytest.raises(ConfigError, match="mode must be one of"):
+        CubeSystem.from_json({**doc, "mode": mode}, space)
+    doc = build_reference_hierarchy(space, 0.25, mode="exploratory").to_json()
+    with pytest.raises(ConfigError, match="mode must be one of"):
+        NetHierarchy.from_json({**doc, "mode": mode}, space)
 
 
 def test_cube_members_frozen():

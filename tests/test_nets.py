@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubeforge.errors import ModeViolation
+from cubeforge.errors import ConfigError, ModeViolation
 from cubeforge.nets import (NetHierarchy, build_reference_hierarchy, level_window,
                             verify_net_axioms)
 from cubeforge.space import QuasiMetricSpace, generate_space
@@ -77,7 +77,7 @@ def test_strict_mode_rejects_coarse_delta():
 def test_mode_rejects_bad_ratio():
     with pytest.raises(ModeViolation):
         build_reference_hierarchy(line4(), 1.5, mode="exploratory")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="mode must be one of"):
         build_reference_hierarchy(line4(), 0.25, mode="casual")
 
 

@@ -128,6 +128,16 @@ def test_config_field_paths_in_errors():
         ({**REFERENCE, "analysis": {"n_random_functions": 0}},
          "analysis.n_random_functions:"),
         ({**REFERENCE, "extra": 1}, "config:"),
+        ({**REFERENCE, "mc": {"n": 5000}}, "mc:"),
+        ({**REFERENCE, "analysis": {"p_lst": [3]}}, "analysis:"),
+        ({**REFERENCE, "seed": True}, "seed:"),
+        ({**REFERENCE, "distinguished": True}, "distinguished:"),
+        ({**REFERENCE, "mc": {"N": True}}, "mc.N:"),
+        ({**REFERENCE, "mc": {"points": [False]}}, "mc.points:"),
+        ({**REFERENCE, "mc": {"k": True}}, "mc.k:"),
+        ({**REFERENCE, "mc": {"tau_list": [True]}}, "mc.tau_list:"),
+        ({**REFERENCE, "analysis": {"n_random_functions": True}},
+         "analysis.n_random_functions:"),
     ]
     for doc, prefix in bad:
         with pytest.raises(ConfigError) as e:

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from cubeforge.errors import NoNearChild
-from cubeforge.labeling import build_labels, select_points
+from cubeforge.labeling import (build_labels, index_to_pair, select_points,
+                               specific_pick)
 from cubeforge.nets import NetHierarchy, build_reference_hierarchy
 from cubeforge.random_systems import (OmegaSampler,
                                       estimate_selection_probability,
@@ -185,7 +186,8 @@ def test_shifted_picks_match_scan(lab, data):
                             ({"shift": shift,
                               "ordinals": np.array(ordinals)}, ordinals)):
             expect = bruteforce.select_scan(*args, l, m, ordinals=ords)
-            assert sampler.shifted_pick(k, t, entry).tolist() == \
+            assert specific_pick(lab, k, index_to_pair(t, M),
+                                 entry).tolist() == \
                 [-1 if c is None else c for c in expect]
 
 

@@ -169,6 +169,33 @@ def test_generate_space_rejects_unknown_kind():
                         "base": {"kind": "geometric_line", "levels": 2, "delta": 0.25}})
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"kind": "euclidean_cloud", "n": 12.7}, "'n'"),
+    ({"kind": "euclidean_cloud", "n": True}, "'n'"),
+    ({"kind": "euclidean_cloud", "n": 5, "dim": 2.9}, "'dim'"),
+    ({"kind": "euclidean_cloud", "n": 5, "seed": 1.5}, "'seed'"),
+    ({"kind": "euclidean_cloud", "n": 5, "box": False}, "'box'"),
+    ({"kind": "euclidean_cloud", "n": 5, "dims": 3}, "'dims'"),
+    ({"kind": "geometric_line", "levels": 3.5, "delta": 0.25}, "'levels'"),
+    ({"kind": "geometric_line", "levels": 3, "delta": 0.25, "n": 4}, "'n'"),
+    ({"kind": "power_snowflake", "exponent": True,
+      "base": {"kind": "geometric_line", "levels": 2, "delta": 0.25}},
+     "'exponent'"),
+])
+def test_generate_space_refuses_what_it_would_misread(spec, key):
+    # each of these used to build a space: truncated, read as 1, or
+    # silently missing the misspelled key
+    with pytest.raises(BadSpec, match=key):
+        generate_space(spec)
+
+
+def test_generate_space_takes_whole_floats():
+    spec = {"kind": "euclidean_cloud", "n": 12.0, "dim": 3, "seed": 2}
+    space = generate_space(spec)
+    assert space.n == 12 and space.generator["n"] == 12
+    assert space.coords.shape == (12, 3)
+
+
 def test_validate_generated_never_errors():
     specs = [
         {"kind": "euclidean_cloud", "n": 30, "dim": 3, "seed": 0},

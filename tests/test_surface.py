@@ -34,3 +34,17 @@ def test_verifiers_never_key_on_object_identity():
                 calls += [(path.name, fn.name) for node in ast.walk(fn)
                           if isinstance(node, ast.Name) and node.id == "id"]
     assert calls == []
+
+
+def test_one_function_constructs_adjacent_families():
+    # every family, fixed, pinned or drawn, comes from the one builder
+    builders = []
+    for path in sorted(Path(cubeforge.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "AdjacentFamily"
+                    for node in ast.walk(fn)):
+                builders.append((path.name, fn.name))
+    assert builders == [("adjacent.py", "_build_family")]
