@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .cubes import CubeSystem, ParentMaps, build_cube_system
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionFail
 from .labeling import (LabeledHierarchy, SelectionOutcome, index_to_pair,
                        pair_to_index, require_near, selected_order,
                        specific_pick)
@@ -150,8 +150,7 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
     linked level by level before the next one, so the first failing
     selection or link raises just as building the systems one by one would.
     """
-    size = labeled.max_children
-    K = (labeled.max_label + 1) * size
+    size, K = labeled.max_children, labeled.n_systems
     tri = labeled.space.profile.tri_const
     exponent = 2 if pinned is None else 3
     shifts = ordinals = None
@@ -215,6 +214,8 @@ def find_containing_cubes(family: AdjacentFamily, x: int, order, ends,
     the full top cube ("clamped_coarse"), too-fine queries return the
     singleton cube of x itself ("underflow").
     """
+    if not 0 <= x < family.space.n:
+        raise PreconditionFail(f"point {x} outside [0, {family.space.n})")
     radii = np.asarray(radii, dtype=float)
     bad = np.flatnonzero(~(radii > 0))
     if bad.size:
@@ -243,6 +244,8 @@ def find_containing_cubes(family: AdjacentFamily, x: int, order, ends,
 def find_containing_cube(family: AdjacentFamily, x: int, r: float) -> CubeQuery:
     """Locate (t, cube) whose members contain ball(x, r): the one-radius
     case of find_containing_cubes."""
+    if not 0 <= x < family.space.n:
+        raise PreconditionFail(f"point {x} outside [0, {family.space.n})")
     row = family.space.dist_row(x)
     order = np.argsort(row, kind="stable")
     end = np.searchsorted(row[order], r, side="left")

@@ -68,10 +68,9 @@ def _load_config(args) -> PipelineConfig:
         raise ConfigError(f"config: cannot read {args.config}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: invalid JSON: {e}") from e
-    cfg = PipelineConfig.from_json(doc)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    if args.seed is not None and isinstance(doc, dict):
+        doc["seed"] = args.seed  # validated with the rest of the config
+    return PipelineConfig.from_json(doc)
 
 
 def _write(out_dir: str, name: str, doc) -> str:

@@ -39,7 +39,7 @@ import numpy as np
 from .cubes import ParentMaps, build_partial_order
 from .errors import (ConfigError, ModeViolation, NoNearChild, NotAChild,
                      PreconditionFail)
-from .nets import NetHierarchy
+from .nets import NetHierarchy, _level_witnesses
 from .report import VerificationReport
 
 _TOL = 1e-12
@@ -76,6 +76,12 @@ class LabeledHierarchy:
 
     def parent_ks(self):
         return range(self.k_min, self.k_max)
+
+    @property
+    def n_systems(self) -> int:
+        """K: one system per pair label (l, m), l <= max_label and
+        m <= max_children."""
+        return (self.max_label + 1) * self.max_children
 
     def _window(self, k: int, lo: int, hi: int) -> int:
         """Position of level k in a per-level list of the levels lo..hi:
@@ -316,9 +322,8 @@ def specific_pick(labeled: LabeledHierarchy, k: int, label, entry=None,
     l, m = label
     if entry is not None:
         size = labeled.max_children
-        K = (labeled.max_label + 1) * size
-        t = (pair_to_index(l, m, size) + int(entry["shift"]) - 1) % K + 1
-        l, m = index_to_pair(t, size)
+        t = pair_to_index(l, m, size) + int(entry["shift"])
+        l, m = index_to_pair((t - 1) % labeled.n_systems + 1, size)
     pick = labeled.pick_children(k, l, m, entry and entry.get("ordinals"))
     if pinned is not None and int(labeled.hierarchy.level(k)[0]) == pinned:
         pick[0] = 0
@@ -374,31 +379,19 @@ def verify_new_point_axioms(outcome: SelectionOutcome) -> VerificationReport:
     space = labeled.space
     tri = space.profile.tri_const
     delta = labeled.hierarchy.delta
-    sep = aux_sep_const(tri)
-    cover = aux_cover_const(tri)
     rep = VerificationReport("selected point axioms")
     sep_bad, sep_n, cov_bad, cov_n = [], 0, [], 0
     for k in labeled.hierarchy.level_ks():
         pts = outcome.new_points(k)
-        sep_thr = sep * delta ** k
-        cov_thr = cover * delta ** k
-        m = len(pts)
-        for i in range(m):
-            row = space.dist_row(int(pts[i]))
-            sep_n += m - 1 - i
-            close = np.where(row[pts[i + 1:]] < sep_thr)[0]
-            if close.size:
-                jj = i + 1 + int(close[0])
-                sep_bad.append((k, i, jj, float(row[pts[jj]])))
-        best = np.full(space.n, np.inf)
-        for p in pts:
-            best = np.minimum(best, space.dist_row(int(p)))
+        sep_n += len(pts) * (len(pts) - 1) // 2
         cov_n += space.n
-        if (best >= cov_thr).any():
-            x = int(np.argmax(best >= cov_thr))
-            cov_bad.append((k, x, float(best[x])))
+        pair, worst = _level_witnesses(
+            space, k, pts, aux_sep_const(tri) * delta ** k,
+            aux_cover_const(tri) * delta ** k)
+        sep_bad += pair
+        cov_bad += worst
     rep.add("new_point_separation", not sep_bad, sep_n, sep_bad,
-            note="witness: (level, i, j, dist)")
+            note="witness: (level, point, point, dist) of the closest pair")
     rep.add("new_point_covering", not cov_bad, cov_n, cov_bad,
             note="witness: (level, point, nearest center dist)")
     return rep

@@ -80,7 +80,7 @@ class OmegaSampler:
 
     @property
     def n_systems(self) -> int:
-        return (self.labeled.max_label + 1) * self.labeled.max_children
+        return self.labeled.n_systems
 
     @property
     def tau_0(self) -> float:
@@ -223,7 +223,8 @@ def estimate_selection_probability(sampler: OmegaSampler, k: int, alpha: int,
     """Empirical frequency of the level-k center alpha choosing child beta.
 
     Passes when the frequency clears tau_0 minus three binomial sigmas. For
-    adjacent variants the event is about system t of the realized family.
+    adjacent variants the event is about system t in [1, K] of the realized
+    family.
     """
     lab = sampler.labeled
     if n_samples < 1000:
@@ -234,6 +235,9 @@ def estimate_selection_probability(sampler: OmegaSampler, k: int, alpha: int,
         raise PreconditionFail(f"center {alpha} outside [0, {size})")
     if beta not in lab.children_of(k, alpha):
         raise NotAChild(k, alpha, beta)
+    if not 1 <= t <= sampler.n_systems:
+        raise PreconditionFail(
+            f"system index {t} outside [1, {sampler.n_systems}]")
     hits = 0
     for i in range(n_samples):
         entry = sampler.draw_level(i, k)

@@ -79,6 +79,30 @@ def greedy_net_scan(d, order, threshold):
     return chosen
 
 
+def level_witness_scan(d, pts, sep_thr, cov_thr):
+    """(closest pair, worst-covered point) of one level of centers `pts`.
+
+    The pair is the first (i, j), i != j, in row-major order with the
+    smallest d[pts[i]][pts[j]], as (pts[i], pts[j], dist) when that dist is
+    below sep_thr, else None. The point is the first x with the largest
+    distance to its nearest center, as (x, dist) when that dist is at least
+    cov_thr, else None."""
+    pair = None
+    for i in range(len(pts)):
+        for j in range(len(pts)):
+            if i != j and (pair is None or d[pts[i]][pts[j]] < pair[2]):
+                pair = (pts[i], pts[j], d[pts[i]][pts[j]])
+    worst = None
+    for x in range(len(d)):
+        near = math.inf
+        for p in pts:
+            near = min(near, d[p][x])
+        if worst is None or near > worst[1]:
+            worst = (x, near)
+    return (pair if pair is not None and pair[2] < sep_thr else None,
+            worst if worst[1] >= cov_thr else None)
+
+
 def parent_scan(d, parent_pts, child_pts, tight_thr, loose_thr):
     """Per child: unique parent within tight_thr if any (error on ties),
     else first-listed parent within loose_thr, else None."""

@@ -18,7 +18,7 @@ from cubeforge.adjacent import (
 from cubeforge import labeling
 from cubeforge.cubes import CubeSystem, build_cube_system, verify_cube_axioms
 from cubeforge.errors import (ConfigError, CubeforgeError, NoNearChild,
-                              NoParent, TightAmbiguity)
+                              NoParent, PreconditionFail, TightAmbiguity)
 from cubeforge.labeling import (LabeledHierarchy, SelectionOutcome,
                                 build_labels, require_near, select_points,
                                 selected_order, specific_pick)
@@ -288,6 +288,17 @@ def test_kernel_matches_scans_on_sampled_families(variant):
             fam = sampler.realize_family(sampler.draw(i))
             assert fam.level_shifts is not None
             assert_kernel_matches_scans(fam)
+
+
+@pytest.mark.parametrize("x", [-1, 4])
+def test_queries_refuse_points_outside(x):
+    fam = geoline_family()
+    assert fam.space.n == 4
+    _, order, _, ends, radii = next(fam.space.ball_sweep())
+    with pytest.raises(PreconditionFail, match=rf"point {x} outside \[0, 4\)"):
+        find_containing_cube(fam, x, 1.0)
+    with pytest.raises(PreconditionFail, match=rf"point {x} outside \[0, 4\)"):
+        find_containing_cubes(fam, x, order, ends, radii)
 
 
 def test_kernel_rejects_bad_radii():

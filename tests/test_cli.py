@@ -81,6 +81,13 @@ def test_config_errors_exit_two(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"].startswith("mode:")
 
+    # a --seed override is validated with the rest of the config
+    for seed in ("-1", str(2 ** 64)):
+        assert main(["sample", "--config", write_config(tmp_path),
+                     "--out", str(tmp_path / "o"), "--seed", seed]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["type"], err["error"][:5]) == ("ConfigError", "seed:")
+
 
 def test_stage_failure_exits_two_with_build_error(tmp_path, capsys):
     cfg = write_config(tmp_path, space={"kind": "torus"})
@@ -172,6 +179,11 @@ def test_sample_is_seed_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert (a / "sample.json").read_text() == (b / "sample.json").read_text()
     assert (a / "sample.json").read_text() != (c / "sample.json").read_text()
+    d = tmp_path / "d"
+    assert main(["sample", "--config", write_config(tmp_path, seed=999),
+                 "--out", str(d)]) == 0
+    capsys.readouterr()
+    assert (c / "sample.json").read_text() == (d / "sample.json").read_text()
 
 
 def test_verify_defaults_to_all_checks(tmp_path, capsys):

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cubeforge import nets
+from cubeforge.adjacent import build_adjacent_family
 from cubeforge.errors import (ConfigError, NoNearChild, NotAChild,
                               PreconditionFail)
 from cubeforge.labeling import (
     LabeledHierarchy,
+    SelectionOutcome,
     _greedy_labels,
+    aux_cover_const,
+    aux_sep_const,
     build_labels,
     select_points,
     verify_new_point_axioms,
@@ -15,6 +21,7 @@ from cubeforge.random_systems import OmegaSampler
 from cubeforge.space import QuasiMetricSpace, generate_space
 
 import bruteforce
+from test_nets import int_spaces, perturbed, scanned_witnesses
 from test_selection import near_pool
 
 LINE4 = [0.0, 1.0, 3.0, 7.0]
@@ -281,3 +288,40 @@ def test_levels_outside_the_window_are_refused(call, side):
         fn(lab, k)
     fn(lab, lo)
     fn(lab, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=int_spaces(), delta=st.sampled_from([0.5, 0.25]),
+       block=st.integers(1, 4), data=st.data())
+def test_selected_witnesses_match_scan(space, delta, block, data):
+    # every level of `everything` is all points, so the chosen indices are
+    # point ids: level k selects the reference net below it, perturbed
+    h = build_reference_hierarchy(space, delta, mode="exploratory")
+    z = perturbed(space, h.levels[1:], data)
+    everything = NetHierarchy(space, delta, h.k_min, h.k_max, h.mode,
+                              [np.arange(space.n)] * h.n_levels)
+    out = SelectionOutcome(LabeledHierarchy(everything, order=None), {}, z)
+    levels = out.new_levels()
+    assert all(np.array_equal(a, b) for a, b in zip(levels, z))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nets, "_ROW_BLOCK", block)
+        rep = verify_new_point_axioms(out)
+    tri = space.profile.tri_const
+    sep, cov = scanned_witnesses(
+        space, h.level_ks(), levels,
+        lambda k: aux_sep_const(tri) * delta ** k,
+        lambda k: aux_cover_const(tri) * delta ** k)
+    assert rep.check("new_point_separation").witnesses == sep
+    assert rep.check("new_point_covering").witnesses == cov
+    assert rep.check("new_point_separation").passed == (not sep)
+    assert rep.check("new_point_covering").passed == (not cov)
+    assert rep.check("new_point_separation").checked == \
+        sum(len(lv) * (len(lv) - 1) // 2 for lv in levels)
+    assert rep.check("new_point_covering").checked == space.n * len(levels)
+
+
+def test_one_system_count():
+    lab = geoline_labeled()
+    assert lab.n_systems == (lab.max_label + 1) * lab.max_children
+    assert OmegaSampler(lab, "adjacent").n_systems == lab.n_systems
+    assert build_adjacent_family(lab).n_systems == lab.n_systems

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubeforge import nets
 from cubeforge.errors import ConfigError, ModeViolation
 from cubeforge.nets import (NetHierarchy, build_reference_hierarchy, level_window,
                             verify_net_axioms)
 from cubeforge.space import QuasiMetricSpace, generate_space
 
-from bruteforce import greedy_net_scan
+from bruteforce import greedy_net_scan, level_witness_scan
 from test_analysis import int_clouds
 
 
@@ -133,3 +136,87 @@ def test_hierarchy_json_roundtrip():
     assert back.k_min == h.k_min and back.k_max == h.k_max
     assert all(np.array_equal(a, b) for a, b in zip(back.levels, h.levels))
     assert back.distinguished == 1
+
+
+@st.composite
+def int_spaces(draw):
+    """Small integer clouds or integer points on a line: both put distances
+    exactly on power-of-two thresholds."""
+    if draw(st.booleans()):
+        return draw(int_clouds())
+    pos = draw(st.lists(st.integers(0, 64), min_size=2, max_size=12,
+                        unique=True))
+    return QuasiMetricSpace.from_line([float(p) for p in pos])
+
+
+def perturbed(space, levels, data):
+    """Copies of the id arrays `levels`; maybe one of them gains a
+    near-duplicate center (the point nearest to one of its centers, which may
+    repeat a center) and maybe one of them loses a center."""
+    levels = [lv.copy() for lv in levels]
+    if levels and data.draw(st.booleans()):
+        j = data.draw(st.integers(0, len(levels) - 1))
+        c = int(data.draw(st.sampled_from(levels[j].tolist())))
+        row = space.dist_row(c).copy()
+        row[c] = np.inf
+        levels[j] = np.insert(levels[j], data.draw(
+            st.integers(0, len(levels[j]))), int(np.argmin(row)))
+    if levels and data.draw(st.booleans()):
+        j = data.draw(st.integers(0, len(levels) - 1))
+        if len(levels[j]) > 1:
+            levels[j] = np.delete(levels[j], data.draw(
+                st.integers(0, len(levels[j]) - 1)))
+    return levels
+
+
+def scanned_witnesses(space, ks, levels, sep_thr, cov_thr):
+    """Separation and covering witnesses of every level, by the oracle."""
+    d = space.table.tolist()
+    sep, cov = [], []
+    for k, lv in zip(ks, levels):
+        pair, worst = level_witness_scan(d, lv.tolist(), sep_thr(k),
+                                         cov_thr(k))
+        sep += [(k, *pair)] if pair else []
+        cov += [(k, *worst)] if worst else []
+    return sep, cov
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=int_spaces(), delta=st.sampled_from([0.5, 0.25]),
+       block=st.integers(1, 4), data=st.data())
+def test_net_witnesses_match_scan(space, delta, block, data):
+    # blocks of 1-4 rows make close pairs and worst points straddle blocks
+    h = build_reference_hierarchy(space, delta, mode="exploratory")
+    levels = perturbed(space, h.levels, data)
+    bent = NetHierarchy(space, delta, h.k_min, h.k_max, h.mode, levels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nets, "_ROW_BLOCK", block)
+        rep = verify_net_axioms(bent)
+    sep, cov = scanned_witnesses(space, bent.level_ks(), levels, bent.scale,
+                                 bent.scale)
+    assert rep.check("separation").witnesses == sep
+    assert rep.check("covering").witnesses == cov
+    assert rep.check("separation").passed == (not sep)
+    assert rep.check("covering").passed == (not cov)
+    assert rep.check("separation").checked == \
+        sum(len(lv) * (len(lv) - 1) for lv in levels)
+    assert rep.check("covering").checked == space.n * len(levels)
+
+
+def test_net_check_streams_its_rows():
+    # at n = 2000 one whole-level row array is a 32 MB block
+    n = 2000
+    pos = np.arange(n, dtype=float)
+    space = QuasiMetricSpace(n, table=np.abs(pos[:, None] - pos[None, :]))
+    h = NetHierarchy(space, 0.5, 0, 1, "exploratory",
+                     [np.array([0]), np.arange(n)])
+    tracemalloc.start()
+    try:
+        rep = verify_net_axioms(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
+    assert rep.check("separation").passed
+    assert rep.check("separation").checked == n * (n - 1)
+    assert rep.check("covering").witnesses == [(0, n - 1, float(n - 1))]

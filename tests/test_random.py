@@ -269,6 +269,19 @@ def test_adjacent_marginal_is_one_over_K():
     assert est.passed
 
 
+@pytest.mark.parametrize("variant", ["adjacent", "adjacent_refined"])
+def test_selection_estimate_refuses_system_indices_outside(variant):
+    lab = geoline_labels()
+    s = OmegaSampler(lab, variant, seed=13)
+    k, K = lab.k_min, s.n_systems
+    beta = int(lab.children_of(k, 0)[0])
+    for t in (0, K + 1):
+        with pytest.raises(PreconditionFail,
+                           match=rf"system index {t} outside \[1, {K}\]"):
+            estimate_selection_probability(s, k, 0, beta, 1000, t=t)
+    assert estimate_selection_probability(s, k, 0, beta, 1000, t=K).t == K
+
+
 def test_sampled_families_pass_covering():
     lab = two_label_line()
     for variant in ("adjacent", "adjacent_refined"):
