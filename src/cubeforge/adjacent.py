@@ -17,13 +17,13 @@ this ball" for every radius of one center's ball sweep at once: a ball of
 radius r gets the level k with ratio**(k+2) < r <= ratio**(k+1), found by
 searching the powers of ratio over the level window; each distinct level
 walks once to the nearest reference point one level finer and reads the
-system index off that point's pair label. The ball order[:end] lies in the
-returned cube exactly when end is at most the first rank in the center's
-sweep order of a point outside the cube's member list, computed once per
-distinct cube. find_containing_cube is the one-radius case. In strict mode
-the returned cube contains the ball and its diameter is at most C*r with
-C = 8*tri**3/ratio**2 (pinned variant: one level coarser and
-C = 8*tri**3/ratio**3).
+system index off that point's pair label. find_containing_cube is the
+one-radius case. In strict mode the returned cube contains the ball and its
+diameter is at most C*r with C = 8*tri**3/ratio**coarsening: 2, or 3 for
+the pinned variant, which answers one level coarser. verify_covering checks
+containment on its own: the ball order[:end] lies in the returned cube
+exactly when end is at most the first rank in the center's sweep order of a
+point outside the cube's member list.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .cubes import CubeSystem, ParentMaps, build_cube_system
-from .errors import ConfigError, PreconditionFail
+from .errors import ConfigError, require_id
 from .labeling import (LabeledHierarchy, SelectionOutcome, index_to_pair,
                        pair_to_index, require_near, selected_order,
                        specific_pick)
@@ -82,6 +82,13 @@ class AdjacentFamily:
     def delta(self):
         return self.labeled.hierarchy.delta
 
+    @property
+    def coarsening(self) -> int:
+        """Generations from a query radius's scale ratio**(k+2) up to the
+        level of the cube that answers it: 2, and 3 for a pinned family,
+        whose query steps one level coarser to the pinned point's cube."""
+        return 2 if self.distinguished is None else 3
+
     def phi_inv(self, t: int):
         return index_to_pair(t, self.labeled.max_children)
 
@@ -102,9 +109,8 @@ class AdjacentFamily:
         return t
 
     def system(self, t: int) -> CubeSystem:
-        if not 1 <= t <= self.n_systems:
-            raise ConfigError(f"system index {t} outside 1..{self.n_systems}")
-        return self.systems[t - 1]
+        return self.systems[require_id("system index", t, 1,
+                                       self.n_systems) - 1]
 
     def cube_members(self, q: CubeQuery) -> np.ndarray:
         return self.system(q.t).cube(q.k, q.index).members
@@ -152,7 +158,6 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
     """
     size, K = labeled.max_children, labeled.n_systems
     tri = labeled.space.profile.tri_const
-    exponent = 2 if pinned is None else 3
     shifts = ordinals = None
     if levels is not None:
         shifts = {k: int(levels[k]["shift"]) for k in labeled.parent_ks()}
@@ -160,9 +165,9 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
                     for k in labeled.parent_ks()
                     if "ordinals" in levels[k]} or None
     family = AdjacentFamily(
-        labeled=labeled, n_systems=K,
-        covering_const=8.0 * tri ** 3 / labeled.hierarchy.delta ** exponent,
-        distinguished=pinned, level_shifts=shifts, ordinal_shifts=ordinals)
+        labeled=labeled, n_systems=K, distinguished=pinned,
+        level_shifts=shifts, ordinal_shifts=ordinals)
+    family.covering_const = 8.0 * tri ** 3 / family.delta ** family.coarsening
     seen, links, closed = {}, {}, {}
     for t in range(1, K + 1):
         chosen = []
@@ -192,64 +197,47 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
 
 @dataclass
 class CubeQueries:
-    """One center's answers: per radius j, its query is cubes[slot[j]] and
-    contained[j] says whether the ball order[:ends[j]] lies in that cube's
-    member list (members, per distinct query)."""
+    """One center's answers: per radius j, its query is cubes[slot[j]], and
+    members[slot[j]] is that cube's member list."""
 
     cubes: list
     slot: np.ndarray
     members: list
-    contained: np.ndarray
 
     def query(self, j: int) -> CubeQuery:
         return self.cubes[self.slot[j]]
 
 
-def find_containing_cubes(family: AdjacentFamily, x: int, order, ends,
+def find_containing_cubes(family: AdjacentFamily, x: int,
                           radii) -> CubeQueries:
-    """Answer ball(x, radii[j]) = order[:ends[j]] for every j at once; see
-    the module docstring.
+    """Answer ball(x, radii[j]) for every j at once; see the module
+    docstring.
 
     Radii outside the level window never error: too-coarse queries clamp to
     the full top cube ("clamped_coarse"), too-fine queries return the
     singleton cube of x itself ("underflow").
     """
-    if not 0 <= x < family.space.n:
-        raise PreconditionFail(f"point {x} outside [0, {family.space.n})")
+    x = require_id("point", x, 0, family.space.n, ")")
     radii = np.asarray(radii, dtype=float)
     bad = np.flatnonzero(~(radii > 0))
     if bad.size:
         raise ConfigError(f"query radius must be positive, got {radii[bad[0]]}")
-    # the pinned variant answers one generation coarser
-    floor_k = family.k_min + 1 if family.distinguished is not None \
-        else family.k_min
+    # the coarsest radius level whose answer stays inside the window
+    floor_k = family.k_min + family.coarsening - 2
     levels = _levels_for_radii(family.delta, radii, floor_k,
                                max(family.k_max - 1, floor_k - 1))
     distinct, slot = np.unique(levels, return_inverse=True)
     slot = slot.ravel()
     row = family.space.dist_row(x)
     cubes = [_route(family, x, row, int(k), floor_k) for k in distinct]
-    members = [family.cube_members(q) for q in cubes]
-    # first rank in x's order of a point outside each cube
-    inside = np.zeros(family.space.n, dtype=bool)
-    first_out = np.empty(len(cubes), dtype=int)
-    for i, m in enumerate(members):
-        inside[:] = False
-        inside[m] = True
-        first_out[i] = np.append(~inside[order], True).argmax()
-    return CubeQueries(cubes=cubes, slot=slot, members=members,
-                       contained=np.asarray(ends) <= first_out[slot])
+    return CubeQueries(cubes=cubes, slot=slot,
+                       members=[family.cube_members(q) for q in cubes])
 
 
 def find_containing_cube(family: AdjacentFamily, x: int, r: float) -> CubeQuery:
     """Locate (t, cube) whose members contain ball(x, r): the one-radius
     case of find_containing_cubes."""
-    if not 0 <= x < family.space.n:
-        raise PreconditionFail(f"point {x} outside [0, {family.space.n})")
-    row = family.space.dist_row(x)
-    order = np.argsort(row, kind="stable")
-    end = np.searchsorted(row[order], r, side="left")
-    return find_containing_cubes(family, x, order, [end], [r]).query(0)
+    return find_containing_cubes(family, x, [r]).query(0)
 
 
 def _route(family: AdjacentFamily, x: int, row, k: int,
@@ -293,17 +281,23 @@ def verify_covering(family: AdjacentFamily) -> VerificationReport:
     contain_bad, diam_bad, n_queries = [], [], 0
     worst_ratio = 0.0
     diam_of = {}  # member list bytes -> its diameter; systems share cubes
+    inside = np.zeros(space.n, dtype=bool)
     for x, order, _, ends, radii in space.ball_sweep():
-        qs = find_containing_cubes(family, x, order, ends, radii)
+        qs = find_containing_cubes(family, x, radii)
         diam = np.empty(len(qs.members))
+        # first rank in x's order of a point outside each answered cube
+        first_out = np.empty(len(qs.members), dtype=int)
         for i, m in enumerate(qs.members):
             key = m.tobytes()
             if key not in diam_of:
                 diam_of[key] = float(space.dist_rows(m, m).max(initial=0.0))
             diam[i] = diam_of[key]
+            inside[:] = False
+            inside[m] = True
+            first_out[i] = np.append(~inside[order], True).argmax()
         diam = diam[qs.slot]
         n_queries += radii.size
-        for j in np.flatnonzero(~qs.contained):
+        for j in np.flatnonzero(ends > first_out[qs.slot]):
             contain_bad.append((x, float(radii[j]), qs.query(j).to_json()))
         for j in np.flatnonzero(diam > C * radii * (1 + _TOL)):
             diam_bad.append((x, float(radii[j]), float(diam[j]), C * radii[j]))

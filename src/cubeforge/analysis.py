@@ -295,7 +295,7 @@ def _instance_constants(family: AdjacentFamily, weights):
     C_a bounds mass(outer ball of Q) / mass(Q) via the doubling sweep at
     radii outer_const vs inner_const; C_a_prime bounds mass(containing
     cube of B) / mass(B), where the containing-cube query answers at most
-    two (pinned: three) generations coarser than the ball radius.
+    family.coarsening generations coarser than the ball radius.
     """
     space = family.space
     c_mu_pair = doubling_constant(space, weights)
@@ -304,9 +304,9 @@ def _instance_constants(family: AdjacentFamily, weights):
     inner, outer = consts.inner_const, consts.outer_const
     delta = consts.delta
     tri = consts.tri_const
-    coarsen = 3.0 if family.distinguished is not None else 2.0
     c_a = c_const * (outer / inner) ** c_exp
-    c_a_prime = c_const * (2.0 * tri * outer / delta ** coarsen) ** c_exp
+    c_a_prime = c_const * (2.0 * tri * outer / delta ** family.coarsening) \
+        ** c_exp
     return {"C_mu": c_const, "c_mu": c_exp, "C_a": c_a, "C_a_prime": c_a_prime}
 
 
@@ -379,7 +379,7 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     flags = {"ok": 0, "clamped_coarse": 0, "underflow": 0}
     for x, order, _, ends, radii in space.ball_sweep():
         pre = np.cumsum(w[order])
-        qs = find_containing_cubes(family, x, order, ends, radii)
+        qs = find_containing_cubes(family, x, radii)
         _, hits = np.unique(qs.slot, return_counts=True)
         for q, n_hits in zip(qs.cubes, hits.tolist()):
             flags[q.flag] += n_hits

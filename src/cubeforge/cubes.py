@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ConfigError, ModeViolation, NoParent, PreconditionFail,
-                     TightAmbiguity)
+                     TightAmbiguity, require_id)
 from .report import VerificationReport
 from .space import QuasiMetricSpace
 
@@ -120,10 +120,7 @@ class CubeSystem:
 
     def _level_index(self, k: int) -> int:
         """Position j of level k in the per-level lists."""
-        if not self.k_min <= k <= self.k_max:
-            raise PreconditionFail(
-                f"level {k} outside [{self.k_min}, {self.k_max}]")
-        return k - self.k_min
+        return require_id("level", k, self.k_min, self.k_max) - self.k_min
 
     def cubes_at(self, k: int) -> list:
         return [self.cube(k, i)
@@ -131,9 +128,7 @@ class CubeSystem:
 
     def cube(self, k: int, index: int) -> Cube:
         j = self._level_index(k)
-        size = len(self.level_points[j])
-        if not 0 <= index < size:
-            raise PreconditionFail(f"cube {index} outside [0, {size})")
+        index = require_id("cube", index, 0, len(self.level_points[j]), ")")
         flat, start = self.members[j]
         return Cube(int(self.level_points[j][index]),
                     flat[start[index]:start[index + 1]])
@@ -141,10 +136,8 @@ class CubeSystem:
     def locate(self, k: int, point: int) -> int:
         """Index of the cube containing `point` on level k."""
         j = self._level_index(k)
-        if not 0 <= point < self.space.n:
-            raise PreconditionFail(
-                f"point {point} outside [0, {self.space.n})")
-        return int(self.assign[j][point])
+        return int(self.assign[j][require_id("point", point, 0,
+                                             self.space.n, ")")])
 
     def to_json(self, shared: Optional[dict] = None):
         """The system as a JSON document. `shared`, a dict kept across calls

@@ -3,6 +3,7 @@
 Every error carries enough context (ids, levels, offending values) to be
 actionable from a failed pipeline run without re-running the build.
 """
+from numbers import Integral
 
 
 class CubeforgeError(Exception):
@@ -95,6 +96,20 @@ class NotAChild(SelectionError):
 
 class PreconditionFail(CubeforgeError):
     """A check was invoked outside its admissible parameter range."""
+
+
+def require_id(what: str, value, lo: int, hi: int, end: str = "]") -> int:
+    """`value` as a Python int when it is an integer id (a Python or numpy
+    integer, never a bool) in [lo, hi], or in [lo, hi) with end=")";
+    PreconditionFail naming `what` otherwise. Every level, point, cube,
+    center, child and system index a caller passes in is checked here."""
+    if type(value) is not int:  # a plain int skips the slower ABC check
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise PreconditionFail(f"{what} {value!r} is not an integer")
+        value = int(value)
+    if not lo <= value <= (hi if end == "]" else hi - 1):
+        raise PreconditionFail(f"{what} {value} outside [{lo}, {hi}{end}")
+    return value
 
 
 class ConfigError(CubeforgeError):

@@ -31,6 +31,7 @@ through it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from .cubes import ParentMaps, build_partial_order
 from .errors import (ConfigError, ModeViolation, NoNearChild, NotAChild,
-                     PreconditionFail)
+                     require_id)
 from .nets import NetHierarchy, _level_witnesses
 from .report import VerificationReport
 
@@ -86,19 +87,27 @@ class LabeledHierarchy:
     def _window(self, k: int, lo: int, hi: int) -> int:
         """Position of level k in a per-level list of the levels lo..hi:
         k_min..k_max - 1 for the parent levels, which choose children."""
-        if not lo <= k <= hi:
-            raise PreconditionFail(f"level {k} outside [{lo}, {hi}]")
-        return k - lo
+        return require_id("level", k, lo, hi) - lo
 
     def label2(self, k_child: int, index: int):
-        j = self._window(k_child, self.k_min + 1, self.k_max)
-        l, m = self.duplex[j][index]
+        duplex = self.duplex[self._window(k_child, self.k_min + 1,
+                                          self.k_max)]
+        l, m = duplex[require_id("child", index, 0, len(duplex), ")")]
         return int(l), int(m)
 
     def children_of(self, k: int, index: int) -> np.ndarray:
         kids, start = self.children[self._window(k, self.k_min,
                                                  self.k_max - 1)]
+        index = require_id("center", index, 0, len(start) - 1, ")")
         return kids[start[index]:start[index + 1]]
+
+    def require_child(self, k: int, alpha: int, beta) -> int:
+        """beta as a Python int when it is a child of the level-k center
+        alpha; NotAChild for any other integer."""
+        beta = require_id("child", beta, -math.inf, math.inf)
+        if beta not in self.children_of(k, alpha):
+            raise NotAChild(k, alpha, beta)
+        return beta
 
     def pick_children(self, k: int, l: int, m: int,
                       ordinals: Optional[np.ndarray] = None) -> np.ndarray:
@@ -343,10 +352,7 @@ def _general_pick(labeled, k, master, chooser):
                                    pick < 0))
     for alpha in np.flatnonzero(match[:stop[0] if stop.size else None]):
         alpha = int(alpha)
-        beta = int(chooser(k, alpha))
-        if beta not in labeled.children_of(k, alpha):
-            raise NotAChild(k, alpha, beta)
-        pick[alpha] = beta
+        pick[alpha] = labeled.require_child(k, alpha, chooser(k, alpha))
     return pick
 
 

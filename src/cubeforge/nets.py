@@ -18,7 +18,7 @@ import numpy as np
 
 from .cubes import require_mode
 from .errors import (ConfigError, DegenerateWindow, ModeViolation,
-                     PreconditionFail)
+                     require_id)
 from .report import VerificationReport
 from .space import QuasiMetricSpace
 
@@ -40,10 +40,8 @@ class NetHierarchy:
     distinguished: Optional[int] = None
 
     def level(self, k: int) -> np.ndarray:
-        if not self.k_min <= k <= self.k_max:
-            raise PreconditionFail(
-                f"level {k} outside [{self.k_min}, {self.k_max}]")
-        return self.levels[k - self.k_min]
+        return self.levels[require_id("level", k, self.k_min, self.k_max)
+                           - self.k_min]
 
     def level_ks(self):
         return range(self.k_min, self.k_max + 1)

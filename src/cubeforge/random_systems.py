@@ -39,7 +39,7 @@ import numpy as np
 
 from .adjacent import AdjacentFamily, _build_family
 from .cubes import CubeSystem, build_cube_system, close_assign
-from .errors import ConfigError, ModeViolation, NotAChild, PreconditionFail
+from .errors import ConfigError, ModeViolation, PreconditionFail, require_id
 from .labeling import (
     LabeledHierarchy,
     SelectionOutcome,
@@ -65,6 +65,7 @@ class OmegaSampler:
     seed: int = 0
 
     def __post_init__(self):
+        self.seed = require_id("seed", self.seed, 0, 2 ** 64, ")")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, "
                               f"got {self.variant!r}")
@@ -114,6 +115,8 @@ class OmegaSampler:
         """One level's coordinate; streams are independent across levels.
         The centers of the level draw together (see the module docstring)."""
         lab = self.labeled
+        sample_index = require_id("sample index", sample_index, 0, 2 ** 64,
+                                  ")")
         j = lab._window(k, lab.k_min, lab.k_max - 1)
         rng = self._rng(sample_index, k)
         kids, start = lab.children[j]
@@ -138,6 +141,8 @@ class OmegaSampler:
         return entry
 
     def draw(self, sample_index: int = 0) -> dict:
+        sample_index = require_id("sample index", sample_index, 0, 2 ** 64,
+                                  ")")
         return {"variant": self.variant, "sample": sample_index,
                 "levels": {k: self.draw_level(sample_index, k)
                            for k in self.labeled.parent_ks()}}
@@ -229,15 +234,11 @@ def estimate_selection_probability(sampler: OmegaSampler, k: int, alpha: int,
     lab = sampler.labeled
     if n_samples < 1000:
         raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
-    lab._window(k, lab.k_min, lab.k_max - 1)   # only these choose children
-    size = len(lab.hierarchy.level(k))
-    if not 0 <= alpha < size:
-        raise PreconditionFail(f"center {alpha} outside [0, {size})")
-    if beta not in lab.children_of(k, alpha):
-        raise NotAChild(k, alpha, beta)
-    if not 1 <= t <= sampler.n_systems:
-        raise PreconditionFail(
-            f"system index {t} outside [1, {sampler.n_systems}]")
+    # only the levels k_min..k_max - 1 choose children
+    k = lab.k_min + lab._window(k, lab.k_min, lab.k_max - 1)
+    alpha = require_id("center", alpha, 0, len(lab.hierarchy.level(k)), ")")
+    beta = lab.require_child(k, alpha, beta)
+    t = require_id("system index", t, 1, sampler.n_systems)
     hits = 0
     for i in range(n_samples):
         entry = sampler.draw_level(i, k)
@@ -305,9 +306,13 @@ def estimate_boundary_sweep(sampler: OmegaSampler, points, k: int, taus,
     checked pair by pair in output order, so a bad call raises what the
     first failing one-pair call would.
     """
-    pairs = [(x, tau) for x in points for tau in taus]
-    for x, tau in pairs:
-        _check_boundary_args(sampler, x, k, tau, n_samples)
+    pairs = []
+    for x in points:
+        for i, tau in enumerate(taus):
+            k = _check_boundary_args(sampler, k, tau, n_samples)
+            if i == 0:  # once, where x's first pair checks it
+                x = require_id("point", x, 0, sampler.labeled.space.n, ")")
+            pairs.append((x, tau))
     if not pairs:
         return []
     delta = sampler.labeled.hierarchy.delta
@@ -332,8 +337,10 @@ def estimate_boundary_sweep(sampler: OmegaSampler, points, k: int, taus,
     return out
 
 
-def _check_boundary_args(sampler: OmegaSampler, x: int, k: int, tau: float,
-                         n_samples: int) -> None:
+def _check_boundary_args(sampler: OmegaSampler, k: int, tau: float,
+                         n_samples: int) -> int:
+    """Level k as a Python int when one (point, tau) pair's arguments other
+    than its point are admissible."""
     lab = sampler.labeled
     if sampler.variant != "single":
         raise ConfigError("boundary estimation uses the single variant")
@@ -345,9 +352,7 @@ def _check_boundary_args(sampler: OmegaSampler, x: int, k: int, tau: float,
         raise PreconditionFail(f"tau must be finite, got {tau}")
     if n_samples < 1000:
         raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
-    lab._window(k, lab.k_min, lab.k_max)
-    if not 0 <= x < lab.space.n:
-        raise PreconditionFail(f"point {x} outside [0, {lab.space.n})")
+    return lab.k_min + lab._window(k, lab.k_min, lab.k_max)
 
 
 def _partial_assign(sampler: OmegaSampler, sample_index: int, k: int
@@ -373,6 +378,9 @@ def check_chain_separation(system: CubeSystem, x: int, k: int, tau: float,
     delta = system.delta
     sep = system.constants.sep_const
     cover = system.constants.cover_const
+    x = require_id("point", x, 0, space.n, ")")
+    n_depth = require_id("depth", n_depth, 0, system.k_max - system.k_min)
+    k = require_id("level", k, system.k_min, system.k_max - n_depth)
     if 18.0 * tri ** 5 * cover * delta > sep * (1 + _TOL):
         raise PreconditionFail(
             "scale headroom 18*tri**5*cover_const*ratio <= sep_const required")
@@ -380,10 +388,6 @@ def check_chain_separation(system: CubeSystem, x: int, k: int, tau: float,
         raise PreconditionFail(
             "depth/threshold headroom 12*tri**4*tau <= sep_const*ratio**depth "
             "required")
-    if not system.k_min <= k <= system.k_max - n_depth:
-        raise PreconditionFail(
-            f"chain levels [{k}, {k + n_depth}] outside "
-            f"[{system.k_min}, {system.k_max}]")
     row = space.dist_row(x)
     outside = system.assign[k - system.k_min] != system.locate(k, x)
     gap = float(row[outside].min()) if outside.any() else math.inf

@@ -20,7 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadSpec, NegativeDistance, SymmetryViolation, ZeroDistance
+from .errors import (BadSpec, NegativeDistance, SymmetryViolation, ZeroDistance,
+                     require_id)
 
 TABLE_CAP = 2048
 EXHAUSTIVE_TRIPLE_CAP = TABLE_CAP
@@ -373,6 +374,7 @@ def _gather(row_of, ids, *cols):
 
 def ball(space: QuasiMetricSpace, center: int, radius: float) -> np.ndarray:
     """Ids strictly closer than `radius` to `center` (always includes it)."""
+    center = require_id("point", center, 0, space.n, ")")
     return np.where(space.dist_row(center) < radius)[0]
 
 

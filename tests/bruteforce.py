@@ -138,6 +138,54 @@ def boundary_scan(d, members, eps):
     return sorted(x for x in members if min(d[x][y] for y in outside) <= eps)
 
 
+def chain_scan(d, centers, assign, k_min, tri, sep, cover, delta):
+    """Every admissible boundary chain of a system, walked level by level.
+
+    centers[j] and assign[j] are level k_min + j's center ids and its point
+    -> cube index list. None when the scale headroom
+    18 * tri**5 * cover * delta <= sep is missing. Otherwise
+    (per_depth, checked, witnesses): a triple (x, k, depth) is admissible
+    when x's distance to the complement of its level-k cube is below
+    tau * delta**k at tau = sep * delta**depth / (12 * tri**4). Its chain
+    is the centers of x's cubes on levels k..k+depth; every pair of them
+    is checked against eps_1 * delta**(coarser level), eps_1 = sep /
+    (12 * tri**4), and a triple with a close pair is a witness
+    (x, k, depth, its first two close pairs).
+    """
+    if 18.0 * tri ** 5 * cover * delta > sep * (1 + 1e-12):
+        return None
+    n, n_levels = len(d), len(centers)
+    eps_1 = sep / (12.0 * tri ** 4)
+    per_depth, checked, witnesses = {}, 0, []
+    for x in range(n):
+        for j in range(n_levels):
+            k = k_min + j
+            gap = math.inf
+            for y in range(n):
+                if assign[j][y] != assign[j][x]:
+                    gap = min(gap, d[x][y])
+            if gap == math.inf:
+                continue
+            for depth in range(n_levels - j):
+                tau = sep * delta ** depth / (12.0 * tri ** 4)
+                if not gap < tau * delta ** k:
+                    continue
+                chain = [centers[j + a][assign[j + a][x]]
+                         for a in range(depth + 1)]
+                close = []
+                for a in range(depth + 1):
+                    for b in range(a + 1, depth + 1):
+                        checked += 1
+                        dist = d[chain[a]][chain[b]]
+                        if dist < eps_1 * delta ** (k + a):
+                            close.append((k + a, k + b, chain[a], chain[b],
+                                          dist))
+                per_depth[depth] = per_depth.get(depth, 0) + 1
+                if close:
+                    witnesses.append((x, k, depth, close[:2]))
+    return per_depth, checked, witnesses
+
+
 def cube_axioms_scan(d, levels, parent_maps, k_min, delta, inner, outer,
                      tri, tol=1e-12):
     """Pass/fail of each cube axiom, straight from its definition.

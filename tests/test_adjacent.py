@@ -57,21 +57,20 @@ def corrupt(fam, keep):
 
 
 def assert_kernel_matches_scans(fam):
-    """Per sweep radius: the batched query equals the one-radius query, and
-    its containment verdict and cube diameter equal a naive scan of the
-    cube's member list. Then covering's witnesses and worst ratio equal
-    the scans' (C = 0 makes every query of positive diameter a witness)."""
+    """Per sweep radius: the batched query equals the one-radius query and
+    its member list the cube's. Then covering's containment witnesses,
+    diameter witnesses and worst ratio equal a naive scan of each member
+    list (C = 0 makes every query of positive diameter a witness)."""
     d = fam.space.table.tolist()
     contain, diams, worst = [], [], 0.0
-    for x, order, _, ends, radii in fam.space.ball_sweep():
-        qs = find_containing_cubes(fam, x, order, ends, radii)
+    for x, _, _, _, radii in fam.space.ball_sweep():
+        qs = find_containing_cubes(fam, x, radii)
         for j, r in enumerate(radii.tolist()):
             q = qs.query(j)
             assert q == find_containing_cube(fam, x, r)
             members = fam.cube_members(q).tolist()
             assert qs.members[qs.slot[j]].tolist() == members
             inside, diam = bruteforce.ball_in_members_scan(d, x, r, members)
-            assert bool(qs.contained[j]) == inside, (x, r, q)
             if not inside:
                 contain.append((x, r, q.to_json()))
             if diam > 0:
@@ -160,8 +159,8 @@ def test_covering_measures_each_member_list_once(monkeypatch):
     # the box of side 20, 8 (system, level, index) keys share 1 list)
     fam = cloud_family(box=20.0)
     queried = set()
-    for x, order, _, ends, radii in fam.space.ball_sweep():
-        qs = find_containing_cubes(fam, x, order, ends, radii)
+    for x, _, _, _, radii in fam.space.ball_sweep():
+        qs = find_containing_cubes(fam, x, radii)
         queried.update(m.tobytes() for m in qs.members)
     real, calls = fam.space.dist_rows, []
 
@@ -191,6 +190,26 @@ def test_covering_containment_matches_scan_on_corrupted_family():
     chk = verify_covering(fam).check("ball_containment")
     assert expect and chk.checked == queries
     assert chk.witnesses == expect
+
+
+@pytest.mark.parametrize("family", [geoline_family, cloud_family])
+def test_covering_catches_a_ball_one_rank_outside_its_cube(family):
+    # drop from the cube answering one query only the ball's farthest
+    # point: the ball then ends one rank past the cube, the case an
+    # off-by-one in the containment test would pass
+    fam = family()
+    x, order, _, ends, radii = next(s for s in fam.space.ball_sweep()
+                                    if s[3].max() >= 2)
+    j = int(np.argmax(ends >= 2))
+    q = find_containing_cube(fam, x, float(radii[j]))
+    sys_t = fam.system(q.t)
+    lists = [c.members.tolist() for c in sys_t.cubes_at(q.k)]
+    lists[q.index].remove(int(order[ends[j] - 1]))
+    relist(sys_t, q.k, lists)
+    assert find_containing_cube(fam, x, float(radii[j])) == q
+    chk = verify_covering(fam).check("ball_containment")
+    assert not chk.passed
+    assert (x, float(radii[j]), q.to_json()) in chk.witnesses
 
 
 def test_query_center_is_local():
@@ -294,20 +313,19 @@ def test_kernel_matches_scans_on_sampled_families(variant):
 def test_queries_refuse_points_outside(x):
     fam = geoline_family()
     assert fam.space.n == 4
-    _, order, _, ends, radii = next(fam.space.ball_sweep())
+    radii = next(fam.space.ball_sweep())[4]
     with pytest.raises(PreconditionFail, match=rf"point {x} outside \[0, 4\)"):
         find_containing_cube(fam, x, 1.0)
     with pytest.raises(PreconditionFail, match=rf"point {x} outside \[0, 4\)"):
-        find_containing_cubes(fam, x, order, ends, radii)
+        find_containing_cubes(fam, x, radii)
 
 
 def test_kernel_rejects_bad_radii():
     fam = geoline_family()
-    _, order, _, ends, radii = next(fam.space.ball_sweep())
+    radii = next(fam.space.ball_sweep())[4]
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ConfigError, match="radius must be positive"):
-            find_containing_cubes(fam, 0, order, ends,
-                                  np.append(radii[:-1], bad))
+            find_containing_cubes(fam, 0, np.append(radii[:-1], bad))
 
 
 # -- the shared-level builder against systems built one by one -------------

@@ -1,8 +1,10 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from cubeforge.adjacent import build_adjacent_family, verify_covering
@@ -39,6 +41,7 @@ from cubeforge.random_systems import (
 from cubeforge.space import QuasiMetricSpace, generate_space
 
 import bruteforce
+from test_analysis import int_clouds
 from test_selection import cloud_labels, near_pool
 
 DELTA = 1.0 / 144.0
@@ -612,3 +615,69 @@ def test_scan_straddle_plane_sampled_systems():
     # seed 0: eight of the forty draws move both straddle hosts and reach
     # depth 1; the rest contribute depth-0 hits unless the D slot drifts
     assert agg == {0: 104, 1: 16}
+
+
+@functools.lru_cache(maxsize=None)
+def straddle_plane_once():
+    return straddle_plane()
+
+
+@st.composite
+def chain_systems(draw):
+    """Sampled systems of the straddle plane, or reference-center systems of
+    integer grid lines and small integer clouds. The order constants
+    (sep, cover) = (0.25, 2) at ratios 1/8 and 1/32 and (1, 1) at 1/8 lack
+    the scale headroom; (0.25, 2) at 1/144 meets it with equality. Some
+    systems then claim 8 or 1000 times the separation constant their
+    centers earned: chains then fail, reach the finest level and run deep
+    enough to have several close pairs."""
+    kind = draw(st.sampled_from(["straddle", "grid", "cloud"]))
+    if kind == "straddle":
+        sampler = OmegaSampler(straddle_plane_once(), "single",
+                               seed=draw(st.integers(0, 3)))
+        system = sample_system(sampler, draw(st.integers(0, 39)))
+    else:
+        system = reference_system(draw, kind)
+    claim = draw(st.sampled_from([1.0, 8.0, 1000.0]))
+    system.constants = dataclasses.replace(
+        system.constants, sep_const=claim * system.constants.sep_const)
+    return system
+
+
+def reference_system(draw, kind):
+    """A cube system over the reference centers of a drawn grid line
+    (kind "grid") or integer cloud."""
+    if kind == "grid":
+        space = QuasiMetricSpace.from_line(
+            np.arange(float(draw(st.integers(2, 120))))
+            * draw(st.sampled_from([1.0, 2.0, 3.0])))
+    else:
+        space = draw(int_clouds())
+    delta = draw(st.sampled_from([1 / 144, 1 / 32, 1 / 8]))
+    sep, cover = draw(st.sampled_from([(1.0, 1.0), (0.25, 2.0)]))
+    hier = build_reference_hierarchy(space, delta, mode="exploratory")
+    levels = [hier.level(k) for k in hier.level_ks()]
+    order = build_partial_order(space, levels, delta, sep, cover,
+                                space.profile.tri_const, k_top=hier.k_min,
+                                mode="exploratory")
+    return build_cube_system(space, levels, order)
+
+
+@settings(max_examples=120, deadline=None)
+@given(system=chain_systems())
+def test_chain_scan_matches_the_oracle(system):
+    c = system.constants
+    want = bruteforce.chain_scan(
+        system.space.table.tolist(), [lv.tolist() for lv in system.level_points],
+        [a.tolist() for a in system.assign], system.k_min, c.tri_const,
+        c.sep_const, c.cover_const, c.delta)
+    chk = scan_chain_separation(system).check("admissible_chains")
+    if want is None:
+        assert (chk.passed, chk.checked, chk.witnesses) == (True, 0, [])
+        assert "headroom" in chk.note
+        return
+    per_depth, checked, witnesses = want
+    assert chk.details == {"per_depth": per_depth,
+                           "combinations": sum(per_depth.values())}
+    assert (chk.checked, chk.witnesses) == (checked, witnesses)
+    assert chk.passed == (not witnesses)

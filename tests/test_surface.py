@@ -48,3 +48,21 @@ def test_one_function_constructs_adjacent_families():
                     for node in ast.walk(fn)):
                 builders.append((path.name, fn.name))
     assert builders == [("adjacent.py", "_build_family")]
+
+
+def test_one_function_refuses_ids_out_of_range():
+    # every caller-supplied level, point, cube, center, child and system
+    # index goes through errors.require_id; a function raising its own
+    # "... outside [" PreconditionFail is a second guard
+    guards = []
+    for path in sorted(Path(cubeforge.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)
+                    and node.exc.func.id == "PreconditionFail"
+                    and "outside [" in ast.unparse(node.exc)
+                    for node in ast.walk(fn)):
+                guards.append((path.name, fn.name))
+    assert guards == [("errors.py", "require_id")]
