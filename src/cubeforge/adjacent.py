@@ -21,9 +21,8 @@ system index off that point's pair label. find_containing_cube is the
 one-radius case. In strict mode the returned cube contains the ball and its
 diameter is at most C*r with C = 8*tri**3/ratio**coarsening: 2, or 3 for
 the pinned variant, which answers one level coarser. verify_covering checks
-containment on its own: the ball order[:end] lies in the returned cube
-exactly when end is at most the first rank in the center's sweep order of a
-point outside the cube's member list.
+containment on its own: ball(x, r) lies in the returned cube exactly when
+the edge-distance kernel puts x at least r from the cube's complement.
 """
 from __future__ import annotations
 
@@ -32,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cubes import CubeSystem, ParentMaps, build_cube_system
+from .cubes import CubeSystem, ParentMaps, _edge_gaps, build_cube_system
 from .errors import ConfigError, require_id
 from .labeling import (LabeledHierarchy, SelectionOutcome, index_to_pair,
                        pair_to_index, require_near, selected_order,
@@ -58,7 +57,6 @@ class CubeQuery:
 class AdjacentFamily:
     labeled: LabeledHierarchy
     systems: list = field(default_factory=list)  # index t-1
-    n_systems: int = 1                           # K
     covering_const: float = 0.0                  # C
     distinguished: Optional[int] = None
     # randomized families record their per-level draw so queries can route
@@ -81,6 +79,10 @@ class AdjacentFamily:
     @property
     def delta(self):
         return self.labeled.hierarchy.delta
+
+    @property
+    def n_systems(self) -> int:   # K
+        return self.labeled.n_systems
 
     @property
     def coarsening(self) -> int:
@@ -165,7 +167,7 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
                     for k in labeled.parent_ks()
                     if "ordinals" in levels[k]} or None
     family = AdjacentFamily(
-        labeled=labeled, n_systems=K, distinguished=pinned,
+        labeled=labeled, distinguished=pinned,
         level_shifts=shifts, ordinal_shifts=ordinals)
     family.covering_const = 8.0 * tri ** 3 / family.delta ** family.coarsening
     seen, links, closed = {}, {}, {}
@@ -281,23 +283,20 @@ def verify_covering(family: AdjacentFamily) -> VerificationReport:
     contain_bad, diam_bad, n_queries = [], [], 0
     worst_ratio = 0.0
     diam_of = {}  # member list bytes -> its diameter; systems share cubes
-    inside = np.zeros(space.n, dtype=bool)
-    for x, order, _, ends, radii in space.ball_sweep():
+    for x, _, _, _, radii in space.ball_sweep():
         qs = find_containing_cubes(family, x, radii)
         diam = np.empty(len(qs.members))
-        # first rank in x's order of a point outside each answered cube
-        first_out = np.empty(len(qs.members), dtype=int)
+        inside = np.zeros((len(qs.members), space.n), dtype=bool)
         for i, m in enumerate(qs.members):
             key = m.tobytes()
             if key not in diam_of:
                 diam_of[key] = float(space.dist_rows(m, m).max(initial=0.0))
             diam[i] = diam_of[key]
-            inside[:] = False
-            inside[m] = True
-            first_out[i] = np.append(~inside[order], True).argmax()
+            inside[i, m] = True
+        gap = _edge_gaps(space.dist_row(x), inside, True)[qs.slot]
         diam = diam[qs.slot]
         n_queries += radii.size
-        for j in np.flatnonzero(ends > first_out[qs.slot]):
+        for j in np.flatnonzero(radii > gap):
             contain_bad.append((x, float(radii[j]), qs.query(j).to_json()))
         for j in np.flatnonzero(diam > C * radii * (1 + _TOL)):
             diam_bad.append((x, float(radii[j]), float(diam[j]), C * radii[j]))

@@ -359,6 +359,10 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
                                          sys_t.members):
             key = (k, pts.tobytes(), flat.tobytes(), start.tobytes())
             if key not in ratios:
+                empty = np.flatnonzero(np.diff(start) == 0)
+                if empty.size:
+                    raise PreconditionFail(
+                        f"level {k}: cube {int(empty[0])} holds no point")
                 near = space.dist_rows(pts) < outer * delta ** k
                 start = start.tolist()
                 ratios[key] = np.array([

@@ -462,9 +462,20 @@ def boundary_zone(system: CubeSystem, k: int, index: int, eps: float) -> np.ndar
     if not eps >= 0:
         raise PreconditionFail(f"eps must be nonnegative, got {eps}")
     members = system.cube(k, index).members
-    outside = np.ones(system.space.n, dtype=bool)
-    outside[members] = False
-    if not outside.any():
-        return members[:0]
-    gap = system.space.dist_rows(members, np.flatnonzero(outside))
-    return members[gap.min(axis=1) <= eps]
+    inside = np.isin(system.space.points(), members)
+    return members[_edge_gaps(system.space.dist_rows(members), inside, True,
+                              eps)]
+
+
+def _edge_gaps(rows, cube_of, own, eps=None) -> np.ndarray:
+    """The edge-distance kernel: each point's distance to the nearest point
+    outside its cube own[...] (0 when it lies outside it), inf when that
+    cube is the whole space; rows and cube_of give every point's distance
+    and cube on the last axis. Given eps: whether each gap is within each
+    eps, inclusive, and never for a cube with no complement, even at inf."""
+    gaps = np.where(cube_of != np.asarray(own)[..., None], rows,
+                    np.inf).min(axis=-1)
+    if eps is None:
+        return gaps
+    # an inf gap (no complement) turns nan, which is within no eps
+    return np.less_equal.outer(np.where(gaps < np.inf, gaps, np.nan), eps)

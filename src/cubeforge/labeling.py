@@ -21,13 +21,17 @@ children all come from that table; `children_of` slices it, and
 `near_pool` keeps the near children in the same grouped layout.
 
 Selection rules pick one child per center, producing one new point per old
-point. One kernel, `LabeledHierarchy.pick_children`, serves every rule and
-every sampler: for a whole level it returns each center's child with pair
-label (l, m), optionally with a per-center ordinal shift, and the designated
-near child where there is none; every specific pick goes through
-`specific_pick`. `selected_order` links the selected centers with the
-auxiliary constants; every function that builds selected-point systems goes
-through it.
+point. `LabeledHierarchy.pick_children` is the kernel of the specific
+picks: for a whole level it returns each center's child with pair label
+(l, m), optionally with a per-center ordinal shift, and the designated near
+child where there is none. Every specific pick goes through
+`specific_pick`, so the specific rules, the family build and the adjacent
+samplers share it. Two picks do not: the general rule (`_general_pick`)
+starts from the near children and asks its chooser, and the single sampler
+(`OmegaSampler.draw_level`) draws uniformly among all children or the near
+pool. `selected_order` links the selected centers with the auxiliary
+constants; every function that builds selected-point systems goes through
+it.
 """
 from __future__ import annotations
 

@@ -31,6 +31,7 @@ partition. `estimate_boundary_probability` is its one-point, one-tau case.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -38,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .adjacent import AdjacentFamily, _build_family
-from .cubes import CubeSystem, build_cube_system, close_assign
+from .cubes import CubeSystem, _edge_gaps, build_cube_system, close_assign
 from .errors import ConfigError, ModeViolation, PreconditionFail, require_id
 from .labeling import (
     LabeledHierarchy,
@@ -302,32 +303,29 @@ def estimate_boundary_sweep(sampler: OmegaSampler, points, k: int, taus,
     cannot move the level-k partition), and every (x, tau) reads its hit off
     that one partition: x is within tau * ratio**k of its cube's edge when
     its nearest point in another cube is. An estimate passes when its 95%
-    Wilson upper confidence bound stays under C_2 * tau**eta. Arguments are
-    checked pair by pair in output order, so a bad call raises what the
-    first failing one-pair call would.
+    Wilson upper confidence bound stays under C_2 * tau**eta. A bad call
+    raises what the first failing one-pair call in output order would; with
+    no pairs, every point or tau given is still checked.
     """
-    pairs = []
-    for x in points:
-        for i, tau in enumerate(taus):
-            k = _check_boundary_args(sampler, k, tau, n_samples)
-            if i == 0:  # once, where x's first pair checks it
-                x = require_id("point", x, 0, sampler.labeled.space.n, ")")
-            pairs.append((x, tau))
-    if not pairs:
+    points, taus, n = list(points), list(taus), sampler.labeled.space.n
+    # in the order the one-pair calls would check them, in output order
+    k = _check_boundary_args(sampler, k, taus[:1], n_samples)
+    ids = [require_id("point", x, 0, n, ")") for x in points[:1]]
+    _check_boundary_args(sampler, k, taus[1:], n_samples)
+    ids += [require_id("point", x, 0, n, ")") for x in points[1:]]
+    if not (ids and taus):
         return []
     delta = sampler.labeled.hierarchy.delta
     eps = np.array([tau * delta ** k for tau in taus])
-    pts = np.asarray(points, dtype=int)
+    pts = np.asarray(ids)
     rows = sampler.labeled.space.dist_rows(pts)
     hits = np.zeros((pts.size, eps.size), dtype=int)
     for i in range(n_samples):
         assign = _partial_assign(sampler, i, k)
-        outside = assign != assign[pts][:, None]
-        gap = np.where(outside, rows, np.inf).min(axis=1)
-        # a point whose cube is the whole space has no edge, even at eps=inf
-        hits += (gap[:, None] <= eps) & outside.any(axis=1)[:, None]
+        hits += _edge_gaps(rows, assign, assign[pts], eps)
     out = []
-    for (x, tau), h in zip(pairs, hits.ravel().tolist()):
+    for (x, tau), h in zip(itertools.product(ids, taus),
+                           hits.ravel().tolist()):
         upper = wilson_upper(h, n_samples)
         bound = sampler.boundary_const * tau ** sampler.decay_exp
         out.append(BoundaryEstimate(
@@ -337,19 +335,21 @@ def estimate_boundary_sweep(sampler: OmegaSampler, points, k: int, taus,
     return out
 
 
-def _check_boundary_args(sampler: OmegaSampler, k: int, tau: float,
+def _check_boundary_args(sampler: OmegaSampler, k: int, taus: list,
                          n_samples: int) -> int:
-    """Level k as a Python int when one (point, tau) pair's arguments other
-    than its point are admissible."""
+    """Level k as a Python int when the arguments other than the points are
+    admissible; the taus are checked in order, between the mode and the
+    sample count."""
     lab = sampler.labeled
     if sampler.variant != "single":
         raise ConfigError("boundary estimation uses the single variant")
     if lab.hierarchy.mode != "strict":
         raise PreconditionFail("boundary decay needs a strict-mode hierarchy")
-    if not tau > 0:
-        raise PreconditionFail(f"tau must be positive, got {tau}")
-    if not math.isfinite(tau):
-        raise PreconditionFail(f"tau must be finite, got {tau}")
+    for tau in taus:
+        if not tau > 0:
+            raise PreconditionFail(f"tau must be positive, got {tau}")
+        if not math.isfinite(tau):
+            raise PreconditionFail(f"tau must be finite, got {tau}")
     if n_samples < 1000:
         raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
     return lab.k_min + lab._window(k, lab.k_min, lab.k_max)
@@ -388,29 +388,31 @@ def check_chain_separation(system: CubeSystem, x: int, k: int, tau: float,
         raise PreconditionFail(
             "depth/threshold headroom 12*tri**4*tau <= sep_const*ratio**depth "
             "required")
-    row = space.dist_row(x)
-    outside = system.assign[k - system.k_min] != system.locate(k, x)
-    gap = float(row[outside].min()) if outside.any() else math.inf
+    assign = system.assign[k - system.k_min]
+    gap = float(_edge_gaps(space.dist_row(x), assign, assign[x]))
     if gap >= tau * delta ** k:
         raise PreconditionFail(
             f"point {x} is {gap} from its cube's complement, not within "
             f"{tau * delta ** k}")
     eps_1 = sep / (12.0 * tri ** 4)
+    centers, bad = _chain(system, x, k, n_depth, eps_1)
+    rep = VerificationReport("chain separation")
+    rep.add("chain_separation", not bad, n_depth * (n_depth + 1) // 2, bad,
+            details={"eps_1": eps_1, "levels": [k, k + n_depth],
+                     "centers": centers})
+    return rep
+
+
+def _chain(system: CubeSystem, x: int, k: int, n_depth: int, eps_1: float):
+    """(centers, witnesses) of the chain of x's cubes on levels k + a,
+    a = 0..n_depth: each pair a < b of centers at a distance d below
+    eps_1 * delta**(k + a) is a witness (k + a, k + b, their centers, d)."""
     centers = [system.cube(j, system.locate(j, x)).center
                for j in range(k, k + n_depth + 1)]
-    bad, checked = [], 0
-    for a in range(len(centers)):
-        for b in range(a + 1, len(centers)):
-            checked += 1
-            d = space.dist(centers[a], centers[b])
-            lvl = k + a
-            if d < eps_1 * delta ** lvl:
-                bad.append((lvl, k + b, centers[a], centers[b], d))
-    rep = VerificationReport("chain separation")
-    rep.add("chain_separation", not bad, checked, bad,
-            details={"eps_1": eps_1, "levels": [k, k + n_depth],
-                     "centers": [int(c) for c in centers]})
-    return rep
+    return centers, [(k + a, k + b, centers[a], centers[b], d)
+                     for a, b in itertools.combinations(range(n_depth + 1), 2)
+                     if (d := system.space.dist(centers[a], centers[b]))
+                     < eps_1 * system.delta ** (k + a)]
 
 
 def scan_chain_separation(system: CubeSystem) -> VerificationReport:
@@ -419,10 +421,11 @@ def scan_chain_separation(system: CubeSystem) -> VerificationReport:
     A combination (x, k, n_depth) admits a threshold tau exactly when the
     distance from x to the complement of its level-k cube lies strictly
     below tau * delta**k for some tau within the depth headroom
-    12 * tri**4 * tau <= sep_const * delta**n_depth. The scan runs the
-    separation check at the largest such tau for every admissible
-    combination and reports the admissible counts per depth, so a caller
-    can see how much of the sweep was vacuous.
+    12 * tri**4 * tau <= sep_const * delta**n_depth. The scan reads each
+    point's edge distances on every level at once, checks every admissible
+    combination at the largest such tau with the chain kernel of
+    `check_chain_separation`, and reports the admissible counts per depth,
+    so a caller can see how much of the sweep was vacuous.
     """
     consts = system.constants
     tri, sep, cover = consts.tri_const, consts.sep_const, consts.cover_const
@@ -433,26 +436,22 @@ def scan_chain_separation(system: CubeSystem) -> VerificationReport:
                 note="scale headroom missing, nothing admissible")
         return rep
     space = system.space
+    eps_1 = sep / (12.0 * tri ** 4)
+    assign = np.stack(system.assign)   # assign[j, x]: x's level-j cube
     per_depth: dict = {}
     bad, checked = [], 0
     for x in space.points():
-        row = space.dist_row(x)
-        for k in system.level_ks():
-            assign = system.assign[k - system.k_min]
-            outside = assign != assign[x]
-            if not outside.any():
-                continue
-            gap = float(row[outside].min())
+        gaps = _edge_gaps(space.dist_row(x), assign, assign[:, x]).tolist()
+        for k, gap in zip(system.level_ks(), gaps):
             for n_depth in range(0, system.k_max - k + 1):
                 tau = sep * delta ** n_depth / (12.0 * tri ** 4)
                 if gap >= tau * delta ** k:
                     break
-                sub = check_chain_separation(system, int(x), k, tau, n_depth)
-                chk = sub.check("chain_separation")
-                checked += chk.checked
+                _, witnesses = _chain(system, x, k, n_depth, eps_1)
+                checked += n_depth * (n_depth + 1) // 2
                 per_depth[n_depth] = per_depth.get(n_depth, 0) + 1
-                if not chk.passed:
-                    bad.append((int(x), k, n_depth, chk.witnesses[:2]))
+                if witnesses:
+                    bad.append((x, k, n_depth, witnesses[:2]))
     rep.add("admissible_chains", not bad, checked, bad,
             details={"per_depth": per_depth,
                      "combinations": int(sum(per_depth.values()))})

@@ -256,6 +256,14 @@ def test_single_point_space_family():
     assert verify_covering(fam).passed
 
 
+def test_family_reads_its_one_k_off_the_labels():
+    fam = geoline_family()
+    assert "n_systems" not in {f.name for f in dataclasses.fields(fam)}
+    assert fam.n_systems == fam.labeled.n_systems == len(fam.systems)
+    with pytest.raises(AttributeError):
+        fam.n_systems = 1
+
+
 def test_family_build_is_deterministic():
     a = json.dumps(geoline_family().to_json())
     b = json.dumps(geoline_family().to_json())

@@ -782,6 +782,24 @@ def test_ball_mass_witnesses_match_scan_on_corrupted_family():
     assert chk.witnesses == expect
 
 
+def test_comparability_refuses_an_empty_cube():
+    # system 1 loses cube 40 of level 1 to cube 41: the outer-ball ratio of
+    # the empty cube used to divide by its zero mass (ZeroDivisionError)
+    space, mu = grid64()
+    fam = line_family(space)
+    doc = fam.system(1).to_json()
+    cubes = doc["levels"][2]["cubes"]
+    cubes[41]["members"] = cubes[40]["members"] + cubes[41]["members"]
+    cubes[40]["members"] = []
+    fam.systems[0] = CubeSystem.from_json(doc, space)
+    for call in (lambda: verify_comparability(fam, mu, [np.ones(64)]),
+                 lambda: verify_weighted_bounds(fam, mu, np.ones(64),
+                                                np.ones(64), 2.0)):
+        with pytest.raises(PreconditionFail,
+                           match="level 1: cube 40 holds no point"):
+            call()
+
+
 def test_comparability_requires_strict_mode():
     space, mu = grid64()
     fam = line_family(space, mode="exploratory")

@@ -487,6 +487,31 @@ def test_boundary_sweep_errors_match_first_pair():
                                               taus[0], n)
 
 
+def test_empty_sweeps_still_check_their_arguments():
+    # with one list empty there is no (point, tau) pair, and the sweep used
+    # to return [] without checking anything
+    lab = geoline_labels()
+    s = OmegaSampler(lab, "single", seed=1)
+    cases = [
+        (s, [99, 1.5], 7, [], 5, PreconditionFail,
+         "need at least 1000 samples, got 5"),
+        (OmegaSampler(lab, "adjacent"), [], 7, [0.1], 5, ConfigError,
+         "boundary estimation uses the single variant"),
+        (s, [], 7, [0.1], 1000, PreconditionFail, "level 7 outside"),
+        (s, [], -2, [0.1, -1.0], 1000, PreconditionFail,
+         "tau must be positive, got -1.0"),
+        (s, [0, 99], -2, [], 1000, PreconditionFail, "point 99 outside"),
+        (s, [1.5], -2, [], 1000, PreconditionFail,
+         "point 1.5 is not an integer"),
+        (s, [], 7, [], 1000, PreconditionFail, "level 7 outside"),
+    ]
+    for sampler, points, k, taus, n, err, msg in cases:
+        with pytest.raises(err, match=msg):
+            estimate_boundary_sweep(sampler, points, k, taus, n)
+    for points, taus in (([0, 3], []), ([], [0.1, 1.0]), ([], [])):
+        assert estimate_boundary_sweep(s, points, -2, taus, 1000) == []
+
+
 def test_wilson_upper_matches_oracle():
     for hits, n in [(0, 1000), (7, 1000), (250, 1000), (1000, 1000)]:
         assert wilson_upper(hits, n) == pytest.approx(
