@@ -346,13 +346,18 @@ def _check_boundary_args(sampler: OmegaSampler, k: int, taus: list,
     if lab.hierarchy.mode != "strict":
         raise PreconditionFail("boundary decay needs a strict-mode hierarchy")
     for tau in taus:
-        if not tau > 0:
-            raise PreconditionFail(f"tau must be positive, got {tau}")
-        if not math.isfinite(tau):
-            raise PreconditionFail(f"tau must be finite, got {tau}")
+        _check_tau(tau)
     if n_samples < 1000:
         raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
     return lab.k_min + lab._window(k, lab.k_min, lab.k_max)
+
+
+def _check_tau(tau: float) -> None:
+    """Raise unless tau is a positive finite threshold (NaN is neither)."""
+    if not tau > 0:
+        raise PreconditionFail(f"tau must be positive, got {tau}")
+    if not math.isfinite(tau):
+        raise PreconditionFail(f"tau must be finite, got {tau}")
 
 
 def _partial_assign(sampler: OmegaSampler, sample_index: int, k: int
@@ -381,6 +386,7 @@ def check_chain_separation(system: CubeSystem, x: int, k: int, tau: float,
     x = require_id("point", x, 0, space.n, ")")
     n_depth = require_id("depth", n_depth, 0, system.k_max - system.k_min)
     k = require_id("level", k, system.k_min, system.k_max - n_depth)
+    _check_tau(tau)
     if 18.0 * tri ** 5 * cover * delta > sep * (1 + _TOL):
         raise PreconditionFail(
             "scale headroom 18*tri**5*cover_const*ratio <= sep_const required")

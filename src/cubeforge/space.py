@@ -8,13 +8,18 @@ ball(x, r) = {y : rho(y, x) < r}. Distances live either in a dense table
 spaces where an n x n table would not fit.
 
 Validation proves what the constructions rely on. Every dense table is
-checked whole for positivity and symmetry, and its triangle constant is
-computed exactly by one blocked min-plus kernel. Row-oracle spaces (above
+checked whole for positivity and symmetry. A coordinate space
+(`from_coords`, `from_line`) proves its declared triangle constant by a
+rounding-error certificate (`_euclid_certificate`), dense or not. Any other
+dense table, or a coordinate space whose certificate fails its range
+condition or exceeds the declared bound, has its constant computed exactly
+by one blocked min-plus kernel. Any other row-oracle space (above
 TABLE_CAP) must declare an analytic bound on the constant, which a seeded
-sample of triples then asserts; without one they are refused.
+sample of triples then asserts; without one it is refused.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,10 +40,12 @@ _REL_TOL = 1e-9
 class SpaceProfile:
     """Numeric profile of a space.
 
-    tri_const: triangle inflation constant A0, exact for every dense table
+    tri_const: triangle inflation constant A0. A coordinate space stores
+    its declared bound, proven by the rounding-error certificate when that
+    lies within it. Otherwise a dense table stores the exact constant,
     unless a declared analytic bound within 1e-9 of it (or above it) is
-    given, which is then stored; a row-oracle space always stores its
-    declared bound, asserted on sampled triples.
+    given, which is then stored; a row-oracle space stores its declared
+    bound, asserted on sampled triples.
     """
 
     tri_const: float
@@ -167,24 +174,32 @@ class QuasiMetricSpace:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim < 2:   # a flat list is points on a line
             coords = coords.reshape(-1, 1)
-        n = coords.shape[0]
-        if n <= TABLE_CAP:
-            return cls.from_table(_coords_table(coords), coords=coords,
-                                  generator=generator,
-                                  declared_tri_const=declared_tri_const)
-        space = cls(n, row_fn=lambda i: np.linalg.norm(coords - coords[i], axis=1),
-                    coords=coords, generator=generator)
-        space.profile = validate_quasi_metric(range(n), space.dist_row,
-                                              declared_tri_const=declared_tri_const)
-        return space
+        table = _coords_table(coords) if len(coords) <= TABLE_CAP else None
+        return cls._euclidean(table, coords, generator, declared_tri_const)
 
     @classmethod
     def from_line(cls, positions, generator=None):
         """1-d point set with the absolute-difference metric."""
         pos = np.asarray(sorted(positions), dtype=float)
-        table = np.abs(pos[:, None] - pos[None, :])
-        return cls.from_table(table, coords=pos.reshape(-1, 1), generator=generator,
-                              declared_tri_const=1.0)
+        return cls._euclidean(np.abs(pos[:, None] - pos[None, :]),
+                              pos.reshape(-1, 1), generator, 1.0)
+
+    @classmethod
+    def _euclidean(cls, table, coords, generator, declared_tri_const):
+        """The Euclidean space of coords, validated with its certificate:
+        `table` is `_coords_table(coords)` or from_line's |a - b|, or None
+        for a row oracle with `_coords_table`'s expression."""
+        n = len(coords)
+        if table is None:
+            space = cls(n, row_fn=lambda i: _coords_rows(coords, slice(i, i + 1))[0],
+                        coords=coords, generator=generator)
+        else:
+            space = cls(n, table=table, coords=coords, generator=generator)
+        space.profile = validate_quasi_metric(
+            range(n), space.dist_row if table is None else table,
+            declared_tri_const=declared_tri_const,
+            certified_bound=_euclid_certificate(coords, table))
+        return space
 
     # -- serialization ---------------------------------------------------------
 
@@ -221,26 +236,90 @@ def _coords_table(coords) -> np.ndarray:
     n = len(coords)
     table = np.empty((n, n))
     for x0 in range(0, n, _BLOCK):
-        diff = coords[x0:x0 + _BLOCK, None, :] - coords[None, :, :]
-        table[x0:x0 + _BLOCK] = np.sqrt((diff * diff).sum(axis=2))
+        table[x0:x0 + _BLOCK] = _coords_rows(coords, slice(x0, x0 + _BLOCK))
     return table
+
+
+def _coords_rows(coords, rows: slice) -> np.ndarray:
+    """Euclidean distances from coords[rows] to every point: the one
+    expression behind the dense table and the row oracle."""
+    diff = coords[rows, None, :] - coords[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def _euclid_certificate(coords, table=None) -> Optional[float]:
+    """A proven upper bound on the triangle constant of the Euclidean
+    distances of (n, dim) `coords` as this module rounds them, or None when
+    the range condition below fails. `table` is `_coords_table(coords)`, or
+    from_line's |a - b| table when dim = 1; None reads the rows of
+    `_coords_rows` block by block instead.
+
+    Exact Euclidean distance d obeys the triangle inequality. Let u = 2**-53
+    be the unit roundoff and gamma_m = m*u / (1 - m*u). In the model
+    fl(a op b) = (a op b)(1 + e) + f, |e| <= u, f = 0, except that a
+    product below the normal range has e = 0 and |f| <= 2**-1075 (a sum or
+    difference that small is exact; Higham 2002, ch. 2-3), `_coords_rows`
+    rounds, per pair:
+      - each coordinate difference once, which enters its square twice: 2;
+      - each square once: 1, plus |f| <= 2**-1075. Over dim squares that is
+        at most dim * 2**-1075 <= u * d**2 whenever d**2 >= dim * 2**-1022,
+        which moves each term by at most one more u: 1;
+      - the sum of the dim squares, in whatever order numpy adds them: at
+        most dim - 1 roundings on each term.
+    So the computed square is d**2 (1 + t) with |t| <= gamma_{dim+3}; the
+    root keeps |sqrt(1 + t) - 1| <= |t| and rounds once more. Hence each
+    stored distance is d_hat = d (1 + theta), |theta| <= gamma_m, with
+    m = dim + 4, and
+        d_hat(x, y) <= (1 + gamma_m) (d(x, z) + d(z, y))
+                    <= (1 + gamma_m) / (1 - gamma_m) (d_hat(x, z) + d_hat(z, y)).
+    The factor is 1 / (1 - 2 m u) <= 1 + 4 m u, which is returned: exactly
+    representable, 1 + 2.7e-15 at dim = 2, far inside the 1e-9 slack.
+    from_line's |a - b| rounds once and never with an error f, so there
+    m = 1 and no range condition is needed; the dim = 1 bound (m = 5) and
+    its condition cover it.
+
+    Range condition, read off the table:
+      - every distance is finite, so no difference, square, sum or root
+        overflowed (an infinity stays infinite through the sum and the root;
+        a non-finite coordinate puts NaN on its diagonal);
+      - every off-diagonal distance is at least sqrt(dim * 2**-1020). Then
+        the computed square is at least dim * 2**-1021, and so, with at most
+        dim * 2**-1074 of error from underflow plus a relative gamma, the
+        exact d**2 is at least dim * 2**-1022, as the square step needs.
+    A finite table has an exactly zero diagonal, so the second part reads:
+    in each row exactly one distance lies below that floor.
+    """
+    n, dim = coords.shape
+    floor = math.sqrt(dim * 2.0 ** -1020)
+    for x0 in range(0, n, _BLOCK):
+        rows = (_coords_rows(coords, slice(x0, x0 + _BLOCK)) if table is None
+                else table[x0:x0 + _BLOCK])
+        if not (rows.max() < np.inf
+                and np.count_nonzero(rows < floor) == len(rows)):
+            return None
+    return 1.0 + (dim + 4) * 2.0 ** -51
 
 
 # -- validation ----------------------------------------------------------------
 
 
 def validate_quasi_metric(points, distance, declared_tri_const=None,
-                          exhaustive_cap=EXHAUSTIVE_TRIPLE_CAP) -> SpaceProfile:
+                          exhaustive_cap=EXHAUSTIVE_TRIPLE_CAP, *,
+                          certified_bound=None) -> SpaceProfile:
     """Check symmetry/positivity and measure the triangle inflation constant.
 
     `distance` may be a dense (n, n) array or a row oracle i -> row. Dense
     tables are checked whole: positivity (the first faulty row, a negative
     entry before a nonzero diagonal before a zero off-diagonal entry), then
-    symmetry to rtol 1e-12. For n <= exhaustive_cap (a row oracle is read
-    into a table first) the constant is exact over all ordered triples.
-    Above it only a declared analytic bound is accepted: it is asserted on
-    SAMPLED_TRIPLES seeded triples and returned. A declared bound also wins
-    over an exact value within 1e-9 of it.
+    symmetry to rtol 1e-12. `certified_bound` is an upper bound on the
+    constant that the caller proved from how the distances were computed
+    (`_euclid_certificate`): when it lies within 1e-9 of a declared bound
+    (or below it), the declared bound is returned without measuring.
+    Otherwise, for n <= exhaustive_cap (a row oracle is read into a table
+    first) the constant is exact over all ordered triples. Above it only a
+    declared analytic bound is accepted: it is asserted on SAMPLED_TRIPLES
+    seeded triples and returned. A declared bound also wins over an exact
+    value within 1e-9 of it.
     """
     pts = list(points)
     n = len(pts)
@@ -264,7 +343,10 @@ def validate_quasi_metric(points, distance, declared_tri_const=None,
             top, low = _check_rows(np.asarray(row_of(i), dtype=float)[None], i)
             diam, gap = max(diam, top), min(gap, low)
 
-    if exhaustive:
+    if (certified_bound is not None and declared_tri_const is not None
+            and certified_bound <= declared_tri_const * (1 + _REL_TOL)):
+        tri = certified_bound
+    elif exhaustive:
         tri = _tri_const_table(d, symmetric)
     else:
         tri = _tri_const_sampled(n, row_of)

@@ -534,6 +534,18 @@ def test_chain_separation_vacuous_and_guards():
         check_chain_separation(system, 72, 1, 1e-5, 1)  # walk exits window
 
 
+@pytest.mark.parametrize("tau, why", [
+    (float("nan"), "positive"), (float("inf"), "finite"),
+    (float("-inf"), "positive"), (0.0, "positive"), (-1.0, "positive")])
+def test_chain_separation_checks_tau_first(tau, why):
+    # point 10 lies 63 from its level -1 cube's complement: a tau that
+    # slipped through would pass vacuously or blame the point instead
+    system = grid_system()
+    for x in (10, 72):
+        with pytest.raises(PreconditionFail, match=f"tau must be {why}, got {tau}"):
+            check_chain_separation(system, x, -1, tau, 0)
+
+
 def test_chain_separation_on_sampled_system():
     grid = QuasiMetricSpace.from_line(np.arange(300.0))
     lab = build_labels(build_reference_hierarchy(grid, DELTA, mode="strict"))

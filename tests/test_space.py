@@ -1,5 +1,8 @@
+import functools
 import json
+import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -405,3 +408,132 @@ def test_row_oracle_faults_raise_with_their_witness():
         validate_quasi_metric(range(6), lambda i: table[i],
                               declared_tri_const=1.0, exhaustive_cap=2)
     assert (err.value.x, err.value.y) == (4, 2)
+
+
+# -- the rounding-error certificate of coordinate spaces ----------------------
+
+
+@st.composite
+def scaled_clouds(draw):
+    """Small clouds of dim 1-3 with near-collinear points z = x + t (y - x)
+    (t = 0 or 1 repeats a point), scaled by 1e-150 to 1e150, or past that
+    range, where some difference is too small to certify or some square
+    overflows."""
+    dim = draw(st.integers(1, 3))
+    coord = st.floats(-1e3, 1e3)
+    pts = [list(p) for p in draw(st.lists(st.tuples(*[coord] * dim), min_size=2,
+                                          max_size=5, unique=True))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(pts) - 1))
+        j = draw(st.integers(0, len(pts) - 2))
+        x, y = pts[i], pts[j + (j >= i)]
+        t = draw(st.one_of(st.sampled_from([1e-12, 0.5, 1.0 / 3.0]),
+                           st.floats(0.0, 1.0)))
+        pts.append([a + t * (b - a) for a, b in zip(x, y)])
+    return np.array(pts) * 10.0 ** draw(st.one_of(
+        st.integers(-150, 150), st.sampled_from([-165, -158, 153, 160])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coords=scaled_clouds())
+def test_certificate_bounds_the_exact_constant(coords):
+    n, dim = coords.shape
+    u = Fraction(1, 2 ** 53)
+    m = dim + 4
+    gamma = m * u / (1 - m * u)
+    with np.errstate(over="ignore"):
+        tables = [space_module._coords_table(coords)]
+    if dim == 1:   # from_line's |a - b|
+        tables.append(np.abs(coords - coords.T))
+    for table in tables:
+        bound = space_module._euclid_certificate(coords, table)
+        d = table.tolist()
+        off = [d[x][y] for x in range(n) for y in range(n) if x != y]
+        in_range = (all(math.isfinite(v) for row in d for v in row)
+                    and min(off) >= math.sqrt(dim * 2.0 ** -1020))
+        if not in_range:
+            assert bound is None
+            continue
+        assert bound == 1.0 + m * 2.0 ** -51 >= 1 / (1 - 2 * m * u)
+        assert tri_const_scan(d) <= bound
+        # every entry is the exact distance times 1 + theta, |theta| <= gamma
+        for x in range(n):
+            for y in range(n):
+                exact = sum((Fraction(a) - Fraction(b)) ** 2
+                            for a, b in zip(coords[x], coords[y]))
+                got = Fraction(d[x][y]) ** 2
+                assert (1 - gamma) ** 2 * exact <= got <= (1 + gamma) ** 2 * exact
+    with np.errstate(over="ignore"):
+        assert space_module._euclid_certificate(coords) \
+            == space_module._euclid_certificate(coords, tables[0])
+
+
+def _counting(name):
+    return mock.patch.object(space_module, name,
+                             wraps=getattr(space_module, name))
+
+
+def test_coordinate_spaces_skip_the_exact_kernel():
+    cloud = {"kind": "euclidean_cloud", "n": 60, "dim": 3, "seed": 5}
+    with _counting("_tri_const_table") as kernel:
+        spaces = [generate_space(cloud),
+                  generate_space({"kind": "geometric_line", "levels": 6,
+                                  "delta": 0.25}),
+                  QuasiMetricSpace.from_coords([[0, 0], [3, 4], [6, 8]]),
+                  QuasiMetricSpace.from_line(LINE4)]
+        assert kernel.call_count == 0
+        assert [s.profile.tri_const for s in spaces] == [1.0] * 4
+        QuasiMetricSpace.from_table(spaces[0].table, declared_tri_const=1.0)
+        assert kernel.call_count == 1
+        generate_space({"kind": "power_snowflake", "base": cloud,
+                        "exponent": 0.5})
+        assert kernel.call_count == 2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e154])
+@pytest.mark.parametrize("declared", [None, 0.5, 1.0])
+def test_uncertified_coordinates_take_the_exact_kernel(declared, scale):
+    # no bound, a bound below the certificate, or out of range (tiny
+    # distances, or squares that overflow): the same kernel, profile and
+    # refusal as a plain table of the same distances
+    coords = np.random.default_rng(3).uniform(0.0, 20.0, (30, 2)) * scale
+    with np.errstate(over="ignore"):
+        table = space_module._coords_table(coords)
+
+    def outcome(build):
+        try:
+            return build(declared_tri_const=declared).profile
+        except BadSpec as e:
+            return str(e)
+
+    with _counting("_tri_const_table") as kernel, \
+            np.errstate(over="ignore", invalid="ignore"):
+        expect = outcome(functools.partial(QuasiMetricSpace.from_table, table))
+        assert kernel.call_count == 1
+        got = outcome(functools.partial(QuasiMetricSpace.from_coords, coords))
+    certified = declared == 1.0 and scale == 1.0
+    assert kernel.call_count == (1 if certified else 2)
+    assert repr(got) == repr(expect)
+    if declared == 0.5:
+        assert "exceeds declared bound 0.5" in expect
+
+
+def test_coordinate_oracle_is_certified_above_the_cap(monkeypatch):
+    coords = np.random.default_rng(8).uniform(0.0, 20.0, (40, 3))
+    dense = QuasiMetricSpace.from_coords(coords)
+    # lower both caps so 40 points take the row-oracle, sampled-check path
+    monkeypatch.setattr(space_module, "TABLE_CAP", 16)
+    monkeypatch.setattr(space_module, "validate_quasi_metric", functools.partial(
+        space_module.validate_quasi_metric, exhaustive_cap=16))
+    with _counting("_tri_const_sampled") as sampled, \
+            _counting("_tri_const_table") as kernel:
+        oracle = QuasiMetricSpace.from_coords(coords)
+        assert oracle.table is None
+        rows = np.array([oracle.dist_row(i) for i in range(40)])
+        assert rows.tobytes() == dense.table.tobytes()
+        assert oracle.profile == dense.profile
+        assert (sampled.call_count, kernel.call_count) == (0, 0)
+        snow = generate_space({"kind": "power_snowflake", "base": oracle,
+                               "exponent": 0.5})
+        assert snow.table is None and snow.profile.tri_const == 1.0
+        assert (sampled.call_count, kernel.call_count) == (1, 0)
