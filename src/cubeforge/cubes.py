@@ -224,7 +224,16 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
                         k_top: int, mode: str = "strict") -> ParentMaps:
     """Link each center to its parent one level up; see the module docstring
     for the tight/loose rule. Strict mode insists on the scale headroom
-    12 * tri_const^3 * cover_const * delta <= sep_const."""
+    12 * tri_const^3 * cover_const * delta <= sep_const.
+
+    Each level may carry a leading sample axis: a (B, m) level holds B
+    center lists of one length, and its map and tight flags are (B, m)
+    too. A batched step reads the distances of every id it holds with one
+    `dist_rows` call and gathers each sample's block from it, so its floats
+    are those of the one-sample call. A batched call raises at the first
+    failing level, for the first sample failing there, with the child index
+    in that sample's list.
+    """
     require_mode(mode)
     if mode == "strict":
         product = 12.0 * tri_const ** 3 * cover_const * delta
@@ -238,22 +247,44 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
         children = np.asarray(level_points[j + 1], dtype=int)
         tight_thr = sep_const * delta ** k / (2.0 * tri_const)
         loose_thr = cover_const * delta ** k
-        dists = space.dist_rows(children, parents)
-        near = dists < tight_thr
-        counts = near.sum(axis=1)
+        if parents.ndim == 1:
+            dists = space.dist_rows(children, parents)
+            near, in_range = dists < tight_thr, dists < loose_thr
+        else:
+            # one block over the batch's distinct ids, compared once; each
+            # sample takes its parents' columns of the comparisons for every
+            # distinct child, (children, B, parents), until rows_at picks
+            # the sample's own children
+            rows, rows_at = _distinct(children, space.n)
+            cols, cols_at = _distinct(parents, space.n)
+            dists = space.dist_rows(rows, cols)
+            near = (dists < tight_thr)[:, cols_at]
+            in_range = (dists < loose_thr)[:, cols_at]
+        # the first listed tight parent, the first listed within cover radius
+        found = (near.sum(axis=-1), in_range.any(axis=-1),
+                 near.argmax(axis=-1), in_range.argmax(axis=-1))
+        if parents.ndim > 1:
+            found = [np.take_along_axis(a.T, rows_at, -1) for a in found]
+        counts, reached, tight_idx, loose_idx = found
         if (counts > 1).any():
-            i = int(np.argmax(counts > 1))
-            cands = parents[near[i]].tolist()
-            raise TightAmbiguity(k, i, int(children[i]), cands)
-        in_range = dists < loose_thr
-        if (~in_range.any(axis=1) & (counts == 0)).any():
-            i = int(np.argmax(~in_range.any(axis=1) & (counts == 0)))
-            raise NoParent(k, i, int(children[i]))
-        tight_idx = near.argmax(axis=1)
-        loose_idx = in_range.argmax(axis=1)  # first listed within cover radius
+            *b, i = np.argwhere(counts > 1)[0]
+            child, cands = int(children[(*b, i)]), parents[tuple(b)]
+            near_i = space.dist_rows([child], cands)[0] < tight_thr
+            raise TightAmbiguity(k, int(i), child, cands[near_i].tolist())
+        if (~reached & (counts == 0)).any():
+            *b, i = np.argwhere(~reached & (counts == 0))[0]
+            raise NoParent(k, int(i), int(children[(*b, i)]))
         out.maps.append(np.where(counts == 1, tight_idx, loose_idx).astype(int))
         out.tight.append(counts == 1)
     return out
+
+
+def _distinct(ids, n: int):
+    """(the distinct point ids in `ids`, ascending; each id's position
+    among them), as np.unique with return_inverse gives them."""
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[ids]
 
 
 def build_cube_system(space: QuasiMetricSpace, level_points,
@@ -295,13 +326,22 @@ def close_assign(n: int, finest, maps) -> list:
     """Point -> cube index on every level of a parent order, coarsest first.
 
     The finest list (of all n points) indexes the finest level; each coarser
-    level composes the parent map below it, maps[j][assign[j + 1]].
+    level composes the parent map below it, maps[j][assign[j + 1]]. With a
+    leading sample axis (see `build_partial_order`), a (B, n) finest list
+    and (B, m) maps give one assignment per sample, (B, n).
     """
     assign = [None] * (len(maps) + 1)
-    assign[-1] = np.empty(n, dtype=int)
-    assign[-1][finest] = np.arange(len(finest))
+    if np.ndim(finest) == 1:
+        assign[-1] = np.empty(n, dtype=int)
+        assign[-1][finest] = np.arange(len(finest))
+        for j in range(len(maps) - 1, -1, -1):
+            assign[j] = maps[j][assign[j + 1]]
+        return assign
+    b, m = np.shape(finest)
+    assign[-1] = np.empty((b, n), dtype=int)
+    np.put_along_axis(assign[-1], np.asarray(finest), np.arange(m), axis=-1)
     for j in range(len(maps) - 1, -1, -1):
-        assign[j] = maps[j][assign[j + 1]]
+        assign[j] = np.take_along_axis(maps[j], assign[j + 1], axis=-1)
     return assign
 
 

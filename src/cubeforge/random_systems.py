@@ -28,9 +28,17 @@ and C_2 = 4*tri**2/(inner_const*ratio). `estimate_boundary_sweep` estimates
 that chance for many points and taus at one level k: each sample realizes
 levels k and finer once, and every (point, tau) reads its hit off that one
 partition. `estimate_boundary_probability` is its one-point, one-tau case.
+The sweep realizes its samples in batches: each sample draws its levels
+from its own streams, as alone, and one `build_partial_order` call over
+the batch's (B, m) level lists links them all, one `close_assign` call
+gives the batch's (B, n) level-k assignments and one `_edge_gaps` call
+reads every hit. B is the cell budget BATCH_CELLS (about 1 MB of floats)
+over the cells one sample adds to the largest block. A failing batch is
+rerun one sample at a time, so errors surface in sample order.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,7 +48,8 @@ import numpy as np
 
 from .adjacent import AdjacentFamily, _build_family
 from .cubes import CubeSystem, _edge_gaps, build_cube_system, close_assign
-from .errors import ConfigError, ModeViolation, PreconditionFail, require_id
+from .errors import (ConfigError, CubeforgeError, ModeViolation,
+                     PreconditionFail, require_id)
 from .labeling import (
     LabeledHierarchy,
     SelectionOutcome,
@@ -57,6 +66,9 @@ WILSON_Z = 1.6448536269514722  # one-sided 95% normal quantile
 SINGLE_PRODUCT_LIMIT = 96.0    # strict headroom on tri**6 * ratio
 FAMILY_PRODUCT_LIMIT = 144.0   # strict headroom on tri**8 * ratio
 VARIANTS = ("single", "adjacent", "adjacent_refined")
+# cells (about 1 MB of floats) of the largest block one boundary-sweep batch
+# holds; the batch size is this over the cells one sample adds
+BATCH_CELLS = 2 ** 17
 
 
 @dataclass
@@ -110,7 +122,29 @@ class OmegaSampler:
     def _rng(self, sample_index: int, k: int):
         ss = np.random.SeedSequence(
             self.seed, spawn_key=(sample_index, k - self.labeled.k_min))
-        return np.random.default_rng(ss)
+        return np.random.Generator(np.random.PCG64(ss))   # = default_rng(ss)
+
+    @functools.cached_property
+    def _single_pools(self) -> list:
+        """Per parent level: the ids a single draw picks from (the children,
+        then the near pool, both grouped by center) and, per master label,
+        each center's pool size, its pool's start in those ids and the
+        centers without a pool (None when every center has one). Built once
+        per sampler, at its first single draw."""
+        lab, out = self.labeled, []
+        for primary, (kids, start), (near, near_start) in zip(
+                lab.primary, lab.children, lab.near_pool):
+            per_master = []
+            for master in range(lab.max_label + 1):
+                match = primary == master
+                # a center draws from all its children or from its near pool;
+                # the near pool is empty exactly when there is no near child
+                pool = np.where(match, np.diff(start), np.diff(near_start))
+                base = np.where(match, start[:-1], kids.size + near_start[:-1])
+                per_master.append((pool, base,
+                                   pool == 0 if (pool == 0).any() else None))
+            out.append((np.concatenate((kids, near)), per_master))
+        return out
 
     def draw_level(self, sample_index: int, k: int) -> dict:
         """One level's coordinate; streams are independent across levels.
@@ -120,23 +154,17 @@ class OmegaSampler:
                                   ")")
         j = lab._window(k, lab.k_min, lab.k_max - 1)
         rng = self._rng(sample_index, k)
-        kids, start = lab.children[j]
         if self.variant == "single":
+            ids, per_master = self._single_pools[j]
             master = int(rng.integers(0, lab.max_label + 1))
-            match = lab.primary[j] == master
-            near, near_start = lab.near_pool[j]
-            # a center draws from all its children or from its near pool;
-            # the near pool is empty exactly when there is no near child
-            pool = np.where(match, np.diff(start), np.diff(near_start))
-            require_near(lab, k, pool == 0)
-            offset = rng.integers(0, pool)
-            choice = np.empty(len(match), dtype=int)
-            choice[match] = kids[start[:-1][match] + offset[match]]
-            choice[~match] = near[near_start[:-1][~match] + offset[~match]]
-            return {"master": master, "choice": choice}
+            pool, base, missing = per_master[master]
+            if missing is not None:
+                require_near(lab, k, missing)
+            return {"master": master,
+                    "choice": ids[base + rng.integers(0, pool)]}
         entry = {"shift": int(rng.integers(1, self.n_systems + 1))}
         if self.variant == "adjacent_refined":
-            sizes = np.diff(start)
+            sizes = np.diff(lab.children[j][1])
             require_near(lab, k, sizes == 0)
             entry["ordinals"] = rng.integers(1, sizes + 1)
         return entry
@@ -320,9 +348,12 @@ def estimate_boundary_sweep(sampler: OmegaSampler, points, k: int, taus,
     pts = np.asarray(ids)
     rows = sampler.labeled.space.dist_rows(pts)
     hits = np.zeros((pts.size, eps.size), dtype=int)
-    for i in range(n_samples):
-        assign = _partial_assign(sampler, i, k)
-        hits += _edge_gaps(rows, assign, assign[pts], eps)
+    batch = max(1, BATCH_CELLS // _sample_cells(sampler.labeled, k, pts.size))
+    for lo in range(0, n_samples, batch):
+        assign = _partial_assign(sampler, range(lo, min(lo + batch,
+                                                        n_samples)), k)
+        hits += _edge_gaps(rows, assign[:, None, :], assign[:, pts],
+                           eps).sum(axis=0)
     out = []
     for (x, tau), h in zip(itertools.product(ids, taus),
                            hits.ravel().tolist()):
@@ -360,18 +391,40 @@ def _check_tau(tau: float) -> None:
         raise PreconditionFail(f"tau must be finite, got {tau}")
 
 
-def _partial_assign(sampler: OmegaSampler, sample_index: int, k: int
-                    ) -> np.ndarray:
-    """Point -> cube index at level k for one draw of levels k..k_max-1."""
+def _sample_cells(lab: LabeledHierarchy, k: int, n_points: int) -> int:
+    """Cells one sample adds to the largest block a sweep batch holds: a
+    level step's child-by-parent distances, or the points' edge gaps."""
+    sizes = [len(lab.hierarchy.level(j)) for j in range(k, lab.k_max + 1)]
+    return max([a * b for a, b in zip(sizes, sizes[1:])]
+               + [n_points * lab.space.n])
+
+
+def _partial_assign(sampler: OmegaSampler, samples, k: int) -> np.ndarray:
+    """Point -> cube index at level k for each sample index in `samples`,
+    from one draw of levels k..k_max-1 each: a (len(samples), n) array, the
+    levels of all samples linked by one partial-order call per batch. A
+    failing batch is rerun one sample at a time, so it raises what the
+    first failing sample raises on its own."""
     lab = sampler.labeled
     h = lab.hierarchy
-    z_levels = []
-    for j in range(k, lab.k_max):
-        entry = sampler.draw_level(sample_index, j)
-        z_levels.append(h.level(j + 1)[entry["choice"]])
-    z_levels.append(h.level(lab.k_max).copy())
-    order = selected_order(lab, z_levels, k_top=k)
-    return close_assign(lab.space.n, z_levels[-1], order.maps)[0]
+    ks = range(k, lab.k_max)
+    try:
+        chosen = [[sampler.draw_level(i, j)["choice"] for j in ks]
+                  for i in samples]
+        z_levels = [h.level(j + 1)[np.array(c)]
+                    for j, c in zip(ks, zip(*chosen))]
+        finest = h.level(lab.k_max)
+        z_levels.append(np.broadcast_to(finest, (len(samples), finest.size)))
+        if len(samples) == 1:   # the kernel reads one sample's rows faster
+            z_levels = [z[0] for z in z_levels]
+        order = selected_order(lab, z_levels, k_top=k)
+        return np.atleast_2d(close_assign(lab.space.n, z_levels[-1],
+                                          order.maps)[0])
+    except CubeforgeError:
+        if len(samples) == 1:
+            raise
+        return np.concatenate([_partial_assign(sampler, [i], k)
+                               for i in samples])
 
 
 def check_chain_separation(system: CubeSystem, x: int, k: int, tau: float,

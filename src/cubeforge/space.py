@@ -7,13 +7,14 @@ ball(x, r) = {y : rho(y, x) < r}. Distances live either in a dense table
 (n <= TABLE_CAP) or behind a per-row oracle so the same API scales to
 spaces where an n x n table would not fit.
 
-Validation proves what the constructions rely on. Every dense table is
-checked whole for positivity and symmetry. A coordinate space
-(`from_coords`, `from_line`) proves its declared triangle constant by a
-rounding-error certificate (`_euclid_certificate`), dense or not. Any other
-dense table, or a coordinate space whose certificate fails its range
-condition or exceeds the declared bound, has its constant computed exactly
-by one blocked min-plus kernel. Any other row-oracle space (above
+Validation proves what the constructions rely on. Every distance must be
+finite, and every dense table is checked whole for positivity and
+symmetry. A coordinate space (`from_coords`, `from_line`) proves its
+declared triangle constant by a rounding-error certificate
+(`_euclid_certificate`), dense or not. Any other dense table, or a
+coordinate space whose certificate fails its range condition or exceeds
+the declared bound, has its constant computed exactly by one blocked
+min-plus kernel. Any other row-oracle space (above
 TABLE_CAP) must declare an analytic bound on the constant, which a seeded
 sample of triples then asserts; without one it is refused.
 """
@@ -309,10 +310,12 @@ def validate_quasi_metric(points, distance, declared_tri_const=None,
     """Check symmetry/positivity and measure the triangle inflation constant.
 
     `distance` may be a dense (n, n) array or a row oracle i -> row. Dense
-    tables are checked whole: positivity (the first faulty row, a negative
-    entry before a nonzero diagonal before a zero off-diagonal entry), then
-    symmetry to rtol 1e-12. `certified_bound` is an upper bound on the
-    constant that the caller proved from how the distances were computed
+    tables are checked whole: finiteness and positivity (the first faulty
+    row, a NaN or infinite entry before a negative one before a nonzero
+    diagonal before a zero off-diagonal entry), then symmetry to rtol
+    1e-12. A row oracle above the exhaustive cap gets the first check, row
+    by row. `certified_bound` is an upper bound on the constant that the
+    caller proved from how the distances were computed
     (`_euclid_certificate`): when it lies within 1e-9 of a declared bound
     (or below it), the declared bound is returned without measuring.
     Otherwise, for n <= exhaustive_cap (a row oracle is read into a table
@@ -361,22 +364,30 @@ def validate_quasi_metric(points, distance, declared_tri_const=None,
 
 
 def _check_rows(rows, x0=0):
-    """Raise for the first faulty one of rows x0, x0 + 1, ...: a negative
-    entry, else a nonzero diagonal, else a zero off-diagonal entry. Returns
-    the largest entry and the smallest positive one."""
+    """Raise for the first faulty one of rows x0, x0 + 1, ...: a non-finite
+    entry (NaN or +-inf), else a negative entry, else a nonzero diagonal,
+    else a zero off-diagonal entry. Returns the largest entry and the
+    smallest positive one."""
     ii = np.arange(len(rows))
     diag = rows[ii, x0 + ii]
-    bad = np.flatnonzero((rows < 0).any(axis=1) | (diag != 0)
+    # a row's min and max are NaN when it holds one, so this also finds NaN
+    low = rows.min(axis=1, initial=np.inf)
+    top = rows.max(axis=1, initial=-np.inf)
+    bad = np.flatnonzero(~((low >= 0) & (top < np.inf)) | (diag != 0)
                          | ((rows == 0).sum(axis=1) > (diag == 0)))
     if bad.size:
         x, row = x0 + int(bad[0]), rows[bad[0]]
+        odd = np.flatnonzero(~np.isfinite(row))
         neg, zeros = np.flatnonzero(row < 0), np.flatnonzero(row == 0)
+        if odd.size:
+            raise BadSpec(f"d({x},{int(odd[0])}) = {float(row[odd[0]])!r} "
+                          f"is not a finite distance")
         if neg.size:
             raise NegativeDistance(x, int(neg[0]), float(row[neg[0]]))
         if row[x] != 0:
             raise BadSpec(f"d({x},{x}) = {row[x]!r}, expected 0")
         raise ZeroDistance(x, int(zeros[zeros != x][0]))
-    return (float(np.max(rows, initial=0.0)),
+    return (float(top.max(initial=0.0)),
             float(np.min(rows, where=rows > 0, initial=np.inf)))
 
 

@@ -24,11 +24,15 @@ def tri_const_scan(d):
 
 def fault_scan(d):
     """First fault of a distance table, as (kind, x, y) or None: rows in
-    order, each checked for a negative entry, then a nonzero diagonal, then
-    a zero off-diagonal entry; only then the first pair (x, y) in row-major
-    order with |d[x][y] - d[y][x]| > 1e-12 * |d[y][x]|."""
+    order, each checked for a NaN or infinite entry, then a negative entry,
+    then a nonzero diagonal, then a zero off-diagonal entry; only then the
+    first pair (x, y) in row-major order with
+    |d[x][y] - d[y][x]| > 1e-12 * |d[y][x]|."""
     n = len(d)
     for x in range(n):
+        for y in range(n):
+            if not math.isfinite(d[x][y]):
+                return ("nonfinite", x, y)
         for y in range(n):
             if d[x][y] < 0:
                 return ("negative", x, y)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
-from cubeforge import adjacent, cubes, random_systems
+from cubeforge import adjacent, cubes, labeling, random_systems
 from cubeforge.adjacent import verify_covering
 from cubeforge.cubes import CubeSystem, _edge_gaps, boundary_zone
 from cubeforge.errors import PreconditionFail
@@ -78,14 +78,15 @@ def straddle_handpicked():
         labeled=lab, rule={"kind": "handpicked"}, chosen=chosen))
 
 
-# site -> (call, kernel calls): one per boundary zone, per sweep sample,
-# per chain check, per scanned point and per covering center
+# site -> (call, kernel calls): one per boundary zone, per sweep batch (the
+# geoline's 1000 samples fit one), per chain check, per scanned point and
+# per covering center
 SITES = {
     "boundary_zone": (lambda: boundary_zone(grid_system(), -1, 0, 12.0), 1),
     "verify_covering": (lambda: verify_covering(geoline_family()), 4),
     "estimate_boundary_sweep": (lambda: estimate_boundary_sweep(
         OmegaSampler(geoline_labels(), seed=1), [0, 2], -2, [0.1, 1.0],
-        1000), 1000),
+        1000), 1),
     "check_chain_separation": (lambda: check_chain_separation(
         grid_system(), 72, -1, 0.01, 0), 1),
     "scan_chain_separation": (lambda: scan_chain_separation(
@@ -108,6 +109,27 @@ def test_each_site_reaches_the_kernel(monkeypatch, site):
     got = call()
     assert len(calls) == expect
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 400, None])
+def test_sweep_links_and_reads_each_batch_once(monkeypatch, batch):
+    # one partial-order call and one edge-distance call per batch of
+    # samples; None keeps the module's budget, one batch on the geoline
+    lab = geoline_labels()
+    cells = random_systems._sample_cells(lab, -2, 2)
+    if batch is not None:
+        monkeypatch.setattr(random_systems, "BATCH_CELLS", batch * cells)
+    calls = []
+    for module, name in ((labeling, "build_partial_order"),
+                         (random_systems, "_edge_gaps")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name,
+                            **kw: (calls.append(name), real(*a, **kw))[1])
+    estimate_boundary_sweep(OmegaSampler(lab, seed=1), [0, 2], -2,
+                            [0.1, 1.0], 1000)
+    batches = -(-1000 // batch) if batch else 1
+    assert calls.count("build_partial_order") == batches
+    assert calls.count("_edge_gaps") == batches
 
 
 def test_scan_never_reenters_the_public_check(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from cubeforge import labeling, random_systems
 from cubeforge.adjacent import build_adjacent_family, verify_covering
 from cubeforge.cubes import (
     build_cube_system,
@@ -16,8 +17,10 @@ from cubeforge.cubes import (
 from cubeforge.errors import (
     ConfigError,
     ModeViolation,
+    NoNearChild,
     NotAChild,
     PreconditionFail,
+    TightAmbiguity,
 )
 from cubeforge.labeling import (
     SelectionOutcome,
@@ -426,6 +429,141 @@ def test_boundary_sweep_matches_scan_on_the_line():
 @given(lab=cloud_labels(deltas=(DELTA,), mode="strict"))
 def test_boundary_sweep_matches_scan_on_clouds(lab):
     assert_sweep_matches_scan(lab)
+
+
+@st.composite
+def int_line_labels(draw):
+    """Strict labels over a line of distinct integers."""
+    pos = draw(st.lists(st.integers(0, 40), min_size=2, max_size=12,
+                        unique=True))
+    space = QuasiMetricSpace.from_line(np.asarray(pos, dtype=float))
+    return build_labels(build_reference_hierarchy(space, DELTA,
+                                                  mode="strict"))
+
+
+def budget_for(lab, k, n_points, batch):
+    """A BATCH_CELLS that makes a sweep over n_points points at level k run
+    `batch` samples at a time (None: the module's own budget)."""
+    if batch is None:
+        return random_systems.BATCH_CELLS
+    return batch * random_systems._sample_cells(lab, k, n_points)
+
+
+def sweep_batched(lab, sampler, points, k, taus, batch):
+    """(hits, assign): the sweep's hit counts with `batch` samples a batch,
+    and the level-k assignment row it realized for each sample index."""
+    real, rows = random_systems._partial_assign, {}
+
+    def recording(sampler, samples, k):
+        assign = real(sampler, samples, k)
+        rows.update(zip(samples, assign))
+        return assign
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random_systems, "BATCH_CELLS",
+                   budget_for(lab, k, len(points), batch))
+        mp.setattr(random_systems, "_partial_assign", recording)
+        got = estimate_boundary_sweep(sampler, points, k, taus, 1000)
+    return [e.hits for e in got], rows
+
+
+def assert_batches_agree(lab, k):
+    """Sweep every point of `lab` at level k over three tied taus, 1, 3 and
+    the default number of samples a batch: the hits agree, and each
+    sample's level-k assignment is the one of its fully realized system.
+    Returns the hits."""
+    points, taus = list(range(lab.space.n)), tied_taus(lab, k)
+    s = OmegaSampler(lab, "single", seed=13)
+    want, _ = sweep_batched(lab, s, points, k, taus, 1)
+    full = [realize_system(lab, sample_outcome(s, i)).assign[k - lab.k_min]
+            for i in range(1000)]
+    for batch in (3, None):
+        hits, rows = sweep_batched(lab, s, points, k, taus, batch)
+        assert hits == want
+        assert sorted(rows) == list(range(1000))
+        assert all(np.array_equal(rows[i], a) for i, a in enumerate(full))
+    return want
+
+
+def test_batched_sweep_on_the_line():
+    assert sum(assert_batches_agree(geoline_labels(), -2)) > 0
+
+
+@pytest.mark.slow
+@settings(max_examples=8, deadline=None)
+@given(lab=st.one_of(cloud_labels(deltas=(DELTA,), mode="strict"),
+                     int_line_labels()),
+       level=st.integers(0, 8))
+def test_batched_sweep_matches_one_sample_batches(lab, level):
+    ks = list(lab.hierarchy.level_ks())
+    assert_batches_agree(lab, ks[level % len(ks)])
+
+
+def without_near_pool(lab, k, alpha):
+    """Empty the near pool of the level-k center alpha, in place."""
+    j = k - lab.k_min
+    kids, start = lab.near_pool[j]
+    sizes = np.diff(start)
+    sizes[alpha] = 0
+    lab.near_pool[j] = (np.delete(kids, np.arange(start[alpha],
+                                                  start[alpha + 1])),
+                        np.concatenate(([0], np.cumsum(sizes))))
+    lab.near[j][alpha] = -1
+
+
+def sweep_error(lab, sampler, batch):
+    """The exception the straddle-plane sweep raises at `batch` samples a
+    batch, as (type, message, attributes)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random_systems, "BATCH_CELLS",
+                   budget_for(lab, -1, 2, batch))
+        with pytest.raises(Exception) as info:
+            estimate_boundary_sweep(sampler, [7, 8], -1, [0.1], 1000)
+    return type(info.value), str(info.value), vars(info.value)
+
+
+def test_batched_sweep_raises_what_one_sample_batches_raise(monkeypatch):
+    # the level-0 centers are labeled [0, 0, 1]: with center 2's near pool
+    # emptied, the first sample drawing master 0 there fails its draw
+    lab = straddle_plane()
+    without_near_pool(lab, 0, 2)
+    s = OmegaSampler(lab, "single", seed=6)
+    whole = OmegaSampler(straddle_plane(), "single", seed=6)
+    masters = [whole.draw_level(i, 0)["master"] for i in range(1000)]
+    first_bad = masters.index(0)
+    assert 0 < first_bad < 1000 // 3   # mid-batch, in every batch size
+    assert max(1, random_systems.BATCH_CELLS
+               // random_systems._sample_cells(lab, -1, 2)) > first_bad
+    want = sweep_error(lab, s, 1)
+    assert want[0] is NoNearChild and want[2]["parent_index"] == 2
+    for batch in (3, None):
+        assert sweep_error(lab, s, batch) == want
+
+    # a kernel failing for one earlier sample, whose draws all succeed,
+    # raises first, although the batch draws the failing sample first
+    target = first_bad - 1
+    h = lab.hierarchy
+    mark = [h.level(j + 1)[s.draw_level(target, j)["choice"]]
+            for j in (-1, 0, 1)]
+    real = labeling.build_partial_order
+
+    def flaky(space, levels, *args, **kwargs):
+        drawn = [np.atleast_2d(lv) for lv in levels[:3]]
+        for b in range(len(drawn[0])):
+            if all(np.array_equal(lv[b], m) for lv, m in zip(drawn, mark)):
+                raise TightAmbiguity(0, b, int(mark[1][0]), mark[0].tolist())
+        return real(space, levels, *args, **kwargs)
+
+    monkeypatch.setattr(labeling, "build_partial_order", flaky)
+    want = sweep_error(lab, s, 1)
+    assert want[0] is TightAmbiguity and want[2]["child_index"] == 0
+    for batch in (3, None):
+        assert sweep_error(lab, s, batch) == want
+    # with every near pool in place only the kernel fails
+    want = sweep_error(whole.labeled, whole, 1)
+    assert want[0] is TightAmbiguity
+    for batch in (3, None):
+        assert sweep_error(whole.labeled, whole, batch) == want
 
 
 def test_boundary_sweep_rows_are_points_outer_taus_inner():

@@ -333,7 +333,8 @@ def test_exact_tri_const_matches_scan(block, d):
             == tri_const_scan(d.tolist())
 
 
-FAULTS = ["negative", "diagonal", "zero", "zero_pair", "asymmetric"]
+FAULTS = ["negative", "diagonal", "zero", "zero_pair", "asymmetric",
+          "nonfinite"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -350,6 +351,9 @@ def test_validation_errors_match_fault_scan(d, data):
             continue
         elif kind == "negative":
             d[x, y] = -1.0
+        elif kind == "nonfinite":
+            d[x, y] = data.draw(st.sampled_from([math.nan, math.inf,
+                                                 -math.inf]))
         elif kind == "asymmetric":
             d[x, y] *= 1.5
         else:
@@ -365,8 +369,8 @@ def test_validation_errors_match_fault_scan(d, data):
                         ZeroDistance)) as err:
         validate_quasi_metric(range(n), d)
     e = err.value
-    if kind == "diagonal":
-        assert type(e) is BadSpec and str(e).startswith(f"d({x},{x}) = ")
+    if kind in ("diagonal", "nonfinite"):
+        assert type(e) is BadSpec and str(e).startswith(f"d({x},{y}) = ")
     else:
         typ = {"negative": NegativeDistance, "zero": ZeroDistance,
                "asymmetric": SymmetryViolation}[kind]
@@ -495,10 +499,12 @@ def test_coordinate_spaces_skip_the_exact_kernel():
 def test_uncertified_coordinates_take_the_exact_kernel(declared, scale):
     # no bound, a bound below the certificate, or out of range (tiny
     # distances, or squares that overflow): the same kernel, profile and
-    # refusal as a plain table of the same distances
+    # refusal as a plain table of the same distances; an overflowed table
+    # is refused before any kernel runs
     coords = np.random.default_rng(3).uniform(0.0, 20.0, (30, 2)) * scale
     with np.errstate(over="ignore"):
         table = space_module._coords_table(coords)
+    finite = bool(np.isfinite(table).all())
 
     def outcome(build):
         try:
@@ -509,13 +515,39 @@ def test_uncertified_coordinates_take_the_exact_kernel(declared, scale):
     with _counting("_tri_const_table") as kernel, \
             np.errstate(over="ignore", invalid="ignore"):
         expect = outcome(functools.partial(QuasiMetricSpace.from_table, table))
-        assert kernel.call_count == 1
+        assert kernel.call_count == finite
         got = outcome(functools.partial(QuasiMetricSpace.from_coords, coords))
     certified = declared == 1.0 and scale == 1.0
-    assert kernel.call_count == (1 if certified else 2)
+    assert kernel.call_count == (0 if not finite else 1 if certified else 2)
     assert repr(got) == repr(expect)
-    if declared == 0.5:
+    assert finite == (scale != 1e154)
+    if not finite:
+        assert "is not a finite distance" in expect
+    elif declared == 0.5:
         assert "exceeds declared bound 0.5" in expect
+
+
+def test_non_finite_distances_are_refused():
+    # the 8-point line with d(2, 5) = d(5, 2) = NaN, as a row oracle read
+    # row by row above the exhaustive cap and as a dense table
+    pos = np.arange(8.0)
+    table = np.abs(pos[:, None] - pos[None, :])
+    table[2, 5] = table[5, 2] = np.nan
+    for distance in (table.__getitem__, table):
+        with pytest.raises(BadSpec, match=r"^d\(2,5\) = nan is not a finite"):
+            validate_quasi_metric(range(8), distance, declared_tri_const=1.0,
+                                  exhaustive_cap=4)
+    # a box-20 cloud times 1e154: the largest squares overflow, and the
+    # first infinite distance in row order is named
+    coords = np.random.default_rng(3).uniform(0.0, 20.0, (30, 2)) * 1e154
+    with np.errstate(over="ignore"):
+        table = space_module._coords_table(coords)
+        x, y = np.argwhere(~np.isfinite(table))[0]
+        for build, arg in ((QuasiMetricSpace.from_coords, coords),
+                           (QuasiMetricSpace.from_table, table)):
+            with pytest.raises(BadSpec,
+                               match=rf"^d\({x},{y}\) = inf is not a finite"):
+                build(arg, declared_tri_const=1.0)
 
 
 def test_coordinate_oracle_is_certified_above_the_cap(monkeypatch):
