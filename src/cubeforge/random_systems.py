@@ -13,12 +13,22 @@ adjacent         per level: one shift uniform on {1..K}; system t realizes
 adjacent_refined additionally one uniform sibling-ordinal shift per center,
                  applied modulo that center's child count.
 
-A level's per-center coordinates are drawn in one bounded-integer call over
-the whole level, which consumes the stream exactly as one call per center in
-index order. An adjacent draw realizes its family through the one family
-builder in `adjacent`, whose system t picks by `specific_pick`; with every
-shift K (no shift) that is the fixed family of `build_adjacent_family`.
-Every selected-point order comes from `selected_order`.
+`draw_level` draws a level's per-center coordinates in one bounded-integer
+call over the whole level, which consumes the stream exactly as one call per
+center in index order. The sweep and the single selection estimate draw a
+batch of samples at once (`_draw_choices`): the SeedSequence hash, PCG64
+seeding and outputs of every (sample, level) key of the batch are computed
+in whole uint32/uint64 arrays, and Lemire's bounded step turns the stream's
+32-bit words into what Generator.integers returns: the master label from
+word 0 when there are two labels or more, then one word per center whose
+pool holds more than one id, in center order. A key whose word numpy would
+reject, whose master leaves a center without a pool or whose sample index
+needs a two-word spawn key is drawn by `draw_level` instead, so every
+choice, and every NoNearChild, is draw_level's. An adjacent draw realizes
+its family through the one family builder in `adjacent`, whose system t
+picks by `specific_pick`; with every shift K (no shift) that is the fixed
+family of `build_adjacent_family`. Every selected-point order comes from
+`selected_order`.
 
 Every selected point is guaranteed a probability of at least
 tau_0 = 1/((L+1)*M) of being chosen, which drives the boundary-zone decay
@@ -28,10 +38,10 @@ and C_2 = 4*tri**2/(inner_const*ratio). `estimate_boundary_sweep` estimates
 that chance for many points and taus at one level k: each sample realizes
 levels k and finer once, and every (point, tau) reads its hit off that one
 partition. `estimate_boundary_probability` is its one-point, one-tau case.
-The sweep realizes its samples in batches: each sample draws its levels
-from its own streams, as alone, and one `build_partial_order` call over
-the batch's (B, m) level lists links them all, one `close_assign` call
-gives the batch's (B, n) level-k assignments and one `_edge_gaps` call
+The sweep realizes its samples in batches: one batched draw gives each
+sample its levels from its own streams, as alone, one `build_partial_order`
+call over the batch's (B, m) level lists links them all, one `close_assign`
+call gives the batch's (B, n) level-k assignments and one `_edge_gaps` call
 reads every hit. B is the cell budget BATCH_CELLS (about 1 MB of floats)
 over the cells one sample adds to the largest block. A failing batch is
 rerun one sample at a time, so errors surface in sample order.
@@ -60,6 +70,7 @@ from .labeling import (
     specific_pick,
 )
 from .report import VerificationReport
+from .streams import M32, key_states, lemire, pcg_jumps, pcg_outputs
 
 _TOL = 1e-12
 WILSON_Z = 1.6448536269514722  # one-sided 95% normal quantile
@@ -127,23 +138,23 @@ class OmegaSampler:
     @functools.cached_property
     def _single_pools(self) -> list:
         """Per parent level: the ids a single draw picks from (the children,
-        then the near pool, both grouped by center) and, per master label,
-        each center's pool size, its pool's start in those ids and the
-        centers without a pool (None when every center has one). Built once
-        per sampler, at its first single draw."""
+        then the near pool, both grouped by center); per master label (row)
+        and center (column), the center's pool size and its pool's start in
+        those ids; and `pcg_jumps` for the most words one key's batched
+        draw reads there. Built once per sampler, at its first single
+        draw."""
         lab, out = self.labeled, []
+        masters = np.arange(lab.max_label + 1)[:, None]
         for primary, (kids, start), (near, near_start) in zip(
                 lab.primary, lab.children, lab.near_pool):
-            per_master = []
-            for master in range(lab.max_label + 1):
-                match = primary == master
-                # a center draws from all its children or from its near pool;
-                # the near pool is empty exactly when there is no near child
-                pool = np.where(match, np.diff(start), np.diff(near_start))
-                base = np.where(match, start[:-1], kids.size + near_start[:-1])
-                per_master.append((pool, base,
-                                   pool == 0 if (pool == 0).any() else None))
-            out.append((np.concatenate((kids, near)), per_master))
+            # a center draws from all its children or from its near pool;
+            # the near pool is empty exactly when there is no near child
+            match = primary == masters
+            pool = np.where(match, np.diff(start), np.diff(near_start))
+            base = np.where(match, start[:-1], kids.size + near_start[:-1])
+            words = (lab.max_label > 0) + int((pool > 1).sum(axis=1).max())
+            out.append((np.concatenate((kids, near)), pool, base,
+                        pcg_jumps(max(1, (words + 1) // 2))))
         return out
 
     def draw_level(self, sample_index: int, k: int) -> dict:
@@ -155,19 +166,62 @@ class OmegaSampler:
         j = lab._window(k, lab.k_min, lab.k_max - 1)
         rng = self._rng(sample_index, k)
         if self.variant == "single":
-            ids, per_master = self._single_pools[j]
+            ids, pools, base, _ = self._single_pools[j]
             master = int(rng.integers(0, lab.max_label + 1))
-            pool, base, missing = per_master[master]
-            if missing is not None:
-                require_near(lab, k, missing)
+            pool = pools[master]
+            if not pool.all():
+                require_near(lab, k, pool == 0)
             return {"master": master,
-                    "choice": ids[base + rng.integers(0, pool)]}
+                    "choice": ids[base[master] + rng.integers(0, pool)]}
         entry = {"shift": int(rng.integers(1, self.n_systems + 1))}
         if self.variant == "adjacent_refined":
             sizes = np.diff(lab.children[j][1])
             require_near(lab, k, sizes == 0)
             entry["ordinals"] = rng.integers(1, sizes + 1)
         return entry
+
+    def _draw_choices(self, samples, ks) -> list:
+        """Single-variant choices of a batch: per level k in `ks`, the
+        (len(samples), m_k) array whose row i is draw_level(i, k)["choice"].
+        Every key's stream is computed in whole arrays (see the module
+        docstring); a key goes through `draw_level` when numpy would reject
+        one of its words, when its master leaves a center without a pool
+        (so draw_level raises NoNearChild) or when its sample index needs a
+        two-word spawn key. Levels are finished in order, each in sample
+        order."""
+        lab = self.labeled
+        samples = np.array(samples, dtype=np.uint64)
+        js = [lab._window(k, lab.k_min, lab.k_max - 1) for k in ks]
+        states = key_states(self.seed, samples.astype(np.uint32),
+                            np.array(js, dtype=np.uint32))
+        out = []
+        for k, j, state in zip(ks, js, states.swapaxes(0, 1)):
+            ids, pools, base, jumps = self._single_pools[j]
+            raw = pcg_outputs(state, jumps)
+            # next_uint32 hands out each 64-bit output low half first
+            words = np.stack((raw & M32, raw >> 32), axis=-1).reshape(
+                samples.size, -1)
+            redraw = samples > M32
+            master, first = np.zeros(samples.size, dtype=np.intp), 0
+            if lab.max_label:
+                master, redraw_m = lemire(words[:, 0], lab.max_label + 1)
+                redraw |= redraw_m
+                first = 1
+            pool = pools[master]
+            # a pool of 1 reads no word: numpy's zero-width range
+            multi = pool > 1
+            at = np.minimum(first + np.cumsum(multi, axis=1) - multi,
+                            words.shape[1] - 1)
+            pick, rejected = lemire(np.take_along_axis(words, at, axis=1),
+                                    np.maximum(pool, 1))
+            # a center without a pool may point past the ids; its key is
+            # redrawn below
+            choice = ids.take(base[master] + pick, mode="clip")
+            redraw |= rejected.any(axis=1) | (pool == 0).any(axis=1)
+            for r in np.flatnonzero(redraw):
+                choice[r] = self.draw_level(int(samples[r]), k)["choice"]
+            out.append(choice)
+        return out
 
     def draw(self, sample_index: int = 0) -> dict:
         sample_index = require_id("sample index", sample_index, 0, 2 ** 64,
@@ -269,15 +323,20 @@ def estimate_selection_probability(sampler: OmegaSampler, k: int, alpha: int,
     beta = lab.require_child(k, alpha, beta)
     t = require_id("system index", t, 1, sampler.n_systems)
     hits = 0
-    for i in range(n_samples):
-        entry = sampler.draw_level(i, k)
-        if sampler.variant == "single":
-            pick = entry["choice"]
-        else:
+    if sampler.variant == "single":
+        # a chunk's stream holds at most its samples times m_k + 1 words
+        chunk = max(1, BATCH_CELLS // (len(lab.hierarchy.level(k)) + 1))
+        for lo in range(0, n_samples, chunk):
+            picks = sampler._draw_choices(
+                range(lo, min(lo + chunk, n_samples)), [k])[0]
+            hits += int((picks[:, alpha] == beta).sum())
+    else:
+        for i in range(n_samples):
             pick = specific_pick(lab, k, index_to_pair(t, lab.max_children),
-                                 entry)
-            require_near(lab, k, (pick < 0) & (np.arange(pick.size) == alpha))
-        hits += int(pick[alpha]) == beta
+                                 sampler.draw_level(i, k))
+            require_near(lab, k,
+                         (pick < 0) & (np.arange(pick.size) == alpha))
+            hits += int(pick[alpha]) == beta
     freq = hits / n_samples
     tau_0 = sampler.tau_0
     threshold = tau_0 - 3.0 * math.sqrt(tau_0 * (1.0 - tau_0) / n_samples)
@@ -409,10 +468,8 @@ def _partial_assign(sampler: OmegaSampler, samples, k: int) -> np.ndarray:
     h = lab.hierarchy
     ks = range(k, lab.k_max)
     try:
-        chosen = [[sampler.draw_level(i, j)["choice"] for j in ks]
-                  for i in samples]
-        z_levels = [h.level(j + 1)[np.array(c)]
-                    for j, c in zip(ks, zip(*chosen))]
+        z_levels = [h.level(j + 1)[c]
+                    for j, c in zip(ks, sampler._draw_choices(samples, ks))]
         finest = h.level(lab.k_max)
         z_levels.append(np.broadcast_to(finest, (len(samples), finest.size)))
         if len(samples) == 1:   # the kernel reads one sample's rows faster

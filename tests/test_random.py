@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from cubeforge import labeling, random_systems
+from cubeforge import labeling, random_systems, streams
 from cubeforge.adjacent import build_adjacent_family, verify_covering
 from cubeforge.cubes import (
     build_cube_system,
@@ -564,6 +564,162 @@ def test_batched_sweep_raises_what_one_sample_batches_raise(monkeypatch):
     assert want[0] is TightAmbiguity
     for batch in (3, None):
         assert sweep_error(whole.labeled, whole, batch) == want
+
+
+SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_kernel_matches_numpy(seed):
+    samples, levels = [0, 5, 2 ** 32 - 1], [0, 1, 3]
+    states = streams.key_states(
+        seed, np.array(samples, dtype=np.uint32),
+        np.array(levels, dtype=np.uint32))
+    jumps = streams.pcg_jumps(7)
+    for a, i in enumerate(samples):
+        for b, j in enumerate(levels):
+            ss = np.random.SeedSequence(seed, spawn_key=(i, j))
+            assert states[a, b].tolist() == \
+                ss.generate_state(4, np.uint64).tolist()
+            assert streams.pcg_outputs(states[a, b][None], jumps)[0] \
+                .tolist() == np.random.PCG64(ss).random_raw(7).tolist()
+
+
+@pytest.mark.parametrize("bound", [2, 3, 47, 3 * 2 ** 30, 2 ** 32 - 1])
+def test_bounded_step_matches_generator_integers(bound):
+    # 3 * 2**30 rejects a quarter of the words: 2**32 % bound = 2**30
+    ss = np.random.SeedSequence(bound)
+    raw = np.random.PCG64(ss).random_raw(4000)
+    words = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=-1).ravel()
+    values, rejected = streams.lemire(words, bound)
+    want = np.random.Generator(np.random.PCG64(ss)).integers(0, bound, 3000)
+    assert values[~rejected][:3000].tolist() == want.tolist()
+    if bound == 3 * 2 ** 30:
+        assert 0.2 < rejected.mean() < 0.3
+
+
+def stacked_draws(sampler, samples, ks):
+    """Per level of ks, draw_level's choices of `samples` stacked, or the
+    first failing draw's (type, message) with levels outer."""
+    try:
+        return [np.stack([sampler.draw_level(i, k)["choice"]
+                          for i in samples]).tolist() for k in ks]
+    except NoNearChild as err:
+        return type(err), str(err)
+
+
+def batched_draws(sampler, samples, ks):
+    try:
+        return [c.tolist() for c in sampler._draw_choices(samples, ks)]
+    except NoNearChild as err:
+        return type(err), str(err)
+
+
+@functools.lru_cache(maxsize=None)
+def fixed_labels(name):
+    """The straddle plane, the same with one near pool emptied, or a cloud
+    whose coarsest draw reads no word (one center with one child, a single
+    label)."""
+    if name == "zero_word":
+        return build_labels(build_reference_hierarchy(generate_space(
+            {"kind": "euclidean_cloud", "n": 200, "dim": 2, "box": 1.0,
+             "seed": 73}), DELTA, mode="strict"))
+    lab = straddle_plane()
+    if name == "straddle_gap":
+        without_near_pool(lab, 0, 2)
+    return lab
+
+
+@st.composite
+def line_clouds(draw):
+    """Strict labels over a 1-D cloud in a box of 300: two primary labels."""
+    space = generate_space({"kind": "euclidean_cloud", "dim": 1,
+                            "box": 300.0, "n": draw(st.integers(2, 60)),
+                            "seed": draw(st.integers(0, 99))})
+    return build_labels(build_reference_hierarchy(space, DELTA,
+                                                  mode="strict"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lab=st.one_of(cloud_labels(deltas=(DELTA,), mode="strict"),
+                     int_line_labels(), line_clouds(),
+                     st.sampled_from(["straddle", "straddle_gap",
+                                      "zero_word"]).map(fixed_labels)),
+       seed=st.sampled_from(SEEDS) | st.integers(0, 2 ** 64 - 1),
+       first=st.sampled_from([0, 2 ** 32 - 20]), n=st.integers(1, 40))
+def test_batched_draws_match_draw_level(lab, seed, first, n):
+    # a batch from 2**32 - 20 mixes one- and two-word spawn keys
+    sampler = OmegaSampler(lab, "single", seed=seed)
+    samples, ks = range(first, first + n), list(lab.parent_ks())
+    assert batched_draws(sampler, samples, ks) == \
+        stacked_draws(sampler, samples, ks)
+    for k in ks:
+        assert batched_draws(sampler, samples, [k]) == \
+            stacked_draws(sampler, samples, [k])
+
+
+def test_zero_word_level_draws():
+    lab = fixed_labels("zero_word")
+    sampler = OmegaSampler(lab, "single", seed=3)
+    assert lab.max_label == 0
+    pools = sampler._single_pools[0][1]
+    assert pools.shape == (1, 1) and pools[0, 0] == 1   # reads no word
+    ks = list(lab.parent_ks())
+    assert batched_draws(sampler, range(50), ks) == \
+        stacked_draws(sampler, range(50), ks)
+
+
+def test_flagged_keys_and_only_those_take_draw_level(monkeypatch):
+    lab = straddle_plane()
+    sampler = OmegaSampler(lab, "single", seed=11)
+    samples = range(2 ** 32 - 30, 2 ** 32 + 5)
+    want = {k: stacked_draws(sampler, samples, [k]) for k in lab.parent_ks()}
+    real_lemire, real_draw = streams.lemire, OmegaSampler.draw_level
+    flagged, called = set(), []
+
+    def lemire(words, bound):
+        # also reject every word divisible by 5, as if numpy had
+        values, rejected = real_lemire(words, bound)
+        rejected = rejected | (words % 5 == 0)
+        flagged.update(np.flatnonzero(rejected.reshape(len(words), -1)
+                                      .any(axis=1)).tolist())
+        return values, rejected
+
+    def draw_level(self, sample_index, k):
+        called.append((sample_index, k))
+        return real_draw(self, sample_index, k)
+
+    monkeypatch.setattr(random_systems, "lemire", lemire)
+    monkeypatch.setattr(OmegaSampler, "draw_level", draw_level)
+    for k in lab.parent_ks():
+        flagged.clear()
+        called.clear()
+        got = batched_draws(sampler, samples, [k])
+        assert got == want[k]
+        rows = flagged | set(range(samples.index(2 ** 32), len(samples)))
+        assert called == [(samples[r], k) for r in sorted(rows)]
+        assert 0 < len(flagged) < len(samples)
+
+
+def test_single_selection_estimate_reads_batched_draws(monkeypatch):
+    # budgets of 7 and 50 cells give chunks of 2 and 16 samples
+    budgets = (7, 50, random_systems.BATCH_CELLS)
+    lab = two_label_line()
+    s = OmegaSampler(lab, "single", seed=21)
+    picks = [int(s.draw_level(i, -1)["choice"][1]) for i in range(4000)]
+    for cells in budgets:
+        monkeypatch.setattr(random_systems, "BATCH_CELLS", cells)
+        est = estimate_selection_probability(s, -1, 1, 2, 4000)
+        assert est.frequency == picks.count(2) / 4000
+    # a missing near pool raises the first failing sample's error
+    gap = OmegaSampler(fixed_labels("straddle_gap"), "single", seed=6)
+    want = stacked_draws(gap, range(1000), [0])
+    assert want[0] is NoNearChild
+    for cells in budgets:
+        monkeypatch.setattr(random_systems, "BATCH_CELLS", cells)
+        with pytest.raises(NoNearChild) as err:
+            estimate_selection_probability(gap, 0, 0, 3, 1000)
+        assert str(err.value) == want[1]
 
 
 def test_boundary_sweep_rows_are_points_outer_taus_inner():
