@@ -27,7 +27,7 @@ rng = np.random.default_rng(SEED)
 f = rng.normal(size=64)
 m_ball = maximal_function(space, mu, f, "ball")
 consts = fam.system(1).constants
-c_a = c_mu * (consts.outer_const / consts.inner_const) ** c_exp
+c_a = c_mu * consts.outer_ratio ** c_exp
 ratios = []
 for t in range(1, fam.n_systems + 1):
     m_dy = maximal_function(space, mu, f, "dyadic", system=fam.system(t))

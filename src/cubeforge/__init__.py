@@ -1,11 +1,12 @@
 """Dyadic-style cube systems on finite quasi-metric spaces.
 
-The pieces, bottom up: validated distance tables (space), greedy net
-hierarchies (nets), nested cube partitions (cubes), greedy labels and
-selection rules (labeling), shifted families answering ball queries
-(adjacent), seeded random systems with the Monte Carlo estimators
-(random_systems), and the maximal-function / weight-constant machinery
-(analysis). pipeline and cli wrap the lot behind a JSON config.
+The pieces, bottom up: the paper's constants and headroom guards
+(constants), validated distance tables (space), greedy net hierarchies
+(nets), nested cube partitions (cubes), greedy labels and selection rules
+(labeling), shifted families answering ball queries (adjacent), seeded
+random systems with the Monte Carlo estimators (random_systems), and the
+maximal-function / weight-constant machinery (analysis). pipeline and cli
+wrap the lot behind a JSON config.
 """
 
 from cubeforge.adjacent import (AdjacentFamily, CubeQueries, CubeQuery,
@@ -15,9 +16,11 @@ from cubeforge.adjacent import (AdjacentFamily, CubeQueries, CubeQuery,
 from cubeforge.analysis import (Measure, ap_constant, bmo_norm,
                                 doubling_constant, lp_norm, maximal_function,
                                 verify_comparability, verify_weighted_bounds)
-from cubeforge.cubes import (Cube, CubeSystem, ParentMaps, SystemConstants,
-                             boundary_zone, build_cube_system,
-                             build_partial_order, verify_cube_axioms)
+from cubeforge.constants import (SystemConstants, aux_cover_const,
+                                 aux_sep_const)
+from cubeforge.cubes import (Cube, CubeSystem, ParentMaps, boundary_zone,
+                             build_cube_system, build_partial_order,
+                             verify_cube_axioms)
 from cubeforge.errors import (BadSpec, BuildError, ConfigError,
                               CubeforgeError, DegenerateWindow, ModeViolation,
                               NegativeDistance, NoNearChild, NoParent,
@@ -25,8 +28,8 @@ from cubeforge.errors import (BadSpec, BuildError, ConfigError,
                               SelectionError, SpaceError, SymmetryViolation,
                               TightAmbiguity, ZeroDistance)
 from cubeforge.labeling import (LabeledHierarchy, SelectionOutcome,
-                                aux_cover_const, aux_sep_const, build_labels,
-                                select_points, verify_new_point_axioms)
+                                build_labels, select_points,
+                                verify_new_point_axioms)
 from cubeforge.nets import (NetHierarchy, build_reference_hierarchy,
                             check_mode, level_window, verify_net_axioms)
 from cubeforge.pipeline import (PipelineConfig, RunReport, emit_report,

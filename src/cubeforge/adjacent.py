@@ -19,10 +19,11 @@ searching the powers of ratio over the level window; each distinct level
 walks once to the nearest reference point one level finer and reads the
 system index off that point's pair label. find_containing_cube is the
 one-radius case. In strict mode the returned cube contains the ball and its
-diameter is at most C*r with C = 8*tri**3/ratio**coarsening: 2, or 3 for
-the pinned variant, which answers one level coarser. verify_covering checks
-containment on its own: ball(x, r) lies in the returned cube exactly when
-the edge-distance kernel puts x at least r from the cube's complement.
+diameter is at most C*r, with C the `covering_const` of `constants` at the
+family's coarsening: 2, or 3 for the pinned variant, which answers one level
+coarser. verify_covering checks containment on its own: ball(x, r) lies in
+the returned cube exactly when the edge-distance kernel puts x at least r
+from the cube's complement.
 """
 from __future__ import annotations
 
@@ -31,14 +32,13 @@ from typing import Optional
 
 import numpy as np
 
+from .constants import _TOL
 from .cubes import CubeSystem, ParentMaps, _edge_gaps, build_cube_system
 from .errors import ConfigError, require_id
 from .labeling import (LabeledHierarchy, SelectionOutcome, index_to_pair,
                        pair_to_index, require_near, selected_order,
                        specific_pick)
 from .report import VerificationReport
-
-_TOL = 1e-12
 
 
 @dataclass
@@ -159,7 +159,6 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
     selection or link raises just as building the systems one by one would.
     """
     size, K = labeled.max_children, labeled.n_systems
-    tri = labeled.space.profile.tri_const
     shifts = ordinals = None
     if levels is not None:
         shifts = {k: int(levels[k]["shift"]) for k in labeled.parent_ks()}
@@ -169,7 +168,8 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
     family = AdjacentFamily(
         labeled=labeled, distinguished=pinned,
         level_shifts=shifts, ordinal_shifts=ordinals)
-    family.covering_const = 8.0 * tri ** 3 / family.delta ** family.coarsening
+    family.covering_const = labeled.selected_constants.covering_const(
+        family.coarsening)
     seen, links, closed = {}, {}, {}
     for t in range(1, K + 1):
         chosen = []

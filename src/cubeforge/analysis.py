@@ -17,12 +17,12 @@ from typing import Optional
 import numpy as np
 
 from .adjacent import AdjacentFamily, find_containing_cubes
+from .constants import _REL_TOL
 from .cubes import CubeSystem
 from .errors import BadSpec, ConfigError, CubeforgeError, PreconditionFail
 from .report import VerificationReport
 from .space import QuasiMetricSpace
 
-_REL_TOL = 1e-9
 _ABS_TOL = 1e-12
 _SLACK = 1e-12   # relative to the magnitude of the logs compared
 
@@ -292,21 +292,18 @@ def bmo_norm(space: QuasiMetricSpace, mu, f, variant: str = "ball",
 def _instance_constants(family: AdjacentFamily, weights):
     """Doubling data plus the two transfer constants of this family.
 
-    C_a bounds mass(outer ball of Q) / mass(Q) via the doubling sweep at
-    radii outer_const vs inner_const; C_a_prime bounds mass(containing
-    cube of B) / mass(B), where the containing-cube query answers at most
-    family.coarsening generations coarser than the ball radius.
+    C_a bounds mass(outer ball of Q) / mass(Q) and C_a_prime bounds
+    mass(containing cube of B) / mass(B): the doubling constant raised to
+    the radius ratios `outer_ratio` and `containing_ratio` of the family's
+    constants, the latter at family.coarsening, the generations a
+    containing-cube query answers above the ball radius.
     """
     space = family.space
     c_mu_pair = doubling_constant(space, weights)
     c_const, c_exp = c_mu_pair
     consts = family.system(1).constants
-    inner, outer = consts.inner_const, consts.outer_const
-    delta = consts.delta
-    tri = consts.tri_const
-    c_a = c_const * (outer / inner) ** c_exp
-    c_a_prime = c_const * (2.0 * tri * outer / delta ** family.coarsening) \
-        ** c_exp
+    c_a = c_const * consts.outer_ratio ** c_exp
+    c_a_prime = c_const * consts.containing_ratio(family.coarsening) ** c_exp
     return {"C_mu": c_const, "c_mu": c_exp, "C_a": c_a, "C_a_prime": c_a_prime}
 
 

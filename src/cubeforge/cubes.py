@@ -20,10 +20,9 @@ assign and member arrays even when their centers differ. So no array of a
 system is written in place.
 
 The checker re-derives each system's promised geometry from its realized
-member sets: partition, nesting, the inner/outer ball sandwich with
-inner_const = sep_const / (3 * tri_const^2) and
-outer_const = 2 * tri_const * cover_const, containment of descendant outer
-balls, and proximity of descendant centers. Nesting and the descendant
+member sets: partition, nesting, the inner/outer ball sandwich with the
+radii c1 and C1 of `constants.SystemConstants`, containment of descendant
+outer balls, and proximity of descendant centers. Nesting and the descendant
 checks run over every pair of levels. It takes the systems of one space, a
 family say, and runs each check once per distinct level or level pair,
 keyed on array bytes. Each check's name, its place in the report and its
@@ -38,12 +37,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConfigError, ModeViolation, NoParent, PreconditionFail,
-                     TightAmbiguity, require_id)
+from .constants import _TOL, SystemConstants, require_headroom
+from .errors import (ConfigError, NoParent, PreconditionFail, TightAmbiguity,
+                     require_id)
 from .report import VerificationReport
 from .space import QuasiMetricSpace
 
-_TOL = 1e-12
 MODES = ("strict", "exploratory")
 
 
@@ -51,26 +50,6 @@ def require_mode(mode) -> None:
     """ConfigError unless `mode` is one of MODES."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-@dataclass
-class SystemConstants:
-    delta: float
-    tri_const: float
-    sep_const: float
-    cover_const: float
-
-    @property
-    def inner_const(self) -> float:
-        return self.sep_const / (3.0 * self.tri_const ** 2)
-
-    @property
-    def outer_const(self) -> float:
-        return 2.0 * self.tri_const * self.cover_const
-
-    def to_json(self):
-        return {"c0": self.sep_const, "C0": self.cover_const,
-                "c1": self.inner_const, "C1": self.outer_const}
 
 
 @dataclass
@@ -179,10 +158,11 @@ class CubeSystem:
         """Read a system back; a point listed in several cubes of one level
         is assigned to the last of them."""
         require_mode(d["mode"])
-        consts = SystemConstants(delta=float(d["delta"]),
-                                 tri_const=space.profile.tri_const,
-                                 sep_const=float(d["constants"]["c0"]),
-                                 cover_const=float(d["constants"]["C0"]))
+        c0, C0 = float(d["constants"]["c0"]), float(d["constants"]["C0"])
+        if not np.isfinite([c0, C0]).all():
+            raise ConfigError(f"constants c0={c0} and C0={C0} must be finite")
+        consts = SystemConstants(float(d["delta"]), space.profile.tri_const,
+                                 c0, C0)
         k_min, k_max = int(d["k_min"]), int(d["k_max"])
         order = ParentMaps(k_top=k_min, constants=consts, mode=d["mode"],
                            maps=[np.asarray(p["map"], dtype=int) for p in d["parents"]],
@@ -223,8 +203,8 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
                         sep_const: float, cover_const: float, tri_const: float,
                         k_top: int, mode: str = "strict") -> ParentMaps:
     """Link each center to its parent one level up; see the module docstring
-    for the tight/loose rule. Strict mode insists on the scale headroom
-    12 * tri_const^3 * cover_const * delta <= sep_const.
+    for the tight/loose rule. Strict mode insists on Theorem 2.2's
+    "parent order" headroom (`constants.require_headroom`).
 
     Each level may carry a leading sample axis: a (B, m) level holds B
     center lists of one length, and its map and tight flags are (B, m)
@@ -235,11 +215,9 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
     in that sample's list.
     """
     require_mode(mode)
-    if mode == "strict":
-        product = 12.0 * tri_const ** 3 * cover_const * delta
-        if product > sep_const * (1 + _TOL):
-            raise ModeViolation(product, sep_const, "parent-order scale headroom")
     consts = SystemConstants(delta, tri_const, sep_const, cover_const)
+    if mode == "strict":
+        require_headroom("parent order", consts)
     out = ParentMaps(k_top=k_top, constants=consts, mode=mode)
     for j in range(len(level_points) - 1):
         k = k_top + j
@@ -385,7 +363,6 @@ def verify_cube_axioms(systems) -> list:
     reports = []
     for i, (system, ctr) in enumerate(zip(systems, ctrs)):
         space, c, pts = system.space, system.constants, system.level_points
-        consts = (c.delta, c.tri_const, c.sep_const, c.cover_const)
         ks, members = list(system.level_ks()), system.members
         mem = [(tag(flat), tag(start)) for flat, start in members]  # tokens
         rows = [once(("rows", t), space.dist_rows, p)
@@ -394,7 +371,7 @@ def verify_cube_axioms(systems) -> list:
         for j, k in enumerate(ks):
             parts.append(once(("partition", k, *mem[j]), _partition, space.n,
                               k, *members[j]))
-            lo, hi = once(("sandwich", k, consts, ctr[j], *mem[j]), _sandwich,
+            lo, hi = once(("sandwich", k, c, ctr[j], *mem[j]), _sandwich,
                           k, c, rows[j], *parts[j][1:], members[j][0])
             found += [("partition", space.n, parts[j][0]),
                       ("ball_sandwich_inner", pts[j].size, lo),
@@ -408,7 +385,7 @@ def verify_cube_axioms(systems) -> list:
             for m in reversed(system.order.maps[:b]):
                 anc.insert(0, m[anc[0]])
             for a, k in enumerate(ks[:b]):
-                key = (fine, consts, ctr[b], tag(anc[a]))
+                key = (fine, c, ctr[b], tag(anc[a]))
                 union = once(("union", *key), _ball_union, fine, c, rows[b],
                              anc[a])
                 sets, radii, near = once(

@@ -5,7 +5,7 @@ over the reference nets with unit separation and covering constants, so a
 center's tight radius is ratio**k / (2 * tri_const) and its loose radius is
 ratio**k. The conflict relation uses the tighter radius of the selected
 points instead: two centers of one level are "in conflict" when they sit
-closer than ratio**(k-1) / (4 * tri_const**2), and two centers are
+closer than aux_sep_const(tri_const) * ratio**(k-1), and two centers are
 "neighbours" when some pair of their children is in conflict. Primary labels
 are greedy: walking the level in ascending index order, each center takes the
 smallest value in {0, 1, 2, ...} unused among its already-labeled neighbours.
@@ -41,14 +41,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .constants import (SystemConstants, aux_cover_const, aux_sep_const,
+                        require_headroom)
 from .cubes import ParentMaps, build_partial_order
-from .errors import (ConfigError, ModeViolation, NoNearChild, NotAChild,
-                     require_id)
-from .nets import NetHierarchy, _level_witnesses
+from .errors import ConfigError, NoNearChild, NotAChild, require_id
+from .nets import NetHierarchy, _net_witnesses
 from .report import VerificationReport
-
-_TOL = 1e-12
-LABEL_PRODUCT_LIMIT = 96.0
 
 
 @dataclass
@@ -87,6 +85,13 @@ class LabeledHierarchy:
         """K: one system per pair label (l, m), l <= max_label and
         m <= max_children."""
         return (self.max_label + 1) * self.max_children
+
+    @property
+    def selected_constants(self) -> SystemConstants:
+        """The constants of the systems over selected centers."""
+        tri = self.space.profile.tri_const
+        return SystemConstants(self.hierarchy.delta, tri, aux_sep_const(tri),
+                               aux_cover_const(tri))
 
     def _window(self, k: int, lo: int, hi: int) -> int:
         """Position of level k in a per-level list of the levels lo..hi:
@@ -163,38 +168,27 @@ class SelectionOutcome:
                 "levels": [lv.tolist() for lv in self.new_levels()]}
 
 
-def aux_sep_const(tri_const: float) -> float:
-    return 1.0 / (4.0 * tri_const ** 2)
-
-
-def aux_cover_const(tri_const: float) -> float:
-    return 2.0 * tri_const
-
-
 def build_labels(hierarchy: NetHierarchy) -> LabeledHierarchy:
     """Reference parent order, conflict/neighbour relations, and labels.
 
-    Strict mode insists on 96 * tri_const**8 * ratio <= 1, the headroom the
-    selection guarantees below are proved under.
+    Strict mode insists on the labeling headroom of `constants`, under
+    which the selection guarantees below are proved.
 
-    The parent order is the reference one (unit constants): a center that is
-    not someone's child sits at least ratio**k / (2 * tri_const) away from
-    that parent, and every child sits within ratio**k of its parent. Both
-    facts carry the separation and covering bounds of the selected points,
-    so the order must not be rebuilt with the selected-point constants.
+    The parent order is the reference one (unit separation and covering
+    constants): a center that is not someone's child sits at least
+    ratio**k / (2 * tri_const) away from that parent, and every child sits
+    within ratio**k of its parent. Both facts carry the separation and
+    covering bounds of the selected points, so the order must not be
+    rebuilt with the selected-point constants.
     """
-    space = hierarchy.space
-    tri = space.profile.tri_const
-    delta = hierarchy.delta
+    space, delta = hierarchy.space, hierarchy.delta
+    ref = SystemConstants(delta, space.profile.tri_const, 1.0, 1.0)
     if hierarchy.mode == "strict":
-        product = LABEL_PRODUCT_LIMIT * tri ** 8 * delta
-        if product > 1.0 + _TOL:
-            raise ModeViolation(product, 1.0, "labeling scale headroom")
-    sep = aux_sep_const(tri)
-    order = build_partial_order(space, hierarchy.levels, delta=delta,
-                                sep_const=1.0, cover_const=1.0,
-                                tri_const=tri, k_top=hierarchy.k_min,
-                                mode=hierarchy.mode)
+        require_headroom("labeling", ref)
+    sep = aux_sep_const(ref.tri_const)
+    order = build_partial_order(space, hierarchy.levels, delta, ref.sep_const,
+                                ref.cover_const, ref.tri_const,
+                                k_top=hierarchy.k_min, mode=hierarchy.mode)
     out = LabeledHierarchy(hierarchy=hierarchy, order=order)
 
     conflicts = []
@@ -374,34 +368,24 @@ def selected_order(labeled: LabeledHierarchy, z_levels,
                    k_top: Optional[int] = None) -> ParentMaps:
     """Parent order over selected centers `z_levels` (coarsest level k_top,
     default k_min) with the auxiliary selected-point constants."""
-    tri = labeled.space.profile.tri_const
-    h = labeled.hierarchy
-    return build_partial_order(labeled.space, z_levels, delta=h.delta,
-                               sep_const=aux_sep_const(tri),
-                               cover_const=aux_cover_const(tri), tri_const=tri,
+    c = labeled.selected_constants
+    return build_partial_order(labeled.space, z_levels, c.delta, c.sep_const,
+                               c.cover_const, c.tri_const,
                                k_top=labeled.k_min if k_top is None else k_top,
-                               mode=h.mode)
+                               mode=labeled.hierarchy.mode)
 
 
 def verify_new_point_axioms(outcome: SelectionOutcome) -> VerificationReport:
     """Exhaustive separation/covering sweep over the selected centers."""
-    labeled = outcome.labeled
-    space = labeled.space
-    tri = space.profile.tri_const
-    delta = labeled.hierarchy.delta
+    labeled, levels = outcome.labeled, outcome.new_levels()
+    c = labeled.selected_constants
+    sep_bad, cov_bad = _net_witnesses(labeled.space, levels, labeled.k_min,
+                                      c.delta, c.sep_const, c.cover_const)
     rep = VerificationReport("selected point axioms")
-    sep_bad, sep_n, cov_bad, cov_n = [], 0, [], 0
-    for k in labeled.hierarchy.level_ks():
-        pts = outcome.new_points(k)
-        sep_n += len(pts) * (len(pts) - 1) // 2
-        cov_n += space.n
-        pair, worst = _level_witnesses(
-            space, k, pts, aux_sep_const(tri) * delta ** k,
-            aux_cover_const(tri) * delta ** k)
-        sep_bad += pair
-        cov_bad += worst
-    rep.add("new_point_separation", not sep_bad, sep_n, sep_bad,
+    rep.add("new_point_separation", not sep_bad,
+            sum(len(pts) * (len(pts) - 1) // 2 for pts in levels), sep_bad,
             note="witness: (level, point, point, dist) of the closest pair")
-    rep.add("new_point_covering", not cov_bad, cov_n, cov_bad,
+    rep.add("new_point_covering", not cov_bad,
+            labeled.space.n * len(levels), cov_bad,
             note="witness: (level, point, nearest center dist)")
     return rep

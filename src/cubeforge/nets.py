@@ -16,16 +16,13 @@ from typing import Optional
 
 import numpy as np
 
+from .constants import SystemConstants, require_headroom
 from .cubes import require_mode
 from .errors import (ConfigError, DegenerateWindow, ModeViolation,
                      require_id)
 from .report import VerificationReport
 from .space import QuasiMetricSpace
 
-# strict mode keeps delta fine enough for every construction and bound in the
-# package; the binding constraint is 144 * tri_const^8 * delta <= 1
-STRICT_PRODUCT_LIMIT = 144.0
-_TOL = 1e-12
 _ROW_BLOCK = 64  # centers whose distance rows the net checks read at once
 
 
@@ -77,10 +74,7 @@ def check_mode(mode: str, tri_const: float, delta: float):
     if not 0 < delta < 1:
         raise ModeViolation(delta, 1.0, "scale ratio must lie in (0, 1)")
     if mode == "strict":
-        product = STRICT_PRODUCT_LIMIT * tri_const ** 8 * delta
-        if product > 1.0 + _TOL:
-            raise ModeViolation(product, 1.0,
-                                f"tri_const={tri_const}, delta={delta}")
+        require_headroom("strict", SystemConstants(delta, tri_const, 1.0, 1.0))
 
 
 def level_window(space: QuasiMetricSpace, delta: float):
@@ -146,24 +140,32 @@ def _greedy_net(space, order, threshold):
     return np.array(accepted, dtype=int)
 
 
-def _level_witnesses(space, k, pts, sep_thr, cov_thr):
-    """Level k's failures among the centers `pts`, read _ROW_BLOCK rows at a
-    time: [(k, p, q, dist)] for the closest pair (first in row-major order
-    of the (m, m) block off its diagonal) below sep_thr, [(k, x, dist)] for
-    the worst-covered point (first) at or beyond cov_thr; [] where it holds."""
-    best = np.full(space.n, np.inf)
-    d, i, j = np.inf, 0, 0
-    for lo in range(0, len(pts), _ROW_BLOCK):
-        rows = space.dist_rows(pts[lo:lo + _ROW_BLOCK])
-        best = np.minimum(best, rows.min(axis=0))
-        sub = rows[:, pts]
-        np.fill_diagonal(sub[:, lo:], np.inf)
-        a, b = np.unravel_index(np.argmin(sub), sub.shape)
-        if sub[a, b] < d:  # strict, so an equal pair of a later block loses
-            d, i, j = sub[a, b], lo + a, b
-    x = int(np.argmax(best))
-    return ([(k, int(pts[i]), int(pts[j]), float(d))] if d < sep_thr else [],
-            [(k, x, float(best[x]))] if best[x] >= cov_thr else [])
+def _net_witnesses(space, levels, k_min: int, delta: float, sep: float = 1.0,
+                   cover: float = 1.0):
+    """(separation, covering) failures of the center lists `levels`, level
+    k_min first, each read _ROW_BLOCK rows at a time: per level k,
+    (k, p, q, dist) for the closest pair (first in row-major order of the
+    (m, m) block off its diagonal) below sep·δ^k and (k, x, dist) for the
+    worst-covered point (first) at or beyond cover·δ^k. The reference nets
+    have unit constants."""
+    sep_bad, cov_bad = [], []
+    for k, pts in enumerate(levels, k_min):
+        best = np.full(space.n, np.inf)
+        d, i, j = np.inf, 0, 0
+        for lo in range(0, len(pts), _ROW_BLOCK):
+            rows = space.dist_rows(pts[lo:lo + _ROW_BLOCK])
+            best = np.minimum(best, rows.min(axis=0))
+            sub = rows[:, pts]
+            np.fill_diagonal(sub[:, lo:], np.inf)
+            a, b = np.unravel_index(np.argmin(sub), sub.shape)
+            if sub[a, b] < d:  # strict: an equal pair of a later block loses
+                d, i, j = sub[a, b], lo + a, b
+        x = int(np.argmax(best))
+        if d < sep * delta ** k:
+            sep_bad.append((k, int(pts[i]), int(pts[j]), float(d)))
+        if best[x] >= cover * delta ** k:
+            cov_bad.append((k, x, float(best[x])))
+    return sep_bad, cov_bad
 
 
 def verify_net_axioms(hierarchy: NetHierarchy) -> VerificationReport:
@@ -171,19 +173,12 @@ def verify_net_axioms(hierarchy: NetHierarchy) -> VerificationReport:
     over the whole space, plus the structural window facts."""
     space = hierarchy.space
     rep = VerificationReport("net axioms")
-
-    sep_bad, sep_n = [], 0
-    cov_bad, cov_n = [], 0
-    for k in hierarchy.level_ks():
-        net = hierarchy.level(k)
-        thr = hierarchy.scale(k)
-        sep_n += len(net) * (len(net) - 1)
-        cov_n += space.n
-        pair, worst = _level_witnesses(space, k, net, thr, thr)
-        sep_bad += pair
-        cov_bad += worst
-    rep.add("separation", not sep_bad, sep_n, sep_bad)
-    rep.add("covering", not cov_bad, cov_n, cov_bad,
+    nets = [hierarchy.level(k) for k in hierarchy.level_ks()]
+    sep_bad, cov_bad = _net_witnesses(space, nets, hierarchy.k_min,
+                                      hierarchy.delta)
+    rep.add("separation", not sep_bad,
+            sum(len(net) * (len(net) - 1) for net in nets), sep_bad)
+    rep.add("covering", not cov_bad, space.n * len(nets), cov_bad,
             note="covering failures also mean the net is not maximal")
 
     rep.add("coarsest_is_single", len(hierarchy.levels[0]) == 1, 1,

@@ -25,6 +25,7 @@ from .analysis import (
     verify_comparability,
     verify_weighted_bounds,
 )
+from .constants import _REL_TOL
 from .cubes import MODES, verify_cube_axioms
 from .errors import BuildError, ConfigError, CubeforgeError, ModeViolation
 from .labeling import build_labels, verify_new_point_axioms
@@ -334,7 +335,7 @@ def _analysis_check(config: PipelineConfig, space, family,
                 bounds_rows.append({
                     "name": f"p{p:g}_{c.name}_t{entry['t']}",
                     "lhs": entry["norm"], "rhs": entry["bound"],
-                    "pass": entry["norm"] <= entry["bound"] * (1 + 1e-9)})
+                    "pass": entry["norm"] <= entry["bound"] * (1 + _REL_TOL)})
     report.tables["bounds"] = bounds_rows
 
     f0 = funcs[0]

@@ -34,14 +34,15 @@ Every selected point is guaranteed a probability of at least
 tau_0 = 1/((L+1)*M) of being chosen, which drives the boundary-zone decay
 estimate: the chance that a point sits within tau * ratio**k of its level-k
 cube's complement is at most C_2 * tau**eta with eta = log(1-tau_0)/log(ratio)
-and C_2 = 4*tri**2/(inner_const*ratio). `estimate_boundary_sweep` estimates
-that chance for many points and taus at one level k: each sample realizes
-levels k and finer once, and every (point, tau) reads its hit off that one
-partition. `estimate_boundary_probability` is its one-point, one-tau case.
-The sweep realizes its samples in batches: one batched draw gives each
-sample its levels from its own streams, as alone, one `build_partial_order`
-call over the batch's (B, m) level lists links them all, one `close_assign`
-call gives the batch's (B, n) level-k assignments and one `_edge_gaps` call
+and C_2 the `boundary_const` of the selected points' constants.
+`estimate_boundary_sweep` estimates that chance for many points and taus at
+one level k: each sample realizes levels k and finer once, and every
+(point, tau) reads its hit off that one partition.
+`estimate_boundary_probability` is its one-point, one-tau case. The sweep
+realizes its samples in batches: one batched draw gives each sample its
+levels from its own streams, as alone, one `build_partial_order` call over
+the batch's (B, m) level lists links them all, one `close_assign` call
+gives the batch's (B, n) level-k assignments and one `_edge_gaps` call
 reads every hit. B is the cell budget BATCH_CELLS (about 1 MB of floats)
 over the cells one sample adds to the largest block. A failing batch is
 rerun one sample at a time, so errors surface in sample order.
@@ -57,13 +58,12 @@ from typing import Optional
 import numpy as np
 
 from .adjacent import AdjacentFamily, _build_family
+from .constants import require_headroom
 from .cubes import CubeSystem, _edge_gaps, build_cube_system, close_assign
-from .errors import (ConfigError, CubeforgeError, ModeViolation,
-                     PreconditionFail, require_id)
+from .errors import ConfigError, CubeforgeError, PreconditionFail, require_id
 from .labeling import (
     LabeledHierarchy,
     SelectionOutcome,
-    aux_sep_const,
     index_to_pair,
     require_near,
     selected_order,
@@ -72,10 +72,7 @@ from .labeling import (
 from .report import VerificationReport
 from .streams import M32, key_states, lemire, pcg_jumps, pcg_outputs
 
-_TOL = 1e-12
 WILSON_Z = 1.6448536269514722  # one-sided 95% normal quantile
-SINGLE_PRODUCT_LIMIT = 96.0    # strict headroom on tri**6 * ratio
-FAMILY_PRODUCT_LIMIT = 144.0   # strict headroom on tri**8 * ratio
 VARIANTS = ("single", "adjacent", "adjacent_refined")
 # cells (about 1 MB of floats) of the largest block one boundary-sweep batch
 # holds; the batch size is this over the cells one sample adds
@@ -93,15 +90,7 @@ class OmegaSampler:
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, "
                               f"got {self.variant!r}")
-        tri = self.labeled.space.profile.tri_const
-        delta = self.labeled.hierarchy.delta
-        if self.variant == "single":
-            product = SINGLE_PRODUCT_LIMIT * tri ** 6 * delta
-        else:
-            product = FAMILY_PRODUCT_LIMIT * tri ** 8 * delta
-        if product > 1.0 + _TOL:
-            raise ModeViolation(product, 1.0,
-                                f"{self.variant} sampling headroom")
+        require_headroom(self.variant, self.labeled.selected_constants)
 
     @property
     def n_systems(self) -> int:
@@ -119,9 +108,7 @@ class OmegaSampler:
     @property
     def boundary_const(self) -> float:
         """Prefactor C_2 of the boundary decay bound."""
-        tri = self.labeled.space.profile.tri_const
-        inner = aux_sep_const(tri) / (3.0 * tri ** 2)
-        return 4.0 * tri ** 2 / (inner * self.labeled.hierarchy.delta)
+        return self.labeled.selected_constants.boundary_const
 
     def to_json(self):
         return {"variant": self.variant, "seed": self.seed,
@@ -315,8 +302,7 @@ def estimate_selection_probability(sampler: OmegaSampler, k: int, alpha: int,
     family.
     """
     lab = sampler.labeled
-    if n_samples < 1000:
-        raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
+    _check_samples(n_samples)
     # only the levels k_min..k_max - 1 choose children
     k = lab.k_min + lab._window(k, lab.k_min, lab.k_max - 1)
     alpha = require_id("center", alpha, 0, len(lab.hierarchy.level(k)), ")")
@@ -437,9 +423,16 @@ def _check_boundary_args(sampler: OmegaSampler, k: int, taus: list,
         raise PreconditionFail("boundary decay needs a strict-mode hierarchy")
     for tau in taus:
         _check_tau(tau)
+    _check_samples(n_samples)
+    return lab.k_min + lab._window(k, lab.k_min, lab.k_max)
+
+
+def _check_samples(n_samples) -> None:
+    """Raise unless n_samples is an integer count (never a bool or a
+    float) of at least 1000."""
+    require_id("sample count", n_samples, -math.inf, math.inf)
     if n_samples < 1000:
         raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
-    return lab.k_min + lab._window(k, lab.k_min, lab.k_max)
 
 
 def _check_tau(tau: float) -> None:
@@ -488,33 +481,23 @@ def check_chain_separation(system: CubeSystem, x: int, k: int, tau: float,
                            n_depth: int) -> VerificationReport:
     """Walk the cubes containing x from level k down n_depth levels and check
     that the centers of distinct levels keep their guaranteed distance."""
-    space = system.space
-    tri = system.constants.tri_const
-    delta = system.delta
-    sep = system.constants.sep_const
-    cover = system.constants.cover_const
+    space, consts, delta = system.space, system.constants, system.delta
     x = require_id("point", x, 0, space.n, ")")
     n_depth = require_id("depth", n_depth, 0, system.k_max - system.k_min)
     k = require_id("level", k, system.k_min, system.k_max - n_depth)
     _check_tau(tau)
-    if 18.0 * tri ** 5 * cover * delta > sep * (1 + _TOL):
-        raise PreconditionFail(
-            "scale headroom 18*tri**5*cover_const*ratio <= sep_const required")
-    if 12.0 * tri ** 4 * tau > sep * delta ** n_depth * (1 + _TOL):
-        raise PreconditionFail(
-            "depth/threshold headroom 12*tri**4*tau <= sep_const*ratio**depth "
-            "required")
+    require_headroom("chain scale", consts)
+    require_headroom("chain depth", consts, tau, n_depth)
     assign = system.assign[k - system.k_min]
     gap = float(_edge_gaps(space.dist_row(x), assign, assign[x]))
     if gap >= tau * delta ** k:
         raise PreconditionFail(
             f"point {x} is {gap} from its cube's complement, not within "
             f"{tau * delta ** k}")
-    eps_1 = sep / (12.0 * tri ** 4)
-    centers, bad = _chain(system, x, k, n_depth, eps_1)
+    centers, bad = _chain(system, x, k, n_depth, consts.eps_1)
     rep = VerificationReport("chain separation")
     rep.add("chain_separation", not bad, n_depth * (n_depth + 1) // 2, bad,
-            details={"eps_1": eps_1, "levels": [k, k + n_depth],
+            details={"eps_1": consts.eps_1, "levels": [k, k + n_depth],
                      "centers": centers})
     return rep
 
@@ -536,23 +519,21 @@ def scan_chain_separation(system: CubeSystem) -> VerificationReport:
 
     A combination (x, k, n_depth) admits a threshold tau exactly when the
     distance from x to the complement of its level-k cube lies strictly
-    below tau * delta**k for some tau within the depth headroom
-    12 * tri**4 * tau <= sep_const * delta**n_depth. The scan reads each
+    below tau * delta**k for some tau within the depth headroom, up to
+    `SystemConstants.chain_tau(n_depth)`. The scan reads each
     point's edge distances on every level at once, checks every admissible
     combination at the largest such tau with the chain kernel of
     `check_chain_separation`, and reports the admissible counts per depth,
     so a caller can see how much of the sweep was vacuous.
     """
-    consts = system.constants
-    tri, sep, cover = consts.tri_const, consts.sep_const, consts.cover_const
-    delta = consts.delta
+    consts, space = system.constants, system.space
     rep = VerificationReport("chain separation scan")
-    if 18.0 * tri ** 5 * cover * delta > sep * (1 + _TOL):
+    try:
+        require_headroom("chain scale", consts)
+    except PreconditionFail:
         rep.add("admissible_chains", True, 0,
                 note="scale headroom missing, nothing admissible")
         return rep
-    space = system.space
-    eps_1 = sep / (12.0 * tri ** 4)
     assign = np.stack(system.assign)   # assign[j, x]: x's level-j cube
     per_depth: dict = {}
     bad, checked = [], 0
@@ -560,10 +541,9 @@ def scan_chain_separation(system: CubeSystem) -> VerificationReport:
         gaps = _edge_gaps(space.dist_row(x), assign, assign[:, x]).tolist()
         for k, gap in zip(system.level_ks(), gaps):
             for n_depth in range(0, system.k_max - k + 1):
-                tau = sep * delta ** n_depth / (12.0 * tri ** 4)
-                if gap >= tau * delta ** k:
+                if gap >= consts.chain_tau(n_depth) * consts.delta ** k:
                     break
-                _, witnesses = _chain(system, x, k, n_depth, eps_1)
+                _, witnesses = _chain(system, x, k, n_depth, consts.eps_1)
                 checked += n_depth * (n_depth + 1) // 2
                 per_depth[n_depth] = per_depth.get(n_depth, 0) + 1
                 if witnesses:

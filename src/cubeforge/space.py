@@ -26,6 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .constants import _REL_TOL
 from .errors import (BadSpec, NegativeDistance, SymmetryViolation, ZeroDistance,
                      require_id)
 
@@ -34,7 +35,6 @@ EXHAUSTIVE_TRIPLE_CAP = TABLE_CAP
 SAMPLED_TRIPLES = 1_000_000
 _SAMPLE_BATCH = 1 << 18
 _BLOCK = 32
-_REL_TOL = 1e-9
 
 
 @dataclass

@@ -255,6 +255,25 @@ def test_selection_estimate_refuses_levels_and_centers_outside(k, alpha, why):
         estimate_selection_probability(s, k, alpha, 0, 1000)
 
 
+@pytest.mark.parametrize("n, why", [
+    (999, "need at least 1000 samples, got 999"),
+    (1500.5, "sample count 1500.5 is not an integer"),
+    (math.nan, "sample count nan is not an integer"),
+    (True, "sample count True is not an integer")])
+def test_selection_estimate_refuses_sample_counts(n, why):
+    for variant in ("single", "adjacent"):
+        s = OmegaSampler(two_label_line(), variant, seed=21)
+        with pytest.raises(PreconditionFail, match=why):
+            estimate_selection_probability(s, -1, 1, 2, n)
+    # numpy integers are counts too
+    s = OmegaSampler(two_label_line(), "single", seed=21)
+    assert estimate_selection_probability(s, -1, 1, 2, np.int64(1000)) \
+        .frequency == estimate_selection_probability(s, -1, 1, 2, 1000) \
+        .frequency
+    assert estimate_boundary_sweep(s, [0], -2, [0.1], np.int64(1000))[0] \
+        .hits == estimate_boundary_sweep(s, [0], -2, [0.1], 1000)[0].hits
+
+
 def test_forced_choice_has_frequency_one():
     s = OmegaSampler(forced_pair(), "single", seed=5)
     assert s.tau_0 == 1.0
@@ -756,6 +775,13 @@ def test_boundary_sweep_errors_match_first_pair():
          "tau must be finite, got inf"),
         (s, [0], -2, [0.1], 999, PreconditionFail,
          "need at least 1000 samples, got 999"),
+        # a count that is no integer used to leak range()'s TypeError
+        (s, [0], -2, [0.1], 1500.5, PreconditionFail,
+         "sample count 1500.5 is not an integer"),
+        (s, [0], -2, [0.1], math.nan, PreconditionFail,
+         "sample count nan is not an integer"),
+        (s, [0], -2, [0.1], True, PreconditionFail,
+         "sample count True is not an integer"),
         (s, [0], 7, [0.1], 1000, PreconditionFail, "level 7 outside"),
         (s, [4], -2, [0.1], 1000, PreconditionFail, "point 4 outside"),
         (s, [-1], -2, [0.1], 1000, PreconditionFail, "point -1 outside"),

@@ -66,3 +66,32 @@ def test_one_function_refuses_ids_out_of_range():
                     for node in ast.walk(fn)):
                 guards.append((path.name, fn.name))
     assert guards == [("errors.py", "require_id")]
+
+
+def test_one_table_holds_the_constants():
+    # the paper's constants are written once, in constants.py: no other
+    # module raises the triangle constant to a power or sets a tolerance or
+    # headroom limit of its own, and constants.py reads no module but errors
+    copies = []
+    for path in sorted(Path(cubeforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "constants.py":
+            imported = [node.module for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.level]
+            assert imported == ["errors"]
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                base = node.left
+                name = getattr(base, "id", getattr(base, "attr", None))
+                if name in ("tri", "tri_const"):
+                    copies.append((path.name, ast.unparse(node)))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = getattr(node, "targets", [getattr(node, "target",
+                                                            None)])
+                copies += [(path.name, t.id) for target in targets
+                           for t in ast.walk(target)
+                           if isinstance(t, ast.Name)
+                           and (t.id in ("_TOL", "_REL_TOL")
+                                or t.id.endswith("_PRODUCT_LIMIT"))]
+    assert copies == []
