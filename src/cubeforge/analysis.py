@@ -1,12 +1,16 @@
 """Measures, maximal operators, and weight constants on finite spaces.
 
 Everything here treats the point set as a finite measure space: a measure
-is a positive mass per point, "all balls" means the prefixes of each
-center's stably sorted distance row (QuasiMetricSpace.ball_sweep), so ball
-masses and averages are per-center prefix sums, and the dyadic operators
-sweep each distinct level of the systems passed in once; both maximal
-kernels answer a list of functions from that one sweep. The verify_*
-functions check the constant-carrying inequalities between the two worlds.
+is a positive mass per point, and "all balls" means the prefixes of each
+center's stably sorted distance row that end where the distance grows.
+The ball world reads them from QuasiMetricSpace.ball_blocks, a block of
+centers at a time: ball masses and averages are prefix sums over every rank
+of a block, a ball's value is read at its last rank only, and a point's
+supremum is a reverse running max over the ranks, gathered back to point
+order. The dyadic operators sweep each distinct level of the systems passed
+in once; both maximal kernels answer a list of functions from that one
+sweep. The verify_* functions check the constant-carrying inequalities
+between the two worlds.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .constants import _REL_TOL
 from .cubes import CubeSystem
 from .errors import BadSpec, ConfigError, CubeforgeError, PreconditionFail
 from .report import VerificationReport
+from . import space as space_module
 from .space import QuasiMetricSpace
 
 _ABS_TOL = 1e-12
@@ -87,16 +92,25 @@ def doubling_constant(space: QuasiMetricSpace, mu):
     fail unless the enumeration itself is broken.
     """
     w = _weights_of(mu, space.n)
+    top = space._above_diam()
     best = 1.0
-    per_center = []
-    for _, order, sorted_row, ends, radii in space.ball_sweep():
-        pre = np.cumsum(w[order])
-        m_r = pre[ends - 1]
-        m_2r = pre[np.searchsorted(sorted_row, 2.0 * radii, side="left") - 1]
-        best = max(best, float((m_2r / m_r).max()))
-        per_center.append((radii, m_r))
+    blocks = []
+    for ids, order, sorted_rows, last in space.ball_blocks():
+        pre = np.cumsum(w[order], axis=1)
+        # the ball ending at rank j has radius sorted_rows[:, j + 1]
+        radii = np.empty(sorted_rows.shape)
+        radii[:, :-1], radii[:, -1] = sorted_rows[:, 1:], top
+        # one binary search per row: faster than a merged sort of the block
+        below = np.array([np.searchsorted(row, twice) for row, twice
+                          in zip(sorted_rows, 2.0 * radii)])
+        m_2r = np.take_along_axis(pre, below - 1, axis=1)
+        # a prefix cut inside a tie has the radius of the ball just below it
+        # and more mass, so its ratio never exceeds that ball's; a center
+        # whose ratios hold a NaN is skipped
+        best = float(np.fmax.reduce((m_2r / pre).max(axis=1), initial=best))
+        blocks.append((ids, radii, pre, last))
     c_exp = math.log2(best)
-    bad = _iterated_violations(per_center, best, c_exp)
+    bad = _iterated_violations(blocks, best, c_exp)
     if bad:
         raise CubeforgeError(
             f"doubling sweep found {len(bad)} radius pairs breaking the "
@@ -104,47 +118,56 @@ def doubling_constant(space: QuasiMetricSpace, mu):
     return best, c_exp
 
 
-def _iterated_violations(per_center, best: float, c_exp: float) -> list:
-    """Up to four (x, r, R) per center, in (r, R) pair order, whose masses
-    break m(R)/m(r) <= best * (R/r)**c_exp * (1 + tol) for radii r < R.
+def _iterated_violations(blocks, best: float, c_exp: float) -> list:
+    """Up to four (x, r, R) per center x, in (r, R) pair order, whose
+    masses break m(R)/m(r) <= best * (R/r)**c_exp * (1 + tol) for radii
+    r < R. `blocks` holds (ids, radii, masses, last) per block of centers
+    ids: row i's balls are its ranks where last[i] holds, with those radii
+    and masses.
 
     All pairs of a center hold exactly when the suffix max of
     log m(R) - c_exp log R stays under log best + log m(r) - c_exp log r.
-    That O(n) test, with a slack far above its rounding, only picks the
-    centers whose pairs are then compared one by one by the pairwise formula,
-    so the verdict and the witnesses are those of the pairwise formula.
+    That O(n) test, run over a whole block with a slack far above its
+    rounding, only picks the centers whose pairs are then compared one by
+    one by the pairwise formula, so the verdict and the witnesses are those
+    of the pairwise formula.
     """
     bound = math.log(best) + math.log1p(_REL_TOL)
     bad = []
-    for x, (radii, m_r) in enumerate(per_center):
-        if radii.size < 2:
-            continue
-        log_m, log_r = np.log(m_r), c_exp * np.log(radii)
+    for ids, radii, masses, last in blocks:
+        log_m, log_r = np.log(masses), c_exp * np.log(radii)
         h = log_m - log_r
-        later = np.maximum.accumulate(h[::-1])[::-1][1:]   # max of h[i+1:]
-        slack = _SLACK * (1.0 + abs(bound) + np.abs(log_m).max()
-                          + np.abs(log_r).max())
-        if not (later - h[:-1] > bound - slack).any():
-            continue
-        iu = np.triu_indices(radii.size, k=1)
-        lhs = m_r[iu[1]] / m_r[iu[0]]
-        rhs = best * (radii[iu[1]] / radii[iu[0]]) ** c_exp
-        viol = np.flatnonzero(lhs > rhs * (1.0 + _REL_TOL))
-        for j in viol[:4]:
-            bad.append((x, float(radii[iu[0][j]]), float(radii[iu[1][j]])))
+        suffix = np.maximum.accumulate(np.where(last, h, -np.inf)[:, ::-1],
+                                       axis=1)[:, ::-1]
+        later = np.full(h.shape, -np.inf)   # max of h over the later balls
+        later[:, :-1] = suffix[:, 1:]
+        slack = _SLACK * (1.0 + abs(bound)
+                          + np.max(np.abs(log_m), axis=1, where=last, initial=0.0)
+                          + np.max(np.abs(log_r), axis=1, where=last, initial=0.0))
+        flagged = ((later - h > (bound - slack)[:, None]) & last).any(axis=1)
+        for i in np.flatnonzero(flagged):
+            r, m_r = radii[i][last[i]], masses[i][last[i]]
+            iu = np.triu_indices(r.size, k=1)
+            lhs = m_r[iu[1]] / m_r[iu[0]]
+            rhs = best * (r[iu[1]] / r[iu[0]]) ** c_exp
+            viol = np.flatnonzero(lhs > rhs * (1.0 + _REL_TOL))
+            for j in viol[:4]:
+                bad.append((int(ids[i]), float(r[iu[0][j]]),
+                            float(r[iu[1][j]])))
     return bad
 
 
 # -- maximal operators -------------------------------------------------------
 
 def _ball_sums(space, columns):
-    """Per center, (order, ends, sums): sums[i, j] sums columns[i] over the
-    ball order[:ends[j]]. Dense spaces only: the sharp sweep is O(n**3)."""
+    """Per block of centers (ball_blocks), (order, last, sums): sums[i, c, j]
+    sums columns[i] over the prefix order[c, :j + 1], a ball where
+    last[c, j] holds. Dense spaces only: the sharp sweep is O(n**3)."""
     if space.table is None:
         raise BadSpec("ball averages need a dense distance table")
     columns = np.asarray(columns)
-    for _, order, _, ends, _ in space.ball_sweep():
-        yield order, ends, np.cumsum(columns[:, order], axis=1)[:, ends - 1]
+    for _, order, _, last in space.ball_blocks():
+        yield order, last, np.cumsum(columns[:, order], axis=-1)
 
 
 def _cube_sums(systems, columns):
@@ -176,25 +199,44 @@ def _cube_sums(systems, columns):
 def _ball_values(space, base, fs, sharp: bool):
     """Per function and point, the largest base-average of |f| (sharp: of
     |f - f_B|, f_B the signed average) over the realized balls holding the
-    point: a (len(fs), n) array from one ball sweep. Sharp sums over a
-    rank-masked (balls, n) block per function, so constants give 0."""
+    point: a (len(fs), n) array from one sweep of ball_blocks."""
     fs = np.reshape(fs, (-1, space.n))
     out = np.zeros(fs.shape)
     columns = [base, *(base * (fs if sharp else np.abs(fs)))]
-    for order, ends, sums in _ball_sums(space, columns):
+    for order, last, sums in _ball_sums(space, columns):
         vals = sums[1:] / sums[0]
         if sharp:
-            beyond = np.arange(len(order)) >= ends[:, None]
-            for i, f in enumerate(fs):
-                dev = np.abs(f[order] - vals[i][:, None])
-                dev *= base[order]
-                dev[beyond] = 0.0
-                vals[i] = dev.sum(axis=1) / sums[0]
-        # ranks ends[j-1] .. ends[j]-1 lie in balls j, j+1, ... only
-        sup = np.maximum.accumulate(vals[:, ::-1], axis=1)[:, ::-1]
-        out[:, order] = np.maximum(
-            out[:, order], np.repeat(sup, np.diff(ends, prepend=0), axis=1))
+            vals = _oscillation_sums(order, base, fs, vals) / sums[0]
+        vals[:, ~last] = 0.0   # a prefix that is no ball
+        # the point at rank j lies in the balls ending at rank j or later
+        sup = np.maximum.accumulate(vals[..., ::-1], axis=-1)[..., ::-1]
+        rank = np.empty_like(order)
+        np.put_along_axis(rank, order, np.arange(order.shape[1]), axis=1)
+        out = np.maximum(out, np.take_along_axis(sup, rank[None], axis=-1)
+                         .max(axis=1))
     return out
+
+
+def _oscillation_sums(order, base, fs, means):
+    """sums[i, c, j] = sum over k <= j of base·|f_i - means[i, c, j]| at the
+    point order[c, k], for every function f_i of fs. Rows of order go in
+    sub-blocks of rows·n² <= max(BALL_CELLS, n²) cells; each sub-block's
+    rank-masked base, zero past rank j, serves every function, so every
+    sum adds the same n terms, zeros included, in the same order as a sum
+    over one ball's masked row."""
+    rows, n = order.shape
+    step = max(space_module.BALL_CELLS, n * n) // (n * n)
+    lower = np.tri(n, dtype=bool)   # lower[j, k]: rank k is in ball j
+    sums = np.empty(means.shape)
+    for r0 in range(0, rows, step):
+        o = order[r0:r0 + step]
+        masked = np.where(lower, base[o][:, None, :], 0.0)
+        for i, f in enumerate(fs):
+            dev = f[o][:, None, :] - means[i, r0:r0 + step, :, None]
+            np.abs(dev, out=dev)
+            dev *= masked
+            dev.sum(axis=2, out=sums[i, r0:r0 + step])
+    return sums
 
 
 def _dyadic_values(systems, base, fs, sharp: bool):
@@ -261,14 +303,21 @@ def ap_constant(space: QuasiMetricSpace, mu, omega, p: float,
 
 def _ap_values(space, w, omega, p: float, systems=None) -> list:
     """The A_p sup over the realized balls (systems None: one value) or per
-    system over its cubes, each distinct level summed once; NaN is skipped."""
+    system over its cubes, each distinct level summed once. The sup of a
+    center's balls or of a level's cubes is skipped when it is NaN."""
     columns = [w, w * omega, w * omega ** (-1.0 / (p - 1.0))]
-    sums = (((held, s) for _, held, s in _cube_sums(systems, columns))
+
+    def ratio(m, wm, sm):
+        return wm * sm ** (p - 1.0) / m ** p
+
+    sups = (((held, ratio(*s).max(axis=-1, keepdims=True))
+             for _, held, s in _cube_sums(systems, columns))
             if systems is not None else
-            (([0], s) for _, _, s in _ball_sums(space, columns)))
+            (([0], np.max(ratio(*s), axis=-1, where=last, initial=-np.inf))
+             for _, last, s in _ball_sums(space, columns)))
     out = np.zeros(1 if systems is None else len(systems))
-    for held, (m, wm, sm) in sums:
-        out[held] = np.fmax(out[held], (wm * sm ** (p - 1.0) / m ** p).max())
+    for held, sup in sups:
+        out[held] = np.fmax(out[held], np.fmax.reduce(sup))
     return out.tolist()
 
 

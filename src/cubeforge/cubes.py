@@ -52,6 +52,15 @@ def require_mode(mode) -> None:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def require_delta(delta) -> float:
+    """`delta` as a float when it is a number in (0, 1); ConfigError
+    otherwise, so NaN and infinities are refused."""
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)) \
+            or not 0.0 < delta < 1.0:
+        raise ConfigError(f"delta: expected a ratio in (0, 1), got {delta!r}")
+    return float(delta)
+
+
 @dataclass
 class ParentMaps:
     """Parent links between consecutive levels of center lists."""
@@ -161,8 +170,8 @@ class CubeSystem:
         c0, C0 = float(d["constants"]["c0"]), float(d["constants"]["C0"])
         if not np.isfinite([c0, C0]).all():
             raise ConfigError(f"constants c0={c0} and C0={C0} must be finite")
-        consts = SystemConstants(float(d["delta"]), space.profile.tri_const,
-                                 c0, C0)
+        consts = SystemConstants(require_delta(d["delta"]),
+                                 space.profile.tri_const, c0, C0)
         k_min, k_max = int(d["k_min"]), int(d["k_max"])
         order = ParentMaps(k_top=k_min, constants=consts, mode=d["mode"],
                            maps=[np.asarray(p["map"], dtype=int) for p in d["parents"]],

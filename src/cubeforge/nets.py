@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import SystemConstants, require_headroom
-from .cubes import require_mode
+from .cubes import require_delta, require_mode
 from .errors import (ConfigError, DegenerateWindow, ModeViolation,
                      require_id)
 from .report import VerificationReport
@@ -63,8 +63,8 @@ class NetHierarchy:
     @classmethod
     def from_json(cls, d, space):
         require_mode(d["mode"])
-        return cls(space=space, delta=float(d["delta"]), k_min=int(d["k_min"]),
-                   k_max=int(d["k_max"]), mode=d["mode"],
+        return cls(space=space, delta=require_delta(d["delta"]),
+                   k_min=int(d["k_min"]), k_max=int(d["k_max"]), mode=d["mode"],
                    levels=[np.asarray(lv, dtype=int) for lv in d["levels"]],
                    distinguished=d.get("distinguished"))
 

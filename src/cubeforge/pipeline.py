@@ -26,7 +26,7 @@ from .analysis import (
     verify_weighted_bounds,
 )
 from .constants import _REL_TOL
-from .cubes import MODES, verify_cube_axioms
+from .cubes import MODES, require_delta, verify_cube_axioms
 from .errors import BuildError, ConfigError, CubeforgeError, ModeViolation
 from .labeling import build_labels, verify_new_point_axioms
 from .nets import build_reference_hierarchy, check_mode, verify_net_axioms
@@ -68,10 +68,7 @@ class PipelineConfig:
         space = doc.get("space")
         if not isinstance(space, dict) or "kind" not in space:
             raise ConfigError("space: expected an object with a 'kind'")
-        delta = doc.get("delta")
-        if not _is_number(delta) or not 0.0 < delta < 1.0:
-            raise ConfigError(f"delta: expected a ratio in (0, 1), "
-                              f"got {delta!r}")
+        delta = require_delta(doc.get("delta"))
         mode = doc.get("mode", "strict")
         if mode not in MODES:
             raise ConfigError(f"mode: expected one of {MODES}, got {mode!r}")
@@ -126,7 +123,7 @@ class PipelineConfig:
         if not _is_int(nrf) or nrf < 1:
             raise ConfigError("analysis.n_random_functions: expected a "
                               f"positive integer, got {nrf!r}")
-        return cls(space=space, delta=float(delta), mode=mode, seed=seed,
+        return cls(space=space, delta=delta, mode=mode, seed=seed,
                    distinguished=dist, checks=list(checks), mc=dict(mc),
                    analysis=dict(analysis))
 

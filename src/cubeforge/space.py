@@ -33,6 +33,9 @@ from .errors import (BadSpec, NegativeDistance, SymmetryViolation, ZeroDistance,
 TABLE_CAP = 2048
 EXHAUSTIVE_TRIPLE_CAP = TABLE_CAP
 SAMPLED_TRIPLES = 1_000_000
+# distance cells per block of ball_blocks, and the bound on the sharp
+# maximal sweep's (rows, n, n) sub-blocks where n * n is below it
+BALL_CELLS = 1 << 15
 _SAMPLE_BATCH = 1 << 18
 _BLOCK = 32
 
@@ -92,9 +95,15 @@ class QuasiMetricSpace:
         """Distances from each of `ids` (rows) to `cols` (default: every
         point), as one (len(ids), len(cols)) array."""
         ids = np.asarray(ids, dtype=int)
-        if self.table is not None:
-            return self.table[ids] if cols is None else self.table[np.ix_(ids, cols)]
+        if self.table is not None and cols is None:
+            return self.table[ids]
         cols = np.arange(self.n) if cols is None else np.asarray(cols, dtype=int)
+        if self.table is not None:
+            # the same gather as table[np.ix_(ids, cols)], with the smaller
+            # intermediate block read first
+            if ids.size <= cols.size:
+                return self.table.take(ids, 0).take(cols, 1)
+            return self.table.take(cols, 1).take(ids, 0)
         return np.array([self._row_fn(int(i))[cols] for i in ids]).reshape(ids.size, cols.size)
 
     def dist_pairs(self, ids, cols) -> np.ndarray:
@@ -121,8 +130,31 @@ class QuasiMetricSpace:
     def _diam_scan(self) -> float:
         return max(float(self.dist_row(i).max()) for i in self.points())
 
+    def ball_blocks(self):
+        """Every ball of the space, as prefixes of sorted distance rows,
+        for consecutive blocks of centers in ascending order.
+
+        Yields (ids, order, sorted_rows, last) per block of at most
+        max(1, BALL_CELLS // n) centers ids. order[i] is the stable argsort
+        of center ids[i]'s row and sorted_rows[i] that row in this order;
+        last[i, j] marks the ranks j that end a ball: order[i, :j + 1] is
+        ball(ids[i], r) for r = sorted_rows[i, j + 1] (any radius above the
+        diameter for j = n - 1). Serves tables and row oracles.
+        """
+        step = max(1, BALL_CELLS // max(self.n, 1))   # an empty space has none
+        for c0 in range(0, self.n, step):
+            ids = np.arange(c0, min(c0 + step, self.n))
+            rows = (self.table[c0:c0 + step] if self.table is not None
+                    else np.array([self._row_fn(c) for c in ids.tolist()]))
+            order = np.argsort(rows, axis=1, kind="stable")
+            sorted_rows = np.take_along_axis(rows, order, axis=1)
+            last = np.ones(rows.shape, dtype=bool)
+            np.less(sorted_rows[:, :-1], sorted_rows[:, 1:], out=last[:, :-1])
+            yield ids, order, sorted_rows, last
+
     def ball_sweep(self):
-        """Every ball of the space, as a prefix of a sorted distance row.
+        """Every ball of the space, center by center: the per-center view of
+        ball_blocks.
 
         Yields (c, order, sorted_row, ends, radii) per center c, in ascending
         order of c. order is the stable argsort of c's row; radii are the
@@ -130,20 +162,17 @@ class QuasiMetricSpace:
         ball(c, radii[j]) is order[:ends[j]]. Serves tables and row oracles.
         """
         top = self._above_diam()
-        for c in self.points():
-            row = self.dist_row(c)
-            order = np.argsort(row, kind="stable")
-            sorted_row = row[order]
-            starts = np.flatnonzero(sorted_row[1:] != sorted_row[:-1]) + 1
-            yield (c, order, sorted_row, np.append(starts, self.n),
-                   np.append(sorted_row[starts], top))
+        for ids, order, sorted_rows, last in self.ball_blocks():
+            for c, o, row, end in zip(ids.tolist(), order, sorted_rows, last):
+                ends = np.flatnonzero(end) + 1
+                yield c, o, row, ends, np.append(row[ends[:-1]], top)
 
     def realized_balls(self):
         """All distinct balls of the space, deduplicated.
 
         Returns (masks, meta) where masks is a boolean (m, n) array and
         meta[i] = (center, radius) names one realization of ball i. Unused:
-        the analysis reads ball_sweep; benchmarks/tracer.py still wraps it.
+        the analysis reads ball_blocks; benchmarks/tracer.py still wraps it.
         """
         if self.table is None:
             raise BadSpec("realized_balls needs a dense distance table")

@@ -1,6 +1,7 @@
 """Measures, maximal operators, weight constants, and the transfer checks."""
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from cubeforge.errors import (BadSpec, ConfigError, CubeforgeError,
                               PreconditionFail)
 from cubeforge.labeling import build_labels
 from cubeforge.nets import build_reference_hierarchy
-from cubeforge.space import QuasiMetricSpace
+import cubeforge.space as space_module
+from cubeforge.space import QuasiMetricSpace, generate_space
 from test_adjacent import cloud_family
 from test_cubes import line4_order, relist
 from test_selection import cloud_labels
@@ -442,6 +444,11 @@ def test_ball_sweep_enumerates_every_ball(space):
     assert centers == list(range(space.n))
 
 
+def test_empty_space_sweeps_no_ball():
+    space = QuasiMetricSpace.from_table(np.zeros((0, 0)))
+    assert list(space.ball_blocks()) == [] and list(space.ball_sweep()) == []
+
+
 def test_ball_averages_refuse_row_oracle():
     table_space, mu = grid64()
     space = QuasiMetricSpace(64, row_fn=table_space.dist_row,
@@ -455,6 +462,159 @@ def test_ball_averages_refuse_row_oracle():
             call()
     # the doubling sweep reads rows, so it serves row oracles too
     assert doubling_constant(space, mu) == doubling_constant(table_space, mu)
+
+
+# -- the blocked ball sweep against the per-center loop ------------------------
+
+# The ball world as it was swept one center at a time, one stable argsort
+# per center: the oracles the blocked kernels must equal bit for bit. They
+# read no block, so they also pin ball_sweep, the blocks' per-center view.
+
+def loop_sweep(space, scale=1.0):
+    """ball_sweep's tuples, per center; `scale` multiplies the sorted rows
+    (and so the realized radii, not the one beyond the diameter)."""
+    top = space.profile.diam * 1.25 + 1.0
+    for c in range(space.n):
+        row = space.dist_row(c)
+        order = np.argsort(row, kind="stable")
+        sorted_row = row[order] * scale
+        starts = np.flatnonzero(sorted_row[1:] != sorted_row[:-1]) + 1
+        yield (c, order, sorted_row, np.append(starts, space.n),
+               np.append(sorted_row[starts], top))
+
+
+def loop_ball_values(space, base, fs, sharp):
+    fs = np.reshape(fs, (-1, space.n))
+    out = np.zeros(fs.shape)
+    columns = np.asarray([base, *(base * (fs if sharp else np.abs(fs)))])
+    for _, order, _, ends, _ in loop_sweep(space):
+        sums = np.cumsum(columns[:, order], axis=1)[:, ends - 1]
+        vals = sums[1:] / sums[0]
+        if sharp:
+            beyond = np.arange(len(order)) >= ends[:, None]
+            for i, f in enumerate(fs):
+                dev = np.abs(f[order] - vals[i][:, None])
+                dev *= base[order]
+                dev[beyond] = 0.0
+                vals[i] = dev.sum(axis=1) / sums[0]
+        sup = np.maximum.accumulate(vals[:, ::-1], axis=1)[:, ::-1]
+        out[:, order] = np.maximum(
+            out[:, order], np.repeat(sup, np.diff(ends, prepend=0), axis=1))
+    return out
+
+
+def loop_ap(space, mu, omega, p):
+    columns = np.asarray([mu, mu * omega, mu * omega ** (-1.0 / (p - 1.0))])
+    out = np.zeros(1)
+    for _, order, _, ends, _ in loop_sweep(space):
+        m, wm, sm = np.cumsum(columns[:, order], axis=1)[:, ends - 1]
+        out = np.fmax(out, (wm * sm ** (p - 1.0) / m ** p).max())
+    return out.tolist()[0]
+
+
+def loop_doubling(space, mu, scale=1.0):
+    """doubling_constant's value, or the message it raises, with every
+    radius pair compared by the pairwise scan."""
+    best, per_center = 1.0, []
+    for _, order, sorted_row, ends, radii in loop_sweep(space, scale):
+        pre = np.cumsum(mu[order])
+        m_2r = pre[np.searchsorted(sorted_row, 2.0 * radii, side="left") - 1]
+        best = max(best, float((m_2r / pre[ends - 1]).max()))
+        per_center.append((radii, pre[ends - 1]))
+    bad = bruteforce.iterated_doubling_scan(per_center, best, math.log2(best))
+    if bad:
+        return (f"doubling sweep found {len(bad)} radius pairs breaking the "
+                f"iterated bound, first at {bad[0]}")
+    return best, math.log2(best)
+
+
+def as_lists(sweep):
+    return [[c, *(a.tolist() for a in arrays)] for c, *arrays in sweep]
+
+
+def doubling_or_message(space, mu):
+    try:
+        return doubling_constant(space, mu)
+    except CubeforgeError as err:
+        return str(err)
+
+
+@st.composite
+def float_clouds(draw):
+    """Small uniform clouds in the unit square: no tied distances."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return QuasiMetricSpace.from_coords(rng.uniform(size=(draw(
+        st.integers(1, 14)), 2)))
+
+
+def ball_cells(n, blocks):
+    """BALL_CELLS for a block layout: a block a center, blocks that end
+    mid-space, or one block whose sharp sub-blocks end mid-block."""
+    rows = n // 2 + 1
+    return {"row": n, "mid": rows * n + n // 2,
+            "sharp_mid": rows * n * n + 1}[blocks]
+
+
+@pytest.mark.parametrize("blocks", ["row", "mid", "sharp_mid", "default"])
+@settings(max_examples=30, deadline=None)
+@given(space=st.one_of(int_clouds(), float_clouds()),
+       seed=st.integers(0, 2 ** 32 - 1), broken=st.booleans())
+def test_blocked_ball_world_matches_the_per_center_loop(blocks, space, seed,
+                                                        broken):
+    n = space.n
+    rng = np.random.default_rng(seed)
+    fs = rng.normal(size=(3, n)) * rng.integers(0, 2, (3, n))
+    mu = rng.integers(1, 6, n).astype(float)
+    omega = np.exp(rng.normal(size=n))
+    with pytest.MonkeyPatch.context() as mp:
+        if blocks != "default":
+            mp.setattr(space_module, "BALL_CELLS", ball_cells(n, blocks))
+        for base in (np.ones(n), rng.uniform(0.25, 4.0, n)):
+            for sharp in (False, True):
+                for funcs in (fs[:1], fs):
+                    got = _ball_values(space, base, funcs, sharp)
+                    want = loop_ball_values(space, base, funcs, sharp)
+                    assert got.tobytes() == want.tobytes()
+        for p in (1.5, 3.0):
+            assert ap_constant(space, mu, omega, p) == loop_ap(space, mu,
+                                                                omega, p)
+        # the same coordinates behind a row oracle: doubling reads its rows,
+        # the ball averages refuse it
+        mp.setattr(space_module, "TABLE_CAP", n - 1)
+        rows = QuasiMetricSpace.from_coords(space.coords)
+        assert rows.table is None
+        with pytest.raises(BadSpec):
+            _ball_values(rows, mu, fs, False)
+        # broken: every realized radius above the one beyond the diameter
+        scale = 1e6 if broken else 1.0
+        if broken:
+            for s in (space, rows):
+                real = s.ball_blocks
+                mp.setattr(s, "ball_blocks", lambda real=real: (
+                    (ids, order, sorted_rows * scale, last)
+                    for ids, order, sorted_rows, last in real()))
+        want = loop_doubling(space, mu, scale)
+        for s in (space, rows):
+            assert as_lists(s.ball_sweep()) == as_lists(loop_sweep(s, scale))
+            assert doubling_or_message(s, mu) == want
+        assert isinstance(want, str) == (broken and n > 1)
+
+
+def test_ball_values_memory_at_700_points():
+    # the plain sweep holds a few BALL_CELLS-sized blocks; the sharp one adds
+    # a few (1, n, n) sub-blocks, where the per-center loop held (balls, n)
+    # blocks and peaked at 12.3 MB on this input
+    space = generate_space({"kind": "euclidean_cloud", "n": 700, "dim": 2,
+                            "box": 1.0, "seed": 0})
+    f = np.random.default_rng(0).normal(size=700)
+    for sharp, limit_mb in ((False, 4.0), (True, 12.3 + 4.0)):
+        tracemalloc.start()
+        try:
+            _ball_values(space, np.ones(700), [f], sharp)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < limit_mb
 
 
 # -- the cube sweep against the naive scans -----------------------------------
@@ -512,6 +672,14 @@ def sweep_masses(space, mu):
     return per_center, best
 
 
+def one_row_blocks(per_center):
+    """per_center's (radii, masses) as _iterated_violations' blocks: one
+    center x a block, every rank a ball."""
+    return [(np.array([x]), radii[None], masses[None],
+             np.ones((1, radii.size), dtype=bool))
+            for x, (radii, masses) in enumerate(per_center)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(space=int_clouds(), seed=st.integers(0, 2 ** 32 - 1),
        shrink=st.sampled_from([1.0, 0.9, 0.5, 0.0]))
@@ -521,7 +689,7 @@ def test_iterated_doubling_check_matches_pairwise_scan(space, seed, shrink):
     per_center, best = sweep_masses(space, mu)
     c = best ** shrink
     for c_exp in (math.log2(best), math.log2(c)):
-        assert _iterated_violations(per_center, c, c_exp) \
+        assert _iterated_violations(one_row_blocks(per_center), c, c_exp) \
             == bruteforce.iterated_doubling_scan(per_center, c, c_exp)
 
 
@@ -543,23 +711,25 @@ def test_iterated_doubling_check_at_the_tolerance_boundary(seed):
                 m_r[j] = np.nextafter(m_r[j], rng.choice([0.0, np.inf]))
         per_center.append((radii, m_r))
         want = bruteforce.iterated_doubling_scan(per_center[-1:], best, c_exp)
-        assert _iterated_violations(per_center[-1:], best, c_exp) == want
+        assert _iterated_violations(one_row_blocks(per_center[-1:]), best,
+                                    c_exp) == want
         flagged += bool(want)
     assert 0 < flagged < 40
 
 
 def test_doubling_raises_on_a_broken_enumeration(monkeypatch):
-    # a sweep whose sorted rows are scaled up finds no doubling at all
-    # (C = 1), yet its balls still grow, so the iterated bound breaks; the
-    # error names the pairwise scan's count and first witness
+    # a sweep whose sorted rows are scaled up puts every realized radius
+    # above the one beyond the diameter, yet the balls still grow up to it,
+    # so the iterated bound breaks; the error names the pairwise scan's
+    # count and first witness
     space, mu = grid64()
-    real = space.ball_sweep
+    real = space.ball_blocks
 
     def broken():
-        for c, order, sorted_row, ends, radii in real():
-            yield c, order, sorted_row * 1e6, ends, radii
+        for ids, order, sorted_rows, last in real():
+            yield ids, order, sorted_rows * 1e6, last
 
-    monkeypatch.setattr(space, "ball_sweep", broken)
+    monkeypatch.setattr(space, "ball_blocks", broken)
     per_center, best = sweep_masses(space, mu)
     bad = bruteforce.iterated_doubling_scan(per_center, best, math.log2(best))
     assert bad
@@ -650,13 +820,13 @@ def test_comparability_sweeps_the_ball_world_three_times(monkeypatch):
     rng = np.random.default_rng(5)
     fs = [rng.normal(size=space.n) for _ in range(3)]
     constants = _instance_constants(fam, mu)
-    real, calls = space.ball_sweep, []
+    real, calls = space.ball_blocks, []
 
     def counting():
         calls.append(1)
         return real()
 
-    monkeypatch.setattr(space, "ball_sweep", counting)
+    monkeypatch.setattr(space, "ball_blocks", counting)
     assert verify_comparability(fam, mu, fs, constants=constants).passed
     assert len(calls) == 3
 

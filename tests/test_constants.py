@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from cubeforge.constants import SystemConstants, require_headroom
-from cubeforge.cubes import CubeSystem, build_cube_system, build_partial_order
+from cubeforge.cubes import (CubeSystem, build_cube_system, build_partial_order,
+                            verify_cube_axioms)
 from cubeforge.errors import ConfigError, ModeViolation, PreconditionFail
 from cubeforge.labeling import build_labels
-from cubeforge.nets import NetHierarchy, build_reference_hierarchy, check_mode
+from cubeforge.nets import (NetHierarchy, build_reference_hierarchy, check_mode,
+                            verify_net_axioms)
 from cubeforge.random_systems import (OmegaSampler, check_chain_separation,
                                       sample_system, scan_chain_separation)
 from cubeforge.space import QuasiMetricSpace
@@ -173,3 +175,22 @@ def test_nan_constants_are_refused():
         members=system.members, assign=system.assign)
     chk = scan_chain_separation(nan_system).check("admissible_chains")
     assert chk.checked == 0 and "headroom missing" in chk.note
+
+
+def test_loaders_refuse_a_delta_outside_the_unit_interval():
+    # with a NaN delta every radius is NaN, no distance lies below or beyond
+    # one, and the axiom checks of both documents passed vacuously
+    line = QuasiMetricSpace.from_line(np.arange(60.0))
+    lab = build_labels(build_reference_hierarchy(line, 1 / 144, "strict"))
+    system = sample_system(OmegaSampler(lab, "single", seed=1), 0)
+    hier = build_reference_hierarchy(line, 1 / 144, "exploratory")
+    for cls, doc, verify in (
+            (CubeSystem, system.to_json(), lambda s: verify_cube_axioms([s])[0]),
+            (NetHierarchy, hier.to_json(), verify_net_axioms)):
+        assert verify(cls.from_json(json.loads(json.dumps(doc)), line)).passed
+        for delta in (math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, True):
+            text = json.dumps({**doc, "delta": delta})
+            with pytest.raises(ConfigError) as err:
+                cls.from_json(json.loads(text), line)
+            assert str(err.value) == \
+                f"delta: expected a ratio in (0, 1), got {delta!r}"
