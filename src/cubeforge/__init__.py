@@ -9,7 +9,7 @@ maximal-function / weight-constant machinery (analysis). pipeline and cli
 wrap the lot behind a JSON config.
 """
 
-from cubeforge.adjacent import (AdjacentFamily, CubeQueries, CubeQuery,
+from cubeforge.adjacent import (AdjacentFamily, CubeQuery,
                                 build_adjacent_family, find_containing_cube,
                                 find_containing_cubes, index_to_pair,
                                 pair_to_index, verify_covering)
@@ -51,7 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjacentFamily", "BadSpec", "BoundaryEstimate", "BuildError", "Check",
-    "ConfigError", "Cube", "CubeQueries", "CubeQuery", "CubeSystem",
+    "ConfigError", "Cube", "CubeQuery", "CubeSystem",
     "CubeforgeError",
     "DegenerateWindow", "LabeledHierarchy", "Measure", "ModeViolation",
     "NegativeDistance", "NetHierarchy", "NoNearChild", "NoParent",

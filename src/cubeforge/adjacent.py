@@ -13,17 +13,18 @@ systems then share their center, parent-map, assign and grouped-member
 arrays by reference, so none of them is written in place.
 
 find_containing_cubes answers "which system holds a single cube containing
-this ball" for every radius of one center's ball sweep at once: a ball of
-radius r gets the level k with ratio**(k+2) < r <= ratio**(k+1), found by
-searching the powers of ratio over the level window; each distinct level
-walks once to the nearest reference point one level finer and reads the
-system index off that point's pair label. find_containing_cube is the
-one-radius case. In strict mode the returned cube contains the ball and its
-diameter is at most C*r, with C the `covering_const` of `constants` at the
-family's coarsening: 2, or 3 for the pinned variant, which answers one level
-coarser. verify_covering checks containment on its own: ball(x, r) lies in
-the returned cube exactly when the edge-distance kernel puts x at least r
-from the cube's complement.
+this ball" for a block of centers and a radius matrix at once, such as a
+block of ball_blocks: a ball of radius r gets the level k with
+ratio**(k+2) < r <= ratio**(k+1), and each level of the block walks all its
+centers once to their nearest reference points one level finer, whose pair
+labels name the systems. find_containing_cube is the one-ball view. In
+strict mode the returned cube contains the ball and its diameter is at most
+C*r, with C the `covering_const` of `constants` at the family's coarsening:
+2, or 3 for the pinned variant, which answers one level coarser.
+verify_covering queries each block of ball_blocks once, measures each
+distinct answered cube once, and checks containment on its own: ball(x, r)
+lies in the returned cube exactly when the edge-distance kernel puts x at
+least r from the cube's complement.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from .labeling import (LabeledHierarchy, SelectionOutcome, index_to_pair,
                        pair_to_index, require_near, selected_order,
                        specific_pick)
 from .report import VerificationReport
+from .space import ball_radii
 
 
 @dataclass
@@ -94,18 +96,22 @@ class AdjacentFamily:
     def phi_inv(self, t: int):
         return index_to_pair(t, self.labeled.max_children)
 
-    def route_t(self, k: int, beta: int) -> int:
-        """System index whose level-k choice lands on fine point beta.
+    def route_t(self, k: int, beta) -> np.ndarray:
+        """System indices whose level-k choices land on the fine points
+        beta, an int array.
 
         Undoes the family's recorded shifts; without shifts this is just
-        pair_to_index of the fine point's pair label.
+        pair_to_index of each fine point's pair label.
         """
-        l, m = self.labeled.label2(k + 1, beta)
+        lab = self.labeled
+        j = lab._window(k, lab.k_min, lab.k_max - 1)   # a parent level
+        l, m = lab.duplex[j][beta].T
         if self.ordinal_shifts is not None:
-            alpha = self.labeled.order.parent_of(k, beta)
-            n_kids = len(self.labeled.children_of(k, alpha))
-            m = (m - int(self.ordinal_shifts[k][alpha]) - 1) % n_kids + 1
-        t = pair_to_index(l, m, self.labeled.max_children)
+            alpha = lab.order.maps[j][beta]
+            start = lab.children[j][1]
+            n_kids = start[alpha + 1] - start[alpha]
+            m = (m - self.ordinal_shifts[k][alpha] - 1) % n_kids + 1
+        t = pair_to_index(l, m, lab.max_children)
         if self.level_shifts is not None:
             t = (t - int(self.level_shifts[k]) - 1) % self.n_systems + 1
         return t
@@ -198,68 +204,113 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
 
 
 @dataclass
-class CubeQueries:
-    """One center's answers: per radius j, its query is cubes[slot[j]], and
-    members[slot[j]] is that cube's member list."""
+class BlockAnswers:
+    """find_containing_cubes' answers for B centers and a (B, m) radius
+    matrix. Ball (i, j) falls on query level slot[i, j], counted from the
+    block's coarsest radius level; query level p answers center i with cube
+    index[p, i] of level heads[p][0] in system t[p, i], flagged heads[p][1].
+    A row's entries fall into runs of one query level: run r starts at the
+    flat position start[r], in row row[r], on query level level[r]. dist
+    holds the centers' distance rows."""
 
-    cubes: list
-    slot: np.ndarray
-    members: list
+    dist: np.ndarray   # (B, n)
+    slot: np.ndarray   # (B, m)
+    heads: list        # per query level: (cube level, flag)
+    t: np.ndarray      # (P, B)
+    index: np.ndarray  # (P, B)
+    start: np.ndarray  # per run, as are row and level
+    row: np.ndarray
+    level: np.ndarray
 
-    def query(self, j: int) -> CubeQuery:
-        return self.cubes[self.slot[j]]
+    def query(self, i: int, j: int) -> CubeQuery:
+        p = self.slot[i, j]
+        return CubeQuery(t=int(self.t[p, i]), k=self.heads[p][0],
+                         index=int(self.index[p, i]), flag=self.heads[p][1])
+
+    def per_ball(self, values) -> np.ndarray:
+        """Per-run values, read off at every entry: a (B, m) array."""
+        return np.repeat(values, np.diff(self.start, append=self.slot.size)
+                         ).reshape(self.slot.shape)
+
+    def count_flags(self, last, counts: dict) -> int:
+        """Add the entries where `last` holds to counts[flag]; return how
+        many there are."""
+        per_run = np.add.reduceat(last.ravel(), self.start, dtype=int)
+        for p, (_, flag) in enumerate(self.heads):
+            counts[flag] += int(per_run[self.level == p].sum())
+        return int(per_run.sum())
+
+    def cubes(self, family: AdjacentFamily):
+        """(which, cubes): each distinct cube answering a run once, as the
+        answer of one such run, ordered by the integer key ((t - 1) * levels
+        + k - k_min) * n + index; cubes[which[r]] is run r's cube."""
+        at = self.level, self.row
+        k = np.array([head[0] for head in self.heads], dtype=int)[self.level]
+        keys = (((self.t[at] - 1) * (family.k_max - family.k_min + 1)
+                 + k - family.k_min) * family.space.n + self.index[at])
+        _, first, which = np.unique(keys, return_index=True,
+                                    return_inverse=True)
+        return which, [self.query(*divmod(self.start[r], self.slot.shape[1]))
+                       for r in first.tolist()]
 
 
-def find_containing_cubes(family: AdjacentFamily, x: int,
-                          radii) -> CubeQueries:
-    """Answer ball(x, radii[j]) for every j at once; see the module
-    docstring.
+def find_containing_cubes(family: AdjacentFamily, ids,
+                          radii) -> BlockAnswers:
+    """Answer ball(ids[i], radii[i, j]) for centers ids and a (len(ids), m)
+    radius matrix at once (one center's radius vector is a block of one);
+    see the module docstring.
 
-    Radii outside the level window never error: too-coarse queries clamp to
-    the full top cube ("clamped_coarse"), too-fine queries return the
-    singleton cube of x itself ("underflow").
+    Every id is checked before a row is read, and a radius that is not
+    positive is refused. Radii outside the level window never error:
+    too-coarse queries clamp to the full top cube ("clamped_coarse"),
+    too-fine queries return the singleton cube of the center itself
+    ("underflow").
     """
-    x = require_id("point", x, 0, family.space.n, ")")
-    radii = np.asarray(radii, dtype=float)
-    bad = np.flatnonzero(~(radii > 0))
-    if bad.size:
-        raise ConfigError(f"query radius must be positive, got {radii[bad[0]]}")
+    ids = np.array([require_id("point", x, 0, family.space.n, ")")
+                    for x in np.atleast_1d(ids).tolist()], dtype=int)
+    radii = np.atleast_2d(np.asarray(radii, dtype=float))
+    if not radii.min(initial=np.inf) > 0:   # NaN fails this too
+        raise ConfigError(f"query radius must be positive, got "
+                          f"{radii.flat[np.flatnonzero(~(radii > 0))[0]]}")
     # the coarsest radius level whose answer stays inside the window
     floor_k = family.k_min + family.coarsening - 2
     levels = _levels_for_radii(family.delta, radii, floor_k,
                                max(family.k_max - 1, floor_k - 1))
-    distinct, slot = np.unique(levels, return_inverse=True)
-    slot = slot.ravel()
-    row = family.space.dist_row(x)
-    cubes = [_route(family, x, row, int(k), floor_k) for k in distinct]
-    return CubeQueries(cubes=cubes, slot=slot,
-                       members=[family.cube_members(q) for q in cubes])
+    k_first = int(levels.min(initial=0))
+    slot = levels - k_first
+    flat, width = slot.ravel(), max(radii.shape[1], 1)
+    new = np.ones(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    new[::width] = True   # every row starts a run
+    start = np.flatnonzero(new)
+    t = np.ones((int(slot.max(initial=-1)) + 1, ids.size), dtype=int)
+    index = np.zeros(t.shape, dtype=int)
+    heads, dist = [], family.space.dist_rows(ids)
+    for p, k in enumerate(range(k_first, k_first + len(t))):
+        if k < floor_k:
+            heads.append((family.k_min, "clamped_coarse"))
+        elif k > family.k_max - 1:
+            heads.append((family.k_max, "underflow"))
+            index[p] = family.system(1).assign[-1][ids]
+        else:   # route by the nearest fine reference point
+            beta = np.argmin(dist[:, family.labeled.hierarchy.level(k + 1)],
+                             axis=1)
+            t[p] = family.route_t(k, beta)
+            index[p] = family.labeled.order.maps[k - family.k_min][beta]
+            if family.distinguished is None:
+                heads.append((k, "ok"))
+            else:   # the pinned family answers one level coarser
+                heads.append((k - 1, "ok"))
+                index[p] = [family.system(s).order.parent_of(k - 1, a)
+                            for s, a in zip(t[p].tolist(), index[p].tolist())]
+    return BlockAnswers(dist=dist, slot=slot, heads=heads, t=t, index=index,
+                        start=start, row=start // width, level=flat[start])
 
 
 def find_containing_cube(family: AdjacentFamily, x: int, r: float) -> CubeQuery:
-    """Locate (t, cube) whose members contain ball(x, r): the one-radius
-    case of find_containing_cubes."""
-    return find_containing_cubes(family, x, [r]).query(0)
-
-
-def _route(family: AdjacentFamily, x: int, row, k: int,
-           floor_k: int) -> CubeQuery:
-    """The query answer for level k, read off x's distance row."""
-    if k < floor_k:
-        return CubeQuery(t=1, k=family.k_min, index=0, flag="clamped_coarse")
-    if k > family.k_max - 1:
-        t = 1
-        return CubeQuery(t=t, k=family.k_max,
-                         index=family.system(t).locate(family.k_max, x),
-                         flag="underflow")
-    # nearest fine reference point
-    beta = int(np.argmin(row[family.labeled.hierarchy.level(k + 1)]))
-    t = family.route_t(k, beta)
-    alpha = family.labeled.order.parent_of(k, beta)
-    if family.distinguished is None:
-        return CubeQuery(t=t, k=k, index=alpha, flag="ok")
-    up = family.system(t).order.parent_of(k - 1, alpha)
-    return CubeQuery(t=t, k=k - 1, index=up, flag="ok")
+    """Locate (t, cube) whose members contain ball(x, r): the one-ball
+    view of find_containing_cubes."""
+    return find_containing_cubes(family, [x], [[r]]).query(0, 0)
 
 
 def _levels_for_radii(delta: float, radii, k_lo: int, k_hi: int) -> np.ndarray:
@@ -271,7 +322,8 @@ def _levels_for_radii(delta: float, radii, k_lo: int, k_hi: int) -> np.ndarray:
 
 
 def verify_covering(family: AdjacentFamily) -> VerificationReport:
-    """Sweep realized radii per center and check both query guarantees.
+    """Check both query guarantees on every ball of the space, one block
+    query per block of ball_blocks.
 
     Also checks that every fine reference point is realized as a chosen
     center in the system its pair label names (plain families), or that the
@@ -279,29 +331,37 @@ def verify_covering(family: AdjacentFamily) -> VerificationReport:
     """
     space = family.space
     C = family.covering_const
+    top = space._above_diam()
     rep = VerificationReport("adjacent covering")
     contain_bad, diam_bad, n_queries = [], [], 0
     worst_ratio = 0.0
+    flags = {"ok": 0, "clamped_coarse": 0, "underflow": 0}
     diam_of = {}  # member list bytes -> its diameter; systems share cubes
-    for x, _, _, _, radii in space.ball_sweep():
-        qs = find_containing_cubes(family, x, radii)
-        diam = np.empty(len(qs.members))
-        inside = np.zeros((len(qs.members), space.n), dtype=bool)
-        for i, m in enumerate(qs.members):
+    for ids, _, sorted_rows, last in space.ball_blocks():
+        radii = ball_radii(sorted_rows, top)
+        qs = find_containing_cubes(family, ids, radii)
+        which, cubes = qs.cubes(family)
+        diam = np.empty(len(cubes))
+        inside = np.zeros((len(cubes), space.n), dtype=bool)
+        for u, m in enumerate(map(family.cube_members, cubes)):
             key = m.tobytes()
             if key not in diam_of:
                 diam_of[key] = float(space.dist_rows(m, m).max(initial=0.0))
-            diam[i] = diam_of[key]
-            inside[i, m] = True
-        gap = _edge_gaps(space.dist_row(x), inside, True)[qs.slot]
-        diam = diam[qs.slot]
-        n_queries += radii.size
-        for j in np.flatnonzero(radii > gap):
-            contain_bad.append((x, float(radii[j]), qs.query(j).to_json()))
-        for j in np.flatnonzero(diam > C * radii * (1 + _TOL)):
-            diam_bad.append((x, float(radii[j]), float(diam[j]), C * radii[j]))
-        worst_ratio = max(worst_ratio, float((diam / radii).max()))
-    rep.add("ball_containment", not contain_bad, n_queries, contain_bad)
+            diam[u], inside[u, m] = diam_of[key], True
+        # one containment gap and one diameter per run of a query level
+        gap = qs.per_ball(_edge_gaps(qs.dist[qs.row], inside[which], True))
+        size = qs.per_ball(diam[which])
+        for i, j in zip(*np.nonzero((radii > gap) & last)):
+            contain_bad.append((int(ids[i]), float(radii[i, j]),
+                                qs.query(i, j).to_json()))
+        for i, j in zip(*np.nonzero((size > C * radii * (1 + _TOL)) & last)):
+            diam_bad.append((int(ids[i]), float(radii[i, j]),
+                             float(size[i, j]), C * radii[i, j]))
+        worst_ratio = max(worst_ratio, float(
+            np.max(size / radii, where=last, initial=0.0)))
+        n_queries += qs.count_flags(last, flags)
+    rep.add("ball_containment", not contain_bad, n_queries, contain_bad,
+            details={"flags": flags})
     rep.add("diameter_bound", not diam_bad, n_queries, diam_bad,
             details={"worst_ratio": worst_ratio, "C": C})
 
@@ -309,13 +369,13 @@ def verify_covering(family: AdjacentFamily) -> VerificationReport:
         cover_bad, cover_n = [], 0
         for k in range(family.k_min + 1, family.k_max + 1):
             level = family.labeled.hierarchy.level(k)
-            for beta in range(len(level)):
-                cover_n += 1
-                t = family.route_t(k - 1, beta)
-                alpha = family.labeled.order.parent_of(k - 1, beta)
-                center = family.system(t).cube(k - 1, alpha).center
-                if center != int(level[beta]):
-                    cover_bad.append((k, beta, t, alpha, center))
+            t = family.route_t(k - 1, np.arange(level.size)).tolist()
+            alpha = family.labeled.order.maps[k - 1 - family.k_min].tolist()
+            for beta, (s, a, c) in enumerate(zip(t, alpha, level.tolist())):
+                center = family.system(s).level_points[k - 1 - family.k_min][a]
+                if center != c:
+                    cover_bad.append((k, beta, s, a, int(center)))
+            cover_n += level.size
         rep.add("center_coverage", not cover_bad, cover_n, cover_bad,
                 note="every fine point is some system's chosen center")
     else:

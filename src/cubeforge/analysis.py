@@ -10,7 +10,9 @@ supremum is a reverse running max over the ranks, gathered back to point
 order. The dyadic operators sweep each distinct level of the systems passed
 in once; both maximal kernels answer a list of functions from that one
 sweep. The verify_* functions check the constant-carrying inequalities
-between the two worlds.
+between the two worlds; the containing-cube masses ask one ball-in-cube
+query per block of centers (adjacent.find_containing_cubes) and sum each
+distinct answered cube once.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .cubes import CubeSystem
 from .errors import BadSpec, ConfigError, CubeforgeError, PreconditionFail
 from .report import VerificationReport
 from . import space as space_module
-from .space import QuasiMetricSpace
+from .space import QuasiMetricSpace, ball_radii
 
 _ABS_TOL = 1e-12
 _SLACK = 1e-12   # relative to the magnitude of the logs compared
@@ -97,9 +99,7 @@ def doubling_constant(space: QuasiMetricSpace, mu):
     blocks = []
     for ids, order, sorted_rows, last in space.ball_blocks():
         pre = np.cumsum(w[order], axis=1)
-        # the ball ending at rank j has radius sorted_rows[:, j + 1]
-        radii = np.empty(sorted_rows.shape)
-        radii[:, :-1], radii[:, -1] = sorted_rows[:, 1:], top
+        radii = ball_radii(sorted_rows, top)
         # one binary search per row: faster than a merged sort of the block
         below = np.array([np.searchsorted(row, twice) for row, twice
                           in zip(sorted_rows, 2.0 * radii)])
@@ -423,22 +423,7 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
             details={"C_a": c_a, "empirical": worst, **info})
 
     # (a) ball mass vs its containing cube
-    worst = 0.0
-    checked = 0
-    bad = []
-    flags = {"ok": 0, "clamped_coarse": 0, "underflow": 0}
-    for x, order, _, ends, radii in space.ball_sweep():
-        pre = np.cumsum(w[order])
-        qs = find_containing_cubes(family, x, radii)
-        _, hits = np.unique(qs.slot, return_counts=True)
-        for q, n_hits in zip(qs.cubes, hits.tolist()):
-            flags[q.flag] += n_hits
-        cube_mass = np.array([float(w[m].sum()) for m in qs.members])
-        ratio = cube_mass[qs.slot] / pre[ends - 1]
-        worst = max(worst, float(ratio.max()))
-        checked += radii.size
-        for j in np.flatnonzero(ratio > c_ap * (1.0 + _REL_TOL)):
-            bad.append((int(x), float(radii[j]), float(ratio[j])))
+    bad, checked, worst, flags = _containing_cube_masses(family, w, c_ap)
     rep.add("ball_containing_cube_mass", not bad, checked, bad,
             details={"C_a_prime": c_ap, "empirical": worst, "flags": flags})
 
@@ -462,6 +447,35 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
                              "empirical": float(ratio.max(initial=0.0))})
         del m_dy   # F·K·n floats: free them before the sharp pass
     return rep
+
+
+def _containing_cube_masses(family: AdjacentFamily, w, c_ap: float):
+    """Every realized ball's containing-cube mass over its own mass, from
+    one block query per block of ball_blocks, each distinct answered cube
+    summed once: (witnesses (x, r, ratio) above c_ap, balls checked,
+    largest ratio, answers per query flag)."""
+    space = family.space
+    top = space._above_diam()
+    bad, checked, worst = [], 0, 0.0
+    flags = {"ok": 0, "clamped_coarse": 0, "underflow": 0}
+    mass_of = {}   # (t, k, index) -> the cube's mass
+    for ids, order, sorted_rows, last in space.ball_blocks():
+        radii = ball_radii(sorted_rows, top)
+        qs = find_containing_cubes(family, ids, radii)
+        which, cubes = qs.cubes(family)
+        mass = np.empty(len(cubes))
+        for u, q in enumerate(cubes):
+            key = (q.t, q.k, q.index)
+            if key not in mass_of:
+                mass_of[key] = float(w[family.cube_members(q)].sum())
+            mass[u] = mass_of[key]
+        ratio = qs.per_ball(mass[which]) / np.cumsum(w[order], axis=1)
+        worst = max(worst, float(np.max(ratio, where=last, initial=0.0)))
+        for i, j in zip(*np.nonzero((ratio > c_ap * (1.0 + _REL_TOL))
+                                    & last)):
+            bad.append((int(ids[i]), float(radii[i, j]), float(ratio[i, j])))
+        checked += qs.count_flags(last, flags)
+    return bad, checked, worst, flags
 
 
 def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,

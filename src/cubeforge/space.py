@@ -17,6 +17,10 @@ the declared bound, has its constant computed exactly by one blocked
 min-plus kernel. Any other row-oracle space (above
 TABLE_CAP) must declare an analytic bound on the constant, which a seeded
 sample of triples then asserts; without one it is refused.
+
+Every ball is a prefix of its center's stably sorted distance row; every
+reader of balls sweeps them through `ball_blocks`, a block of centers at a
+time, with `ball_radii`.
 """
 from __future__ import annotations
 
@@ -139,33 +143,22 @@ class QuasiMetricSpace:
         of center ids[i]'s row and sorted_rows[i] that row in this order;
         last[i, j] marks the ranks j that end a ball: order[i, :j + 1] is
         ball(ids[i], r) for r = sorted_rows[i, j + 1] (any radius above the
-        diameter for j = n - 1). Serves tables and row oracles.
+        diameter for j = n - 1): see ball_radii. Serves tables and rows.
         """
         step = max(1, BALL_CELLS // max(self.n, 1))   # an empty space has none
         for c0 in range(0, self.n, step):
             ids = np.arange(c0, min(c0 + step, self.n))
             rows = (self.table[c0:c0 + step] if self.table is not None
                     else np.array([self._row_fn(c) for c in ids.tolist()]))
-            order = np.argsort(rows, axis=1, kind="stable")
+            order = np.argsort(rows, axis=1)
             sorted_rows = np.take_along_axis(rows, order, axis=1)
             last = np.ones(rows.shape, dtype=bool)
             np.less(sorted_rows[:, :-1], sorted_rows[:, 1:], out=last[:, :-1])
+            # a row without ties sorts one way; rows with ties sort stably
+            tied = np.flatnonzero(~last.all(axis=1))
+            if tied.size:
+                order[tied] = np.argsort(rows[tied], axis=1, kind="stable")
             yield ids, order, sorted_rows, last
-
-    def ball_sweep(self):
-        """Every ball of the space, center by center: the per-center view of
-        ball_blocks.
-
-        Yields (c, order, sorted_row, ends, radii) per center c, in ascending
-        order of c. order is the stable argsort of c's row; radii are the
-        distinct positive distances from c plus one above the diameter, and
-        ball(c, radii[j]) is order[:ends[j]]. Serves tables and row oracles.
-        """
-        top = self._above_diam()
-        for ids, order, sorted_rows, last in self.ball_blocks():
-            for c, o, row, end in zip(ids.tolist(), order, sorted_rows, last):
-                ends = np.flatnonzero(end) + 1
-                yield c, o, row, ends, np.append(row[ends[:-1]], top)
 
     def realized_balls(self):
         """All distinct balls of the space, deduplicated.
@@ -177,15 +170,16 @@ class QuasiMetricSpace:
         if self.table is None:
             raise BadSpec("realized_balls needs a dense distance table")
         masks, meta, seen = [], [], set()
-        for c, _, _, _, radii in self.ball_sweep():
-            row = self.table[c]
-            for r in radii:
-                mask = row < r
-                key = mask.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    masks.append(mask)
-                    meta.append((c, float(r)))
+        top = self._above_diam()
+        for ids, _, sorted_rows, last in self.ball_blocks():
+            for c, radii, end in zip(ids.tolist(),
+                                     ball_radii(sorted_rows, top), last):
+                for r in radii[end].tolist():
+                    mask = self.table[c] < r
+                    if mask.tobytes() not in seen:
+                        seen.add(mask.tobytes())
+                        masks.append(mask)
+                        meta.append((c, r))
         return np.array(masks), meta
 
     # -- construction --------------------------------------------------------
@@ -498,6 +492,15 @@ def ball(space: QuasiMetricSpace, center: int, radius: float) -> np.ndarray:
     """Ids strictly closer than `radius` to `center` (always includes it)."""
     center = require_id("point", center, 0, space.n, ")")
     return np.where(space.dist_row(center) < radius)[0]
+
+
+def ball_radii(sorted_rows, top: float) -> np.ndarray:
+    """The radius of the prefix ending at each rank of ball_blocks' sorted
+    rows: sorted_rows[:, j + 1], and `top` (above the diameter) at the last
+    rank. A prefix cut inside a tie gets the radius of the ball below it."""
+    radii = np.empty(np.shape(sorted_rows))
+    radii[:, :-1], radii[:, -1] = sorted_rows[:, 1:], top
+    return radii
 
 
 # -- generators -------------------------------------------------------------------

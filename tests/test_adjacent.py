@@ -26,6 +26,7 @@ from cubeforge.nets import build_reference_hierarchy
 from cubeforge.random_systems import OmegaSampler
 from cubeforge.space import QuasiMetricSpace, generate_space
 from test_cubes import relist
+from test_space import block_sweep
 from test_selection import cloud_labels
 
 DELTA = 1 / 144
@@ -63,13 +64,15 @@ def assert_kernel_matches_scans(fam):
     list (C = 0 makes every query of positive diameter a witness)."""
     d = fam.space.table.tolist()
     contain, diams, worst = [], [], 0.0
-    for x, _, _, _, radii in fam.space.ball_sweep():
+    for x, _, _, _, radii in block_sweep(fam.space):
         qs = find_containing_cubes(fam, x, radii)
+        which, cubes = qs.cubes(fam)
         for j, r in enumerate(radii.tolist()):
-            q = qs.query(j)
+            q = qs.query(0, j)
             assert q == find_containing_cube(fam, x, r)
             members = fam.cube_members(q).tolist()
-            assert qs.members[qs.slot[j]].tolist() == members
+            run = np.searchsorted(qs.start, j, side="right") - 1
+            assert fam.cube_members(cubes[which[run]]).tolist() == members
             inside, diam = bruteforce.ball_in_members_scan(d, x, r, members)
             if not inside:
                 contain.append((x, r, q.to_json()))
@@ -156,16 +159,19 @@ def test_covering_passes_on_cloud():
 def test_covering_measures_each_member_list_once(monkeypatch):
     # the K systems share most cubes: each distinct member list a query
     # returns has its diameter gathered once, whichever system holds it (in
-    # the box of side 20, 8 (system, level, index) keys share 1 list)
+    # the box of side 20, 8 (system, level, index) keys share 1 list). A
+    # diameter gathers one member list as both rows and columns; the
+    # routing and the containment gaps read the centers' rows
     fam = cloud_family(box=20.0)
     queried = set()
-    for x, _, _, _, radii in fam.space.ball_sweep():
+    for x, _, _, _, radii in block_sweep(fam.space):
         qs = find_containing_cubes(fam, x, radii)
-        queried.update(m.tobytes() for m in qs.members)
+        queried.update(fam.cube_members(q).tobytes() for q in qs.cubes(fam)[1])
     real, calls = fam.space.dist_rows, []
 
     def counting(ids, cols=None):
-        calls.append(np.asarray(ids).tobytes())
+        if cols is ids:
+            calls.append(np.asarray(ids).tobytes())
         return real(ids, cols)
 
     monkeypatch.setattr(fam.space, "dist_rows", counting)
@@ -198,7 +204,7 @@ def test_covering_catches_a_ball_one_rank_outside_its_cube(family):
     # point: the ball then ends one rank past the cube, the case an
     # off-by-one in the containment test would pass
     fam = family()
-    x, order, _, ends, radii = next(s for s in fam.space.ball_sweep()
+    x, order, _, ends, radii = next(s for s in block_sweep(fam.space)
                                     if s[3].max() >= 2)
     j = int(np.argmax(ends >= 2))
     q = find_containing_cube(fam, x, float(radii[j]))
@@ -321,7 +327,7 @@ def test_kernel_matches_scans_on_sampled_families(variant):
 def test_queries_refuse_points_outside(x):
     fam = geoline_family()
     assert fam.space.n == 4
-    radii = next(fam.space.ball_sweep())[4]
+    radii = next(block_sweep(fam.space))[4]
     with pytest.raises(PreconditionFail, match=rf"point {x} outside \[0, 4\)"):
         find_containing_cube(fam, x, 1.0)
     with pytest.raises(PreconditionFail, match=rf"point {x} outside \[0, 4\)"):
@@ -330,7 +336,7 @@ def test_queries_refuse_points_outside(x):
 
 def test_kernel_rejects_bad_radii():
     fam = geoline_family()
-    radii = next(fam.space.ball_sweep())[4]
+    radii = next(block_sweep(fam.space))[4]
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ConfigError, match="radius must be positive"):
             find_containing_cubes(fam, 0, np.append(radii[:-1], bad))

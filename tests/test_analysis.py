@@ -1,4 +1,5 @@
 """Measures, maximal operators, weight constants, and the transfer checks."""
+import json
 import math
 import re
 import tracemalloc
@@ -8,21 +9,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
-from cubeforge.adjacent import build_adjacent_family, find_containing_cube
-from cubeforge.analysis import (Measure, _ball_values, _dyadic_values,
+from cubeforge import adjacent, analysis
+from cubeforge.adjacent import (CubeQuery, build_adjacent_family,
+                                find_containing_cube, find_containing_cubes,
+                                pair_to_index, verify_covering)
+from cubeforge.analysis import (Measure, _ball_values,
+                                _containing_cube_masses, _dyadic_values,
                                 _instance_constants, _iterated_violations,
                                 _max_ratio, ap_constant, bmo_norm,
                                 doubling_constant, lp_norm, maximal_function,
                                 verify_comparability, verify_weighted_bounds)
+from cubeforge.constants import _REL_TOL, _TOL
 from cubeforge.cubes import CubeSystem, build_cube_system, build_partial_order
 from cubeforge.errors import (BadSpec, ConfigError, CubeforgeError,
                               PreconditionFail)
 from cubeforge.labeling import build_labels
 from cubeforge.nets import build_reference_hierarchy
 import cubeforge.space as space_module
-from cubeforge.space import QuasiMetricSpace, generate_space
-from test_adjacent import cloud_family
+from cubeforge.random_systems import OmegaSampler
+from cubeforge.space import QuasiMetricSpace, ball_radii, generate_space
+from test_adjacent import cloud_family, corrupt, geoline_family
 from test_cubes import line4_order, relist
+from test_space import block_sweep
 from test_selection import cloud_labels
 
 DELTA = 1.0 / 144.0
@@ -431,7 +439,7 @@ def test_ball_sweep_enumerates_every_ball(space):
     d = dense_rows(space)
     top = space.profile.diam * 1.25 + 1.0
     centers = []
-    for c, order, sorted_row, ends, radii in space.ball_sweep():
+    for c, order, sorted_row, ends, radii in block_sweep(space):
         centers.append(c)
         row = space.dist_row(c)
         assert order.tolist() == np.argsort(row, kind="stable").tolist()
@@ -446,7 +454,7 @@ def test_ball_sweep_enumerates_every_ball(space):
 
 def test_empty_space_sweeps_no_ball():
     space = QuasiMetricSpace.from_table(np.zeros((0, 0)))
-    assert list(space.ball_blocks()) == [] and list(space.ball_sweep()) == []
+    assert list(space.ball_blocks()) == [] and list(block_sweep(space)) == []
 
 
 def test_ball_averages_refuse_row_oracle():
@@ -468,10 +476,11 @@ def test_ball_averages_refuse_row_oracle():
 
 # The ball world as it was swept one center at a time, one stable argsort
 # per center: the oracles the blocked kernels must equal bit for bit. They
-# read no block, so they also pin ball_sweep, the blocks' per-center view.
+# read no block, so they also pin block_sweep (tests/test_space.py), the
+# blocks' per-center view.
 
 def loop_sweep(space, scale=1.0):
-    """ball_sweep's tuples, per center; `scale` multiplies the sorted rows
+    """block_sweep's tuples, per center; `scale` multiplies the sorted rows
     (and so the realized radii, not the one beyond the diameter)."""
     top = space.profile.diam * 1.25 + 1.0
     for c in range(space.n):
@@ -595,9 +604,256 @@ def test_blocked_ball_world_matches_the_per_center_loop(blocks, space, seed,
                     for ids, order, sorted_rows, last in real()))
         want = loop_doubling(space, mu, scale)
         for s in (space, rows):
-            assert as_lists(s.ball_sweep()) == as_lists(loop_sweep(s, scale))
+            assert as_lists(block_sweep(s)) == as_lists(loop_sweep(s, scale))
             assert doubling_or_message(s, mu) == want
         assert isinstance(want, str) == (broken and n > 1)
+
+
+# -- the block query against the per-center loop ------------------------------
+
+# find_containing_cubes, its _route and route_t, and the ball loops of
+# verify_covering and of the containing-cube masses as they ran one center
+# at a time over loop_sweep: the oracles the block query, and the checks
+# reading ball_blocks through it, must equal bit for bit.
+
+FLAGS = ("ok", "clamped_coarse", "underflow")
+
+
+def loop_route_t(fam, k, beta):
+    l, m = fam.labeled.label2(k + 1, beta)
+    if fam.ordinal_shifts is not None:
+        alpha = fam.labeled.order.parent_of(k, beta)
+        n_kids = len(fam.labeled.children_of(k, alpha))
+        m = (m - int(fam.ordinal_shifts[k][alpha]) - 1) % n_kids + 1
+    t = pair_to_index(l, m, fam.labeled.max_children)
+    if fam.level_shifts is not None:
+        t = (t - int(fam.level_shifts[k]) - 1) % fam.n_systems + 1
+    return t
+
+
+def loop_route(fam, x, row, k, floor_k):
+    if k < floor_k:
+        return CubeQuery(t=1, k=fam.k_min, index=0, flag="clamped_coarse")
+    if k > fam.k_max - 1:
+        return CubeQuery(t=1, k=fam.k_max,
+                         index=fam.system(1).locate(fam.k_max, x),
+                         flag="underflow")
+    beta = int(np.argmin(row[fam.labeled.hierarchy.level(k + 1)]))
+    t = loop_route_t(fam, k, beta)
+    alpha = fam.labeled.order.parent_of(k, beta)
+    if fam.distinguished is None:
+        return CubeQuery(t=t, k=k, index=alpha, flag="ok")
+    up = fam.system(t).order.parent_of(k - 1, alpha)
+    return CubeQuery(t=t, k=k - 1, index=up, flag="ok")
+
+
+def loop_queries(fam, x, radii):
+    """One center's answers, one per radius, each radius level routed
+    once; the level is the naive generation scan clipped to the window."""
+    floor_k = fam.k_min + fam.coarsening - 2
+    k_hi = max(fam.k_max - 1, floor_k - 1)
+    levels = [min(max(bruteforce.generation_scan(fam.delta, r), floor_k - 1),
+                  k_hi + 1) for r in radii.tolist()]
+    row = fam.space.dist_row(x)
+    answers = {k: loop_route(fam, x, row, k, floor_k) for k in set(levels)}
+    return [answers[k] for k in levels]
+
+
+def loop_covering(fam, scale=1.0):
+    """verify_covering's ball checks as JSON: the containment witnesses,
+    the diameter witnesses, the query count, the worst ratio and the
+    answers per flag."""
+    space, C = fam.space, fam.covering_const
+    contain, diams, queries, worst = [], [], 0, 0.0
+    flags = dict.fromkeys(FLAGS, 0)
+    for x, _, _, _, radii in loop_sweep(space, scale):
+        row = space.dist_row(x)
+        for r, q in zip(radii.tolist(), loop_queries(fam, x, radii)):
+            members = fam.cube_members(q)
+            outside = np.ones(space.n, dtype=bool)
+            outside[members] = False
+            diam = float(space.dist_rows(members, members).max(initial=0.0))
+            queries += 1
+            flags[q.flag] += 1
+            if r > row[outside].min(initial=np.inf):
+                contain.append((x, r, q.to_json()))
+            if diam > C * r * (1 + _TOL):
+                diams.append((x, r, diam, C * r))
+            worst = max(worst, diam / r)
+    return json.dumps([contain, diams, queries, worst, flags])
+
+
+def loop_cube_masses(fam, w, c_ap, scale=1.0):
+    """_containing_cube_masses' result, from the per-center loop."""
+    bad, checked, worst = [], 0, 0.0
+    flags = dict.fromkeys(FLAGS, 0)
+    for x, order, _, ends, radii in loop_sweep(fam.space, scale):
+        pre = np.cumsum(w[order])
+        for r, end, q in zip(radii.tolist(), ends,
+                             loop_queries(fam, x, radii)):
+            ratio = float(float(w[fam.cube_members(q)].sum()) / pre[end - 1])
+            worst = max(worst, ratio)
+            checked += 1
+            flags[q.flag] += 1
+            if ratio > c_ap * (1.0 + _REL_TOL):
+                bad.append((x, r, ratio))
+    return json.dumps([bad, checked, worst, flags])
+
+
+def drawn_family(lab, kind, seed):
+    if kind == "fixed":
+        return build_adjacent_family(
+            lab, distinguished=lab.hierarchy.distinguished)
+    sampler = OmegaSampler(lab, kind, seed=seed)
+    return sampler.realize_family(sampler.draw(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lab=st.one_of(cloud_labels(deltas=(DELTA,), mode="strict"),
+                     cloud_labels(deltas=(DELTA,), mode="strict",
+                                  sides=(3,))),
+       kind=st.sampled_from(["fixed", "adjacent", "adjacent_refined"]),
+       rows=st.booleans(), broken=st.booleans(),
+       scale=st.sampled_from([1.0, 2.0 ** -10, 2.0 ** -20, 2.0 ** -40,
+                              2.0 ** 20]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_block_query_matches_the_per_center_loop(lab, kind, rows, broken,
+                                                 scale, seed):
+    # fixed families are pinned when the hierarchy is; scales 2**-10 and
+    # 2**-20 move the realized radii into the window's finer levels, 2**-40
+    # below it (underflow) and 2**20 above it (clamped); broken families
+    # lose the last member of every cube below the top, system 1's centers
+    # rotate on every level and C drops to 2, so the checks find witnesses
+    fam = drawn_family(lab, kind, seed)
+    n = fam.space.n
+    if kind != "fixed":
+        assert fam.level_shifts is not None
+        assert (fam.ordinal_shifts is not None) == (kind == "adjacent_refined")
+    w = np.random.default_rng(seed).uniform(0.25, 4.0, n)
+    if broken:
+        corrupt(fam, slice(None, -1))
+        sys_1 = fam.system(1)
+        sys_1.level_points = [np.roll(lv, 1) for lv in sys_1.level_points]
+        fam.covering_const = 2.0
+    with pytest.MonkeyPatch.context() as mp:
+        if rows:   # the same coordinates behind a row oracle
+            mp.setattr(space_module, "TABLE_CAP", n - 1)
+            twin = QuasiMetricSpace.from_coords(fam.space.coords)
+            assert twin.table is None
+            mp.setattr(fam.labeled.hierarchy, "space", twin)
+        space = fam.space
+        if scale != 1.0:
+            real = space.ball_blocks
+            mp.setattr(space, "ball_blocks", lambda: (
+                (ids, order, sorted_rows * scale, last)
+                for ids, order, sorted_rows, last in real()))
+        top = space._above_diam()
+        for ids, _, sorted_rows, last in space.ball_blocks():
+            radii = ball_radii(sorted_rows, top)
+            qs = find_containing_cubes(fam, ids, radii)
+            for i, x in enumerate(ids.tolist()):
+                assert [qs.query(i, j) for j in range(n)] == \
+                    loop_queries(fam, x, radii[i])
+            assert_runs_match_queries(fam, qs)
+        rep = verify_covering(fam)
+        contain, diams = (rep.check(name) for name in ("ball_containment",
+                                                       "diameter_bound"))
+        assert json.dumps([contain.witnesses, diams.witnesses, contain.checked,
+                           diams.details["worst_ratio"],
+                           contain.details["flags"]]) == loop_covering(fam,
+                                                                       scale)
+        assert diams.checked == contain.checked
+        if scale == 2.0 ** -40 and n > 1:
+            assert contain.details["flags"]["underflow"] > 0
+        for c_ap in (1.0, 1e30):
+            assert json.dumps(_containing_cube_masses(fam, w, c_ap)) == \
+                loop_cube_masses(fam, w, c_ap, scale)
+    if fam.distinguished is None:
+        want = loop_center_coverage(fam)
+        got = rep.check("center_coverage")
+        assert (got.witnesses, got.checked) == want
+
+
+def assert_runs_match_queries(fam, qs):
+    """Every entry lies in a run of its own row and query level, and the
+    distinct cube of that run is the cube answering the entry (a clamped
+    and an in-window answer may name one cube)."""
+    which, cubes = qs.cubes(fam)
+    rows, cols = qs.slot.shape
+    assert qs.per_ball(qs.row).tolist() == [[i] * cols for i in range(rows)]
+    assert qs.per_ball(qs.level).tolist() == qs.slot.tolist()
+    run_cube = qs.per_ball(which)
+    assert [[(cubes[u].t, cubes[u].k, cubes[u].index) for u in line]
+            for line in run_cube.tolist()] == \
+        [[(q.t, q.k, q.index) for q in map(qs.query, [i] * cols, range(cols))]
+         for i in range(rows)]
+
+
+def test_every_row_starts_a_run():
+    # one radius for every ball of the block: each row is one run, though
+    # the query level never changes across rows
+    fam = cloud_family()
+    n = fam.space.n
+    qs = find_containing_cubes(fam, np.arange(n), np.full((n, 3), 0.05))
+    assert len(qs.heads) == 1 and qs.start.tolist() == \
+        list(range(0, 3 * n, 3))
+    assert_runs_match_queries(fam, qs)
+
+
+def loop_center_coverage(fam):
+    """verify_covering's center coverage, one fine point at a time."""
+    bad, checked = [], 0
+    for k in range(fam.k_min + 1, fam.k_max + 1):
+        level = fam.labeled.hierarchy.level(k)
+        for beta in range(len(level)):
+            checked += 1
+            t = loop_route_t(fam, k - 1, beta)
+            alpha = fam.labeled.order.parent_of(k - 1, beta)
+            center = fam.system(t).cube(k - 1, alpha).center
+            if center != int(level[beta]):
+                bad.append((k, beta, t, alpha, center))
+    return bad, checked
+
+
+@pytest.mark.parametrize("per_block", [5, None])
+def test_each_check_queries_once_per_block(monkeypatch, per_block):
+    # one ball_blocks sweep per check and one block query per block: 48
+    # centers in blocks of 5 make 10 blocks, the default budget 1
+    fam = cloud_family(box=20.0)
+    space, mu = fam.space, np.ones(fam.space.n)
+    if per_block is not None:
+        monkeypatch.setattr(space_module, "BALL_CELLS", per_block * space.n)
+    n_blocks = 10 if per_block else 1
+    constants = _instance_constants(fam, mu)
+    calls = []
+    real_blocks = space.ball_blocks
+    monkeypatch.setattr(space, "ball_blocks",
+                        lambda: (calls.append("blocks"), real_blocks())[1])
+
+    def query(*args):
+        calls.append("query")
+        return find_containing_cubes(*args)
+
+    for module in (adjacent, analysis):
+        monkeypatch.setattr(module, "find_containing_cubes", query)
+    assert verify_covering(fam).passed
+    assert calls == ["blocks"] + ["query"] * n_blocks
+    calls.clear()
+    _containing_cube_masses(fam, mu, constants["C_a_prime"])
+    assert calls == ["blocks"] + ["query"] * n_blocks
+
+
+def test_covering_counts_the_answers_per_flag():
+    # the geoline's widest balls clamp to the top cube; the covering check
+    # and the containing-cube masses count the same answers
+    fam = geoline_family()
+    mu = np.ones(fam.space.n)
+    chk = verify_covering(fam).check("ball_containment")
+    flags = chk.details["flags"]
+    assert sum(flags.values()) == chk.checked and flags["clamped_coarse"] > 0
+    masses = verify_comparability(fam, mu, []).check(
+        "ball_containing_cube_mass")
+    assert masses.details["flags"] == flags
 
 
 def test_ball_values_memory_at_700_points():
@@ -664,7 +920,7 @@ def sweep_masses(space, mu):
     """Per center, its realized radii and ball masses, and the largest
     doubling ratio m(2r)/m(r) over them (at least 1)."""
     per_center, best = [], 1.0
-    for _, order, sorted_row, ends, radii in space.ball_sweep():
+    for _, order, sorted_row, ends, radii in block_sweep(space):
         pre = np.cumsum(mu[order])
         m_2r = pre[np.searchsorted(sorted_row, 2.0 * radii, side="left") - 1]
         best = max(best, float((m_2r / pre[ends - 1]).max()))

@@ -80,10 +80,10 @@ def straddle_handpicked():
 
 # site -> (call, kernel calls): one per boundary zone, per sweep batch (the
 # geoline's 1000 samples fit one), per chain check, per scanned point and
-# per covering center
+# per covering block of centers (the geoline's 4 centers fit one)
 SITES = {
     "boundary_zone": (lambda: boundary_zone(grid_system(), -1, 0, 12.0), 1),
-    "verify_covering": (lambda: verify_covering(geoline_family()), 4),
+    "verify_covering": (lambda: verify_covering(geoline_family()), 1),
     "estimate_boundary_sweep": (lambda: estimate_boundary_sweep(
         OmegaSampler(geoline_labels(), seed=1), [0, 2], -2, [0.1, 1.0],
         1000), 1),

@@ -24,9 +24,21 @@ def line4():
     return QuasiMetricSpace.from_line(LINE4)
 
 
+def block_sweep(space):
+    """Every ball, center by center, read off ball_blocks: (c, order,
+    sorted_row, ends, radii) per center c in ascending order, where radii
+    are the distinct positive distances from c plus one above the diameter
+    and ball(c, radii[j]) is order[:ends[j]]."""
+    top = space._above_diam()
+    for ids, order, sorted_rows, last in space.ball_blocks():
+        for c, o, row, end in zip(ids.tolist(), order, sorted_rows, last):
+            ends = np.flatnonzero(end) + 1
+            yield c, o, row, ends, np.append(row[ends[:-1]], top)
+
+
 def radii(space, c):
     """The radii of every distinct ball centred at c, from the ball sweep."""
-    return next(rs for x, *_, rs in space.ball_sweep() if x == c)
+    return next(rs for x, *_, rs in block_sweep(space) if x == c)
 
 
 def test_tri_const_metric_line_is_one():
@@ -230,7 +242,7 @@ def test_radii_conventions():
     space = line4()
     assert radii(space, 0).tolist()[:3] == [1.0, 3.0, 7.0]
     assert radii(space, 0)[-1] > space.profile.diam
-    all_r = {float(r) for *_, rs in space.ball_sweep() for r in rs[:-1]}
+    all_r = {float(r) for *_, rs in block_sweep(space) for r in rs[:-1]}
     assert all_r == {1.0, 2.0, 3.0, 4.0, 6.0, 7.0}
 
 

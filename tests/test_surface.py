@@ -95,3 +95,16 @@ def test_one_table_holds_the_constants():
                            and (t.id in ("_TOL", "_REL_TOL")
                                 or t.id.endswith("_PRODUCT_LIMIT"))]
     assert copies == []
+
+
+def test_one_ball_sweep():
+    # every ball is read through ball_blocks: no module defines or calls a
+    # per-center ball_sweep beside it
+    found = []
+    for path in sorted(Path(cubeforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (getattr(node, "name", None) or getattr(node, "id", None)
+                    or getattr(node, "attr", None))
+            if name == "ball_sweep":
+                found.append((path.name, type(node).__name__))
+    assert found == []
