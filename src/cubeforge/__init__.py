@@ -18,9 +18,8 @@ from cubeforge.analysis import (Measure, ap_constant, bmo_norm,
                                 verify_comparability, verify_weighted_bounds)
 from cubeforge.constants import (SystemConstants, aux_cover_const,
                                  aux_sep_const)
-from cubeforge.cubes import (Cube, CubeSystem, ParentMaps, boundary_zone,
-                             build_cube_system, build_partial_order,
-                             verify_cube_axioms)
+from cubeforge.cubes import (Cube, CubeSystem, ParentMaps, build_cube_system,
+                             build_partial_order, verify_cube_axioms)
 from cubeforge.errors import (BadSpec, BuildError, ConfigError,
                               CubeforgeError, DegenerateWindow, ModeViolation,
                               NegativeDistance, NoNearChild, NoParent,
@@ -41,8 +40,8 @@ from cubeforge.random_systems import (BoundaryEstimate, OmegaSampler,
                                       estimate_boundary_sweep,
                                       estimate_selection_probability,
                                       realize_system, sample_adjacent_family,
-                                      sample_outcome, sample_system,
-                                      scan_chain_separation, wilson_upper)
+                                      sample_outcome, scan_chain_separation,
+                                      wilson_upper)
 from cubeforge.report import Check, VerificationReport
 from cubeforge.space import (QuasiMetricSpace, SpaceProfile, ball,
                              generate_space, validate_quasi_metric)
@@ -60,7 +59,7 @@ __all__ = [
     "SelectionError", "SelectionEstimate", "SelectionOutcome",
     "SpaceError", "SpaceProfile", "SymmetryViolation", "SystemConstants",
     "TightAmbiguity", "VerificationReport", "ZeroDistance", "ap_constant", "aux_cover_const", "aux_sep_const",
-    "ball", "bmo_norm", "boundary_zone", "build_adjacent_family",
+    "ball", "bmo_norm", "build_adjacent_family",
     "build_cube_system", "build_labels", "build_partial_order",
     "build_reference_hierarchy", "check_chain_separation", "check_mode",
     "doubling_constant", "emit_report",
@@ -69,7 +68,7 @@ __all__ = [
     "find_containing_cube", "find_containing_cubes", "generate_space", "index_to_pair", "level_window",
     "lp_norm", "maximal_function", "pair_to_index", "realize_system",
     "run_pipeline", "sample_adjacent_family", "sample_outcome",
-    "sample_system", "scan_chain_separation", "select_points",
+    "scan_chain_separation", "select_points",
     "validate_quasi_metric", "verify_comparability", "verify_covering",
     "verify_cube_axioms", "verify_net_axioms", "verify_new_point_axioms",
     "verify_weighted_bounds", "wilson_upper",

@@ -5,12 +5,16 @@ There is one system per pair label (l, m) with l in {0..L} and m in
 t = l*M + m. System t realizes the specific selection rule for (l, m) (or its
 pinned variant when a distinguished point is set); a random adjacent draw
 shifts that label level by level, and the fixed family is the draw with no
-shift. The systems differ at few levels, so one builder makes each
-distinct piece once: one parent link per distinct (level, coarse, fine)
-triple of center arrays and one assign and grouped-member pair per distinct
-level content (cube count and assign), whatever the level's centers. The K
-systems then share their center, parent-map, assign and grouped-member
-arrays by reference, so none of them is written in place.
+shift. The systems differ at few levels, so the builder works a level at a
+time, never a system at a time: one specific_pick call per parent level
+gives the pick matrix of all K labels, each level's distinct center lists
+are kept once, each distinct (level, coarse, fine) triple of center lists
+is linked once, in batches along the partial order's leading sample axis,
+and each level is closed once per distinct (parent map, finer assign) pair
+into one assign and grouped-member pair per distinct level content (cube
+count and assign), whatever the level's centers. The K systems then share
+their center, parent-map, assign and grouped-member arrays by reference, so
+none of them is written in place.
 
 find_containing_cubes answers "which system holds a single cube containing
 this ball" for a block of centers and a radius matrix at once, such as a
@@ -34,12 +38,13 @@ from typing import Optional
 import numpy as np
 
 from .constants import _TOL
-from .cubes import CubeSystem, ParentMaps, _edge_gaps, build_cube_system
-from .errors import ConfigError, require_id
-from .labeling import (LabeledHierarchy, SelectionOutcome, index_to_pair,
-                       pair_to_index, require_near, selected_order,
-                       specific_pick)
+from .cubes import (CubeSystem, ParentMaps, _edge_gaps, close_assign,
+                    close_level)
+from .errors import ConfigError, CubeforgeError, require_id
+from .labeling import (LabeledHierarchy, index_to_pair, pair_to_index,
+                       require_near, selected_order, specific_pick)
 from .report import VerificationReport
+from . import space as space_module
 from .space import ball_radii
 
 
@@ -157,14 +162,12 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
     no shift), with the `pinned` point kept at index 0 of every level.
 
     System t picks at level k by specific_pick for pair label phi^-1(t),
-    moved by the level's entry. Each distinct level content is kept once,
-    each distinct (level, coarse, fine) triple linked by one
-    `selected_order` call, and build_cube_system closes each distinct level
-    partition once (see its `closed`). A system is picked, checked and
-    linked level by level before the next one, so the first failing
-    selection or link raises just as building the systems one by one would.
+    moved by the level's entry; the build runs a level at a time (see the
+    module docstring). A failure raises what building the systems one by
+    one would: the first failing system's first missing near child, levels
+    ascending, or else its first failing link.
     """
-    size, K = labeled.max_children, labeled.n_systems
+    K = labeled.n_systems
     shifts = ordinals = None
     if levels is not None:
         shifts = {k: int(levels[k]["shift"]) for k in labeled.parent_ks()}
@@ -176,31 +179,138 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
         level_shifts=shifts, ordinal_shifts=ordinals)
     family.covering_const = labeled.selected_constants.covering_const(
         family.coarsening)
-    seen, links, closed = {}, {}, {}
-    for t in range(1, K + 1):
-        chosen = []
-        for k in labeled.parent_ks():
-            entry = None if levels is None else levels[k]
-            chosen.append(specific_pick(labeled, k, index_to_pair(t, size),
-                                        entry, pinned))
-            require_near(labeled, k, chosen[-1] < 0)
-        z = [seen.setdefault((j, lv.tobytes()), lv) for j, lv in enumerate(
-            SelectionOutcome(labeled, {}, chosen).new_levels())]
-        parts = []
-        # a one-level system still makes one call, for its strict checks
-        for j in range(max(len(z) - 1, 1)):
-            key = (j, *map(id, z[j:j + 2]))
-            if key not in links:
-                links[key] = selected_order(labeled, z[j:j + 2],
-                                            k_top=labeled.k_min + j)
-            parts.append(links[key])
-        order = ParentMaps(k_top=labeled.k_min, constants=parts[0].constants,
-                           mode=parts[0].mode,
-                           maps=[m for p in parts for m in p.maps],
-                           tight=[x for p in parts for x in p.tight])
-        family.systems.append(
-            build_cube_system(labeled.space, z, order, closed))
+    z, of, unpicked = _pick_levels(labeled, levels, pinned)
+    # systems 0..ok-1 select at every level: link them, then raise what the
+    # first failing system raises
+    ok = min(unpicked, default=K)
+    links, link_of, failed = _link_levels(labeled, z, [x[:ok] for x in of])
+    if failed:
+        raise failed[min(failed)]
+    if ok < K:
+        require_near(labeled, *unpicked[ok])
+    pieces, piece_of = _close_levels(labeled.space.n, z, links, link_of, K)
+
+    consts, mode = labeled.selected_constants, labeled.hierarchy.mode
+    # per level, each system's center list, link and (assign, members)
+    z, links, pieces = ([[d[i] for i in x.tolist()] for d, x in zip(*pair)]
+                        for pair in ((z, of), (links, link_of),
+                                     (pieces, piece_of)))
+    for t in range(K):
+        order = ParentMaps(k_top=labeled.k_min, constants=consts, mode=mode,
+                           maps=[lv[t][0] for lv in links],
+                           tight=[lv[t][1] for lv in links])
+        family.systems.append(CubeSystem(
+            space=labeled.space, k_min=labeled.k_min, k_max=labeled.k_max,
+            constants=consts, mode=mode, level_points=[lv[t] for lv in z],
+            order=order, members=[lv[t][1] for lv in pieces],
+            assign=[lv[t][0] for lv in pieces]))
     return family
+
+
+def _pick_levels(labeled: LabeledHierarchy, levels: Optional[dict],
+                 pinned: Optional[int]):
+    """(z, of, unpicked): z[j] holds level j's distinct center lists and
+    of[j][t - 1] is system t's among them, from one specific_pick call per
+    parent level; unpicked[t - 1] = (k, missing) names the first level
+    where system t misses a near child, and where."""
+    h, K = labeled.hierarchy, labeled.n_systems
+    label = index_to_pair(np.arange(1, K + 1), labeled.max_children)
+    z, of, unpicked = [], [], {}
+    for k in labeled.parent_ks():
+        picks = specific_pick(labeled, k, label,
+                              None if levels is None else levels[k], pinned)
+        missing = picks < 0
+        for t in np.flatnonzero(missing.any(axis=1)).tolist():
+            unpicked.setdefault(t, (k, missing[t]))
+        first, inverse = _distinct_rows(picks)
+        chosen = picks[first]
+        del picks, missing   # dropped before the kept lists are allocated
+        z.append(list(h.level(k + 1)[chosen]))
+        of.append(inverse)
+    z.append([h.level(labeled.k_max).copy()])
+    of.append(np.zeros(K, dtype=int))
+    return z, of, unpicked
+
+
+def _link_levels(labeled: LabeledHierarchy, z: list, of: list):
+    """(links, link_of, failed): links[j] holds level j's (parent map, tight
+    flags) pairs, one per distinct (coarse, fine) pair of center lists that
+    the systems of `of` hold, and link_of[j][t - 1] is system t's among
+    them; failed[(t - 1, j)] is the error of a system's refused link at
+    level j, for the first system holding that link."""
+    links, link_of, failed = [], [], {}
+    if len(z) == 1:   # a one-level family still links once, for its checks
+        selected_order(labeled, z[0])
+    # finest first: its blocks are the largest, and the smaller ones fit in
+    # the memory they free
+    for j in reversed(range(len(z) - 1)):
+        width = len(z[j + 1])
+        keys, inverse = np.unique(of[j] * width + of[j + 1],
+                                  return_inverse=True)
+        pairs = [(z[j][a], z[j + 1][b]) for a, b in
+                 zip(*map(np.ndarray.tolist, divmod(keys, width)))]
+        # a batch's distance block: the ids the fine lists are drawn from
+        # against each pair's coarse list
+        pool = labeled.hierarchy.level(min(labeled.k_min + j + 2,
+                                           labeled.k_max)).size
+        step = max(1, space_module.BALL_CELLS // (pool * z[j][0].size))
+        level = [link for lo in range(0, len(pairs), step)
+                 for link in _link(labeled, j, pairs[lo:lo + step])]
+        for x, link in enumerate(level):
+            if isinstance(link, CubeforgeError):
+                failed.setdefault((int(np.argmax(inverse == x)), j), link)
+        links.insert(0, level)
+        link_of.insert(0, inverse)
+    return links, link_of, failed
+
+
+def _close_levels(n: int, z: list, links: list, link_of: list, K: int):
+    """(pieces, piece_of): pieces[j] holds (assign, members) pairs of level
+    j and piece_of[j][t - 1] is system t's among them, t = 1..K. Finest
+    first, each level is closed once per distinct (parent map, finer
+    assign) pair, sharing arrays per distinct (cube count, assign) (see
+    `close_level`)."""
+    closed, finest = {}, z[-1][0]
+    pieces = [[close_level(closed, finest.size,
+                           close_assign(n, finest, [])[0])]]
+    piece_of = [np.zeros(K, dtype=int)]
+    for j in range(len(z) - 2, -1, -1):
+        maps = [m for m, _ in links[j]]
+        first, map_of = _distinct_rows(maps)
+        finer = len(pieces[0])
+        keys, inverse = np.unique(map_of[link_of[j]] * finer + piece_of[0],
+                                  return_inverse=True)
+        pieces.insert(0, [
+            close_level(closed, z[j][0].size, maps[first[a]][pieces[0][b][0]])
+            for a, b in zip(*map(np.ndarray.tolist, divmod(keys, finer)))])
+        piece_of.insert(0, inverse)
+    return pieces, piece_of
+
+
+def _distinct_rows(rows):
+    """(first, inverse) over equal-length 1-D arrays `rows`, keyed on their
+    bytes: the index where each distinct row first appears, in order of
+    appearance, and each row's position among the distinct rows."""
+    seen = {}
+    inverse = np.array([seen.setdefault(r.tobytes(), len(seen))
+                        for r in rows], dtype=int)
+    return np.unique(inverse, return_index=True)[1].tolist(), inverse
+
+
+def _link(labeled: LabeledHierarchy, j: int, block: list) -> list:
+    """Each (coarse, fine) center-list pair's (parent map, tight flags) at
+    level j, from one `selected_order` call along a leading axis; when that
+    call fails, each pair's own call's link, or its error in its place."""
+    try:
+        # the kernel reads one pair's rows faster without the batch axis
+        order = selected_order(labeled, list(block[0]) if len(block) == 1
+                               else [np.stack(lv) for lv in zip(*block)],
+                               k_top=labeled.k_min + j)
+    except CubeforgeError as err:
+        if len(block) == 1:
+            return [err]
+        return [link for pair in block for link in _link(labeled, j, [pair])]
+    return list(zip(*map(np.atleast_2d, (order.maps[0], order.tight[0]))))
 
 
 @dataclass

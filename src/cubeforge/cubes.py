@@ -13,11 +13,12 @@ A system holds each level as arrays only: its centers level_points[j], its
 point -> cube map assign[j] and its members[j] = (flat, start), the point
 ids grouped by cube with the group starts and a final end, so cube i is
 flat[start[i]:start[i + 1]] around the center level_points[j][i]. Cube
-values are built on demand by cube() and cubes_at(). Systems built with one
-shared `closed` dict store each distinct level content, its cube count and
-assign array, once: two levels that partition the space alike share their
-assign and member arrays even when their centers differ. So no array of a
-system is written in place.
+values are built on demand by cube() and cubes_at(). Systems closed with one
+shared `closed` dict (`close_level`, which build_cube_system and the family
+builder use) store each distinct level content, its cube count and assign
+array, once: two levels that partition the space alike share their assign
+and member arrays even when their centers differ. So no array of a system
+is written in place.
 
 The checker re-derives each system's promised geometry from its realized
 member sets: partition, nesting, the inner/outer ball sandwich with the
@@ -218,10 +219,11 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
     Each level may carry a leading sample axis: a (B, m) level holds B
     center lists of one length, and its map and tight flags are (B, m)
     too. A batched step reads the distances of every id it holds with one
-    `dist_rows` call and gathers each sample's block from it, so its floats
-    are those of the one-sample call. A batched call raises at the first
-    failing level, for the first sample failing there, with the child index
-    in that sample's list.
+    `dist_rows` call, compares them once, and gathers each sample's own
+    (children, parents) comparisons from it, so its floats are those of the
+    one-sample call. A batched call raises at the first failing level what
+    the first sample failing there raises alone, with the child index in
+    that sample's list.
     """
     require_mode(mode)
     consts = SystemConstants(delta, tri_const, sep_const, cover_const)
@@ -236,34 +238,46 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
         loose_thr = cover_const * delta ** k
         if parents.ndim == 1:
             dists = space.dist_rows(children, parents)
-            near, in_range = dists < tight_thr, dists < loose_thr
+            found = _first_parents(dists < tight_thr, dists < loose_thr)
         else:
             # one block over the batch's distinct ids, compared once; each
-            # sample takes its parents' columns of the comparisons for every
-            # distinct child, (children, B, parents), until rows_at picks
-            # the sample's own children
+            # sample gathers its own (children, parents) comparisons
             rows, rows_at = _distinct(children, space.n)
             cols, cols_at = _distinct(parents, space.n)
             dists = space.dist_rows(rows, cols)
-            near = (dists < tight_thr)[:, cols_at]
-            in_range = (dists < loose_thr)[:, cols_at]
-        # the first listed tight parent, the first listed within cover radius
-        found = (near.sum(axis=-1), in_range.any(axis=-1),
-                 near.argmax(axis=-1), in_range.argmax(axis=-1))
-        if parents.ndim > 1:
-            found = [np.take_along_axis(a.T, rows_at, -1) for a in found]
+            near, in_range = dists < tight_thr, dists < loose_thr
+            if rows_at.size and (rows_at == rows_at[0]).all():
+                # one child list for the batch: its rows, then each sample's
+                # columns, child-major (children, B, parents)
+                found = [np.ascontiguousarray(a.T) for a in _first_parents(
+                    near[rows_at[0]][:, cols_at],
+                    in_range[rows_at[0]][:, cols_at])]
+            else:
+                own = rows_at[:, :, None], cols_at[:, None, :]
+                found = _first_parents(near[own], in_range[own])
         counts, reached, tight_idx, loose_idx = found
-        if (counts > 1).any():
-            *b, i = np.argwhere(counts > 1)[0]
-            child, cands = int(children[(*b, i)]), parents[tuple(b)]
-            near_i = space.dist_rows([child], cands)[0] < tight_thr
-            raise TightAmbiguity(k, int(i), child, cands[near_i].tolist())
-        if (~reached & (counts == 0)).any():
-            *b, i = np.argwhere(~reached & (counts == 0))[0]
-            raise NoParent(k, int(i), int(children[(*b, i)]))
+        crowded, orphan = counts > 1, ~reached & (counts == 0)
+        if (crowded | orphan).any():
+            # the first failing sample raises what it raises alone
+            b = tuple(np.argwhere(crowded | orphan)[0][:-1])
+            if crowded[b].any():
+                i = int(crowded[b].argmax())
+                child, cands = int(children[b][i]), parents[b]
+                near_i = space.dist_rows([child], cands)[0] < tight_thr
+                raise TightAmbiguity(k, i, child, cands[near_i].tolist())
+            i = int(orphan[b].argmax())
+            raise NoParent(k, i, int(children[b][i]))
         out.maps.append(np.where(counts == 1, tight_idx, loose_idx).astype(int))
         out.tight.append(counts == 1)
     return out
+
+
+def _first_parents(near, in_range) -> tuple:
+    """Per child, over its parents in list order on the last axis: the
+    tight parent count, whether a parent is in range, the first tight and
+    the first in-range parent."""
+    return (near.sum(axis=-1), in_range.any(axis=-1), near.argmax(axis=-1),
+            in_range.argmax(axis=-1))
 
 
 def _distinct(ids, n: int):
@@ -292,21 +306,27 @@ def build_cube_system(space: QuasiMetricSpace, level_points,
         raise PreconditionFail(
             "finest level must enumerate every point of the space")
     closed = {} if closed is None else closed
-    assign, members = [], []
-    for pts, a in zip(centers, close_assign(space.n, centers[-1],
-                                            order.maps[:n_levels - 1])):
-        key = (pts.size, a.tobytes())
-        if key not in closed:
-            # a stable sort keeps each cube's members in ascending point order
-            sizes = np.bincount(a, minlength=pts.size)
-            closed[key] = (a, (np.argsort(a, kind="stable"),
-                               np.concatenate(([0], np.cumsum(sizes)))))
-        assign.append(closed[key][0])
-        members.append(closed[key][1])
+    levels = [close_level(closed, pts.size, a) for pts, a in zip(
+        centers, close_assign(space.n, centers[-1], order.maps[:n_levels - 1]))]
+    assign, members = [a for a, _ in levels], [m for _, m in levels]
     return CubeSystem(space=space, k_min=order.k_top,
                       k_max=order.k_top + n_levels - 1, constants=order.constants,
                       mode=order.mode, level_points=centers, order=order,
                       members=members, assign=assign)
+
+
+def close_level(closed: dict, size: int, a: np.ndarray) -> tuple:
+    """(assign, members) of a level of `size` cubes whose point -> cube map
+    is `a`: made once per distinct (cube count, assign) content kept in
+    `closed`, and the same arrays for every later level with that content.
+    """
+    key = (size, a.tobytes())
+    if key not in closed:
+        # a stable sort keeps each cube's members in ascending point order
+        sizes = np.bincount(a, minlength=size)
+        closed[key] = (a, (np.argsort(a, kind="stable"),
+                           np.concatenate(([0], np.cumsum(sizes)))))
+    return closed[key]
 
 
 def close_assign(n: int, finest, maps) -> list:
@@ -478,19 +498,6 @@ def _descendants(k, fine, c, rows_k, rows_f, pts_f, anc, q, balls):
             [(k, fine, int(i), float(gap[i]), float(r_c)) for i in over],
             [(k, fine, int(i), float(d_cf[i]))
              for i in np.flatnonzero(d_cf >= r_c)])
-
-
-def boundary_zone(system: CubeSystem, k: int, index: int, eps: float) -> np.ndarray:
-    """Members of the cube within eps (inclusive) of its complement.
-
-    The cube covering the whole space has an empty boundary zone.
-    """
-    if not eps >= 0:
-        raise PreconditionFail(f"eps must be nonnegative, got {eps}")
-    members = system.cube(k, index).members
-    inside = np.isin(system.space.points(), members)
-    return members[_edge_gaps(system.space.dist_rows(members), inside, True,
-                              eps)]
 
 
 def _edge_gaps(rows, cube_of, own, eps=None) -> np.ndarray:

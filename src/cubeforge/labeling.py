@@ -10,7 +10,10 @@ closer than aux_sep_const(tri_const) * ratio**(k-1), and two centers are
 are greedy: walking the level in ascending index order, each center takes the
 smallest value in {0, 1, 2, ...} unused among its already-labeled neighbours.
 Children then carry a pair label: the parent's primary label plus the
-child's 1-based ordinal among its siblings (ascending index).
+child's 1-based ordinal among its siblings (ascending index). build_labels
+reads each level's conflicts off row blocks of at most space.BALL_CELLS
+distances, and each parent level's neighbours off one np.unique over the
+(min, max) parent-pair codes of the conflicts one level down.
 
 build_labels stores the children once per parent level as a table: the child
 indices grouped by parent (a stable argsort of the parent map, so siblings
@@ -22,11 +25,13 @@ children all come from that table; `children_of` slices it, and
 
 Selection rules pick one child per center, producing one new point per old
 point. `LabeledHierarchy.pick_children` is the kernel of the specific
-picks: for a whole level it returns each center's child with pair label
-(l, m), optionally with a per-center ordinal shift, and the designated near
-child where there is none. Every specific pick goes through
-`specific_pick`, so the specific rules, the family build and the adjacent
-samplers share it. Two picks do not: the general rule (`_general_pick`)
+picks: for a whole level and a block of pair labels (l, m) at once it
+returns a (labels, centers) pick matrix, each center's child with the
+row's pair label, optionally with per-center ordinal shifts, and the
+designated near child where there is none; one label is a block of one.
+Every specific pick goes through `specific_pick`, so the specific rules,
+the family build (one call per parent level for all K labels) and the
+adjacent samplers share it. Two picks do not: the general rule (`_general_pick`)
 starts from the near children and asks its chooser, and the single sampler
 (`OmegaSampler.draw_level`) draws uniformly among all children or the near
 pool. `selected_order` links the selected centers with the auxiliary
@@ -47,6 +52,7 @@ from .cubes import ParentMaps, build_partial_order
 from .errors import ConfigError, NoNearChild, NotAChild, require_id
 from .nets import NetHierarchy, _net_witnesses
 from .report import VerificationReport
+from . import space as space_module
 
 
 @dataclass
@@ -118,24 +124,29 @@ class LabeledHierarchy:
             raise NotAChild(k, alpha, beta)
         return beta
 
-    def pick_children(self, k: int, l: int, m: int,
-                      ordinals: Optional[np.ndarray] = None) -> np.ndarray:
-        """The child-selection kernel, for every level-k center at once.
+    def pick_children(self, k: int, l, m, ordinals=None) -> np.ndarray:
+        """The child-selection kernel: every level-k center's pick for a
+        block of pair labels at once.
 
-        A center with primary label l takes its child with ordinal m (pair
-        label (l, m)); with per-center `ordinals` the ordinal is shifted to
-        (m + ordinals - 1) mod sibling count + 1. Every other center, and
-        one with no such child, takes its designated near child, -1 where
-        it has none (see `require_near`).
+        `l` and `m` are equal-length arrays of labels, and row b of the
+        (B, n_k) answer picks for (l[b], m[b]); scalar labels are a block of
+        one and give one (n_k,) row. A center with primary label l[b] takes
+        its child with ordinal m[b]; with `ordinals` (one per center, or
+        one row per label) the ordinal is shifted to (m + ordinals - 1) mod
+        sibling count + 1. Every other center, and one with no such child,
+        takes its designated near child, -1 where it has none (see
+        `require_near`).
         """
         j = self._window(k, self.k_min, self.k_max - 1)
         kids, start = self.children[j]
         sizes = np.diff(start)
+        l, m = np.asarray(l)[..., None], np.asarray(m)[..., None]
         if ordinals is not None:
             m = (m + np.asarray(ordinals) - 1) % np.maximum(sizes, 1) + 1
         hit = (self.primary[j] == l) & (m >= 1) & (m <= sizes)
-        pick = self.near[j].copy()
-        pick[hit] = kids[(start[:-1] + m - 1)[hit]]
+        pick = np.broadcast_to(self.near[j], hit.shape).copy()
+        at = np.nonzero(hit)   # few: a row's label fits few centers
+        pick[at] = kids[start[at[-1]] + np.broadcast_to(m, hit.shape)[at] - 1]
         return pick
 
 
@@ -191,30 +202,35 @@ def build_labels(hierarchy: NetHierarchy) -> LabeledHierarchy:
                                 k_top=hierarchy.k_min, mode=hierarchy.mode)
     out = LabeledHierarchy(hierarchy=hierarchy, order=order)
 
-    conflicts = []
-    for k in hierarchy.level_ks():
-        pts = hierarchy.level(k)
-        thr = sep * delta ** (k - 1)
-        pairs = []
-        for i in range(len(pts)):
-            row = space.dist_row(int(pts[i]))[pts[i + 1:]]
-            for off in np.where(row < thr)[0]:
-                pairs.append((i, i + 1 + int(off)))
-        conflicts.append(pairs)
-    out.conflicts = conflicts
+    # conflicts per level, from blocks of whole distance rows, at most
+    # BALL_CELLS distances a block; from the same pairs, the neighbours of
+    # the parent level one up
+    step = max(1, space_module.BALL_CELLS // max(space.n, 1))
+    for j, pts in enumerate(hierarchy.levels):
+        thr = sep * delta ** (hierarchy.k_min + j - 1)
+        pairs, codes = [], []
+        for lo in range(0, pts.size, step):
+            near = (space.dist_rows(pts[lo:lo + step]) < thr)[:, pts]
+            a, b = np.nonzero(np.triu(near, lo + 1))   # row-major, a < b
+            pairs += zip((a + lo).tolist(), b.tolist())
+            if j:
+                codes.append(_cross_codes(order.maps[j - 1], a + lo, b,
+                                          hierarchy.levels[j - 1].size))
+        out.conflicts.append(pairs)
+        if j:
+            # asked for its indices, np.unique does not import numpy.ma
+            # (about 1.3 MB) on its first call
+            codes, _ = np.unique(np.concatenate(codes), return_index=True)
+            out.neighbours.append(list(zip(*map(np.ndarray.tolist, divmod(
+                codes, hierarchy.levels[j - 1].size)))))
 
     max_label = 0
     max_children = 1 if hierarchy.n_levels == 1 else 0
     for k in range(hierarchy.k_min, hierarchy.k_max):
         j = k - hierarchy.k_min
         pmap = order.maps[j]
-        # neighbours: parent pairs with children in conflict one level down
-        neigh = sorted({tuple(sorted((int(pmap[a]), int(pmap[b]))))
-                        for a, b in conflicts[j + 1]
-                        if pmap[a] != pmap[b]})
-        out.neighbours.append(neigh)
         n_here = len(hierarchy.level(k))
-        out.primary.append(_greedy_labels(n_here, neigh))
+        out.primary.append(_greedy_labels(n_here, out.neighbours[j]))
         max_label = max(max_label, int(out.primary[-1].max(initial=0)))
 
         # children table, duplex labels and near-child designation
@@ -241,6 +257,15 @@ def build_labels(hierarchy: NetHierarchy) -> LabeledHierarchy:
     out.max_label = max_label
     out.max_children = max_children
     return out
+
+
+def _cross_codes(pmap, a, b, n_parents: int) -> np.ndarray:
+    """min * n_parents + max of the parents pmap[a[e]] and pmap[b[e]] of
+    each pair e whose two parents differ."""
+    pa, pb = pmap[a], pmap[b]
+    cross = pa != pb
+    pa, pb = pa[cross], pb[cross]
+    return np.minimum(pa, pb) * n_parents + np.maximum(pa, pb)
 
 
 def _group_starts(pmap, n_parents):
@@ -322,10 +347,13 @@ def index_to_pair(t: int, max_children: int):
 
 def specific_pick(labeled: LabeledHierarchy, k: int, label, entry=None,
                   pinned: Optional[int] = None) -> np.ndarray:
-    """Level-k picks of the specific rule for pair label `label`. An adjacent
-    draw's level `entry` moves the label's index by its shift (mod K) and,
-    with "ordinals", each center's sibling. The `pinned` point, which heads
-    every level, stays its own child. -1 marks a missing near child."""
+    """Level-k picks of the specific rule for pair label `label`: an (l, m)
+    pair of ints, or of equal-length arrays for a block of labels, one row
+    of picks each (see `LabeledHierarchy.pick_children`). An adjacent
+    draw's level `entry` moves every label's index by its shift (mod K)
+    and, with "ordinals", each center's sibling. The `pinned` point, which
+    heads every level, stays its own child. -1 marks a missing near
+    child."""
     l, m = label
     if entry is not None:
         size = labeled.max_children
@@ -333,7 +361,7 @@ def specific_pick(labeled: LabeledHierarchy, k: int, label, entry=None,
         l, m = index_to_pair((t - 1) % labeled.n_systems + 1, size)
     pick = labeled.pick_children(k, l, m, entry and entry.get("ordinals"))
     if pinned is not None and int(labeled.hierarchy.level(k)[0]) == pinned:
-        pick[0] = 0
+        pick[..., 0] = 0
     return pick
 
 

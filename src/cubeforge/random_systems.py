@@ -251,13 +251,6 @@ def sample_outcome(sampler: OmegaSampler, sample_index: int = 0
     return sampler.realize_outcome(sampler.draw(sample_index))
 
 
-def sample_system(sampler: OmegaSampler, sample_index: int = 0) -> CubeSystem:
-    """Draw one single-variant selection and build its cube system."""
-    if sampler.variant != "single":
-        raise ConfigError("sample_system needs a single-variant sampler")
-    return realize_system(sampler.labeled, sample_outcome(sampler, sample_index))
-
-
 def sample_adjacent_family(sampler: OmegaSampler, sample_index: int = 0
                            ) -> AdjacentFamily:
     """Draw one shifted-label family (adjacent or adjacent_refined)."""

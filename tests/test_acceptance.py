@@ -27,7 +27,8 @@ from cubeforge.nets import build_reference_hierarchy
 from cubeforge.random_systems import (OmegaSampler,
                                       estimate_boundary_sweep,
                                       estimate_selection_probability,
-                                      sample_system, scan_chain_separation)
+                                      realize_system, sample_outcome,
+                                      scan_chain_separation)
 from cubeforge.space import QuasiMetricSpace, ball, generate_space
 from test_selection import near_pool
 
@@ -189,7 +190,8 @@ def test_criterion_5_chain_separation_on_sampled_systems():
         combos = 0
         depths = {}
         for i in range(100):
-            rep = scan_chain_separation(sample_system(sampler, i))
+            rep = scan_chain_separation(
+                realize_system(lab, sample_outcome(sampler, i)))
             ok = ok and rep.passed
             det = rep.check("admissible_chains").details
             combos += det["combinations"]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from cubeforge.adjacent import (
+    _close_levels,
     _levels_for_radii,
+    _link,
+    _pick_levels,
     build_adjacent_family,
     find_containing_cube,
     find_containing_cubes,
@@ -15,8 +19,9 @@ from cubeforge.adjacent import (
     pair_to_index,
     verify_covering,
 )
-from cubeforge import labeling
-from cubeforge.cubes import CubeSystem, build_cube_system, verify_cube_axioms
+from cubeforge import labeling, space as space_module
+from cubeforge.cubes import (CubeSystem, build_cube_system, close_assign,
+                             verify_cube_axioms)
 from cubeforge.errors import (ConfigError, CubeforgeError, NoNearChild,
                               NoParent, PreconditionFail, TightAmbiguity)
 from cubeforge.labeling import (LabeledHierarchy, SelectionOutcome,
@@ -403,17 +408,21 @@ def assert_shares_levels(fam, systems):
 
 
 def build_counting_links(build):
-    """Run build() and count its build_partial_order calls."""
-    real, calls = labeling.build_partial_order, []
+    """Run build() and count the (level, coarse, fine) triples its
+    build_partial_order calls link: every consecutive pair of levels of a
+    call, once per row of a batched call."""
+    real, linked = labeling.build_partial_order, []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        levels = args[1]
+        rows = len(levels[0]) if np.ndim(levels[0]) > 1 else 1
+        linked.append((len(levels) - 1) * rows)
         return real(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(labeling, "build_partial_order", counted)
         fam = build()
-    return fam, len(calls)
+    return fam, sum(linked)
 
 
 def check_shared_build(lab, distinguished=None):
@@ -474,22 +483,112 @@ def test_shared_build_matches_reference_on_sampled_families(variant):
             assert calls == assert_shares_levels(fam, systems)
 
 
+def test_one_pick_call_per_parent_level(monkeypatch):
+    # the builder picks for all K systems of a level in one kernel call:
+    # fixed, pinned and drawn (level- and ordinal-shifted) families
+    lab, pinned = cloud_labeled(0, n=100), geoline_family(0).labeled
+    sampler = OmegaSampler(lab, "adjacent_refined", seed=5)
+    omega = sampler.draw(0)
+    real, calls = LabeledHierarchy.pick_children, []
+
+    def counting(self, k, l, m, ordinals=None):
+        calls.append((k, np.shape(l)))
+        return real(self, k, l, m, ordinals)
+
+    monkeypatch.setattr(LabeledHierarchy, "pick_children", counting)
+    for build, of in ((lambda: build_adjacent_family(lab), lab),
+                      (lambda: build_adjacent_family(pinned, 0), pinned),
+                      (lambda: sampler.realize_family(omega), lab)):
+        calls.clear()
+        build()
+        assert calls == [(k, (of.n_systems,)) for k in of.parent_ks()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_level_closure_matches_each_systems_chain(data):
+    # random parent maps shared at random by K systems: each system's
+    # (assign, members) pair, level by level, is the one close_assign gives
+    # for its own chain of maps, and equal contents are one pair
+    n = data.draw(st.integers(1, 10))
+    sizes = sorted(data.draw(st.lists(st.integers(1, n), max_size=3))) + [n]
+    finest = np.array(data.draw(st.permutations(range(n))))
+    K = data.draw(st.integers(1, 6))
+    links, link_of = [], []
+    for coarse, fine in zip(sizes, sizes[1:]):
+        maps = st.lists(st.integers(0, coarse - 1), min_size=fine,
+                        max_size=fine).map(np.array)
+        links.append([(m, None) for m in data.draw(
+            st.lists(maps, min_size=1, max_size=3))])
+        link_of.append(np.array(data.draw(st.lists(
+            st.integers(0, len(links[-1]) - 1), min_size=K, max_size=K))))
+    z = [[np.arange(size)] for size in sizes[:-1]] + [[finest]]
+    pieces, piece_of = _close_levels(n, z, links, link_of, K)
+    shared = {}
+    for t in range(K):
+        chain = [lv[x[t]][0] for lv, x in zip(links, link_of)]
+        for j, a in enumerate(close_assign(n, finest, chain)):
+            got, (flat, start) = pieces[j][piece_of[j][t]]
+            assert got.tolist() == a.tolist()
+            assert flat.tolist() == np.argsort(a, kind="stable").tolist()
+            assert start.tolist() == [0, *np.cumsum(np.bincount(
+                a, minlength=sizes[j])).tolist()]
+            assert shared.setdefault((sizes[j], a.tobytes()), got) is got
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 40])
+def test_shared_build_matches_reference_in_any_batch(monkeypatch, cells):
+    # every triple linked alone, or each level's triples in one batch
+    labs = [cloud_labeled(0, n=100), cloud_labeled(2, n=40, box=1.0),
+            geoline_family(0).labeled]
+    sampler = OmegaSampler(labs[1], "adjacent_refined", seed=5)
+    omega = sampler.draw(1)
+    monkeypatch.setattr(space_module, "BALL_CELLS", cells)
+    for lab in labs:
+        check_shared_build(lab, lab.hierarchy.distinguished)
+    fam, linked = build_counting_links(lambda: sampler.realize_family(omega))
+    systems = reference_sampled_systems(sampler, omega)
+    assert_matches_reference(fam, systems)
+    assert linked == assert_shares_levels(fam, systems)
+
+
+def test_family_build_peak_memory():
+    # one `build` benchmark cloud (n = 520 in a box of 20, seed 88; levels
+    # [1, 170, 520], K = 340): the builder that made one system at a time
+    # peaked at 2 370 186 bytes under tracemalloc (numpy 2.4.6); the
+    # level-at-a-time build must stay at or below that
+    space = generate_space({"kind": "euclidean_cloud", "n": 520, "dim": 2,
+                            "box": 20.0, "seed": 88})
+    lab = build_labels(build_reference_hierarchy(space, DELTA, mode="strict"))
+    assert lab.n_systems == 340
+    tracemalloc.start()
+    try:
+        build_adjacent_family(lab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_370_186
+
+
 def corrupt_picks(mp, spoil):
-    """Spoil pick_children's answer for the (k, l, m) keys of `spoil`: a
-    center with no child ("none"), every center on one child ("same", so
-    the child has several tight parents) or the level's first indices
-    ("first", so some point finer down has no parent in range)."""
+    """Spoil the rows of pick_children's answer, for a block of labels or
+    one label, whose (k, l, m) keys are in `spoil`: a center with no child
+    ("none"), every center on one child ("same", so the child has several
+    tight parents) or the level's first indices ("first", so some point
+    finer down has no parent in range)."""
     real = LabeledHierarchy.pick_children
 
     def pick(self, k, l, m, ordinals=None):
         out = real(self, k, l, m, ordinals)
-        how = spoil.get((k, l, m))
-        if how == "none":
-            out[-1] = -1
-        elif how == "same":
-            out[:] = out[0]
-        elif how == "first":
-            out = np.arange(len(out))
+        rows = np.atleast_2d(out)   # a view: spoiling a row spoils out
+        for row, *label in zip(rows, np.ravel(l), np.ravel(m)):
+            how = spoil.get((k, *map(int, label)))
+            if how == "none":
+                row[-1] = -1
+            elif how == "same":
+                row[:] = row[0]
+            elif how == "first":
+                row[:] = np.arange(row.size)
         return out
 
     mp.setattr(LabeledHierarchy, "pick_children", pick)
@@ -542,6 +641,45 @@ def test_shared_build_raises_the_first_systems_error():
             got = outcome(lambda: build_adjacent_family(lab))
         assert isinstance(want, error)
         assert_same_outcome(got, want)
+
+
+def test_a_failing_batch_links_each_pair_alone():
+    # a batch with one refused pair: every other pair keeps its own link,
+    # and the refused one its own error
+    lab = cloud_labeled(0)
+    z, _, _ = _pick_levels(lab, None, None)
+    good = (z[1][0], z[2][0])
+    bad = (np.full(z[1][0].size, z[1][0][0]), z[2][0])
+    alone = selected_order(lab, list(good), k_top=lab.k_min + 1)
+    with pytest.raises(TightAmbiguity) as info:
+        selected_order(lab, list(bad), k_top=lab.k_min + 1)
+    got = _link(lab, 1, [good, bad, good])
+    assert [type(x) for x in got] == [tuple, TightAmbiguity, tuple]
+    assert str(got[1]) == str(info.value)
+    for m, t in (got[0], got[2]):
+        assert m.tolist() == alone.maps[0].tolist()
+        assert t.tolist() == alone.tight[0].tolist()
+
+
+@pytest.mark.parametrize("per_block", [2, 3])
+def test_shared_build_raises_the_same_in_small_batches(monkeypatch,
+                                                      per_block):
+    # the finest links go per_block pairs a call; a failing call is linked
+    # again a pair at a time, and each error must land on the systems that
+    # hold its pair, whichever call it sat in
+    lab = cloud_labeled(0, n=100)
+    K, M = lab.n_systems, lab.max_children
+    monkeypatch.setattr(space_module, "BALL_CELLS", per_block * lab.space.n
+                        * len(lab.hierarchy.level(lab.k_max - 1)))
+    for t1, t2 in ((2, 3), (3, 2), (3, 5), (2, K), (K - 1, K)):
+        for how1, how2 in (("same", "first"), ("first", "same")):
+            with pytest.MonkeyPatch.context() as mp:
+                corrupt_picks(mp, {(0, *index_to_pair(t1, M)): how1,
+                                   (0, *index_to_pair(t2, M)): how2})
+                want = outcome(lambda: reference_systems(lab))
+                got = outcome(lambda: build_adjacent_family(lab))
+            assert isinstance(want, (TightAmbiguity, NoParent))
+            assert_same_outcome(got, want)
 
 
 @settings(max_examples=16, deadline=None)

@@ -15,7 +15,8 @@ from cubeforge.labeling import build_labels
 from cubeforge.nets import (NetHierarchy, build_reference_hierarchy, check_mode,
                             verify_net_axioms)
 from cubeforge.random_systems import (OmegaSampler, check_chain_separation,
-                                      sample_system, scan_chain_separation)
+                                      realize_system, sample_outcome,
+                                      scan_chain_separation)
 from cubeforge.space import QuasiMetricSpace
 
 TRI = 1.01       # a triangle constant above 1, so every power of it counts
@@ -158,7 +159,8 @@ def test_nan_constants_are_refused():
     # a document with a NaN c0 loaded, and its scan then passed 360 chains
     line = QuasiMetricSpace.from_line(np.arange(60.0))
     lab = build_labels(build_reference_hierarchy(line, 1 / 144, "strict"))
-    system = sample_system(OmegaSampler(lab, "single", seed=1), 0)
+    system = realize_system(lab, sample_outcome(
+        OmegaSampler(lab, "single", seed=1), 0))
     chk = scan_chain_separation(system).check("admissible_chains")
     assert chk.details["combinations"] == 0
     doc = json.loads(json.dumps(system.to_json()))
@@ -182,7 +184,8 @@ def test_loaders_refuse_a_delta_outside_the_unit_interval():
     # one, and the axiom checks of both documents passed vacuously
     line = QuasiMetricSpace.from_line(np.arange(60.0))
     lab = build_labels(build_reference_hierarchy(line, 1 / 144, "strict"))
-    system = sample_system(OmegaSampler(lab, "single", seed=1), 0)
+    system = realize_system(lab, sample_outcome(
+        OmegaSampler(lab, "single", seed=1), 0))
     hier = build_reference_hierarchy(line, 1 / 144, "exploratory")
     for cls, doc, verify in (
             (CubeSystem, system.to_json(), lambda s: verify_cube_axioms([s])[0]),

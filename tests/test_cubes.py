@@ -4,14 +4,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubeforge.adjacent import index_to_pair
 from cubeforge.cubes import (
     SystemConstants,
     CubeSystem,
     ParentMaps,
-    boundary_zone,
+    _edge_gaps,
     build_cube_system,
     build_partial_order,
     verify_cube_axioms,
@@ -160,6 +160,56 @@ def test_finest_level_must_cover():
             build_cube_system(space, [levels[0], np.array(finest)], order)
 
 
+@st.composite
+def batched_levels(draw):
+    """A small integer cloud and B parent lists and child lists of one
+    length each: every sample its own child list, or one for all."""
+    pts = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                        min_size=2, max_size=10, unique=True))
+    space = QuasiMetricSpace.from_coords(np.asarray(pts, dtype=float))
+    n, b = space.n, draw(st.integers(1, 4))
+    sizes = draw(st.integers(1, n)), draw(st.integers(1, n))
+    perms = st.permutations(range(n))
+    parents, children = ([draw(perms)[:size] for _ in range(b)]
+                         for size in sizes)
+    if draw(st.booleans()):
+        children = [children[0]] * b
+    return space, np.array(parents), np.array(children)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=batched_levels(), sep=st.sampled_from([0.5, 2.0, 3.0]),
+       cover=st.sampled_from([1.5, 3.0, 1e9]))
+# sample 1 finds no parent for point 2 and sample 2 two tight parents for
+# point 0: the batch raises sample 1's NoParent
+@example(case=(QuasiMetricSpace.from_coords(np.array(
+    [[0.0, 0.0], [1, 0], [3, 0], [4, 0], [2, 0], [0, 1]])),
+    np.array([[0, 2], [0, 1], [0, 1]]), np.array([[0], [2], [0]])),
+    sep=3.0, cover=1.5)
+def test_batched_order_matches_one_sample_at_a_time(case, sep, cover):
+    # each sample's map and tight flags are its own call's; a batch raises
+    # what the first failing sample's call raises
+    space, parents, children = case
+
+    def link(levels):
+        try:
+            return build_partial_order(space, levels, 1.0 / 2, sep, cover,
+                                       1.0, k_top=0, mode="exploratory")
+        except CubeforgeError as err:
+            return err
+
+    alone = [link([p, c]) for p, c in zip(parents, children)]
+    batched = link([parents, children])
+    failing = [err for err in alone if isinstance(err, CubeforgeError)]
+    if failing:
+        assert type(batched) is type(failing[0])
+        assert (str(batched), vars(batched)) == (str(failing[0]),
+                                                 vars(failing[0]))
+        return
+    assert batched.maps[0].tolist() == [o.maps[0].tolist() for o in alone]
+    assert batched.tight[0].tolist() == [o.tight[0].tolist() for o in alone]
+
+
 def test_shared_closure_matches_fresh_builds():
     # systems closed with one `closed` dict equal fresh builds; a level is
     # shared exactly when its cube count and assign array agree, whatever
@@ -204,6 +254,15 @@ def test_locate_and_chain():
     assert system.locate(-1, 3) == 1
     assert [int(a[3]) for a in system.assign] == [1, 3]
     assert system.cube(-1, 1).center == 3
+
+
+def boundary_zone(system, k, index, eps):
+    """The members of a cube within eps (inclusive) of its complement, read
+    off the edge-distance kernel."""
+    members = system.cube(k, index).members
+    inside = np.isin(system.space.points(), members)
+    return members[_edge_gaps(system.space.dist_rows(members), inside, True,
+                              eps)]
 
 
 @pytest.mark.parametrize("k", [-2, 1])
@@ -701,15 +760,6 @@ def test_systems_of_two_spaces_are_refused():
     with pytest.raises(PreconditionFail, match="share one space"):
         verify_cube_axioms([line4_system(),
                             line4_system([0.0, 1.0, 3.0, 8.0])])
-
-
-@pytest.mark.parametrize("eps", [float("nan"), -1.0])
-def test_boundary_zone_refuses_eps_below_zero_or_nan(eps):
-    # a NaN eps used to give an empty zone without a word
-    system = build_cube_system(*line4_order())
-    with pytest.raises(PreconditionFail,
-                       match=f"eps must be nonnegative, got {eps}"):
-        boundary_zone(system, -1, 0, eps)
 
 
 # -- parent links and closure against the naive scans -----------------------

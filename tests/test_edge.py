@@ -1,8 +1,8 @@
 """The edge-distance kernel: a point's distance to its cube's complement.
 
-Boundary zones, covering containment, the boundary sweep and both chain
-checks read that distance off `cubes._edge_gaps`; these tests pin the
-kernel against the naive boundary scan and show that each site reaches it.
+Covering containment, the boundary sweep and both chain checks read that
+distance off `cubes._edge_gaps`; these tests pin the kernel against the
+naive boundary scan and show that each site reaches it.
 """
 import math
 
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import bruteforce
 from cubeforge import adjacent, cubes, labeling, random_systems
 from cubeforge.adjacent import verify_covering
-from cubeforge.cubes import CubeSystem, _edge_gaps, boundary_zone
+from cubeforge.cubes import CubeSystem, _edge_gaps
 from cubeforge.errors import PreconditionFail
 from cubeforge.labeling import SelectionOutcome
 from cubeforge.random_systems import (OmegaSampler, check_chain_separation,
@@ -78,11 +78,10 @@ def straddle_handpicked():
         labeled=lab, rule={"kind": "handpicked"}, chosen=chosen))
 
 
-# site -> (call, kernel calls): one per boundary zone, per sweep batch (the
-# geoline's 1000 samples fit one), per chain check, per scanned point and
-# per covering block of centers (the geoline's 4 centers fit one)
+# site -> (call, kernel calls): one per sweep batch (the geoline's 1000
+# samples fit one), per chain check, per scanned point and per covering
+# block of centers (the geoline's 4 centers fit one)
 SITES = {
-    "boundary_zone": (lambda: boundary_zone(grid_system(), -1, 0, 12.0), 1),
     "verify_covering": (lambda: verify_covering(geoline_family()), 1),
     "estimate_boundary_sweep": (lambda: estimate_boundary_sweep(
         OmegaSampler(geoline_labels(), seed=1), [0, 2], -2, [0.1, 1.0],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cubeforge import nets
+from cubeforge import nets, space as space_module
 from cubeforge.adjacent import build_adjacent_family
 from cubeforge.errors import (ConfigError, NoNearChild, NotAChild,
                               PreconditionFail)
@@ -22,7 +22,7 @@ from cubeforge.space import QuasiMetricSpace, generate_space
 
 import bruteforce
 from test_nets import int_spaces, perturbed, scanned_witnesses
-from test_selection import near_pool
+from test_selection import cloud_labels, loose_line_labels, near_pool
 
 LINE4 = [0.0, 1.0, 3.0, 7.0]
 
@@ -109,6 +109,59 @@ def test_label_soundness_on_cloud():
                                               range(len(labels)))
         assert got == oracle
     assert lab.max_label == max(int(p.max(initial=0)) for p in lab.primary)
+
+
+def loop_relations(lab):
+    """Conflicts and neighbours the per-point way, one distance row and one
+    tuple at a time: the oracle of build_labels' row blocks."""
+    h, sep = lab.hierarchy, aux_sep_const(lab.space.profile.tri_const)
+    conflicts = []
+    for k in h.level_ks():
+        pts, pairs = h.level(k), []
+        for i in range(len(pts)):
+            row = lab.space.dist_row(int(pts[i]))[pts[i + 1:]]
+            for off in np.where(row < sep * h.delta ** (k - 1))[0]:
+                pairs.append((i, i + 1 + int(off)))
+        conflicts.append(pairs)
+    neighbours = []
+    for j, pmap in enumerate(lab.order.maps):
+        neighbours.append(sorted({tuple(sorted((int(pmap[a]), int(pmap[b]))))
+                                  for a, b in conflicts[j + 1]
+                                  if pmap[a] != pmap[b]}))
+    return conflicts, neighbours
+
+
+def assert_relations_match(lab, cells):
+    with pytest.MonkeyPatch.context() as mp:
+        if cells is not None:
+            mp.setattr(space_module, "BALL_CELLS", cells)
+        got = build_labels(lab.hierarchy)
+    conflicts, neighbours = loop_relations(lab)
+    assert got.conflicts == conflicts
+    assert got.neighbours == neighbours
+    assert all(type(v) is int for pairs in got.conflicts + got.neighbours
+               for pair in pairs for v in pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lab=st.one_of(cloud_labels(deltas=(1 / 144, 1 / 16)),
+                     loose_line_labels()),
+       cells=st.sampled_from([1, 3, 16, None]))
+def test_relations_match_the_per_point_loop(lab, cells):
+    # row blocks of one row, of a few, or of the module's budget give the
+    # per-point loop's tuples, in its order (the lines give neighbours)
+    assert_relations_match(lab, cells)
+
+
+@pytest.mark.parametrize("cells", [520 * 7, None])
+def test_relations_match_the_loop_on_a_build_cloud(cells):
+    # 520 points: level 0 has 3 neighbour pairs, and the module's budget
+    # reads 63 rows a block
+    space = generate_space({"kind": "euclidean_cloud", "n": 520, "dim": 2,
+                            "box": 20.0, "seed": 0})
+    lab = build_labels(build_reference_hierarchy(space, 1 / 144, "strict"))
+    assert [len(pairs) for pairs in lab.neighbours] == [0, 3]
+    assert_relations_match(lab, cells)
 
 
 def test_specific_selection_frozen():

@@ -37,7 +37,6 @@ from cubeforge.random_systems import (
     realize_system,
     sample_adjacent_family,
     sample_outcome,
-    sample_system,
     scan_chain_separation,
     wilson_upper,
 )
@@ -170,8 +169,8 @@ def test_draws_are_deterministic_and_order_free():
 
 def test_sampled_system_bit_identical():
     s = OmegaSampler(geoline_labels(), "single", seed=4)
-    one = sample_system(s, 5)
-    two = sample_system(s, 5)
+    one = realize_system(s.labeled, sample_outcome(s, 5))
+    two = realize_system(s.labeled, sample_outcome(s, 5))
     assert all(np.array_equal(p, q)
                for p, q in zip(one.level_points, two.level_points))
     for (fa, sa), (fb, sb) in zip(one.members, two.members):
@@ -181,7 +180,8 @@ def test_sampled_system_bit_identical():
 def test_sampled_systems_pass_axioms():
     for lab in (geoline_labels(), two_label_line()):
         s = OmegaSampler(lab, "single", seed=2)
-        systems = [sample_system(s, i) for i in range(10)]
+        systems = [realize_system(lab, sample_outcome(s, i))
+                   for i in range(10)]
         assert all(rep.passed for rep in verify_cube_axioms(systems))
         for i in range(10):
             assert verify_new_point_axioms(sample_outcome(s, i)).passed
@@ -192,7 +192,7 @@ def test_sampled_cloud_system_passes_axioms():
                             "seed": 17})
     lab = build_labels(build_reference_hierarchy(space, DELTA, mode="strict"))
     s = OmegaSampler(lab, "single", seed=23)
-    systems = [sample_system(s, i) for i in range(5)]
+    systems = [realize_system(lab, sample_outcome(s, i)) for i in range(5)]
     assert all(rep.passed for rep in verify_cube_axioms(systems))
 
 
@@ -325,7 +325,7 @@ def test_family_variant_guards():
     with pytest.raises(ConfigError):
         sample_adjacent_family(OmegaSampler(lab, "single"), 0)
     with pytest.raises(ConfigError):
-        sample_system(OmegaSampler(lab, "adjacent"), 0)
+        sample_outcome(OmegaSampler(lab, "adjacent"), 0)
 
 
 def test_degenerate_single_system_family():
@@ -351,7 +351,7 @@ def test_boundary_estimate_against_full_realization():
     est = estimate_boundary_probability(s, x, k, tau, 1000)
     hits = 0
     for i in range(1000):
-        full = sample_system(s, i)
+        full = realize_system(s.labeled, sample_outcome(s, i))
         members = full.cube(k, full.locate(k, x)).members
         outside = np.setdiff1d(np.arange(lab.space.n), members)
         if outside.size:
@@ -419,7 +419,7 @@ def assert_sweep_matches_scan(lab, n_samples=1000):
     taus = {k: tied_taus(lab, k) for k in ks}
     expect = {k: np.zeros((lab.space.n, 3), dtype=int) for k in ks}
     for i in range(n_samples):
-        system = sample_system(s, i)
+        system = realize_system(s.labeled, sample_outcome(s, i))
         for k in ks:
             for t, tau in enumerate(taus[k]):
                 eps = tau * lab.hierarchy.delta ** k
@@ -870,7 +870,7 @@ def test_chain_separation_on_sampled_system():
     grid = QuasiMetricSpace.from_line(np.arange(300.0))
     lab = build_labels(build_reference_hierarchy(grid, DELTA, mode="strict"))
     s = OmegaSampler(lab, "single", seed=6)
-    system = sample_system(s, 0)
+    system = realize_system(s.labeled, sample_outcome(s, 0))
     sep = system.constants.sep_const
     tau = sep / 12.0 * 0.999
     hit_any = False
@@ -992,7 +992,8 @@ def chain_systems(draw):
     if kind == "straddle":
         sampler = OmegaSampler(straddle_plane_once(), "single",
                                seed=draw(st.integers(0, 3)))
-        system = sample_system(sampler, draw(st.integers(0, 39)))
+        system = realize_system(sampler.labeled, sample_outcome(
+            sampler, draw(st.integers(0, 39))))
     else:
         system = reference_system(draw, kind)
     claim = draw(st.sampled_from([1.0, 8.0, 1000.0]))

@@ -284,3 +284,76 @@ def test_childless_center_raises_no_near_child(childless):
         assert (err.value.level, err.value.parent_index) == (-1, childless)
     # the chooser picks for the centers before the childless one only
     assert calls == list(range(childless))
+
+
+def scalar_pick_children(lab, k, l, m, ordinals=None):
+    """The child-selection kernel for one pair label (l, m), the way it was
+    written before it took a block of labels: the oracle of the block
+    kernel."""
+    j = k - lab.k_min
+    kids, start = lab.children[j]
+    sizes = np.diff(start)
+    if ordinals is not None:
+        m = (m + np.asarray(ordinals) - 1) % np.maximum(sizes, 1) + 1
+    hit = (lab.primary[j] == l) & (m >= 1) & (m <= sizes)
+    pick = lab.near[j].copy()
+    pick[hit] = kids[(start[:-1] + m - 1)[hit]]
+    return pick
+
+
+def scalar_specific_pick(lab, k, label, entry=None, pinned=None):
+    """specific_pick for one pair label, over scalar_pick_children."""
+    l, m = label
+    if entry is not None:
+        M = lab.max_children
+        t = (l * M + m + int(entry["shift"]) - 1) % lab.n_systems
+        l, m = t // M, t % M + 1
+    pick = scalar_pick_children(lab, k, l, m, entry and entry.get("ordinals"))
+    if pinned is not None and int(lab.hierarchy.level(k)[0]) == pinned:
+        pick[0] = 0
+    return pick
+
+
+@settings(max_examples=60, deadline=None)
+@given(lab=st.one_of(cloud_labels(), loose_line_labels()), data=st.data())
+def test_block_picks_match_the_per_label_loop(lab, data):
+    # the block kernel, row by row, equals one call per label: plain, with
+    # one ordinal shift for every label and with one row of them per label,
+    # on labels in range and past it (l above the largest label, m = 0 or
+    # above a center's sibling count); then specific_pick over a block of
+    # systems, plain, pinned, level-shifted and ordinal-shifted
+    K, M = lab.n_systems, lab.max_children
+    for k in lab.parent_ks():
+        n_k = len(lab.hierarchy.level(k))
+        size = data.draw(st.integers(1, 6))
+        ls = data.draw(st.lists(st.integers(0, lab.max_label + 1),
+                                min_size=size, max_size=size))
+        ms = data.draw(st.lists(st.integers(0, M + 1), min_size=size,
+                                max_size=size))
+        rows = np.array(data.draw(st.lists(
+            st.lists(st.integers(-1, M + 1), min_size=n_k, max_size=n_k),
+            min_size=size, max_size=size)), dtype=int)
+        for ords in (None, rows[0], rows):
+            per_label = [None] * size if ords is None \
+                else np.broadcast_to(ords, rows.shape)
+            got = lab.pick_children(k, np.array(ls), np.array(ms), ords)
+            assert got.shape == (size, n_k)
+            assert got.tolist() == [
+                scalar_pick_children(lab, k, l, m, o).tolist()
+                for l, m, o in zip(ls, ms, per_label)]
+        assert lab.pick_children(k, ls[0], ms[0]).tolist() == \
+            scalar_pick_children(lab, k, ls[0], ms[0]).tolist()
+
+        ts = data.draw(st.lists(st.integers(1, K), min_size=1, max_size=6))
+        sizes = np.diff(lab.children[k - lab.k_min][1])
+        shift = data.draw(st.integers(1, K))
+        ordinals = np.array([data.draw(st.integers(1, max(s, 1)))
+                             for s in sizes.tolist()], dtype=int)
+        for entry in (None, {"shift": shift},
+                      {"shift": shift, "ordinals": ordinals}):
+            for pinned in (None, int(lab.hierarchy.level(k)[0])):
+                got = specific_pick(lab, k, index_to_pair(np.array(ts), M),
+                                    entry, pinned)
+                assert got.tolist() == [scalar_specific_pick(
+                    lab, k, index_to_pair(t, M), entry, pinned).tolist()
+                    for t in ts]
