@@ -39,9 +39,8 @@ from cubeforge.random_systems import (BoundaryEstimate, OmegaSampler,
                                       estimate_boundary_probability,
                                       estimate_boundary_sweep,
                                       estimate_selection_probability,
-                                      realize_system, sample_adjacent_family,
-                                      sample_outcome, scan_chain_separation,
-                                      wilson_upper)
+                                      realize_system, sample_outcome,
+                                      scan_chain_separation, wilson_upper)
 from cubeforge.report import Check, VerificationReport
 from cubeforge.space import (QuasiMetricSpace, SpaceProfile, ball,
                              generate_space, validate_quasi_metric)
@@ -67,7 +66,7 @@ __all__ = [
     "estimate_selection_probability",
     "find_containing_cube", "find_containing_cubes", "generate_space", "index_to_pair", "level_window",
     "lp_norm", "maximal_function", "pair_to_index", "realize_system",
-    "run_pipeline", "sample_adjacent_family", "sample_outcome",
+    "run_pipeline", "sample_outcome",
     "scan_chain_separation", "select_points",
     "validate_quasi_metric", "verify_comparability", "verify_covering",
     "verify_cube_axioms", "verify_net_axioms", "verify_new_point_axioms",

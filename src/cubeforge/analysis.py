@@ -66,6 +66,12 @@ def _weights_of(mu, n: int) -> np.ndarray:
     return _vector(w, n, "mu")
 
 
+def _check_exponent(p: float) -> None:
+    """Raise ConfigError unless 1 < p < inf (NaN is refused too)."""
+    if not 1 < p < math.inf:
+        raise ConfigError(f"exponent p must lie in (1, inf), got {p}")
+
+
 def _positive(v, n: int, name: str) -> np.ndarray:
     """_vector(v, n, name), refused unless every entry is positive."""
     v = _vector(v, n, name)
@@ -289,8 +295,7 @@ def ap_constant(space: QuasiMetricSpace, mu, omega, p: float,
 
     All set masses are integrals against mu; sigma = omega**(-1/(p-1)).
     """
-    if not p > 1:
-        raise ConfigError(f"exponent p must exceed 1, got {p}")
+    _check_exponent(p)
     if variant not in SUP_VARIANTS:
         raise ConfigError(f"unknown A_p variant {variant!r}")
     w = _weights_of(mu, space.n)
@@ -490,8 +495,7 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
     oscillation sups compare to the ball one with the doubled transfer
     constants of verify_comparability (`constants` as there).
     """
-    if not p > 1:
-        raise ConfigError(f"exponent p must exceed 1, got {p}")
+    _check_exponent(p)
     space = family.space
     w = _weights_of(mu, space.n)
     omega = _positive(omega, space.n, "omega")

@@ -14,11 +14,11 @@ point -> cube map assign[j] and its members[j] = (flat, start), the point
 ids grouped by cube with the group starts and a final end, so cube i is
 flat[start[i]:start[i + 1]] around the center level_points[j][i]. Cube
 values are built on demand by cube() and cubes_at(). Systems closed with one
-shared `closed` dict (`close_level`, which build_cube_system and the family
-builder use) store each distinct level content, its cube count and assign
-array, once: two levels that partition the space alike share their assign
-and member arrays even when their centers differ. So no array of a system
-is written in place.
+shared `closed` dict (`close_level`: the family builder keeps one per
+family, build_cube_system one per system) store each distinct level
+content, its cube count and assign array, once: two levels that partition
+the space alike share their assign and member arrays even when their
+centers differ. So no array of a system is written in place.
 
 The checker re-derives each system's promised geometry from its realized
 member sets: partition, nesting, the inner/outer ball sandwich with the
@@ -289,23 +289,19 @@ def _distinct(ids, n: int):
 
 
 def build_cube_system(space: QuasiMetricSpace, level_points,
-                      order: ParentMaps,
-                      closed: Optional[dict] = None) -> CubeSystem:
+                      order: ParentMaps) -> CubeSystem:
     """Close the parent order downward into per-level partitions.
 
     The finest level list must contain every point of the space (it seeds the
     member closure); coarser members are unions of their children's members.
-    `closed`, a dict kept across calls on one space, shares levels between
-    the systems built with it by content: the assign array and grouped
-    members are made once per distinct (cube count, assign) pair, and every
-    later level with that content, in any system, gets the same arrays.
+    Levels with equal content share their arrays (`close_level`).
     """
     centers = [np.asarray(lv, dtype=int) for lv in level_points]
     n_levels = len(centers)
     if not np.array_equal(np.sort(centers[-1]), np.arange(space.n)):
         raise PreconditionFail(
             "finest level must enumerate every point of the space")
-    closed = {} if closed is None else closed
+    closed = {}
     levels = [close_level(closed, pts.size, a) for pts, a in zip(
         centers, close_assign(space.n, centers[-1], order.maps[:n_levels - 1]))]
     assign, members = [a for a, _ in levels], [m for _, m in levels]

@@ -11,9 +11,10 @@ are greedy: walking the level in ascending index order, each center takes the
 smallest value in {0, 1, 2, ...} unused among its already-labeled neighbours.
 Children then carry a pair label: the parent's primary label plus the
 child's 1-based ordinal among its siblings (ascending index). build_labels
-reads each level's conflicts off row blocks of at most space.BALL_CELLS
-distances, and each parent level's neighbours off one np.unique over the
-(min, max) parent-pair codes of the conflicts one level down.
+reads the conflicts of every level below the coarsest off row blocks of at
+most space.BALL_CELLS distances, and each parent level's neighbours off one
+np.unique over the (min, max) parent-pair codes of the conflicts one level
+down; the conflicts themselves are not kept.
 
 build_labels stores the children once per parent level as a table: the child
 indices grouped by parent (a stable argsort of the parent map, so siblings
@@ -59,7 +60,6 @@ from . import space as space_module
 class LabeledHierarchy:
     hierarchy: NetHierarchy
     order: ParentMaps
-    conflicts: list = field(default_factory=list)   # per level: [(i, j), ...]
     neighbours: list = field(default_factory=list)  # per parent level
     primary: list = field(default_factory=list)     # per parent level: int array
     duplex: list = field(default_factory=list)      # per child level: (n, 2) array
@@ -103,12 +103,6 @@ class LabeledHierarchy:
         """Position of level k in a per-level list of the levels lo..hi:
         k_min..k_max - 1 for the parent levels, which choose children."""
         return require_id("level", k, lo, hi) - lo
-
-    def label2(self, k_child: int, index: int):
-        duplex = self.duplex[self._window(k_child, self.k_min + 1,
-                                          self.k_max)]
-        l, m = duplex[require_id("child", index, 0, len(duplex), ")")]
-        return int(l), int(m)
 
     def children_of(self, k: int, index: int) -> np.ndarray:
         kids, start = self.children[self._window(k, self.k_min,
@@ -202,27 +196,23 @@ def build_labels(hierarchy: NetHierarchy) -> LabeledHierarchy:
                                 k_top=hierarchy.k_min, mode=hierarchy.mode)
     out = LabeledHierarchy(hierarchy=hierarchy, order=order)
 
-    # conflicts per level, from blocks of whole distance rows, at most
-    # BALL_CELLS distances a block; from the same pairs, the neighbours of
-    # the parent level one up
+    # each parent level's neighbours, from the conflicts one level down,
+    # read off blocks of whole distance rows, at most BALL_CELLS distances a
+    # block
     step = max(1, space_module.BALL_CELLS // max(space.n, 1))
-    for j, pts in enumerate(hierarchy.levels):
+    for j in range(1, hierarchy.n_levels):
+        pts, size = hierarchy.levels[j], hierarchy.levels[j - 1].size
         thr = sep * delta ** (hierarchy.k_min + j - 1)
-        pairs, codes = [], []
+        codes = []
         for lo in range(0, pts.size, step):
             near = (space.dist_rows(pts[lo:lo + step]) < thr)[:, pts]
             a, b = np.nonzero(np.triu(near, lo + 1))   # row-major, a < b
-            pairs += zip((a + lo).tolist(), b.tolist())
-            if j:
-                codes.append(_cross_codes(order.maps[j - 1], a + lo, b,
-                                          hierarchy.levels[j - 1].size))
-        out.conflicts.append(pairs)
-        if j:
-            # asked for its indices, np.unique does not import numpy.ma
-            # (about 1.3 MB) on its first call
-            codes, _ = np.unique(np.concatenate(codes), return_index=True)
-            out.neighbours.append(list(zip(*map(np.ndarray.tolist, divmod(
-                codes, hierarchy.levels[j - 1].size)))))
+            codes.append(_cross_codes(order.maps[j - 1], a + lo, b, size))
+        # asked for its indices, np.unique does not import numpy.ma (about
+        # 1.3 MB) on its first call
+        codes, _ = np.unique(np.concatenate(codes), return_index=True)
+        out.neighbours.append(list(zip(*map(np.ndarray.tolist,
+                                            divmod(codes, size)))))
 
     max_label = 0
     max_children = 1 if hierarchy.n_levels == 1 else 0

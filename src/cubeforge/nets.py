@@ -43,9 +43,6 @@ class NetHierarchy:
     def level_ks(self):
         return range(self.k_min, self.k_max + 1)
 
-    def scale(self, k: int) -> float:
-        return self.delta ** k
-
     @property
     def n_levels(self) -> int:
         return self.k_max - self.k_min + 1

@@ -31,6 +31,7 @@ from .errors import BuildError, ConfigError, CubeforgeError, ModeViolation
 from .labeling import build_labels, verify_new_point_axioms
 from .nets import build_reference_hierarchy, check_mode, verify_net_axioms
 from .random_systems import (
+    MIN_SAMPLES,
     OmegaSampler,
     estimate_boundary_sweep,
     realize_system,
@@ -91,15 +92,16 @@ class PipelineConfig:
         if not isinstance(mc, dict):
             raise ConfigError("mc: expected an object")
         _refuse_unknown("mc", mc, ("N", "tau_list", "points", "k"))
-        if "N" in mc and (not _is_int(mc["N"]) or mc["N"] < 1):
-            raise ConfigError(f"mc.N: expected a positive integer, "
-                              f"got {mc['N']!r}")
+        if "N" in mc and (not _is_int(mc["N"]) or mc["N"] < MIN_SAMPLES):
+            raise ConfigError(f"mc.N: expected an integer of at least "
+                              f"{MIN_SAMPLES}, got {mc['N']!r}")
         if "tau_list" in mc:
             taus = mc["tau_list"]
             if not isinstance(taus, list) or not taus \
-                    or any(not _is_number(t) or t <= 0 for t in taus):
+                    or any(not _is_number(t) or not 0 < t < math.inf
+                           for t in taus):
                 raise ConfigError("mc.tau_list: expected a non-empty list of "
-                                  "positive thresholds")
+                                  "positive finite thresholds")
         if "points" in mc:
             pts = mc["points"]
             if not isinstance(pts, list) \
@@ -116,9 +118,10 @@ class PipelineConfig:
         if "p_list" in analysis:
             ps = analysis["p_list"]
             if not isinstance(ps, list) \
-                    or any(not _is_number(p) or p <= 1 for p in ps):
+                    or any(not _is_number(p) or not 1 < p < math.inf
+                           for p in ps):
                 raise ConfigError("analysis.p_list: expected a list of "
-                                  "exponents above 1")
+                                  "finite exponents above 1")
         nrf = analysis.get("n_random_functions", 3)
         if not _is_int(nrf) or nrf < 1:
             raise ConfigError("analysis.n_random_functions: expected a "

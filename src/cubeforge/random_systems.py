@@ -74,6 +74,7 @@ from .streams import M32, key_states, lemire, pcg_jumps, pcg_outputs
 
 WILSON_Z = 1.6448536269514722  # one-sided 95% normal quantile
 VARIANTS = ("single", "adjacent", "adjacent_refined")
+MIN_SAMPLES = 1000   # the fewest samples a Monte Carlo estimate takes
 # cells (about 1 MB of floats) of the largest block one boundary-sweep batch
 # holds; the batch size is this over the cells one sample adds
 BATCH_CELLS = 2 ** 17
@@ -251,15 +252,6 @@ def sample_outcome(sampler: OmegaSampler, sample_index: int = 0
     return sampler.realize_outcome(sampler.draw(sample_index))
 
 
-def sample_adjacent_family(sampler: OmegaSampler, sample_index: int = 0
-                           ) -> AdjacentFamily:
-    """Draw one shifted-label family (adjacent or adjacent_refined)."""
-    if sampler.variant == "single":
-        raise ConfigError("sample_adjacent_family needs an adjacent-variant "
-                          "sampler")
-    return sampler.realize_family(sampler.draw(sample_index))
-
-
 # -- Monte Carlo estimators ----------------------------------------------------
 
 
@@ -422,10 +414,11 @@ def _check_boundary_args(sampler: OmegaSampler, k: int, taus: list,
 
 def _check_samples(n_samples) -> None:
     """Raise unless n_samples is an integer count (never a bool or a
-    float) of at least 1000."""
+    float) of at least MIN_SAMPLES."""
     require_id("sample count", n_samples, -math.inf, math.inf)
-    if n_samples < 1000:
-        raise PreconditionFail(f"need at least 1000 samples, got {n_samples}")
+    if n_samples < MIN_SAMPLES:
+        raise PreconditionFail(f"need at least {MIN_SAMPLES} samples, "
+                               f"got {n_samples}")
 
 
 def _check_tau(tau: float) -> None:

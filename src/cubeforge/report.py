@@ -50,18 +50,6 @@ class VerificationReport:
                 return c
         raise KeyError(name)
 
-    def summary(self) -> str:
-        lines = [self.title]
-        for c in self.checks:
-            tag = "ok  " if c.passed else "FAIL"
-            line = f"  [{tag}] {c.name}: {c.checked} checked"
-            if not c.passed and c.witnesses:
-                line += f"; first witness {c.witnesses[0]!r}"
-            if c.note:
-                line += f" ({c.note})"
-            lines.append(line)
-        return "\n".join(lines)
-
     def to_json(self):
         return {"title": self.title, "passed": self.passed,
                 "checks": [c.to_json() for c in self.checks]}

@@ -110,7 +110,7 @@ def test_geoline_family_shape():
 def test_each_system_passes_cube_axioms():
     fam = geoline_family()
     for t, rep in enumerate(verify_cube_axioms(fam.systems), start=1):
-        assert rep.passed, (t, rep.summary())
+        assert rep.passed, (t, rep.to_json())
 
 
 def test_find_containing_cube_frozen():
@@ -149,7 +149,7 @@ def test_find_rejects_bad_radius():
 def test_covering_passes_on_geoline():
     fam = geoline_family()
     rep = verify_covering(fam)
-    assert rep.passed, rep.summary()
+    assert rep.passed, rep.to_json()
     chk = rep.check("diameter_bound")
     assert chk.details["worst_ratio"] <= fam.covering_const
 
@@ -158,7 +158,7 @@ def test_covering_passes_on_cloud():
     fam = cloud_family()
     assert fam.n_systems == (fam.labeled.max_label + 1) * fam.labeled.max_children
     rep = verify_covering(fam)
-    assert rep.passed, rep.summary()
+    assert rep.passed, rep.to_json()
 
 
 def test_covering_measures_each_member_list_once(monkeypatch):
@@ -242,7 +242,7 @@ def test_distinguished_family_coarser_answers():
     q = find_containing_cube(fam, 0, 1.0)
     assert (q.t, q.k, q.index, q.flag) == (1, -2, 0, "ok")
     rep = verify_covering(fam)
-    assert rep.passed, rep.summary()
+    assert rep.passed, rep.to_json()
     for t in range(1, fam.n_systems + 1):
         for k in fam.system(t).level_ks():
             assert fam.system(t).cube(k, 0).center == 0

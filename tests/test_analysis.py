@@ -346,8 +346,9 @@ def test_ap_matches_bruteforce():
 
 def test_ap_guards():
     space, mu = two_point()
-    with pytest.raises(ConfigError):
-        ap_constant(space, mu, np.ones(2), 1.0)
+    for p in (1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match=r"^exponent p must lie in \(1,"):
+            ap_constant(space, mu, np.ones(2), p)
     with pytest.raises(ConfigError):
         ap_constant(space, mu, np.array([1.0, -1.0]), 2.0)
     with pytest.raises(ConfigError):
@@ -620,7 +621,7 @@ FLAGS = ("ok", "clamped_coarse", "underflow")
 
 
 def loop_route_t(fam, k, beta):
-    l, m = fam.labeled.label2(k + 1, beta)
+    l, m = fam.labeled.duplex[k - fam.labeled.k_min][beta].tolist()
     if fam.ordinal_shifts is not None:
         alpha = fam.labeled.order.parent_of(k, beta)
         n_kids = len(fam.labeled.children_of(k, alpha))
@@ -1004,7 +1005,7 @@ def test_comparability_on_grid_family():
     rng = np.random.default_rng(11)
     fs = [rng.normal(size=64) for _ in range(3)] + [np.ones(64)]
     rep = verify_comparability(fam, mu, fs)
-    assert rep.passed, rep.summary()
+    assert rep.passed, rep.to_json()
     a = rep.check("cube_outer_ball_mass")
     assert a.details["empirical"] <= a.details["C_a"]
     b = rep.check("ball_containing_cube_mass")
@@ -1238,7 +1239,7 @@ def test_weighted_bounds_two_point_micro():
     fam = line_family(space)
     f = np.array([1.0, 0.0])
     rep = verify_weighted_bounds(fam, mu, np.ones(2), f, 2.0)
-    assert rep.passed, rep.summary()
+    assert rep.passed, rep.to_json()
     rows = rep.check("weighted_dyadic_norm").details["per_system"]
     assert rows[0]["norm"] == pytest.approx(np.sqrt(5.0 / 8.0))
     assert rows[0]["bound"] == pytest.approx(2.0 * np.sqrt(0.5))
@@ -1253,13 +1254,14 @@ def test_weighted_bounds_on_grid(p):
     w = np.exp(rng.normal(size=64))
     f = rng.normal(size=64)
     rep = verify_weighted_bounds(fam, mu, w, f, p)
-    assert rep.passed, rep.summary()
+    assert rep.passed, rep.to_json()
 
 
 def test_weighted_bounds_guards():
     space, mu = two_point()
     fam = line_family(space)
-    with pytest.raises(ConfigError):
-        verify_weighted_bounds(fam, mu, np.ones(2), np.ones(2), 1.0)
+    for p in (1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match=r"^exponent p must lie in \(1,"):
+            verify_weighted_bounds(fam, mu, np.ones(2), np.ones(2), p)
     with pytest.raises(ConfigError):
         verify_weighted_bounds(fam, mu, np.array([1.0, 0.0]), np.ones(2), 2.0)

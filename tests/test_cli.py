@@ -88,6 +88,16 @@ def test_config_errors_exit_two(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert (err["type"], err["error"][:5]) == ("ConfigError", "seed:")
 
+    # Monte Carlo parameters the estimators refuse are refused with the
+    # config, not later as a failed mc_boundary entry (exit 1)
+    for mc, field in (({"N": 999}, "mc.N:"),
+                      ({"tau_list": [float("nan")]}, "mc.tau_list:")):
+        assert main(["mc-boundary", "--config", write_config(tmp_path, mc=mc),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ConfigError"
+        assert err["error"].startswith(field)
+
 
 def test_stage_failure_exits_two_with_build_error(tmp_path, capsys):
     cfg = write_config(tmp_path, space={"kind": "torus"})

@@ -14,6 +14,7 @@ from cubeforge.cubes import (
     _edge_gaps,
     build_cube_system,
     build_partial_order,
+    close_level,
     verify_cube_axioms,
 )
 from cubeforge.errors import (
@@ -210,6 +211,17 @@ def test_batched_order_matches_one_sample_at_a_time(case, sep, cover):
     assert batched.tight[0].tolist() == [o.tight[0].tolist() for o in alone]
 
 
+def shared_system(space, levels, order, closed):
+    """build_cube_system's system with every level passed through
+    close_level with one `closed` dict kept across calls, the way the
+    family builder shares levels between its systems."""
+    system = build_cube_system(space, levels, order)
+    pairs = [close_level(closed, len(pts), a)
+             for pts, a in zip(system.level_points, system.assign)]
+    return dataclasses.replace(system, assign=[a for a, _ in pairs],
+                               members=[m for _, m in pairs])
+
+
 def test_shared_closure_matches_fresh_builds():
     # systems closed with one `closed` dict equal fresh builds; a level is
     # shared exactly when its cube count and assign array agree, whatever
@@ -229,7 +241,7 @@ def test_shared_closure_matches_fresh_builds():
              ([np.array([1, 2]), np.array([1, 0, 2, 3])], order),
              ([np.array([0, 3, 1]), levels[1]], order)]
     closed = {}
-    shared = [build_cube_system(space, lv, o, closed) for lv, o in cases]
+    shared = [shared_system(space, lv, o, closed) for lv, o in cases]
     for system, (lv, o) in zip(shared, cases):
         fresh = build_cube_system(space, lv, o)
         assert json.dumps(system.to_json()) == json.dumps(fresh.to_json())
@@ -304,7 +316,7 @@ def test_axioms_pass_on_line_example():
     space, levels, order = line4_order()
     system = build_cube_system(space, levels, order)
     rep = verify_cube_axioms([system])[0]
-    assert rep.passed, rep.summary()
+    assert rep.passed, rep.to_json()
 
 
 def test_axioms_pass_strict_geometric_line():
@@ -317,7 +329,7 @@ def test_axioms_pass_strict_geometric_line():
                                 k_top=hier.k_min, mode="strict")
     system = build_cube_system(space, hier.levels, order)
     rep = verify_cube_axioms([system])[0]
-    assert rep.passed, rep.summary()
+    assert rep.passed, rep.to_json()
     # every cube keeps at least one member in strict mode
     for flat, start in system.members:
         assert (np.diff(start) >= 1).all()
@@ -333,7 +345,7 @@ def test_axioms_pass_strict_cloud():
                                 k_top=hier.k_min, mode="strict")
     system = build_cube_system(space, hier.levels, order)
     rep = verify_cube_axioms([system])[0]
-    assert rep.passed, rep.summary()
+    assert rep.passed, rep.to_json()
     for flat, start in system.members:
         assert (np.diff(start) >= 1).all()
 
@@ -857,6 +869,6 @@ def test_closure_matches_scan_fresh_and_shared(lab, seed):
     # every system of one closed dict must close as a fresh build does
     closed = {}
     for levels, order in [*closure_cases(lab, seed), *closure_cases(lab, seed)]:
-        for shared in (None, closed):
-            system = build_cube_system(lab.space, levels, order, shared)
+        for system in (build_cube_system(lab.space, levels, order),
+                       shared_system(lab.space, levels, order, closed)):
             assert_closure_matches(system, levels, order)

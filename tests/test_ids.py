@@ -49,7 +49,6 @@ ENTRIES = {
         lambda lab, fam, v: fam.system(1).cubes_at(v), -3, 1),
     "children_of level": (
         lambda lab, fam, v: lab.children_of(v, 0), -3, 0),
-    "label2 level": (lambda lab, fam, v: lab.label2(v, 0), -2, 1),
     "chain level": (
         lambda lab, fam, v: check_chain_separation(fam.system(1), 0, v,
                                                    1e-9, 0), -3, 1),
@@ -78,7 +77,6 @@ ENTRIES = {
         lambda lab, fam, v: estimate_selection_probability(
             OmegaSampler(lab), -2, v, {0: 0, 1: 2}.get(v, 0), 1000), 0, 1),
     "children_of index": (lambda lab, fam, v: lab.children_of(-2, v), 0, 1),
-    "label2 index": (lambda lab, fam, v: lab.label2(-2, v), 0, 1),
     "AdjacentFamily.system": (lambda lab, fam, v: fam.system(v), 1, 2),
     "selection t": (
         lambda lab, fam, v: estimate_selection_probability(

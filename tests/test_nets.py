@@ -103,7 +103,7 @@ def test_axioms_on_cloud():
     space = generate_space({"kind": "euclidean_cloud", "n": 100, "dim": 2, "seed": 9})
     h = build_reference_hierarchy(space, 1 / 144, mode="strict")
     rep = verify_net_axioms(h)
-    assert rep.passed, rep.summary()
+    assert rep.passed, rep.to_json()
     # nets shrink (weakly) toward coarse levels
     sizes = [len(lv) for lv in h.levels]
     assert sizes == sorted(sizes)
@@ -192,8 +192,8 @@ def test_net_witnesses_match_scan(space, delta, block, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nets, "_ROW_BLOCK", block)
         rep = verify_net_axioms(bent)
-    sep, cov = scanned_witnesses(space, bent.level_ks(), levels, bent.scale,
-                                 bent.scale)
+    scale = lambda k: delta ** k
+    sep, cov = scanned_witnesses(space, bent.level_ks(), levels, scale, scale)
     assert rep.check("separation").witnesses == sep
     assert rep.check("covering").witnesses == cov
     assert rep.check("separation").passed == (not sep)

@@ -120,11 +120,21 @@ def test_config_field_paths_in_errors():
         ({**REFERENCE, "checks": ["nets"]}, "checks:"),
         ({**REFERENCE, "checks": "net"}, "checks:"),
         ({**REFERENCE, "mc": {"N": 0}}, "mc.N:"),
+        ({**REFERENCE, "mc": {"N": 1}}, "mc.N:"),
+        ({**REFERENCE, "mc": {"N": 999}}, "mc.N:"),
         ({**REFERENCE, "mc": {"tau_list": []}}, "mc.tau_list:"),
         ({**REFERENCE, "mc": {"tau_list": [-0.1]}}, "mc.tau_list:"),
+        ({**REFERENCE, "mc": {"tau_list": json.loads("[NaN]")}},
+         "mc.tau_list:"),
+        ({**REFERENCE, "mc": {"tau_list": json.loads("[0.1, Infinity]")}},
+         "mc.tau_list:"),
         ({**REFERENCE, "mc": {"points": [0, -2]}}, "mc.points:"),
         ({**REFERENCE, "mc": {"k": "top"}}, "mc.k:"),
         ({**REFERENCE, "analysis": {"p_list": [1.0]}}, "analysis.p_list:"),
+        ({**REFERENCE, "analysis": {"p_list": json.loads("[Infinity]")}},
+         "analysis.p_list:"),
+        ({**REFERENCE, "analysis": {"p_list": json.loads("[2.0, NaN]")}},
+         "analysis.p_list:"),
         ({**REFERENCE, "analysis": {"n_random_functions": 0}},
          "analysis.n_random_functions:"),
         ({**REFERENCE, "extra": 1}, "config:"),

@@ -35,7 +35,6 @@ from cubeforge.random_systems import (
     estimate_boundary_sweep,
     estimate_selection_probability,
     realize_system,
-    sample_adjacent_family,
     sample_outcome,
     scan_chain_separation,
     wilson_upper,
@@ -312,18 +311,19 @@ def test_sampled_families_pass_covering():
     for variant in ("adjacent", "adjacent_refined"):
         s = OmegaSampler(lab, variant, seed=31)
         for i in range(5):
-            fam = sample_adjacent_family(s, i)
+            fam = s.realize_family(s.draw(i))
             assert fam.n_systems == 4
             assert verify_covering(fam).passed
     g = OmegaSampler(geoline_labels(), "adjacent", seed=8)
     for i in range(5):
-        assert verify_covering(sample_adjacent_family(g, i)).passed
+        assert verify_covering(g.realize_family(g.draw(i))).passed
 
 
 def test_family_variant_guards():
     lab = geoline_labels()
+    single = OmegaSampler(lab, "single")
     with pytest.raises(ConfigError):
-        sample_adjacent_family(OmegaSampler(lab, "single"), 0)
+        single.realize_family(single.draw(0))
     with pytest.raises(ConfigError):
         sample_outcome(OmegaSampler(lab, "adjacent"), 0)
 
@@ -335,7 +335,8 @@ def test_degenerate_single_system_family():
     hier = NetHierarchy(space, DELTA, 0, 1, "exploratory",
                         levels=[np.array([0, 1]), np.array([0, 1])])
     lab = build_labels(hier)
-    fam = sample_adjacent_family(OmegaSampler(lab, "adjacent", seed=9), 0)
+    s = OmegaSampler(lab, "adjacent", seed=9)
+    fam = s.realize_family(s.draw(0))
     det = build_adjacent_family(lab)
     assert fam.n_systems == det.n_systems == 1
     for sa, sb in zip(fam.systems, det.systems):

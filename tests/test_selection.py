@@ -17,8 +17,7 @@ from cubeforge.labeling import (build_labels, index_to_pair, select_points,
                                specific_pick)
 from cubeforge.nets import NetHierarchy, build_reference_hierarchy
 from cubeforge.random_systems import (OmegaSampler,
-                                      estimate_selection_probability,
-                                      sample_adjacent_family)
+                                      estimate_selection_probability)
 from cubeforge.space import QuasiMetricSpace
 
 DELTA = 1.0 / 144.0
@@ -274,8 +273,8 @@ def test_childless_center_raises_no_near_child(childless):
 
     raisers = [lambda v=v: OmegaSampler(lab, v, seed=3).draw_level(0, -1)
                for v in ("single", "adjacent_refined")]
-    raisers.append(lambda: sample_adjacent_family(
-        OmegaSampler(lab, "adjacent", seed=3)))
+    adjacent = OmegaSampler(lab, "adjacent", seed=3)
+    raisers.append(lambda: adjacent.realize_family(adjacent.draw(0)))
     raisers.append(lambda: select_points(
         lab, {"kind": "general", "master": {-1: 0}}, chooser=chooser))
     for raiser in raisers:

@@ -1,14 +1,73 @@
 """The package's public names, and the independence of the test oracles."""
 import ast
+import importlib
 from pathlib import Path
 
 import cubeforge
+
+ROOT = Path(__file__).parents[1]
+# public names kept without a caller in src/, the demos or the tracer, for
+# the acceptance criteria that call them: the selection-probability
+# estimator (criterion 7) and the one-ball query (criterion 11)
+UNCALLED = {"ball", "estimate_selection_probability"}
 
 
 def test_all_names_resolve_once():
     names = cubeforge.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(cubeforge, n)] == []
+
+
+def traced_names():
+    """(module, attribute) of every LAYERS entry of benchmarks/tracer.py,
+    read off its source without importing it."""
+    tree = ast.parse((ROOT / "benchmarks" / "tracer.py").read_text())
+    (layers,) = [node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets]
+                 == ["LAYERS"]]
+    return [(entry.elts[0].value, entry.elts[1].value)
+            for entry in layers.elts]
+
+
+def test_every_traced_name_resolves():
+    # Tracer.install looks up each entry this way, a module attribute or a
+    # method in its class's own namespace, so a deletion breaks --trace
+    names = traced_names()
+    missing = []
+    for mod_name, attr in names:
+        mod = importlib.import_module(f"cubeforge.{mod_name}")
+        cls, _, meth = attr.rpartition(".")
+        if not (meth in vars(getattr(mod, cls)) if cls
+                else hasattr(mod, attr)):
+            missing.append((mod_name, attr))
+    assert names and missing == []
+
+
+def read_names(path):
+    """Every identifier a file reads (names and attributes), except those a
+    top-level definition reads of its own name."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        own = getattr(top, "name", None)
+        found |= {getattr(node, "id", None) or getattr(node, "attr", None)
+                  for node in ast.walk(top)
+                  if isinstance(node, (ast.Name, ast.Attribute))} - {own}
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # a name in __all__ is read by the package itself (its re-export in
+    # __init__ does not count), by a demo, or by the tracer's LAYERS
+    package = Path(cubeforge.__file__).parent
+    read = set().union(*(read_names(path)
+                         for path in [*package.glob("*.py"),
+                                      *(ROOT / "demos").glob("*.py")]
+                         if path.name != "__init__.py"))
+    read |= {part for _, attr in traced_names() for part in attr.split(".")}
+    assert [n for n in cubeforge.__all__
+            if n not in read and n not in UNCALLED] == []
+    assert sorted(UNCALLED & read) == []
 
 
 def test_bruteforce_imports_no_cubeforge_module():
