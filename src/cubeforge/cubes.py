@@ -26,22 +26,26 @@ radii c1 and C1 of `constants.SystemConstants`, containment of descendant
 outer balls, and proximity of descendant centers. Nesting and the descendant
 checks run over every pair of levels. It takes the systems of one space, a
 family say, and runs each check once per distinct level or level pair,
-keyed on array bytes. Each check's name, its place in the report and its
-`checked` count are part of the report contract: run reports and benchmark
-references digest them.
+keyed on array bytes. The checks that read distance rows go a level at a
+time across the systems: one call per group of levels that differ only in
+their center lists, with a leading axis over the group's lists. Each
+check's name, its place in the report and its `checked` count are part of
+the report contract: run reports and benchmark references digest them.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import space as space_module
 from .constants import _TOL, SystemConstants, require_headroom
 from .errors import (ConfigError, NoParent, PreconditionFail, TightAmbiguity,
                      require_id)
-from .report import VerificationReport
+from .report import Check, VerificationReport
 from .space import QuasiMetricSpace
 
 MODES = ("strict", "exploratory")
@@ -369,11 +373,19 @@ def verify_cube_axioms(systems) -> list:
     cube), centers from `system.level_points`, linked by the composed parent
     maps. Each check runs once per distinct key of the call: its levels k,
     the constants behind the radii and the bytes of every array it reads.
+
+    The checks that read distance rows run a level index at a time across
+    the systems, the index with the fewest distinct center lists first; a
+    pair of levels is checked in the later of its two jobs. A job makes one
+    call per group of keys that differ only in its own level's center list,
+    with a leading axis over the group's lists, in blocks of at most
+    space.BALL_CELLS distances. Each list's rows are gathered once, and kept
+    only while a later job reads them.
     """
     systems = list(systems)
     if any(s.space is not systems[0].space for s in systems):
         raise PreconditionFail("the systems must share one space")
-    tokens, memo = {}, {}
+    tokens, memo, lists = {}, {}, {}
 
     def tag(a):
         return tokens.setdefault((a.dtype.str, a.tobytes()), len(tokens))
@@ -381,54 +393,169 @@ def verify_cube_axioms(systems) -> list:
     def once(key, fn, *args):
         return memo[key] if key in memo else memo.setdefault(key, fn(*args))
 
-    # center list tokens per system, and the last system reading each list:
-    # its distance rows leave the memo after that system
     ctrs = [[tag(p) for p in s.level_points] for s in systems]
-    last = {t: i for i, ctr in enumerate(ctrs) for t in ctr}
-    reports = []
-    for i, (system, ctr) in enumerate(zip(systems, ctrs)):
-        space, c, pts = system.space, system.constants, system.level_points
-        ks, members = list(system.level_ks()), system.members
-        mem = [(tag(flat), tag(start)) for flat, start in members]  # tokens
-        rows = [once(("rows", t), space.dist_rows, p)
-                for t, p in zip(ctr, pts)]
-        found, parts = [], []   # found: (check, checked, witnesses)
-        for j, k in enumerate(ks):
-            parts.append(once(("partition", k, *mem[j]), _partition, space.n,
-                              k, *members[j]))
-            lo, hi = once(("sandwich", k, c, ctr[j], *mem[j]), _sandwich,
-                          k, c, rows[j], *parts[j][1:], members[j][0])
-            found += [("partition", space.n, parts[j][0]),
-                      ("ball_sandwich_inner", pts[j].size, lo),
-                      ("ball_sandwich_outer", pts[j].size, hi)]
-        for a, b in itertools.combinations(range(len(ks)), 2):
-            found.append(("nesting", *once(
-                ("nesting", ks[a], ks[b], *mem[a], *mem[b]), _nesting,
-                ks[a], ks[b], parts[a][2], *members[b])))
+    for s, ctr in zip(systems, ctrs):
+        lists.update(zip(ctr, s.level_points))
+    depth = max(map(len, ctrs), default=0)
+    # level index -> its job's place: fewest distinct center lists first
+    rank = {j: r for r, j in enumerate(sorted(range(depth), key=lambda j: (
+        len({ctr[j] for ctr in ctrs if j < len(ctr)}), j)))}
+    jobs = [{} for _ in rank]   # group key -> (kernel arguments, own lists)
+    consts = {}                 # constants -> token
+
+    def ask(ctr, j, group, args):
+        """Queue level j's center list in `group` of its job; returns the box
+        the job fills with the list's witnesses."""
+        own = jobs[rank[j]].setdefault(group, (args, {}))[1]
+        return own.setdefault(ctr[j], [None])
+
+    def layout(system, ct, mem, links):
+        """A system's checks but for its center lists: the `checked` counts;
+        the partition and nesting witnesses; (level, group, kernel
+        arguments) per sandwich; and per descendant pair, (own level, other
+        level, group but for the other's list, kernel arguments)."""
+        n, c, ks = system.space.n, system.constants, list(system.level_ks())
+        members, sizes = system.members, [p.size for p in system.level_points]
+        parts = [once(("partition", k, *mem[j]), _partition, n, k, *members[j])
+                 for j, k in enumerate(ks)]
+        nestings = [once(("nesting", ks[a], ks[b], *mem[a], *mem[b]), _nesting,
+                         ks[a], ks[b], parts[a][2], *members[b])
+                    for a, b in itertools.combinations(range(len(ks)), 2)]
+        checked = [n * len(ks), sum(nest[0] for nest in nestings),
+                   *[sum(sizes)] * 2,
+                   *[sum(b * size for b, size in enumerate(sizes))] * 3, 0]
+        sandwiches = [(j, ("sandwich", k, ct, *mem[j]),
+                       (k, c, *parts[j][1:], members[j][0]))
+                      for j, k in enumerate(ks)]
+        descendants = []
         for b, fine in enumerate(ks):
-            anc = [np.arange(pts[b].size)]   # anc[a][i]: ancestor on level a
-            for m in reversed(system.order.maps[:b]):
-                anc.insert(0, m[anc[0]])
             for a, k in enumerate(ks[:b]):
-                key = (fine, c, ctr[b], tag(anc[a]))
-                union = once(("union", *key), _ball_union, fine, c, rows[b],
-                             anc[a])
-                sets, radii, near = once(
-                    ("descendants", k, ctr[a], *key), _descendants, k, fine,
-                    c, rows[a], rows[b], pts[b], anc[a], *union)
-                found += [("descendant_ball_sets", pts[b].size, sets),
-                          ("descendant_ball_radii", pts[b].size, radii),
-                          ("descendant_center_proximity", pts[b].size, near)]
-        rep = VerificationReport("cube axioms")
-        for name, note in _AXIOMS:
-            hits = [f for f in found if f[0] == name]
-            bad = [w for *_, witnesses in hits for w in witnesses]
-            rep.add(name, not bad, sum(f[1] for f in hits), bad, note=note)
-        reports.append(rep)
-        for t in ctr:
-            if last[t] == i:
-                memo.pop(("rows", t), None)
+                own, other = (a, b) if rank[a] > rank[b] else (b, a)
+                # the fine cubes' ancestors on level a: the links composed
+                descendants.append((own, other, (
+                    "descendants", k, fine, ct, sizes[b], *links[a:b],
+                    own == a), (k, fine, c, _ancestors(
+                        system.order.maps[a:b], sizes[b]))))
+        return (checked, [w for p in parts for w in p[0]],
+                [w for nest in nestings for w in nest[1]], sandwiches,
+                descendants)
+
+    plans = []   # per system: its layout's counts and witnesses, and boxes
+    for system, ctr in zip(systems, ctrs):
+        ct = consts.setdefault(system.constants, len(consts))
+        mem = [(tag(flat), tag(start)) for flat, start in system.members]
+        links = [tag(m) for m in system.order.maps]
+        sizes = tuple(p.size for p in system.level_points)
+        checked, parts, nests, sandwiches, descendants = once(
+            ("layout", ct, system.k_min, system.k_max, sizes, *mem, *links),
+            layout,
+            system, ct, mem, links)
+        plans.append((checked, parts, nests,
+                      [ask(ctr, j, group, args)
+                       for j, group, args in sandwiches],
+                      [ask(ctr, own, (*group, ctr[other]), args)
+                       for own, other, group, args in descendants]))
+
+    last = {}   # center list -> the last job reading its rows
+    for r, groups in enumerate(jobs):
+        for group, (_, own) in groups.items():
+            last.update(dict.fromkeys(own, r))
+            if group[0] == "descendants":
+                last[group[-1]] = r
+    space = systems[0].space if systems else None
+    rows = {}   # center list -> its distance rows, while a later job reads them
+
+    def fetch(t, r):
+        got = rows.get(t)
+        if got is None:
+            got = space.dist_rows(lists[t])
+            if last[t] > r:
+                rows[t] = got
+        return got
+
+    for r, groups in enumerate(jobs):
+        by_size = {}   # own list length -> group -> its own lists
+        for group, (_, own) in groups.items():
+            for t in own:
+                by_size.setdefault(lists[t].size, {}).setdefault(
+                    group, []).append(t)
+        for m, sized in by_size.items():
+            toks = list(dict.fromkeys(t for own in sized.values() for t in own))
+            at = {t: i for i, t in enumerate(toks)}
+            spans = {group: sorted(map(at.get, own))
+                     for group, own in sized.items()}
+            step = max(1, space_module.BALL_CELLS // max(m * space.n, 1))
+            for b0 in range(0, len(toks), step):
+                chunk = toks[b0:b0 + step]
+                if len(chunk) == 1:
+                    block = fetch(chunk[0], r)[None]
+                else:   # filled a list at a time, so no list's rows linger
+                    block = np.empty((len(chunk), m, space.n))
+                    for i, t in enumerate(chunk):
+                        block[i] = fetch(t, r)
+                for group, span in spans.items():
+                    idx = span[bisect.bisect_left(span, b0):
+                               bisect.bisect_left(span, b0 + step)]
+                    if idx:
+                        args, boxes = groups[group]
+                        own = [toks[i] for i in idx]
+                        found = _run_group(group, args,
+                                           block[np.subtract(idx, b0)], own,
+                                           rows, lists, once)
+                        for t, f in zip(own, found):
+                            boxes[t][0] = f
+        for t in [t for t in rows if last[t] == r]:
+            del rows[t]
+
+    reports = []
+    for checked, parts, nests, sandwiches, descendants in plans:
+        bad = [[*parts], [*nests], [], [], [], [], [], []]   # _AXIOMS order
+        for (inner, outer), in sandwiches:   # a box holds one result
+            bad[2] += inner
+            bad[3] += outer
+        for (sets, radii, near), in descendants:
+            bad[4] += sets
+            bad[5] += radii
+            bad[6] += near
+        reports.append(VerificationReport("cube axioms", [
+            Check(name, not w, count, w, note=note)
+            for (name, note), count, w in zip(_AXIOMS, checked, bad)]))
     return reports
+
+
+def _ancestors(maps, size) -> np.ndarray:
+    """Each of `size` cubes' ancestor index on the level above maps[0]: the
+    parent maps composed."""
+    anc = np.arange(size)
+    for m in reversed(maps):
+        anc = m[anc]
+    return anc
+
+
+def _run_group(group, args, stack, own, rows, lists, once) -> list:
+    """One kernel call for a group's center lists `own`, whose distance rows
+    are stacked in `stack`: a witness tuple per list."""
+    if group[0] == "sandwich":
+        return _sandwich(stack, *args)
+    k, fine, c, anc = args
+    coarse, other = group[-2:]
+    if coarse:   # the fine list is the group's own: its ball union is shared
+        fine_rows, fine_pts = rows[other][None], lists[other][None]
+        union = once(("union", *group[2:]), _ball_union, fine, c, fine_rows,
+                     anc)
+        return _descendants(k, fine, c, stack, fine_rows, fine_pts, anc,
+                            *union)
+    fine_pts = np.stack([lists[t] for t in own])
+    return _descendants(k, fine, c, rows[other][None], stack, fine_pts, anc,
+                        *_ball_union(fine, c, stack, anc))
+
+
+def _per_list(size, which, witnesses) -> list:
+    """`size` witness lists: witness e goes to list which[e]."""
+    out = [[] for _ in range(size)]
+    for g, w in zip(which.tolist(), witnesses):
+        out[g].append(w)
+    return out
 
 
 def _partition(n, k, flat, start):
@@ -454,46 +581,79 @@ def _nesting(k, fine, member_assign, flat, start):
         for i in full[(lo != hi) | (lo < 0)]]
 
 
-def _sandwich(k, c, rows, owner, member_assign, flat):
-    """(inner, outer) witnesses; rows[i] is the row of cube i's center."""
+def _sandwich(rows, k, c, owner, member_assign, flat) -> list:
+    """(inner, outer) witnesses per center list: rows[g, i] is the row of
+    cube i's center in list g."""
+    size = rows.shape[1]
     stray = ((rows < c.inner_const * c.delta ** k)
-             & (member_assign != np.arange(len(rows))[:, None]))
-    miss = stray.argmax(axis=1)
-    far = np.flatnonzero(rows[owner, flat] >= c.outer_const * c.delta ** k)
-    cubes, first = np.unique(owner[far], return_index=True)
-    return ([(k, int(i), int(miss[i]), float(rows[i, miss[i]]))
-             for i in np.flatnonzero(stray.any(axis=1))],
-            [(k, int(i), int(p), float(rows[i, p]))
-             for i, p in zip(cubes, flat[far[first]])])
+             & (member_assign != np.arange(size)[:, None]))
+    g_in, cube = np.nonzero(stray.any(axis=2))
+    miss = stray[g_in, cube].argmax(axis=1)
+    g_out, far = np.nonzero(rows[:, owner, flat]
+                            >= c.outer_const * c.delta ** k)
+    # owner ascends along flat, so each cube's first far entry is its first
+    # listed far member
+    _, first = np.unique(g_out * size + owner[far], return_index=True)
+    g_out, far = g_out[first], far[first]
+    return list(zip(
+        _per_list(len(rows), g_in, (
+            (k, i, p, d) for i, p, d in zip(cube.tolist(), miss.tolist(),
+                                            rows[g_in, cube, miss].tolist()))),
+        _per_list(len(rows), g_out, (
+            (k, i, p, d) for i, p, d in zip(
+                owner[far].tolist(), flat[far].tolist(),
+                rows[g_out, owner[far], flat[far]].tolist())))))
 
 
 def _ball_union(fine, c, rows, anc):
-    """(q, union): the ancestors q in anc, ascending, and for each the union
-    of its descendants' outer balls on level `fine` as a point mask."""
+    """(q, union): the ancestors q in anc, ascending, and per center list of
+    rows (lists, cubes, n) the union of each ancestor's descendants' outer
+    balls on level `fine` as point masks, (lists, q, n)."""
     order = np.argsort(anc, kind="stable")
     q, first = np.unique(anc[order], return_index=True)
     return q, np.logical_or.reduceat(
-        rows[order] < c.outer_const * c.delta ** fine, first)
+        (rows < c.outer_const * c.delta ** fine)[:, order], first, axis=1)
 
 
-def _descendants(k, fine, c, rows_k, rows_f, pts_f, anc, q, balls):
-    """(sets, radii, proximity) witnesses of level k over level `fine`: cube
-    i has center pts_f[i] and ancestor anc[i]; _ball_union gives q, balls."""
+def _descendants(k, fine, c, rows_k, rows_f, pts_f, anc, q, union) -> list:
+    """(sets, radii, proximity) witnesses of level k over level `fine` per
+    center list. rows_k (lists, coarse cubes, n) holds the rows of the coarse
+    centers, rows_f (lists, fine cubes, n) and pts_f (lists, fine cubes) the
+    rows and ids of the fine ones; fine cube i has ancestor anc[i], and
+    _ball_union gives q and union. One of rows_k and rows_f holds one list,
+    which stands for every list of the other."""
     r_c, r_f = c.outer_const * c.delta ** k, c.outer_const * c.delta ** fine
+    size = max(len(rows_k), len(rows_f))
     # a fine ball leaves its ancestor's ball only where the union of that
     # ancestor's descendant balls does, so only those fine cubes are scanned
-    suspects = np.flatnonzero(np.isin(
-        anc, q[(balls & (rows_k[q] >= r_c)).any(axis=1)]))
-    leaks = ((rows_f[suspects] < r_f)
-             & (rows_k[anc[suspects]] >= r_c)).any(axis=1)
-    d_cf = rows_k[anc, pts_f]   # ancestor center -> fine center
-    # the radii bound is one step; deeper pairs chain the steps
-    gap = c.tri_const * (d_cf + r_f)
-    over = np.flatnonzero(gap > r_c * (1 + _TOL)) if fine == k + 1 else []
-    return ([(k, fine, int(i)) for i in suspects[leaks]],
-            [(k, fine, int(i), float(gap[i]), float(r_c)) for i in over],
-            [(k, fine, int(i), float(d_cf[i]))
-             for i in np.flatnonzero(d_cf >= r_c)])
+    leaving = (union & (rows_k[:, q] >= r_c)).any(axis=2)
+    g_s, sus = np.nonzero(leaving[:, np.searchsorted(q, anc)])
+    leaks = np.empty(sus.size, dtype=bool)
+    if sus.size:   # the suspects' rows, a fine list's worth at a time
+        rows_k, rows_f = (np.broadcast_to(a, (size, *a.shape[1:]))
+                          for a in (rows_k, rows_f))
+        step = max(rows_f.shape[1], space_module.BALL_CELLS
+                   // max(rows_f.shape[2], 1))
+        for x in range(0, sus.size, step):
+            g, i = g_s[x:x + step], sus[x:x + step]
+            leaks[x:x + step] = ((rows_f[g, i] < r_f)
+                                 & (rows_k[g, anc[i]] >= r_c)).any(axis=1)
+    # ancestor center -> fine center; the index arrays broadcast a lone list
+    d_cf = rows_k[np.arange(len(rows_k))[:, None], anc, pts_f]
+    radii = [[] for _ in range(size)]
+    if fine == k + 1:   # the radii bound is one step; deeper pairs chain it
+        gap = c.tri_const * (d_cf + r_f)
+        g_o, over = np.nonzero(gap > r_c * (1 + _TOL))
+        radii = _per_list(size, g_o, (
+            (k, fine, i, d, r_c)
+            for i, d in zip(over.tolist(), gap[g_o, over].tolist())))
+    g_n, near = np.nonzero(d_cf >= r_c)
+    return list(zip(
+        _per_list(size, g_s[leaks], ((k, fine, i) for i in
+                                     sus[leaks].tolist())),
+        radii,
+        _per_list(size, g_n, ((k, fine, i, d) for i, d in
+                              zip(near.tolist(), d_cf[g_n, near].tolist())))))
 
 
 def _edge_gaps(rows, cube_of, own, eps=None) -> np.ndarray:

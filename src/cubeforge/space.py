@@ -228,22 +228,51 @@ class QuasiMetricSpace:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self):
+        """The space as a JSON document. A dense table goes in `distances`,
+        row-major, unless from_json rebuilds it and the profile from the
+        coordinates alone (`_coords_rebuild`)."""
         out = {
             "n": self.n,
             "coords": None if self.coords is None else np.asarray(self.coords).tolist(),
             "generator": self.generator,
             "profile": None if self.profile is None else self.profile.to_json(),
         }
-        if self.table is not None and self.n <= TABLE_CAP:
+        if self.table is not None and self.n <= TABLE_CAP \
+                and not self._coords_rebuild():
             out["distances"] = self.table.ravel().tolist()
         return out
 
+    def _coords_rebuild(self) -> bool:
+        """Whether from_coords(self.coords) gives back this space: the table
+        bit for bit, compared _BLOCK rows at a time, and the profile, whose
+        declared constant from_coords takes to be 1."""
+        if self.coords is None or self.profile is None \
+                or self.profile.tri_const != 1.0:
+            return False
+        coords = np.asarray(self.coords, dtype=float)
+        if coords.ndim < 2:   # as from_coords reads a flat list
+            coords = coords.reshape(-1, 1)
+        return len(coords) == self.n and all(
+            _coords_rows(coords, slice(x0, x0 + _BLOCK)).tobytes()
+            == self.table[x0:x0 + _BLOCK].tobytes()
+            for x0 in range(0, self.n, _BLOCK))
+
     @classmethod
     def from_json(cls, d):
+        """Read a space back: a document with `distances` keeps its table and
+        profile; one without goes through from_coords, which certifies the
+        profile again."""
         n = int(d["n"])
         coords = None if d.get("coords") is None else np.asarray(d["coords"], dtype=float)
+        if coords is not None and coords.shape[:1] != (n,):
+            raise BadSpec(f"n = {n} but the document's coordinates have "
+                          f"shape {coords.shape}")
         if d.get("distances") is not None:
-            table = np.asarray(d["distances"], dtype=float).reshape(n, n)
+            dist = np.asarray(d["distances"], dtype=float)
+            if dist.size != n * n:
+                raise BadSpec(f"n = {n} needs {n * n} distances, "
+                              f"the document lists {dist.size}")
+            table = dist.reshape(n, n)
             space = cls(n, table=table, coords=coords, generator=d.get("generator"))
         elif coords is not None:
             return cls.from_coords(coords, generator=d.get("generator"))

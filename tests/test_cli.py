@@ -9,7 +9,7 @@ from cubeforge.errors import ConfigError
 from cubeforge.labeling import build_labels
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.pipeline import PipelineConfig
-from cubeforge.space import generate_space
+from cubeforge.space import QuasiMetricSpace, generate_space
 
 DELTA = 1.0 / 144.0
 
@@ -145,6 +145,21 @@ def test_build_commands_write_their_artifacts(tmp_path, capsys):
         with open(out / artifact) as fh:
             json.load(fh)
     capsys.readouterr()
+
+
+def test_gen_space_output_loads_back(tmp_path, capsys):
+    space_doc = {"kind": "euclidean_cloud", "n": 40, "dim": 2, "box": 20.0,
+                 "seed": 5}
+    cfg = write_config(tmp_path, space=space_doc)
+    out = tmp_path / "out"
+    assert main(["gen-space", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "space.json") as fh:
+        doc = json.load(fh)
+    assert "distances" not in doc
+    space, back = generate_space(space_doc), QuasiMetricSpace.from_json(doc)
+    assert back.table.tobytes() == space.table.tobytes()
+    assert back.profile == space.profile
 
 
 # sha256 of system.json: system 1 as the full family builds it

@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
 import json
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cubeforge.adjacent import index_to_pair
+from cubeforge import cubes as cubes_module, space as space_module
+from cubeforge.adjacent import build_adjacent_family, index_to_pair
 from cubeforge.cubes import (
     SystemConstants,
     CubeSystem,
@@ -25,9 +28,10 @@ from cubeforge.errors import (
     PreconditionFail,
     TightAmbiguity,
 )
-from cubeforge.labeling import select_points, selected_order
+from cubeforge.labeling import build_labels, select_points, selected_order
 from cubeforge.nets import (NetHierarchy, build_reference_hierarchy,
                             check_mode)
+from cubeforge.random_systems import OmegaSampler
 from cubeforge.space import QuasiMetricSpace, generate_space
 
 import bruteforce
@@ -772,6 +776,134 @@ def test_systems_of_two_spaces_are_refused():
     with pytest.raises(PreconditionFail, match="share one space"):
         verify_cube_axioms([line4_system(),
                             line4_system([0.0, 1.0, 3.0, 8.0])])
+
+
+# -- one call over many systems against one call per system ----------------
+
+
+def rotate_centers(system, rng):
+    """Roll the center list of a random level with two cubes or more, or
+    move the one center of the top level to the next point id."""
+    system.level_points = list(system.level_points)
+    ks = [j for j, p in enumerate(system.level_points) if p.size > 1]
+    if ks:
+        j = ks[rng.integers(len(ks))]
+        system.level_points[j] = np.roll(system.level_points[j], 1)
+    else:
+        system.level_points[0] = (system.level_points[0] + 1) % system.space.n
+    return system
+
+
+def relink(system, rng):
+    """Hang a random finest cube under the farthest center one level up."""
+    coarse, fine = system.level_points[-2:]
+    link = system.order.maps[-1].copy()
+    i = rng.integers(fine.size)
+    link[i] = np.argmax(system.space.dist_rows([fine[i]], coarse))
+    system.order = dataclasses.replace(
+        system.order, maps=[*system.order.maps[:-1], link])
+    return system
+
+
+FAULTS = {"duplicate": lambda s, rng: corrupt(s, "duplicate", rng),
+          "orphan": lambda s, rng: corrupt(s, "orphan", rng),
+          "straddle": lambda s, rng: corrupt(s, "straddle", rng),
+          "centers": rotate_centers, "relink": relink}
+
+
+def altered(system, rng, fault=None, shift=0):
+    """A copy of `system` on levels shifted by `shift`, with `fault`; its
+    arrays stay shared with `system` wherever the fault leaves them."""
+    system = dataclasses.replace(system, k_min=system.k_min + shift,
+                                 k_max=system.k_max + shift)
+    multi = any(p.size > 1 for p in system.level_points)
+    if fault is None or (fault in ("duplicate", "orphan", "straddle")
+                         and not multi) \
+            or (fault == "relink" and len(system.level_points) < 2):
+        return system
+    return FAULTS[fault](system, rng)
+
+
+@st.composite
+def checked_systems(draw):
+    """The systems of a fixed, pinned or sampled family on a small integer
+    cloud, some of them level-shifted or faulty."""
+    if draw(st.booleans()):   # sampling needs strict mode's headroom
+        lab = draw(cloud_labels(deltas=(1 / 144,), mode="strict"))
+        sampler = OmegaSampler(
+            lab, draw(st.sampled_from(["adjacent", "adjacent_refined"])),
+            seed=draw(st.integers(0, 9)))
+        systems = sampler.realize_family(sampler.draw(0)).systems
+    else:
+        lab = draw(cloud_labels())
+        systems = build_adjacent_family(
+            lab, distinguished=lab.hierarchy.distinguished).systems
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    faults = st.sampled_from([None, None, None, *FAULTS])
+    return [altered(s, rng, draw(faults), draw(st.sampled_from([0, 0, 1])))
+            for s in systems]
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems=checked_systems(), cells=st.sampled_from([1, 40, 400, None]))
+def test_one_call_equals_one_call_per_system(systems, cells):
+    # the row checks take a leading axis over a group's center lists, in
+    # blocks of at most BALL_CELLS distances; each list's witnesses must come
+    # back to its own systems, whatever the blocks
+    with mock.patch.object(space_module, "BALL_CELLS",
+                           cells or space_module.BALL_CELLS):
+        together = [rep.to_json() for rep in verify_cube_axioms(systems)]
+    assert together == [verify_cube_axioms([s])[0].to_json()
+                        for s in systems]
+
+
+def test_every_witness_kind_comes_back_to_its_system(monkeypatch):
+    systems = box20_family().systems
+    rng = np.random.default_rng(7)
+    # every other intact system on levels shifted by one, where its balls
+    # leave its ancestors': groups of many lists, each with its witnesses
+    systems = [altered(s, rng, fault, shift) for s, (fault, shift) in zip(
+        systems, [(f, 0) for f in FAULTS] + [("relink", 1)]
+        + [(None, t % 2) for t in range(len(systems))])]
+    monkeypatch.setattr(space_module, "BALL_CELLS", 3 * systems[0].space.n)
+    reports = [rep.to_json() for rep in verify_cube_axioms(systems)]
+    assert reports == [verify_cube_axioms([s])[0].to_json() for s in systems]
+    broke = {c["name"] for rep in reports for c in rep["checks"]
+             if not c["passed"]}
+    assert broke == {name for name, _ in cubes_module._AXIOMS} - {"topology"}
+
+
+def test_row_checks_run_once_per_group(monkeypatch):
+    # a verify benchmark cloud: 75 systems over the levels [1, 75, 100], whose
+    # coarsest center differs per system. A row check runs once per group of
+    # keys that differ only in the center list of the level with more
+    # distinct lists, never once per system
+    space = generate_space({"kind": "euclidean_cloud", "n": 100, "dim": 2,
+                            "box": 20.0, "seed": 72})
+    systems = build_adjacent_family(build_labels(build_reference_hierarchy(
+        space, 1 / 144, mode="strict"))).systems
+    calls = {"_sandwich": 0, "_descendants": 0}
+    for name in calls:
+        def counting(*args, real=getattr(cubes_module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(cubes_module, name, counting)
+    assert all(rep.passed for rep in verify_cube_axioms(systems))
+    depth = len(systems[0].level_points)
+    lists = [len({s.level_points[j].tobytes() for s in systems})
+             for j in range(depth)]
+    assert (len(systems), lists) == (75, [75, 3, 1])
+    sandwich = {(k, flat.tobytes(), start.tobytes()) for s in systems
+                for k, (flat, start) in zip(s.level_ks(), s.members)}
+    descendants = set()
+    for s in systems:
+        for a, b in itertools.combinations(range(depth), 2):
+            fewer = min((a, b), key=lambda j: (lists[j], j))
+            descendants.add((a, b, s.level_points[fewer].tobytes(),
+                             *(m.tobytes() for m in s.order.maps[a:b])))
+    assert calls == {"_sandwich": len(sandwich),
+                     "_descendants": len(descendants)}
+    assert sum(calls.values()) < 15
 
 
 # -- parent links and closure against the naive scans -----------------------

@@ -238,6 +238,62 @@ def test_space_json_roundtrip():
     assert QuasiMetricSpace.from_json(doc).profile == space.profile
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "euclidean_cloud", "n": 60, "dim": 2, "box": 20.0, "seed": 72},
+    {"kind": "geometric_line", "levels": 5, "delta": 1 / 144}],
+    ids=["cloud", "line"])
+def test_space_json_drops_a_table_its_coordinates_rebuild(spec):
+    space = generate_space(spec)
+    doc = json.loads(json.dumps(space.to_json()))
+    assert "distances" not in doc
+    back = QuasiMetricSpace.from_json(doc)
+    assert back.table.tobytes() == space.table.tobytes()
+    assert back.profile == space.profile
+    assert back.generator == space.generator == spec
+
+
+def test_snowflake_json_keeps_its_distances():
+    # the snowflake carries its base's coordinates beside a d**s table, which
+    # the coordinates do not rebuild
+    space = generate_space({"kind": "power_snowflake", "exponent": 0.5,
+                            "base": {"kind": "euclidean_cloud", "n": 30,
+                                     "seed": 1}})
+    doc = json.loads(json.dumps(space.to_json()))
+    assert len(doc["distances"]) == 30 * 30
+    back = QuasiMetricSpace.from_json(doc)
+    assert back.table.tobytes() == space.table.tobytes()
+    assert back.profile == space.profile
+
+
+def test_row_oracle_json_is_unchanged(monkeypatch):
+    coords = np.random.default_rng(8).uniform(0.0, 20.0, (40, 2))
+    monkeypatch.setattr(space_module, "TABLE_CAP", 16)
+    monkeypatch.setattr(space_module, "validate_quasi_metric", functools.partial(
+        space_module.validate_quasi_metric, exhaustive_cap=16))
+    space = QuasiMetricSpace.from_coords(coords)
+    doc = json.loads(json.dumps(space.to_json()))
+    assert set(doc) == {"n", "coords", "generator", "profile"}
+    back = QuasiMetricSpace.from_json(doc)
+    assert back.table is None and back.profile == space.profile
+    assert all(back.dist_row(i).tobytes() == space.dist_row(i).tobytes()
+               for i in range(40))
+
+
+@pytest.mark.parametrize("edit, match", [
+    ({"n": 7}, r"^n = 7 but the document's coordinates have shape \(5, 2\)"),
+    ({"distances": [0.0] * 24}, r"^n = 5 needs 25 distances, the document "
+                                r"lists 24$")])
+def test_space_json_refuses_a_wrong_size(edit, match):
+    space = QuasiMetricSpace.from_coords(
+        np.random.default_rng(3).uniform(0.0, 1.0, (5, 2)))
+    doc = dict(space.to_json(), **edit)
+    with pytest.raises(BadSpec, match=match):
+        QuasiMetricSpace.from_json(doc)
+    if "distances" in edit:   # the same refusal without coordinates
+        with pytest.raises(BadSpec, match=match):
+            QuasiMetricSpace.from_json(dict(doc, coords=None))
+
+
 def test_radii_conventions():
     space = line4()
     assert radii(space, 0).tolist()[:3] == [1.0, 3.0, 7.0]

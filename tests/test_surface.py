@@ -167,3 +167,25 @@ def test_one_ball_sweep():
             if name == "ball_sweep":
                 found.append((path.name, type(node).__name__))
     assert found == []
+
+
+def test_cube_verifier_calls_no_builder():
+    # verify_cube_axioms must not trust what it checks: neither it nor any
+    # function of cubes.py it reaches calls a builder or a closure step
+    tree = ast.parse((Path(cubeforge.__file__).parent / "cubes.py").read_text())
+    defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    reached, todo, called = set(), ["verify_cube_axioms"], set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(defs[name])
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+        called |= names
+        todo += [n for n in names if n in defs]
+    assert {"_sandwich", "_descendants", "_partition", "_nesting"} <= reached
+    assert sorted(n for n in called if n and (
+        n.startswith("build_") or n in ("close_level", "close_assign",
+                                        "pick_children"))) == []
