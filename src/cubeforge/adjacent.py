@@ -5,16 +5,16 @@ There is one system per pair label (l, m) with l in {0..L} and m in
 t = l*M + m. System t realizes the specific selection rule for (l, m) (or its
 pinned variant when a distinguished point is set); a random adjacent draw
 shifts that label level by level, and the fixed family is the draw with no
-shift. The systems differ at few levels, so the builder works a level at a
-time, never a system at a time: one specific_pick call per parent level
-gives the pick matrix of all K labels, each level's distinct center lists
-are kept once, each distinct (level, coarse, fine) triple of center lists
-is linked once, in batches along the partial order's leading sample axis,
-and each level is closed once per distinct (parent map, finer assign) pair
-into one assign and grouped-member pair per distinct level content (cube
-count and assign), whatever the level's centers. The K systems then share
-their center, parent-map, assign and grouped-member arrays by reference, so
-none of them is written in place.
+shift. The systems differ at few levels, so the family is one level table:
+per level, the distinct center lists and (parent map, tight flags) links;
+family wide, the distinct (assign, members) pieces; and per level, each
+system's index into each. Readers index the table; `family.system(t)` is a
+view over its arrays, none of which is written in place. The builder fills
+it a level at a time: the distinct rows of one pick matrix of all K labels
+per parent level are its center lists, each distinct (level, coarse, fine)
+triple of them is linked once, in batches along the partial order's leading
+sample axis, and each level is closed once per distinct (parent map, finer
+piece) pair, whatever its centers.
 
 find_containing_cubes answers "which system holds a single cube containing
 this ball" for a block of centers and a radius matrix at once, such as a
@@ -32,14 +32,14 @@ least r from the cube's complement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .constants import _TOL
-from .cubes import (CubeSystem, ParentMaps, _edge_gaps, close_assign,
-                    close_level)
+from .cubes import (CubeSystem, ParentMaps, _edge_gaps, _level_json,
+                    _parent_json, _system_json, close_assign, close_level)
 from .errors import ConfigError, CubeforgeError, require_id
 from .labeling import (LabeledHierarchy, index_to_pair, pair_to_index,
                        require_near, selected_order, specific_pick)
@@ -62,8 +62,21 @@ class CubeQuery:
 
 @dataclass
 class AdjacentFamily:
+    """The K systems as one level table (see the module docstring). Level j,
+    that is k_min + j, has its distinct center lists as the rows of
+    centers[j] and, above the finest level, its distinct links from level
+    j + 1 as the rows of links[j] = (maps, tight); pieces holds the distinct
+    (assign, (flat, start)) levels of the whole family. On level j system t
+    holds row center_of[j, t - 1] of centers[j], row link_of[j, t - 1] of
+    links[j] and piece piece_of[j, t - 1]."""
+
     labeled: LabeledHierarchy
-    systems: list = field(default_factory=list)  # index t-1
+    centers: list
+    links: list
+    pieces: list
+    center_of: np.ndarray
+    link_of: np.ndarray
+    piece_of: np.ndarray
     covering_const: float = 0.0                  # C
     distinguished: Optional[int] = None
     # randomized families record their per-level draw so queries can route
@@ -98,9 +111,6 @@ class AdjacentFamily:
         whose query steps one level coarser to the pinned point's cube."""
         return 2 if self.distinguished is None else 3
 
-    def phi_inv(self, t: int):
-        return index_to_pair(t, self.labeled.max_children)
-
     def route_t(self, k: int, beta) -> np.ndarray:
         """System indices whose level-k choices land on the fine points
         beta, an int array.
@@ -122,24 +132,62 @@ class AdjacentFamily:
         return t
 
     def system(self, t: int) -> CubeSystem:
-        return self.systems[require_id("system index", t, 1,
-                                       self.n_systems) - 1]
+        """System t, a view over the table's arrays in lists of its own."""
+        i = require_id("system index", t, 1, self.n_systems) - 1
+        lab, consts = self.labeled, self.labeled.selected_constants
+        mode = lab.hierarchy.mode
+        links = list(zip(self.links, self.link_of[:, i].tolist()))
+        pieces = [self.pieces[p] for p in self.piece_of[:, i].tolist()]
+        return CubeSystem(
+            space=lab.space, k_min=lab.k_min, k_max=lab.k_max,
+            constants=consts, mode=mode,
+            level_points=[c[x] for c, x in zip(self.centers,
+                                               self.center_of[:, i].tolist())],
+            order=ParentMaps(k_top=lab.k_min, constants=consts, mode=mode,
+                             maps=[maps[x] for (maps, _), x in links],
+                             tight=[tight[x] for (_, tight), x in links]),
+            members=[m for _, m in pieces], assign=[a for a, _ in pieces])
+
+    @property
+    def systems(self) -> tuple:
+        """Every system's view, t = 1..K."""
+        return tuple(map(self.system, range(1, self.n_systems + 1)))
+
+    def piece(self, q: CubeQuery) -> int:
+        """Position in `pieces` of the level holding q's cube."""
+        return int(self.piece_of[
+            require_id("level", q.k, self.k_min, self.k_max) - self.k_min,
+            require_id("system index", q.t, 1, self.n_systems) - 1])
 
     def cube_members(self, q: CubeQuery) -> np.ndarray:
-        return self.system(q.t).cube(q.k, q.index).members
+        flat, start = self.pieces[self.piece(q)][1]
+        index = require_id("cube", q.index, 0, start.size - 1, ")")
+        return flat[start[index]:start[index + 1]]
 
     def to_json(self):
-        """The family as a JSON document. Equal levels and parent entries of
-        its systems are one shared object (see CubeSystem.to_json), so the
-        document is read-only."""
-        K = self.n_systems
-        shared = {}
+        """The family as a JSON document: one level entry per (level, center
+        list, piece) and one parent entry per link, each shared by the
+        systems that index it, so the document is read-only."""
+        lab, ks = self.labeled, range(self.k_min, self.k_max + 1)
+        parents = [[_parent_json(k, *link) for link in zip(*lv)]
+                   for k, lv in zip(ks, self.links)]
+        levels = [{(c, p): _level_json(k, z[c], self.pieces[p][1])
+                   for c, p in set(zip(cs.tolist(), ps.tolist()))}
+                  for k, z, cs, ps in zip(ks, self.centers, self.center_of,
+                                          self.piece_of)]
         return {
-            "K": K,
+            "K": self.n_systems,
             "C": self.covering_const,
             "distinguished": self.distinguished,
-            "phi": [[*self.phi_inv(t), t] for t in range(1, K + 1)],
-            "systems": [s.to_json(shared) for s in self.systems],
+            "phi": [[*index_to_pair(t, lab.max_children), t]
+                    for t in range(1, self.n_systems + 1)],
+            "systems": [_system_json(
+                lab.selected_constants, lab.hierarchy.mode, self.k_min,
+                self.k_max, [lv[key] for lv, key in zip(levels, zip(cs, ps))],
+                [lv[x] for lv, x in zip(parents, ls)])
+                for cs, ps, ls in zip(self.center_of.T.tolist(),
+                                      self.piece_of.T.tolist(),
+                                      self.link_of.T.tolist())],
         }
 
 
@@ -174,45 +222,36 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
         ordinals = {k: np.asarray(levels[k]["ordinals"], dtype=int)
                     for k in labeled.parent_ks()
                     if "ordinals" in levels[k]} or None
-    family = AdjacentFamily(
-        labeled=labeled, distinguished=pinned,
-        level_shifts=shifts, ordinal_shifts=ordinals)
-    family.covering_const = labeled.selected_constants.covering_const(
-        family.coarsening)
-    z, of, unpicked = _pick_levels(labeled, levels, pinned)
+    centers, center_of, unpicked = _pick_levels(labeled, levels, pinned)
     # systems 0..ok-1 select at every level: link them, then raise what the
     # first failing system raises
     ok = min(unpicked, default=K)
-    links, link_of, failed = _link_levels(labeled, z, [x[:ok] for x in of])
+    links, link_of, failed = _link_levels(labeled, centers,
+                                          [x[:ok] for x in center_of])
     if failed:
         raise failed[min(failed)]
     if ok < K:
         require_near(labeled, *unpicked[ok])
-    pieces, piece_of = _close_levels(labeled.space.n, z, links, link_of, K)
-
-    consts, mode = labeled.selected_constants, labeled.hierarchy.mode
-    # per level, each system's center list, link and (assign, members)
-    z, links, pieces = ([[d[i] for i in x.tolist()] for d, x in zip(*pair)]
-                        for pair in ((z, of), (links, link_of),
-                                     (pieces, piece_of)))
-    for t in range(K):
-        order = ParentMaps(k_top=labeled.k_min, constants=consts, mode=mode,
-                           maps=[lv[t][0] for lv in links],
-                           tight=[lv[t][1] for lv in links])
-        family.systems.append(CubeSystem(
-            space=labeled.space, k_min=labeled.k_min, k_max=labeled.k_max,
-            constants=consts, mode=mode, level_points=[lv[t] for lv in z],
-            order=order, members=[lv[t][1] for lv in pieces],
-            assign=[lv[t][0] for lv in pieces]))
+    links, link_of = zip(*map(_distinct_links, links, link_of)) \
+        if links else ((), ())
+    pieces, piece_of = _close_levels(labeled.space.n, centers,
+                                     [maps for maps, _ in links], link_of, K)
+    family = AdjacentFamily(
+        labeled=labeled, centers=centers, links=list(links), pieces=pieces,
+        center_of=np.array(center_of), piece_of=np.array(piece_of),
+        link_of=np.array(link_of, dtype=int).reshape(len(links), K),
+        distinguished=pinned, level_shifts=shifts, ordinal_shifts=ordinals)
+    family.covering_const = labeled.selected_constants.covering_const(
+        family.coarsening)
     return family
 
 
 def _pick_levels(labeled: LabeledHierarchy, levels: Optional[dict],
                  pinned: Optional[int]):
-    """(z, of, unpicked): z[j] holds level j's distinct center lists and
-    of[j][t - 1] is system t's among them, from one specific_pick call per
-    parent level; unpicked[t - 1] = (k, missing) names the first level
-    where system t misses a near child, and where."""
+    """(z, of, unpicked): the rows of z[j] are level j's distinct center
+    lists and of[j][t - 1] is system t's among them, from one specific_pick
+    call per parent level; unpicked[t - 1] = (k, missing) names the first
+    level where system t misses a near child, and where."""
     h, K = labeled.hierarchy, labeled.n_systems
     label = index_to_pair(np.arange(1, K + 1), labeled.max_children)
     z, of, unpicked = [], [], {}
@@ -222,12 +261,11 @@ def _pick_levels(labeled: LabeledHierarchy, levels: Optional[dict],
         missing = picks < 0
         for t in np.flatnonzero(missing.any(axis=1)).tolist():
             unpicked.setdefault(t, (k, missing[t]))
-        first, inverse = _distinct_rows(picks)
-        chosen = picks[first]
+        chosen, inverse = _distinct_rows(picks)
         del picks, missing   # dropped before the kept lists are allocated
-        z.append(list(h.level(k + 1)[chosen]))
+        z.append(h.level(k + 1)[chosen])
         of.append(inverse)
-    z.append([h.level(labeled.k_max).copy()])
+    z.append(h.level(labeled.k_max)[None].copy())
     of.append(np.zeros(K, dtype=int))
     return z, of, unpicked
 
@@ -264,37 +302,47 @@ def _link_levels(labeled: LabeledHierarchy, z: list, of: list):
     return links, link_of, failed
 
 
-def _close_levels(n: int, z: list, links: list, link_of: list, K: int):
-    """(pieces, piece_of): pieces[j] holds (assign, members) pairs of level
-    j and piece_of[j][t - 1] is system t's among them, t = 1..K. Finest
-    first, each level is closed once per distinct (parent map, finer
-    assign) pair, sharing arrays per distinct (cube count, assign) (see
-    `close_level`)."""
-    closed, finest = {}, z[-1][0]
-    pieces = [[close_level(closed, finest.size,
-                           close_assign(n, finest, [])[0])]]
-    piece_of = [np.zeros(K, dtype=int)]
+def _distinct_links(level: list, of: np.ndarray):
+    """((maps, tight), of): the distinct (parent map, tight flags) pairs of
+    a level's links, stacked a row each, and each system's row, from its
+    position `of` in `level`."""
+    # one int per (parent, tight) entry keeps the sorted copies small
+    rows, inverse = _distinct_rows(np.array([2 * maps + tight
+                                             for maps, tight in level]))
+    return (rows >> 1, (rows & 1).astype(bool)), inverse[of]
+
+
+def _close_levels(n: int, z: list, maps: list, link_of: list, K: int):
+    """(pieces, piece_of): the distinct (assign, members) pieces of the
+    family, and piece_of[j][t - 1], system t's at level j, t = 1..K, where
+    maps[j] holds level j's distinct parent maps a row each and
+    link_of[j][t - 1] is system t's. Finest first, each level is closed
+    once per distinct (parent map, finer piece) pair (see `close_level`)."""
+    closed, pieces, finest = {}, [], z[-1][0]
+    piece_of = [np.full(K, close_level(closed, pieces, finest.size,
+                                       close_assign(n, finest, [])[0]))]
     for j in range(len(z) - 2, -1, -1):
-        maps = [m for m, _ in links[j]]
-        first, map_of = _distinct_rows(maps)
-        finer = len(pieces[0])
-        keys, inverse = np.unique(map_of[link_of[j]] * finer + piece_of[0],
-                                  return_inverse=True)
-        pieces.insert(0, [
-            close_level(closed, z[j][0].size, maps[first[a]][pieces[0][b][0]])
-            for a, b in zip(*map(np.ndarray.tolist, divmod(keys, finer)))])
-        piece_of.insert(0, inverse)
+        distinct, map_of = _distinct_rows(maps[j])
+        finer = len(pieces)
+        keys, inverse = np.unique(map_of[link_of[j]] * finer
+                                  + piece_of[0], return_inverse=True)
+        made = [close_level(closed, pieces, z[j].shape[1],
+                            distinct[a][pieces[b][0]])
+                for a, b in zip(*map(np.ndarray.tolist, divmod(keys, finer)))]
+        piece_of.insert(0, np.array(made, dtype=int)[inverse])
     return pieces, piece_of
 
 
-def _distinct_rows(rows):
-    """(first, inverse) over equal-length 1-D arrays `rows`, keyed on their
-    bytes: the index where each distinct row first appears, in order of
-    appearance, and each row's position among the distinct rows."""
-    seen = {}
-    inverse = np.array([seen.setdefault(r.tobytes(), len(seen))
-                        for r in rows], dtype=int)
-    return np.unique(inverse, return_index=True)[1].tolist(), inverse
+def _distinct_rows(rows: np.ndarray):
+    """(the distinct rows of a 2-D array, each row's position among them):
+    one sort of the rows as opaque items. np.unique(rows, axis=0) gives the
+    same groups but compares rows field by field, which took 46 of 85 ms
+    per family build on a `build` cloud (numpy 2.4.6)."""
+    rows = np.ascontiguousarray(rows)
+    items = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(items.ravel(), return_index=True,
+                                  return_inverse=True)
+    return rows[first], inverse
 
 
 def _link(labeled: LabeledHierarchy, j: int, block: list) -> list:
@@ -401,7 +449,7 @@ def find_containing_cubes(family: AdjacentFamily, ids,
             heads.append((family.k_min, "clamped_coarse"))
         elif k > family.k_max - 1:
             heads.append((family.k_max, "underflow"))
-            index[p] = family.system(1).assign[-1][ids]
+            index[p] = family.pieces[family.piece_of[-1, 0]][0][ids]
         else:   # route by the nearest fine reference point
             beta = np.argmin(dist[:, family.labeled.hierarchy.level(k + 1)],
                              axis=1)
@@ -411,8 +459,9 @@ def find_containing_cubes(family: AdjacentFamily, ids,
                 heads.append((k, "ok"))
             else:   # the pinned family answers one level coarser
                 heads.append((k - 1, "ok"))
-                index[p] = [family.system(s).order.parent_of(k - 1, a)
-                            for s, a in zip(t[p].tolist(), index[p].tolist())]
+                j = k - 1 - family.k_min
+                index[p] = family.links[j][0][family.link_of[j, t[p] - 1],
+                                              index[p]]
     return BlockAnswers(dist=dist, slot=slot, heads=heads, t=t, index=index,
                         start=start, row=start // width, level=flat[start])
 
@@ -446,15 +495,15 @@ def verify_covering(family: AdjacentFamily) -> VerificationReport:
     contain_bad, diam_bad, n_queries = [], [], 0
     worst_ratio = 0.0
     flags = {"ok": 0, "clamped_coarse": 0, "underflow": 0}
-    diam_of = {}  # member list bytes -> its diameter; systems share cubes
+    diam_of = {}  # (piece, cube index) -> its diameter; systems share cubes
     for ids, _, sorted_rows, last in space.ball_blocks():
         radii = ball_radii(sorted_rows, top)
         qs = find_containing_cubes(family, ids, radii)
         which, cubes = qs.cubes(family)
         diam = np.empty(len(cubes))
         inside = np.zeros((len(cubes), space.n), dtype=bool)
-        for u, m in enumerate(map(family.cube_members, cubes)):
-            key = m.tobytes()
+        for u, q in enumerate(cubes):
+            m, key = family.cube_members(q), (family.piece(q), q.index)
             if key not in diam_of:
                 diam_of[key] = float(space.dist_rows(m, m).max(initial=0.0))
             diam[u], inside[u, m] = diam_of[key], True
@@ -477,26 +526,24 @@ def verify_covering(family: AdjacentFamily) -> VerificationReport:
 
     if family.distinguished is None:
         cover_bad, cover_n = [], 0
-        for k in range(family.k_min + 1, family.k_max + 1):
+        for j in range(family.k_max - family.k_min):
+            k = family.k_min + j + 1
             level = family.labeled.hierarchy.level(k)
-            t = family.route_t(k - 1, np.arange(level.size)).tolist()
-            alpha = family.labeled.order.maps[k - 1 - family.k_min].tolist()
-            for beta, (s, a, c) in enumerate(zip(t, alpha, level.tolist())):
-                center = family.system(s).level_points[k - 1 - family.k_min][a]
-                if center != c:
-                    cover_bad.append((k, beta, s, a, int(center)))
+            t = family.route_t(k - 1, np.arange(level.size))
+            alpha = family.labeled.order.maps[j]
+            center = family.centers[j][family.center_of[j, t - 1], alpha]
+            cover_bad += [(k, beta, *map(int, (t[beta], alpha[beta],
+                                                center[beta])))
+                          for beta in np.flatnonzero(center != level).tolist()]
             cover_n += level.size
         rep.add("center_coverage", not cover_bad, cover_n, cover_bad,
                 note="every fine point is some system's chosen center")
     else:
-        pin_bad, pin_n = [], 0
-        for t in range(1, family.n_systems + 1):
-            sys_t = family.system(t)
-            for k in sys_t.level_ks():
-                pin_n += 1
-                center = sys_t.cube(k, 0).center
-                if center != family.distinguished:
-                    pin_bad.append((t, k, center))
-        rep.add("pinned_center", not pin_bad, pin_n, pin_bad,
+        # heads[t - 1, j]: system t's first center on level j
+        heads = np.array([c[of, 0] for c, of in zip(family.centers,
+                                                    family.center_of)]).T
+        pin_bad = [(t + 1, family.k_min + j, int(heads[t, j])) for t, j in
+                   np.argwhere(heads != family.distinguished).tolist()]
+        rep.add("pinned_center", not pin_bad, heads.size, pin_bad,
                 note="the pinned point heads every level of every system")
     return rep

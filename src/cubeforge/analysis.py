@@ -7,12 +7,12 @@ The ball world reads them from QuasiMetricSpace.ball_blocks, a block of
 centers at a time: ball masses and averages are prefix sums over every rank
 of a block, a ball's value is read at its last rank only, and a point's
 supremum is a reverse running max over the ranks, gathered back to point
-order. The dyadic operators sweep each distinct level of the systems passed
-in once; both maximal kernels answer a list of functions from that one
-sweep. The verify_* functions check the constant-carrying inequalities
-between the two worlds; the containing-cube masses ask one ball-in-cube
-query per block of centers (adjacent.find_containing_cubes) and sum each
-distinct answered cube once.
+order. The dyadic operators sweep each piece of a family's level table
+once, or each level of a lone system; both maximal kernels answer a list of
+functions from that one sweep. The verify_* functions check the
+constant-carrying inequalities between the two worlds; the containing-cube
+masses ask one ball-in-cube query per block of centers
+(adjacent.find_containing_cubes) and sum each distinct answered cube once.
 """
 from __future__ import annotations
 
@@ -176,20 +176,28 @@ def _ball_sums(space, columns):
         yield order, last, np.cumsum(columns[:, order], axis=-1)
 
 
-def _cube_sums(systems, columns):
-    """Per distinct level of the systems, (idx, held, sums): idx is its
-    assign array, held the position in `systems` of each level holding it,
-    and sums[i][q] sums columns[i] over cube q. Levels are grouped on their
-    cube count and assign bytes, never on object identity. columns[0] must
-    be a positive mass: a point in no cube (assign -1) or a cube with no
-    point, both loadable by from_json, raises PreconditionFail."""
-    groups = {}
-    for s, system in enumerate(systems):
-        for k, pts, idx in zip(system.level_ks(), system.level_points,
-                               system.assign):
-            key = (pts.size, idx.tobytes())
-            groups.setdefault(key, (k, pts.size, idx, []))[3].append(s)
-    for k, size, idx, held in groups.values():
+def _table_levels(family: AdjacentFamily) -> list:
+    """(k, idx, size, held) per piece the family's systems hold: its assign
+    array idx and cube count size, the first level k holding it, and the
+    indices t - 1 of the systems holding it."""
+    held = [family.piece_of == p for p in range(len(family.pieces))]
+    return [(family.k_min + int(np.argmax(at.any(axis=1))), idx,
+             start.size - 1, np.flatnonzero(at.any(axis=0)))
+            for (idx, (_, start)), at in zip(family.pieces, held) if at.any()]
+
+
+def _own_levels(system: CubeSystem) -> list:
+    """A lone system's levels in the form of _table_levels."""
+    return [(k, idx, pts.size, [0]) for k, pts, idx in
+            zip(system.level_ks(), system.level_points, system.assign)]
+
+
+def _cube_sums(levels, columns):
+    """Per (k, idx, size, held) of `levels` (see _table_levels), (idx, held,
+    sums): sums[i][q] sums columns[i] over cube q. columns[0] must be a
+    positive mass: a point in no cube (assign -1) or a cube with no point,
+    both loadable by from_json, raises PreconditionFail."""
+    for k, idx, size, held in levels:
         bad = np.flatnonzero(idx < 0)
         if bad.size:
             raise PreconditionFail(
@@ -245,15 +253,16 @@ def _oscillation_sums(order, base, fs, means):
     return sums
 
 
-def _dyadic_values(systems, base, fs, sharp: bool):
+def _dyadic_values(levels, K: int, base, fs, sharp: bool):
     """Per function, system and point, the largest base-average of |f|
     (sharp: of |f - f_Q|, f_Q the signed cube average) over the cubes of
-    the point's chain: a (len(fs), len(systems), n) array, so a family call
-    holds F·K·n floats for F functions and K systems."""
+    the point's chain, from the `levels` of K systems (see _cube_sums): a
+    (len(fs), K, n) array, so a family call holds F·K·n floats for F
+    functions."""
     fs = np.reshape(fs, (-1, len(base)))
-    out = np.zeros((len(fs), len(systems), len(base)))
+    out = np.zeros((len(fs), K, len(base)))
     columns = [base, *(base * (fs if sharp else np.abs(fs)))]
-    for idx, held, sums in _cube_sums(systems, columns):
+    for idx, held, sums in _cube_sums(levels, columns):
         val = sums[1:] / sums[0]
         if sharp:
             for i, f in enumerate(fs):
@@ -283,7 +292,7 @@ def maximal_function(space: QuasiMetricSpace, mu, f, variant: str = "ball",
     if variant in ("dyadic", "dyadic_sharp"):
         if system is None:
             raise ConfigError("dyadic variants need a cube system")
-        return _dyadic_values([system], base, [f],
+        return _dyadic_values(_own_levels(system), 1, base, [f],
                               variant == "dyadic_sharp")[0, 0]
     return _ball_values(space, base, [f], variant == "sharp")[0]
 
@@ -303,24 +312,25 @@ def ap_constant(space: QuasiMetricSpace, mu, omega, p: float,
     if variant == "dyadic" and system is None:
         raise ConfigError("dyadic variants need a cube system")
     return _ap_values(space, w, omega, p,
-                      [system] if variant == "dyadic" else None)[0]
+                      _own_levels(system) if variant == "dyadic" else None)[0]
 
 
-def _ap_values(space, w, omega, p: float, systems=None) -> list:
-    """The A_p sup over the realized balls (systems None: one value) or per
-    system over its cubes, each distinct level summed once. The sup of a
-    center's balls or of a level's cubes is skipped when it is NaN."""
+def _ap_values(space, w, omega, p: float, levels=None, K: int = 1) -> list:
+    """The A_p sup over the realized balls (levels None: one value) or per
+    system over its cubes, from the `levels` of K systems (see _cube_sums).
+    The sup of a center's balls or of a level's cubes is skipped when it is
+    NaN."""
     columns = [w, w * omega, w * omega ** (-1.0 / (p - 1.0))]
 
     def ratio(m, wm, sm):
         return wm * sm ** (p - 1.0) / m ** p
 
     sups = (((held, ratio(*s).max(axis=-1, keepdims=True))
-             for _, held, s in _cube_sums(systems, columns))
-            if systems is not None else
+             for _, held, s in _cube_sums(levels, columns))
+            if levels is not None else
             (([0], np.max(ratio(*s), axis=-1, where=last, initial=-np.inf))
              for _, last, s in _ball_sums(space, columns)))
-    out = np.zeros(1 if systems is None else len(systems))
+    out = np.zeros(K)
     for held, sup in sups:
         out[held] = np.fmax(out[held], np.fmax.reduce(sup))
     return out.tolist()
@@ -355,7 +365,7 @@ def _instance_constants(family: AdjacentFamily, weights):
     space = family.space
     c_mu_pair = doubling_constant(space, weights)
     c_const, c_exp = c_mu_pair
-    consts = family.system(1).constants
+    consts = family.labeled.selected_constants
     c_a = c_const * consts.outer_ratio ** c_exp
     c_a_prime = c_const * consts.containing_ratio(family.coarsening) ** c_exp
     return {"C_mu": c_const, "c_mu": c_exp, "C_a": c_a, "C_a_prime": c_a_prime}
@@ -390,39 +400,41 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     w = _weights_of(mu, space.n)
     funcs = [_vector(f, space.n, f"sample_functions[{fi}]")
              for fi, f in enumerate(sample_functions)]
-    if any(sys_t.mode != "strict" for sys_t in family.systems):
+    if family.labeled.hierarchy.mode != "strict":
         raise PreconditionFail("comparability bounds need strict-mode systems")
     info = constants if constants is not None \
         else _instance_constants(family, w)
     c_a, c_ap = info["C_a"], info["C_a_prime"]
     delta = family.delta
-    outer = family.system(1).constants.outer_const
+    outer = family.labeled.selected_constants.outer_const
     rep = VerificationReport("maximal function comparability")
 
-    # (a) cube mass vs its outer ball; one ratio array per distinct level
-    # content and one block of outer balls for it
+    # (a) cube mass vs its outer ball; one ratio array per (level, center
+    # list, piece) of the table and one block of outer balls for it
     ratios = {}
     worst = 0.0
     checked = 0
     bad = []
-    for t, sys_t in enumerate(family.systems, start=1):
-        for k, pts, (flat, start) in zip(sys_t.level_ks(), sys_t.level_points,
-                                         sys_t.members):
-            key = (k, pts.tobytes(), flat.tobytes(), start.tobytes())
-            if key not in ratios:
+    for t in range(family.n_systems):
+        for j, (c, p) in enumerate(zip(family.center_of[:, t].tolist(),
+                                       family.piece_of[:, t].tolist())):
+            k = family.k_min + j
+            if (j, c, p) not in ratios:
+                flat, start = family.pieces[p][1]
                 empty = np.flatnonzero(np.diff(start) == 0)
                 if empty.size:
                     raise PreconditionFail(
                         f"level {k}: cube {int(empty[0])} holds no point")
-                near = space.dist_rows(pts) < outer * delta ** k
+                near = (space.dist_rows(family.centers[j][c])
+                        < outer * delta ** k)
                 start = start.tolist()
-                ratios[key] = np.array([
+                ratios[j, c, p] = np.array([
                     float(w[row].sum()) / float(w[flat[s:e]].sum())
                     for row, s, e in zip(near, start, start[1:])])
-            ratio = ratios[key]
+            ratio = ratios[j, c, p]
             worst = max(worst, float(ratio.max(initial=0.0)))
             checked += ratio.size
-            bad.extend((t, k, int(i), float(ratio[i]))
+            bad.extend((t + 1, k, int(i), float(ratio[i]))
                        for i in np.flatnonzero(ratio > c_a * (1.0 + _REL_TOL)))
     rep.add("cube_outer_ball_mass", not bad, checked, bad,
             details={"C_a": c_a, "empirical": worst, **info})
@@ -437,7 +449,8 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     # against the sum over systems
     for sharp, prefix, scale in ((False, "", 1.0), (True, "sharp_", 2.0)):
         m_ball = _ball_values(space, w, funcs, sharp)
-        m_dy = _dyadic_values(family.systems, w, funcs, sharp)
+        m_dy = _dyadic_values(_table_levels(family), family.n_systems, w,
+                              funcs, sharp)
         for name, const, ratio in (
                 ("dyadic_le_ball", c_a, _max_ratio(m_dy, m_ball[:, None])),
                 ("ball_le_dyadic_sum", c_ap,
@@ -463,14 +476,14 @@ def _containing_cube_masses(family: AdjacentFamily, w, c_ap: float):
     top = space._above_diam()
     bad, checked, worst = [], 0, 0.0
     flags = {"ok": 0, "clamped_coarse": 0, "underflow": 0}
-    mass_of = {}   # (t, k, index) -> the cube's mass
+    mass_of = {}   # (piece, cube index) -> the cube's mass
     for ids, order, sorted_rows, last in space.ball_blocks():
         radii = ball_radii(sorted_rows, top)
         qs = find_containing_cubes(family, ids, radii)
         which, cubes = qs.cubes(family)
         mass = np.empty(len(cubes))
         for u, q in enumerate(cubes):
-            key = (q.t, q.k, q.index)
+            key = (family.piece(q), q.index)
             if key not in mass_of:
                 mass_of[key] = float(w[family.cube_members(q)].sum())
             mass[u] = mass_of[key]
@@ -509,10 +522,11 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
     c_a, c_ap = info["C_a"], info["C_a_prime"]
     osc_ball = bmo_norm(space, w, f, "ball")
     bound_a = p_conj * norm_f
-    m_w = _dyadic_values(family.systems, w * omega, [f], False)[0]
-    m_d = _dyadic_values(family.systems, w, [f], False)[0]
-    osc_dy = _dyadic_values(family.systems, w, [f], True)[0].max(1).tolist()
-    a_ps = _ap_values(space, w, omega, p, family.systems)
+    levels, K = _table_levels(family), family.n_systems
+    m_w = _dyadic_values(levels, K, w * omega, [f], False)[0]
+    m_d = _dyadic_values(levels, K, w, [f], False)[0]
+    osc_dy = _dyadic_values(levels, K, w, [f], True)[0].max(1).tolist()
+    a_ps = _ap_values(space, w, omega, p, levels, K)
     doob, buckley = [], []
     bad_a, bad_b, bad_c = [], [], []
     for t, (m_w_t, m_d_t, osc, a_p) in enumerate(

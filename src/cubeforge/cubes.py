@@ -13,12 +13,12 @@ A system holds each level as arrays only: its centers level_points[j], its
 point -> cube map assign[j] and its members[j] = (flat, start), the point
 ids grouped by cube with the group starts and a final end, so cube i is
 flat[start[i]:start[i + 1]] around the center level_points[j][i]. Cube
-values are built on demand by cube() and cubes_at(). Systems closed with one
-shared `closed` dict (`close_level`: the family builder keeps one per
-family, build_cube_system one per system) store each distinct level
-content, its cube count and assign array, once: two levels that partition
-the space alike share their assign and member arrays even when their
-centers differ. So no array of a system is written in place.
+values are built on demand by cube() and cubes_at(). `close_level` keeps
+each distinct level content, its cube count and assign array, once per
+table of pieces (the family builder keeps one per family,
+build_cube_system one per system): levels that partition the space alike
+share their assign and member arrays even when their centers differ. So no
+array of a system is written in place.
 
 The checker re-derives each system's promised geometry from its realized
 member sets: partition, nesting, the inner/outer ball sandwich with the
@@ -132,40 +132,16 @@ class CubeSystem:
         return int(self.assign[j][require_id("point", point, 0,
                                              self.space.n, ")")])
 
-    def to_json(self, shared: Optional[dict] = None):
-        """The system as a JSON document. `shared`, a dict kept across calls
-        on one family, makes equal level and parent entries one object,
-        keyed on their content (k and array bytes), never on identity; a
-        document built with it is read-only."""
-        shared = {} if shared is None else shared
-        levels = []
-        for k, pts, (flat, start) in zip(self.level_ks(), self.level_points,
-                                          self.members):
-            key = (k, pts.tobytes(), flat.tobytes(), start.tobytes())
-            if key not in shared:
-                flat, start = flat.tolist(), start.tolist()
-                shared[key] = {"k": k, "cubes": [
-                    {"center": c, "members": flat[s:e]}
-                    for c, s, e in zip(pts.tolist(), start, start[1:])]}
-            levels.append(shared[key])
-        parents = []
-        if self.order:
-            for k, m, t in zip(self.level_ks(), self.order.maps,
-                               self.order.tight):
-                key = (k, m.tobytes(), t.tobytes())
-                if key not in shared:
-                    shared[key] = {"k": k, "map": m.tolist(),
-                                   "tight": t.tolist()}
-                parents.append(shared[key])
-        return {
-            "delta": self.delta,
-            "mode": self.mode,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "constants": self.constants.to_json(),
-            "levels": levels,
-            "parents": parents,
-        }
+    def to_json(self):
+        """The system as a JSON document (`_system_json`)."""
+        ks = self.level_ks()
+        return _system_json(
+            self.constants, self.mode, self.k_min, self.k_max,
+            [_level_json(k, pts, m) for k, pts, m in zip(ks, self.level_points,
+                                                          self.members)],
+            [] if self.order is None else [
+                _parent_json(k, m, t)
+                for k, m, t in zip(ks, self.order.maps, self.order.tight)])
 
     @classmethod
     def from_json(cls, d, space):
@@ -197,6 +173,26 @@ class CubeSystem:
         return cls(space=space, k_min=k_min, k_max=k_max, constants=consts,
                    mode=d["mode"], level_points=level_points, order=order,
                    members=members, assign=assign)
+
+
+def _system_json(constants, mode, k_min, k_max, levels, parents) -> dict:
+    """A system's document around its level and parent entries."""
+    return {"delta": constants.delta, "mode": mode, "k_min": k_min,
+            "k_max": k_max, "constants": constants.to_json(),
+            "levels": levels, "parents": parents}
+
+
+def _level_json(k: int, centers, members) -> dict:
+    """Level k's entry: each cube's center and member list."""
+    flat, start = members[0].tolist(), members[1].tolist()
+    return {"k": k, "cubes": [{"center": c, "members": flat[s:e]}
+                              for c, s, e in zip(centers.tolist(), start,
+                                                 start[1:])]}
+
+
+def _parent_json(k: int, parents, tight) -> dict:
+    """The entry of the parent links from level k + 1 to level k."""
+    return {"k": k, "map": parents.tolist(), "tight": tight.tolist()}
 
 
 def _point_ids(ids, n: int, k: int, owner, what: str) -> np.ndarray:
@@ -305,8 +301,8 @@ def build_cube_system(space: QuasiMetricSpace, level_points,
     if not np.array_equal(np.sort(centers[-1]), np.arange(space.n)):
         raise PreconditionFail(
             "finest level must enumerate every point of the space")
-    closed = {}
-    levels = [close_level(closed, pts.size, a) for pts, a in zip(
+    closed, pieces = {}, []
+    levels = [pieces[close_level(closed, pieces, pts.size, a)] for pts, a in zip(
         centers, close_assign(space.n, centers[-1], order.maps[:n_levels - 1]))]
     assign, members = [a for a, _ in levels], [m for _, m in levels]
     return CubeSystem(space=space, k_min=order.k_top,
@@ -315,17 +311,19 @@ def build_cube_system(space: QuasiMetricSpace, level_points,
                       members=members, assign=assign)
 
 
-def close_level(closed: dict, size: int, a: np.ndarray) -> tuple:
-    """(assign, members) of a level of `size` cubes whose point -> cube map
-    is `a`: made once per distinct (cube count, assign) content kept in
-    `closed`, and the same arrays for every later level with that content.
+def close_level(closed: dict, pieces: list, size: int, a: np.ndarray) -> int:
+    """Position in `pieces` of the (assign, members) pair of a level of
+    `size` cubes whose point -> cube map is `a`: appended once per distinct
+    (cube count, assign) content, whose position `closed` keeps, and the
+    same pair for every later level with that content.
     """
     key = (size, a.tobytes())
     if key not in closed:
         # a stable sort keeps each cube's members in ascending point order
         sizes = np.bincount(a, minlength=size)
-        closed[key] = (a, (np.argsort(a, kind="stable"),
-                           np.concatenate(([0], np.cumsum(sizes)))))
+        closed[key] = len(pieces)
+        pieces.append((a, (np.argsort(a, kind="stable"),
+                           np.concatenate(([0], np.cumsum(sizes))))))
     return closed[key]
 
 

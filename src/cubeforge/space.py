@@ -169,18 +169,20 @@ class QuasiMetricSpace:
         """
         if self.table is None:
             raise BadSpec("realized_balls needs a dense distance table")
-        masks, meta, seen = [], [], set()
+        masks, meta = [], []
         top = self._above_diam()
         for ids, _, sorted_rows, last in self.ball_blocks():
             for c, radii, end in zip(ids.tolist(),
                                      ball_radii(sorted_rows, top), last):
                 for r in radii[end].tolist():
-                    mask = self.table[c] < r
-                    if mask.tobytes() not in seen:
-                        seen.add(mask.tobytes())
-                        masks.append(mask)
-                        meta.append((c, r))
-        return np.array(masks), meta
+                    masks.append(self.table[c] < r)
+                    meta.append((c, r))
+        # each distinct mask's first realization, in order of appearance,
+        # from one sort of the masks as opaque items
+        masks = np.array(masks)
+        items = masks.view(np.dtype((np.void, masks.shape[1]))).ravel()
+        first = np.sort(np.unique(items, return_index=True)[1])
+        return masks[first], [meta[i] for i in first.tolist()]
 
     # -- construction --------------------------------------------------------
 
@@ -230,7 +232,8 @@ class QuasiMetricSpace:
     def to_json(self):
         """The space as a JSON document. A dense table goes in `distances`,
         row-major, unless from_json rebuilds it and the profile from the
-        coordinates alone (`_coords_rebuild`)."""
+        coordinates alone (`_coords_rebuild`); a power_snowflake without
+        one is rebuilt from its generator, so an inline base is refused."""
         out = {
             "n": self.n,
             "coords": None if self.coords is None else np.asarray(self.coords).tolist(),
@@ -240,14 +243,19 @@ class QuasiMetricSpace:
         if self.table is not None and self.n <= TABLE_CAP \
                 and not self._coords_rebuild():
             out["distances"] = self.table.ravel().tolist()
+        elif _snowflake_base(self.generator) == "inline":
+            raise BadSpec("no table to write, and no generator rebuilds a "
+                          "power_snowflake of an inline base")
         return out
 
     def _coords_rebuild(self) -> bool:
         """Whether from_coords(self.coords) gives back this space: the table
         bit for bit, compared _BLOCK rows at a time, and the profile, whose
-        declared constant from_coords takes to be 1."""
+        declared constant from_coords takes to be 1. A power_snowflake's
+        coordinates are its base's."""
         if self.coords is None or self.profile is None \
-                or self.profile.tri_const != 1.0:
+                or self.profile.tri_const != 1.0 \
+                or _snowflake_base(self.generator) is not None:
             return False
         coords = np.asarray(self.coords, dtype=float)
         if coords.ndim < 2:   # as from_coords reads a flat list
@@ -260,8 +268,8 @@ class QuasiMetricSpace:
     @classmethod
     def from_json(cls, d):
         """Read a space back: a document with `distances` keeps its table and
-        profile; one without goes through from_coords, which certifies the
-        profile again."""
+        profile; one without goes through generate_space (a power_snowflake)
+        or from_coords, which certify the profile again."""
         n = int(d["n"])
         coords = None if d.get("coords") is None else np.asarray(d["coords"], dtype=float)
         if coords is not None and coords.shape[:1] != (n,):
@@ -274,6 +282,12 @@ class QuasiMetricSpace:
                               f"the document lists {dist.size}")
             table = dist.reshape(n, n)
             space = cls(n, table=table, coords=coords, generator=d.get("generator"))
+        elif _snowflake_base(d.get("generator")) is not None:
+            space = generate_space(d["generator"])
+            if space.n != n:
+                raise BadSpec(f"n = {n} but the document's generator builds "
+                              f"{space.n} points")
+            return space
         elif coords is not None:
             return cls.from_coords(coords, generator=d.get("generator"))
         else:
@@ -613,6 +627,15 @@ def _gen_snowflake(spec):
     space.profile = validate_quasi_metric(range(base.n), space.dist_row,
                                           declared_tri_const=declared)
     return space
+
+
+def _snowflake_base(gen):
+    """The innermost base of a power_snowflake descriptor (a descriptor, or
+    "inline"); None for any other generator."""
+    base = None
+    while isinstance(gen, dict) and gen.get("kind") == "power_snowflake":
+        gen = base = gen["base"]
+    return base
 
 
 def _gen_line(spec):

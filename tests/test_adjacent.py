@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from cubeforge.adjacent import (
     verify_covering,
 )
 from cubeforge import labeling, space as space_module
+from cubeforge.analysis import _instance_constants, verify_comparability
 from cubeforge.cubes import (CubeSystem, build_cube_system, close_assign,
                              verify_cube_axioms)
 from cubeforge.errors import (ConfigError, CubeforgeError, NoNearChild,
@@ -28,9 +31,9 @@ from cubeforge.labeling import (LabeledHierarchy, SelectionOutcome,
                                 build_labels, require_near, select_points,
                                 selected_order, specific_pick)
 from cubeforge.nets import build_reference_hierarchy
+from cubeforge.pipeline import write_json
 from cubeforge.random_systems import OmegaSampler
 from cubeforge.space import QuasiMetricSpace, generate_space
-from test_cubes import relist
 from test_space import block_sweep
 from test_selection import cloud_labels
 
@@ -53,13 +56,36 @@ def cloud_family(n=48, seed=11, box=1.0):
     return build_adjacent_family(build_labels(hier))
 
 
+def grouped(lists):
+    """Member lists as a (flat, start) pair."""
+    return (np.array([p for m in lists for p in m], dtype=int),
+            np.concatenate(([0], np.cumsum([len(m) for m in lists],
+                                           dtype=int))))
+
+
+def repiece(fam, where, edit):
+    """Point level j of system i + 1, for each (j, i) in `where`, to a new
+    piece of the family's table: the old piece's assign, with the member
+    lists edit(lists) of its cubes' member arrays; one new piece per old
+    one, so systems that shared a piece share its edit."""
+    new = {}
+    for j, i in where:
+        p = int(fam.piece_of[j, i])
+        if p not in new:
+            assign, (flat, start) = fam.pieces[p]
+            new[p] = len(fam.pieces)
+            lists = [flat[a:b] for a, b in zip(start.tolist(),
+                                               start[1:].tolist())]
+            fam.pieces.append((assign, grouped(edit(lists))))
+        fam.piece_of[j, i] = new[p]
+    return fam
+
+
 def corrupt(fam, keep):
     """Cut every cube below the top level down to members[keep]; assign
     stays as built, so only a check reading member lists can notice."""
-    for sys_t in fam.systems:
-        for k in sys_t.level_ks()[1:]:
-            relist(sys_t, k, [c.members[keep] for c in sys_t.cubes_at(k)])
-    return fam
+    return repiece(fam, [(j, i) for j, i in np.ndindex(fam.piece_of.shape)
+                         if j > 0], lambda lists: [m[keep] for m in lists])
 
 
 def assert_kernel_matches_scans(fam):
@@ -213,10 +239,12 @@ def test_covering_catches_a_ball_one_rank_outside_its_cube(family):
                                     if s[3].max() >= 2)
     j = int(np.argmax(ends >= 2))
     q = find_containing_cube(fam, x, float(radii[j]))
-    sys_t = fam.system(q.t)
-    lists = [c.members.tolist() for c in sys_t.cubes_at(q.k)]
-    lists[q.index].remove(int(order[ends[j] - 1]))
-    relist(sys_t, q.k, lists)
+
+    def drop(lists):
+        lists[q.index] = lists[q.index][lists[q.index] != order[ends[j] - 1]]
+        return lists
+
+    repiece(fam, [(q.k - fam.k_min, q.t - 1)], drop)
     assert find_containing_cube(fam, x, float(radii[j])) == q
     chk = verify_covering(fam).check("ball_containment")
     assert not chk.passed
@@ -381,29 +409,45 @@ def reference_sampled_systems(sampler, omega):
     return systems
 
 
+def written(doc) -> bytes:
+    """The bytes write_json writes for doc."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        write_json(str(path), doc)
+        return path.read_bytes()
+
+
 def assert_matches_reference(fam, systems):
-    want = dataclasses.replace(fam, systems=systems).to_json()
-    assert json.dumps(fam.to_json()) == json.dumps(want)
+    """fam's document writes the bytes of one whose systems are the lone
+    documents of `systems`, which share nothing."""
+    K = len(systems)
+    want = {"K": K, "C": fam.covering_const,
+            "distinguished": fam.distinguished,
+            "phi": [[*index_to_pair(t, fam.labeled.max_children), t]
+                    for t in range(1, K + 1)],
+            "systems": [s.to_json() for s in systems]}
+    assert written(fam.to_json()) == written(want)
 
 
 def assert_shares_levels(fam, systems):
-    """One parent link per distinct (level, coarse, fine) triple, one
-    (flat, start) member pair per distinct (level, cube count, assign)
-    content, and one across the family per distinct (cube count, assign),
-    whatever order the systems came in."""
-    triples, contents = set(), set()
+    """The family's table holds each level's distinct center lists and
+    distinct (parent map, tight flags) links once, and each distinct (cube
+    count, assign) content once across the family, whatever order the
+    systems came in; returns the count of distinct (level, coarse, fine)
+    triples of center lists, the links a build makes."""
+    triples, links, contents = set(), set(), set()
     for s in systems:
         z = [lv.tobytes() for lv in s.level_points]
         triples.update((j, *z[j:j + 2]) for j in range(len(z) - 1))
-        contents.update((j, len(pts), a.tobytes()) for j, (pts, a) in
-                        enumerate(zip(s.level_points, s.assign)))
-    assert len({id(m) for s in fam.systems for m in s.order.maps}) \
-        == len(triples)
-    for j in {j for j, _, _ in contents}:
-        assert len({id(s.members[j]) for s in fam.systems}) \
-            == len({c for c in contents if c[0] == j})
-    assert len({id(m) for s in fam.systems for m in s.members}) \
-        == len({c[1:] for c in contents})
+        links.update((j, m.tobytes(), t.tobytes()) for j, (m, t) in
+                     enumerate(zip(s.order.maps, s.order.tight)))
+        contents.update((len(pts), a.tobytes())
+                        for pts, a in zip(s.level_points, s.assign))
+    assert [len(c) for c in fam.centers] == [
+        len({s.level_points[j].tobytes() for s in systems})
+        for j in range(len(fam.centers))]
+    assert sum(len(maps) for maps, _ in fam.links) == len(links)
+    assert len(fam.pieces) == len(contents)
     return len(triples)
 
 
@@ -514,26 +558,27 @@ def test_level_closure_matches_each_systems_chain(data):
     sizes = sorted(data.draw(st.lists(st.integers(1, n), max_size=3))) + [n]
     finest = np.array(data.draw(st.permutations(range(n))))
     K = data.draw(st.integers(1, 6))
-    links, link_of = [], []
+    maps, link_of = [], []
     for coarse, fine in zip(sizes, sizes[1:]):
-        maps = st.lists(st.integers(0, coarse - 1), min_size=fine,
-                        max_size=fine).map(np.array)
-        links.append([(m, None) for m in data.draw(
-            st.lists(maps, min_size=1, max_size=3))])
+        rows = st.lists(st.integers(0, coarse - 1), min_size=fine,
+                        max_size=fine)
+        maps.append(np.array(data.draw(st.lists(rows, min_size=1,
+                                                max_size=3))))
         link_of.append(np.array(data.draw(st.lists(
-            st.integers(0, len(links[-1]) - 1), min_size=K, max_size=K))))
-    z = [[np.arange(size)] for size in sizes[:-1]] + [[finest]]
-    pieces, piece_of = _close_levels(n, z, links, link_of, K)
+            st.integers(0, len(maps[-1]) - 1), min_size=K, max_size=K))))
+    z = [np.arange(size)[None] for size in sizes[:-1]] + [finest[None]]
+    pieces, piece_of = _close_levels(n, z, maps, link_of, K)
     shared = {}
     for t in range(K):
-        chain = [lv[x[t]][0] for lv, x in zip(links, link_of)]
+        chain = [m[x[t]] for m, x in zip(maps, link_of)]
         for j, a in enumerate(close_assign(n, finest, chain)):
-            got, (flat, start) = pieces[j][piece_of[j][t]]
+            got, (flat, start) = pieces[piece_of[j][t]]
             assert got.tolist() == a.tolist()
             assert flat.tolist() == np.argsort(a, kind="stable").tolist()
             assert start.tolist() == [0, *np.cumsum(np.bincount(
                 a, minlength=sizes[j])).tolist()]
             assert shared.setdefault((sizes[j], a.tobytes()), got) is got
+    assert len(pieces) == len(shared)
 
 
 @pytest.mark.parametrize("cells", [1, 1 << 40])
@@ -763,3 +808,101 @@ def test_family_document_shares_equal_content(name):
     for system, sdoc in zip(fam.systems, doc["systems"]):
         back = CubeSystem.from_json(json.loads(json.dumps(sdoc)), fam.space)
         assert_same_system(back, system)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lab=cloud_labels(deltas=(DELTA,), mode="strict"),
+       kind=st.sampled_from(["fixed", "adjacent", "adjacent_refined"]),
+       seed=st.integers(0, 9))
+def test_family_document_writes_the_lone_documents_bytes(lab, kind, seed):
+    # fixed families, pinned when the hierarchy pins point 0, and drawn
+    # families: the table's shared entries write the bytes of a document of
+    # systems built one by one, which share nothing
+    if kind == "fixed":
+        pin = lab.hierarchy.distinguished
+        fam, systems = (build_adjacent_family(lab, distinguished=pin),
+                        reference_systems(lab, pin))
+    else:
+        sampler = OmegaSampler(lab, kind, seed=seed)
+        omega = sampler.draw(0)
+        fam, systems = (sampler.realize_family(omega),
+                        reference_sampled_systems(sampler, omega))
+    assert_matches_reference(fam, systems)
+
+
+def by_system(fam, rep, *names):
+    """The witnesses of the checks `names`, grouped by the system of the
+    query of their (x, r) ball."""
+    out = {}
+    for name in names:
+        for w in rep.check(name).witnesses:
+            t = find_containing_cube(fam, w[0], w[1]).t
+            out.setdefault(t, []).append((name, w))
+    return out
+
+
+def multiscale_family():
+    """A strict family on 40 integer points spread over scales 1 to
+    144**2.5: K = 15, and ball queries answer in the middle levels, which
+    hold several pieces."""
+    rng = np.random.default_rng(17)
+    coords = rng.uniform(0, 1, (40, 2)) * 144.0 ** rng.uniform(0, 2.5, (40, 1))
+    space = QuasiMetricSpace.from_coords(np.round(coords))
+    return build_adjacent_family(build_labels(build_reference_hierarchy(
+        space, DELTA, mode="strict")))
+
+
+def test_a_corrupted_piece_shows_in_the_systems_holding_it():
+    # the first ball query answered in a piece that not every system holds
+    # names a cube; the point farthest from it, in a cube of 2 points or
+    # more, moves into it, in assign and members. C = 0 makes every answered
+    # cube of positive diameter a covering witness, and C_a = C_a' = 0 every
+    # cube and ball a mass witness
+    fam = multiscale_family()
+    space = fam.space
+    mu = np.random.default_rng(3).integers(1, 6, space.n).astype(float)
+    consts = {**_instance_constants(fam, mu), "C_a": 0.0, "C_a_prime": 0.0}
+    fam.covering_const = 0.0
+
+    def witnesses():
+        masses = verify_comparability(fam, mu, [], constants=consts)
+        outer = {}
+        for w in masses.check("cube_outer_ball_mass").witnesses:
+            outer.setdefault(w[0], []).append(w)
+        return ([rep.to_json() for rep in verify_cube_axioms(fam.systems)],
+                outer, by_system(fam, masses, "ball_containing_cube_mass"),
+                by_system(fam, verify_covering(fam), "ball_containment",
+                          "diameter_bound"))
+
+    def holding(p):
+        return set(np.flatnonzero((fam.piece_of == p).any(axis=0)) + 1)
+
+    axioms, outer, contained, covered = witnesses()
+    assert all(rep["passed"] for rep in axioms)
+    p, cube = next(
+        (fam.piece(q), q.index) for x in range(space.n)
+        for r in np.unique(space.dist_rows([x])[0])[1:].tolist()
+        for q in [find_containing_cube(fam, x, r)]
+        if len(holding(fam.piece(q))) < fam.n_systems)
+    holders = holding(p)
+    assign, (flat, start) = fam.pieces[p]
+    lists = [flat[a:b].tolist() for a, b in zip(start, start[1:])]
+    x = max((y for y in range(space.n) if assign[y] != cube
+             and len(lists[assign[y]]) > 1),
+            key=lambda y: space.dist_rows([y], lists[cube]).min())
+    lists[assign[x]].remove(x)
+    lists[cube].append(x)
+    fam.pieces[p] = (np.where(np.arange(space.n) == x, cube, assign),
+                     grouped(lists))
+
+    axioms_2, outer_2, contained_2, covered_2 = witnesses()
+    assert {t for t, (a, b) in enumerate(zip(axioms, axioms_2), 1)
+            if a != b} == holders
+    assert not any(axioms_2[t - 1]["passed"] for t in holders)
+    assert {t for t in outer | outer_2
+            if outer.get(t) != outer_2.get(t)} == holders
+    # a ball's query answers in one system, so a ball shows the corruption
+    # only when it is routed to a holder
+    for before, after in ((contained, contained_2), (covered, covered_2)):
+        changed = {t for t in before | after if before.get(t) != after.get(t)}
+        assert changed and changed <= holders

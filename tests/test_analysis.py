@@ -15,6 +15,7 @@ from cubeforge.adjacent import (CubeQuery, build_adjacent_family,
                                 pair_to_index, verify_covering)
 from cubeforge.analysis import (Measure, _ball_values,
                                 _containing_cube_masses, _dyadic_values,
+                                _table_levels,
                                 _instance_constants, _iterated_violations,
                                 _max_ratio, ap_constant, bmo_norm,
                                 doubling_constant, lp_norm, maximal_function,
@@ -28,8 +29,9 @@ from cubeforge.nets import build_reference_hierarchy
 import cubeforge.space as space_module
 from cubeforge.random_systems import OmegaSampler
 from cubeforge.space import QuasiMetricSpace, ball_radii, generate_space
-from test_adjacent import cloud_family, corrupt, geoline_family
-from test_cubes import line4_order, relist
+from test_adjacent import (cloud_family, corrupt, geoline_family, grouped,
+                           repiece)
+from test_cubes import line4_order
 from test_space import block_sweep
 from test_selection import cloud_labels
 
@@ -891,9 +893,10 @@ def test_dyadic_world_matches_scans(lab, seed):
     w = np.exp(rng.normal(size=n))
     lm, lf, lw = list(mu), list(f), list(w)
     # the family sweep: one row per system, each distinct level summed once
-    rows = zip(_dyadic_values(fam.systems, mu, [f], False)[0],
-               _dyadic_values(fam.systems, mu * w, [f], False)[0],
-               _dyadic_values(fam.systems, mu, [f], True)[0])
+    levels, K = _table_levels(fam), fam.n_systems
+    rows = zip(_dyadic_values(levels, K, mu, [f], False)[0],
+               _dyadic_values(levels, K, mu * w, [f], False)[0],
+               _dyadic_values(levels, K, mu, [f], True)[0])
     for sys_t, (row, row_w, row_sharp) in zip(fam.systems, rows):
         lists = member_lists(sys_t)
         plain = bruteforce.dyadic_maximal_scan(lists, lm, lf)
@@ -1128,11 +1131,8 @@ def test_weighted_bounds_sum_each_distinct_level_once(monkeypatch):
 
 def drop_first_members(fam):
     """Every cube of two or more points loses its first member."""
-    for sys_t in fam.systems:
-        for k in sys_t.level_ks():
-            lists = [c.members for c in sys_t.cubes_at(k)]
-            relist(sys_t, k, [m[1:] if m.size > 1 else m for m in lists])
-    return fam
+    return repiece(fam, np.ndindex(fam.piece_of.shape),
+                   lambda lists: [m[1:] if m.size > 1 else m for m in lists])
 
 
 @pytest.mark.parametrize("corrupted", [False, True])
@@ -1210,15 +1210,17 @@ def test_ball_mass_witnesses_match_scan_on_corrupted_family():
 
 
 def test_comparability_refuses_an_empty_cube():
-    # system 1 loses cube 40 of level 1 to cube 41: the outer-ball ratio of
-    # the empty cube used to divide by its zero mass (ZeroDivisionError)
+    # system 1 loses cube 40 of level 1 to cube 41, in a piece of its own:
+    # the outer-ball ratio of the empty cube used to divide by its zero mass
+    # (ZeroDivisionError)
     space, mu = grid64()
     fam = line_family(space)
-    doc = fam.system(1).to_json()
-    cubes = doc["levels"][2]["cubes"]
-    cubes[41]["members"] = cubes[40]["members"] + cubes[41]["members"]
-    cubes[40]["members"] = []
-    fam.systems[0] = CubeSystem.from_json(doc, space)
+    j = 1 - fam.k_min
+    assign, (flat, start) = fam.pieces[fam.piece_of[j, 0]]
+    lists = [flat[a:b].tolist() for a, b in zip(start, start[1:])]
+    lists[41], lists[40] = lists[40] + lists[41], []
+    fam.pieces.append((np.where(assign == 40, 41, assign), grouped(lists)))
+    fam.piece_of[j, 0] = len(fam.pieces) - 1
     for call in (lambda: verify_comparability(fam, mu, [np.ones(64)]),
                  lambda: verify_weighted_bounds(fam, mu, np.ones(64),
                                                 np.ones(64), 2.0)):

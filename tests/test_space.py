@@ -279,6 +279,33 @@ def test_row_oracle_json_is_unchanged(monkeypatch):
                for i in range(40))
 
 
+def test_row_oracle_snowflake_json_rebuilds_from_its_generator(monkeypatch):
+    # above TABLE_CAP the snowflake's document holds its base's coordinates
+    # and no distances, so from_json rebuilds it from its generator; an
+    # inline base, which no descriptor rebuilds, is refused at write time
+    monkeypatch.setattr(space_module, "TABLE_CAP", 16)
+    monkeypatch.setattr(space_module, "validate_quasi_metric", functools.partial(
+        space_module.validate_quasi_metric, exhaustive_cap=16))
+    spec = {"kind": "power_snowflake", "exponent": 0.5,
+            "base": {"kind": "euclidean_cloud", "n": 40, "dim": 2,
+                     "box": 20.0, "seed": 8}}
+    space = generate_space(spec)
+    doc = json.loads(json.dumps(space.to_json()))
+    assert space.table is None and "distances" not in doc
+    back = QuasiMetricSpace.from_json(doc)
+    assert back.table is None and back.generator == space.generator
+    assert back.profile == space.profile
+    assert all(back.dist_row(i).tobytes() == space.dist_row(i).tobytes()
+               for i in range(40))
+    with pytest.raises(BadSpec, match="n = 41 but the document's generator"):
+        QuasiMetricSpace.from_json(dict(doc, n=41, coords=None))
+    inline = generate_space(dict(spec, base=QuasiMetricSpace.from_coords(
+        space.coords)))
+    assert inline.generator["base"] == "inline"
+    with pytest.raises(BadSpec, match="no table to write"):
+        inline.to_json()
+
+
 @pytest.mark.parametrize("edit, match", [
     ({"n": 7}, r"^n = 7 but the document's coordinates have shape \(5, 2\)"),
     ({"distances": [0.0] * 24}, r"^n = 5 needs 25 distances, the document "

@@ -95,6 +95,29 @@ def test_verifiers_never_key_on_object_identity():
     assert calls == []
 
 
+def test_content_keys_stay_in_two_places():
+    # the family's level table holds what its systems share, so its readers
+    # index the table; keying on array bytes is left to the builder's
+    # closure and to the cube-axiom checker, which takes any list of
+    # systems. Comparing two arrays' bytes for equality is no key
+    sites = set()
+    for path in sorted(Path(cubeforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [node for top in tree.body for node in
+                ([top] if not isinstance(top, ast.ClassDef) else top.body)
+                if isinstance(node, ast.FunctionDef)]
+        for fn in defs:
+            parent = {child: node for node in ast.walk(fn)
+                      for child in ast.iter_child_nodes(node)}
+            if any(isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) == "tobytes"
+                   and not isinstance(parent[node], ast.Compare)
+                   for node in ast.walk(fn)):
+                sites.add((path.name, fn.name))
+    assert sites == {("cubes.py", "close_level"),
+                     ("cubes.py", "verify_cube_axioms")}
+
+
 def test_one_function_constructs_adjacent_families():
     # every family, fixed, pinned or drawn, comes from the one builder
     builders = []
