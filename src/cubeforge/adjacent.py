@@ -5,16 +5,15 @@ There is one system per pair label (l, m) with l in {0..L} and m in
 t = l*M + m. System t realizes the specific selection rule for (l, m) (or its
 pinned variant when a distinguished point is set); a random adjacent draw
 shifts that label level by level, and the fixed family is the draw with no
-shift. The systems differ at few levels, so the family is one level table:
-per level, the distinct center lists and (parent map, tight flags) links;
-family wide, the distinct (assign, members) pieces; and per level, each
-system's index into each. Readers index the table; `family.system(t)` is a
-view over its arrays, none of which is written in place. The builder fills
+shift. The systems differ at few levels, so the family is one level table
+(`cubes.LevelTable`, which AdjacentFamily extends with the labels, the
+covering constant, the pinned point and the draw's shifts). Readers index
+the table; `family.system(t)` is a view over its arrays. The builder fills
 it a level at a time: the distinct rows of one pick matrix of all K labels
 per parent level are its center lists, each distinct (level, coarse, fine)
 triple of them is linked once, in batches along the partial order's leading
-sample axis, and each level is closed once per distinct (parent map, finer
-piece) pair, whatever its centers.
+sample axis, and `cubes.close_table` closes each level once per distinct
+(link, finer piece) pair, whatever its centers.
 
 find_containing_cubes answers "which system holds a single cube containing
 this ball" for a block of centers and a radius matrix at once, such as a
@@ -38,8 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import _TOL
-from .cubes import (CubeSystem, ParentMaps, _edge_gaps, _level_json,
-                    _parent_json, _system_json, close_assign, close_level)
+from .cubes import LevelTable, _edge_gaps, close_table
 from .errors import ConfigError, CubeforgeError, require_id
 from .labeling import (LabeledHierarchy, index_to_pair, pair_to_index,
                        require_near, selected_order, specific_pick)
@@ -61,48 +59,18 @@ class CubeQuery:
 
 
 @dataclass
-class AdjacentFamily:
-    """The K systems as one level table (see the module docstring). Level j,
-    that is k_min + j, has its distinct center lists as the rows of
-    centers[j] and, above the finest level, its distinct links from level
-    j + 1 as the rows of links[j] = (maps, tight); pieces holds the distinct
-    (assign, (flat, start)) levels of the whole family. On level j system t
-    holds row center_of[j, t - 1] of centers[j], row link_of[j, t - 1] of
-    links[j] and piece piece_of[j, t - 1]."""
+class AdjacentFamily(LevelTable):
+    """The K systems as one level table (`cubes.LevelTable`; see the module
+    docstring), with the labels they select by and the shifts of their
+    draw."""
 
     labeled: LabeledHierarchy
-    centers: list
-    links: list
-    pieces: list
-    center_of: np.ndarray
-    link_of: np.ndarray
-    piece_of: np.ndarray
     covering_const: float = 0.0                  # C
     distinguished: Optional[int] = None
     # randomized families record their per-level draw so queries can route
     # to the system whose shifted label realizes a given fine point
     level_shifts: Optional[dict] = None          # k -> shift in 1..K
     ordinal_shifts: Optional[dict] = None        # k -> 1-based array per index
-
-    @property
-    def space(self):
-        return self.labeled.space
-
-    @property
-    def k_min(self):
-        return self.labeled.k_min
-
-    @property
-    def k_max(self):
-        return self.labeled.k_max
-
-    @property
-    def delta(self):
-        return self.labeled.hierarchy.delta
-
-    @property
-    def n_systems(self) -> int:   # K
-        return self.labeled.n_systems
 
     @property
     def coarsening(self) -> int:
@@ -131,28 +99,6 @@ class AdjacentFamily:
             t = (t - int(self.level_shifts[k]) - 1) % self.n_systems + 1
         return t
 
-    def system(self, t: int) -> CubeSystem:
-        """System t, a view over the table's arrays in lists of its own."""
-        i = require_id("system index", t, 1, self.n_systems) - 1
-        lab, consts = self.labeled, self.labeled.selected_constants
-        mode = lab.hierarchy.mode
-        links = list(zip(self.links, self.link_of[:, i].tolist()))
-        pieces = [self.pieces[p] for p in self.piece_of[:, i].tolist()]
-        return CubeSystem(
-            space=lab.space, k_min=lab.k_min, k_max=lab.k_max,
-            constants=consts, mode=mode,
-            level_points=[c[x] for c, x in zip(self.centers,
-                                               self.center_of[:, i].tolist())],
-            order=ParentMaps(k_top=lab.k_min, constants=consts, mode=mode,
-                             maps=[maps[x] for (maps, _), x in links],
-                             tight=[tight[x] for (_, tight), x in links]),
-            members=[m for _, m in pieces], assign=[a for a, _ in pieces])
-
-    @property
-    def systems(self) -> tuple:
-        """Every system's view, t = 1..K."""
-        return tuple(map(self.system, range(1, self.n_systems + 1)))
-
     def piece(self, q: CubeQuery) -> int:
         """Position in `pieces` of the level holding q's cube."""
         return int(self.piece_of[
@@ -165,29 +111,15 @@ class AdjacentFamily:
         return flat[start[index]:start[index + 1]]
 
     def to_json(self):
-        """The family as a JSON document: one level entry per (level, center
-        list, piece) and one parent entry per link, each shared by the
-        systems that index it, so the document is read-only."""
-        lab, ks = self.labeled, range(self.k_min, self.k_max + 1)
-        parents = [[_parent_json(k, *link) for link in zip(*lv)]
-                   for k, lv in zip(ks, self.links)]
-        levels = [{(c, p): _level_json(k, z[c], self.pieces[p][1])
-                   for c, p in set(zip(cs.tolist(), ps.tolist()))}
-                  for k, z, cs, ps in zip(ks, self.centers, self.center_of,
-                                          self.piece_of)]
+        """The family as a JSON document around its systems' documents
+        (`LevelTable.documents`)."""
         return {
             "K": self.n_systems,
             "C": self.covering_const,
             "distinguished": self.distinguished,
-            "phi": [[*index_to_pair(t, lab.max_children), t]
+            "phi": [[*index_to_pair(t, self.labeled.max_children), t]
                     for t in range(1, self.n_systems + 1)],
-            "systems": [_system_json(
-                lab.selected_constants, lab.hierarchy.mode, self.k_min,
-                self.k_max, [lv[key] for lv, key in zip(levels, zip(cs, ps))],
-                [lv[x] for lv, x in zip(parents, ls)])
-                for cs, ps, ls in zip(self.center_of.T.tolist(),
-                                      self.piece_of.T.tolist(),
-                                      self.link_of.T.tolist())],
+            "systems": self.documents(),
         }
 
 
@@ -234,13 +166,16 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
         require_near(labeled, *unpicked[ok])
     links, link_of = zip(*map(_distinct_links, links, link_of)) \
         if links else ((), ())
-    pieces, piece_of = _close_levels(labeled.space.n, centers,
-                                     [maps for maps, _ in links], link_of, K)
+    link_of = np.array(link_of, dtype=int).reshape(len(links), K)
+    pieces, piece_of = close_table(labeled.space.n, centers,
+                                   [maps for maps, _ in links], link_of)
     family = AdjacentFamily(
-        labeled=labeled, centers=centers, links=list(links), pieces=pieces,
-        center_of=np.array(center_of), piece_of=np.array(piece_of),
-        link_of=np.array(link_of, dtype=int).reshape(len(links), K),
-        distinguished=pinned, level_shifts=shifts, ordinal_shifts=ordinals)
+        space=labeled.space, k_min=labeled.k_min, k_max=labeled.k_max,
+        constants=labeled.selected_constants, mode=labeled.hierarchy.mode,
+        centers=centers, links=list(links), pieces=pieces,
+        center_of=np.array(center_of), link_of=link_of, piece_of=piece_of,
+        labeled=labeled, distinguished=pinned, level_shifts=shifts,
+        ordinal_shifts=ordinals)
     family.covering_const = labeled.selected_constants.covering_const(
         family.coarsening)
     return family
@@ -310,27 +245,6 @@ def _distinct_links(level: list, of: np.ndarray):
     rows, inverse = _distinct_rows(np.array([2 * maps + tight
                                              for maps, tight in level]))
     return (rows >> 1, (rows & 1).astype(bool)), inverse[of]
-
-
-def _close_levels(n: int, z: list, maps: list, link_of: list, K: int):
-    """(pieces, piece_of): the distinct (assign, members) pieces of the
-    family, and piece_of[j][t - 1], system t's at level j, t = 1..K, where
-    maps[j] holds level j's distinct parent maps a row each and
-    link_of[j][t - 1] is system t's. Finest first, each level is closed
-    once per distinct (parent map, finer piece) pair (see `close_level`)."""
-    closed, pieces, finest = {}, [], z[-1][0]
-    piece_of = [np.full(K, close_level(closed, pieces, finest.size,
-                                       close_assign(n, finest, [])[0]))]
-    for j in range(len(z) - 2, -1, -1):
-        distinct, map_of = _distinct_rows(maps[j])
-        finer = len(pieces)
-        keys, inverse = np.unique(map_of[link_of[j]] * finer
-                                  + piece_of[0], return_inverse=True)
-        made = [close_level(closed, pieces, z[j].shape[1],
-                            distinct[a][pieces[b][0]])
-                for a, b in zip(*map(np.ndarray.tolist, divmod(keys, finer)))]
-        piece_of.insert(0, np.array(made, dtype=int)[inverse])
-    return pieces, piece_of
 
 
 def _distinct_rows(rows: np.ndarray):

@@ -7,12 +7,13 @@ The ball world reads them from QuasiMetricSpace.ball_blocks, a block of
 centers at a time: ball masses and averages are prefix sums over every rank
 of a block, a ball's value is read at its last rank only, and a point's
 supremum is a reverse running max over the ranks, gathered back to point
-order. The dyadic operators sweep each piece of a family's level table
-once, or each level of a lone system; both maximal kernels answer a list of
-functions from that one sweep. The verify_* functions check the
-constant-carrying inequalities between the two worlds; the containing-cube
-masses ask one ball-in-cube query per block of centers
-(adjacent.find_containing_cubes) and sum each distinct answered cube once.
+order. The dyadic operators sweep each piece of a level table once
+(`LevelTable.held_pieces`): a family's, or a lone system's one column;
+both maximal kernels answer a list of functions from that one sweep. The
+verify_* functions check the constant-carrying inequalities between the
+two worlds; the containing-cube masses ask one ball-in-cube query per block
+of centers (adjacent.find_containing_cubes) and sum each distinct answered
+cube once.
 """
 from __future__ import annotations
 
@@ -176,27 +177,11 @@ def _ball_sums(space, columns):
         yield order, last, np.cumsum(columns[:, order], axis=-1)
 
 
-def _table_levels(family: AdjacentFamily) -> list:
-    """(k, idx, size, held) per piece the family's systems hold: its assign
-    array idx and cube count size, the first level k holding it, and the
-    indices t - 1 of the systems holding it."""
-    held = [family.piece_of == p for p in range(len(family.pieces))]
-    return [(family.k_min + int(np.argmax(at.any(axis=1))), idx,
-             start.size - 1, np.flatnonzero(at.any(axis=0)))
-            for (idx, (_, start)), at in zip(family.pieces, held) if at.any()]
-
-
-def _own_levels(system: CubeSystem) -> list:
-    """A lone system's levels in the form of _table_levels."""
-    return [(k, idx, pts.size, [0]) for k, pts, idx in
-            zip(system.level_ks(), system.level_points, system.assign)]
-
-
 def _cube_sums(levels, columns):
-    """Per (k, idx, size, held) of `levels` (see _table_levels), (idx, held,
-    sums): sums[i][q] sums columns[i] over cube q. columns[0] must be a
-    positive mass: a point in no cube (assign -1) or a cube with no point,
-    both loadable by from_json, raises PreconditionFail."""
+    """Per (k, idx, size, held) of `levels` (`LevelTable.held_pieces`),
+    (idx, held, sums): sums[i][q] sums columns[i] over cube q. columns[0]
+    must be a positive mass: a point in no cube (assign -1) or a cube with
+    no point, both loadable by from_json, raises PreconditionFail."""
     for k, idx, size, held in levels:
         bad = np.flatnonzero(idx < 0)
         if bad.size:
@@ -292,7 +277,7 @@ def maximal_function(space: QuasiMetricSpace, mu, f, variant: str = "ball",
     if variant in ("dyadic", "dyadic_sharp"):
         if system is None:
             raise ConfigError("dyadic variants need a cube system")
-        return _dyadic_values(_own_levels(system), 1, base, [f],
+        return _dyadic_values(system.column().held_pieces(), 1, base, [f],
                               variant == "dyadic_sharp")[0, 0]
     return _ball_values(space, base, [f], variant == "sharp")[0]
 
@@ -311,8 +296,8 @@ def ap_constant(space: QuasiMetricSpace, mu, omega, p: float,
     omega = _positive(omega, space.n, "omega")
     if variant == "dyadic" and system is None:
         raise ConfigError("dyadic variants need a cube system")
-    return _ap_values(space, w, omega, p,
-                      _own_levels(system) if variant == "dyadic" else None)[0]
+    return _ap_values(space, w, omega, p, system.column().held_pieces()
+                      if variant == "dyadic" else None)[0]
 
 
 def _ap_values(space, w, omega, p: float, levels=None, K: int = 1) -> list:
@@ -449,7 +434,7 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     # against the sum over systems
     for sharp, prefix, scale in ((False, "", 1.0), (True, "sharp_", 2.0)):
         m_ball = _ball_values(space, w, funcs, sharp)
-        m_dy = _dyadic_values(_table_levels(family), family.n_systems, w,
+        m_dy = _dyadic_values(family.held_pieces(), family.n_systems, w,
                               funcs, sharp)
         for name, const, ratio in (
                 ("dyadic_le_ball", c_a, _max_ratio(m_dy, m_ball[:, None])),
@@ -522,7 +507,7 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
     c_a, c_ap = info["C_a"], info["C_a_prime"]
     osc_ball = bmo_norm(space, w, f, "ball")
     bound_a = p_conj * norm_f
-    levels, K = _table_levels(family), family.n_systems
+    levels, K = family.held_pieces(), family.n_systems
     m_w = _dyadic_values(levels, K, w * omega, [f], False)[0]
     m_d = _dyadic_values(levels, K, w, [f], False)[0]
     osc_dy = _dyadic_values(levels, K, w, [f], True)[0].max(1).tolist()

@@ -4,21 +4,25 @@ Construction runs in two stages. build_partial_order links every center on
 level k+1 to a parent on level k: a uniquely-close parent when one exists
 within sep_const * ratio**k / (2 * tri_const) (a "tight" link; two such
 candidates would contradict level separation and raise), otherwise the
-first-listed center within cover_const * ratio**k. build_cube_system then
-closes the order downward: the cube of a center is the set of finest-level
-points whose parent chain passes through it, which partitions the space at
-every level by construction.
+first-listed center within cover_const * ratio**k. close_table then closes
+the order downward: the cube of a center is the set of finest-level points
+whose parent chain passes through it, which partitions the space at every
+level by construction.
 
-A system holds each level as arrays only: its centers level_points[j], its
-point -> cube map assign[j] and its members[j] = (flat, start), the point
-ids grouped by cube with the group starts and a final end, so cube i is
-flat[start[i]:start[i + 1]] around the center level_points[j][i]. Cube
-values are built on demand by cube() and cubes_at(). `close_level` keeps
-each distinct level content, its cube count and assign array, once per
-table of pieces (the family builder keeps one per family,
-build_cube_system one per system): levels that partition the space alike
-share their assign and member arrays even when their centers differ. So no
-array of a system is written in place.
+Every system is a column of a LevelTable: per level, the distinct center
+lists and (parent map, tight flags) links of its systems; table wide, the
+distinct (assign, members) pieces; and per level, each system's index into
+each. A piece holds a level's point -> cube map assign and its members =
+(flat, start), the point ids grouped by cube with the group starts and a
+final end, so cube i is flat[start[i]:start[i + 1]]. close_table makes each
+distinct (cube count, assign) content one piece (`close_level`), so levels
+that partition the space alike share their arrays even when their centers
+differ, and no array of a table is written in place. A CubeSystem holds
+one system's level arrays in lists of its own: a table's view
+`system(t)`, or the one column that build_cube_system closes. It is
+written and swept as a one-column table over those arrays
+(`CubeSystem.column`). Cube values are built on demand by cube() and
+cubes_at().
 
 The checker re-derives each system's promised geometry from its realized
 member sets: partition, nesting, the inner/outer ball sandwich with the
@@ -37,7 +41,6 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -92,17 +95,19 @@ class Cube:
 
 @dataclass
 class CubeSystem:
+    """One system's levels in lists of its own (see the module docstring):
+    level k_min + j has the centers level_points[j], the point -> cube map
+    assign[j] and the members[j] = (flat, start) of its cubes."""
+
     space: QuasiMetricSpace
     k_min: int
     k_max: int
     constants: SystemConstants
     mode: str
-    level_points: list = field(default_factory=list)  # arrays of center ids
-    order: Optional[ParentMaps] = None
-    # members[j] = (flat, start): cube i of level k_min + j has the members
-    # flat[start[i]:start[i + 1]] and the center level_points[j][i]
-    members: list = field(default_factory=list)
-    assign: list = field(default_factory=list)        # arrays point -> cube index
+    level_points: list
+    order: ParentMaps
+    members: list
+    assign: list
 
     @property
     def delta(self) -> float:
@@ -132,16 +137,24 @@ class CubeSystem:
         return int(self.assign[j][require_id("point", point, 0,
                                              self.space.n, ")")])
 
+    def column(self) -> LevelTable:
+        """The system as a one-column table over its own arrays, one piece
+        per level."""
+        levels, links = len(self.level_points), len(self.order.maps)
+        return LevelTable(
+            space=self.space, k_min=self.k_min, k_max=self.k_max,
+            constants=self.constants, mode=self.mode,
+            centers=[pts[None] for pts in self.level_points],
+            links=[(m[None], t[None]) for m, t in zip(self.order.maps,
+                                                      self.order.tight)],
+            pieces=list(zip(self.assign, self.members)),
+            center_of=np.zeros((levels, 1), dtype=int),
+            link_of=np.zeros((links, 1), dtype=int),
+            piece_of=np.arange(levels)[:, None])
+
     def to_json(self):
-        """The system as a JSON document (`_system_json`)."""
-        ks = self.level_ks()
-        return _system_json(
-            self.constants, self.mode, self.k_min, self.k_max,
-            [_level_json(k, pts, m) for k, pts, m in zip(ks, self.level_points,
-                                                          self.members)],
-            [] if self.order is None else [
-                _parent_json(k, m, t)
-                for k, m, t in zip(ks, self.order.maps, self.order.tight)])
+        """The system as a JSON document (`LevelTable.documents`)."""
+        return self.column().documents()[0]
 
     @classmethod
     def from_json(cls, d, space):
@@ -154,9 +167,7 @@ class CubeSystem:
         consts = SystemConstants(require_delta(d["delta"]),
                                  space.profile.tri_const, c0, C0)
         k_min, k_max = int(d["k_min"]), int(d["k_max"])
-        order = ParentMaps(k_top=k_min, constants=consts, mode=d["mode"],
-                           maps=[np.asarray(p["map"], dtype=int) for p in d["parents"]],
-                           tight=[np.asarray(p["tight"], dtype=bool) for p in d["parents"]])
+        _require_levels(len(d["levels"]), k_min, k_max)
         level_points, members, assign = [], [], []
         for k, lv in enumerate((lv["cubes"] for lv in d["levels"]), k_min):
             size = np.array([len(c["members"]) for c in lv], dtype=int)
@@ -170,16 +181,107 @@ class CubeSystem:
             level_points.append(pts)
             members.append((flat, np.concatenate(([0], np.cumsum(size)))))
             assign.append(a)
+        if len(d["parents"]) != len(level_points) - 1:
+            raise ConfigError(
+                f"level {k_min + min(len(d['parents']), k_max - k_min) + 1}: "
+                f"{len(d['parents'])} parent entries for "
+                f"{len(level_points)} levels")
+        order = ParentMaps(k_top=k_min, constants=consts, mode=d["mode"])
+        for k, p, coarse, fine in zip(itertools.count(k_min), d["parents"],
+                                      level_points, level_points[1:]):
+            for name in ("map", "tight"):
+                if len(p[name]) != fine.size:
+                    raise ConfigError(
+                        f"level {k + 1}, cube {min(len(p[name]), fine.size)}:"
+                        f" {name} lists {len(p[name])} entries for "
+                        f"{fine.size} cubes")
+            order.maps.append(_point_ids(p["map"], coarse.size, k + 1,
+                                         np.arange(fine.size), "parent"))
+            order.tight.append(np.asarray(p["tight"], dtype=bool))
         return cls(space=space, k_min=k_min, k_max=k_max, constants=consts,
                    mode=d["mode"], level_points=level_points, order=order,
                    members=members, assign=assign)
 
 
-def _system_json(constants, mode, k_min, k_max, levels, parents) -> dict:
-    """A system's document around its level and parent entries."""
-    return {"delta": constants.delta, "mode": mode, "k_min": k_min,
-            "k_max": k_max, "constants": constants.to_json(),
-            "levels": levels, "parents": parents}
+@dataclass
+class LevelTable:
+    """K cube systems of one space as one level table (see the module
+    docstring). Level j, that is k_min + j, has its distinct center lists
+    as the rows of centers[j] and, above the finest level, its distinct
+    links from level j + 1 as the rows of links[j] = (maps, tight); pieces
+    holds the distinct (assign, (flat, start)) levels of the table. On
+    level j system t holds row center_of[j, t - 1] of centers[j], row
+    link_of[j, t - 1] of links[j] and piece piece_of[j, t - 1]."""
+
+    space: QuasiMetricSpace
+    k_min: int
+    k_max: int
+    constants: SystemConstants
+    mode: str
+    centers: list
+    links: list
+    pieces: list
+    center_of: np.ndarray
+    link_of: np.ndarray
+    piece_of: np.ndarray
+
+    @property
+    def delta(self) -> float:
+        return self.constants.delta
+
+    @property
+    def n_systems(self) -> int:   # K
+        return self.center_of.shape[1]
+
+    def system(self, t: int) -> CubeSystem:
+        """System t, a view over the table's arrays in lists of its own."""
+        i = require_id("system index", t, 1, self.n_systems) - 1
+        links = list(zip(self.links, self.link_of[:, i].tolist()))
+        pieces = [self.pieces[p] for p in self.piece_of[:, i].tolist()]
+        return CubeSystem(
+            space=self.space, k_min=self.k_min, k_max=self.k_max,
+            constants=self.constants, mode=self.mode,
+            level_points=[c[x] for c, x in zip(self.centers,
+                                               self.center_of[:, i].tolist())],
+            order=ParentMaps(k_top=self.k_min, constants=self.constants,
+                             mode=self.mode,
+                             maps=[maps[x] for (maps, _), x in links],
+                             tight=[tight[x] for (_, tight), x in links]),
+            members=[m for _, m in pieces], assign=[a for a, _ in pieces])
+
+    @property
+    def systems(self) -> tuple:
+        """Every system's view, t = 1..K."""
+        return tuple(map(self.system, range(1, self.n_systems + 1)))
+
+    def held_pieces(self) -> list:
+        """(k, assign, cube count, holders) per piece some system holds: the
+        first level k holding it and the indices t - 1 of its holders."""
+        held = [self.piece_of == p for p in range(len(self.pieces))]
+        return [(self.k_min + int(np.argmax(at.any(axis=1))), idx,
+                 start.size - 1, np.flatnonzero(at.any(axis=0)))
+                for (idx, (_, start)), at in zip(self.pieces, held)
+                if at.any()]
+
+    def documents(self) -> list:
+        """Each system's JSON document, t = 1..K: one level entry per
+        (level, center list, piece) and one parent entry per link, each
+        shared by the documents that index it, so they are read-only."""
+        ks = range(self.k_min, self.k_max + 1)
+        parents = [[_parent_json(k, *link) for link in zip(*lv)]
+                   for k, lv in zip(ks, self.links)]
+        levels = [{(c, p): _level_json(k, z[c], self.pieces[p][1])
+                   for c, p in set(zip(cs.tolist(), ps.tolist()))}
+                  for k, z, cs, ps in zip(ks, self.centers, self.center_of,
+                                          self.piece_of)]
+        head = {"delta": self.delta, "mode": self.mode, "k_min": self.k_min,
+                "k_max": self.k_max, "constants": self.constants.to_json()}
+        return [{**head,
+                 "levels": [lv[key] for lv, key in zip(levels, zip(cs, ps))],
+                 "parents": [lv[x] for lv, x in zip(parents, ls)]}
+                for cs, ps, ls in zip(self.center_of.T.tolist(),
+                                      self.piece_of.T.tolist(),
+                                      self.link_of.T.tolist())]
 
 
 def _level_json(k: int, centers, members) -> dict:
@@ -193,6 +295,15 @@ def _level_json(k: int, centers, members) -> dict:
 def _parent_json(k: int, parents, tight) -> dict:
     """The entry of the parent links from level k + 1 to level k."""
     return {"k": k, "map": parents.tolist(), "tight": tight.tolist()}
+
+
+def _require_levels(count: int, k_min: int, k_max: int) -> None:
+    """ConfigError naming the first missing or extra level unless `count`
+    levels are listed for k_min..k_max."""
+    if count != k_max - k_min + 1:
+        raise ConfigError(
+            f"level {k_min + min(count, max(k_max - k_min + 1, 0))}: "
+            f"{count} levels listed for k = {k_min}..{k_max}")
 
 
 def _point_ids(ids, n: int, k: int, owner, what: str) -> np.ndarray:
@@ -290,25 +401,49 @@ def _distinct(ids, n: int):
 
 def build_cube_system(space: QuasiMetricSpace, level_points,
                       order: ParentMaps) -> CubeSystem:
-    """Close the parent order downward into per-level partitions.
+    """Close the parent order downward into per-level partitions: the one
+    column of a level table (`close_table`).
 
     The finest level list must contain every point of the space (it seeds the
     member closure); coarser members are unions of their children's members.
-    Levels with equal content share their arrays (`close_level`).
     """
     centers = [np.asarray(lv, dtype=int) for lv in level_points]
-    n_levels = len(centers)
     if not np.array_equal(np.sort(centers[-1]), np.arange(space.n)):
         raise PreconditionFail(
             "finest level must enumerate every point of the space")
-    closed, pieces = {}, []
-    levels = [pieces[close_level(closed, pieces, pts.size, a)] for pts, a in zip(
-        centers, close_assign(space.n, centers[-1], order.maps[:n_levels - 1]))]
-    assign, members = [a for a, _ in levels], [m for _, m in levels]
+    maps = [m[None] for m in order.maps[:len(centers) - 1]]
+    pieces, piece_of = close_table(space.n, [c[None] for c in centers], maps,
+                                   np.zeros((len(maps), 1), dtype=int))
+    levels = [pieces[p] for p in piece_of[:, 0]]
     return CubeSystem(space=space, k_min=order.k_top,
-                      k_max=order.k_top + n_levels - 1, constants=order.constants,
-                      mode=order.mode, level_points=centers, order=order,
-                      members=members, assign=assign)
+                      k_max=order.k_top + len(centers) - 1,
+                      constants=order.constants, mode=order.mode,
+                      level_points=centers, order=order,
+                      members=[m for _, m in levels],
+                      assign=[a for a, _ in levels])
+
+
+def close_table(n: int, centers: list, maps: list, link_of) -> tuple:
+    """(pieces, piece_of) of a level table (see `LevelTable`): its distinct
+    (assign, members) pieces and each system's piece per level,
+    piece_of[j, t - 1], from its center lists (the finest level one list of
+    every point), its parent maps maps[j] from level j + 1, a row per link,
+    and its (levels - 1, K) link_of. Finest first, each level is closed once
+    per distinct (link, finer piece) pair its systems hold (`close_level`).
+    """
+    closed, pieces, finest = {}, [], centers[-1][0]
+    a = np.empty(n, dtype=int)
+    a[finest] = np.arange(finest.size)
+    piece_of = [[close_level(closed, pieces, finest.size, a)]
+                * link_of.shape[1]]
+    for j in range(len(centers) - 2, -1, -1):
+        pairs = list(zip(link_of[j].tolist(), piece_of[0]))
+        made = dict.fromkeys(pairs)
+        for x, p in made:
+            made[x, p] = close_level(closed, pieces, centers[j].shape[1],
+                                     maps[j][x][pieces[p][0]])
+        piece_of.insert(0, [made[pair] for pair in pairs])
+    return pieces, np.array(piece_of)
 
 
 def close_level(closed: dict, pieces: list, size: int, a: np.ndarray) -> int:
@@ -325,29 +460,6 @@ def close_level(closed: dict, pieces: list, size: int, a: np.ndarray) -> int:
         pieces.append((a, (np.argsort(a, kind="stable"),
                            np.concatenate(([0], np.cumsum(sizes))))))
     return closed[key]
-
-
-def close_assign(n: int, finest, maps) -> list:
-    """Point -> cube index on every level of a parent order, coarsest first.
-
-    The finest list (of all n points) indexes the finest level; each coarser
-    level composes the parent map below it, maps[j][assign[j + 1]]. With a
-    leading sample axis (see `build_partial_order`), a (B, n) finest list
-    and (B, m) maps give one assignment per sample, (B, n).
-    """
-    assign = [None] * (len(maps) + 1)
-    if np.ndim(finest) == 1:
-        assign[-1] = np.empty(n, dtype=int)
-        assign[-1][finest] = np.arange(len(finest))
-        for j in range(len(maps) - 1, -1, -1):
-            assign[j] = maps[j][assign[j + 1]]
-        return assign
-    b, m = np.shape(finest)
-    assign[-1] = np.empty((b, n), dtype=int)
-    np.put_along_axis(assign[-1], np.asarray(finest), np.arange(m), axis=-1)
-    for j in range(len(maps) - 1, -1, -1):
-        assign[j] = np.take_along_axis(maps[j], assign[j + 1], axis=-1)
-    return assign
 
 
 _AXIOMS = (  # the report contract: check names in report order, with notes
@@ -471,6 +583,7 @@ def verify_cube_axioms(systems) -> list:
                 rows[t] = got
         return got
 
+    unions = {}   # group -> its partner's ball union, until its last call
     for r, groups in enumerate(jobs):
         by_size = {}   # own list length -> group -> its own lists
         for group, (_, own) in groups.items():
@@ -497,11 +610,13 @@ def verify_cube_axioms(systems) -> list:
                     if idx:
                         args, boxes = groups[group]
                         own = [toks[i] for i in idx]
-                        found = _run_group(group, args,
-                                           block[np.subtract(idx, b0)], own,
-                                           rows, lists, once)
+                        found = _run_group(group, args, block if len(
+                            idx) == len(chunk) else block[np.subtract(
+                                idx, b0)], own, rows, lists, unions)
                         for t, f in zip(own, found):
                             boxes[t][0] = f
+                        if idx[-1] == span[-1]:
+                            unions.pop(group, None)
         for t in [t for t in rows if last[t] == r]:
             del rows[t]
 
@@ -530,19 +645,21 @@ def _ancestors(maps, size) -> np.ndarray:
     return anc
 
 
-def _run_group(group, args, stack, own, rows, lists, once) -> list:
+def _run_group(group, args, stack, own, rows, lists, unions) -> list:
     """One kernel call for a group's center lists `own`, whose distance rows
-    are stacked in `stack`: a witness tuple per list."""
+    are stacked in `stack`: a witness tuple per list. `unions` keeps the
+    ball union of a group whose partner is the fine list, for its later
+    calls."""
     if group[0] == "sandwich":
         return _sandwich(stack, *args)
     k, fine, c, anc = args
     coarse, other = group[-2:]
-    if coarse:   # the fine list is the group's own: its ball union is shared
+    if coarse:   # the partner is the fine list: one union serves the group
         fine_rows, fine_pts = rows[other][None], lists[other][None]
-        union = once(("union", *group[2:]), _ball_union, fine, c, fine_rows,
-                     anc)
+        if group not in unions:
+            unions[group] = _ball_union(fine, c, fine_rows, anc)
         return _descendants(k, fine, c, stack, fine_rows, fine_pts, anc,
-                            *union)
+                            *unions[group])
     fine_pts = np.stack([lists[t] for t in own])
     return _descendants(k, fine, c, rows[other][None], stack, fine_pts, anc,
                         *_ball_union(fine, c, stack, anc))
@@ -583,8 +700,8 @@ def _sandwich(rows, k, c, owner, member_assign, flat) -> list:
     """(inner, outer) witnesses per center list: rows[g, i] is the row of
     cube i's center in list g."""
     size = rows.shape[1]
-    stray = ((rows < c.inner_const * c.delta ** k)
-             & (member_assign != np.arange(size)[:, None]))
+    stray = rows < c.inner_const * c.delta ** k
+    stray &= member_assign != np.arange(size)[:, None]
     g_in, cube = np.nonzero(stray.any(axis=2))
     miss = stray[g_in, cube].argmax(axis=1)
     g_out, far = np.nonzero(rows[:, owner, flat]
@@ -606,11 +723,17 @@ def _sandwich(rows, k, c, owner, member_assign, flat) -> list:
 def _ball_union(fine, c, rows, anc):
     """(q, union): the ancestors q in anc, ascending, and per center list of
     rows (lists, cubes, n) the union of each ancestor's descendants' outer
-    balls on level `fine` as point masks, (lists, q, n)."""
+    balls on level `fine` as point masks, (lists, q, n), built a block of
+    at most space.BALL_CELLS distances at a time."""
     order = np.argsort(anc, kind="stable")
     q, first = np.unique(anc[order], return_index=True)
-    return q, np.logical_or.reduceat(
-        (rows < c.outer_const * c.delta ** fine)[:, order], first, axis=1)
+    union = np.empty((len(rows), q.size, rows.shape[2]), dtype=bool)
+    step = max(1, space_module.BALL_CELLS // max(len(rows) * rows.shape[1], 1))
+    for x in range(0, rows.shape[2], step):
+        union[..., x:x + step] = np.logical_or.reduceat(
+            rows[:, order, x:x + step] < c.outer_const * c.delta ** fine,
+            first, axis=1)
+    return q, union
 
 
 def _descendants(k, fine, c, rows_k, rows_f, pts_f, anc, q, union) -> list:
@@ -624,7 +747,12 @@ def _descendants(k, fine, c, rows_k, rows_f, pts_f, anc, q, union) -> list:
     size = max(len(rows_k), len(rows_f))
     # a fine ball leaves its ancestor's ball only where the union of that
     # ancestor's descendant balls does, so only those fine cubes are scanned
-    leaving = (union & (rows_k[:, q] >= r_c)).any(axis=2)
+    far = rows_k >= r_c
+    if q.size < far.shape[1]:   # else q lists every coarse cube in order
+        far = far[:, q]
+    # in place when far has every list (a group's union serves many calls)
+    leaving = np.logical_and(far, union, out=far if len(far) >= len(union)
+                             else None).any(axis=2)
     g_s, sus = np.nonzero(leaving[:, np.searchsorted(q, anc)])
     leaks = np.empty(sus.size, dtype=bool)
     if sus.size:   # the suspects' rows, a fine list's worth at a time

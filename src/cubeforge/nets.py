@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import SystemConstants, require_headroom
-from .cubes import require_delta, require_mode
+from .cubes import _point_ids, _require_levels, require_delta, require_mode
 from .errors import (ConfigError, DegenerateWindow, ModeViolation,
                      require_id)
 from .report import VerificationReport
@@ -59,10 +59,16 @@ class NetHierarchy:
 
     @classmethod
     def from_json(cls, d, space):
+        """Read a hierarchy back; ConfigError unless it lists one level per
+        k in k_min..k_max, each of point ids of the space."""
         require_mode(d["mode"])
+        k_min, k_max = int(d["k_min"]), int(d["k_max"])
+        _require_levels(len(d["levels"]), k_min, k_max)
         return cls(space=space, delta=require_delta(d["delta"]),
-                   k_min=int(d["k_min"]), k_max=int(d["k_max"]), mode=d["mode"],
-                   levels=[np.asarray(lv, dtype=int) for lv in d["levels"]],
+                   k_min=k_min, k_max=k_max, mode=d["mode"],
+                   levels=[_point_ids(lv, space.n, k, np.arange(len(lv)),
+                                      "center")
+                           for k, lv in enumerate(d["levels"], k_min)],
                    distinguished=d.get("distinguished"))
 
 

@@ -21,7 +21,6 @@ from .adjacent import build_adjacent_family, verify_covering
 from .analysis import (
     _dyadic_values,
     _instance_constants,
-    _table_levels,
     maximal_function,
     verify_comparability,
     verify_weighted_bounds,
@@ -341,7 +340,7 @@ def _analysis_check(config: PipelineConfig, space, family,
 
     f0 = funcs[0]
     m_ball = maximal_function(space, mu, f0, "ball")
-    per_t = _dyadic_values(_table_levels(family), family.n_systems, mu,
+    per_t = _dyadic_values(family.held_pieces(), family.n_systems, mu,
                            [f0], False)[0]
     report.tables["maximal"] = [
         {"x": int(x), "ball": float(m_ball[x]),

@@ -27,7 +27,9 @@ needs a two-word spawn key is drawn by `draw_level` instead, so every
 choice, and every NoNearChild, is draw_level's. An adjacent draw realizes
 its family through the one family builder in `adjacent`, whose system t
 picks by `specific_pick`; with every shift K (no shift) that is the fixed
-family of `build_adjacent_family`. Every selected-point order comes from
+family of `build_adjacent_family`. A single draw's outcome closes as a
+one-column level table, through the family's closure
+(`cubes.build_cube_system`). Every selected-point order comes from
 `selected_order`.
 
 Every selected point is guaranteed a probability of at least
@@ -41,11 +43,12 @@ one level k: each sample realizes levels k and finer once, and every
 `estimate_boundary_probability` is its one-point, one-tau case. The sweep
 realizes its samples in batches: one batched draw gives each sample its
 levels from its own streams, as alone, one `build_partial_order` call over
-the batch's (B, m) level lists links them all, one `close_assign` call
-gives the batch's (B, n) level-k assignments and one `_edge_gaps` call
-reads every hit. B is the cell budget BATCH_CELLS (about 1 MB of floats)
-over the cells one sample adds to the largest block. A failing batch is
-rerun one sample at a time, so errors surface in sample order.
+the batch's (B, m) level lists links them all, composing the batch's
+parent maps gives its (B, n) level-k assignments (no pieces: the sweep
+reads no member list) and one `_edge_gaps` call reads every hit. B is
+the cell budget BATCH_CELLS (about 1 MB of floats) over the cells one
+sample adds to the largest block. A failing batch is rerun one sample at a
+time, so errors surface in sample order.
 """
 from __future__ import annotations
 
@@ -59,7 +62,7 @@ import numpy as np
 
 from .adjacent import AdjacentFamily, _build_family
 from .constants import require_headroom
-from .cubes import CubeSystem, _edge_gaps, build_cube_system, close_assign
+from .cubes import CubeSystem, _edge_gaps, build_cube_system
 from .errors import ConfigError, CubeforgeError, PreconditionFail, require_id
 from .labeling import (
     LabeledHierarchy,
@@ -454,8 +457,15 @@ def _partial_assign(sampler: OmegaSampler, samples, k: int) -> np.ndarray:
         if len(samples) == 1:   # the kernel reads one sample's rows faster
             z_levels = [z[0] for z in z_levels]
         order = selected_order(lab, z_levels, k_top=k)
-        return np.atleast_2d(close_assign(lab.space.n, z_levels[-1],
-                                          order.maps)[0])
+        # the finest list indexes the finest level, and each coarser level
+        # composes the parent map below it; pieces would sort members that
+        # the sweep never reads
+        finest = np.atleast_2d(z_levels[-1])
+        assign = np.empty((len(finest), lab.space.n), dtype=int)
+        np.put_along_axis(assign, finest, np.arange(finest.shape[1]), axis=1)
+        for maps in reversed(order.maps):
+            assign = np.take_along_axis(np.atleast_2d(maps), assign, axis=1)
+        return assign
     except CubeforgeError:
         if len(samples) == 1:
             raise

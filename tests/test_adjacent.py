@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from cubeforge.adjacent import (
-    _close_levels,
     _levels_for_radii,
     _link,
     _pick_levels,
@@ -23,7 +22,7 @@ from cubeforge.adjacent import (
 )
 from cubeforge import labeling, space as space_module
 from cubeforge.analysis import _instance_constants, verify_comparability
-from cubeforge.cubes import (CubeSystem, build_cube_system, close_assign,
+from cubeforge.cubes import (CubeSystem, build_cube_system, close_table,
                              verify_cube_axioms)
 from cubeforge.errors import (ConfigError, CubeforgeError, NoNearChild,
                               NoParent, PreconditionFail, TightAmbiguity)
@@ -552,8 +551,8 @@ def test_one_pick_call_per_parent_level(monkeypatch):
 @given(data=st.data())
 def test_level_closure_matches_each_systems_chain(data):
     # random parent maps shared at random by K systems: each system's
-    # (assign, members) pair, level by level, is the one close_assign gives
-    # for its own chain of maps, and equal contents are one pair
+    # (assign, members) pair, level by level, is the one its own chain of
+    # maps composes, and equal contents are one pair
     n = data.draw(st.integers(1, 10))
     sizes = sorted(data.draw(st.lists(st.integers(1, n), max_size=3))) + [n]
     finest = np.array(data.draw(st.permutations(range(n))))
@@ -567,11 +566,16 @@ def test_level_closure_matches_each_systems_chain(data):
         link_of.append(np.array(data.draw(st.lists(
             st.integers(0, len(maps[-1]) - 1), min_size=K, max_size=K))))
     z = [np.arange(size)[None] for size in sizes[:-1]] + [finest[None]]
-    pieces, piece_of = _close_levels(n, z, maps, link_of, K)
+    pieces, piece_of = close_table(n, z, maps,
+                                   np.array(link_of).reshape(len(maps), K))
     shared = {}
     for t in range(K):
-        chain = [m[x[t]] for m, x in zip(maps, link_of)]
-        for j, a in enumerate(close_assign(n, finest, chain)):
+        a = np.argsort(finest)   # each point's position in the finest list
+        chain = [a]
+        for m, x in zip(maps[::-1], link_of[::-1]):
+            a = m[x[t]][a]
+            chain.insert(0, a)
+        for j, a in enumerate(chain):
             got, (flat, start) = pieces[piece_of[j][t]]
             assert got.tolist() == a.tolist()
             assert flat.tolist() == np.argsort(a, kind="stable").tolist()

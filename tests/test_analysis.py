@@ -15,7 +15,6 @@ from cubeforge.adjacent import (CubeQuery, build_adjacent_family,
                                 pair_to_index, verify_covering)
 from cubeforge.analysis import (Measure, _ball_values,
                                 _containing_cube_masses, _dyadic_values,
-                                _table_levels,
                                 _instance_constants, _iterated_violations,
                                 _max_ratio, ap_constant, bmo_norm,
                                 doubling_constant, lp_norm, maximal_function,
@@ -893,7 +892,7 @@ def test_dyadic_world_matches_scans(lab, seed):
     w = np.exp(rng.normal(size=n))
     lm, lf, lw = list(mu), list(f), list(w)
     # the family sweep: one row per system, each distinct level summed once
-    levels, K = _table_levels(fam), fam.n_systems
+    levels, K = fam.held_pieces(), fam.n_systems
     rows = zip(_dyadic_values(levels, K, mu, [f], False)[0],
                _dyadic_values(levels, K, mu * w, [f], False)[0],
                _dyadic_values(levels, K, mu, [f], True)[0])

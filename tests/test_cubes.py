@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -472,6 +473,46 @@ def test_json_rejects_non_integer_ids(bad):
             CubeSystem.from_json(doc, space)
 
 
+def cloud_system_doc():
+    """System 1 of the strict family of a 40-point box-20 cloud, levels
+    -1..1 of 1, 36 and 40 cubes, as a document, and its space."""
+    space = generate_space({"kind": "euclidean_cloud", "n": 40, "dim": 2,
+                            "seed": 3, "box": 20.0})
+    fam = build_adjacent_family(build_labels(build_reference_hierarchy(
+        space, 1 / 144)))
+    return json.loads(json.dumps(fam.system(1).to_json())), space
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda d: d["parents"].clear(), "level 0: 0 parent entries for 3 levels"),
+    (lambda d: d["parents"].append(d["parents"][0]),
+     "level 2: 3 parent entries for 3 levels"),
+    (lambda d: d["parents"][0]["map"].pop(),
+     "level 0, cube 35: map lists 35 entries for 36 cubes"),
+    (lambda d: d["parents"][1]["tight"].append(True),
+     "level 1, cube 40: tight lists 41 entries for 40 cubes"),
+    (lambda d: d["parents"][0]["map"].__setitem__(1, 10 ** 6),
+     r"level 0, cube 1: parent id 1000000 outside \[0, 1\)"),
+    (lambda d: d["parents"][1]["map"].__setitem__(3, -1),
+     r"level 1, cube 3: parent id -1 outside \[0, 36\)")])
+def test_json_refuses_parent_entries_that_contradict_its_levels(edit, want):
+    # each used to load, and verify_cube_axioms then raised a bare
+    # IndexError (or, for -1, read the last cube as the parent)
+    doc, space = cloud_system_doc()
+    assert verify_cube_axioms([CubeSystem.from_json(doc, space)])[0].passed
+    edit(doc)
+    with pytest.raises(ConfigError, match=f"^{want}$"):
+        CubeSystem.from_json(doc, space)
+
+
+def test_json_refuses_a_level_count_off_its_window():
+    doc, space = cloud_system_doc()
+    doc["k_max"] = 2
+    with pytest.raises(ConfigError,
+                       match="^level 2: 3 levels listed for k = -1..2$"):
+        CubeSystem.from_json(doc, space)
+
+
 def test_json_loads_an_empty_member_list():
     space, levels, order = line4_order()
     doc = build_cube_system(space, levels, order).to_json()
@@ -771,6 +812,28 @@ def test_distance_rows_leave_after_their_last_system(monkeypatch):
     distinct = {p.tobytes() for s in fam.systems for p in s.level_points}
     assert len(blocks) == len(distinct)
     assert peak[0] < len(distinct)
+
+
+def test_cube_axioms_peak_memory():
+    # a 1000-point unit-box cloud (seed 0, strict): K = 935 systems over
+    # [1, 935, 3, 1] distinct center lists. Each list's rows are read once,
+    # so the three 935-center lists of level 1 and the finest list are held
+    # together (29 MiB); the call peaked at 47.26 MiB under tracemalloc
+    # (numpy 2.4.6) with the transients it added on top of them
+    space = generate_space({"kind": "euclidean_cloud", "n": 1000, "dim": 2,
+                            "seed": 0, "box": 1.0})
+    fam = build_adjacent_family(build_labels(build_reference_hierarchy(
+        space, 1 / 144)))
+    systems = fam.systems
+    assert [len(c) for c in fam.centers] == [1, 935, 3, 1]
+    tracemalloc.start()
+    try:
+        reports = verify_cube_axioms(systems)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.passed for rep in reports)
+    assert peak <= 33 * 2 ** 20
 
 
 def test_systems_of_two_spaces_are_refused():

@@ -138,6 +138,41 @@ def test_hierarchy_json_roundtrip():
     assert back.distinguished == 1
 
 
+def cloud_net_doc():
+    """The strict hierarchy document of a 40-point box-20 cloud (levels
+    -1..1 of 1, 36 and 40 points), and its space."""
+    space = generate_space({"kind": "euclidean_cloud", "n": 40, "dim": 2,
+                            "seed": 3, "box": 20.0})
+    return build_reference_hierarchy(space, 1 / 144).to_json(), space
+
+
+@pytest.mark.parametrize("index, bad, why", [
+    (-1, -1, r"outside \[0, 40\)"), (0, 0.5, "is not an integer"),
+    (0, 40, r"outside \[0, 40\)")])
+def test_hierarchy_json_refuses_ids_outside_the_space(index, bad, why):
+    # -1 in place of point 39 loaded as 39 and 0.5 in place of 0 as 0, and
+    # the net axioms passed on both; 40 raised a bare IndexError
+    doc, space = cloud_net_doc()
+    assert verify_net_axioms(NetHierarchy.from_json(doc, space)).passed
+    doc["levels"][2][index] = bad
+    with pytest.raises(ConfigError,
+                       match=rf"level 1, cube {index % 40}: center id {bad} "
+                             + why):
+        NetHierarchy.from_json(doc, space)
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda d: d["levels"].pop(1), "level 1: 2 levels listed for k = -1..1"),
+    (lambda d: d.update(k_max=2), "level 2: 3 levels listed for k = -1..2"),
+    (lambda d: d.update(k_min=0), "level 2: 3 levels listed for k = 0..1")])
+def test_hierarchy_json_refuses_a_level_count_off_its_window(edit, want):
+    # a dropped level or a k_max one too large raised a bare IndexError
+    doc, space = cloud_net_doc()
+    edit(doc)
+    with pytest.raises(ConfigError, match=f"^{want}$"):
+        NetHierarchy.from_json(doc, space)
+
+
 @st.composite
 def int_spaces(draw):
     """Small integer clouds or integer points on a line: both put distances

@@ -212,3 +212,33 @@ def test_cube_verifier_calls_no_builder():
     assert sorted(n for n in called if n and (
         n.startswith("build_") or n in ("close_level", "close_assign",
                                         "pick_children"))) == []
+
+
+def test_one_closure_closes_every_table():
+    # every cube system is a column of a level table closed by
+    # cubes.close_table: no other function calls close_level, the modules
+    # that build or read tables import none of its helpers, and the
+    # per-caller closures, writers and level readers are gone
+    package = Path(cubeforge.__file__).parent
+    helpers = {"close_assign", "close_level", "_level_json", "_parent_json"}
+    gone = {"_own_levels", "_table_levels", "_close_levels", "_system_json"}
+    callers, imports, defined = [], [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn.name in gone:
+                defined.append((path.name, fn.name))
+            if any(isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", None)) == "close_level"
+                   for node in ast.walk(fn)):
+                callers.append((path.name, fn.name))
+        if path.name in ("adjacent.py", "analysis.py", "random_systems.py"):
+            imports += [(path.name, alias.name) for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)
+                        for alias in node.names if alias.name in helpers]
+    assert callers == [("cubes.py", "close_table")]
+    assert imports == []
+    assert defined == []
