@@ -60,16 +60,22 @@ class NetHierarchy:
     @classmethod
     def from_json(cls, d, space):
         """Read a hierarchy back; ConfigError unless it lists one level per
-        k in k_min..k_max, each of point ids of the space."""
+        k in k_min..k_max, each of point ids of the space, and its
+        distinguished point, if any, is one of them too. Whether that point
+        is pinned is verify_net_axioms' check."""
         require_mode(d["mode"])
         k_min, k_max = int(d["k_min"]), int(d["k_max"])
         _require_levels(len(d["levels"]), k_min, k_max)
+        pin = d.get("distinguished")
+        if pin is not None and (type(pin) is not int or not 0 <= pin < space.n):
+            raise ConfigError(f"distinguished: expected a point id in "
+                              f"[0, {space.n}), got {pin!r}")
         return cls(space=space, delta=require_delta(d["delta"]),
                    k_min=k_min, k_max=k_max, mode=d["mode"],
                    levels=[_point_ids(lv, space.n, k, np.arange(len(lv)),
                                       "center")
                            for k, lv in enumerate(d["levels"], k_min)],
-                   distinguished=d.get("distinguished"))
+                   distinguished=pin)
 
 
 def check_mode(mode: str, tri_const: float, delta: float):

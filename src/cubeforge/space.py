@@ -4,19 +4,21 @@ A space is a set of point ids 0..n-1 with a symmetric distance that is
 positive off the diagonal and satisfies the inflated triangle inequality
 rho(x, y) <= tri_const * (rho(x, z) + rho(z, y)). Balls are strict:
 ball(x, r) = {y : rho(y, x) < r}. Distances live either in a dense table
-(n <= TABLE_CAP) or behind a per-row oracle so the same API scales to
-spaces where an n x n table would not fit.
+(n <= TABLE_CAP) or behind a block oracle, (ids, cols) -> the (len(ids),
+len(cols)) block, so the same API scales to spaces where an n x n table
+would not fit. Coordinate distances come from one kernel, `_coord_dists`,
+which computes exactly the requested block.
 
 Validation proves what the constructions rely on. Every distance must be
 finite, and every dense table is checked whole for positivity and
 symmetry. A coordinate space (`from_coords`, `from_line`) proves its
 declared triangle constant by a rounding-error certificate
-(`_euclid_certificate`), dense or not. Any other dense table, or a
-coordinate space whose certificate fails its range condition or exceeds
-the declared bound, has its constant computed exactly by one blocked
-min-plus kernel. Any other row-oracle space (above
-TABLE_CAP) must declare an analytic bound on the constant, which a seeded
-sample of triples then asserts; without one it is refused.
+(`_euclid_certificate`) read off the positivity pass's minimum gap, dense
+or not. Any other dense table, or a coordinate space whose certificate
+fails its range condition or exceeds the declared bound, has its constant
+computed exactly by one blocked min-plus kernel. Any other oracle space
+(above TABLE_CAP) must declare an analytic bound on the constant, which a
+seeded sample of triples then asserts; without one it is refused.
 
 Every ball is a prefix of its center's stably sorted distance row; every
 reader of balls sweeps them through `ball_blocks`, a block of centers at a
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -52,7 +55,7 @@ class SpaceProfile:
     its declared bound, proven by the rounding-error certificate when that
     lies within it. Otherwise a dense table stores the exact constant,
     unless a declared analytic bound within 1e-9 of it (or above it) is
-    given, which is then stored; a row-oracle space stores its declared
+    given, which is then stored; an oracle space stores its declared
     bound, asserted on sampled triples.
     """
 
@@ -77,13 +80,13 @@ class SpaceProfile:
 class QuasiMetricSpace:
     """Point ids 0..n-1 plus a distance accessor and a validated profile."""
 
-    def __init__(self, n, table=None, row_fn=None, coords=None, profile=None,
-                 generator=None):
-        if table is None and row_fn is None:
-            raise BadSpec("need a distance table or a row oracle")
+    def __init__(self, n, table=None, block_fn=None, coords=None,
+                 profile=None, generator=None):
+        if table is None and block_fn is None:
+            raise BadSpec("need a distance table or a block oracle")
         self.n = int(n)
         self.table = table
-        self._row_fn = row_fn
+        self._block_fn = block_fn
         self.coords = coords
         self.profile = profile
         self.generator = generator
@@ -93,11 +96,13 @@ class QuasiMetricSpace:
     def dist_row(self, i: int) -> np.ndarray:
         if self.table is not None:
             return self.table[i]
-        return self._row_fn(i)
+        return self.dist_rows([i])[0]
 
     def dist_rows(self, ids, cols=None) -> np.ndarray:
         """Distances from each of `ids` (rows) to `cols` (default: every
-        point), as one (len(ids), len(cols)) array."""
+        point), as one (len(ids), len(cols)) array. An oracle fills the
+        output a chunk of _BLOCK rows, or more rows up to _BLOCK * n cells,
+        at a time."""
         ids = np.asarray(ids, dtype=int)
         if self.table is not None and cols is None:
             return self.table[ids]
@@ -108,19 +113,25 @@ class QuasiMetricSpace:
             if ids.size <= cols.size:
                 return self.table.take(ids, 0).take(cols, 1)
             return self.table.take(cols, 1).take(ids, 0)
-        return np.array([self._row_fn(int(i))[cols] for i in ids]).reshape(ids.size, cols.size)
+        step = max(_BLOCK, _BLOCK * self.n // max(cols.size, 1))
+        if ids.size <= step:
+            return self._block_fn(ids, cols)
+        out = np.empty((ids.size, cols.size))
+        for x0 in range(0, ids.size, step):
+            out[x0:x0 + step] = self._block_fn(ids[x0:x0 + step], cols)
+        return out
 
     def dist_pairs(self, ids, cols) -> np.ndarray:
         """Distances d(ids[i], cols[i]) for two aligned id arrays."""
         ids, cols = np.asarray(ids, dtype=int), np.asarray(cols, dtype=int)
         if self.table is not None:
             return self.table[ids, cols]
-        return _gather(self._row_fn, ids, cols)[0]
+        return _gather(self._block_fn, ids, cols)[0]
 
     def dist(self, i: int, j: int) -> float:
         if self.table is not None:
             return float(self.table[i, j])
-        return float(self._row_fn(i)[j])
+        return float(self.dist_rows([i], [j])[0, 0])
 
     def points(self):
         return range(self.n)
@@ -143,13 +154,13 @@ class QuasiMetricSpace:
         of center ids[i]'s row and sorted_rows[i] that row in this order;
         last[i, j] marks the ranks j that end a ball: order[i, :j + 1] is
         ball(ids[i], r) for r = sorted_rows[i, j + 1] (any radius above the
-        diameter for j = n - 1): see ball_radii. Serves tables and rows.
+        diameter for j = n - 1): see ball_radii. Serves tables and oracles.
         """
         step = max(1, BALL_CELLS // max(self.n, 1))   # an empty space has none
         for c0 in range(0, self.n, step):
             ids = np.arange(c0, min(c0 + step, self.n))
             rows = (self.table[c0:c0 + step] if self.table is not None
-                    else np.array([self._row_fn(c) for c in ids.tolist()]))
+                    else self.dist_rows(ids))
             order = np.argsort(rows, axis=1)
             sorted_rows = np.take_along_axis(rows, order, axis=1)
             last = np.ones(rows.shape, dtype=bool)
@@ -214,17 +225,17 @@ class QuasiMetricSpace:
     def _euclidean(cls, table, coords, generator, declared_tri_const):
         """The Euclidean space of coords, validated with its certificate:
         `table` is `_coords_table(coords)` or from_line's |a - b|, or None
-        for a row oracle with `_coords_table`'s expression."""
+        for a block oracle on `_coord_dists`. Either way every distance is
+        the exact one rounded as `_coord_dists` documents: each axis's
+        difference and square once, the squares summed in numpy's pairwise
+        order, and the root once."""
         n = len(coords)
-        if table is None:
-            space = cls(n, row_fn=lambda i: _coords_rows(coords, slice(i, i + 1))[0],
-                        coords=coords, generator=generator)
-        else:
-            space = cls(n, table=table, coords=coords, generator=generator)
+        block_fn = None if table is not None else partial(_coord_dists, coords)
+        space = cls(n, table=table, block_fn=block_fn, coords=coords,
+                    generator=generator)
         space.profile = validate_quasi_metric(
-            range(n), space.dist_row if table is None else table,
-            declared_tri_const=declared_tri_const,
-            certified_bound=_euclid_certificate(coords, table))
+            range(n), space.dist_rows if table is None else table,
+            declared_tri_const=declared_tri_const, coord_dim=coords.shape[1])
         return space
 
     # -- serialization ---------------------------------------------------------
@@ -260,8 +271,9 @@ class QuasiMetricSpace:
         coords = np.asarray(self.coords, dtype=float)
         if coords.ndim < 2:   # as from_coords reads a flat list
             coords = coords.reshape(-1, 1)
+        every = np.arange(self.n)
         return len(coords) == self.n and all(
-            _coords_rows(coords, slice(x0, x0 + _BLOCK)).tobytes()
+            _coord_dists(coords, every[x0:x0 + _BLOCK], every).tobytes()
             == self.table[x0:x0 + _BLOCK].tobytes()
             for x0 in range(0, self.n, _BLOCK))
 
@@ -298,41 +310,91 @@ class QuasiMetricSpace:
 
 
 def _coords_table(coords) -> np.ndarray:
-    """Euclidean distance table of (n, dim) coords, filled _BLOCK rows at a
-    time so no (n, n, dim) difference array is ever held."""
+    """Euclidean distance table of (n, dim) coords, filled by the kernel
+    _BLOCK rows at a time (`dist_rows`), so no (n, n, dim) difference
+    array is ever held."""
     n = len(coords)
-    table = np.empty((n, n))
-    for x0 in range(0, n, _BLOCK):
-        table[x0:x0 + _BLOCK] = _coords_rows(coords, slice(x0, x0 + _BLOCK))
-    return table
+    oracle = QuasiMetricSpace(n, block_fn=partial(_coord_dists, coords))
+    return oracle.dist_rows(np.arange(n))
 
 
-def _coords_rows(coords, rows: slice) -> np.ndarray:
-    """Euclidean distances from coords[rows] to every point: the one
-    expression behind the dense table and the row oracle."""
-    diff = coords[rows, None, :] - coords[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+def _coord_dists(coords, ids, cols) -> np.ndarray:
+    """Euclidean distances from coords[ids] to coords[cols] of (n, dim)
+    coords, as one (len(ids), len(cols)) array: the one coordinate kernel
+    behind the dense table and the block oracle.
+
+    Each axis's differences are one np.subtract.outer, squared in place, so
+    no (len(ids), len(cols), dim) array is held. `_pairwise_sum` adds the
+    squares in numpy's own order (one after the other below 8 axes, eight
+    accumulators up to 128, two halves above), so every distance equals
+    np.sqrt((diff * diff).sum(axis=-1)) bit for bit.
+    """
+    pts, qts = coords[ids], coords[cols]
+    scratch = np.empty((len(pts), len(qts)))
+
+    def square(k, out=None):
+        out = np.subtract.outer(pts[:, k], qts[:, k], out=out)
+        return np.multiply(out, out, out=out)
+
+    dim = coords.shape[1]
+    if dim == 0:   # the empty sum, as numpy's
+        return np.zeros_like(scratch)
+    return np.sqrt(_pairwise_sum(square, 0, dim, scratch))
 
 
-def _euclid_certificate(coords, table=None) -> Optional[float]:
+def _pairwise_sum(term, lo, hi, scratch):
+    """term(lo) + ... + term(hi - 1) in the order numpy's `.sum(axis=-1)`
+    adds a contiguous axis (pairwise summation), where term(k, out) returns
+    array k, in `out` when given (the shared `scratch`):
+      - fewer than 8 terms: one after the other;
+      - 8 to 128: eight accumulators, r[j] summing terms j, j + 8, ... of
+        the whole multiples of 8, combined as
+        ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+        leftover terms added one after the other;
+      - above 128: the sum of two halves, the first one half the count
+        rounded down to a multiple of 8.
+    numpy starts from 0, and 0 + x is x for the squares summed here."""
+    m = hi - lo
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        res = _pairwise_sum(term, lo, lo + half, scratch)
+        res += _pairwise_sum(term, lo + half, hi, scratch)
+        return res
+    if m < 8:
+        res, rest = term(lo), lo + 1
+    else:
+        acc, rest = [term(lo + j) for j in range(8)], hi - m % 8
+        for k0 in range(lo + 8, rest, 8):
+            for j, r in enumerate(acc):
+                r += term(k0 + j, scratch)
+        for step in (1, 2, 4):
+            for j in range(0, 8, 2 * step):
+                acc[j] += acc[j + step]
+        res = acc[0]
+    for k in range(rest, hi):
+        res += term(k, scratch)
+    return res
+
+
+def _euclid_certificate(dim, min_gap) -> Optional[float]:
     """A proven upper bound on the triangle constant of the Euclidean
-    distances of (n, dim) `coords` as this module rounds them, or None when
-    the range condition below fails. `table` is `_coords_table(coords)`, or
-    from_line's |a - b| table when dim = 1; None reads the rows of
-    `_coords_rows` block by block instead.
+    distances of dim-dimensional coordinates as `_coord_dists` rounds them,
+    or None when the range condition below fails. `min_gap` is the smallest
+    off-diagonal distance (inf for fewer than two points), read by the
+    positivity pass after it has proven every distance finite.
 
     Exact Euclidean distance d obeys the triangle inequality. Let u = 2**-53
     be the unit roundoff and gamma_m = m*u / (1 - m*u). In the model
     fl(a op b) = (a op b)(1 + e) + f, |e| <= u, f = 0, except that a
     product below the normal range has e = 0 and |f| <= 2**-1075 (a sum or
-    difference that small is exact; Higham 2002, ch. 2-3), `_coords_rows`
+    difference that small is exact; Higham 2002, ch. 2-3), `_coord_dists`
     rounds, per pair:
       - each coordinate difference once, which enters its square twice: 2;
       - each square once: 1, plus |f| <= 2**-1075. Over dim squares that is
         at most dim * 2**-1075 <= u * d**2 whenever d**2 >= dim * 2**-1022,
         which moves each term by at most one more u: 1;
-      - the sum of the dim squares, in whatever order numpy adds them: at
-        most dim - 1 roundings on each term.
+      - the sum of the dim squares, in any order of additions: at most
+        dim - 1 roundings on each term.
     So the computed square is d**2 (1 + t) with |t| <= gamma_{dim+3}; the
     root keeps |sqrt(1 + t) - 1| <= |t| and rounds once more. Hence each
     stored distance is d_hat = d (1 + theta), |theta| <= gamma_m, with
@@ -345,7 +407,7 @@ def _euclid_certificate(coords, table=None) -> Optional[float]:
     m = 1 and no range condition is needed; the dim = 1 bound (m = 5) and
     its condition cover it.
 
-    Range condition, read off the table:
+    Range condition:
       - every distance is finite, so no difference, square, sum or root
         overflowed (an infinity stays infinite through the sum and the root;
         a non-finite coordinate puts NaN on its diagonal);
@@ -353,18 +415,12 @@ def _euclid_certificate(coords, table=None) -> Optional[float]:
         the computed square is at least dim * 2**-1021, and so, with at most
         dim * 2**-1074 of error from underflow plus a relative gamma, the
         exact d**2 is at least dim * 2**-1022, as the square step needs.
-    A finite table has an exactly zero diagonal, so the second part reads:
-    in each row exactly one distance lies below that floor.
+    The positivity pass has proven the first part, so the second reads:
+    min_gap is at least that floor.
     """
-    n, dim = coords.shape
-    floor = math.sqrt(dim * 2.0 ** -1020)
-    for x0 in range(0, n, _BLOCK):
-        rows = (_coords_rows(coords, slice(x0, x0 + _BLOCK)) if table is None
-                else table[x0:x0 + _BLOCK])
-        if not (rows.max() < np.inf
-                and np.count_nonzero(rows < floor) == len(rows)):
-            return None
-    return 1.0 + (dim + 4) * 2.0 ** -51
+    if min_gap >= math.sqrt(dim * 2.0 ** -1020):
+        return 1.0 + (dim + 4) * 2.0 ** -51
+    return None
 
 
 # -- validation ----------------------------------------------------------------
@@ -372,23 +428,24 @@ def _euclid_certificate(coords, table=None) -> Optional[float]:
 
 def validate_quasi_metric(points, distance, declared_tri_const=None,
                           exhaustive_cap=EXHAUSTIVE_TRIPLE_CAP, *,
-                          certified_bound=None) -> SpaceProfile:
+                          coord_dim=None) -> SpaceProfile:
     """Check symmetry/positivity and measure the triangle inflation constant.
 
-    `distance` may be a dense (n, n) array or a row oracle i -> row. Dense
-    tables are checked whole: finiteness and positivity (the first faulty
-    row, a NaN or infinite entry before a negative one before a nonzero
-    diagonal before a zero off-diagonal entry), then symmetry to rtol
-    1e-12. A row oracle above the exhaustive cap gets the first check, row
-    by row. `certified_bound` is an upper bound on the constant that the
-    caller proved from how the distances were computed
-    (`_euclid_certificate`): when it lies within 1e-9 of a declared bound
-    (or below it), the declared bound is returned without measuring.
-    Otherwise, for n <= exhaustive_cap (a row oracle is read into a table
-    first) the constant is exact over all ordered triples. Above it only a
-    declared analytic bound is accepted: it is asserted on SAMPLED_TRIPLES
-    seeded triples and returned. A declared bound also wins over an exact
-    value within 1e-9 of it.
+    `distance` may be a dense (n, n) array or a block oracle (ids, cols) ->
+    the (len(ids), len(cols)) block. Dense tables are checked whole:
+    finiteness and positivity (the first faulty row, a NaN or infinite
+    entry before a negative one before a nonzero diagonal before a zero
+    off-diagonal entry), then symmetry to rtol 1e-12. An oracle above the
+    exhaustive cap gets the first check, _BLOCK rows per call. `coord_dim`
+    says the distances are coordinate distances of that dimension as
+    `_coord_dists` (or from_line's |a - b|) rounds them: when the rounding
+    certificate `_euclid_certificate` read off the minimum gap lies within
+    1e-9 of a declared bound (or below it), the declared bound is returned
+    without measuring. Otherwise, for n <= exhaustive_cap (an oracle is read
+    into a table first) the constant is exact over all ordered triples.
+    Above it only a declared analytic bound is accepted: it is asserted on
+    SAMPLED_TRIPLES seeded triples and returned. A declared bound also wins
+    over an exact value within 1e-9 of it.
     """
     pts = list(points)
     n = len(pts)
@@ -398,27 +455,31 @@ def validate_quasi_metric(points, distance, declared_tri_const=None,
     if not exhaustive and declared_tri_const is None:
         raise BadSpec(f"n = {n} is above the exhaustive cap {exhaustive_cap}: "
                       f"the triangle constant cannot be proven, declare a bound")
+    every = np.arange(n)
     if exhaustive and not isinstance(distance, np.ndarray):
-        distance = np.array([distance(i) for i in range(n)], dtype=float)
+        distance = np.asarray(distance(every, every), dtype=float)
 
     if isinstance(distance, np.ndarray):
         d = np.asarray(distance, dtype=float)
-        row_of = d.__getitem__
         diam, gap = _check_rows(d)
         symmetric = _check_symmetry(d)
+        block_of = QuasiMetricSpace(n, table=d).dist_rows
     else:
-        row_of, diam, gap = distance, 0.0, np.inf
-        for i in range(n):
-            top, low = _check_rows(np.asarray(row_of(i), dtype=float)[None], i)
+        block_of, diam, gap = distance, 0.0, np.inf
+        for x0 in range(0, n, _BLOCK):
+            top, low = _check_rows(np.asarray(
+                block_of(every[x0:x0 + _BLOCK], every), dtype=float), x0)
             diam, gap = max(diam, top), min(gap, low)
 
-    if (certified_bound is not None and declared_tri_const is not None
-            and certified_bound <= declared_tri_const * (1 + _REL_TOL)):
-        tri = certified_bound
+    certified = (None if coord_dim is None
+                 else _euclid_certificate(coord_dim, gap))
+    if (certified is not None and declared_tri_const is not None
+            and certified <= declared_tri_const * (1 + _REL_TOL)):
+        tri = certified
     elif exhaustive:
         tri = _tri_const_table(d, symmetric)
     else:
-        tri = _tri_const_sampled(n, row_of)
+        tri = _tri_const_sampled(n, block_of)
     if declared_tri_const is not None:
         if tri > declared_tri_const * (1 + _REL_TOL):
             raise BadSpec(
@@ -499,7 +560,7 @@ def _tri_const_table(d, symmetric):
     return worst
 
 
-def _tri_const_sampled(n, row_of, n_samples=SAMPLED_TRIPLES, seed=0):
+def _tri_const_sampled(n, block_of, n_samples=SAMPLED_TRIPLES, seed=0):
     """Largest ratio over n_samples seeded triples (x, y != x, z): a lower
     estimate, only ever checked against a declared bound."""
     rng = np.random.default_rng(seed)
@@ -509,22 +570,21 @@ def _tri_const_sampled(n, row_of, n_samples=SAMPLED_TRIPLES, seed=0):
         xs, ys, zs = rng.integers(0, n, (3, m))
         keep = ys != xs
         xs, ys, zs = xs[keep], ys[keep], zs[keep]
-        dxy, dxz = _gather(row_of, xs, ys, zs)
-        (dzy,) = _gather(row_of, zs, ys)
+        dxy, dxz = _gather(block_of, xs, ys, zs)
+        (dzy,) = _gather(block_of, zs, ys)
         worst = float(np.max(dxy / (dxz + dzy), initial=worst))
     return worst
 
 
-def _gather(row_of, ids, *cols):
+def _gather(block_of, ids, *cols):
     """d(ids[i], c[i]) for each aligned column array c, as one (len(cols),
-    len(ids)) array, fetching each distinct row once."""
+    len(ids)) array, with one block oracle call per distinct id."""
     order = np.argsort(ids, kind="stable")
     uniq, starts = np.unique(ids[order], return_index=True)
     out = np.empty((len(cols), ids.size))
-    for i, sel in zip(uniq, np.split(order, starts[1:])):
-        row = np.asarray(row_of(int(i)), dtype=float)
-        for k, c in enumerate(cols):
-            out[k, sel] = row[c[sel]]
+    for i, sel in zip(uniq.tolist(), np.split(order, starts[1:])):
+        row = block_of(np.array([i]), np.concatenate([c[sel] for c in cols]))
+        out[:, sel] = np.asarray(row, dtype=float).reshape(len(cols), sel.size)
     return out
 
 
@@ -622,9 +682,10 @@ def _gen_snowflake(spec):
     if base.table is not None:
         return QuasiMetricSpace.from_table(base.table ** s, coords=base.coords,
                                            generator=gen, declared_tri_const=declared)
-    space = QuasiMetricSpace(base.n, row_fn=lambda i: base.dist_row(i) ** s,
-                             coords=base.coords, generator=gen)
-    space.profile = validate_quasi_metric(range(base.n), space.dist_row,
+    space = QuasiMetricSpace(
+        base.n, block_fn=lambda ids, cols: base.dist_rows(ids, cols) ** s,
+        coords=base.coords, generator=gen)
+    space.profile = validate_quasi_metric(range(base.n), space.dist_rows,
                                           declared_tri_const=declared)
     return space
 

@@ -461,7 +461,7 @@ def test_empty_space_sweeps_no_ball():
 
 def test_ball_averages_refuse_row_oracle():
     table_space, mu = grid64()
-    space = QuasiMetricSpace(64, row_fn=table_space.dist_row,
+    space = QuasiMetricSpace(64, block_fn=table_space.dist_rows,
                              profile=table_space.profile)
     f = np.random.default_rng(13).normal(size=64)
     for call in (lambda: maximal_function(space, mu, f, "ball"),

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -159,6 +160,20 @@ def test_hierarchy_json_refuses_ids_outside_the_space(index, bad, why):
                        match=rf"level 1, cube {index % 40}: center id {bad} "
                              + why):
         NetHierarchy.from_json(doc, space)
+
+
+@pytest.mark.parametrize("bad", [True, 0.0, 2.5, "x", 99, -1, 40])
+def test_hierarchy_json_refuses_a_distinguished_outside_the_space(bad):
+    # each of these loaded, and a family was built "pinned" at it
+    doc, space = cloud_net_doc()
+    doc["distinguished"] = bad
+    with pytest.raises(ConfigError, match=r"^distinguished: expected a point "
+                       rf"id in \[0, 40\), got {re.escape(repr(bad))}$"):
+        NetHierarchy.from_json(doc, space)
+    # a point id that is not pinned still loads, for the verifier to fail
+    doc["distinguished"] = 5
+    rep = verify_net_axioms(NetHierarchy.from_json(doc, space))
+    assert not rep.check("distinguished_pinned").passed
 
 
 @pytest.mark.parametrize("edit, want", [

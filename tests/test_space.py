@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubeforge import space as space_module
+from cubeforge.adjacent import build_adjacent_family
 from cubeforge.errors import BadSpec, NegativeDistance, SymmetryViolation, ZeroDistance
+from cubeforge.labeling import build_labels
+from cubeforge.nets import build_reference_hierarchy
 from cubeforge.space import (QuasiMetricSpace, ball,
                              generate_space, validate_quasi_metric)
 
@@ -339,7 +342,7 @@ def test_realized_balls_dedupe():
 
 def test_dist_rows_match_dist_row_for_table_and_row_oracle():
     table_space = line4()
-    oracle = QuasiMetricSpace(4, row_fn=table_space.dist_row)
+    oracle = QuasiMetricSpace(4, block_fn=table_space.dist_rows)
     ids, cols = [3, 0, 3], [2, 1]
     for space in (table_space, oracle):
         assert space.dist_rows(ids).tolist() == \
@@ -378,6 +381,91 @@ def test_from_coords_table_needs_no_difference_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * table.nbytes
+
+
+# -- the coordinate kernel and the block oracle -------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       dim=st.one_of(st.integers(1, 20), st.sampled_from([137, 300])))
+def test_kernel_matches_the_literal_sum(data, dim):
+    # the per-axis kernel adds the squares in numpy's own order, so it is
+    # the one-expression form bit for bit; axes of very different scales
+    # make the order show. Ids and cols repeat, come unsorted or are empty.
+    n = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    coords = rng.uniform(-1.0, 1.0, (n, dim)) * 10.0 ** rng.integers(-8, 9, dim)
+    ids, cols = (np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                             max_size=9)), dtype=int)
+                 for _ in range(2))
+    diff = coords[ids][:, None, :] - coords[cols][None, :, :]
+    expect = np.sqrt((diff * diff).sum(axis=-1))
+    got = space_module._coord_dists(coords, ids, cols)
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+def _cloud_family(spec):
+    """A space of `spec` and its strict adjacent family's document."""
+    space = generate_space(spec)
+    hier = build_reference_hierarchy(space, 1 / 144, mode="strict")
+    return space, json.dumps(build_adjacent_family(build_labels(hier)).to_json())
+
+
+@pytest.mark.parametrize("exponent", [None, 0.5])
+def test_block_oracle_matches_the_dense_table(monkeypatch, exponent):
+    # the same 90 points below and above a lowered TABLE_CAP: a plain cloud
+    # and its power_snowflake give the same bytes through every reader
+    spec = {"kind": "euclidean_cloud", "n": 90, "dim": 2, "box": 20.0,
+            "seed": 4}
+    if exponent is not None:
+        spec = {"kind": "power_snowflake", "exponent": exponent, "base": spec}
+    dense, dense_doc = _cloud_family(spec)
+    monkeypatch.setattr(space_module, "TABLE_CAP", 16)
+    monkeypatch.setattr(space_module, "validate_quasi_metric", functools.partial(
+        space_module.validate_quasi_metric, exhaustive_cap=16))
+    oracle, oracle_doc = _cloud_family(spec)
+    assert dense.table is not None and oracle.table is None
+    assert oracle.profile == dense.profile and oracle_doc == dense_doc
+    rng = np.random.default_rng(0)
+    ids, cols = rng.integers(0, 90, 70), rng.integers(0, 90, 13)
+    for read in (lambda s: np.array([s.dist_row(i) for i in range(90)]),
+                 lambda s: s.dist_rows(ids), lambda s: s.dist_rows(ids, cols),
+                 lambda s: s.dist_rows([], cols),
+                 lambda s: s.dist_pairs(ids[:13], cols),
+                 lambda s: np.array([s.dist(7, j) for j in range(90)]),
+                 lambda s: [a.tobytes() for block in s.ball_blocks()
+                            for a in block]):
+        assert np.asarray(read(oracle)).tobytes() \
+            == np.asarray(read(dense)).tobytes()
+    assert dense.table.tobytes() == oracle.dist_rows(np.arange(90)).tobytes()
+
+
+def test_coordinate_oracle_holds_no_table():
+    # 3000 points are above TABLE_CAP: building and certifying the space
+    # reads its distances a block at a time; a table would be 72 MB
+    coords = np.random.default_rng(1).uniform(0.0, 1.0, (3000, 2))
+    tracemalloc.start()
+    try:
+        space = QuasiMetricSpace.from_coords(coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.table is None and space.profile.tri_const == 1.0
+    assert peak < 8e6
+
+
+def test_certificate_floor_sends_close_points_to_the_exact_path():
+    # the floor is sqrt(dim * 2**-1020) = 2**-510 in one dimension: points
+    # 2**-512 apart are in range for every step but the certificate, and
+    # take the exact kernel; points 2**-510 apart are certified
+    with _counting("_tri_const_table") as kernel:
+        for gap, exact in ((2.0 ** -512, 1), (2.0 ** -510, 0)):
+            space = QuasiMetricSpace.from_coords([[0.0], [gap], [1.0]])
+            assert space.profile.min_gap == gap
+            assert space.profile.tri_const == 1.0
+            assert kernel.call_count == exact
+            kernel.reset_mock()
 
 
 # -- validation against the naive scans ---------------------------------------
@@ -491,7 +579,7 @@ def test_sampled_path_needs_a_declared_bound():
     with pytest.raises(BadSpec, match="exceeds declared bound"):
         validate_quasi_metric(range(8), table, declared_tri_const=1.5,
                               exhaustive_cap=4)
-    for distance in (table, lambda i: table[i]):
+    for distance in (table, lambda ids, cols: table[np.ix_(ids, cols)]):
         profile = validate_quasi_metric(range(8), distance,
                                         declared_tri_const=2.0,
                                         exhaustive_cap=4)
@@ -504,7 +592,8 @@ def test_row_oracle_faults_raise_with_their_witness():
     table[4, 1] = 0.0
     table[4, 2] = -3.0
     with pytest.raises(NegativeDistance) as err:
-        validate_quasi_metric(range(6), lambda i: table[i],
+        validate_quasi_metric(range(6),
+                              lambda ids, cols: table[np.ix_(ids, cols)],
                               declared_tri_const=1.0, exhaustive_cap=2)
     assert (err.value.x, err.value.y) == (4, 2)
 
@@ -545,12 +634,16 @@ def test_certificate_bounds_the_exact_constant(coords):
     if dim == 1:   # from_line's |a - b|
         tables.append(np.abs(coords - coords.T))
     for table in tables:
-        bound = space_module._euclid_certificate(coords, table)
         d = table.tolist()
-        off = [d[x][y] for x in range(n) for y in range(n) if x != y]
-        in_range = (all(math.isfinite(v) for row in d for v in row)
-                    and min(off) >= math.sqrt(dim * 2.0 ** -1020))
-        if not in_range:
+        if not all(math.isfinite(v) for row in d for v in row):
+            # the positivity pass refuses it before any certificate is read
+            with pytest.raises(BadSpec):
+                validate_quasi_metric(range(n), table, declared_tri_const=1.0,
+                                      coord_dim=dim)
+            continue
+        gap = min(d[x][y] for x in range(n) for y in range(n) if x != y)
+        bound = space_module._euclid_certificate(dim, gap)
+        if gap < math.sqrt(dim * 2.0 ** -1020):
             assert bound is None
             continue
         assert bound == 1.0 + m * 2.0 ** -51 >= 1 / (1 - 2 * m * u)
@@ -562,9 +655,21 @@ def test_certificate_bounds_the_exact_constant(coords):
                             for a, b in zip(coords[x], coords[y]))
                 got = Fraction(d[x][y]) ** 2
                 assert (1 - gamma) ** 2 * exact <= got <= (1 + gamma) ** 2 * exact
-    with np.errstate(over="ignore"):
-        assert space_module._euclid_certificate(coords) \
-            == space_module._euclid_certificate(coords, tables[0])
+    # the coordinate oracle's positivity pass, a block at a time, reads the
+    # table's gap: a certified table is certified there too, without sampling
+    try:
+        gap = validate_quasi_metric(range(n), tables[0]).min_gap
+    except (BadSpec, ZeroDistance):   # not finite, or a repeated point
+        return
+    if space_module._euclid_certificate(dim, gap) is None:
+        return
+    oracle = functools.partial(space_module._coord_dists, coords)
+    with _counting("_tri_const_sampled") as sampled:
+        assert validate_quasi_metric(range(n), oracle, declared_tri_const=1.0,
+                                     exhaustive_cap=0, coord_dim=dim) \
+            == validate_quasi_metric(range(n), tables[0],
+                                     declared_tri_const=1.0, coord_dim=dim)
+        assert sampled.call_count == 0
 
 
 def _counting(name):
@@ -623,12 +728,12 @@ def test_uncertified_coordinates_take_the_exact_kernel(declared, scale):
 
 
 def test_non_finite_distances_are_refused():
-    # the 8-point line with d(2, 5) = d(5, 2) = NaN, as a row oracle read
-    # row by row above the exhaustive cap and as a dense table
+    # the 8-point line with d(2, 5) = d(5, 2) = NaN, as a block oracle read
+    # a block at a time above the exhaustive cap and as a dense table
     pos = np.arange(8.0)
     table = np.abs(pos[:, None] - pos[None, :])
     table[2, 5] = table[5, 2] = np.nan
-    for distance in (table.__getitem__, table):
+    for distance in (lambda ids, cols: table[np.ix_(ids, cols)], table):
         with pytest.raises(BadSpec, match=r"^d\(2,5\) = nan is not a finite"):
             validate_quasi_metric(range(8), distance, declared_tri_const=1.0,
                                   exhaustive_cap=4)

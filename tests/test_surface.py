@@ -242,3 +242,43 @@ def test_one_closure_closes_every_table():
     assert callers == [("cubes.py", "close_table")]
     assert imports == []
     assert defined == []
+
+
+def _outer_difference(node):
+    """Whether `node` takes all pairwise differences of one array: an
+    np.subtract.outer, or a[..., None, ...] - a[None, ...] of one `a`."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "outer" and getattr(node.value, "attr", None) \
+            == "subtract"
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+        return False
+    sides = (node.left, node.right)
+    return all(isinstance(side, ast.Subscript) and any(
+        isinstance(part, ast.Constant) and part.value is None
+        for part in ast.walk(side.slice)) for side in sides) \
+        and ast.unparse(node.left.value) == ast.unparse(node.right.value)
+
+
+def test_one_coordinate_kernel():
+    # every coordinate distance comes from space._coord_dists: no other
+    # function of the package subtracts coordinate columns, but from_line,
+    # whose |a - b| is the line's own metric and stays finite where the
+    # kernel's squares overflow; and no row oracle is left beside the block
+    # oracle
+    found, row_oracles = set(), []
+    for path in sorted(Path(cubeforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        tops = [node for top in tree.body
+                for node in (top.body if isinstance(top, ast.ClassDef)
+                             else [top])
+                if isinstance(node, ast.FunctionDef)]
+        found |= {(path.name, fn.name) for fn in tops
+                  if any(map(_outer_difference, ast.walk(fn)))}
+        row_oracles += [(path.name, name) for node in ast.walk(tree)
+                        for name in [getattr(node, "id", None)
+                                     or getattr(node, "attr", None)
+                                     or getattr(node, "arg", None)]
+                        if name in ("_row_fn", "row_fn", "_coords_rows")]
+    assert sorted(found) == [("space.py", "_coord_dists"),
+                             ("space.py", "from_line")]
+    assert row_oracles == []
