@@ -167,8 +167,7 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
     links, link_of = zip(*map(_distinct_links, links, link_of)) \
         if links else ((), ())
     link_of = np.array(link_of, dtype=int).reshape(len(links), K)
-    pieces, piece_of = close_table(labeled.space.n, centers,
-                                   [maps for maps, _ in links], link_of)
+    pieces, piece_of = close_table(labeled.space.n, centers, links, link_of)
     family = AdjacentFamily(
         space=labeled.space, k_min=labeled.k_min, k_max=labeled.k_max,
         constants=labeled.selected_constants, mode=labeled.hierarchy.mode,

@@ -83,10 +83,13 @@ def _positive(v, n: int, name: str) -> np.ndarray:
 
 def lp_norm(values, mu, omega, p: float) -> float:
     """Discrete weighted norm: (sum |v(x)|^p omega(x) mu({x}))^(1/p)."""
-    v = np.abs(np.asarray(values, dtype=float))
-    w = _weights_of(mu, v.size)
-    omega = _vector(omega, v.size, "omega")
-    return float(np.sum(v ** p * omega * w) ** (1.0 / p))
+    v = np.asarray(values, dtype=float)
+    return _lp(v, _weights_of(mu, v.size), _vector(omega, v.size, "omega"), p)
+
+
+def _lp(v, w, omega, p: float) -> float:
+    """lp_norm of the float vector v over validated weights w and omega."""
+    return float(np.sum(np.abs(v) ** p * omega * w) ** (1.0 / p))
 
 
 # -- doubling ----------------------------------------------------------------
@@ -275,9 +278,7 @@ def maximal_function(space: QuasiMetricSpace, mu, f, variant: str = "ball",
     f = _vector(f, space.n, "f")
     base = w if weight is None else w * _positive(weight, space.n, "weight")
     if variant in ("dyadic", "dyadic_sharp"):
-        if system is None:
-            raise ConfigError("dyadic variants need a cube system")
-        return _dyadic_values(system.column().held_pieces(), 1, base, [f],
+        return _dyadic_values(_held_pieces(space, system), 1, base, [f],
                               variant == "dyadic_sharp")[0, 0]
     return _ball_values(space, base, [f], variant == "sharp")[0]
 
@@ -294,10 +295,17 @@ def ap_constant(space: QuasiMetricSpace, mu, omega, p: float,
         raise ConfigError(f"unknown A_p variant {variant!r}")
     w = _weights_of(mu, space.n)
     omega = _positive(omega, space.n, "omega")
-    if variant == "dyadic" and system is None:
-        raise ConfigError("dyadic variants need a cube system")
-    return _ap_values(space, w, omega, p, system.column().held_pieces()
+    return _ap_values(space, w, omega, p, _held_pieces(space, system)
                       if variant == "dyadic" else None)[0]
+
+
+def _held_pieces(space: QuasiMetricSpace, system) -> list:
+    """The pieces a dyadic reader sweeps, of a system built on `space`."""
+    if system is None:
+        raise ConfigError("dyadic variants need a cube system")
+    if system.space is not space:
+        raise PreconditionFail("the system and the space must share one space")
+    return system.held_pieces()
 
 
 def _ap_values(space, w, omega, p: float, levels=None, K: int = 1) -> list:
@@ -499,7 +507,7 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
     omega = _positive(omega, space.n, "omega")
     f = _vector(f, space.n, "f")
     p_conj = p / (p - 1.0)
-    norm_f = lp_norm(f, w, omega, p)
+    norm_f = _lp(f, w, omega, p)
     rep = VerificationReport("weighted maximal bounds")
 
     info = constants if constants is not None \
@@ -516,11 +524,11 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
     bad_a, bad_b, bad_c = [], [], []
     for t, (m_w_t, m_d_t, osc, a_p) in enumerate(
             zip(m_w, m_d, osc_dy, a_ps), start=1):
-        lhs_a = lp_norm(m_w_t, w, omega, p)
+        lhs_a = _lp(m_w_t, w, omega, p)
         doob.append({"t": t, "norm": lhs_a, "bound": bound_a})
         if lhs_a > bound_a * (1.0 + _REL_TOL):
             bad_a.append((t, lhs_a, bound_a))
-        lhs_b = lp_norm(m_d_t, w, omega, p)
+        lhs_b = _lp(m_d_t, w, omega, p)
         bound_b = p ** (1.0 / (p - 1.0)) * p_conj * a_p ** (1.0 / (p - 1.0)) * norm_f
         buckley.append({"t": t, "norm": lhs_b, "A_p": a_p, "bound": bound_b})
         if lhs_b > bound_b * (1.0 + _REL_TOL):

@@ -17,12 +17,11 @@ each. A piece holds a level's point -> cube map assign and its members =
 final end, so cube i is flat[start[i]:start[i + 1]]. close_table makes each
 distinct (cube count, assign) content one piece (`close_level`), so levels
 that partition the space alike share their arrays even when their centers
-differ, and no array of a table is written in place. A CubeSystem holds
-one system's level arrays in lists of its own: a table's view
-`system(t)`, or the one column that build_cube_system closes. It is
-written and swept as a one-column table over those arrays
-(`CubeSystem.column`). Cube values are built on demand by cube() and
-cubes_at().
+differ, and no array of a table is written in place. A CubeSystem is a
+LevelTable with one column: a table's view `system(t)`, or the column that
+build_cube_system closes or from_json reads. It takes its per-level reads
+from that column when it is made and is written and swept as a table.
+Cube values are built on demand by cube() and cubes_at().
 
 The checker re-derives each system's promised geometry from its realized
 member sets: partition, nesting, the inner/outer ball sandwich with the
@@ -79,9 +78,6 @@ class ParentMaps:
     maps: list = field(default_factory=list)   # maps[j][i] = parent index
     tight: list = field(default_factory=list)  # tight[j][i] = unique-close link
 
-    def parent_of(self, k: int, child_index: int) -> int:
-        return int(self.maps[k - self.k_top][child_index])
-
 
 @dataclass(frozen=True)
 class Cube:
@@ -91,116 +87,6 @@ class Cube:
 
     center: int
     members: np.ndarray
-
-
-@dataclass
-class CubeSystem:
-    """One system's levels in lists of its own (see the module docstring):
-    level k_min + j has the centers level_points[j], the point -> cube map
-    assign[j] and the members[j] = (flat, start) of its cubes."""
-
-    space: QuasiMetricSpace
-    k_min: int
-    k_max: int
-    constants: SystemConstants
-    mode: str
-    level_points: list
-    order: ParentMaps
-    members: list
-    assign: list
-
-    @property
-    def delta(self) -> float:
-        return self.constants.delta
-
-    def level_ks(self):
-        return range(self.k_min, self.k_max + 1)
-
-    def _level_index(self, k: int) -> int:
-        """Position j of level k in the per-level lists."""
-        return require_id("level", k, self.k_min, self.k_max) - self.k_min
-
-    def cubes_at(self, k: int) -> list:
-        return [self.cube(k, i)
-                for i in range(len(self.level_points[self._level_index(k)]))]
-
-    def cube(self, k: int, index: int) -> Cube:
-        j = self._level_index(k)
-        index = require_id("cube", index, 0, len(self.level_points[j]), ")")
-        flat, start = self.members[j]
-        return Cube(int(self.level_points[j][index]),
-                    flat[start[index]:start[index + 1]])
-
-    def locate(self, k: int, point: int) -> int:
-        """Index of the cube containing `point` on level k."""
-        j = self._level_index(k)
-        return int(self.assign[j][require_id("point", point, 0,
-                                             self.space.n, ")")])
-
-    def column(self) -> LevelTable:
-        """The system as a one-column table over its own arrays, one piece
-        per level."""
-        levels, links = len(self.level_points), len(self.order.maps)
-        return LevelTable(
-            space=self.space, k_min=self.k_min, k_max=self.k_max,
-            constants=self.constants, mode=self.mode,
-            centers=[pts[None] for pts in self.level_points],
-            links=[(m[None], t[None]) for m, t in zip(self.order.maps,
-                                                      self.order.tight)],
-            pieces=list(zip(self.assign, self.members)),
-            center_of=np.zeros((levels, 1), dtype=int),
-            link_of=np.zeros((links, 1), dtype=int),
-            piece_of=np.arange(levels)[:, None])
-
-    def to_json(self):
-        """The system as a JSON document (`LevelTable.documents`)."""
-        return self.column().documents()[0]
-
-    @classmethod
-    def from_json(cls, d, space):
-        """Read a system back; a point listed in several cubes of one level
-        is assigned to the last of them."""
-        require_mode(d["mode"])
-        c0, C0 = float(d["constants"]["c0"]), float(d["constants"]["C0"])
-        if not np.isfinite([c0, C0]).all():
-            raise ConfigError(f"constants c0={c0} and C0={C0} must be finite")
-        consts = SystemConstants(require_delta(d["delta"]),
-                                 space.profile.tri_const, c0, C0)
-        k_min, k_max = int(d["k_min"]), int(d["k_max"])
-        _require_levels(len(d["levels"]), k_min, k_max)
-        level_points, members, assign = [], [], []
-        for k, lv in enumerate((lv["cubes"] for lv in d["levels"]), k_min):
-            size = np.array([len(c["members"]) for c in lv], dtype=int)
-            cube_of = np.repeat(np.arange(size.size), size)
-            pts = _point_ids([c["center"] for c in lv], space.n, k,
-                             np.arange(size.size), "center")
-            flat = _point_ids([p for c in lv for p in c["members"]], space.n,
-                              k, cube_of, "member")
-            a = np.full(space.n, -1, dtype=int)
-            np.maximum.at(a, flat, cube_of)
-            level_points.append(pts)
-            members.append((flat, np.concatenate(([0], np.cumsum(size)))))
-            assign.append(a)
-        if len(d["parents"]) != len(level_points) - 1:
-            raise ConfigError(
-                f"level {k_min + min(len(d['parents']), k_max - k_min) + 1}: "
-                f"{len(d['parents'])} parent entries for "
-                f"{len(level_points)} levels")
-        order = ParentMaps(k_top=k_min, constants=consts, mode=d["mode"])
-        for k, p, coarse, fine in zip(itertools.count(k_min), d["parents"],
-                                      level_points, level_points[1:]):
-            for name in ("map", "tight"):
-                if len(p[name]) != fine.size:
-                    raise ConfigError(
-                        f"level {k + 1}, cube {min(len(p[name]), fine.size)}:"
-                        f" {name} lists {len(p[name])} entries for "
-                        f"{fine.size} cubes")
-            order.maps.append(_point_ids(p["map"], coarse.size, k + 1,
-                                         np.arange(fine.size), "parent"))
-            order.tight.append(np.asarray(p["tight"], dtype=bool))
-        return cls(space=space, k_min=k_min, k_max=k_max, constants=consts,
-                   mode=d["mode"], level_points=level_points, order=order,
-                   members=members, assign=assign)
 
 
 @dataclass
@@ -233,21 +119,19 @@ class LevelTable:
     def n_systems(self) -> int:   # K
         return self.center_of.shape[1]
 
+    def level_ks(self):
+        return range(self.k_min, self.k_max + 1)
+
     def system(self, t: int) -> CubeSystem:
-        """System t, a view over the table's arrays in lists of its own."""
+        """System t: the one-column table over this table's lists."""
         i = require_id("system index", t, 1, self.n_systems) - 1
-        links = list(zip(self.links, self.link_of[:, i].tolist()))
-        pieces = [self.pieces[p] for p in self.piece_of[:, i].tolist()]
+        col = slice(i, i + 1)
         return CubeSystem(
             space=self.space, k_min=self.k_min, k_max=self.k_max,
-            constants=self.constants, mode=self.mode,
-            level_points=[c[x] for c, x in zip(self.centers,
-                                               self.center_of[:, i].tolist())],
-            order=ParentMaps(k_top=self.k_min, constants=self.constants,
-                             mode=self.mode,
-                             maps=[maps[x] for (maps, _), x in links],
-                             tight=[tight[x] for (_, tight), x in links]),
-            members=[m for _, m in pieces], assign=[a for a, _ in pieces])
+            constants=self.constants, mode=self.mode, centers=self.centers,
+            links=self.links, pieces=self.pieces,
+            center_of=self.center_of[:, col], link_of=self.link_of[:, col],
+            piece_of=self.piece_of[:, col])
 
     @property
     def systems(self) -> tuple:
@@ -257,19 +141,19 @@ class LevelTable:
     def held_pieces(self) -> list:
         """(k, assign, cube count, holders) per piece some system holds: the
         first level k holding it and the indices t - 1 of its holders."""
-        held = [self.piece_of == p for p in range(len(self.pieces))]
+        held = [(self.pieces[p], self.piece_of == p)
+                for p in sorted(set(self.piece_of.ravel().tolist()))]
         return [(self.k_min + int(np.argmax(at.any(axis=1))), idx,
                  start.size - 1, np.flatnonzero(at.any(axis=0)))
-                for (idx, (_, start)), at in zip(self.pieces, held)
-                if at.any()]
+                for (idx, (_, start)), at in held]
 
     def documents(self) -> list:
         """Each system's JSON document, t = 1..K: one level entry per
         (level, center list, piece) and one parent entry per link, each
         shared by the documents that index it, so they are read-only."""
-        ks = range(self.k_min, self.k_max + 1)
-        parents = [[_parent_json(k, *link) for link in zip(*lv)]
-                   for k, lv in zip(ks, self.links)]
+        ks = self.level_ks()
+        parents = [{x: _parent_json(k, link, x) for x in set(xs.tolist())}
+                   for k, link, xs in zip(ks, self.links, self.link_of)]
         levels = [{(c, p): _level_json(k, z[c], self.pieces[p][1])
                    for c, p in set(zip(cs.tolist(), ps.tolist()))}
                   for k, z, cs, ps in zip(ks, self.centers, self.center_of,
@@ -284,6 +168,95 @@ class LevelTable:
                                       self.link_of.T.tolist())]
 
 
+@dataclass
+class CubeSystem(LevelTable):
+    """One system: a level table with one column (see the module
+    docstring). Its per-level reads are taken from that column when it is
+    made: level k_min + j has the centers level_points[j], the point ->
+    cube map assign[j], the members[j] = (flat, start) of its cubes and,
+    above the finest level, the parent map maps[j] from level j + 1."""
+
+    def __post_init__(self):
+        pieces = [self.pieces[p] for p in self.piece_of[:, 0].tolist()]
+        self.level_points = [c[x] for c, x in zip(
+            self.centers, self.center_of[:, 0].tolist())]
+        self.maps = [maps[x] for (maps, _), x in zip(
+            self.links, self.link_of[:, 0].tolist())]
+        self.members = [m for _, m in pieces]
+        self.assign = [a for a, _ in pieces]
+
+    def _level_index(self, k: int) -> int:
+        """Position j of level k in the per-level lists."""
+        return require_id("level", k, self.k_min, self.k_max) - self.k_min
+
+    def cubes_at(self, k: int) -> list:
+        return [self.cube(k, i)
+                for i in range(len(self.level_points[self._level_index(k)]))]
+
+    def cube(self, k: int, index: int) -> Cube:
+        j = self._level_index(k)
+        index = require_id("cube", index, 0, len(self.level_points[j]), ")")
+        flat, start = self.members[j]
+        return Cube(int(self.level_points[j][index]),
+                    flat[start[index]:start[index + 1]])
+
+    def locate(self, k: int, point: int) -> int:
+        """Index of the cube containing `point` on level k."""
+        j = self._level_index(k)
+        return int(self.assign[j][require_id("point", point, 0,
+                                             self.space.n, ")")])
+
+    def to_json(self):
+        """The system as a JSON document (`LevelTable.documents`)."""
+        return self.documents()[0]
+
+    @classmethod
+    def of_levels(cls, space, k_min: int, constants: SystemConstants,
+                  mode: str, level_points, links, pieces=None) -> CubeSystem:
+        """The one-column table of a system's center lists, its (parent map,
+        tight flags) links (`_links`) and its (assign, members) piece per
+        level: given, or closed from the links (`close_table`)."""
+        centers = [np.asarray(lv, dtype=int)[None] for lv in level_points]
+        links = list(_links(k_min, centers, links))
+        link_of = np.zeros((len(links), 1), dtype=int)
+        if pieces is None:
+            pieces, piece_of = close_table(space.n, centers, links, link_of)
+        else:
+            piece_of = np.arange(len(pieces))[:, None]
+        return cls(space=space, k_min=k_min, k_max=k_min + len(centers) - 1,
+                   constants=constants, mode=mode, centers=centers,
+                   links=links, pieces=list(pieces),
+                   center_of=np.zeros((len(centers), 1), dtype=int),
+                   link_of=link_of, piece_of=piece_of)
+
+    @classmethod
+    def from_json(cls, d, space):
+        """Read a system back; a point listed in several cubes of one level
+        is assigned to the last of them."""
+        require_mode(d["mode"])
+        c0, C0 = float(d["constants"]["c0"]), float(d["constants"]["C0"])
+        if not np.isfinite([c0, C0]).all():
+            raise ConfigError(f"constants c0={c0} and C0={C0} must be finite")
+        consts = SystemConstants(require_delta(d["delta"]),
+                                 space.profile.tri_const, c0, C0)
+        k_min, k_max = int(d["k_min"]), int(d["k_max"])
+        _require_levels(len(d["levels"]), k_min, k_max)
+        level_points, pieces = [], []
+        for k, lv in enumerate((lv["cubes"] for lv in d["levels"]), k_min):
+            size = np.array([len(c["members"]) for c in lv], dtype=int)
+            cube_of = np.repeat(np.arange(size.size), size)
+            level_points.append(_point_ids([c["center"] for c in lv], space.n,
+                                           k, np.arange(size.size), "center"))
+            flat = _point_ids([p for c in lv for p in c["members"]], space.n,
+                              k, cube_of, "member")
+            a = np.full(space.n, -1, dtype=int)
+            np.maximum.at(a, flat, cube_of)
+            pieces.append((a, (flat, np.concatenate(([0], np.cumsum(size))))))
+        return cls.of_levels(space, k_min, consts, d["mode"], level_points,
+                             [(p["map"], p["tight"]) for p in d["parents"]],
+                             pieces)
+
+
 def _level_json(k: int, centers, members) -> dict:
     """Level k's entry: each cube's center and member list."""
     flat, start = members[0].tolist(), members[1].tolist()
@@ -292,9 +265,9 @@ def _level_json(k: int, centers, members) -> dict:
                                                  start[1:])]}
 
 
-def _parent_json(k: int, parents, tight) -> dict:
-    """The entry of the parent links from level k + 1 to level k."""
-    return {"k": k, "map": parents.tolist(), "tight": tight.tolist()}
+def _parent_json(k: int, link, x: int) -> dict:
+    """Row x of the (maps, tight) links to level k, as a parent entry."""
+    return {"k": k, "map": link[0][x].tolist(), "tight": link[1][x].tolist()}
 
 
 def _require_levels(count: int, k_min: int, k_max: int) -> None:
@@ -318,6 +291,31 @@ def _point_ids(ids, n: int, k: int, owner, what: str) -> np.ndarray:
         raise ConfigError(
             f"level {k}, cube {owner[i]}: {what} id {raw[i]} {why}")
     return raw.astype(int)
+
+
+def _links(k_min: int, centers: list, links):
+    """One system's (parent map, tight flags) links, level by level, as
+    one-row arrays; ConfigError naming the level of a missing or extra link,
+    or the level and child of the first entry that does not fit `centers`."""
+    if len(links) != len(centers) - 1:
+        raise ConfigError(
+            f"level {k_min + min(len(links), len(centers) - 1) + 1}: "
+            f"{len(links)} parent entries for {len(centers)} levels")
+    for k, (parents, tight), coarse, fine in zip(
+            itertools.count(k_min + 1), links, centers, centers[1:]):
+        for name, entries in (("map", parents), ("tight", tight)):
+            if len(entries) != fine.size:
+                raise ConfigError(
+                    f"level {k}, cube {min(len(entries), fine.size)}: {name}"
+                    f" lists {len(entries)} entries for {fine.size} cubes")
+        parents = _point_ids(parents, coarse.size, k, np.arange(fine.size),
+                             "parent")
+        bad = [i for i, f in enumerate(tight)
+               if not isinstance(f, (bool, np.bool_))]
+        if bad:
+            raise ConfigError(f"level {k}, cube {bad[0]}: tight flag "
+                              f"{tight[bad[0]]!r} is not a bool")
+        yield parents[None], np.asarray(tight, dtype=bool)[None]
 
 
 def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
@@ -402,35 +400,28 @@ def _distinct(ids, n: int):
 def build_cube_system(space: QuasiMetricSpace, level_points,
                       order: ParentMaps) -> CubeSystem:
     """Close the parent order downward into per-level partitions: the one
-    column of a level table (`close_table`).
+    column of a level table (`close_table`), whose links must fit the
+    levels (`_links`).
 
     The finest level list must contain every point of the space (it seeds the
     member closure); coarser members are unions of their children's members.
     """
-    centers = [np.asarray(lv, dtype=int) for lv in level_points]
-    if not np.array_equal(np.sort(centers[-1]), np.arange(space.n)):
+    if not np.array_equal(np.sort(level_points[-1]), np.arange(space.n)):
         raise PreconditionFail(
             "finest level must enumerate every point of the space")
-    maps = [m[None] for m in order.maps[:len(centers) - 1]]
-    pieces, piece_of = close_table(space.n, [c[None] for c in centers], maps,
-                                   np.zeros((len(maps), 1), dtype=int))
-    levels = [pieces[p] for p in piece_of[:, 0]]
-    return CubeSystem(space=space, k_min=order.k_top,
-                      k_max=order.k_top + len(centers) - 1,
-                      constants=order.constants, mode=order.mode,
-                      level_points=centers, order=order,
-                      members=[m for _, m in levels],
-                      assign=[a for a, _ in levels])
+    return CubeSystem.of_levels(space, order.k_top, order.constants,
+                                order.mode, level_points,
+                                list(zip(order.maps, order.tight)))
 
 
-def close_table(n: int, centers: list, maps: list, link_of) -> tuple:
+def close_table(n: int, centers: list, links: list, link_of) -> tuple:
     """(pieces, piece_of) of a level table (see `LevelTable`): its distinct
     (assign, members) pieces and each system's piece per level,
     piece_of[j, t - 1], from its center lists (the finest level one list of
-    every point), its parent maps maps[j] from level j + 1, a row per link,
-    and its (levels - 1, K) link_of. Finest first, each level is closed once
-    per distinct (link, finer piece) pair its systems hold (`close_level`).
-    """
+    every point), its links[j] = (maps, tight) from level j + 1, a row per
+    link, and its (levels - 1, K) link_of. Finest first, each level is
+    closed once per distinct (link, finer piece) pair its systems hold
+    (`close_level`)."""
     closed, pieces, finest = {}, [], centers[-1][0]
     a = np.empty(n, dtype=int)
     a[finest] = np.arange(finest.size)
@@ -441,7 +432,7 @@ def close_table(n: int, centers: list, maps: list, link_of) -> tuple:
         made = dict.fromkeys(pairs)
         for x, p in made:
             made[x, p] = close_level(closed, pieces, centers[j].shape[1],
-                                     maps[j][x][pieces[p][0]])
+                                     links[j][0][x][pieces[p][0]])
         piece_of.insert(0, [made[pair] for pair in pairs])
     return pieces, np.array(piece_of)
 
@@ -481,7 +472,7 @@ def verify_cube_axioms(systems) -> list:
     gets alone. Cubes are read from the member arrays, never from
     `system.assign` (a point listed twice on a level belongs to the last
     cube), centers from `system.level_points`, linked by the composed parent
-    maps. Each check runs once per distinct key of the call: its levels k,
+    maps `system.maps`. Each check runs once per distinct key of the call: its levels k,
     the constants behind the radii and the bytes of every array it reads.
 
     The checks that read distance rows run a level index at a time across
@@ -545,7 +536,7 @@ def verify_cube_axioms(systems) -> list:
                 descendants.append((own, other, (
                     "descendants", k, fine, ct, sizes[b], *links[a:b],
                     own == a), (k, fine, c, _ancestors(
-                        system.order.maps[a:b], sizes[b]))))
+                        system.maps[a:b], sizes[b]))))
         return (checked, [w for p in parts for w in p[0]],
                 [w for nest in nestings for w in nest[1]], sandwiches,
                 descendants)
@@ -554,7 +545,7 @@ def verify_cube_axioms(systems) -> list:
     for system, ctr in zip(systems, ctrs):
         ct = consts.setdefault(system.constants, len(consts))
         mem = [(tag(flat), tag(start)) for flat, start in system.members]
-        links = [tag(m) for m in system.order.maps]
+        links = [tag(m) for m in system.maps]
         sizes = tuple(p.size for p in system.level_points)
         checked, parts, nests, sandwiches, descendants = once(
             ("layout", ct, system.k_min, system.k_max, sizes, *mem, *links),

@@ -60,6 +60,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import space as space_module
 from .adjacent import AdjacentFamily, _build_family
 from .constants import require_headroom
 from .cubes import CubeSystem, _edge_gaps, build_cube_system
@@ -516,8 +517,8 @@ def scan_chain_separation(system: CubeSystem) -> VerificationReport:
     A combination (x, k, n_depth) admits a threshold tau exactly when the
     distance from x to the complement of its level-k cube lies strictly
     below tau * delta**k for some tau within the depth headroom, up to
-    `SystemConstants.chain_tau(n_depth)`. The scan reads each
-    point's edge distances on every level at once, checks every admissible
+    `SystemConstants.chain_tau(n_depth)`. The scan reads the points' edge
+    distances a block a call, checks every admissible
     combination at the largest such tau with the chain kernel of
     `check_chain_separation`, and reports the admissible counts per depth,
     so a caller can see how much of the sweep was vacuous.
@@ -531,19 +532,19 @@ def scan_chain_separation(system: CubeSystem) -> VerificationReport:
                 note="scale headroom missing, nothing admissible")
         return rep
     assign = np.stack(system.assign)   # assign[j, x]: x's level-j cube
-    per_depth: dict = {}
-    bad, checked = [], 0
-    for x in space.points():
-        gaps = _edge_gaps(space.dist_row(x), assign, assign[:, x]).tolist()
-        for k, gap in zip(system.level_ks(), gaps):
-            for n_depth in range(0, system.k_max - k + 1):
-                if gap >= consts.chain_tau(n_depth) * consts.delta ** k:
-                    break
-                _, witnesses = _chain(system, x, k, n_depth, consts.eps_1)
-                checked += n_depth * (n_depth + 1) // 2
-                per_depth[n_depth] = per_depth.get(n_depth, 0) + 1
-                if witnesses:
-                    bad.append((x, k, n_depth, witnesses[:2]))
+    step = max(1, space_module.BALL_CELLS // assign.size)
+    gaps = np.concatenate([   # gaps[x, j]: x's edge distance on level j
+        _edge_gaps(space.dist_rows(xs)[:, None], assign, assign[:, xs].T)
+        for xs in np.split(np.arange(space.n), range(step, space.n, step))])
+    ks, per_depth, bad, checked = list(system.level_ks()), {}, [], 0
+    taus = [[consts.chain_tau(d) * consts.delta ** k if k + d <= system.k_max
+             else -math.inf for d in range(len(ks))] for k in ks]
+    for x, j, n_depth in np.argwhere(gaps[..., None] < taus).tolist():
+        _, witnesses = _chain(system, x, ks[j], n_depth, consts.eps_1)
+        checked += n_depth * (n_depth + 1) // 2
+        per_depth[n_depth] = per_depth.get(n_depth, 0) + 1
+        if witnesses:
+            bad.append((x, ks[j], n_depth, witnesses[:2]))
     rep.add("admissible_chains", not bad, checked, bad,
             details={"per_depth": per_depth,
                      "combinations": int(sum(per_depth.values()))})

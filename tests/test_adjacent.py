@@ -33,6 +33,7 @@ from cubeforge.nets import build_reference_hierarchy
 from cubeforge.pipeline import write_json
 from cubeforge.random_systems import OmegaSampler
 from cubeforge.space import QuasiMetricSpace, generate_space
+from test_cubes import links_of
 from test_space import block_sweep
 from test_selection import cloud_labels
 
@@ -438,8 +439,8 @@ def assert_shares_levels(fam, systems):
     for s in systems:
         z = [lv.tobytes() for lv in s.level_points]
         triples.update((j, *z[j:j + 2]) for j in range(len(z) - 1))
-        links.update((j, m.tobytes(), t.tobytes()) for j, (m, t) in
-                     enumerate(zip(s.order.maps, s.order.tight)))
+        links.update((j, m.tobytes(), t.tobytes())
+                     for j, (m, t) in enumerate(links_of(s)))
         contents.update((len(pts), a.tobytes())
                         for pts, a in zip(s.level_points, s.assign))
     assert [len(c) for c in fam.centers] == [
@@ -566,7 +567,8 @@ def test_level_closure_matches_each_systems_chain(data):
         link_of.append(np.array(data.draw(st.lists(
             st.integers(0, len(maps[-1]) - 1), min_size=K, max_size=K))))
     z = [np.arange(size)[None] for size in sizes[:-1]] + [finest[None]]
-    pieces, piece_of = close_table(n, z, maps,
+    # the closure reads a link's parent maps, not its tight flags
+    pieces, piece_of = close_table(n, z, [(m, None) for m in maps],
                                    np.array(link_of).reshape(len(maps), K))
     shared = {}
     for t in range(K):
@@ -790,8 +792,8 @@ def assert_same_system(a, b):
     assert (a.k_min, a.k_max, a.mode) == (b.k_min, b.k_max, b.mode)
     assert a.constants.to_json() == b.constants.to_json()
     pairs = [*zip(a.level_points, b.level_points), *zip(a.assign, b.assign),
-             *zip(a.order.maps, b.order.maps),
-             *zip(a.order.tight, b.order.tight)]
+             *(pair for links in zip(links_of(a), links_of(b))
+               for pair in zip(*links))]
     pairs += [(x, y) for ma, mb in zip(a.members, b.members)
               for x, y in zip(ma, mb)]
     assert len(pairs) == 4 * (a.k_max - a.k_min) + 2 + 2 * len(a.members)

@@ -176,6 +176,29 @@ def dyadic_calls(space, system):
             lambda: bmo_norm(space, mu, f, "dyadic", system=system)]
 
 
+DYADIC_READERS = {
+    "maximal_function": lambda space, system: maximal_function(
+        space, np.ones(space.n), np.arange(space.n), "dyadic", system=system),
+    "ap_constant": lambda space, system: ap_constant(
+        space, np.ones(space.n), np.arange(space.n) + 1.0, 2.0, "dyadic",
+        system=system),
+    "bmo_norm": lambda space, system: bmo_norm(
+        space, np.ones(space.n), np.arange(space.n), "dyadic", system=system)}
+
+
+@pytest.mark.parametrize("reader", DYADIC_READERS)
+def test_dyadic_readers_refuse_a_system_of_another_space(reader):
+    # a system of the 30-point cloud raised numpy's bare ValueError on the
+    # 40-point one, and one of another 40-point cloud read its own cubes
+    call = DYADIC_READERS[reader]
+    fam = cloud_family(n=40, seed=3, box=20.0)
+    call(fam.space, fam.system(1))
+    for n, seed in ((30, 4), (40, 5)):
+        other = cloud_family(n=n, seed=seed, box=20.0).system(1)
+        with pytest.raises(PreconditionFail, match="share one space"):
+            call(fam.space, other)
+
+
 def test_dyadic_operators_refuse_an_uncovered_point():
     # emptying fine cube 2 of the line4 system leaves point 2 in no cube;
     # numpy's bincount used to fail on its assign entry -1
@@ -624,7 +647,7 @@ FLAGS = ("ok", "clamped_coarse", "underflow")
 def loop_route_t(fam, k, beta):
     l, m = fam.labeled.duplex[k - fam.labeled.k_min][beta].tolist()
     if fam.ordinal_shifts is not None:
-        alpha = fam.labeled.order.parent_of(k, beta)
+        alpha = int(fam.labeled.order.maps[k - fam.k_min][beta])
         n_kids = len(fam.labeled.children_of(k, alpha))
         m = (m - int(fam.ordinal_shifts[k][alpha]) - 1) % n_kids + 1
     t = pair_to_index(l, m, fam.labeled.max_children)
@@ -642,10 +665,10 @@ def loop_route(fam, x, row, k, floor_k):
                          flag="underflow")
     beta = int(np.argmin(row[fam.labeled.hierarchy.level(k + 1)]))
     t = loop_route_t(fam, k, beta)
-    alpha = fam.labeled.order.parent_of(k, beta)
+    alpha = int(fam.labeled.order.maps[k - fam.k_min][beta])
     if fam.distinguished is None:
         return CubeQuery(t=t, k=k, index=alpha, flag="ok")
-    up = fam.system(t).order.parent_of(k - 1, alpha)
+    up = int(fam.system(t).maps[k - 1 - fam.k_min][alpha])
     return CubeQuery(t=t, k=k - 1, index=up, flag="ok")
 
 
@@ -810,7 +833,7 @@ def loop_center_coverage(fam):
         for beta in range(len(level)):
             checked += 1
             t = loop_route_t(fam, k - 1, beta)
-            alpha = fam.labeled.order.parent_of(k - 1, beta)
+            alpha = int(fam.labeled.order.maps[k - 1 - fam.k_min][beta])
             center = fam.system(t).cube(k - 1, alpha).center
             if center != int(level[beta]):
                 bad.append((k, beta, t, alpha, center))

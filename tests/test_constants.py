@@ -1,6 +1,7 @@
 """The table of the paper's constants: every headroom guard passes at its
 limit and refuses just past it with the type and message it has always
 raised, and no guard lets NaN through."""
+import dataclasses
 import json
 import math
 
@@ -170,11 +171,8 @@ def test_nan_constants_are_refused():
         with pytest.raises(ConfigError, match="must be finite"):
             CubeSystem.from_json(json.loads(json.dumps(bad)), line)
     # built directly, a NaN c0 misses the scale headroom
-    nan_system = CubeSystem(
-        space=line, k_min=system.k_min, k_max=system.k_max,
-        constants=SystemConstants(1 / 144, 1.0, math.nan, 2.0),
-        mode="strict", level_points=system.level_points, order=system.order,
-        members=system.members, assign=system.assign)
+    nan_system = dataclasses.replace(
+        system, constants=SystemConstants(1 / 144, 1.0, math.nan, 2.0))
     chk = scan_chain_separation(nan_system).check("admissible_chains")
     assert chk.checked == 0 and "headroom missing" in chk.note
 

@@ -47,16 +47,35 @@ def line4_space(positions=LINE4):
     return QuasiMetricSpace.from_table(table, declared_tri_const=1.0)
 
 
+def links_of(system):
+    """The (parent map, tight flags) per level of a system's one column."""
+    return [(m[x], t[x]) for (m, t), x in zip(system.links,
+                                              system.link_of[:, 0])]
+
+
+def rebuilt(system, level_points=None, maps=None, members=None,
+            assign=None):
+    """A one-column system (`CubeSystem.of_levels`) with the per-level
+    arrays of `system` but for those given, so the verifier and to_json
+    read the same edited arrays. Systems may share their arrays, so
+    nothing is written in place."""
+    tight = [t for _, t in links_of(system)]
+    return CubeSystem.of_levels(
+        system.space, system.k_min, system.constants, system.mode,
+        level_points or system.level_points,
+        list(zip(maps or system.maps, tight)),
+        list(zip(assign or system.assign, members or system.members)))
+
+
 def relist(system, k, lists):
-    """Give `system` the member lists `lists` on level k, as a new (flat,
-    start) pair. Systems may share their arrays, so nothing is written in
-    place: the system gets a new list of levels holding new arrays."""
+    """`system` with the member lists `lists` on level k, as a new (flat,
+    start) pair (`rebuilt`)."""
     sizes = [len(m) for m in lists]
-    system.members = list(system.members)
-    system.members[k - system.k_min] = (
+    members = list(system.members)
+    members[k - system.k_min] = (
         np.array([p for m in lists for p in m], dtype=int),
         np.concatenate(([0], np.cumsum(sizes, dtype=int))))
-    return system
+    return rebuilt(system, members=members)
 
 
 def line4_order():
@@ -75,7 +94,6 @@ def test_parent_example_frozen():
     # 3 misses both and falls loose to the first center within 4
     assert order.maps[0].tolist() == [0, 0, 0, 1]
     assert order.tight[0].tolist() == [True, True, False, True]
-    assert order.parent_of(-1, 2) == 0
 
 
 def test_parent_matches_scan_oracle():
@@ -223,8 +241,8 @@ def shared_system(space, levels, order, closed, pieces):
     system = build_cube_system(space, levels, order)
     pairs = [pieces[close_level(closed, pieces, len(pts), a)]
              for pts, a in zip(system.level_points, system.assign)]
-    return dataclasses.replace(system, assign=[a for a, _ in pairs],
-                               members=[m for _, m in pairs])
+    return rebuilt(system, assign=[a for a, _ in pairs],
+                   members=[m for _, m in pairs])
 
 
 def test_shared_closure_matches_fresh_builds():
@@ -358,7 +376,7 @@ def test_axioms_pass_strict_cloud():
 def test_partition_flags_corruption():
     space, levels, order = line4_order()
     system = build_cube_system(space, levels, order)
-    relist(system, -1, [[0, 2], [3]])  # orphan point 1
+    system = relist(system, -1, [[0, 2], [3]])  # orphan point 1
     rep = verify_cube_axioms([system])[0]
     chk = rep.check("partition")
     assert not chk.passed
@@ -368,7 +386,8 @@ def test_partition_flags_corruption():
 def test_partition_flags_duplicates():
     space, levels, order = line4_order()
     system = build_cube_system(space, levels, order)
-    relist(system, -1, [[0, 1, 2], [3, 1]])  # 1 now sits in both cubes
+    # 1 now sits in both cubes
+    system = relist(system, -1, [[0, 1, 2], [3, 1]])
     rep = verify_cube_axioms([system])[0]
     chk = rep.check("partition")
     assert not chk.passed
@@ -378,7 +397,8 @@ def test_partition_flags_duplicates():
 def test_nesting_flags_corruption():
     space, levels, order = line4_order()
     system = build_cube_system(space, levels, order)
-    relist(system, 0, [[0], [1], [2], [0, 3]])  # straddles both coarse cubes
+    # the cube {0, 3} straddles both coarse cubes
+    system = relist(system, 0, [[0], [1], [2], [0, 3]])
     rep = verify_cube_axioms([system])[0]
     assert rep.check("nesting").witnesses == [(-1, 0, 3, [0, 1])]
 
@@ -494,7 +514,11 @@ def cloud_system_doc():
     (lambda d: d["parents"][0]["map"].__setitem__(1, 10 ** 6),
      r"level 0, cube 1: parent id 1000000 outside \[0, 1\)"),
     (lambda d: d["parents"][1]["map"].__setitem__(3, -1),
-     r"level 1, cube 3: parent id -1 outside \[0, 36\)")])
+     r"level 1, cube 3: parent id -1 outside \[0, 36\)"),
+    (lambda d: d["parents"][1]["tight"].__setitem__(2, "x"),
+     "level 1, cube 2: tight flag 'x' is not a bool"),
+    (lambda d: d["parents"][0]["tight"].__setitem__(0, 1),
+     "level 0, cube 0: tight flag 1 is not a bool")])
 def test_json_refuses_parent_entries_that_contradict_its_levels(edit, want):
     # each used to load, and verify_cube_axioms then raised a bare
     # IndexError (or, for -1, read the last cube as the parent)
@@ -503,6 +527,34 @@ def test_json_refuses_parent_entries_that_contradict_its_levels(edit, want):
     edit(doc)
     with pytest.raises(ConfigError, match=f"^{want}$"):
         CubeSystem.from_json(doc, space)
+
+
+def with_entry(m, i, value):
+    """A copy of the map m with entry i set to value."""
+    m = m.copy()
+    m[i] = value
+    return m
+
+
+@pytest.mark.parametrize("edit, want", [
+    (lambda maps: maps[:1], "level 1: 1 parent entries for 3 levels"),
+    (lambda maps: [maps[0], maps[1][:-3]],
+     "level 1, cube 37: map lists 37 entries for 40 cubes"),
+    (lambda maps: [maps[0], with_entry(maps[1], 5, 1000)],
+     r"level 1, cube 5: parent id 1000 outside \[0, 36\)"),
+    (lambda maps: [maps[0], with_entry(maps[1], 3, -1)],
+     r"level 1, cube 3: parent id -1 outside \[0, 36\)")])
+def test_build_refuses_links_that_do_not_fit_its_levels(edit, want):
+    # the levels of the 40-point cloud hold 1, 36 and 40 points; each order
+    # used to raise a bare IndexError, or for -1 bincount's ValueError
+    space = cloud_system_doc()[1]
+    lab = build_labels(build_reference_hierarchy(space, 1 / 144))
+    levels, order = lab.hierarchy.levels, lab.order
+    built = build_cube_system(space, levels, order)
+    assert verify_cube_axioms([built])[0].passed
+    with pytest.raises(ConfigError, match=f"^{want}$"):
+        build_cube_system(space, levels, dataclasses.replace(
+            order, maps=edit(order.maps)))
 
 
 def test_json_refuses_a_level_count_off_its_window():
@@ -586,7 +638,7 @@ def test_checked_counts_cover_all_level_pairs():
 def test_inner_sandwich_flags_member_moved_out():
     system = line4_system()
     # the point 1 lies within 4/3 of the center 0 but now sits with 7
-    relist(system, -1, [[0, 2], [1, 3]])
+    system = relist(system, -1, [[0, 2], [1, 3]])
     rep = verify_cube_axioms([system])[0]
     assert failing(rep) == {"ball_sandwich_inner": [(-1, 0, 1, 1.0)]}
 
@@ -605,8 +657,8 @@ def test_outer_sandwich_and_descendants_flag_far_member():
 def test_outer_sandwich_names_first_listed_far_member():
     # the points 9 and 10 both leave the outer ball around 0; the witness
     # is the first of them in member-list order, not the smallest id
-    system = line4_system([0.0, 9.0, 10.0, 7.0])
-    relist(system, -1, [[2, 1, 0], [3]])
+    system = relist(line4_system([0.0, 9.0, 10.0, 7.0]), -1,
+                    [[2, 1, 0], [3]])
     rep = verify_cube_axioms([system])[0]
     assert rep.check("ball_sandwich_outer").witnesses == [(-1, 0, 2, 10.0)]
     assert rep.check("descendant_center_proximity").witnesses == [
@@ -629,7 +681,8 @@ def test_descendant_radii_flag_moved_center():
     # The centers are the sandwich's too, so the cube {1} is now centered
     # at 7: its member 1 sits 6 away (outer radius 2 at level 0) and the
     # point 7 sits inside its inner ball without being a member
-    system.level_points[1] = np.array([0, 3, 2, 3])
+    system = rebuilt(system, level_points=[system.level_points[0],
+                                           np.array([0, 3, 2, 3])])
     rep = verify_cube_axioms([system])[0]
     assert failing(rep) == {
         "ball_sandwich_inner": [(0, 1, 3, 0.0)],
@@ -656,7 +709,7 @@ def scan_verdicts(system):
               for k in system.level_ks()]
     c = system.constants
     return bruteforce.cube_axioms_scan(
-        d, levels, [m.tolist() for m in system.order.maps], system.k_min,
+        d, levels, [m.tolist() for m in system.maps], system.k_min,
         system.delta, c.inner_const, c.outer_const, c.tri_const)
 
 
@@ -722,20 +775,19 @@ def test_family_reports_equal_lone_reports():
     # one call checks each distinct level and level pair once; corrupted
     # systems share most arrays with intact ones, so a memo keyed on less
     # than the bytes a check reads would hand them an intact system's report
-    systems = box20_family().systems
+    systems = list(box20_family().systems)
     rng = np.random.default_rng(7)
     for t, kind in ((0, "duplicate"), (3, "orphan"), (4, "straddle"),
                     (9, "straddle")):
-        corrupt(systems[t], kind, rng)
-    moved = systems[6]
-    moved.level_points = list(moved.level_points)
-    moved.level_points[1] = np.roll(moved.level_points[1], 1)
+        systems[t] = corrupt(systems[t], kind, rng)
+    moved = list(systems[6].level_points)
+    moved[1] = np.roll(moved[1], 1)
+    systems[6] = rebuilt(systems[6], level_points=moved)
     relinked = systems[8]   # finest cube 0 hangs under the farthest center
     coarse, fine = relinked.level_points[-2:]
-    link = relinked.order.maps[-1].copy()
+    link = relinked.maps[-1].copy()
     link[0] = np.argmax(relinked.space.dist_rows([fine[0]], coarse))
-    relinked.order = dataclasses.replace(
-        relinked.order, maps=[*relinked.order.maps[:-1], link])
+    systems[8] = rebuilt(relinked, maps=[*relinked.maps[:-1], link])
     reports = verify_cube_axioms(systems)
     assert len(reports) == len(systems) > 10
     assert sum(not rep.passed for rep in reports) == 6
@@ -848,25 +900,23 @@ def test_systems_of_two_spaces_are_refused():
 def rotate_centers(system, rng):
     """Roll the center list of a random level with two cubes or more, or
     move the one center of the top level to the next point id."""
-    system.level_points = list(system.level_points)
-    ks = [j for j, p in enumerate(system.level_points) if p.size > 1]
+    level_points = list(system.level_points)
+    ks = [j for j, p in enumerate(level_points) if p.size > 1]
     if ks:
         j = ks[rng.integers(len(ks))]
-        system.level_points[j] = np.roll(system.level_points[j], 1)
+        level_points[j] = np.roll(level_points[j], 1)
     else:
-        system.level_points[0] = (system.level_points[0] + 1) % system.space.n
-    return system
+        level_points[0] = (level_points[0] + 1) % system.space.n
+    return rebuilt(system, level_points=level_points)
 
 
 def relink(system, rng):
     """Hang a random finest cube under the farthest center one level up."""
     coarse, fine = system.level_points[-2:]
-    link = system.order.maps[-1].copy()
+    link = system.maps[-1].copy()
     i = rng.integers(fine.size)
     link[i] = np.argmax(system.space.dist_rows([fine[i]], coarse))
-    system.order = dataclasses.replace(
-        system.order, maps=[*system.order.maps[:-1], link])
-    return system
+    return rebuilt(system, maps=[*system.maps[:-1], link])
 
 
 FAULTS = {"duplicate": lambda s, rng: corrupt(s, "duplicate", rng),
@@ -964,7 +1014,7 @@ def test_row_checks_run_once_per_group(monkeypatch):
         for a, b in itertools.combinations(range(depth), 2):
             fewer = min((a, b), key=lambda j: (lists[j], j))
             descendants.add((a, b, s.level_points[fewer].tobytes(),
-                             *(m.tobytes() for m in s.order.maps[a:b])))
+                             *(m.tobytes() for m in s.maps[a:b])))
     assert calls == {"_sandwich": len(sandwich),
                      "_descendants": len(descendants)}
     assert sum(calls.values()) < 15

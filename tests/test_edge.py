@@ -89,7 +89,7 @@ SITES = {
     "check_chain_separation": (lambda: check_chain_separation(
         grid_system(), 72, -1, 0.01, 0), 1),
     "scan_chain_separation": (lambda: scan_chain_separation(
-        straddle_handpicked()), 9),
+        straddle_handpicked()), 1),
 }
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from cubeforge import labeling, random_systems, streams
+from cubeforge import space as space_module
 from cubeforge.adjacent import build_adjacent_family, verify_covering
 from cubeforge.cubes import (
     build_cube_system,
@@ -1023,14 +1025,18 @@ def reference_system(draw, kind):
 
 
 @settings(max_examples=120, deadline=None)
-@given(system=chain_systems())
-def test_chain_scan_matches_the_oracle(system):
+@given(system=chain_systems(), cells=st.sampled_from([1, 40, None]))
+def test_chain_scan_matches_the_oracle(system, cells):
+    # the scan reads the edge gaps in blocks of at most BALL_CELLS cells: a
+    # point a block, a few points a block, or the module's budget
     c = system.constants
     want = bruteforce.chain_scan(
         system.space.table.tolist(), [lv.tolist() for lv in system.level_points],
         [a.tolist() for a in system.assign], system.k_min, c.tri_const,
         c.sep_const, c.cover_const, c.delta)
-    chk = scan_chain_separation(system).check("admissible_chains")
+    with mock.patch.object(space_module, "BALL_CELLS",
+                           cells or space_module.BALL_CELLS):
+        chk = scan_chain_separation(system).check("admissible_chains")
     if want is None:
         assert (chk.passed, chk.checked, chk.witnesses) == (True, 0, [])
         assert "headroom" in chk.note

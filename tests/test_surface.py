@@ -1,9 +1,15 @@
 """The package's public names, and the independence of the test oracles."""
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import cubeforge
+from cubeforge.adjacent import build_adjacent_family
+from cubeforge.cubes import CubeSystem, LevelTable, build_cube_system
+from cubeforge.labeling import build_labels
+from cubeforge.nets import build_reference_hierarchy
+from cubeforge.space import generate_space
 
 ROOT = Path(__file__).parents[1]
 # public names kept without a caller in src/, the demos or the tracer, for
@@ -242,6 +248,26 @@ def test_one_closure_closes_every_table():
     assert callers == [("cubes.py", "close_table")]
     assert imports == []
     assert defined == []
+
+
+def test_a_cube_system_is_one_column_of_its_level_table():
+    # a lone system stores nothing beside its table, so it converts to no
+    # other form: built, read back or viewed from a family, it is a
+    # one-column table and writes the family's document of its column
+    space = generate_space({"kind": "euclidean_cloud", "n": 40, "dim": 2,
+                            "seed": 3, "box": 20.0})
+    lab = build_labels(build_reference_hierarchy(space, 1 / 144))
+    fam = build_adjacent_family(lab)
+    assert issubclass(CubeSystem, LevelTable)
+    assert [f.name for f in dataclasses.fields(CubeSystem)] \
+        == [f.name for f in dataclasses.fields(LevelTable)]
+    lone = build_cube_system(space, lab.hierarchy.levels, lab.order)
+    for system in (lone, CubeSystem.from_json(lone.to_json(), space),
+                   fam.system(2)):
+        assert system.n_systems == 1
+        assert not hasattr(system, "column") and not hasattr(system, "order")
+    assert [fam.system(t).to_json() for t in range(1, fam.n_systems + 1)] \
+        == fam.documents()
 
 
 def _outer_difference(node):
