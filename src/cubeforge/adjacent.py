@@ -12,8 +12,10 @@ the table; `family.system(t)` is a view over its arrays. The builder fills
 it a level at a time: the distinct rows of one pick matrix of all K labels
 per parent level are its center lists, each distinct (level, coarse, fine)
 triple of them is linked once, in batches along the partial order's leading
-sample axis, and `cubes.close_table` closes each level once per distinct
-(link, finer piece) pair, whatever its centers.
+sample axis, the distinct parent maps are its links (their `tight` flags
+are derived where a document is written), and `cubes.close_table` closes
+each level once per distinct (link, finer piece) pair, whatever its
+centers.
 
 find_containing_cubes answers "which system holds a single cube containing
 this ball" for a block of centers and a radius matrix at once, such as a
@@ -164,14 +166,15 @@ def _build_family(labeled: LabeledHierarchy, levels: Optional[dict] = None,
         raise failed[min(failed)]
     if ok < K:
         require_near(labeled, *unpicked[ok])
-    links, link_of = zip(*map(_distinct_links, links, link_of)) \
-        if links else ((), ())
-    link_of = np.array(link_of, dtype=int).reshape(len(links), K)
+    distinct = [_distinct_rows(np.array(level)) for level in links]
+    links = [rows for rows, _ in distinct]
+    link_of = np.array([inverse[of] for (_, inverse), of in zip(
+        distinct, link_of)], dtype=int).reshape(len(links), K)
     pieces, piece_of = close_table(labeled.space.n, centers, links, link_of)
     family = AdjacentFamily(
         space=labeled.space, k_min=labeled.k_min, k_max=labeled.k_max,
         constants=labeled.selected_constants, mode=labeled.hierarchy.mode,
-        centers=centers, links=list(links), pieces=pieces,
+        centers=centers, links=links, pieces=pieces,
         center_of=np.array(center_of), link_of=link_of, piece_of=piece_of,
         labeled=labeled, distinguished=pinned, level_shifts=shifts,
         ordinal_shifts=ordinals)
@@ -205,11 +208,11 @@ def _pick_levels(labeled: LabeledHierarchy, levels: Optional[dict],
 
 
 def _link_levels(labeled: LabeledHierarchy, z: list, of: list):
-    """(links, link_of, failed): links[j] holds level j's (parent map, tight
-    flags) pairs, one per distinct (coarse, fine) pair of center lists that
-    the systems of `of` hold, and link_of[j][t - 1] is system t's among
-    them; failed[(t - 1, j)] is the error of a system's refused link at
-    level j, for the first system holding that link."""
+    """(links, link_of, failed): links[j] holds level j's parent maps, one
+    per distinct (coarse, fine) pair of center lists that the systems of
+    `of` hold, and link_of[j][t - 1] is system t's among them;
+    failed[(t - 1, j)] is the error of a system's refused link at level j,
+    for the first system holding that link."""
     links, link_of, failed = [], [], {}
     if len(z) == 1:   # a one-level family still links once, for its checks
         selected_order(labeled, z[0])
@@ -236,16 +239,6 @@ def _link_levels(labeled: LabeledHierarchy, z: list, of: list):
     return links, link_of, failed
 
 
-def _distinct_links(level: list, of: np.ndarray):
-    """((maps, tight), of): the distinct (parent map, tight flags) pairs of
-    a level's links, stacked a row each, and each system's row, from its
-    position `of` in `level`."""
-    # one int per (parent, tight) entry keeps the sorted copies small
-    rows, inverse = _distinct_rows(np.array([2 * maps + tight
-                                             for maps, tight in level]))
-    return (rows >> 1, (rows & 1).astype(bool)), inverse[of]
-
-
 def _distinct_rows(rows: np.ndarray):
     """(the distinct rows of a 2-D array, each row's position among them):
     one sort of the rows as opaque items. np.unique(rows, axis=0) gives the
@@ -259,9 +252,9 @@ def _distinct_rows(rows: np.ndarray):
 
 
 def _link(labeled: LabeledHierarchy, j: int, block: list) -> list:
-    """Each (coarse, fine) center-list pair's (parent map, tight flags) at
-    level j, from one `selected_order` call along a leading axis; when that
-    call fails, each pair's own call's link, or its error in its place."""
+    """Each (coarse, fine) center-list pair's parent map at level j, from
+    one `selected_order` call along a leading axis; when that call fails,
+    each pair's own call's map, or its error in its place."""
     try:
         # the kernel reads one pair's rows faster without the batch axis
         order = selected_order(labeled, list(block[0]) if len(block) == 1
@@ -271,7 +264,7 @@ def _link(labeled: LabeledHierarchy, j: int, block: list) -> list:
         if len(block) == 1:
             return [err]
         return [link for pair in block for link in _link(labeled, j, [pair])]
-    return list(zip(*map(np.atleast_2d, (order.maps[0], order.tight[0]))))
+    return list(np.atleast_2d(order.maps[0]))
 
 
 @dataclass
@@ -373,8 +366,8 @@ def find_containing_cubes(family: AdjacentFamily, ids,
             else:   # the pinned family answers one level coarser
                 heads.append((k - 1, "ok"))
                 j = k - 1 - family.k_min
-                index[p] = family.links[j][0][family.link_of[j, t[p] - 1],
-                                              index[p]]
+                index[p] = family.links[j][family.link_of[j, t[p] - 1],
+                                           index[p]]
     return BlockAnswers(dist=dist, slot=slot, heads=heads, t=t, index=index,
                         start=start, row=start // width, level=flat[start])
 

@@ -34,6 +34,11 @@ class SystemConstants:
     sep_const: float
     cover_const: float
 
+    def tight_radius(self, k: int) -> float:
+        """c0·δ^k/(2·A0): a level-(k+1) center links "tight" to the one
+        level-k center within this radius (`cubes.build_partial_order`)."""
+        return self.sep_const * self.delta ** k / (2.0 * self.tri_const)
+
     @property
     def inner_const(self) -> float:
         """c1 = c0/(3·A0²): the ball B(z, c1·δ^k) lies in z's cube."""

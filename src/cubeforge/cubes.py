@@ -2,7 +2,7 @@
 
 Construction runs in two stages. build_partial_order links every center on
 level k+1 to a parent on level k: a uniquely-close parent when one exists
-within sep_const * ratio**k / (2 * tri_const) (a "tight" link; two such
+within `SystemConstants.tight_radius(k)` (a "tight" link; two such
 candidates would contradict level separation and raise), otherwise the
 first-listed center within cover_const * ratio**k. close_table then closes
 the order downward: the cube of a center is the set of finest-level points
@@ -10,18 +10,20 @@ whose parent chain passes through it, which partitions the space at every
 level by construction.
 
 Every system is a column of a LevelTable: per level, the distinct center
-lists and (parent map, tight flags) links of its systems; table wide, the
-distinct (assign, members) pieces; and per level, each system's index into
-each. A piece holds a level's point -> cube map assign and its members =
-(flat, start), the point ids grouped by cube with the group starts and a
-final end, so cube i is flat[start[i]:start[i + 1]]. close_table makes each
-distinct (cube count, assign) content one piece (`close_level`), so levels
-that partition the space alike share their arrays even when their centers
-differ, and no array of a table is written in place. A CubeSystem is a
-LevelTable with one column: a table's view `system(t)`, or the column that
-build_cube_system closes or from_json reads. It takes its per-level reads
-from that column when it is made and is written and swept as a table.
-Cube values are built on demand by cube() and cubes_at().
+lists and parent maps of its systems; table wide, the distinct (assign,
+members) pieces; and per level, each system's index into each. A map's
+`tight` flags follow from distances (`tight_flags`): documents derive them
+when written and check them when read. A piece holds a level's point ->
+cube map assign and its members = (flat, start), the point ids grouped by
+cube with the group starts and a final end, so cube i is
+flat[start[i]:start[i + 1]]. close_table makes each distinct (cube count,
+assign) content one piece (`close_level`), so levels that partition the
+space alike share their arrays even when their centers differ, and no array
+of a table is written in place. A CubeSystem is a LevelTable with one
+column: a table's view `system(t)`, or the column that build_cube_system
+closes or from_json reads. It takes its per-level reads from that column
+when it is made and is written and swept as a table. Cube values are built
+on demand by cube() and cubes_at().
 
 The checker re-derives each system's promised geometry from its realized
 member sets: partition, nesting, the inner/outer ball sandwich with the
@@ -46,7 +48,8 @@ import numpy as np
 from . import space as space_module
 from .constants import _TOL, SystemConstants, require_headroom
 from .errors import (ConfigError, NoParent, PreconditionFail, TightAmbiguity,
-                     require_id)
+                     require_entries, require_id, require_ids, require_keys,
+                     require_levels)
 from .report import Check, VerificationReport
 from .space import QuasiMetricSpace
 
@@ -76,7 +79,6 @@ class ParentMaps:
     constants: SystemConstants
     mode: str
     maps: list = field(default_factory=list)   # maps[j][i] = parent index
-    tight: list = field(default_factory=list)  # tight[j][i] = unique-close link
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,8 @@ class LevelTable:
     """K cube systems of one space as one level table (see the module
     docstring). Level j, that is k_min + j, has its distinct center lists
     as the rows of centers[j] and, above the finest level, its distinct
-    links from level j + 1 as the rows of links[j] = (maps, tight); pieces
-    holds the distinct (assign, (flat, start)) levels of the table. On
+    parent maps from level j + 1 as the rows of links[j]; pieces holds the
+    distinct (assign, (flat, start)) levels of the table. On
     level j system t holds row center_of[j, t - 1] of centers[j], row
     link_of[j, t - 1] of links[j] and piece piece_of[j, t - 1]."""
 
@@ -149,23 +151,32 @@ class LevelTable:
 
     def documents(self) -> list:
         """Each system's JSON document, t = 1..K: one level entry per
-        (level, center list, piece) and one parent entry per link, each
-        shared by the documents that index it, so they are read-only."""
-        ks = self.level_ks()
-        parents = [{x: _parent_json(k, link, x) for x in set(xs.tolist())}
-                   for k, link, xs in zip(ks, self.links, self.link_of)]
-        levels = [{(c, p): _level_json(k, z[c], self.pieces[p][1])
-                   for c, p in set(zip(cs.tolist(), ps.tolist()))}
-                  for k, z, cs, ps in zip(ks, self.centers, self.center_of,
-                                          self.piece_of)]
+        (level, center list, piece) and one parent entry per (level, map,
+        tight flags), derived by level (`tight_flags`) for its distinct
+        (link, coarse, fine) lists; entries are shared, so read-only."""
+        ks, z, cs = self.level_ks(), self.centers, self.center_of.tolist()
+        parents = []
+        for j, (k, maps, xs) in enumerate(zip(ks, self.links, self.link_of)):
+            keys = list(dict.fromkeys(zip(xs.tolist(), cs[j], cs[j + 1])))
+            x, c, f = np.array(keys).T
+            rows = [(key[0], *t) for key, t in zip(keys, tight_flags(
+                self.space, self.constants, k, z[j][c], z[j + 1][f],
+                maps[x]).tolist())]
+            entry = {row: {"k": k, "map": maps[row[0]].tolist(),
+                           "tight": list(row[1:])} for row in set(rows)}
+            parents.append({key: entry[row] for key, row in zip(keys, rows)})
+        levels = [{(c, p): _level_json(k, zk[c], self.pieces[p][1])
+                   for c, p in set(zip(c_of, ps.tolist()))}
+                  for k, zk, c_of, ps in zip(ks, z, cs, self.piece_of)]
         head = {"delta": self.delta, "mode": self.mode, "k_min": self.k_min,
                 "k_max": self.k_max, "constants": self.constants.to_json()}
         return [{**head,
-                 "levels": [lv[key] for lv, key in zip(levels, zip(cs, ps))],
-                 "parents": [lv[x] for lv, x in zip(parents, ls)]}
-                for cs, ps, ls in zip(self.center_of.T.tolist(),
-                                      self.piece_of.T.tolist(),
-                                      self.link_of.T.tolist())]
+                 "levels": [lv[key] for lv, key in zip(levels, zip(c, p))],
+                 "parents": [lv[key] for lv, key in zip(parents, zip(
+                     x, c, c[1:]))]}
+                for c, p, x in zip(self.center_of.T.tolist(),
+                                   self.piece_of.T.tolist(),
+                                   self.link_of.T.tolist())]
 
 
 @dataclass
@@ -180,7 +191,7 @@ class CubeSystem(LevelTable):
         pieces = [self.pieces[p] for p in self.piece_of[:, 0].tolist()]
         self.level_points = [c[x] for c, x in zip(
             self.centers, self.center_of[:, 0].tolist())]
-        self.maps = [maps[x] for (maps, _), x in zip(
+        self.maps = [maps[x] for maps, x in zip(
             self.links, self.link_of[:, 0].tolist())]
         self.members = [m for _, m in pieces]
         self.assign = [a for a, _ in pieces]
@@ -213,9 +224,9 @@ class CubeSystem(LevelTable):
     @classmethod
     def of_levels(cls, space, k_min: int, constants: SystemConstants,
                   mode: str, level_points, links, pieces=None) -> CubeSystem:
-        """The one-column table of a system's center lists, its (parent map,
-        tight flags) links (`_links`) and its (assign, members) piece per
-        level: given, or closed from the links (`close_table`)."""
+        """The one-column table of a system's center lists, its parent maps
+        (`_links`) and its (assign, members) piece per level: given, or
+        closed from the maps (`close_table`)."""
         centers = [np.asarray(lv, dtype=int)[None] for lv in level_points]
         links = list(_links(k_min, centers, links))
         link_of = np.zeros((len(links), 1), dtype=int)
@@ -232,7 +243,8 @@ class CubeSystem(LevelTable):
     @classmethod
     def from_json(cls, d, space):
         """Read a system back; a point listed in several cubes of one level
-        is assigned to the last of them."""
+        is assigned to the last of them. A missing entry, or a tight flag
+        other than `tight_flags` derives, is a ConfigError naming where."""
         require_mode(d["mode"])
         c0, C0 = float(d["constants"]["c0"]), float(d["constants"]["C0"])
         if not np.isfinite([c0, C0]).all():
@@ -240,21 +252,36 @@ class CubeSystem(LevelTable):
         consts = SystemConstants(require_delta(d["delta"]),
                                  space.profile.tri_const, c0, C0)
         k_min, k_max = int(d["k_min"]), int(d["k_max"])
-        _require_levels(len(d["levels"]), k_min, k_max)
+        require_levels(len(d["levels"]), k_min, k_max)
         level_points, pieces = [], []
         for k, lv in enumerate((lv["cubes"] for lv in d["levels"]), k_min):
+            for i, c in enumerate(lv):
+                require_keys(c, ("center", "members"), f"level {k}, cube {i}")
             size = np.array([len(c["members"]) for c in lv], dtype=int)
             cube_of = np.repeat(np.arange(size.size), size)
-            level_points.append(_point_ids([c["center"] for c in lv], space.n,
-                                           k, np.arange(size.size), "center"))
-            flat = _point_ids([p for c in lv for p in c["members"]], space.n,
-                              k, cube_of, "member")
+            level_points.append(require_ids([c["center"] for c in lv],
+                                            space.n, k, np.arange(size.size),
+                                            "center"))
+            flat = require_ids([p for c in lv for p in c["members"]], space.n,
+                               k, cube_of, "member")
             a = np.full(space.n, -1, dtype=int)
             np.maximum.at(a, flat, cube_of)
             pieces.append((a, (flat, np.concatenate(([0], np.cumsum(size))))))
-        return cls.of_levels(space, k_min, consts, d["mode"], level_points,
-                             [(p["map"], p["tight"]) for p in d["parents"]],
-                             pieces)
+        for k, p in enumerate(d["parents"], k_min + 1):
+            require_keys(p, ("map", "tight"), f"level {k} parent entry")
+        system = cls.of_levels(space, k_min, consts, d["mode"], level_points,
+                               [p["map"] for p in d["parents"]], pieces)
+        # the flags must be those the system writes (`documents`)
+        for k, p, mine in zip(itertools.count(k_min + 1), d["parents"],
+                              system.to_json()["parents"]):
+            require_entries(p["tight"], len(mine["tight"]), k, "tight")
+            for i, (f, w) in enumerate(zip(p["tight"], mine["tight"])):
+                if type(f) is not bool or f != w:
+                    why = ("contradicts its parent distance"
+                           if type(f) is bool else "is not a bool")
+                    raise ConfigError(
+                        f"level {k}, cube {i}: tight flag {f!r} {why}")
+        return system
 
 
 def _level_json(k: int, centers, members) -> dict:
@@ -265,57 +292,19 @@ def _level_json(k: int, centers, members) -> dict:
                                                  start[1:])]}
 
 
-def _parent_json(k: int, link, x: int) -> dict:
-    """Row x of the (maps, tight) links to level k, as a parent entry."""
-    return {"k": k, "map": link[0][x].tolist(), "tight": link[1][x].tolist()}
-
-
-def _require_levels(count: int, k_min: int, k_max: int) -> None:
-    """ConfigError naming the first missing or extra level unless `count`
-    levels are listed for k_min..k_max."""
-    if count != k_max - k_min + 1:
-        raise ConfigError(
-            f"level {k_min + min(count, max(k_max - k_min + 1, 0))}: "
-            f"{count} levels listed for k = {k_min}..{k_max}")
-
-
-def _point_ids(ids, n: int, k: int, owner, what: str) -> np.ndarray:
-    """Level k's ids as an int array; ConfigError naming the cube owner[i]
-    of the first id that is not an integer in [0, n)."""
-    raw = np.array(ids)
-    whole = raw == np.floor(raw)
-    bad = np.flatnonzero(~whole | (raw < 0) | (raw >= n))
-    if bad.size:
-        i = bad[0]
-        why = f"outside [0, {n})" if whole[i] else "is not an integer"
-        raise ConfigError(
-            f"level {k}, cube {owner[i]}: {what} id {raw[i]} {why}")
-    return raw.astype(int)
-
-
 def _links(k_min: int, centers: list, links):
-    """One system's (parent map, tight flags) links, level by level, as
-    one-row arrays; ConfigError naming the level of a missing or extra link,
-    or the level and child of the first entry that does not fit `centers`."""
+    """One system's parent maps, level by level, as one-row arrays;
+    ConfigError naming the level of a missing or extra map, or the level
+    and child of the first entry that does not fit `centers`."""
     if len(links) != len(centers) - 1:
         raise ConfigError(
             f"level {k_min + min(len(links), len(centers) - 1) + 1}: "
             f"{len(links)} parent entries for {len(centers)} levels")
-    for k, (parents, tight), coarse, fine in zip(
+    for k, parents, coarse, fine in zip(
             itertools.count(k_min + 1), links, centers, centers[1:]):
-        for name, entries in (("map", parents), ("tight", tight)):
-            if len(entries) != fine.size:
-                raise ConfigError(
-                    f"level {k}, cube {min(len(entries), fine.size)}: {name}"
-                    f" lists {len(entries)} entries for {fine.size} cubes")
-        parents = _point_ids(parents, coarse.size, k, np.arange(fine.size),
-                             "parent")
-        bad = [i for i, f in enumerate(tight)
-               if not isinstance(f, (bool, np.bool_))]
-        if bad:
-            raise ConfigError(f"level {k}, cube {bad[0]}: tight flag "
-                              f"{tight[bad[0]]!r} is not a bool")
-        yield parents[None], np.asarray(tight, dtype=bool)[None]
+        require_entries(parents, fine.size, k, "map")
+        yield require_ids(parents, coarse.size, k, np.arange(fine.size),
+                         "parent")[None]
 
 
 def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
@@ -326,13 +315,13 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
     "parent order" headroom (`constants.require_headroom`).
 
     Each level may carry a leading sample axis: a (B, m) level holds B
-    center lists of one length, and its map and tight flags are (B, m)
-    too. A batched step reads the distances of every id it holds with one
-    `dist_rows` call, compares them once, and gathers each sample's own
-    (children, parents) comparisons from it, so its floats are those of the
-    one-sample call. A batched call raises at the first failing level what
-    the first sample failing there raises alone, with the child index in
-    that sample's list.
+    center lists of one length, and its map is (B, m) too. A batched step
+    reads the distances of every id it holds with one `dist_rows` call,
+    compares them once, and gathers each sample's own (children, parents)
+    comparisons from it, so its floats are those of the one-sample call. A
+    batched call raises at the first failing level what the first sample
+    failing there raises alone, with the child index in that sample's
+    list.
     """
     require_mode(mode)
     consts = SystemConstants(delta, tri_const, sep_const, cover_const)
@@ -343,7 +332,7 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
         k = k_top + j
         parents = np.asarray(level_points[j], dtype=int)
         children = np.asarray(level_points[j + 1], dtype=int)
-        tight_thr = sep_const * delta ** k / (2.0 * tri_const)
+        tight_thr = consts.tight_radius(k)
         loose_thr = cover_const * delta ** k
         if parents.ndim == 1:
             dists = space.dist_rows(children, parents)
@@ -377,7 +366,6 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
             i = int(orphan[b].argmax())
             raise NoParent(k, i, int(children[b][i]))
         out.maps.append(np.where(counts == 1, tight_idx, loose_idx).astype(int))
-        out.tight.append(counts == 1)
     return out
 
 
@@ -410,18 +398,30 @@ def build_cube_system(space: QuasiMetricSpace, level_points,
         raise PreconditionFail(
             "finest level must enumerate every point of the space")
     return CubeSystem.of_levels(space, order.k_top, order.constants,
-                                order.mode, level_points,
-                                list(zip(order.maps, order.tight)))
+                                order.mode, level_points, order.maps)
+
+
+def tight_flags(space: QuasiMetricSpace, constants: SystemConstants, k: int,
+                coarse, fine, maps) -> np.ndarray:
+    """The `tight` flags of parent maps from level k + 1 to level k: fine
+    center i lies within constants.tight_radius(k) of coarse[maps[i]]. They
+    are the kernel's own flags for every map build_partial_order returns.
+    The (..., m) arrays align on their leading axes; one dist_pairs call."""
+    maps = np.asarray(maps)
+    parents = np.take_along_axis(np.asarray(coarse), maps, axis=-1)
+    return space.dist_pairs(np.broadcast_to(fine, maps.shape).ravel(),
+                            parents.ravel()).reshape(maps.shape) \
+        < constants.tight_radius(k)
 
 
 def close_table(n: int, centers: list, links: list, link_of) -> tuple:
     """(pieces, piece_of) of a level table (see `LevelTable`): its distinct
     (assign, members) pieces and each system's piece per level,
     piece_of[j, t - 1], from its center lists (the finest level one list of
-    every point), its links[j] = (maps, tight) from level j + 1, a row per
-    link, and its (levels - 1, K) link_of. Finest first, each level is
-    closed once per distinct (link, finer piece) pair its systems hold
-    (`close_level`)."""
+    every point), its links[j], a parent map from level j + 1 per row, and
+    its (levels - 1, K) link_of. Finest first, each level is closed once
+    per distinct (link, finer piece) pair its systems hold (`close_level`).
+    """
     closed, pieces, finest = {}, [], centers[-1][0]
     a = np.empty(n, dtype=int)
     a[finest] = np.arange(finest.size)
@@ -432,7 +432,7 @@ def close_table(n: int, centers: list, links: list, link_of) -> tuple:
         made = dict.fromkeys(pairs)
         for x, p in made:
             made[x, p] = close_level(closed, pieces, centers[j].shape[1],
-                                     links[j][0][x][pieces[p][0]])
+                                     links[j][x][pieces[p][0]])
         piece_of.insert(0, [made[pair] for pair in pairs])
     return pieces, np.array(piece_of)
 

@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the guards that refuse
+out-of-contract ids and document entries with them.
 
 Every error carries enough context (ids, levels, offending values) to be
 actionable from a failed pipeline run without re-running the build.
 """
 from numbers import Integral
+
+import numpy as np
 
 
 class CubeforgeError(Exception):
@@ -118,3 +121,50 @@ class ConfigError(CubeforgeError):
 
 class BuildError(CubeforgeError):
     """A pipeline stage failed; the original error is chained."""
+
+
+# -- the guards both document readers share ----------------------------------
+
+
+def require_levels(count: int, k_min: int, k_max: int) -> None:
+    """ConfigError naming the first missing or extra level unless `count`
+    levels are listed for k_min..k_max."""
+    if count != k_max - k_min + 1:
+        raise ConfigError(
+            f"level {k_min + min(count, max(k_max - k_min + 1, 0))}: "
+            f"{count} levels listed for k = {k_min}..{k_max}")
+
+
+def require_keys(d: dict, keys, where: str) -> None:
+    """ConfigError naming `where` and the first of `keys` that d lacks."""
+    for key in keys:
+        if key not in d:
+            raise ConfigError(f"{where} lists no {key!r}")
+
+
+def require_entries(entries, size: int, k: int, name: str) -> None:
+    """ConfigError naming level k and the first missing or extra cube
+    unless the list `name` has one entry per cube of level k, `size`."""
+    if len(entries) != size:
+        raise ConfigError(f"level {k}, cube {min(len(entries), size)}: {name}"
+                          f" lists {len(entries)} entries for {size} cubes")
+
+
+def require_ids(ids, n: int, k: int, owner, what: str) -> np.ndarray:
+    """Level k's ids as an int array; ConfigError naming the cube owner[i]
+    of the first id that is not an integer in [0, n). Of a list's entries
+    only ints and whole floats are ids: no bool, string or null is."""
+    odd = [] if isinstance(ids, np.ndarray) else [
+        i for i, x in enumerate(ids) if type(x) not in (int, float)]
+    if odd:
+        raise ConfigError(f"level {k}, cube {owner[odd[0]]}: {what} id "
+                          f"{ids[odd[0]]!r} is not an integer")
+    raw = np.array(ids)
+    whole = raw == np.floor(raw)
+    bad = np.flatnonzero(~whole | (raw < 0) | (raw >= n))
+    if bad.size:
+        i = bad[0]
+        why = f"outside [0, {n})" if whole[i] else "is not an integer"
+        raise ConfigError(
+            f"level {k}, cube {owner[i]}: {what} id {raw[i]} {why}")
+    return raw.astype(int)

@@ -17,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .constants import SystemConstants, require_headroom
-from .cubes import _point_ids, _require_levels, require_delta, require_mode
+from .cubes import require_delta, require_mode
 from .errors import (ConfigError, DegenerateWindow, ModeViolation,
-                     require_id)
+                     require_id, require_ids, require_levels)
 from .report import VerificationReport
 from .space import QuasiMetricSpace
 
@@ -65,15 +65,15 @@ class NetHierarchy:
         is pinned is verify_net_axioms' check."""
         require_mode(d["mode"])
         k_min, k_max = int(d["k_min"]), int(d["k_max"])
-        _require_levels(len(d["levels"]), k_min, k_max)
+        require_levels(len(d["levels"]), k_min, k_max)
         pin = d.get("distinguished")
         if pin is not None and (type(pin) is not int or not 0 <= pin < space.n):
             raise ConfigError(f"distinguished: expected a point id in "
                               f"[0, {space.n}), got {pin!r}")
         return cls(space=space, delta=require_delta(d["delta"]),
                    k_min=k_min, k_max=k_max, mode=d["mode"],
-                   levels=[_point_ids(lv, space.n, k, np.arange(len(lv)),
-                                      "center")
+                   levels=[require_ids(lv, space.n, k, np.arange(len(lv)),
+                                       "center")
                            for k, lv in enumerate(d["levels"], k_min)],
                    distinguished=pin)
 

@@ -20,7 +20,7 @@ from cubeforge.analysis import (ap_constant, bmo_norm, doubling_constant,
                                 lp_norm, maximal_function,
                                 verify_comparability)
 from cubeforge.cubes import (build_cube_system, build_partial_order,
-                             verify_cube_axioms)
+                             tight_flags, verify_cube_axioms)
 from cubeforge.labeling import (build_labels, select_points,
                                 verify_new_point_axioms)
 from cubeforge.nets import build_reference_hierarchy
@@ -394,8 +394,8 @@ def test_criterion_11_micro_oracles_match_bruteforce():
     order = build_partial_order(space4, levels, 0.25, 1.0, 1.0, 1.0,
                                 k_top=-1, mode="exploratory")
     expect = bruteforce.parent_scan(d4, [0, 3], [0, 1, 2, 3], 2.0, 4.0)
-    ok = ok and list(zip(order.maps[0].tolist(),
-                         order.tight[0].tolist())) == expect
+    flags = tight_flags(space4, order.constants, -1, *levels, order.maps[0])
+    ok = ok and list(zip(order.maps[0].tolist(), flags.tolist())) == expect
     ok = ok and order.maps[0].tolist() == [0, 0, 0, 1]
 
     system = build_cube_system(space4, levels, order)

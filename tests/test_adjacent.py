@@ -23,7 +23,7 @@ from cubeforge.adjacent import (
 from cubeforge import labeling, space as space_module
 from cubeforge.analysis import _instance_constants, verify_comparability
 from cubeforge.cubes import (CubeSystem, build_cube_system, close_table,
-                             verify_cube_axioms)
+                             tight_flags, verify_cube_axioms)
 from cubeforge.errors import (ConfigError, CubeforgeError, NoNearChild,
                               NoParent, PreconditionFail, TightAmbiguity)
 from cubeforge.labeling import (LabeledHierarchy, SelectionOutcome,
@@ -431,22 +431,21 @@ def assert_matches_reference(fam, systems):
 
 def assert_shares_levels(fam, systems):
     """The family's table holds each level's distinct center lists and
-    distinct (parent map, tight flags) links once, and each distinct (cube
-    count, assign) content once across the family, whatever order the
-    systems came in; returns the count of distinct (level, coarse, fine)
-    triples of center lists, the links a build makes."""
+    distinct parent maps once, and each distinct (cube count, assign)
+    content once across the family, whatever order the systems came in;
+    returns the count of distinct (level, coarse, fine) triples of center
+    lists, the links a build makes."""
     triples, links, contents = set(), set(), set()
     for s in systems:
         z = [lv.tobytes() for lv in s.level_points]
         triples.update((j, *z[j:j + 2]) for j in range(len(z) - 1))
-        links.update((j, m.tobytes(), t.tobytes())
-                     for j, (m, t) in enumerate(links_of(s)))
+        links.update((j, m.tobytes()) for j, m in enumerate(s.maps))
         contents.update((len(pts), a.tobytes())
                         for pts, a in zip(s.level_points, s.assign))
     assert [len(c) for c in fam.centers] == [
         len({s.level_points[j].tobytes() for s in systems})
         for j in range(len(fam.centers))]
-    assert sum(len(maps) for maps, _ in fam.links) == len(links)
+    assert sum(len(maps) for maps in fam.links) == len(links)
     assert len(fam.pieces) == len(contents)
     return len(triples)
 
@@ -567,8 +566,7 @@ def test_level_closure_matches_each_systems_chain(data):
         link_of.append(np.array(data.draw(st.lists(
             st.integers(0, len(maps[-1]) - 1), min_size=K, max_size=K))))
     z = [np.arange(size)[None] for size in sizes[:-1]] + [finest[None]]
-    # the closure reads a link's parent maps, not its tight flags
-    pieces, piece_of = close_table(n, z, [(m, None) for m in maps],
+    pieces, piece_of = close_table(n, z, maps,
                                    np.array(link_of).reshape(len(maps), K))
     shared = {}
     for t in range(K):
@@ -705,11 +703,17 @@ def test_a_failing_batch_links_each_pair_alone():
     with pytest.raises(TightAmbiguity) as info:
         selected_order(lab, list(bad), k_top=lab.k_min + 1)
     got = _link(lab, 1, [good, bad, good])
-    assert [type(x) for x in got] == [tuple, TightAmbiguity, tuple]
+    assert [type(x) for x in got] == [np.ndarray, TightAmbiguity, np.ndarray]
     assert str(got[1]) == str(info.value)
-    for m, t in (got[0], got[2]):
+    c, k = lab.selected_constants, lab.k_min + 1
+    want = bruteforce.parent_scan(
+        lab.space.table.tolist(), good[0].tolist(), good[1].tolist(),
+        c.sep_const * c.delta ** k / (2.0 * c.tri_const),
+        c.cover_const * c.delta ** k)
+    for m in (got[0], got[2]):
         assert m.tolist() == alone.maps[0].tolist()
-        assert t.tolist() == alone.tight[0].tolist()
+        flags = tight_flags(lab.space, c, k, *good, m)
+        assert list(zip(m.tolist(), flags.tolist())) == want
 
 
 @pytest.mark.parametrize("per_block", [2, 3])
@@ -799,6 +803,30 @@ def assert_same_system(a, b):
     assert len(pairs) == 4 * (a.k_max - a.k_min) + 2 + 2 * len(a.members)
     for x, y in pairs:
         assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2 ** 16),
+       pin=st.sampled_from([None, 0]))
+def test_family_document_flags_match_the_scan_and_read_back(n, seed, pin):
+    # plain and pinned families of small box-20 clouds: each written map and
+    # tight flag is parent_scan's for its system's center lists, and every
+    # system document reads back to itself
+    space = generate_space({"kind": "euclidean_cloud", "n": n, "dim": 2,
+                            "box": 20.0, "seed": seed})
+    fam = build_adjacent_family(build_labels(build_reference_hierarchy(
+        space, DELTA, mode="strict", distinguished=pin)), distinguished=pin)
+    d, c = space.table.tolist(), fam.constants
+    for doc in json.loads(json.dumps(fam.to_json()))["systems"]:
+        lists = [[cube["center"] for cube in lv["cubes"]]
+                 for lv in doc["levels"]]
+        for k, coarse, fine, entry in zip(fam.level_ks(), lists, lists[1:],
+                                          doc["parents"]):
+            want = bruteforce.parent_scan(
+                d, coarse, fine, c.sep_const * c.delta ** k
+                / (2.0 * c.tri_const), c.cover_const * c.delta ** k)
+            assert list(zip(entry["map"], entry["tight"])) == want
+        assert CubeSystem.from_json(doc, space).to_json() == doc
 
 
 @pytest.mark.parametrize("name", FAMILIES)

@@ -747,8 +747,9 @@ def test_block_query_matches_the_per_center_loop(lab, kind, rows, broken,
     # fixed families are pinned when the hierarchy is; scales 2**-10 and
     # 2**-20 move the realized radii into the window's finer levels, 2**-40
     # below it (underflow) and 2**20 above it (clamped); broken families
-    # lose the last member of every cube below the top, system 1's centers
-    # rotate on every level and C drops to 2, so the checks find witnesses
+    # lose the last member of every cube below the top, C drops to 2, and
+    # system 1's centers rotate on every level: its column points at rotated
+    # rows appended to the table, so center coverage finds witnesses
     fam = drawn_family(lab, kind, seed)
     n = fam.space.n
     if kind != "fixed":
@@ -757,8 +758,10 @@ def test_block_query_matches_the_per_center_loop(lab, kind, rows, broken,
     w = np.random.default_rng(seed).uniform(0.25, 4.0, n)
     if broken:
         corrupt(fam, slice(None, -1))
-        sys_1 = fam.system(1)
-        sys_1.level_points = [np.roll(lv, 1) for lv in sys_1.level_points]
+        fam.centers = [np.concatenate([z, np.roll(z[of[0]], 1)[None]])
+                       for z, of in zip(fam.centers, fam.center_of)]
+        fam.center_of = np.column_stack([[len(z) - 1 for z in fam.centers],
+                                         fam.center_of[:, 1:]])
         fam.covering_const = 2.0
     with pytest.MonkeyPatch.context() as mp:
         if rows:   # the same coordinates behind a row oracle
@@ -797,6 +800,13 @@ def test_block_query_matches_the_per_center_loop(lab, kind, rows, broken,
         want = loop_center_coverage(fam)
         got = rep.check("center_coverage")
         assert (got.witnesses, got.checked) == want
+        # a witness wherever a fine point routes to system 1 below a level
+        # where it holds two or more centers, so the rotation moved its own
+        moved = [k for k in range(fam.k_min + 1, fam.k_max + 1)
+                 if fam.system(1).level_points[k - 1 - fam.k_min].size > 1
+                 and 1 in [loop_route_t(fam, k - 1, beta) for beta in range(
+                     len(fam.labeled.hierarchy.level(k)))]]
+        assert bool(got.witnesses) == (broken and bool(moved))
 
 
 def assert_runs_match_queries(fam, qs):

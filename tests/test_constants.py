@@ -70,10 +70,12 @@ def parent_order(f):
 
 
 def chain_scale(f):
-    # a system document whose c0 sits on the scale headroom, or just under
-    doc = unit_system(1 / 144).to_json()
+    # a system document whose c0 sits on the scale headroom, or just under;
+    # its tight flags are written under that c0, or the reader refuses them
+    system = unit_system(1 / 144)
     c0 = 18.0 * TRI ** 5 / 144 / f
-    doc["constants"] = {**doc["constants"], "c0": c0}
+    doc = dataclasses.replace(system, constants=dataclasses.replace(
+        system.constants, sep_const=c0)).to_json()
     system = CubeSystem.from_json(json.loads(json.dumps(doc)), LINE)
     note = scan_chain_separation(system).check("admissible_chains").note
     assert ("headroom" in note) == (f > 1)

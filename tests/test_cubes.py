@@ -19,6 +19,7 @@ from cubeforge.cubes import (
     build_cube_system,
     build_partial_order,
     close_level,
+    tight_flags,
     verify_cube_axioms,
 )
 from cubeforge.errors import (
@@ -47,10 +48,23 @@ def line4_space(positions=LINE4):
     return QuasiMetricSpace.from_table(table, declared_tri_const=1.0)
 
 
+def order_flags(space, levels, order):
+    """Each level's tight flags of a parent order over `levels`, derived
+    from distances by the one derivation (`cubes.tight_flags`)."""
+    return [tight_flags(space, order.constants, order.k_top + j, coarse,
+                        fine, m)
+            for j, (coarse, fine, m) in enumerate(zip(levels, levels[1:],
+                                                      order.maps))]
+
+
 def links_of(system):
-    """The (parent map, tight flags) per level of a system's one column."""
-    return [(m[x], t[x]) for (m, t), x in zip(system.links,
-                                              system.link_of[:, 0])]
+    """The (parent map, tight flags) per level of a system's one column,
+    its flags derived from distances (`cubes.tight_flags`)."""
+    return [(m, tight_flags(system.space, system.constants, k, coarse, fine,
+                            m))
+            for k, m, coarse, fine in zip(system.level_ks(), system.maps,
+                                          system.level_points,
+                                          system.level_points[1:])]
 
 
 def rebuilt(system, level_points=None, maps=None, members=None,
@@ -59,11 +73,9 @@ def rebuilt(system, level_points=None, maps=None, members=None,
     arrays of `system` but for those given, so the verifier and to_json
     read the same edited arrays. Systems may share their arrays, so
     nothing is written in place."""
-    tight = [t for _, t in links_of(system)]
     return CubeSystem.of_levels(
         system.space, system.k_min, system.constants, system.mode,
-        level_points or system.level_points,
-        list(zip(maps or system.maps, tight)),
+        level_points or system.level_points, maps or system.maps,
         list(zip(assign or system.assign, members or system.members)))
 
 
@@ -89,11 +101,12 @@ def line4_order():
 
 
 def test_parent_example_frozen():
-    _, _, order = line4_order()
+    space, levels, order = line4_order()
     # tight threshold 2 at scale 4: 0 and 1 bind to 0, 7 to itself;
     # 3 misses both and falls loose to the first center within 4
     assert order.maps[0].tolist() == [0, 0, 0, 1]
-    assert order.tight[0].tolist() == [True, True, False, True]
+    assert order_flags(space, levels, order)[0].tolist() == [True, True,
+                                                             False, True]
 
 
 def test_parent_matches_scan_oracle():
@@ -101,7 +114,8 @@ def test_parent_matches_scan_oracle():
     d = [[abs(a - b) for b in LINE4] for a in LINE4]
     expected = bruteforce.parent_scan(d, [0, 3], [0, 1, 2, 3],
                                       tight_thr=2.0, loose_thr=4.0)
-    got = list(zip(order.maps[0].tolist(), order.tight[0].tolist()))
+    got = list(zip(order.maps[0].tolist(),
+                   order_flags(space, levels, order)[0].tolist()))
     assert got == expected
 
 
@@ -211,8 +225,9 @@ def batched_levels(draw):
     np.array([[0, 2], [0, 1], [0, 1]]), np.array([[0], [2], [0]])),
     sep=3.0, cover=1.5)
 def test_batched_order_matches_one_sample_at_a_time(case, sep, cover):
-    # each sample's map and tight flags are its own call's; a batch raises
-    # what the first failing sample's call raises
+    # each sample's map is its own call's, and with its derived tight flags
+    # it is parent_scan's; a batch raises what the first failing sample's
+    # call raises
     space, parents, children = case
 
     def link(levels):
@@ -231,7 +246,13 @@ def test_batched_order_matches_one_sample_at_a_time(case, sep, cover):
                                                  vars(failing[0]))
         return
     assert batched.maps[0].tolist() == [o.maps[0].tolist() for o in alone]
-    assert batched.tight[0].tolist() == [o.tight[0].tolist() for o in alone]
+    # tight radius sep * (1/2)**0 / (2 * 1.0), loose radius cover
+    d = space.table.tolist()
+    flags = order_flags(space, [parents, children], batched)[0]
+    assert [list(zip(m, t)) for m, t in zip(batched.maps[0].tolist(),
+                                            flags.tolist())] == [
+        bruteforce.parent_scan(d, p.tolist(), c.tolist(), sep / 2.0, cover)
+        for p, c in zip(parents, children)]
 
 
 def shared_system(space, levels, order, closed, pieces):
@@ -255,8 +276,7 @@ def test_shared_closure_matches_fresh_builds():
 
     def parents(m):
         return ParentMaps(k_top=-1, constants=order.constants,
-                          mode="exploratory", maps=[np.array(m)],
-                          tight=[np.zeros(4, dtype=bool)])
+                          mode="exploratory", maps=[np.array(m)])
 
     cases = [(levels, order), (levels, parents([0, 1, 0, 1])),
              ([levels[0], np.array([1, 0, 2, 3])], parents([0, 1, 0, 1])),
@@ -518,15 +538,45 @@ def cloud_system_doc():
     (lambda d: d["parents"][1]["tight"].__setitem__(2, "x"),
      "level 1, cube 2: tight flag 'x' is not a bool"),
     (lambda d: d["parents"][0]["tight"].__setitem__(0, 1),
-     "level 0, cube 0: tight flag 1 is not a bool")])
+     "level 0, cube 0: tight flag 1 is not a bool"),
+    (lambda d: d["parents"][1]["tight"].__setitem__(
+        6, not d["parents"][1]["tight"][6]),
+     "level 1, cube 6: tight flag (True|False) contradicts its parent "
+     "distance"),
+    (lambda d: d["parents"][1]["map"].__setitem__(3, "x"),
+     "level 1, cube 3: parent id 'x' is not an integer"),
+    (lambda d: d["parents"][0]["map"].__setitem__(2, None),
+     "level 0, cube 2: parent id None is not an integer"),
+    (lambda d: d["levels"][1]["cubes"][4].__setitem__("center", "x"),
+     "level 0, cube 4: center id 'x' is not an integer"),
+    (lambda d: d["levels"][2]["cubes"][5]["members"].__setitem__(0, True),
+     "level 1, cube 5: member id True is not an integer"),
+    (lambda d: d["parents"][0].pop("map"),
+     "level 0 parent entry lists no 'map'"),
+    (lambda d: d["parents"][1].pop("tight"),
+     "level 1 parent entry lists no 'tight'"),
+    (lambda d: d["levels"][1]["cubes"][7].pop("members"),
+     "level 0, cube 7 lists no 'members'")])
 def test_json_refuses_parent_entries_that_contradict_its_levels(edit, want):
     # each used to load, and verify_cube_axioms then raised a bare
-    # IndexError (or, for -1, read the last cube as the parent)
+    # IndexError (or, for -1, read the last cube as the parent); a flipped
+    # tight flag loaded and was written back as given, True loaded as point
+    # 1, and a string, a null or a missing key raised a bare TypeError or
+    # KeyError
     doc, space = cloud_system_doc()
     assert verify_cube_axioms([CubeSystem.from_json(doc, space)])[0].passed
     edit(doc)
     with pytest.raises(ConfigError, match=f"^{want}$"):
         CubeSystem.from_json(doc, space)
+
+
+def test_json_reads_whole_float_ids():
+    # a JSON float with an integer value is an id, as an int is
+    doc, space = cloud_system_doc()
+    want = CubeSystem.from_json(doc, space).to_json()
+    doc["parents"][1]["map"][3] = float(doc["parents"][1]["map"][3])
+    doc["levels"][2]["cubes"][5]["members"][0] *= 1.0
+    assert CubeSystem.from_json(doc, space).to_json() == want
 
 
 def with_entry(m, i, value):
@@ -820,8 +870,7 @@ def test_descendant_checks_keyed_on_the_coarse_level():
     order = ParentMaps(k_top=-2,
                        constants=SystemConstants(0.25, 1.0, 1.0, 1.0),
                        mode="exploratory",
-                       maps=[np.zeros(1, int), np.zeros(4, int)],
-                       tight=[np.ones(1, bool), np.ones(4, bool)])
+                       maps=[np.zeros(1, int), np.zeros(4, int)])
     system = build_cube_system(space, [[0], [0], [0, 1, 2, 3]], order)
     assert failing(verify_cube_axioms([system])[0]) == {
         "ball_sandwich_outer": [(-1, 0, 3, 8.5)],
@@ -1073,8 +1122,8 @@ def test_parent_order_matches_scan_on_clouds(lab, sep, cover, seed):
         assert (err.value.level, err.value.child_index) == want[1:]
         return
     order = build_partial_order(*args)
-    assert [list(zip(m.tolist(), t.tolist()))
-            for m, t in zip(order.maps, order.tight)] == want
+    assert [list(zip(m.tolist(), t.tolist())) for m, t in zip(
+        order.maps, order_flags(lab.space, levels, order))] == want
 
 
 def assert_closure_matches(system, levels, order):

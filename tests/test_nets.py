@@ -149,10 +149,12 @@ def cloud_net_doc():
 
 @pytest.mark.parametrize("index, bad, why", [
     (-1, -1, r"outside \[0, 40\)"), (0, 0.5, "is not an integer"),
-    (0, 40, r"outside \[0, 40\)")])
+    (0, 40, r"outside \[0, 40\)"), (1, True, "is not an integer"),
+    (3, None, "is not an integer")])
 def test_hierarchy_json_refuses_ids_outside_the_space(index, bad, why):
     # -1 in place of point 39 loaded as 39 and 0.5 in place of 0 as 0, and
-    # the net axioms passed on both; 40 raised a bare IndexError
+    # the net axioms passed on both; 40 raised a bare IndexError, True
+    # loaded as point 1 and None raised a bare TypeError
     doc, space = cloud_net_doc()
     assert verify_net_axioms(NetHierarchy.from_json(doc, space)).passed
     doc["levels"][2][index] = bad

@@ -5,8 +5,10 @@ import importlib
 from pathlib import Path
 
 import cubeforge
+from cubeforge import adjacent
 from cubeforge.adjacent import build_adjacent_family
-from cubeforge.cubes import CubeSystem, LevelTable, build_cube_system
+from cubeforge.cubes import (CubeSystem, LevelTable, ParentMaps,
+                             build_cube_system)
 from cubeforge.labeling import build_labels
 from cubeforge.nets import build_reference_hierarchy
 from cubeforge.space import generate_space
@@ -268,6 +270,34 @@ def test_a_cube_system_is_one_column_of_its_level_table():
         assert not hasattr(system, "column") and not hasattr(system, "order")
     assert [fam.system(t).to_json() for t in range(1, fam.n_systems + 1)] \
         == fam.documents()
+
+
+def _twice_tri(node):
+    """Whether `node` multiplies 2 by a name or attribute tri or tri_const."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    sides = (node.left, node.right)
+    return any(isinstance(side, ast.Constant) and side.value == 2
+               for side in sides) and any(
+        getattr(side, "id", getattr(side, "attr", None)) in ("tri", "tri_const")
+        for side in sides)
+
+
+def test_a_link_is_its_parent_map():
+    # the tight flags follow from distances, so no order or table stores
+    # them: ParentMaps holds maps alone, the family's (map, tight) packing
+    # is gone, and only SystemConstants.tight_radius divides by 2·A0
+    assert "tight" not in [f.name for f in dataclasses.fields(ParentMaps)]
+    assert not hasattr(adjacent, "_distinct_links")
+    found = []
+    for path in sorted(Path(cubeforge.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Div)
+                    and _twice_tri(node.right) for node in ast.walk(fn)):
+                found.append((path.name, fn.name))
+    assert found == [("constants.py", "tight_radius")]
 
 
 def _outer_difference(node):
