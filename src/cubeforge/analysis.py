@@ -7,13 +7,19 @@ The ball world reads them from QuasiMetricSpace.ball_blocks, a block of
 centers at a time: ball masses and averages are prefix sums over every rank
 of a block, a ball's value is read at its last rank only, and a point's
 supremum is a reverse running max over the ranks, gathered back to point
-order. The dyadic operators sweep each piece of a level table once
-(`LevelTable.held_pieces`): a family's, or a lone system's one column;
-both maximal kernels answer a list of functions from that one sweep. The
-verify_* functions check the constant-carrying inequalities between the
-two worlds; the containing-cube masses ask one ball-in-cube query per block
-of centers (adjacent.find_containing_cubes) and sum each distinct answered
-cube once.
+order; a block's sums turn into these in place. The dyadic operators sweep
+each piece of a level table once (`LevelTable.held_pieces`): a family's, or
+a lone system's one column; both maximal kernels answer a list of functions
+from that one sweep. The verify_* functions check the constant-carrying
+inequalities between the two worlds; the containing-cube masses ask one
+ball-in-cube query per block of centers (adjacent.find_containing_cubes)
+and sum each distinct answered cube once, and the cubes' outer-ball masses
+are whole-array sums per distinct (level, center list, piece). The
+pipeline's analysis check sweeps the ball world four times: doubling,
+containing-cube masses, the plain maxima of its sample functions and the
+sharp maxima of those and of every exponent's f. It hands the verifiers
+the constants and maxima as optional precomputed values (`constants=`,
+`ball_maxima=`, `ball_sharp=`), which they compute when absent.
 """
 from __future__ import annotations
 
@@ -177,7 +183,8 @@ def _ball_sums(space, columns):
         raise BadSpec("ball averages need a dense distance table")
     columns = np.asarray(columns)
     for _, order, _, last in space.ball_blocks():
-        yield order, last, np.cumsum(columns[:, order], axis=-1)
+        sums = columns[:, order]
+        yield order, last, np.cumsum(sums, axis=-1, out=sums)
 
 
 def _cube_sums(levels, columns):
@@ -201,44 +208,48 @@ def _cube_sums(levels, columns):
 def _ball_values(space, base, fs, sharp: bool):
     """Per function and point, the largest base-average of |f| (sharp: of
     |f - f_B|, f_B the signed average) over the realized balls holding the
-    point: a (len(fs), n) array from one sweep of ball_blocks."""
+    point: a (len(fs), n) array from one sweep of ball_blocks. A block's
+    sums become its averages, oscillations and running maxima in place."""
     fs = np.reshape(fs, (-1, space.n))
     out = np.zeros(fs.shape)
     columns = [base, *(base * (fs if sharp else np.abs(fs)))]
     for order, last, sums in _ball_sums(space, columns):
-        vals = sums[1:] / sums[0]
+        vals = sums[1:]
+        vals /= sums[0]
         if sharp:
-            vals = _oscillation_sums(order, base, fs, vals) / sums[0]
+            _oscillation_sums(order, base, fs, vals)
+            vals /= sums[0]
         vals[:, ~last] = 0.0   # a prefix that is no ball
         # the point at rank j lies in the balls ending at rank j or later
-        sup = np.maximum.accumulate(vals[..., ::-1], axis=-1)[..., ::-1]
+        sup = vals[..., ::-1]
+        np.maximum.accumulate(sup, axis=-1, out=sup)
         rank = np.empty_like(order)
         np.put_along_axis(rank, order, np.arange(order.shape[1]), axis=1)
-        out = np.maximum(out, np.take_along_axis(sup, rank[None], axis=-1)
-                         .max(axis=1))
+        for o, v in zip(out, vals):   # per function: one (rows, n) gather
+            np.maximum(o, np.take_along_axis(v, rank, axis=-1).max(axis=0),
+                       out=o)
     return out
 
 
-def _oscillation_sums(order, base, fs, means):
-    """sums[i, c, j] = sum over k <= j of base·|f_i - means[i, c, j]| at the
-    point order[c, k], for every function f_i of fs. Rows of order go in
-    sub-blocks of rows·n² <= max(BALL_CELLS, n²) cells; each sub-block's
-    rank-masked base, zero past rank j, serves every function, so every
-    sum adds the same n terms, zeros included, in the same order as a sum
-    over one ball's masked row."""
+def _oscillation_sums(order, base, fs, means) -> None:
+    """Replace means[i, c, j] by the sum over k <= j of base·|f_i -
+    means[i, c, j]| at the point order[c, k], for every function f_i of fs.
+    Rows of order go in sub-blocks of rows·n² <= max(BALL_CELLS, n²) cells,
+    and each sub-block's sums are written over the means rows it has just
+    read. Its rank-masked base, zero past rank j, serves every function, so
+    every sum adds the same n terms, zeros included, in the same order as a
+    sum over one ball's masked row."""
     rows, n = order.shape
     step = max(space_module.BALL_CELLS, n * n) // (n * n)
     lower = np.tri(n, dtype=bool)   # lower[j, k]: rank k is in ball j
-    sums = np.empty(means.shape)
     for r0 in range(0, rows, step):
         o = order[r0:r0 + step]
         masked = np.where(lower, base[o][:, None, :], 0.0)
-        for i, f in enumerate(fs):
-            dev = f[o][:, None, :] - means[i, r0:r0 + step, :, None]
+        for f, m in zip(fs, means[:, r0:r0 + step]):
+            dev = f[o][:, None, :] - m[..., None]
             np.abs(dev, out=dev)
             dev *= masked
-            dev.sum(axis=2, out=sums[i, r0:r0 + step])
-    return sums
+            dev.sum(axis=2, out=m)
 
 
 def _dyadic_values(levels, K: int, base, fs, sharp: bool):
@@ -376,7 +387,8 @@ def _max_ratio(lhs, rhs):
 
 
 def verify_comparability(family: AdjacentFamily, mu, sample_functions,
-                         constants: Optional[dict] = None
+                         constants: Optional[dict] = None,
+                         ball_maxima: Optional[tuple] = None
                          ) -> VerificationReport:
     """Check the ball/cube mass bounds and the pointwise maximal bounds.
 
@@ -387,7 +399,9 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     C_a_prime * sum_t dyadic maximal, and the sharp analogues with twice
     the constants. The report records the empirical extremal ratios next
     to the asserted constants. `constants` takes _instance_constants of
-    the same family and measure when the caller already has them.
+    the same family and measure, and `ball_maxima` the (plain, sharp) pair
+    of _ball_values of the sample functions under mu, each (functions, n),
+    when the caller already has them; each is computed when absent.
     """
     space = family.space
     w = _weights_of(mu, space.n)
@@ -398,37 +412,10 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     info = constants if constants is not None \
         else _instance_constants(family, w)
     c_a, c_ap = info["C_a"], info["C_a_prime"]
-    delta = family.delta
-    outer = family.labeled.selected_constants.outer_const
     rep = VerificationReport("maximal function comparability")
 
-    # (a) cube mass vs its outer ball; one ratio array per (level, center
-    # list, piece) of the table and one block of outer balls for it
-    ratios = {}
-    worst = 0.0
-    checked = 0
-    bad = []
-    for t in range(family.n_systems):
-        for j, (c, p) in enumerate(zip(family.center_of[:, t].tolist(),
-                                       family.piece_of[:, t].tolist())):
-            k = family.k_min + j
-            if (j, c, p) not in ratios:
-                flat, start = family.pieces[p][1]
-                empty = np.flatnonzero(np.diff(start) == 0)
-                if empty.size:
-                    raise PreconditionFail(
-                        f"level {k}: cube {int(empty[0])} holds no point")
-                near = (space.dist_rows(family.centers[j][c])
-                        < outer * delta ** k)
-                start = start.tolist()
-                ratios[j, c, p] = np.array([
-                    float(w[row].sum()) / float(w[flat[s:e]].sum())
-                    for row, s, e in zip(near, start, start[1:])])
-            ratio = ratios[j, c, p]
-            worst = max(worst, float(ratio.max(initial=0.0)))
-            checked += ratio.size
-            bad.extend((t + 1, k, int(i), float(ratio[i]))
-                       for i in np.flatnonzero(ratio > c_a * (1.0 + _REL_TOL)))
+    # (a) cube mass vs its outer ball
+    bad, checked, worst = _outer_ball_masses(family, w, c_a)
     rep.add("cube_outer_ball_mass", not bad, checked, bad,
             details={"C_a": c_a, "empirical": worst, **info})
 
@@ -440,8 +427,11 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
     # (b) pointwise comparability, plain then sharp, every function at once:
     # ratios are (function, system) against the ball maximal and (function,)
     # against the sum over systems
-    for sharp, prefix, scale in ((False, "", 1.0), (True, "sharp_", 2.0)):
-        m_ball = _ball_values(space, w, funcs, sharp)
+    if ball_maxima is None:
+        ball_maxima = [_ball_values(space, w, funcs, sharp)
+                       for sharp in (False, True)]
+    for m_ball, sharp, prefix, scale in zip(ball_maxima, (False, True),
+                                            ("", "sharp_"), (1.0, 2.0)):
         m_dy = _dyadic_values(family.held_pieces(), family.n_systems, w,
                               funcs, sharp)
         for name, const, ratio in (
@@ -458,6 +448,47 @@ def verify_comparability(family: AdjacentFamily, mu, sample_functions,
                              "empirical": float(ratio.max(initial=0.0))})
         del m_dy   # F·K·n floats: free them before the sharp pass
     return rep
+
+
+def _outer_ball_masses(family: AdjacentFamily, w, c_a: float):
+    """Every cube's outer-ball mass over its own mass, computed once per
+    distinct (level, center list, piece) of the table: (witnesses
+    (t, k, i, ratio) above c_a in system, level and cube order, cubes
+    checked, largest ratio). A level's outer masses are one product of its
+    centers' near rows with w, a block of centers at a time, and a piece's
+    cube masses one np.add.reduceat over its grouped members."""
+    space, n_pieces = family.space, len(family.pieces)
+    empty = [np.flatnonzero(np.diff(start) == 0)
+             for _, (_, start) in family.pieces]
+    holds = np.argwhere(np.array([e.size > 0 for e in empty])
+                        [family.piece_of].T)   # (t, j), system-major
+    if holds.size:
+        t, j = holds[0].tolist()
+        raise PreconditionFail(
+            f"level {family.k_min + j}: cube "
+            f"{int(empty[family.piece_of[j, t]][0])} holds no point")
+    outer = family.labeled.selected_constants.outer_const
+    step = max(1, space_module.BALL_CELLS // max(space.n, 1))
+    worst, checked, bad = 0.0, 0, []
+    for j, k in enumerate(family.level_ks()):
+        keys, which = np.unique(family.center_of[j] * n_pieces
+                                + family.piece_of[j], return_inverse=True)
+        ids, at = np.unique(family.centers[j][keys // n_pieces],
+                            return_inverse=True)
+        radius = outer * family.delta ** k
+        near = np.concatenate([(space.dist_rows(ids[i:i + step]) < radius)
+                               @ w for i in range(0, ids.size, step)])
+        used, of = np.unique(keys % n_pieces, return_inverse=True)
+        mass = np.array([np.add.reduceat(w[flat], start[:-1]) for flat, start
+                         in (family.pieces[p][1] for p in used.tolist())])
+        ratio = near[at].reshape(keys.size, -1) / mass[of.ravel()]
+        worst = max(worst, float(ratio.max(initial=0.0)))
+        checked += family.n_systems * ratio.shape[1]
+        u, i = np.nonzero(ratio > c_a * (1.0 + _REL_TOL))
+        t, x = np.nonzero(which.ravel()[:, None] == u)
+        bad += zip((t + 1).tolist(), [k] * t.size, i[x].tolist(),
+                   ratio[u[x], i[x]].tolist())
+    return sorted(bad), checked, worst
 
 
 def _containing_cube_masses(family: AdjacentFamily, w, c_ap: float):
@@ -490,7 +521,8 @@ def _containing_cube_masses(family: AdjacentFamily, w, c_ap: float):
 
 
 def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
-                           constants: Optional[dict] = None
+                           constants: Optional[dict] = None,
+                           ball_sharp: Optional[np.ndarray] = None
                            ) -> VerificationReport:
     """Check the weighted-norm bounds for the dyadic maximal operators.
 
@@ -499,7 +531,9 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
     weights; (b) the unweighted dyadic maximal obeys the A_p-controlled
     bound p^(1/(p-1)) p' ||omega||_Ap^(1/(p-1)) ||f||; (c) the dyadic
     oscillation sups compare to the ball one with the doubled transfer
-    constants of verify_comparability (`constants` as there).
+    constants of verify_comparability (`constants` as there; `ball_sharp`
+    takes the sharp ball maximal of f under mu, from _ball_values, when the
+    caller already has it).
     """
     _check_exponent(p)
     space = family.space
@@ -513,7 +547,9 @@ def verify_weighted_bounds(family: AdjacentFamily, mu, omega, f, p: float,
     info = constants if constants is not None \
         else _instance_constants(family, w)
     c_a, c_ap = info["C_a"], info["C_a_prime"]
-    osc_ball = bmo_norm(space, w, f, "ball")
+    if ball_sharp is None:
+        ball_sharp = _ball_values(space, w, [f], True)[0]
+    osc_ball = float(ball_sharp.max())
     bound_a = p_conj * norm_f
     levels, K = family.held_pieces(), family.n_systems
     m_w = _dyadic_values(levels, K, w * omega, [f], False)[0]

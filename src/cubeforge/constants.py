@@ -9,9 +9,10 @@ entry. Only `errors` is imported, so every other module can read this one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import ModeViolation, PreconditionFail
+from .errors import ConfigError, ModeViolation, PreconditionFail, require_keys
 
 _TOL = 1e-12      # slack of the headroom guards and the geometric checks
 _REL_TOL = 1e-9   # relative slack of a measured value against its bound
@@ -83,6 +84,25 @@ class SystemConstants:
     def to_json(self):
         return {"c0": self.sep_const, "C0": self.cover_const,
                 "c1": self.inner_const, "C1": self.outer_const}
+
+    @classmethod
+    def from_json(cls, d, delta: float, tri_const: float) -> SystemConstants:
+        """The constants of a document's `constants` entry under the reading
+        space's A0, which a document does not record. ConfigError when an
+        entry is missing, c0 or C0 is not finite, or c1 and C1 are not what
+        c0, C0 and that A0 give (a system linked under another A0)."""
+        keys = ("c0", "C0", "c1", "C1")
+        require_keys(d, keys, "constants")
+        c0, C0, c1, C1 = (float(d[key]) for key in keys)
+        if not (math.isfinite(c0) and math.isfinite(C0)):
+            raise ConfigError(f"constants c0={c0} and C0={C0} must be finite")
+        consts = cls(delta, tri_const, c0, C0)
+        if (c1, C1) != (consts.inner_const, consts.outer_const):
+            raise ConfigError(
+                f"constants c1={c1} and C1={C1} disagree with the "
+                f"c1={consts.inner_const} and C1={consts.outer_const} that "
+                f"c0, C0 and the space's A0={tri_const} give")
+        return consts
 
 
 # each guard's (product, limit) from constants c, a threshold tau and a

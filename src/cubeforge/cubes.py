@@ -243,14 +243,14 @@ class CubeSystem(LevelTable):
     @classmethod
     def from_json(cls, d, space):
         """Read a system back; a point listed in several cubes of one level
-        is assigned to the last of them. A missing entry, or a tight flag
-        other than `tight_flags` derives, is a ConfigError naming where."""
+        is assigned to the last of them. A missing entry, constants the
+        space's A0 does not give (`SystemConstants.from_json`), or a tight
+        flag other than `tight_flags` derives, is a ConfigError naming
+        where."""
         require_mode(d["mode"])
-        c0, C0 = float(d["constants"]["c0"]), float(d["constants"]["C0"])
-        if not np.isfinite([c0, C0]).all():
-            raise ConfigError(f"constants c0={c0} and C0={C0} must be finite")
-        consts = SystemConstants(require_delta(d["delta"]),
-                                 space.profile.tri_const, c0, C0)
+        consts = SystemConstants.from_json(d["constants"],
+                                           require_delta(d["delta"]),
+                                           space.profile.tri_const)
         k_min, k_max = int(d["k_min"]), int(d["k_max"])
         require_levels(len(d["levels"]), k_min, k_max)
         level_points, pieces = [], []

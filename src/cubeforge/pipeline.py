@@ -19,9 +19,9 @@ import numpy as np
 
 from .adjacent import build_adjacent_family, verify_covering
 from .analysis import (
+    _ball_values,
     _dyadic_values,
     _instance_constants,
-    maximal_function,
     verify_comparability,
     verify_weighted_bounds,
 )
@@ -45,6 +45,9 @@ KNOWN_CHECKS = ("net", "cubes", "covering", "mc_boundary", "chain",
                 "analysis")
 CHAIN_SCAN_SAMPLES = 10
 CSV_VERSION_LINE = "# cubeforge-report v1"
+# report names of an exponent, a threshold and a point; a config whose list
+# gives two entries one name is refused
+P_NAME, TAU_NAME, POINT_NAME = "p{:g}", "tau{:g}", "x{}"
 
 
 @dataclass
@@ -102,11 +105,13 @@ class PipelineConfig:
                            for t in taus):
                 raise ConfigError("mc.tau_list: expected a non-empty list of "
                                   "positive finite thresholds")
+            _refuse_shared_names("mc.tau_list", taus, TAU_NAME)
         if "points" in mc:
             pts = mc["points"]
             if not isinstance(pts, list) \
                     or any(not _is_int(x) or x < 0 for x in pts):
                 raise ConfigError("mc.points: expected a list of point ids")
+            _refuse_shared_names("mc.points", pts, POINT_NAME)
         if "k" in mc and not _is_int(mc["k"]):
             raise ConfigError(f"mc.k: expected an integer level, "
                               f"got {mc['k']!r}")
@@ -122,6 +127,7 @@ class PipelineConfig:
                            for p in ps):
                 raise ConfigError("analysis.p_list: expected a list of "
                                   "finite exponents above 1")
+            _refuse_shared_names("analysis.p_list", ps, P_NAME)
         nrf = analysis.get("n_random_functions", 3)
         if not _is_int(nrf) or nrf < 1:
             raise ConfigError("analysis.n_random_functions: expected a "
@@ -155,6 +161,18 @@ def _refuse_unknown(path: str, doc: dict, known) -> None:
     unknown = set(doc) - set(known)
     if unknown:
         raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
+
+
+def _refuse_shared_names(path: str, values, name: str) -> None:
+    """ConfigError naming `path` when two of `values` would give their
+    report entries one name, `name.format(value)`."""
+    seen = {}
+    for v in values:
+        key = name.format(v)
+        if key in seen:
+            raise ConfigError(f"{path}: entries {seen[key]!r} and {v!r} "
+                              f"share the report name {key!r}")
+        seen[key] = v
 
 
 @dataclass
@@ -274,7 +292,8 @@ def _mc_boundary_check(config: PipelineConfig, labeled,
     rep = VerificationReport("boundary decay")
     ests = estimate_boundary_sweep(sampler, [int(x) for x in points], k,
                                    [float(tau) for tau in taus], n)
-    names = [f"x{x}_tau{tau:g}" for x in points for tau in taus]
+    names = [f"{POINT_NAME.format(x)}_{TAU_NAME.format(tau)}"
+             for x in points for tau in taus]
     for name, est in zip(names, ests):
         rep.add(name, est.passed, n, details=est.to_json())
     report.tables["boundary"] = [est.to_json() for est in ests]
@@ -297,6 +316,10 @@ def _chain_check(config: PipelineConfig, labeled) -> VerificationReport:
 
 def _analysis_check(config: PipelineConfig, space, family,
                     report: RunReport) -> VerificationReport:
+    """The doubling, comparability and weighted checks and the maximal
+    table. Every random input is drawn first; then four ball sweeps serve
+    them all: doubling, containing-cube masses, the plain maxima of the
+    sample functions and the sharp maxima of those and of each p's f."""
     cfg = config.analysis
     p_list = [float(p) for p in cfg.get("p_list", [2.0])]
     n_funcs = cfg.get("n_random_functions", 3)
@@ -304,6 +327,8 @@ def _analysis_check(config: PipelineConfig, space, family,
     rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(1009,)))
     funcs = [rng.uniform(-1.0, 1.0, space.n) for _ in range(n_funcs)]
+    weighted = [(rng.uniform(0.5, 2.0, space.n),
+                 rng.uniform(-1.0, 1.0, space.n)) for _ in p_list]
 
     parts = []
     constants = _instance_constants(family, mu)
@@ -313,7 +338,10 @@ def _analysis_check(config: PipelineConfig, space, family,
                           "exponent": constants["c_mu"]})
     parts.append(("", doubling))
 
-    comp = verify_comparability(family, mu, funcs, constants=constants)
+    sharp = _ball_values(space, mu, funcs + [f for _, f in weighted], True)
+    plain = _ball_values(space, mu, funcs, False)
+    comp = verify_comparability(family, mu, funcs, constants=constants,
+                                ball_maxima=(plain, sharp[:n_funcs]))
     parts.append(("comparability", comp))
 
     bounds_rows = []
@@ -324,26 +352,22 @@ def _analysis_check(config: PipelineConfig, space, family,
             bounds_rows.append({"name": f"comparability_{c.name}",
                                 "lhs": c.details["empirical"], "rhs": rhs,
                                 "pass": c.passed})
-    for p in p_list:
-        omega = rng.uniform(0.5, 2.0, space.n)
-        f = rng.uniform(-1.0, 1.0, space.n)
+    for p, (omega, f), f_sharp in zip(p_list, weighted, sharp[n_funcs:]):
         wrep = verify_weighted_bounds(family, mu, omega, f, p,
-                                      constants=constants)
-        parts.append((f"p{p:g}", wrep))
+                                      constants=constants, ball_sharp=f_sharp)
+        parts.append((P_NAME.format(p), wrep))
         for c in wrep.checks:
             for entry in c.details.get("per_system", []):
                 bounds_rows.append({
-                    "name": f"p{p:g}_{c.name}_t{entry['t']}",
+                    "name": f"{P_NAME.format(p)}_{c.name}_t{entry['t']}",
                     "lhs": entry["norm"], "rhs": entry["bound"],
                     "pass": entry["norm"] <= entry["bound"] * (1 + _REL_TOL)})
     report.tables["bounds"] = bounds_rows
 
-    f0 = funcs[0]
-    m_ball = maximal_function(space, mu, f0, "ball")
     per_t = _dyadic_values(family.held_pieces(), family.n_systems, mu,
-                           [f0], False)[0]
+                           funcs[:1], False)[0]
     report.tables["maximal"] = [
-        {"x": int(x), "ball": float(m_ball[x]),
+        {"x": int(x), "ball": float(plain[0, x]),
          "dyadic_max": float(per_t[:, x].max()),
          "dyadic_sum": float(per_t[:, x].sum())}
         for x in range(space.n)]

@@ -1199,6 +1199,38 @@ def test_cube_mass_witnesses_match_scan(corrupted):
     assert chk.details["empirical"] == worst
 
 
+def test_cube_mass_ratios_match_scan_for_real_masses():
+    # non-integer masses: the outer masses (one product of the near rows
+    # with the masses) and the cube masses (one reduceat) sum in another
+    # order than the scan's, so ratios agree to rel 1e-12; C_a = 1 makes
+    # every cube whose outer ball holds more than its members a witness
+    space, _ = grid64()
+    fam = line_family(space)
+    mu = np.random.default_rng(17).uniform(0.5, 2.0, 64)
+    constants = {**_instance_constants(fam, mu), "C_a": 1.0}
+    d = dense_rows(space)
+    outer = fam.system(1).constants.outer_const
+    expect, checked = [], 0
+    for t in range(1, fam.n_systems + 1):
+        sys_t = fam.system(t)
+        for k in sys_t.level_ks():
+            r = outer * fam.delta ** k
+            for i, cube in enumerate(sys_t.cubes_at(k)):
+                ball = sum(mu[y] for y in bruteforce.ball_scan(d, cube.center, r))
+                expect.append((t, k, i,
+                               ball / sum(mu[y] for y in cube.members.tolist())))
+                checked += 1
+    chk = verify_comparability(fam, mu, [], constants=constants).check(
+        "cube_outer_ball_mass")
+    bad = [w for w in expect if w[3] > 1.0 + _REL_TOL]
+    assert bad and chk.checked == checked
+    assert [w[:3] for w in chk.witnesses] == [w[:3] for w in bad]
+    assert [w[3] for w in chk.witnesses] == pytest.approx(
+        [w[3] for w in bad], rel=1e-12)
+    assert chk.details["empirical"] == pytest.approx(
+        max(w[3] for w in expect), rel=1e-12)
+
+
 def test_ball_mass_check_matches_scan():
     space, _ = grid64()
     fam = line_family(space)

@@ -98,6 +98,19 @@ def test_config_errors_exit_two(tmp_path, capsys):
         assert err["type"] == "ConfigError"
         assert err["error"].startswith(field)
 
+    # lists whose entries would share a report name
+    for command, extra, field in (
+            ("mc-boundary", {"mc": {"tau_list": [0.1, 0.1000001]}},
+             "mc.tau_list:"),
+            ("mc-boundary", {"mc": {"points": [0, 0]}}, "mc.points:"),
+            ("analyze", {"analysis": {"p_list": [2.0, 2.0000001]}},
+             "analysis.p_list:")):
+        assert main([command, "--config", write_config(tmp_path, **extra),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ConfigError"
+        assert err["error"].startswith(field)
+
 
 def test_stage_failure_exits_two_with_build_error(tmp_path, capsys):
     cfg = write_config(tmp_path, space={"kind": "torus"})

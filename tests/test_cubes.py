@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 import tracemalloc
 import weakref
 from unittest import mock
@@ -568,6 +569,30 @@ def test_json_refuses_parent_entries_that_contradict_its_levels(edit, want):
     edit(doc)
     with pytest.raises(ConfigError, match=f"^{want}$"):
         CubeSystem.from_json(doc, space)
+
+
+def test_json_refuses_a_system_linked_under_another_a0():
+    # the four-point line declares A0 = 1; linked with A0 = 2, its document
+    # lists c1 = c0/(3·4) and C1 = 4·C0, and used to be refused with "level
+    # 0, cube 1: tight flag False contradicts its parent distance"
+    space, levels, _ = line4_order()
+    order = build_partial_order(space, levels, delta=0.25, sep_const=1.0,
+                                cover_const=1.0, tri_const=2.0, k_top=-1,
+                                mode="exploratory")
+    doc = json.loads(json.dumps(build_cube_system(space, levels,
+                                                  order).to_json()))
+    with pytest.raises(ConfigError, match=re.escape(
+            "constants c1=0.08333333333333333 and C1=4.0 disagree with the "
+            "c1=0.3333333333333333 and C1=2.0 that c0, C0 and the space's "
+            "A0=1.0 give")):
+        CubeSystem.from_json(doc, space)
+    doc["constants"].pop("C1")
+    with pytest.raises(ConfigError, match="^constants lists no 'C1'$"):
+        CubeSystem.from_json(doc, space)
+    # the same line linked under its own A0 reads back to its document
+    doc = json.loads(json.dumps(build_cube_system(
+        space, levels, line4_order()[2]).to_json()))
+    assert CubeSystem.from_json(doc, space).to_json() == doc
 
 
 def test_json_reads_whole_float_ids():

@@ -97,15 +97,70 @@ def test_analysis_runs_the_doubling_sweep_once(monkeypatch):
     cfg = small_config(checks=["analysis"])
     once = run_pipeline(cfg)
     assert len(calls) == 1
-    # the verifiers computing their own constants give the same report
+    # the verifiers computing their own constants and ball maxima give the
+    # same report
     for name in ("verify_comparability", "verify_weighted_bounds"):
         monkeypatch.setattr(pipeline, name,
-                            lambda *a, constants=None, _f=getattr(
-                                pipeline, name): _f(*a))
+                            lambda *a, constants=None, ball_maxima=None,
+                            ball_sharp=None, _f=getattr(pipeline, name):
+                            _f(*a))
     calls.clear()
     each = run_pipeline(cfg)
     assert len(calls) == 2 + len(REFERENCE["analysis"]["p_list"])
     assert strip_timing(once.to_json()) == strip_timing(each.to_json())
+
+
+@pytest.mark.parametrize("p_list", [[], [2.0], [1.5, 2.0], [1.25, 2.0, 3.5]])
+def test_analysis_sweeps_the_ball_world_four_times(monkeypatch, p_list):
+    # doubling, containing-cube masses, the plain maxima of the sample
+    # functions and one sharp sweep for them and every p's f; it was
+    # 5 + len(p_list): a sharp sweep per p and a plain one for the table
+    cfg = small_config(checks=["analysis"],
+                       analysis={"p_list": p_list, "n_random_functions": 2})
+    space = generate_space(cfg.space)
+    real, calls = space.ball_blocks, []
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(space, "ball_blocks", counting)
+    monkeypatch.setattr(pipeline, "generate_space", lambda doc: space)
+    report = run_pipeline(cfg)
+    assert report.checks["analysis"]["passed"]
+    assert len(calls) == 4
+
+
+def analyze_cloud(seed):
+    """The `analyze` benchmark job's config for one cloud (n = 100 in a box
+    of 20, strict, delta = 1/144) and its built space and family."""
+    cfg = PipelineConfig.from_json({
+        "space": {"kind": "euclidean_cloud", "n": 100, "dim": 2,
+                  "box": 20.0, "seed": seed},
+        "delta": DELTA, "mode": "strict", "seed": seed,
+        "checks": ["analysis"],
+        "analysis": {"p_list": [1.5, 2.0], "n_random_functions": 3}})
+    space = generate_space(cfg.space)
+    family = build_adjacent_family(build_labels(build_reference_hierarchy(
+        space, DELTA, mode="strict")))
+    return cfg, space, family
+
+
+def test_analysis_check_peak_memory():
+    # cloud 72 (K = 75): with a sharp sweep per p and out-of-place block
+    # arithmetic the check peaked at 1 875 788-1 876 111 bytes under
+    # tracemalloc (numpy 2.4.6); the joint sweeps, divided and accumulated
+    # in place, must stay at or below that
+    cfg, space, family = analyze_cloud(72)
+    assert family.n_systems == 75
+    pipeline._analysis_check(cfg, space, family, RunReport(config={}))
+    tracemalloc.start()
+    try:
+        pipeline._analysis_check(cfg, space, family, RunReport(config={}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_876_111
 
 
 def test_config_field_paths_in_errors():
@@ -148,6 +203,18 @@ def test_config_field_paths_in_errors():
         ({**REFERENCE, "mc": {"tau_list": [True]}}, "mc.tau_list:"),
         ({**REFERENCE, "analysis": {"n_random_functions": True}},
          "analysis.n_random_functions:"),
+        # two entries that would share a report name: p2 three times over
+        # in the bounds table, x0_tau0.1 twice in the boundary entries
+        ({**REFERENCE, "analysis": {"p_list": [2.0, 2.0000001]}},
+         "analysis.p_list: entries 2.0 and 2.0000001 share the report "
+         "name 'p2'"),
+        ({**REFERENCE, "analysis": {"p_list": [1.5, 2, 2.0]}},
+         "analysis.p_list:"),
+        ({**REFERENCE, "mc": {"tau_list": [0.1, 0.1000001]}},
+         "mc.tau_list: entries 0.1 and 0.1000001 share the report "
+         "name 'tau0.1'"),
+        ({**REFERENCE, "mc": {"points": [0, 1, 0]}},
+         "mc.points: entries 0 and 0 share the report name 'x0'"),
     ]
     for doc, prefix in bad:
         with pytest.raises(ConfigError) as e:
@@ -296,6 +363,7 @@ NESTS = st.recursive(
     max_leaves=24)
 
 
+@pytest.mark.slow
 @settings(max_examples=150, deadline=None)
 @given(nest=NESTS, shared=st.lists(NESTS, min_size=1, max_size=3),
        long=st.one_of(st.none(), long_lists()))
