@@ -39,13 +39,13 @@ from typing import Optional
 import numpy as np
 
 from .constants import _TOL
-from .cubes import LevelTable, _edge_gaps, close_table
+from .cubes import LevelTable, close_table
 from .errors import ConfigError, CubeforgeError, require_id
 from .labeling import (LabeledHierarchy, index_to_pair, pair_to_index,
                        require_near, selected_order, specific_pick)
 from .report import VerificationReport
 from . import space as space_module
-from .space import ball_radii
+from .space import _edge_gaps, ball_radii
 
 
 @dataclass

@@ -48,27 +48,12 @@ import numpy as np
 from . import space as space_module
 from .constants import _TOL, SystemConstants, require_headroom
 from .errors import (ConfigError, NoParent, PreconditionFail, TightAmbiguity,
-                     require_entries, require_id, require_ids, require_keys,
-                     require_levels)
+                     require_delta, require_entries, require_id, require_ids,
+                     require_keys, require_levels, require_mode)
 from .report import Check, VerificationReport
 from .space import QuasiMetricSpace
 
-MODES = ("strict", "exploratory")
-
-
-def require_mode(mode) -> None:
-    """ConfigError unless `mode` is one of MODES."""
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def require_delta(delta) -> float:
-    """`delta` as a float when it is a number in (0, 1); ConfigError
-    otherwise, so NaN and infinities are refused."""
-    if isinstance(delta, bool) or not isinstance(delta, (int, float)) \
-            or not 0.0 < delta < 1.0:
-        raise ConfigError(f"delta: expected a ratio in (0, 1), got {delta!r}")
-    return float(delta)
+_NONE = 2 ** 31 - 1   # a parent list position past every parent
 
 
 @dataclass
@@ -315,13 +300,14 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
     "parent order" headroom (`constants.require_headroom`).
 
     Each level may carry a leading sample axis: a (B, m) level holds B
-    center lists of one length, and its map is (B, m) too. A batched step
-    reads the distances of every id it holds with one `dist_rows` call,
-    compares them once, and gathers each sample's own (children, parents)
-    comparisons from it, so its floats are those of the one-sample call. A
-    batched call raises at the first failing level what the first sample
-    failing there raises alone, with the child index in that sample's
-    list.
+    center lists of one length, and its map is (B, m) too; levels of
+    unequal sample counts are refused. A batched step compares the
+    distances of its distinct ids, one `dist_rows` call, once. Under one
+    child list, the parent positions that hold one id in every sample are
+    read once for the batch and the others per sample, merged by list
+    position. Its floats are those of the one-sample call, and a batched
+    call raises at the first failing level what the first sample failing
+    there raises alone, with the child index in that sample's list.
     """
     require_mode(mode)
     consts = SystemConstants(delta, tri_const, sep_const, cover_const)
@@ -332,27 +318,45 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
         k = k_top + j
         parents = np.asarray(level_points[j], dtype=int)
         children = np.asarray(level_points[j + 1], dtype=int)
+        if parents.ndim > 1 and len(parents) != len(children):
+            raise PreconditionFail(f"level {k} holds {len(parents)} center "
+                                   f"lists, level {k + 1} {len(children)}")
+        if children.size and not parents.size:
+            raise NoParent(k, 0, int(children.flat[0]))
         tight_thr = consts.tight_radius(k)
         loose_thr = cover_const * delta ** k
         if parents.ndim == 1:
             dists = space.dist_rows(children, parents)
-            found = _first_parents(dists < tight_thr, dists < loose_thr)
-        else:
-            # one block over the batch's distinct ids, compared once; each
-            # sample gathers its own (children, parents) comparisons
-            rows, rows_at = _distinct(children, space.n)
-            cols, cols_at = _distinct(parents, space.n)
-            dists = space.dist_rows(rows, cols)
             near, in_range = dists < tight_thr, dists < loose_thr
-            if rows_at.size and (rows_at == rows_at[0]).all():
-                # one child list for the batch: its rows, then each sample's
-                # columns, child-major (children, B, parents)
-                found = [np.ascontiguousarray(a.T) for a in _first_parents(
-                    near[rows_at[0]][:, cols_at],
-                    in_range[rows_at[0]][:, cols_at])]
-            else:
-                own = rows_at[:, :, None], cols_at[:, None, :]
-                found = _first_parents(near[own], in_range[own])
+            found = (near.sum(axis=-1), in_range.any(axis=-1),
+                     near.argmax(axis=-1), in_range.argmax(axis=-1))
+        else:
+            one = (children == children[:1]).all()
+            cols, cols_at = _distinct(parents, space.n)
+            rows, rows_at = (children[0], None) if one else \
+                _distinct(children, space.n)
+            # d(child, parent) as alone (a table is symmetric only to rtol
+            # 1e-12), compared parent-major
+            dists = space.dist_rows(rows, cols).T
+            near, in_range = dists < tight_thr, dists < loose_thr
+            # under one child list, the parent positions that hold one id
+            # in every sample are compared once for the batch, the others
+            # per sample: (positions, samples, children) blocks whose first
+            # tight and in-range positions merge by the least
+            same = (cols_at == cols_at[:1]).all(axis=0) & one
+            found = np.zeros(children.shape, dtype=int), False, _NONE, _NONE
+            for pos, at in ((np.flatnonzero(same), cols_at[:1]),
+                            (np.flatnonzero(~same), cols_at)):
+                at = at[:, pos].T
+                own = at if one else (at[:, :, None], rows_at)
+                if pos.size:
+                    t, r = near[own], in_range[own]
+                    found = (found[0] + t.sum(axis=0),
+                             found[1] | r.any(axis=0),
+                             *(np.minimum(f, np.where(a.any(axis=0), pos[
+                                 a.argmax(axis=0)], _NONE))
+                               for f, a in zip(found[2:], (t, r))))
+        del dists, near, in_range   # freed before the next level's block
         counts, reached, tight_idx, loose_idx = found
         crowded, orphan = counts > 1, ~reached & (counts == 0)
         if (crowded | orphan).any():
@@ -367,14 +371,6 @@ def build_partial_order(space: QuasiMetricSpace, level_points, delta: float,
             raise NoParent(k, i, int(children[b][i]))
         out.maps.append(np.where(counts == 1, tight_idx, loose_idx).astype(int))
     return out
-
-
-def _first_parents(near, in_range) -> tuple:
-    """Per child, over its parents in list order on the last axis: the
-    tight parent count, whether a parent is in range, the first tight and
-    the first in-range parent."""
-    return (near.sum(axis=-1), in_range.any(axis=-1), near.argmax(axis=-1),
-            in_range.argmax(axis=-1))
 
 
 def _distinct(ids, n: int):
@@ -771,17 +767,3 @@ def _descendants(k, fine, c, rows_k, rows_f, pts_f, anc, q, union) -> list:
         radii,
         _per_list(size, g_n, ((k, fine, i, d) for i, d in
                               zip(near.tolist(), d_cf[g_n, near].tolist())))))
-
-
-def _edge_gaps(rows, cube_of, own, eps=None) -> np.ndarray:
-    """The edge-distance kernel: each point's distance to the nearest point
-    outside its cube own[...] (0 when it lies outside it), inf when that
-    cube is the whole space; rows and cube_of give every point's distance
-    and cube on the last axis. Given eps: whether each gap is within each
-    eps, inclusive, and never for a cube with no complement, even at inf."""
-    gaps = np.where(cube_of != np.asarray(own)[..., None], rows,
-                    np.inf).min(axis=-1)
-    if eps is None:
-        return gaps
-    # an inf gap (no complement) turns nan, which is within no eps
-    return np.less_equal.outer(np.where(gaps < np.inf, gaps, np.nan), eps)

@@ -123,8 +123,27 @@ class BuildError(CubeforgeError):
     """A pipeline stage failed; the original error is chained."""
 
 
-# -- the guards both document readers share ----------------------------------
+# -- the mode and ratio guards the builders and the config share -------------
 
+MODES = ("strict", "exploratory")
+
+
+def require_mode(mode) -> None:
+    """ConfigError unless `mode` is one of MODES."""
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def require_delta(delta) -> float:
+    """`delta` as a float when it is a number in (0, 1); ConfigError
+    otherwise, so NaN and infinities are refused."""
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)) \
+            or not 0.0 < delta < 1.0:
+        raise ConfigError(f"delta: expected a ratio in (0, 1), got {delta!r}")
+    return float(delta)
+
+
+# -- the guards both document readers share ----------------------------------
 
 def require_levels(count: int, k_min: int, k_max: int) -> None:
     """ConfigError naming the first missing or extra level unless `count`

@@ -17,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .constants import SystemConstants, require_headroom
-from .cubes import require_delta, require_mode
 from .errors import (ConfigError, DegenerateWindow, ModeViolation,
-                     require_id, require_ids, require_levels)
+                     require_delta, require_id, require_ids, require_levels,
+                     require_mode)
 from .report import VerificationReport
 from .space import QuasiMetricSpace
 

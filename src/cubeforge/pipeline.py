@@ -26,8 +26,9 @@ from .analysis import (
     verify_weighted_bounds,
 )
 from .constants import _REL_TOL
-from .cubes import MODES, require_delta, verify_cube_axioms
-from .errors import BuildError, ConfigError, CubeforgeError, ModeViolation
+from .cubes import verify_cube_axioms
+from .errors import (MODES, BuildError, ConfigError, CubeforgeError,
+                     ModeViolation, require_delta)
 from .labeling import build_labels, verify_new_point_axioms
 from .nets import build_reference_hierarchy, check_mode, verify_net_axioms
 from .random_systems import (

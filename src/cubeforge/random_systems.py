@@ -41,14 +41,18 @@ and C_2 the `boundary_const` of the selected points' constants.
 one level k: each sample realizes levels k and finer once, and every
 (point, tau) reads its hit off that one partition.
 `estimate_boundary_probability` is its one-point, one-tau case. The sweep
-realizes its samples in batches: one batched draw gives each sample its
-levels from its own streams, as alone, one `build_partial_order` call over
-the batch's (B, m) level lists links them all, composing the batch's
-parent maps gives its (B, n) level-k assignments (no pieces: the sweep
-reads no member list) and one `_edge_gaps` call reads every hit. B is
-the cell budget BATCH_CELLS (about 1 MB of floats) over the cells one
-sample adds to the largest block. A failing batch is rerun one sample at a
-time, so errors surface in sample order.
+draws its samples in chunks and links them in batches, a chunk a whole
+number of batches (`_sweep_sizes`, both from the cell budget BATCH_CELLS,
+about 1 MB of floats). One batched draw gives each sample of a chunk its
+levels from its own streams, as alone. Per batch, one
+`build_partial_order` call over the batch's (B, m) level lists links
+them all (its finest step, under the one finest list, compares the parent
+positions every sample shares once), composing the batch's parent maps
+gives its (B, n) level-k assignments (no closure and no pieces: the sweep
+reads no member list) and one `_edge_gaps` call reads every hit. A chunk
+whose draw fails leaves each of its batches to draw for itself, and a
+failing batch is rerun one sample at a time, so errors surface in sample
+order.
 """
 from __future__ import annotations
 
@@ -63,7 +67,7 @@ import numpy as np
 from . import space as space_module
 from .adjacent import AdjacentFamily, _build_family
 from .constants import require_headroom
-from .cubes import CubeSystem, _edge_gaps, build_cube_system
+from .cubes import CubeSystem, build_cube_system
 from .errors import ConfigError, CubeforgeError, PreconditionFail, require_id
 from .labeling import (
     LabeledHierarchy,
@@ -74,13 +78,14 @@ from .labeling import (
     specific_pick,
 )
 from .report import VerificationReport
+from .space import _edge_gaps
 from .streams import M32, key_states, lemire, pcg_jumps, pcg_outputs
 
 WILSON_Z = 1.6448536269514722  # one-sided 95% normal quantile
 VARIANTS = ("single", "adjacent", "adjacent_refined")
 MIN_SAMPLES = 1000   # the fewest samples a Monte Carlo estimate takes
 # cells (about 1 MB of floats) of the largest block one boundary-sweep batch
-# holds; the batch size is this over the cells one sample adds
+# holds; the batch and the draw chunk sizes derive from it (`_sweep_sizes`)
 BATCH_CELLS = 2 ** 17
 
 
@@ -323,6 +328,10 @@ def estimate_selection_probability(sampler: OmegaSampler, k: int, alpha: int,
 
 @dataclass
 class BoundaryEstimate:
+    """One (point, tau) of a boundary sweep at level k, whose sampled
+    partitions have `cubes` cubes. The estimate is vacuous when its bound
+    C_2 * tau**eta is 1 or more: no chance can exceed it."""
+
     x: int
     k: int
     tau: float
@@ -332,12 +341,14 @@ class BoundaryEstimate:
     wilson_upper: float
     bound: float
     passed: bool
+    cubes: int
 
     def to_json(self):
         return {"x": self.x, "k": self.k, "tau": self.tau,
                 "N": self.n_samples, "hits": self.hits, "p_hat": self.p_hat,
                 "wilson_upper": self.wilson_upper,
-                "bound_C2_tau_eta": self.bound, "pass": self.passed}
+                "bound_C2_tau_eta": self.bound, "pass": self.passed,
+                "cubes": self.cubes, "vacuous": self.bound >= 1.0}
 
 
 def wilson_upper(hits: int, n: int, z: float = WILSON_Z) -> float:
@@ -365,11 +376,14 @@ def estimate_boundary_sweep(sampler: OmegaSampler, points, k: int, taus,
     cannot move the level-k partition), and every (x, tau) reads its hit off
     that one partition: x is within tau * ratio**k of its cube's edge when
     its nearest point in another cube is. An estimate passes when its 95%
-    Wilson upper confidence bound stays under C_2 * tau**eta. A bad call
+    Wilson upper confidence bound stays under C_2 * tau**eta, and says
+    how many cubes level k has and whether that bound is vacuous. Samples
+    are drawn in chunks and linked in batches (`_sweep_sizes`). A bad call
     raises what the first failing one-pair call in output order would; with
     no pairs, every point or tau given is still checked.
     """
-    points, taus, n = list(points), list(taus), sampler.labeled.space.n
+    lab = sampler.labeled
+    points, taus, n = list(points), list(taus), lab.space.n
     # in the order the one-pair calls would check them, in output order
     k = _check_boundary_args(sampler, k, taus[:1], n_samples)
     ids = [require_id("point", x, 0, n, ")") for x in points[:1]]
@@ -377,18 +391,25 @@ def estimate_boundary_sweep(sampler: OmegaSampler, points, k: int, taus,
     ids += [require_id("point", x, 0, n, ")") for x in points[1:]]
     if not (ids and taus):
         return []
-    delta = sampler.labeled.hierarchy.delta
-    eps = np.array([tau * delta ** k for tau in taus])
+    eps = np.array([tau * lab.hierarchy.delta ** k for tau in taus])
     pts = np.asarray(ids)
-    rows = sampler.labeled.space.dist_rows(pts)
+    rows = lab.space.dist_rows(pts)
     hits = np.zeros((pts.size, eps.size), dtype=int)
-    batch = max(1, BATCH_CELLS // _sample_cells(sampler.labeled, k, pts.size))
-    for lo in range(0, n_samples, batch):
-        assign = _partial_assign(sampler, range(lo, min(lo + batch,
-                                                        n_samples)), k)
-        hits += _edge_gaps(rows, assign[:, None, :], assign[:, pts],
-                           eps).sum(axis=0)
-    out = []
+    chunk, batch = _sweep_sizes(lab, k, pts.size)
+    for lo in range(0, n_samples, chunk):
+        samples = range(lo, min(lo + chunk, n_samples))
+        try:
+            drawn = sampler._draw_choices(samples, range(k, lab.k_max))
+        except CubeforgeError:   # its batches draw, and raise, alone
+            drawn = None
+        for at in range(0, len(samples), batch):
+            part = slice(at, at + batch)
+            assign = _partial_assign(
+                sampler, samples[part], k,
+                None if drawn is None else [c[part] for c in drawn])
+            hits += _edge_gaps(rows, assign[:, None, :], assign[:, pts],
+                               eps).sum(axis=0)
+    out, cubes = [], len(lab.hierarchy.level(k))
     for (x, tau), h in zip(itertools.product(ids, taus),
                            hits.ravel().tolist()):
         upper = wilson_upper(h, n_samples)
@@ -396,7 +417,7 @@ def estimate_boundary_sweep(sampler: OmegaSampler, points, k: int, taus,
         out.append(BoundaryEstimate(
             x=x, k=k, tau=tau, n_samples=n_samples, hits=h,
             p_hat=h / n_samples, wilson_upper=upper, bound=bound,
-            passed=upper <= bound))
+            passed=upper <= bound, cubes=cubes))
     return out
 
 
@@ -433,26 +454,37 @@ def _check_tau(tau: float) -> None:
         raise PreconditionFail(f"tau must be finite, got {tau}")
 
 
-def _sample_cells(lab: LabeledHierarchy, k: int, n_points: int) -> int:
-    """Cells one sample adds to the largest block a sweep batch holds: a
-    level step's child-by-parent distances, or the points' edge gaps."""
+def _sweep_sizes(lab: LabeledHierarchy, k: int, n_points: int) -> tuple:
+    """(chunk, batch): the samples a level-k sweep draws at once and the
+    samples it links at once. A batch's largest block, a level step's
+    child-by-parent distances or the points' edge gaps, holds at most
+    BATCH_CELLS cells. A draw keeps about eight (chunk, m_j) int arrays
+    alive for a level j of m_j centers (462 cells a sample on cloud 72 of
+    the `sample` benchmark, whose drawn levels hold 54 centers), so a
+    chunk budgets 16 cells a drawn center, about half of BATCH_CELLS. A
+    chunk is a whole number of batches, at least one."""
     sizes = [len(lab.hierarchy.level(j)) for j in range(k, lab.k_max + 1)]
-    return max([a * b for a, b in zip(sizes, sizes[1:])]
-               + [n_points * lab.space.n])
+    batch = max(1, BATCH_CELLS // max([a * b for a, b in zip(
+        sizes, sizes[1:])] + [n_points * lab.space.n]))
+    chunk = BATCH_CELLS // (16 * max(1, sum(sizes[:-1])))
+    return max(batch, chunk - chunk % batch), batch
 
 
-def _partial_assign(sampler: OmegaSampler, samples, k: int) -> np.ndarray:
+def _partial_assign(sampler: OmegaSampler, samples, k: int,
+                    choices=None) -> np.ndarray:
     """Point -> cube index at level k for each sample index in `samples`,
-    from one draw of levels k..k_max-1 each: a (len(samples), n) array, the
-    levels of all samples linked by one partial-order call per batch. A
-    failing batch is rerun one sample at a time, so it raises what the
-    first failing sample raises on its own."""
+    from one draw of levels k..k_max-1 each, `choices` when given (the
+    `_draw_choices` rows of `samples`): a (len(samples), n) array, the
+    levels of all samples linked by one partial-order call. A failing call
+    is rerun one sample at a time, each drawing its own levels, so it
+    raises what the first failing sample raises on its own."""
     lab = sampler.labeled
     h = lab.hierarchy
     ks = range(k, lab.k_max)
     try:
-        z_levels = [h.level(j + 1)[c]
-                    for j, c in zip(ks, sampler._draw_choices(samples, ks))]
+        if choices is None:
+            choices = sampler._draw_choices(samples, ks)
+        z_levels = [h.level(j + 1)[c] for j, c in zip(ks, choices)]
         finest = h.level(lab.k_max)
         z_levels.append(np.broadcast_to(finest, (len(samples), finest.size)))
         if len(samples) == 1:   # the kernel reads one sample's rows faster

@@ -615,6 +615,20 @@ _SPEC_KEYS = {"euclidean_cloud": ("kind", "n", "dim", "box", "seed"),
               "geometric_line": ("kind", "levels", "delta")}
 
 
+def _edge_gaps(rows, cube_of, own, eps=None) -> np.ndarray:
+    """The edge-distance kernel: each point's distance to the nearest point
+    outside its cube own[...] (0 when it lies outside it), inf when that
+    cube is the whole space; rows and cube_of give every point's distance
+    and cube on the last axis. Given eps: whether each gap is within each
+    eps, inclusive, and never for a cube with no complement, even at inf."""
+    gaps = np.where(cube_of != np.asarray(own)[..., None], rows,
+                    np.inf).min(axis=-1)
+    if eps is None:
+        return gaps
+    # an inf gap (no complement) turns nan, which is within no eps
+    return np.less_equal.outer(np.where(gaps < np.inf, gaps, np.nan), eps)
+
+
 def generate_space(spec: dict) -> QuasiMetricSpace:
     """Build one of the supported synthetic spaces from a descriptor dict.
 

@@ -16,7 +16,6 @@ from cubeforge.cubes import (
     SystemConstants,
     CubeSystem,
     ParentMaps,
-    _edge_gaps,
     build_cube_system,
     build_partial_order,
     close_level,
@@ -35,7 +34,7 @@ from cubeforge.labeling import build_labels, select_points, selected_order
 from cubeforge.nets import (NetHierarchy, build_reference_hierarchy,
                             check_mode)
 from cubeforge.random_systems import OmegaSampler
-from cubeforge.space import QuasiMetricSpace, generate_space
+from cubeforge.space import QuasiMetricSpace, _edge_gaps, generate_space
 
 import bruteforce
 from test_selection import cloud_labels
@@ -200,35 +199,37 @@ def test_finest_level_must_cover():
 
 
 @st.composite
-def batched_levels(draw):
+def batched_levels(draw, one_list=False):
     """A small integer cloud and B parent lists and child lists of one
-    length each: every sample its own child list, or one for all."""
+    length each: every sample its own child list, or one for all (always,
+    with one_list, and then B >= 2). The parent lists are drawn apart, or
+    hold the first list's id in every sample at some or all positions, the
+    others drawn from the ids left."""
     pts = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
                         min_size=2, max_size=10, unique=True))
     space = QuasiMetricSpace.from_coords(np.asarray(pts, dtype=float))
-    n, b = space.n, draw(st.integers(1, 4))
+    n, b = space.n, draw(st.integers(1 + one_list, 4))
     sizes = draw(st.integers(1, n)), draw(st.integers(1, n))
     perms = st.permutations(range(n))
     parents, children = ([draw(perms)[:size] for _ in range(b)]
                          for size in sizes)
-    if draw(st.booleans()):
+    share = draw(st.sampled_from(["none", "some", "all"]))
+    if share != "none":
+        held = [share == "all" or draw(st.booleans()) for _ in parents[0]]
+        kept = {x for x, h in zip(parents[0], held) if h}
+        for i in range(1, b):
+            rest = iter(draw(st.permutations(sorted(set(range(n)) - kept))))
+            parents[i] = [x if h else next(rest)
+                          for x, h in zip(parents[0], held)]
+    if one_list or draw(st.booleans()):
         children = [children[0]] * b
     return space, np.array(parents), np.array(children)
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=batched_levels(), sep=st.sampled_from([0.5, 2.0, 3.0]),
-       cover=st.sampled_from([1.5, 3.0, 1e9]))
-# sample 1 finds no parent for point 2 and sample 2 two tight parents for
-# point 0: the batch raises sample 1's NoParent
-@example(case=(QuasiMetricSpace.from_coords(np.array(
-    [[0.0, 0.0], [1, 0], [3, 0], [4, 0], [2, 0], [0, 1]])),
-    np.array([[0, 2], [0, 1], [0, 1]]), np.array([[0], [2], [0]])),
-    sep=3.0, cover=1.5)
-def test_batched_order_matches_one_sample_at_a_time(case, sep, cover):
-    # each sample's map is its own call's, and with its derived tight flags
-    # it is parent_scan's; a batch raises what the first failing sample's
-    # call raises
+def assert_batch_matches_alone(case, sep, cover):
+    """Each sample's map is its own call's, and with its derived tight
+    flags it is parent_scan's; a batch raises what the first failing
+    sample's call raises: its type, level, child index and point."""
     space, parents, children = case
 
     def link(levels):
@@ -254,6 +255,84 @@ def test_batched_order_matches_one_sample_at_a_time(case, sep, cover):
                                             flags.tolist())] == [
         bruteforce.parent_scan(d, p.tolist(), c.tolist(), sep / 2.0, cover)
         for p, c in zip(parents, children)]
+
+
+ASYMMETRIC = QuasiMetricSpace.from_table(np.array(
+    [[0, 1 - 1e-13, 2], [1, 0, 1.2], [2, 1.2, 0]]))
+SEPS, COVERS = st.sampled_from([0.5, 2.0, 3.0]), st.sampled_from([1.5, 3.0,
+                                                                  1e9])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=batched_levels(), sep=SEPS, cover=COVERS)
+# sample 1 finds no parent for point 2 and sample 2 two tight parents for
+# point 0: the batch raises sample 1's NoParent
+@example(case=(QuasiMetricSpace.from_coords(np.array(
+    [[0.0, 0.0], [1, 0], [3, 0], [4, 0], [2, 0], [0, 1]])),
+    np.array([[0, 2], [0, 1], [0, 1]]), np.array([[0], [2], [0]])),
+    sep=3.0, cover=1.5)
+def test_batched_order_matches_one_sample_at_a_time(case, sep, cover):
+    assert_batch_matches_alone(case, sep, cover)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=batched_levels(one_list=True), sep=SEPS, cover=COVERS)
+# position 0 holds point 3 in both samples, position 1 varies: child 0 in
+# sample 0 and child 1 in sample 1 have no tight parent and both parents in
+# range, so the shared position's first in-range parent wins the merge
+@example(case=(QuasiMetricSpace.from_coords(np.array(
+    [[0.0, 0.0], [1, 0], [3, 0], [1, 1]])),
+    np.array([[3, 1], [3, 2]]), np.array([[0, 1], [0, 1]])),
+    sep=0.5, cover=3.0)
+# d(1, 0) = 1 is not tight but d(0, 1) = 1 - 1e-13 is: a table symmetric
+# to rtol 1e-12 is read d(child, parent), as alone, so child 1 takes the
+# first in-range parent 2
+@example(case=(ASYMMETRIC, np.array([[2, 0]] * 2), np.array([[1]] * 2)),
+         sep=2.0, cover=1.5)
+def test_shared_parent_positions_match_one_sample_at_a_time(case, sep,
+                                                            cover):
+    # under one child list the positions every sample shares are compared
+    # once and the others per sample: none, some or all are shared
+    assert_batch_matches_alone(case, sep, cover)
+
+
+def line0157_link(levels):
+    space = QuasiMetricSpace.from_line([0.0, 1.0, 5.0, 7.0])
+    return build_partial_order(space, levels, delta=0.25, sep_const=1.0,
+                               cover_const=1.0, tri_const=1.0, k_top=-1,
+                               mode="exploratory")
+
+
+@pytest.mark.parametrize("levels", [
+    [np.array([], dtype=int), np.array([2, 0])],
+    [np.zeros((2, 0), dtype=int), np.array([[2, 0], [3, 1]])]])
+def test_an_empty_coarse_level_leaves_the_first_child_without_parent(
+        levels):
+    with pytest.raises(NoParent) as err:
+        line0157_link(levels)
+    assert (err.value.level, err.value.child_index, err.value.point) == \
+        (-1, 0, 2)
+
+
+@pytest.mark.parametrize("levels, coarse, fine", [
+    # 3 child lists, one for all, under 2 parent lists
+    ([np.array([[0, 3], [0, 2]]), np.array([[0, 1, 2, 3]] * 3)], 2, 3),
+    # 2 varying child lists under 3 parent lists
+    ([np.array([[0, 3]] * 3), np.array([[0, 1, 2, 3], [3, 2, 1, 0]])], 3, 2),
+])
+def test_batched_levels_of_unequal_sample_counts_are_refused(levels, coarse,
+                                                             fine):
+    with pytest.raises(PreconditionFail,
+                       match=f"^level -1 holds {coarse} center lists, "
+                             f"level 0 {fine}$"):
+        line0157_link(levels)
+    # a later step names its own levels, once the steps above it link
+    with pytest.raises(PreconditionFail,
+                       match=f"^level 0 holds {fine} center lists, "
+                             f"level 1 {coarse}$"):
+        line0157_link([np.array([[0, 3]] * fine),
+                       np.array([[0, 1, 2, 3]] * fine),
+                       np.array([[0, 1, 2, 3]] * coarse)])
 
 
 def shared_system(space, levels, order, closed, pieces):

@@ -1,7 +1,7 @@
 """The edge-distance kernel: a point's distance to its cube's complement.
 
 Covering containment, the boundary sweep and both chain checks read that
-distance off `cubes._edge_gaps`; these tests pin the kernel against the
+distance off `space._edge_gaps`; these tests pin the kernel against the
 naive boundary scan and show that each site reaches it.
 """
 import math
@@ -11,18 +11,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
-from cubeforge import adjacent, cubes, labeling, random_systems
+from cubeforge import adjacent, labeling, random_systems
 from cubeforge.adjacent import verify_covering
-from cubeforge.cubes import CubeSystem, _edge_gaps
+from cubeforge.cubes import CubeSystem
 from cubeforge.errors import PreconditionFail
 from cubeforge.labeling import SelectionOutcome
 from cubeforge.random_systems import (OmegaSampler, check_chain_separation,
                                       estimate_boundary_sweep, realize_system,
                                       scan_chain_separation)
-from cubeforge.space import QuasiMetricSpace
+from cubeforge.space import QuasiMetricSpace, _edge_gaps
 from test_adjacent import geoline_family
 from test_analysis import int_clouds
-from test_random import geoline_labels, grid_system, straddle_plane
+from test_random import geoline_labels, grid_system, sized, straddle_plane
 
 
 @st.composite
@@ -103,30 +103,34 @@ def test_each_site_reaches_the_kernel(monkeypatch, site):
         return real(*args, **kwargs)
 
     want = call()
-    for module in (cubes, adjacent, random_systems):
+    for module in (adjacent, random_systems):
         monkeypatch.setattr(module, "_edge_gaps", counting)
     got = call()
     assert len(calls) == expect
     assert repr(got) == repr(want)
 
 
-@pytest.mark.parametrize("batch", [1, 3, 400, None])
-def test_sweep_links_and_reads_each_batch_once(monkeypatch, batch):
-    # one partial-order call and one edge-distance call per batch of
-    # samples; None keeps the module's budget, one batch on the geoline
+@pytest.mark.parametrize("chunk,batch,draws,batches", [
+    (1, 1, 1000, 1000), (7, 3, 143, 428), (400, 400, 3, 3),
+    (None, 3, 1, 334), (None, None, 1, 1)])
+def test_sweep_links_and_reads_each_batch_once(monkeypatch, chunk, batch,
+                                               draws, batches):
+    # one draw per chunk of samples; one partial-order call and one
+    # edge-distance call per batch, batches never spanning two chunks (7
+    # samples link as 3 + 3 + 1); None keeps the module's size, one chunk
+    # and one batch on the geoline
     lab = geoline_labels()
-    cells = random_systems._sample_cells(lab, -2, 2)
-    if batch is not None:
-        monkeypatch.setattr(random_systems, "BATCH_CELLS", batch * cells)
+    monkeypatch.setattr(random_systems, "_sweep_sizes", sized(chunk, batch))
     calls = []
     for module, name in ((labeling, "build_partial_order"),
-                         (random_systems, "_edge_gaps")):
+                         (random_systems, "_edge_gaps"),
+                         (OmegaSampler, "_draw_choices")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, real=real, name=name,
                             **kw: (calls.append(name), real(*a, **kw))[1])
     estimate_boundary_sweep(OmegaSampler(lab, seed=1), [0, 2], -2,
                             [0.1, 1.0], 1000)
-    batches = -(-1000 // batch) if batch else 1
+    assert calls.count("_draw_choices") == draws
     assert calls.count("build_partial_order") == batches
     assert calls.count("_edge_gaps") == batches
 

@@ -276,6 +276,18 @@ def test_emit_csv_schema(tmp_path):
     assert all(line.endswith("true") for line in lines[2:])
 
 
+def test_boundary_entries_and_rows_say_what_they_tested():
+    # the entries' details and the table rows are the same documents; they
+    # add the level's cube count and whether C_2 * tau**eta is vacuous,
+    # while the CSV keeps its v1 columns (test_emit_csv_schema)
+    report = run_pipeline(small_config(checks=["mc_boundary"]))
+    rows = report.tables["boundary"]
+    assert [c["details"] for c in report.checks["mc_boundary"]["checks"]] \
+        == rows
+    assert [(r["cubes"], r["vacuous"]) for r in rows] == [(1, True)] * 3
+    assert all(r["bound_C2_tau_eta"] >= 1 for r in rows)
+
+
 def test_emit_handles_empty_reports(tmp_path):
     report = RunReport(config={})
     for path in emit_report(report, "csv", str(tmp_path)):

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -377,6 +378,43 @@ def test_boundary_estimate_pinned_top_level():
     assert est.passed == (est.wilson_upper <= est.bound)
 
 
+def test_boundary_entries_say_what_they_tested():
+    # the geoline's levels -2 and 0 hold 2 and 4 cubes; C_2 * tau**eta is
+    # about 5 013 at tau = 0.1 (vacuous) and below 1 at tau = 1e-30
+    lab = geoline_labels()
+    s = OmegaSampler(lab, "single", seed=1)
+    for k, cubes in ((-2, 2), (0, 4)):
+        vacuous, tight = estimate_boundary_sweep(s, [0], k, [0.1, 1e-30],
+                                                 1000)
+        assert vacuous.bound > 1000 and tight.bound < 1
+        for est, flag in ((vacuous, True), (tight, False)):
+            doc = est.to_json()
+            assert (doc["cubes"], doc["vacuous"]) == (cubes, flag)
+            assert doc["vacuous"] == (doc["bound_C2_tau_eta"] >= 1)
+
+
+def test_boundary_sweep_peak_memory():
+    # one `sample` benchmark sweep (cloud 72, levels [1, 53, 60] from
+    # k = -1): the sweep that drew each batch of 41 samples for itself and
+    # compared every parent position per sample peaked at 687 858 bytes
+    # under tracemalloc in this test (numpy 2.4.6); chunked draws and the
+    # shared-position kernel must stay at or below that
+    space = generate_space({"kind": "euclidean_cloud", "n": 60, "dim": 2,
+                            "box": 20.0, "seed": 72})
+    lab = build_labels(build_reference_hierarchy(space, DELTA,
+                                                 mode="strict"))
+    sampler = OmegaSampler(lab, "single", seed=72)
+    tracemalloc.start()
+    try:
+        got = estimate_boundary_sweep(sampler, [0, 1], lab.k_min,
+                                      [0.1, 0.01, 0.001], 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [e.to_json()["cubes"] for e in got] == [1] * 6
+    assert peak <= 687_858
+
+
 def test_boundary_estimate_preconditions():
     lab = geoline_labels()
     s = OmegaSampler(lab, "single", seed=1)
@@ -463,44 +501,49 @@ def int_line_labels(draw):
                                                   mode="strict"))
 
 
-def budget_for(lab, k, n_points, batch):
-    """A BATCH_CELLS that makes a sweep over n_points points at level k run
-    `batch` samples at a time (None: the module's own budget)."""
-    if batch is None:
-        return random_systems.BATCH_CELLS
-    return batch * random_systems._sample_cells(lab, k, n_points)
+def sized(chunk, batch):
+    """A `_sweep_sizes` that draws `chunk` samples at a time and links
+    `batch` of them at a time (None: the module's own size)."""
+    real = random_systems._sweep_sizes
+
+    def sizes(*args):
+        own = real(*args)
+        return chunk or own[0], batch or own[1]
+    return sizes
 
 
-def sweep_batched(lab, sampler, points, k, taus, batch):
-    """(hits, assign): the sweep's hit counts with `batch` samples a batch,
-    and the level-k assignment row it realized for each sample index."""
+def sweep_batched(lab, sampler, points, k, taus, chunk, batch):
+    """(hits, assign): the sweep's hit counts with `chunk` samples a draw
+    and `batch` a link, and the level-k assignment row it realized for
+    each sample index."""
     real, rows = random_systems._partial_assign, {}
 
-    def recording(sampler, samples, k):
-        assign = real(sampler, samples, k)
+    def recording(sampler, samples, k, choices=None):
+        assign = real(sampler, samples, k, choices)
         rows.update(zip(samples, assign))
         return assign
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(random_systems, "BATCH_CELLS",
-                   budget_for(lab, k, len(points), batch))
+        mp.setattr(random_systems, "_sweep_sizes", sized(chunk, batch))
         mp.setattr(random_systems, "_partial_assign", recording)
         got = estimate_boundary_sweep(sampler, points, k, taus, 1000)
     return [e.hits for e in got], rows
 
 
 def assert_batches_agree(lab, k):
-    """Sweep every point of `lab` at level k over three tied taus, 1, 3 and
-    the default number of samples a batch: the hits agree, and each
-    sample's level-k assignment is the one of its fully realized system.
-    Returns the hits."""
+    """Sweep every point of `lab` at level k over three tied taus, one
+    sample a draw and a link, then in draws of 7 linked 3 at a time (a
+    chunk that is no multiple of its batch), in batches of 3 and at the
+    module's own sizes: the hits agree, and each sample's level-k
+    assignment is the one of its fully realized system. Returns the
+    hits."""
     points, taus = list(range(lab.space.n)), tied_taus(lab, k)
     s = OmegaSampler(lab, "single", seed=13)
-    want, _ = sweep_batched(lab, s, points, k, taus, 1)
+    want, _ = sweep_batched(lab, s, points, k, taus, 1, 1)
     full = [realize_system(lab, sample_outcome(s, i)).assign[k - lab.k_min]
             for i in range(1000)]
-    for batch in (3, None):
-        hits, rows = sweep_batched(lab, s, points, k, taus, batch)
+    for chunk, batch in ((7, 3), (None, 3), (None, None)):
+        hits, rows = sweep_batched(lab, s, points, k, taus, chunk, batch)
         assert hits == want
         assert sorted(rows) == list(range(1000))
         assert all(np.array_equal(rows[i], a) for i, a in enumerate(full))
@@ -533,15 +576,19 @@ def without_near_pool(lab, k, alpha):
     lab.near[j][alpha] = -1
 
 
-def sweep_error(lab, sampler, batch):
-    """The exception the straddle-plane sweep raises at `batch` samples a
-    batch, as (type, message, attributes)."""
+def sweep_error(lab, sampler, chunk, batch):
+    """The exception the straddle-plane sweep raises with `chunk` samples a
+    draw and `batch` a link, as (type, message, attributes)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(random_systems, "BATCH_CELLS",
-                   budget_for(lab, -1, 2, batch))
+        mp.setattr(random_systems, "_sweep_sizes", sized(chunk, batch))
         with pytest.raises(Exception) as info:
             estimate_boundary_sweep(sampler, [7, 8], -1, [0.1], 1000)
     return type(info.value), str(info.value), vars(info.value)
+
+
+# (chunk, batch) sizes: the failing sample sits mid-batch in each, and in
+# a later chunk than the first in draws of 7 linked 3 at a time
+SIZES = ((7, 3), (None, 3), (None, None))
 
 
 def test_batched_sweep_raises_what_one_sample_batches_raise(monkeypatch):
@@ -553,13 +600,14 @@ def test_batched_sweep_raises_what_one_sample_batches_raise(monkeypatch):
     whole = OmegaSampler(straddle_plane(), "single", seed=6)
     masters = [whole.draw_level(i, 0)["master"] for i in range(1000)]
     first_bad = masters.index(0)
-    assert 0 < first_bad < 1000 // 3   # mid-batch, in every batch size
-    assert max(1, random_systems.BATCH_CELLS
-               // random_systems._sample_cells(lab, -1, 2)) > first_bad
-    want = sweep_error(lab, s, 1)
+    assert 7 < first_bad < 1000 // 3   # past the first chunk of 7
+    assert first_bad % 7 % 3 and first_bad % 3   # mid-batch
+    chunk, batch = random_systems._sweep_sizes(lab, -1, 2)
+    assert chunk > first_bad and batch > first_bad
+    want = sweep_error(lab, s, 1, 1)
     assert want[0] is NoNearChild and want[2]["parent_index"] == 2
-    for batch in (3, None):
-        assert sweep_error(lab, s, batch) == want
+    for chunk, batch in SIZES:
+        assert sweep_error(lab, s, chunk, batch) == want
 
     # a kernel failing for one earlier sample, whose draws all succeed,
     # raises first, although the batch draws the failing sample first
@@ -577,15 +625,15 @@ def test_batched_sweep_raises_what_one_sample_batches_raise(monkeypatch):
         return real(space, levels, *args, **kwargs)
 
     monkeypatch.setattr(labeling, "build_partial_order", flaky)
-    want = sweep_error(lab, s, 1)
+    want = sweep_error(lab, s, 1, 1)
     assert want[0] is TightAmbiguity and want[2]["child_index"] == 0
-    for batch in (3, None):
-        assert sweep_error(lab, s, batch) == want
+    for chunk, batch in SIZES:
+        assert sweep_error(lab, s, chunk, batch) == want
     # with every near pool in place only the kernel fails
-    want = sweep_error(whole.labeled, whole, 1)
+    want = sweep_error(whole.labeled, whole, 1, 1)
     assert want[0] is TightAmbiguity
-    for batch in (3, None):
-        assert sweep_error(whole.labeled, whole, batch) == want
+    for chunk, batch in SIZES:
+        assert sweep_error(whole.labeled, whole, chunk, batch) == want
 
 
 SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
